@@ -61,12 +61,7 @@ func main() {
 	if kk == 0 {
 		kk = 3 * mesh.N() / 8
 	}
-	var set []int
-	if mesh.N() <= 16 {
-		set, err = pl.PerformanceCentric(kk)
-	} else {
-		set, err = pl.GreedySet(kk)
-	}
+	set, err := pl.PerformanceCentric(kk)
 	if err != nil {
 		fail(err)
 	}

@@ -209,7 +209,7 @@ func New(p Params) (*Network, error) {
 		initRouter(n.routers[id], id, n)
 		n.nis[id] = &nbuf[id]
 		initNI(n.nis[id], id, n)
-		n.idle[id] = stats.NewIdleTracker(p.MaxIdlePeriod)
+		n.idle[id] = stats.NewIdleTracker(n.shardFor(id).col.IdlePeriods)
 	}
 	if p.Design == NoRD && p.ForcedOff {
 		// Routers start gated off: each ring upstream holds the single
@@ -294,13 +294,12 @@ func (n *Network) BeginMeasurement() {
 // FinishMeasurement flushes per-router trackers into the collector.
 func (n *Network) FinishMeasurement() {
 	n.syncStats()
-	n.foldStats()
 	for _, it := range n.idle {
-		it.Flush()
-		n.col.IdlePeriods.Merge(it.Periods())
+		it.Flush() // closes the trailing idle period into the shard collector
 		n.col.IdleCycles += it.IdleCycles()
 		n.col.BusyCycles += it.BusyCycles()
 	}
+	n.foldStats()
 }
 
 // NewPacket returns a packet with a unique ID, ready for Inject, drawn

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -129,6 +130,32 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 					t.Errorf("%s/%s: steady-state tick allocates %.4f allocs/op, want 0", d, topo, avg)
 				}
 			})
+		}
+	}
+}
+
+// TestNewBytesPerNode bounds what building a network allocates. Sweeps,
+// the service and the search build thousands of short-lived networks, so
+// construction cost is garbage-collector load; in particular nothing
+// per-router may own a MaxIdlePeriod-bucket histogram (32 KB each — they
+// once made up two thirds of a 4x4 network).
+func TestNewBytesPerNode(t *testing.T) {
+	const fixed, perNode = 160 << 10, 8 << 10
+	for _, w := range []int{4, 8, 16} {
+		for _, d := range []Design{NoPG, NoRD} {
+			p := DefaultParams(d)
+			p.Width, p.Height = w, w
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			n := MustNew(p)
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(n)
+			got := after.TotalAlloc - before.TotalAlloc
+			t.Logf("%s %dx%d: %d KB, %.1f KB/node", d, w, w, got>>10, float64(got)/float64(w*w)/1024)
+			if limit := uint64(fixed + perNode*w*w); got > limit {
+				t.Errorf("%s %dx%d: New allocated %d bytes, want at most %d (%d + %d per node)",
+					d, w, w, got, limit, fixed, perNode)
+			}
 		}
 	}
 }

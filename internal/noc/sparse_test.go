@@ -1,10 +1,12 @@
 package noc
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"nord/internal/stats"
+	"nord/internal/topology"
 	"nord/internal/traffic"
 )
 
@@ -101,6 +103,87 @@ func TestSparseDormancy(t *testing.T) {
 	for id := 0; id < p.NumNodes(); id++ {
 		if n.RouterPowerOn(id) {
 			t.Fatalf("router %d still on in an idle gated network", id)
+		}
+	}
+}
+
+// TestActiveSetComposition measures what the event-sparse worklist is made
+// of at low load, which decides how much any further sparsity trick can
+// save: a node on the list is either doing work (router datapath, links
+// or the NI side holding flits) or only waiting (a powered-on router
+// counting down the gate-off hysteresis, or an NI whose demand window has
+// not drained). Only the waiting share is removable. `go test -v -run
+// TestActiveSetComposition ./internal/noc` prints the breakdown quoted in
+// DESIGN.md §7.
+func TestActiveSetComposition(t *testing.T) {
+	type breakdown struct{ active, routerBusy, niBusy, idleOn, idleWindow float64 }
+	measure := func(d Design) (breakdown, float64) {
+		p := DefaultParams(d)
+		p.Width, p.Height = 8, 8
+		if d == NoRD {
+			// As the simulator configures it: the planner's 24 routers.
+			topo := topology.MustNew(p.Topology, p.Width, p.Height)
+			ring, err := topology.NewRing(topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.PerfCentric, err = topology.NewPlanner(topo, ring).PerformanceCentric(24); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n := MustNew(p)
+		inj := traffic.NewSynthetic(n, traffic.UniformRandom, 0.02, 1)
+		const warmup, cycles = 5000, 10000
+		var b breakdown
+		for c := 0; c < warmup+cycles; c++ {
+			inj.Tick(n.Cycle())
+			n.Tick()
+			if c == warmup {
+				n.BeginMeasurement()
+			}
+			if c < warmup {
+				continue
+			}
+			// The list as the next cycle will find it, classified in
+			// nodeNeedsTick's order of reasons.
+			for _, id := range n.collectActive() {
+				r, ni := n.routers[id], n.nis[id]
+				b.active++
+				switch {
+				case r.bufFlits > 0 || r.stFlits > 0 || r.phaseCnt[vcRouting] > 0 || r.phaseCnt[vcWaitVA] > 0 ||
+					r.phaseCnt[vcActive] > 0 || r.phaseCnt[vcWaitWake] > 0 ||
+					r.saGrantsLastCycle > 0 || r.saGrantsThisCycle > 0 || r.state == powerWaking ||
+					n.linkCount[id] > 0 || r.heldVCs > 0 || r.bypassSum > 0:
+					b.routerBusy++
+				case ni.curMode != modeNone || len(ni.curFlits) > 0 || ni.injectOut != nil ||
+					len(ni.ejPend) > 0 || len(ni.toLocal) > 0 || len(ni.localQ) > 0 ||
+					ni.queuedTotal > 0 || ni.latchCount > 0 || ni.fwdCount > 0:
+					b.niBusy++
+				case r.state == powerOn:
+					b.idleOn++
+				default:
+					b.idleWindow++
+				}
+			}
+		}
+		n.FinishMeasurement()
+		for _, f := range []*float64{&b.active, &b.routerBusy, &b.niBusy, &b.idleOn, &b.idleWindow} {
+			*f /= cycles
+		}
+		return b, n.Collector().PacketLatency.Mean()
+	}
+	for _, d := range []Design{NoRD, NoPG} {
+		b, latency := measure(d)
+		t.Logf("%-6s 8x8 @0.02: active %.1f of 64 per cycle = router-busy %.1f + NI-busy %.1f + idle-on %.1f + idle-window %.1f; avg latency %.0f cycles",
+			d, b.active, b.routerBusy, b.niBusy, b.idleOn, b.idleWindow, latency)
+		if sum := b.routerBusy + b.niBusy + b.idleOn + b.idleWindow; math.Abs(sum-b.active) > 1e-6 {
+			t.Errorf("%s: classes sum to %.3f, active set is %.3f", d, sum, b.active)
+		}
+		// The finding the docs rest on: NoRD's list is long because its
+		// nodes are moving flits (longer routes, ~3x the flit-hops), not
+		// because the ring keeps idle NIs awake.
+		if waiting := b.idleOn + b.idleWindow; d == NoRD && waiting > 0.3*b.active {
+			t.Errorf("NoRD: %.1f of %.1f active nodes are only waiting; DESIGN.md §7 says under a third", waiting, b.active)
 		}
 	}
 }

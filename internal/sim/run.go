@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"nord/internal/fault"
 	"nord/internal/flit"
@@ -101,7 +102,8 @@ type SynthConfig struct {
 	// NoPerfCentric disables the asymmetric-threshold planner (ablation).
 	NoPerfCentric bool
 	// ThresholdPerf/ThresholdPower override the wakeup thresholds when
-	// positive (ablation; defaults 1 and 3).
+	// positive (ablation; noc.DefaultParams sets 1 and 6 — the paper's
+	// 1 and 3 recalibrated to this simulator's blocked-request metric).
 	ThresholdPerf, ThresholdPower int
 	// MisrouteCap overrides the NoRD misroute cap when non-negative.
 	MisrouteCap int
@@ -180,12 +182,24 @@ func (c SynthConfig) Filled() SynthConfig {
 }
 
 // perfCache memoises performance-centric router sets per topology+size.
-var perfCache sync.Map // perfKey -> []int
+var perfCache sync.Map // perfKey -> *perfEntry
 
 type perfKey struct {
 	kind topology.Kind
 	w, h int
 }
+
+// perfEntry is one memo slot. Callers that miss together queue on mu
+// behind the first, so a grid is searched once however many simulations
+// start on it at the same time (and the search, which spreads over every
+// core, never competes with a copy of itself).
+type perfEntry struct {
+	mu  sync.Mutex
+	set atomic.Pointer[[]int] // nil until a search has succeeded
+}
+
+// perfSearches counts planner searches actually run; tests read it.
+var perfSearches atomic.Int64
 
 // PerfCentricSet returns the performance-centric routers for a WxH mesh
 // (see PerfCentricSetOn).
@@ -198,12 +212,34 @@ func PerfCentricSet(w, h int) ([]int, error) {
 // set for the paper's 4x4 example, and a greedy 3N/8-router set for
 // larger grids (Section 4.4). The planner evaluates bypass-ring detour
 // cost on the actual topology, so torus wrap links shorten the detours
-// it optimises against.
+// it optimises against. The returned slice is shared: do not modify it.
 func PerfCentricSetOn(kind topology.Kind, w, h int) ([]int, error) {
 	key := perfKey{kind, w, h}
-	if v, ok := perfCache.Load(key); ok {
-		return v.([]int), nil
+	v, ok := perfCache.Load(key)
+	if !ok {
+		v, _ = perfCache.LoadOrStore(key, new(perfEntry))
 	}
+	e := v.(*perfEntry)
+	if set := e.set.Load(); set != nil {
+		return *set, nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if set := e.set.Load(); set != nil {
+		return *set, nil
+	}
+	set, err := searchPerfCentric(kind, w, h)
+	if err != nil {
+		// Failures are not memoised, and leave no entry behind.
+		perfCache.CompareAndDelete(key, v)
+		return nil, err
+	}
+	e.set.Store(&set)
+	return set, nil
+}
+
+func searchPerfCentric(kind topology.Kind, w, h int) ([]int, error) {
+	perfSearches.Add(1)
 	topo, err := topology.New(kind, w, h)
 	if err != nil {
 		return nil, err
@@ -212,18 +248,7 @@ func PerfCentricSetOn(kind topology.Kind, w, h int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl := topology.NewPlanner(topo, ring)
-	var set []int
-	if topo.N() <= 16 {
-		set, err = pl.PerformanceCentric(6 * topo.N() / 16)
-	} else {
-		set, err = pl.GreedySet(3 * topo.N() / 8)
-	}
-	if err != nil {
-		return nil, err
-	}
-	perfCache.Store(key, set)
-	return set, nil
+	return topology.NewPlanner(topo, ring).PerformanceCentric(3 * topo.N() / 8)
 }
 
 // buildParams assembles noc parameters from a synthetic config.

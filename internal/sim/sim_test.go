@@ -3,10 +3,12 @@ package sim
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"nord/internal/noc"
 	"nord/internal/power"
+	"nord/internal/topology"
 )
 
 func TestPerfCentricSet4x4(t *testing.T) {
@@ -29,6 +31,56 @@ func TestPerfCentricSet4x4(t *testing.T) {
 	}
 	if _, err := PerfCentricSet(1, 1); err == nil {
 		t.Error("invalid mesh should fail")
+	}
+}
+
+// TestPerfCentricSetSingleFlight: simulations that start together on a
+// grid nobody has planned yet (serve workers, ParallelSuite goroutines,
+// search children) must share one planner search, not each run their own.
+func TestPerfCentricSetSingleFlight(t *testing.T) {
+	// A grid no other test in this package uses, made cold again for
+	// every -count iteration.
+	const w, h = 14, 2
+	perfCache.Delete(perfKey{topology.KindMesh, w, h})
+	before := perfSearches.Load()
+	const callers = 8
+	sets := make([][]int, callers)
+	errs := make([]error, callers)
+	var ready, done sync.WaitGroup
+	release := make(chan struct{})
+	for i := range sets {
+		ready.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			ready.Done()
+			<-release
+			sets[i], errs[i] = PerfCentricSet(w, h)
+		}()
+	}
+	ready.Wait()
+	close(release)
+	done.Wait()
+	if n := perfSearches.Load() - before; n != 1 {
+		t.Errorf("%d callers on a cold key ran %d planner searches, want 1", callers, n)
+	}
+	for i := range sets {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if len(sets[i]) != 3*w*h/8 || &sets[i][0] != &sets[0][0] {
+			t.Errorf("caller %d got %v, not the shared slice %v", i, sets[i], sets[0])
+		}
+	}
+
+	// A failed search is not memoised and leaves no entry behind.
+	for i := 0; i < 2; i++ {
+		if _, err := PerfCentricSet(3, 3); err == nil {
+			t.Fatal("3x3 mesh has no bypass ring; planning it should fail")
+		}
+	}
+	if _, left := perfCache.Load(perfKey{topology.KindMesh, 3, 3}); left {
+		t.Error("failed search left a memo entry")
 	}
 }
 

@@ -256,10 +256,12 @@ func (w *Window) Reset() {
 	w.head = 0
 }
 
-// IdleTracker builds the idle-period length distribution of one router.
-// A period is a maximal run of consecutive idle cycles; the paper's BET
-// analysis (Section 3.2) reports the fraction of periods at or below the
-// breakeven time.
+// IdleTracker follows one router's busy/idle state and records each idle
+// period it sees end into a histogram it is given. A period is a maximal
+// run of consecutive idle cycles; the paper's BET analysis (Section 3.2)
+// reports the fraction of periods at or below the breakeven time. Only the
+// network-wide distribution is ever read, so the routers of a network (or
+// of one shard of it) share one histogram instead of owning one each.
 type IdleTracker struct {
 	hist      *Histogram
 	idleRun   uint64
@@ -267,9 +269,10 @@ type IdleTracker struct {
 	busyTotal uint64
 }
 
-// NewIdleTracker returns a tracker with periods binned up to maxPeriod.
-func NewIdleTracker(maxPeriod int) *IdleTracker {
-	return &IdleTracker{hist: NewHistogram(maxPeriod)}
+// NewIdleTracker returns a tracker that records idle periods into periods.
+// Trackers sharing a histogram must be driven from one goroutine at a time.
+func NewIdleTracker(periods *Histogram) *IdleTracker {
+	return &IdleTracker{hist: periods}
 }
 
 // Record notes one cycle's state.
@@ -313,9 +316,6 @@ func (it *IdleTracker) Flush() {
 		it.idleRun = 0
 	}
 }
-
-// Periods returns the idle-period histogram (call Flush first).
-func (it *IdleTracker) Periods() *Histogram { return it.hist }
 
 // IdleFraction returns the fraction of recorded cycles that were idle.
 func (it *IdleTracker) IdleFraction() float64 {

@@ -216,7 +216,8 @@ func TestWindowProperty(t *testing.T) {
 }
 
 func TestIdleTracker(t *testing.T) {
-	it := NewIdleTracker(100)
+	h := NewHistogram(100)
+	it := NewIdleTracker(h)
 	// busy, idle x3, busy, idle x2 (trailing)
 	it.Record(true)
 	it.Record(false)
@@ -226,7 +227,6 @@ func TestIdleTracker(t *testing.T) {
 	it.Record(false)
 	it.Record(false)
 	it.Flush()
-	h := it.Periods()
 	if h.Count() != 2 {
 		t.Fatalf("periods = %d, want 2", h.Count())
 	}
@@ -247,7 +247,7 @@ func TestIdleTracker(t *testing.T) {
 }
 
 func TestIdleTrackerEmpty(t *testing.T) {
-	it := NewIdleTracker(10)
+	it := NewIdleTracker(NewHistogram(10))
 	if it.IdleFraction() != 0 {
 		t.Error("empty tracker idle fraction should be 0")
 	}

@@ -1,18 +1,19 @@
 package topology
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 )
 
 func newPlanner4x4(t *testing.T) *Planner {
 	t.Helper()
-	m := MustMesh(4, 4)
-	r, err := NewRing(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewPlanner(m, r)
+	return newPlannerOn(t, KindMesh, 4, 4)
 }
 
 func TestEvalAllOn(t *testing.T) {
@@ -209,5 +210,333 @@ func TestGreedySet(t *testing.T) {
 	}
 	if _, err := p.GreedySet(99); err == nil {
 		t.Error("oversized K should fail")
+	}
+}
+
+func newPlannerOn(t testing.TB, kind Kind, w, h int) *Planner {
+	t.Helper()
+	topo, err := New(kind, w, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRing(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewPlanner(topo, r)
+}
+
+// performanceCentricFor picks the set the simulator uses for a grid: 3N/8
+// routers, the paper's 6-of-16 ratio.
+func performanceCentricFor(p *Planner) ([]int, error) {
+	return p.PerformanceCentric(3 * p.Topo.N() / 8)
+}
+
+// TestPerformanceCentricPinnedSets pins the planner's output per topology.
+// The literals were generated by the planner as it stood before the
+// popcount-k / packed-cell / parallel-greedy rewrite; every simulation
+// result downstream of a NoRD run depends on them, so a planner change
+// that moves one must be deliberate.
+func TestPerformanceCentricPinnedSets(t *testing.T) {
+	cases := []struct {
+		kind Kind
+		w, h int
+		slow bool
+		want []int
+	}{
+		{KindMesh, 4, 4, false, []int{2, 4, 5, 6, 10, 14}},
+		{KindMesh, 8, 8, false, []int{0, 1, 2, 8, 9, 10, 11, 17, 18, 19, 24, 25, 26, 27, 33, 34, 35, 40, 41, 42, 49, 50, 57, 58}},
+		{KindMesh, 10, 10, true, []int{0, 1, 2, 3, 10, 11, 12, 13, 14, 21, 22, 23, 24, 30, 31, 32, 33, 41, 42, 43, 50, 51, 52, 53, 61, 62, 63, 70, 71, 72, 73, 81, 82, 83, 91, 92, 93}},
+		{KindMesh, 8, 4, false, []int{0, 1, 2, 8, 9, 10, 11, 17, 18, 19, 25, 26}},
+		{KindMesh, 6, 6, false, []int{0, 1, 6, 7, 8, 13, 14, 18, 19, 20, 25, 26, 31}},
+		{KindMesh, 2, 2, false, []int{0}},
+		{KindTorus, 4, 4, false, []int{1, 4, 5, 7, 11, 13}},
+		{KindTorus, 5, 5, false, []int{0, 1, 4, 5, 6, 10, 15, 20, 21}},
+		{KindTorus, 8, 8, false, []int{0, 6, 7, 14, 15, 16, 17, 22, 23, 24, 25, 30, 31, 33, 38, 39, 40, 41, 46, 47, 55, 56, 62, 63}},
+		{KindCMesh, 4, 4, false, []int{2, 4, 5, 6, 10, 14}},
+		{KindCMesh, 8, 8, false, []int{0, 1, 2, 8, 9, 10, 11, 17, 18, 19, 24, 25, 26, 27, 33, 34, 35, 40, 41, 42, 49, 50, 57, 58}},
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%v%dx%d", c.kind, c.w, c.h), func(t *testing.T) {
+			if c.slow && testing.Short() {
+				t.Skip("10x10 greedy search is slow in -short mode")
+			}
+			got, err := performanceCentricFor(newPlannerOn(t, c.kind, c.w, c.h))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, c.want) {
+				t.Errorf("performance-centric set\n got %v\nwant %v", got, c.want)
+			}
+		})
+	}
+}
+
+// textbookTotals is Figure 6's Floyd-Warshall written the plain way — row
+// slices, an infinity that has to be tested for, separate cost and hop
+// matrices — as the reference the planner's packed evaluator must agree
+// with exactly. Hop counts along equal-cost paths depend on the k/u/v
+// visiting order and the strict <, which is what the comparison pins.
+func textbookTotals(p *Planner, on []bool) (hops, cycles int64, err error) {
+	const inf = math.MaxInt32
+	n := p.Topo.N()
+	cost, hop := make([][]int32, n), make([][]int32, n)
+	for u := range cost {
+		cost[u], hop[u] = make([]int32, n), make([]int32, n)
+		for v := range cost[u] {
+			if u != v {
+				cost[u][v] = inf
+			}
+		}
+	}
+	edge := func(u, v int) {
+		c := int32(p.PipeOnCycles)
+		if !on[v] {
+			if p.Ring.Pred(v) != u {
+				return
+			}
+			c = int32(p.PipeBypassCycles)
+		}
+		if c < cost[u][v] {
+			cost[u][v], hop[u][v] = c, 1
+		}
+	}
+	for u := 0; u < n; u++ {
+		if !on[u] {
+			edge(u, p.Ring.Succ(u))
+			continue
+		}
+		for d := East; d < Local; d++ {
+			if v, ok := p.Topo.Neighbor(u, d); ok {
+				edge(u, v)
+			}
+		}
+	}
+	for k := 0; k < n; k++ {
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if cost[u][k] == inf || cost[k][v] == inf {
+					continue
+				}
+				if nc := cost[u][k] + cost[k][v]; nc < cost[u][v] {
+					cost[u][v], hop[u][v] = nc, hop[u][k]+hop[k][v]
+				}
+			}
+		}
+	}
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if cost[u][v] == inf {
+				return 0, 0, fmt.Errorf("node %d unreachable from %d", v, u)
+			}
+			hops, cycles = hops+int64(hop[u][v]), cycles+int64(cost[u][v])
+		}
+	}
+	return hops, cycles, nil
+}
+
+func TestEvaluatorMatchesTextbookFloydWarshall(t *testing.T) {
+	grids := []struct {
+		kind Kind
+		w, h int
+	}{
+		{KindMesh, 4, 4}, {KindMesh, 8, 4}, {KindMesh, 8, 8},
+		{KindTorus, 4, 4}, {KindTorus, 5, 5}, {KindTorus, 8, 8},
+		{KindCMesh, 4, 4},
+	}
+	for _, g := range grids {
+		t.Run(fmt.Sprintf("%v%dx%d", g.kind, g.w, g.h), func(t *testing.T) {
+			if g.w*g.h > 32 && testing.Short() {
+				t.Skip("reference Floyd-Warshall on 64 nodes is slow in -short mode")
+			}
+			p := newPlannerOn(t, g.kind, g.w, g.h)
+			n := p.Topo.N()
+			e, err := p.newEvaluator()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(n)*31 + int64(g.kind)))
+			for trial := 0; trial < 320; trial++ {
+				// Trials 0 and 1 are all-off and all-on; the rest draw
+				// each router with a per-trial density, so sparse and
+				// dense sets are both covered.
+				density := rng.Float64()
+				for v := range e.on {
+					switch trial {
+					case 0:
+						e.on[v] = false
+					case 1:
+						e.on[v] = true
+					default:
+						e.on[v] = rng.Float64() < density
+					}
+				}
+				got, err := e.run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantHops, wantCycles, err := textbookTotals(p, e.on)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.hops != wantHops || got.cycles != wantCycles {
+					t.Fatalf("trial %d on=%v: evaluator (hops %d, cycles %d), textbook (hops %d, cycles %d)",
+						trial, e.on, got.hops, got.cycles, wantHops, wantCycles)
+				}
+			}
+		})
+	}
+}
+
+// TestExhaustiveVisitsChooseNK: the size-k search evaluates exactly the
+// C(n,k) masks of that size, and finds what a scan of every mask finds.
+func TestExhaustiveVisitsChooseNK(t *testing.T) {
+	choose := func(n, k int) int {
+		c := 1
+		for i := 1; i <= k; i++ {
+			c = c * (n - k + i) / i
+		}
+		return c
+	}
+	p := newPlanner4x4(t)
+	for _, k := range []int{0, 1, 6, 15, 16} {
+		e, err := p.newEvaluator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := e.bestOfSize(k); err != nil {
+			t.Fatal(err)
+		}
+		if want := choose(16, k); e.evals != want {
+			t.Errorf("k=%d: %d evaluations, want C(16,%d) = %d", k, e.evals, k, want)
+		}
+	}
+
+	// 4x2 mesh: all 256 masks in ascending order with the reference
+	// evaluator, first strictly better per size wins.
+	p = newPlannerOn(t, KindMesh, 4, 2)
+	type best struct {
+		mask         uint
+		hops, cycles int64
+	}
+	bests := make([]best, 9)
+	for k := range bests {
+		bests[k].hops = math.MaxInt64
+	}
+	on := make([]bool, 8)
+	for mask := uint(0); mask < 256; mask++ {
+		for v := range on {
+			on[v] = mask&(1<<v) != 0
+		}
+		h, c, err := textbookTotals(p, on)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := &bests[bits.OnesCount(mask)]
+		if h < b.hops || (h == b.hops && c < b.cycles) {
+			*b = best{mask, h, c}
+		}
+	}
+	pts, err := p.Tradeoff()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, b := range bests {
+		if want := maskToSet(b.mask); !slices.Equal(pts[k].OnSet, want) {
+			t.Errorf("K=%d: Tradeoff chose %v, full scan %v", k, pts[k].OnSet, want)
+		}
+		set, err := p.PerformanceCentric(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(set, pts[k].OnSet) {
+			t.Errorf("K=%d: PerformanceCentric %v, Tradeoff %v", k, set, pts[k].OnSet)
+		}
+	}
+}
+
+// TestPlannerIndependentOfGOMAXPROCS: the greedy step fans its candidates
+// out over GOMAXPROCS workers; the router it picks must not depend on how
+// many there are. Run under -race this also exercises the worker hand-off.
+func TestPlannerIndependentOfGOMAXPROCS(t *testing.T) {
+	grids := []struct {
+		kind Kind
+		w, h int
+	}{{KindMesh, 4, 4}, {KindMesh, 6, 6}, {KindTorus, 6, 6}, {KindMesh, 8, 8}}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, g := range grids {
+		if g.w*g.h > 36 && testing.Short() {
+			continue
+		}
+		var ref [][]int
+		var refCurve []TradeoffPoint
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			p := newPlannerOn(t, g.kind, g.w, g.h)
+			n := p.Topo.N()
+			greedy, err := p.GreedySet(3 * n / 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perf, err := performanceCentricFor(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			curve, err := p.Tradeoff()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := [][]int{greedy, perf}
+			if ref == nil {
+				ref, refCurve = got, curve
+				continue
+			}
+			if !reflect.DeepEqual(got, ref) || !reflect.DeepEqual(curve, refCurve) {
+				t.Errorf("%v %dx%d: GOMAXPROCS=%d gives greedy/perf %v, GOMAXPROCS=1 gave %v (curves equal: %v)",
+					g.kind, g.w, g.h, procs, got, ref, reflect.DeepEqual(curve, refCurve))
+			}
+		}
+	}
+}
+
+// TestPlannerSearchAllocations: a search allocates its scratch once per
+// worker, not per candidate evaluated.
+func TestPlannerSearchAllocations(t *testing.T) {
+	for _, g := range []struct {
+		w, h  int
+		evals int // candidates evaluated, for scale
+	}{{4, 4, 8008}, {6, 6, 13*36 - 78}} {
+		p := newPlannerOn(t, KindMesh, g.w, g.h)
+		allocs := testing.AllocsPerRun(1, func() {
+			if _, err := performanceCentricFor(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 40 {
+			t.Errorf("%dx%d: %.0f allocations for a search of %d evaluations", g.w, g.h, allocs, g.evals)
+		}
+	}
+}
+
+// BenchmarkPlannerCold times what a process pays before its first NoRD
+// simulation on a grid: one performance-centric search from a fresh
+// planner. allocs/op must stay a handful per worker.
+func BenchmarkPlannerCold(b *testing.B) {
+	for _, g := range []struct {
+		name string
+		kind Kind
+		w    int
+	}{
+		{"mesh4", KindMesh, 4}, {"mesh8", KindMesh, 8}, {"mesh10", KindMesh, 10},
+		{"torus8", KindTorus, 8}, {"cmesh4", KindCMesh, 4},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := performanceCentricFor(newPlannerOn(b, g.kind, g.w, g.w)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
