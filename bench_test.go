@@ -7,6 +7,7 @@
 package nord_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -29,7 +30,7 @@ var (
 func suite(b *testing.B) *sim.SuiteResult {
 	b.Helper()
 	suiteOnce.Do(func() {
-		suiteRes, suiteErr = sim.RunSuite(benchScale, 1, nil)
+		suiteRes, suiteErr = sim.RunSuite(context.Background(), benchScale, 1, nil)
 	})
 	if suiteErr != nil {
 		b.Fatal(suiteErr)
@@ -249,7 +250,7 @@ func BenchmarkFig14LoadSweep16(b *testing.B) {
 	var pts []sim.SweepPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = sim.LoadSweep(4, 4, "uniform", []float64{0.05, 0.10, 0.30}, 30_000, 1)
+		pts, err = sim.LoadSweep(context.Background(), sim.SweepConfig{Rates: []float64{0.05, 0.10, 0.30}, Measure: 30_000, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -275,11 +276,11 @@ func BenchmarkFig15LoadSweep64(b *testing.B) {
 	var uni []sim.SweepPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		uni, err = sim.LoadSweep(8, 8, "uniform", []float64{0.05, 0.10}, 20_000, 1)
+		uni, err = sim.LoadSweep(context.Background(), sim.SweepConfig{Width: 8, Height: 8, Rates: []float64{0.05, 0.10}, Measure: 20_000, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sim.LoadSweep(8, 8, "bitcomp", []float64{0.04}, 20_000, 1); err != nil {
+		if _, err := sim.LoadSweep(context.Background(), sim.SweepConfig{Width: 8, Height: 8, Pattern: "bitcomp", Rates: []float64{0.04}, Measure: 20_000, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -318,11 +319,11 @@ func BenchmarkAblationThresholds(b *testing.B) {
 	var asym, sym sim.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		asym, err = sim.RunSynthetic(sim.SynthConfig{Design: noc.NoRD, Rate: 0.08, Measure: 30_000, Seed: 2})
+		asym, err = nord.RunSynthetic(sim.SynthConfig{Design: noc.NoRD, Rate: 0.08, Measure: 30_000, Seed: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
-		sym, err = sim.RunSynthetic(sim.SynthConfig{Design: noc.NoRD, Rate: 0.08, Measure: 30_000, Seed: 2, NoPerfCentric: true})
+		sym, err = nord.RunSynthetic(sim.SynthConfig{Design: noc.NoRD, Rate: 0.08, Measure: 30_000, Seed: 2, NoPerfCentric: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -341,7 +342,7 @@ func BenchmarkAblationMisrouteCap(b *testing.B) {
 	lat := make([]float64, len(caps))
 	for i := 0; i < b.N; i++ {
 		for j, c := range caps {
-			r, err := sim.RunSynthetic(sim.SynthConfig{Design: noc.NoRD, Rate: 0.05, Measure: 20_000, Seed: 2, MisrouteCap: c})
+			r, err := nord.RunSynthetic(sim.SynthConfig{Design: noc.NoRD, Rate: 0.05, Measure: 20_000, Seed: 2, MisrouteCap: c})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -361,13 +362,13 @@ func BenchmarkSec68ShortPipelines(b *testing.B) {
 	var opt, nordRes sim.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		opt, err = sim.RunSynthetic(sim.SynthConfig{
+		opt, err = nord.RunSynthetic(sim.SynthConfig{
 			Design: noc.ConvPGOpt, Rate: 0.05, Measure: 30_000, Seed: 3, TwoStageRouter: true,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		nordRes, err = sim.RunSynthetic(sim.SynthConfig{
+		nordRes, err = nord.RunSynthetic(sim.SynthConfig{
 			Design: noc.NoRD, Rate: 0.05, Measure: 30_000, Seed: 3,
 			TwoStageRouter: true, AggressiveBypass: true,
 		})
@@ -386,11 +387,11 @@ func BenchmarkAblationDynamicClassify(b *testing.B) {
 	var fixed, dyn sim.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		fixed, err = sim.RunSynthetic(sim.SynthConfig{Design: noc.NoRD, Rate: 0.08, Measure: 30_000, Seed: 4})
+		fixed, err = nord.RunSynthetic(sim.SynthConfig{Design: noc.NoRD, Rate: 0.08, Measure: 30_000, Seed: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
-		dyn, err = sim.RunSynthetic(sim.SynthConfig{Design: noc.NoRD, Rate: 0.08, Measure: 30_000, Seed: 4, DynamicClassify: true})
+		dyn, err = nord.RunSynthetic(sim.SynthConfig{Design: noc.NoRD, Rate: 0.08, Measure: 30_000, Seed: 4, DynamicClassify: true})
 		if err != nil {
 			b.Fatal(err)
 		}

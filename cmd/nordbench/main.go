@@ -8,51 +8,15 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"nord/internal/noc"
+	"nord/internal/profiling"
 	"nord/internal/sim"
 )
-
-// startProfiles begins CPU profiling and returns a function that stops it
-// and writes the heap profile; the stop function must run before every
-// process exit (os.Exit skips defers).
-func startProfiles(cpu, mem string) (func(), error) {
-	var cpuF *os.File
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		cpuF = f
-	}
-	return func() {
-		if cpuF != nil {
-			pprof.StopCPUProfile()
-			cpuF.Close()
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-			f.Close()
-		}
-	}, nil
-}
 
 func main() {
 	var (
@@ -61,7 +25,6 @@ func main() {
 		idle         = flag.Bool("idle", false, "only run the No_PG idle-period analysis (Figure 3 / Section 3.2)")
 		quiet        = flag.Bool("quiet", false, "suppress progress output")
 		csvPath      = flag.String("csv", "", "also write the raw per-cell results to a CSV file")
-		parallel     = flag.Bool("parallel", true, "run suite cells concurrently")
 		kernel       = flag.Bool("kernel", false, "run the tick-kernel benchmark matrix (8x8 x designs x loads, plus the NoRD parallel-scaling meshes) and write a JSON report")
 		kernelOut    = flag.String("kernel-out", "BENCH_kernel.json", "output path for the -kernel report")
 		kernelCycles = flag.Int("kernel-cycles", 50_000, "measured cycles per -kernel point (scaling meshes run proportionally fewer)")
@@ -73,7 +36,7 @@ func main() {
 	)
 	flag.Parse()
 
-	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -187,12 +150,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "running %s\n", s)
 		}
 	}
-	var sr *sim.SuiteResult
-	if *parallel {
-		sr, err = sim.ParallelSuite(*scale, *seed, progress)
-	} else {
-		sr, err = sim.RunSuite(*scale, *seed, progress)
-	}
+	sr, err := sim.RunSuite(context.Background(), *scale, *seed, progress)
 	if err != nil {
 		fail(err)
 	}

@@ -15,12 +15,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"nord/internal/noc"
 	"nord/internal/obs"
+	"nord/internal/profiling"
 	"nord/internal/sim"
 )
 
@@ -41,42 +40,6 @@ func writeTrace(path string, tr *obs.Tracer, endCycle uint64) error {
 		err = cerr
 	}
 	return err
-}
-
-// startProfiles begins CPU profiling and returns a function that stops it
-// and writes the heap profile; the stop function must run before every
-// process exit (os.Exit skips defers).
-func startProfiles(cpu, mem string) (func(), error) {
-	var cpuF *os.File
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		cpuF = f
-	}
-	return func() {
-		if cpuF != nil {
-			pprof.StopCPUProfile()
-			cpuF.Close()
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-			f.Close()
-		}
-	}, nil
 }
 
 func main() {
@@ -110,7 +73,7 @@ func main() {
 	)
 	flag.Parse()
 
-	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -156,40 +119,6 @@ func main() {
 	if *warmup == 0 {
 		*warmup = sim.ZeroWarmup
 	}
-	if *watch > 0 {
-		frames := *measure / *watch
-		if frames < 1 {
-			frames = 1
-		}
-		err := sim.WatchStates(sim.SynthConfig{
-			Design: d, Width: *width, Height: *height, Topology: *topo,
-			Pattern: *pattern, Rate: *rate,
-			Warmup: *warmup, Seed: *seed, WakeupLatency: *wakeup,
-			ForcedOff: *forcedOff, TwoStageRouter: *twoStage,
-			AggressiveBypass: *aggressive, DynamicClassify: *dynClass,
-		}, *watch, frames, os.Stdout)
-		if err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *powerTrace > 0 {
-		samples, err := sim.PowerTimeSeries(sim.SynthConfig{
-			Design: d, Width: *width, Height: *height, Topology: *topo,
-			Pattern: *pattern, Rate: *rate,
-			Warmup: *warmup, Measure: *measure,
-			Seed: *seed, WakeupLatency: *wakeup, ForcedOff: *forcedOff,
-			TwoStageRouter: *twoStage, AggressiveBypass: *aggressive,
-			DynamicClassify: *dynClass,
-		}, *powerTrace)
-		if err != nil {
-			fail(err)
-		}
-		if err := sim.WritePowerSeriesCSV(os.Stdout, samples); err != nil {
-			fail(err)
-		}
-		return
-	}
 	var opt sim.RunOptions
 	if *cpus < 0 {
 		fail(fmt.Errorf("cpus must be non-negative, got %d", *cpus))
@@ -198,25 +127,44 @@ func main() {
 	if *tracePath != "" {
 		opt.Tracer = obs.New(obs.Config{SampleEvery: *traceSample})
 	}
+	synth := sim.SynthConfig{
+		Design: d, Width: *width, Height: *height, Topology: *topo,
+		Pattern: *pattern, Rate: *rate,
+		Warmup: *warmup, Measure: *measure,
+		Seed: *seed, WakeupLatency: *wakeup, ForcedOff: *forcedOff,
+		TwoStageRouter: *twoStage, AggressiveBypass: *aggressive,
+		DynamicClassify: *dynClass,
+	}
+	ctx := context.Background()
+	sampling := *watch > 0 || *powerTrace > 0
 	var res sim.Result
-	if *benchmark != "" {
+	switch {
+	case sampling:
+		// The samplers are synthetic runs with a reader attached: they
+		// honour -cpus and -trace like the plain run, and print their frames
+		// or series instead of the report.
+		if *benchmark != "" {
+			fail(fmt.Errorf("-watch and -power-trace sample synthetic traffic; drop -benchmark"))
+		}
+		if *watch > 0 {
+			res, err = sim.WatchStates(ctx, synth, opt, *watch, max(1, *measure / *watch), os.Stdout)
+		} else {
+			var samples []sim.PowerSample
+			if samples, res, err = sim.PowerTimeSeries(ctx, synth, opt, *powerTrace); err == nil {
+				err = sim.WritePowerSeriesCSV(os.Stdout, samples)
+			}
+		}
+	case *benchmark != "":
 		if *topo != "" && *topo != "mesh" {
 			// Refuse rather than silently running the workload on a mesh.
 			fail(fmt.Errorf("full-system workloads support only the mesh topology, got %q", *topo))
 		}
-		res, err = sim.RunWorkloadOpts(context.Background(), sim.WorkloadConfig{
+		res, err = sim.RunWorkloadOpts(ctx, sim.WorkloadConfig{
 			Design: d, Benchmark: *benchmark, Scale: *scale,
 			Warmup: *warmup, Seed: *seed, WakeupLatency: *wakeup,
 		}, opt)
-	} else {
-		res, err = sim.RunSyntheticOpts(context.Background(), sim.SynthConfig{
-			Design: d, Width: *width, Height: *height, Topology: *topo,
-			Pattern: *pattern, Rate: *rate,
-			Warmup: *warmup, Measure: *measure,
-			Seed: *seed, WakeupLatency: *wakeup, ForcedOff: *forcedOff,
-			TwoStageRouter: *twoStage, AggressiveBypass: *aggressive,
-			DynamicClassify: *dynClass,
-		}, opt)
+	default:
+		res, err = sim.RunSyntheticOpts(ctx, synth, opt)
 	}
 	if err != nil {
 		fail(err)
@@ -227,6 +175,9 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "trace: %d events (%d dropped) -> %s\n",
 			opt.Tracer.Total(), opt.Tracer.Dropped(), *tracePath)
+	}
+	if sampling {
+		return
 	}
 	if *csvOut {
 		w := csv.NewWriter(os.Stdout)

@@ -4,11 +4,16 @@
 //	nordsweep -fig13   latency vs wakeup latency (Figure 13)
 //	nordsweep -fig14   16-node latency & power vs load (Figure 14)
 //	nordsweep -fig15   64-node uniform + bit-complement sweeps (Figure 15)
+//	nordsweep -thresholds   symmetric wakeup-threshold sensitivity (Section 6.1)
 //
-// Each prints the series the corresponding figure plots.
+// Each prints the series the corresponding figure plots (-csv for all but
+// -thresholds). The load sweeps run their points on a GOMAXPROCS-wide
+// pool, in a fixed order; with no figure flag the tool prints its usage
+// and exits 2.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -28,7 +33,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed")
 		rate       = flag.Float64("rate", 0.05, "load for -fig13 (flits/node/cycle)")
 		csvOut     = flag.Bool("csv", false, "emit CSV instead of tables")
-		parallel   = flag.Bool("parallel", true, "run sweep points concurrently")
 	)
 	flag.Parse()
 
@@ -85,15 +89,18 @@ func main() {
 
 	case *fig14:
 		rates := []float64{0.02, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45}
-		printSweep("Figure 14: 16-node uniform random", 4, 4, "uniform", rates, *measure, *seed, *csvOut, *parallel, fail)
+		printSweep("Figure 14: 16-node uniform random", 4, 4, "uniform", rates, *measure, *seed, *csvOut, fail)
 
 	case *fig15:
 		rates := []float64{0.02, 0.05, 0.08, 0.12, 0.16, 0.20, 0.25, 0.30}
-		printSweep("Figure 15 (left): 64-node uniform random", 8, 8, "uniform", rates, *measure, *seed, *csvOut, *parallel, fail)
+		printSweep("Figure 15 (left): 64-node uniform random", 8, 8, "uniform", rates, *measure, *seed, *csvOut, fail)
 		bc := []float64{0.01, 0.03, 0.05, 0.08, 0.10, 0.12, 0.15}
-		printSweep("Figure 15 (right): 64-node bit complement", 8, 8, "bitcomp", bc, *measure, *seed, *csvOut, *parallel, fail)
+		printSweep("Figure 15 (right): 64-node bit complement", 8, 8, "bitcomp", bc, *measure, *seed, *csvOut, fail)
 
 	case *thresholds:
+		if *csvOut {
+			fail(fmt.Errorf("-thresholds has no CSV form; drop -csv"))
+		}
 		pts, err := sim.ThresholdSensitivity([]int{1, 2, 3, 4, 5, 8}, []float64{0.02, 0.05, 0.08}, *measure, *seed)
 		if err != nil {
 			fail(err)
@@ -106,17 +113,14 @@ func main() {
 
 	default:
 		flag.Usage()
+		os.Exit(2)
 	}
 }
 
-func printSweep(title string, w, h int, pattern string, rates []float64, measure int, seed int64, csvOut, parallel bool, fail func(error)) {
-	var pts []sim.SweepPoint
-	var err error
-	if parallel {
-		pts, err = sim.ParallelLoadSweep(w, h, pattern, rates, measure, seed)
-	} else {
-		pts, err = sim.LoadSweep(w, h, pattern, rates, measure, seed)
-	}
+func printSweep(title string, w, h int, pattern string, rates []float64, measure int, seed int64, csvOut bool, fail func(error)) {
+	pts, err := sim.LoadSweep(context.Background(), sim.SweepConfig{
+		Width: w, Height: h, Pattern: pattern, Rates: rates, Measure: measure, Seed: seed,
+	})
 	if err != nil {
 		fail(err)
 	}

@@ -1,9 +1,11 @@
 package memsys
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"nord/internal/fault"
 	"nord/internal/flit"
 	"nord/internal/noc"
 )
@@ -47,7 +49,9 @@ func TestWritebackRaceMIA(t *testing.T) {
 func TestDebugDumpReportsStalls(t *testing.T) {
 	sys := newSys(t, noc.NoPG, shortProfile("vips"), 2)
 	// Mid-run: something should be outstanding.
-	sys.RunWarmup(200)
+	for i := 0; i < 200; i++ {
+		sys.Tick()
+	}
 	dump := sys.DebugDump()
 	if !strings.Contains(dump, "core") {
 		t.Errorf("dump misses unfinished cores:\n%s", dump)
@@ -166,5 +170,27 @@ func TestExclusiveStateSavesUpgrades(t *testing.T) {
 	}
 	if mc[MsgGetS] == 0 {
 		t.Error("no read misses at all")
+	}
+}
+
+// TestRunReturnsNetworkFailure: a network that trips its deadlock
+// watchdog fails the run with the structured error — it used to panic
+// out of Tick, taking the serving process with it. A 2-cycle horizon on
+// Conv_PG trips as soon as a packet waits out a 12-cycle router wakeup.
+func TestRunReturnsNetworkFailure(t *testing.T) {
+	p := noc.DefaultParams(noc.ConvPG)
+	p.Classes = flit.NumClasses
+	p.WatchdogLimit = 2
+	sys, err := NewSystem(noc.MustNew(p), shortProfile("x264"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sys.Run(100_000)
+	var de *fault.DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("want a *fault.DeadlockError from Run, got %T: %v", err, err)
+	}
+	if err := sys.Drain(10); !errors.As(err, &de) {
+		t.Fatalf("a failed network stays failed: Drain returned %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package memsys
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -231,9 +230,19 @@ func (s *System) onDeliver(p *flit.Packet, cycle uint64) {
 	s.dispatch(p.Dst, m, cycle+lat)
 }
 
-// Tick advances the whole system one cycle: memory-side components, then
-// cores, then injection, then the network.
+// Tick is Step for tests of healthy systems: it panics on the structured
+// failure Step returns.
 func (s *System) Tick() {
+	if err := s.Step(); err != nil {
+		panic(err)
+	}
+}
+
+// Step advances the whole system one cycle: memory-side components, then
+// cores, then injection, then the network. It returns the network's
+// structured failure (*fault.DeadlockError, *fault.ProtocolError) rather
+// than panicking; the system is frozen from then on.
+func (s *System) Step() error {
 	// Release matured DRAM sends.
 	if len(s.delayed) > 0 {
 		keep := s.delayed[:0]
@@ -271,7 +280,7 @@ func (s *System) Tick() {
 		}
 		s.outQ[node] = q
 	}
-	s.net.Tick()
+	return s.net.Step()
 }
 
 // Done reports whether every core has retired its instruction quota.
@@ -286,44 +295,29 @@ func (s *System) Done() bool {
 
 // Run executes until completion or maxCycles, returning the execution
 // time in cycles (the cycle the last core finished) and an error on
-// timeout.
+// timeout or network failure.
 func (s *System) Run(maxCycles uint64) (uint64, error) {
-	return s.RunCtx(context.Background(), maxCycles, 0, nil)
-}
-
-// RunCtx is Run with cooperative cancellation: every `every` cycles
-// (0 selects 1024) it polls ctx — returning its error on cancellation, so
-// aborted jobs stop burning CPU within a bounded number of cycles — and
-// invokes the optional hook (the sim layer's progress snapshotter).
-func (s *System) RunCtx(ctx context.Context, maxCycles, every uint64, hook func(cycle uint64)) (uint64, error) {
-	if every == 0 {
-		every = 1024
-	}
 	for s.now() < maxCycles {
-		s.Tick()
+		if err := s.Step(); err != nil {
+			return 0, err
+		}
 		if s.Done() {
 			return s.now(), nil
-		}
-		if s.now()%every == 0 {
-			if ctx.Err() != nil {
-				return 0, context.Cause(ctx)
-			}
-			if hook != nil {
-				hook(s.now())
-			}
 		}
 	}
 	return 0, fmt.Errorf("memsys: workload %q did not finish within %d cycles", s.prof.Name, maxCycles)
 }
 
 // Drain ticks until all in-flight protocol traffic has settled (the cores
-// may already be done). It returns an error on timeout.
+// may already be done). It returns an error on timeout or network failure.
 func (s *System) Drain(maxCycles uint64) error {
 	for i := uint64(0); i < maxCycles; i++ {
 		if s.quiescent() {
 			return nil
 		}
-		s.Tick()
+		if err := s.Step(); err != nil {
+			return err
+		}
 	}
 	return fmt.Errorf("memsys: protocol traffic did not drain within %d cycles", maxCycles)
 }
@@ -353,13 +347,6 @@ func (s *System) quiescent() bool {
 		}
 	}
 	return true
-}
-
-// RunWarmup executes the given number of cycles (for measurement warmup).
-func (s *System) RunWarmup(cycles uint64) {
-	for i := uint64(0); i < cycles && !s.Done(); i++ {
-		s.Tick()
-	}
 }
 
 // InstrDone returns total retired instructions (progress metric).

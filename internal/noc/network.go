@@ -1,7 +1,6 @@
 package noc
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -384,9 +383,8 @@ func (n *Network) watchdogLimit() uint64 {
 }
 
 // Tick advances the network by one cycle, panicking on a structured
-// error. Prefer Step in code that can propagate errors; Tick keeps the
-// legacy call sites (and the many tests built on them) working with the
-// same crash-on-corruption semantics they had before.
+// error. It and Run are conveniences for tests of healthy networks;
+// everything that runs simulations for users goes through Step.
 func (n *Network) Tick() {
 	if err := n.Step(); err != nil {
 		panic(err)
@@ -665,57 +663,6 @@ func (n *Network) Run(cycles int) {
 	for i := 0; i < cycles; i++ {
 		n.Tick()
 	}
-}
-
-// defaultCheckEvery is the cycle interval between context polls in the
-// cooperatively cancellable loops: coarse enough to stay off the hot
-// path, fine enough that a canceled run stops within ~a kilocycle.
-const defaultCheckEvery = 1024
-
-// RunCtx advances the network by up to the given number of cycles,
-// polling ctx every checkEvery cycles (0 selects the 1024 default). It
-// returns the context's error on cancellation, or the first structured
-// Step error.
-func (n *Network) RunCtx(ctx context.Context, cycles, checkEvery int) error {
-	if checkEvery <= 0 {
-		checkEvery = defaultCheckEvery
-	}
-	for i := 0; i < cycles; i++ {
-		if err := n.Step(); err != nil {
-			return err
-		}
-		if (i+1)%checkEvery == 0 {
-			if ctx.Err() != nil {
-				return context.Cause(ctx)
-			}
-		}
-	}
-	return nil
-}
-
-// DrainCtx is Drain with cooperative cancellation: ctx is polled every
-// checkEvery cycles (0 selects the 1024 default).
-func (n *Network) DrainCtx(ctx context.Context, maxCycles, checkEvery int) error {
-	if checkEvery <= 0 {
-		checkEvery = defaultCheckEvery
-	}
-	for i := 0; i < maxCycles; i++ {
-		if n.Quiescent() {
-			return nil
-		}
-		if err := n.Step(); err != nil {
-			return err
-		}
-		if (i+1)%checkEvery == 0 {
-			if ctx.Err() != nil {
-				return context.Cause(ctx)
-			}
-		}
-	}
-	if !n.Quiescent() {
-		return fmt.Errorf("noc: %d packets still in flight after %d drain cycles", n.inFlight, maxCycles)
-	}
-	return nil
 }
 
 // Drain runs until all in-flight packets are delivered (and, with faults

@@ -19,6 +19,10 @@ import (
 const (
 	goldenSynthKey    = "ab93837597088efef0604b843f946abe70fbb740cd61807207fe946f418e13fc"
 	goldenWorkloadKey = "0360f9816fae68ea13f7043a30a09d8e0cc179272b6fb1c4bdbb375bf3be8a5a"
+	// goldenSweepKey was minted at commit 0f9dea8, when the sweep key
+	// hashed a hand-normalised SweepSpec; hashing sim.SweepConfig.Filled()
+	// must keep producing it.
+	goldenSweepKey = "2efd52ef55f2a4d23932c0d368e0ca905db03e8361efc6b6a0c99d55dbc415c9"
 )
 
 func goldenSynthConfig() sim.SynthConfig {
@@ -44,6 +48,19 @@ func TestCacheKeyGolden(t *testing.T) {
 	}
 	if k2 != goldenWorkloadKey {
 		t.Fatalf("workload key drifted:\n got %s\nwant %s", k2, goldenWorkloadKey)
+	}
+	// Through the real resolve path, defaults implicit and spelled out.
+	for _, sp := range []SweepSpec{
+		{Rates: []float64{0.05, 0.2}, Seed: 3},
+		{Width: 4, Height: 4, Pattern: "uniform", Measure: 100_000, Rates: []float64{0.05, 0.2}, Seed: 3},
+	} {
+		tk, err := resolveSpec(&JobRequest{Kind: "sweep", Sweep: &sp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tk.key != goldenSweepKey {
+			t.Fatalf("sweep key drifted for %+v:\n got %s\nwant %s", sp, tk.key, goldenSweepKey)
+		}
 	}
 }
 

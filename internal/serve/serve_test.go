@@ -462,7 +462,7 @@ func TestServerDrain(t *testing.T) {
 }
 
 // TestServerSweepJob exercises the sweep kind end to end (it fans out
-// internally via ParallelLoadSweepCtx).
+// internally via sim.LoadSweep).
 func TestServerSweepJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
 	body := `{"kind":"sweep","sweep":{"width":4,"height":4,"pattern":"uniform","rates":[0.02],"measure":2000,"seed":3}}`

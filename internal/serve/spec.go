@@ -23,7 +23,7 @@ type JobRequest struct {
 	Sweep     *SweepSpec     `json:"sweep,omitempty"`
 }
 
-// SyntheticSpec requests one synthetic-traffic run (sim.RunSynthetic).
+// SyntheticSpec requests one synthetic-traffic run (sim.RunSyntheticOpts).
 // Warmup is a pointer so an explicit 0 ("no warmup") is distinguishable
 // from the field being omitted (the paper's default); TraceEvents asks
 // the server to record a cycle-level event trace for this job, streamed
@@ -59,7 +59,8 @@ type SyntheticSpec struct {
 	ThresholdPower int `json:"threshold_power,omitempty"`
 }
 
-// WorkloadSpec requests one PARSEC-like full-system run (sim.RunWorkload).
+// WorkloadSpec requests one PARSEC-like full-system run
+// (sim.RunWorkloadOpts).
 type WorkloadSpec struct {
 	Design      string  `json:"design"`
 	Benchmark   string  `json:"benchmark"`
@@ -70,8 +71,8 @@ type WorkloadSpec struct {
 	TraceEvents bool    `json:"trace_events,omitempty"`
 }
 
-// TraceSpec requests a trace replay (sim.ReplayTrace) of a server-local
-// trace file.
+// TraceSpec requests a trace replay (sim.ReplayTraceOpts) of a
+// server-local trace file.
 type TraceSpec struct {
 	Design      string `json:"design"`
 	Path        string `json:"path"`
@@ -118,8 +119,8 @@ func warmupValue(w *int) (int, error) {
 	return *w, nil
 }
 
-// SweepSpec requests a parallel load sweep over all four designs
-// (sim.ParallelLoadSweep).
+// SweepSpec requests a load sweep over the sweep designs (sim.LoadSweep);
+// its fields mirror sim.SweepConfig.
 type SweepSpec struct {
 	Width   int       `json:"width"`
 	Height  int       `json:"height"`
@@ -138,8 +139,15 @@ type runInfo struct {
 	detours uint64
 }
 
-func resultInfo(r sim.Result) *runInfo {
-	return &runInfo{design: r.Design, wakeups: r.Wakeups, detours: r.Misroutes}
+// encodeResult turns a finished single run into its cacheable payload
+// and headline counters. A run that failed produces neither, whatever
+// partial Result came with the error.
+func encodeResult(r sim.Result, err error) ([]byte, *runInfo, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	b, err := json.Marshal(r)
+	return b, &runInfo{design: r.Design, wakeups: r.Wakeups, detours: r.Misroutes}, err
 }
 
 // RunMeta is runInfo in wire form: the headline counters a fleet worker
@@ -314,12 +322,7 @@ func (sp *SyntheticSpec) resolve() (*task, error) {
 	}
 	return &task{kind: "synthetic", key: key, traced: sp.TraceEvents, run: func(ctx context.Context, opt sim.RunOptions) ([]byte, *runInfo, error) {
 		opt.Parallelism = parallelism
-		r, err := sim.RunSyntheticOpts(ctx, cfg, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		b, err := json.Marshal(r)
-		return b, resultInfo(r), err
+		return encodeResult(sim.RunSyntheticOpts(ctx, cfg, opt))
 	}}, nil
 }
 
@@ -383,12 +386,7 @@ func (sp *WorkloadSpec) resolve() (*task, error) {
 		return nil, err
 	}
 	return &task{kind: "workload", key: key, traced: sp.TraceEvents, run: func(ctx context.Context, opt sim.RunOptions) ([]byte, *runInfo, error) {
-		r, err := sim.RunWorkloadOpts(ctx, cfg, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		b, err := json.Marshal(r)
-		return b, resultInfo(r), err
+		return encodeResult(sim.RunWorkloadOpts(ctx, cfg, opt))
 	}}, nil
 }
 
@@ -420,12 +418,7 @@ func (sp *TraceSpec) resolve() (*task, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		r, err := sim.ReplayTraceOpts(ctx, cfg, tr, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		b, err := json.Marshal(r)
-		return b, resultInfo(r), err
+		return encodeResult(sim.ReplayTraceOpts(ctx, cfg, tr, opt))
 	}}, nil
 }
 
@@ -444,30 +437,19 @@ func (sp *SweepSpec) resolve() (*task, error) {
 			return nil, fmt.Errorf("rate %g outside [0, 1] flits/node/cycle", r)
 		}
 	}
-	// Normalise defaults explicitly so the cache key is independent of the
-	// defaulting path.
-	norm := *sp
-	if norm.Width == 0 {
-		norm.Width = 4
-	}
-	if norm.Height == 0 {
-		norm.Height = 4
-	}
-	if norm.Pattern == "" {
-		norm.Pattern = "uniform"
-	}
-	if norm.Measure == 0 {
-		norm.Measure = 100_000
-	}
-	if _, err := traffic.PatternByName(norm.Pattern); err != nil {
+	// The key hashes the filled sim config: SweepConfig carries exactly
+	// SweepSpec's fields under the same Go names, so keys minted before the
+	// two types were split stay valid (TestCacheKeyGolden pins one).
+	cfg := sim.SweepConfig(*sp).Filled()
+	if _, err := traffic.PatternByName(cfg.Pattern); err != nil {
 		return nil, err
 	}
-	key, err := CacheKey("sweep", norm)
+	key, err := CacheKey("sweep", cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &task{kind: "sweep", key: key, run: func(ctx context.Context, opt sim.RunOptions) ([]byte, *runInfo, error) {
-		pts, err := sim.ParallelLoadSweepCtx(ctx, norm.Width, norm.Height, norm.Pattern, norm.Rates, norm.Measure, norm.Seed)
+		pts, err := sim.LoadSweep(ctx, cfg)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -63,11 +63,11 @@ func TestRunSyntheticCancelBounded(t *testing.T) {
 func TestRunSyntheticPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunSyntheticCtx(ctx, SynthConfig{
+	res, err := RunSyntheticOpts(ctx, SynthConfig{
 		Design: noc.NoPG, Width: 4, Height: 4,
 		Pattern: "uniform", Rate: 0.05,
 		Warmup: 10_000, Measure: 1_000_000, Seed: 1,
-	})
+	}, RunOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -101,11 +101,76 @@ func TestRunWorkloadCancel(t *testing.T) {
 	}
 }
 
+// TestRunWorkloadPreCanceled: the full-system warmup polls the context
+// like every other phase, so a job canceled before it starts stops within
+// CheckEvery cycles instead of burning through the warmup first.
+func TestRunWorkloadPreCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	const checkEvery = 64
+	var last uint64
+	res, err := RunWorkloadOpts(ctx, WorkloadConfig{
+		Design: noc.NoRD, Benchmark: "x264", Scale: 0.5, Seed: 1,
+	}, RunOptions{
+		CheckEvery: checkEvery,
+		Progress:   func(p stats.Progress) { last = p.Cycle },
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if want := "sim: run canceled at cycle 64: context canceled"; err.Error() != want || res.Err != want {
+		t.Fatalf("cancel message: err %q, Result.Err %q, want %q", err, res.Err, want)
+	}
+	if last > checkEvery {
+		t.Fatalf("pre-canceled workload ran to cycle %d; bound is %d", last, checkEvery)
+	}
+	if res.Cycles > 0 {
+		t.Fatalf("pre-canceled run measured %d cycles", res.Cycles)
+	}
+}
+
+// TestWarmupProgressPrecedesMeasure: every run kind reports its warmup
+// as a "warmup" phase before the first "measure" snapshot.
+func TestWarmupProgressPrecedesMeasure(t *testing.T) {
+	tr, _, err := RecordWorkloadTrace(WorkloadConfig{Design: noc.NoPG, Benchmark: "swaptions", Scale: 0.02, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]func(RunOptions) error{
+		"synthetic": func(o RunOptions) error {
+			_, err := RunSyntheticOpts(context.Background(), SynthConfig{Design: noc.NoRD, Rate: 0.05, Warmup: 1000, Measure: 1000, Seed: 1}, o)
+			return err
+		},
+		"workload": func(o RunOptions) error {
+			_, err := RunWorkloadOpts(context.Background(), WorkloadConfig{Design: noc.NoRD, Benchmark: "swaptions", Scale: 0.02, Warmup: 1000, Seed: 1}, o)
+			return err
+		},
+		"trace": func(o RunOptions) error {
+			_, err := ReplayTraceOpts(context.Background(), TraceConfig{Design: noc.NoRD, Warmup: 1000}, tr, o)
+			return err
+		},
+	}
+	for name, run := range kinds {
+		var phases []string
+		err := run(RunOptions{ProgressEvery: 250, Progress: func(p stats.Progress) {
+			if len(phases) == 0 || phases[len(phases)-1] != p.Phase {
+				phases = append(phases, p.Phase)
+			}
+		}})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(phases) != 2 || phases[0] != "warmup" || phases[1] != "measure" {
+			t.Errorf("%s: progress phases %v, want [warmup measure]", name, phases)
+		}
+	}
+}
+
 // TestParallelLoadSweepCanceled checks the sweep propagates cancellation.
 func TestParallelLoadSweepCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ParallelLoadSweepCtx(ctx, 4, 4, "uniform", []float64{0.02, 0.05}, 20_000, 1)
+	_, err := LoadSweep(ctx, SweepConfig{Rates: []float64{0.02, 0.05}, Measure: 20_000, Seed: 1})
 	if err == nil {
 		t.Fatal("canceled sweep returned no error")
 	}

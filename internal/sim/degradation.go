@@ -1,10 +1,9 @@
 package sim
 
 import (
+	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"nord/internal/fault"
 	"nord/internal/noc"
@@ -87,10 +86,11 @@ type DegradationPoint struct {
 	Err string
 }
 
-// DegradationSweep runs the graceful-degradation experiment. Cells run
-// concurrently; a cell that fails at runtime (partition, deadlock)
-// records its error and the sweep continues, while configuration errors
-// — which would fail every cell identically — abort the sweep upfront.
+// DegradationSweep runs the graceful-degradation experiment, one pool
+// cell per (design, fail count). A cell that fails (partition, deadlock,
+// traffic that never drains) records its error and the sweep continues,
+// while configuration errors — which would fail every cell identically —
+// abort the sweep upfront.
 // The same Seed produces the same fault schedules, so designs are
 // compared under identical fault sequences.
 func DegradationSweep(c DegradationConfig) ([]DegradationPoint, error) {
@@ -105,59 +105,39 @@ func DegradationSweep(c DegradationConfig) ([]DegradationPoint, error) {
 	if c.MaxFails < 0 {
 		return nil, fmt.Errorf("sim: negative MaxFails %d", c.MaxFails)
 	}
-	type job struct {
-		idx    int
-		design noc.Design
-		fails  int
-	}
-	var jobs []job
-	for _, d := range c.Designs {
-		for k := 0; k <= c.MaxFails; k++ {
-			jobs = append(jobs, job{idx: len(jobs), design: d, fails: k})
+	perDesign := c.MaxFails + 1 // cells 0..MaxFails hard-failed routers
+	at := func(i int) (noc.Design, int) { return c.Designs[i/perDesign], i % perDesign }
+	results, errs := runCells(context.Background(), len(c.Designs)*perDesign, func(ctx context.Context, i int) (Result, error) {
+		d, fails := at(i)
+		fc := &fault.Config{Seed: c.Seed, HardFails: fails}
+		if fails > 0 {
+			fc.StuckOff = c.StuckOff
+			fc.DropWakeups = c.DropWakeups
+			fc.CorruptLinks = c.CorruptLinks
 		}
+		return RunSyntheticOpts(ctx, SynthConfig{
+			Design: d, Width: c.Width, Height: c.Height,
+			Topology: c.Topology,
+			Pattern:  c.Pattern, Rate: c.Rate, Measure: c.Measure,
+			Seed: c.Seed, Faults: fc, WatchdogLimit: c.WatchdogLimit,
+		}, RunOptions{})
+	})
+	out := make([]DegradationPoint, len(results))
+	for i, r := range results {
+		d, fails := at(i)
+		pt := DegradationPoint{Design: d, HardFails: fails, AvgLatency: r.AvgPacketLatency}
+		if fr := r.Fault; fr != nil {
+			pt.Delivered = fr.DeliveredFraction()
+			pt.Retransmits = fr.Retransmits
+			pt.Watchdog = fr.WatchdogWakeups
+			pt.RoutersLost = fr.RoutersLost
+			pt.PacketsLost = fr.PacketsLost
+		}
+		if errs[i] != nil {
+			pt.Err = errs[i].Error()
+		}
+		out[i] = pt
 	}
-	out := make([]DegradationPoint, len(jobs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, max(1, runtime.GOMAXPROCS(0)))
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			fc := &fault.Config{
-				Seed:      c.Seed,
-				HardFails: j.fails,
-			}
-			if j.fails > 0 {
-				fc.StuckOff = c.StuckOff
-				fc.DropWakeups = c.DropWakeups
-				fc.CorruptLinks = c.CorruptLinks
-			}
-			r, err := runGuarded(func() (Result, error) {
-				return RunSynthetic(SynthConfig{
-					Design: j.design, Width: c.Width, Height: c.Height,
-					Topology: c.Topology,
-					Pattern:  c.Pattern, Rate: c.Rate, Measure: c.Measure,
-					Seed: c.Seed, Faults: fc, WatchdogLimit: c.WatchdogLimit,
-				})
-			})
-			pt := DegradationPoint{Design: j.design, HardFails: j.fails}
-			if fr := r.Fault; fr != nil {
-				pt.Delivered = fr.DeliveredFraction()
-				pt.Retransmits = fr.Retransmits
-				pt.Watchdog = fr.WatchdogWakeups
-				pt.RoutersLost = fr.RoutersLost
-				pt.PacketsLost = fr.PacketsLost
-			}
-			pt.AvgLatency = r.AvgPacketLatency
-			if err != nil {
-				pt.Err = err.Error()
-			}
-			out[j.idx] = pt
-		}(j)
-	}
-	wg.Wait()
 	return out, nil
 }
 

@@ -2,36 +2,111 @@ package sim
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"nord/internal/noc"
 	"nord/internal/trace"
 )
 
+// TestParallelLoadSweepMatchesSerial: the pooled sweep returns, in
+// (design, rate) order, exactly what running each cell on its own does —
+// at one worker and at several.
 func TestParallelLoadSweepMatchesSerial(t *testing.T) {
-	rates := []float64{0.05, 0.20}
-	serial, err := LoadSweep(4, 4, "uniform", rates, 8000, 5)
-	if err != nil {
-		t.Fatal(err)
+	c := SweepConfig{Rates: []float64{0.05, 0.20}, Measure: 8000, Seed: 5}
+	var want []SweepPoint
+	for _, d := range SweepDesigns() {
+		for _, rate := range c.Rates {
+			r, err := runSynthetic(SynthConfig{Design: d, Width: 4, Height: 4, Pattern: "uniform", Rate: rate, Measure: c.Measure, Seed: c.Seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, SweepPoint{
+				Design: d, Rate: rate, AvgLatency: r.AvgPacketLatency, PowerW: r.AvgPowerW,
+				Throughput: r.Throughput, Saturated: r.AvgPacketLatency > satLatency,
+			})
+		}
 	}
-	par, err := ParallelLoadSweep(4, 4, "uniform", rates, 8000, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par) != len(serial) {
-		t.Fatalf("point counts differ: %d vs %d", len(par), len(serial))
-	}
-	for i := range serial {
-		if par[i] != serial[i] {
-			t.Errorf("point %d differs: %+v vs %+v (parallelism broke determinism)", i, par[i], serial[i])
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		got, err := LoadSweep(context.Background(), c)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("GOMAXPROCS=%d: %d points, want %d", procs, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("GOMAXPROCS=%d point %d: %+v, want %+v (the pool broke determinism)", procs, i, got[i], want[i])
+			}
 		}
 	}
 }
 
+// TestPoolOrderAndBounds: results come back by index, never more than
+// GOMAXPROCS cells run at once, one worker runs the cells in index order,
+// a panicking cell is contained, and cells that have not started when the
+// context is canceled report its cause.
+func TestPoolOrderAndBounds(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		var running, peak atomic.Int32
+		var order []int
+		var mu sync.Mutex
+		res, errs := runCells(context.Background(), 9, func(_ context.Context, i int) (Result, error) {
+			n := running.Add(1)
+			defer running.Add(-1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+			if i == 3 {
+				panic("cell 3")
+			}
+			time.Sleep(time.Millisecond)
+			return Result{Cycles: uint64(i)}, nil
+		})
+		runtime.GOMAXPROCS(prev)
+		for i := range res {
+			if i == 3 {
+				if !IsRuntimeFailure(errs[i]) || res[i].Err == "" {
+					t.Errorf("GOMAXPROCS=%d: panicking cell reported %v / %q", procs, errs[i], res[i].Err)
+				}
+			} else if errs[i] != nil || res[i].Cycles != uint64(i) {
+				t.Errorf("GOMAXPROCS=%d cell %d: %+v, %v", procs, i, res[i].Cycles, errs[i])
+			}
+		}
+		if int(peak.Load()) > procs {
+			t.Errorf("GOMAXPROCS=%d: %d cells ran at once", procs, peak.Load())
+		}
+		if procs == 1 && !sort.IntsAreSorted(order) {
+			t.Errorf("one worker ran cells out of order: %v", order)
+		}
+	}
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cause := errors.New("stop")
+	_, errs := runCells(ctx, 6, func(_ context.Context, i int) (Result, error) {
+		cancel(cause)
+		return Result{}, nil
+	})
+	if errs[5] != cause {
+		t.Errorf("cell after cancel: %v, want the cause", errs[5])
+	}
+}
+
 func TestParallelLoadSweepError(t *testing.T) {
-	if _, err := ParallelLoadSweep(4, 4, "bogus", []float64{0.01}, 100, 1); err == nil {
+	if _, err := LoadSweep(context.Background(), SweepConfig{Pattern: "bogus", Rates: []float64{0.01}, Measure: 100, Seed: 1}); err == nil {
 		t.Error("bad pattern should propagate")
 	}
 }
@@ -40,9 +115,17 @@ func TestParallelSuiteSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite run is slow")
 	}
-	sr, err := ParallelSuite(0.02, 3, nil)
+	// The callback is deliberately not thread-safe: RunSuite calls it one
+	// cell at a time however many workers run (-race checks that).
+	var started []string
+	prev := runtime.GOMAXPROCS(4)
+	sr, err := RunSuite(context.Background(), 0.02, 3, func(cell string) { started = append(started, cell) })
+	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := len(sr.Benchmarks) * len(FullDesigns()); len(started) != want {
+		t.Errorf("progress told of %d cells, want %d", len(started), want)
 	}
 	for _, b := range sr.Benchmarks {
 		for _, d := range FullDesigns() {
@@ -51,7 +134,7 @@ func TestParallelSuiteSmall(t *testing.T) {
 			}
 		}
 	}
-	// Derived views work on parallel results too.
+	// Derived views work on the suite's results.
 	_, avg := sr.Fig8StaticEnergy()
 	if avg[noc.NoPG] != 1.0 {
 		t.Errorf("No_PG static should normalise to 1, got %f", avg[noc.NoPG])
@@ -124,8 +207,12 @@ func TestTraceRecordReplayRoundTrip(t *testing.T) {
 	if err := tr.Save(path); err != nil {
 		t.Fatal(err)
 	}
+	loaded, err := trace.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range []noc.Design{noc.NoPG, noc.NoRD} {
-		r, err := RunTrace(TraceConfig{Design: d, Path: path})
+		r, err := ReplayTrace(TraceConfig{Design: d, Path: path}, loaded)
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}
@@ -135,9 +222,6 @@ func TestTraceRecordReplayRoundTrip(t *testing.T) {
 		if r.AvgPacketLatency <= 0 {
 			t.Errorf("%v: no latency measured", d)
 		}
-	}
-	if _, err := RunTrace(TraceConfig{Design: noc.NoRD, Path: "/definitely/missing"}); err == nil {
-		t.Error("missing trace file should fail")
 	}
 }
 
@@ -150,14 +234,14 @@ func TestReplayTraceRejectsNonSquare(t *testing.T) {
 
 func TestSection68Configs(t *testing.T) {
 	// The Section 6.8 variants run through the public harness.
-	r, err := RunSynthetic(SynthConfig{
+	r, err := runSynthetic(SynthConfig{
 		Design: noc.NoRD, Rate: 0.04, Measure: 8000,
 		TwoStageRouter: true, AggressiveBypass: true, Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := RunSynthetic(SynthConfig{Design: noc.NoRD, Rate: 0.04, Measure: 8000, Seed: 2})
+	base, err := runSynthetic(SynthConfig{Design: noc.NoRD, Rate: 0.04, Measure: 8000, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +252,7 @@ func TestSection68Configs(t *testing.T) {
 }
 
 func TestPerRouterReports(t *testing.T) {
-	r, err := RunSynthetic(SynthConfig{Design: noc.NoRD, Rate: 0.08, Measure: 10_000, Seed: 6})
+	r, err := runSynthetic(SynthConfig{Design: noc.NoRD, Rate: 0.08, Measure: 10_000, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +282,7 @@ func TestPerRouterReports(t *testing.T) {
 }
 
 func TestLatencyPercentilesOrdered(t *testing.T) {
-	r, err := RunSynthetic(SynthConfig{Design: noc.ConvPG, Rate: 0.05, Measure: 15_000, Seed: 8})
+	r, err := runSynthetic(SynthConfig{Design: noc.ConvPG, Rate: 0.05, Measure: 15_000, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,9 +300,9 @@ func TestLatencyPercentilesOrdered(t *testing.T) {
 }
 
 func TestPowerTimeSeries(t *testing.T) {
-	samples, err := PowerTimeSeries(SynthConfig{
+	samples, _, err := PowerTimeSeries(context.Background(), SynthConfig{
 		Design: noc.NoRD, Rate: 0.06, Warmup: 2000, Measure: 10_000, Seed: 9,
-	}, 1000)
+	}, RunOptions{}, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +332,7 @@ func TestPowerTimeSeries(t *testing.T) {
 	if !strings.Contains(buf.String(), "cycle_start,noc_power_w") {
 		t.Error("power series CSV header missing")
 	}
-	if _, err := PowerTimeSeries(SynthConfig{Design: noc.NoRD, Rate: 0.01, Measure: 100}, 0); err == nil {
+	if _, _, err := PowerTimeSeries(context.Background(), SynthConfig{Design: noc.NoRD, Rate: 0.01, Measure: 100}, RunOptions{}, 0); err == nil {
 		t.Error("zero period should fail")
 	}
 }
@@ -275,9 +359,12 @@ func TestThresholdSensitivity(t *testing.T) {
 
 func TestWatchStates(t *testing.T) {
 	var buf bytes.Buffer
-	err := WatchStates(SynthConfig{Design: noc.NoRD, Rate: 0.03, Warmup: 100, Seed: 3}, 800, 2, &buf)
+	r, err := WatchStates(context.Background(), SynthConfig{Design: noc.NoRD, Rate: 0.03, Warmup: 100, Seed: 3}, RunOptions{}, 800, 2, &buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if r.Cycles != 1600 {
+		t.Errorf("watched %d cycles, want 1600", r.Cycles)
 	}
 	out := buf.String()
 	if !strings.Contains(out, "cycle 800") || !strings.Contains(out, "cycle 1600") {
@@ -286,7 +373,7 @@ func TestWatchStates(t *testing.T) {
 	if !strings.ContainsAny(out, ".#O~") {
 		t.Errorf("no state glyphs:\n%s", out)
 	}
-	if err := WatchStates(SynthConfig{Design: noc.NoRD, Rate: 0.01}, 0, 1, &buf); err == nil {
+	if _, err := WatchStates(context.Background(), SynthConfig{Design: noc.NoRD, Rate: 0.01}, RunOptions{}, 0, 1, &buf); err == nil {
 		t.Error("zero period should fail")
 	}
 }
@@ -313,7 +400,7 @@ func TestFig3IdlePeriodsSmall(t *testing.T) {
 }
 
 func TestFormatResultCoversSections(t *testing.T) {
-	r, err := RunWorkload(WorkloadConfig{Design: noc.NoRD, Benchmark: "blackscholes", Scale: 0.02, Seed: 4})
+	r, err := runWorkload(WorkloadConfig{Design: noc.NoRD, Benchmark: "blackscholes", Scale: 0.02, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +411,7 @@ func TestFormatResultCoversSections(t *testing.T) {
 		}
 	}
 	// No_PG report omits gating lines.
-	r2, err := RunSynthetic(SynthConfig{Design: noc.NoPG, Rate: 0.02, Measure: 5000, Seed: 4})
+	r2, err := runSynthetic(SynthConfig{Design: noc.NoPG, Rate: 0.02, Measure: 5000, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +422,7 @@ func TestFormatResultCoversSections(t *testing.T) {
 }
 
 func TestRunWorkloadTimeout(t *testing.T) {
-	_, err := RunWorkload(WorkloadConfig{Design: noc.NoPG, Benchmark: "x264", Scale: 1, MaxCycles: 100, Seed: 1})
+	_, err := runWorkload(WorkloadConfig{Design: noc.NoPG, Benchmark: "x264", Scale: 1, MaxCycles: 100, Seed: 1})
 	if err == nil {
 		t.Error("a 100-cycle budget must time out")
 	}

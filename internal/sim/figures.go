@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"nord/internal/memsys"
 	"nord/internal/noc"
@@ -89,7 +91,7 @@ type IdleRow struct {
 func Fig3IdlePeriods(scale float64, seed int64) ([]IdleRow, error) {
 	var rows []IdleRow
 	for _, b := range Benchmarks() {
-		r, err := RunWorkload(WorkloadConfig{Design: noc.NoPG, Benchmark: b, Scale: scale, Seed: seed})
+		r, err := RunWorkloadOpts(context.Background(), WorkloadConfig{Design: noc.NoPG, Benchmark: b, Scale: scale, Seed: seed}, RunOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -145,10 +147,10 @@ type Fig7Point struct {
 func Fig7WakeupThreshold(rates []float64, measure int, seed int64) ([]Fig7Point, error) {
 	var out []Fig7Point
 	for _, rate := range rates {
-		r, err := RunSynthetic(SynthConfig{
+		r, err := RunSyntheticOpts(context.Background(), SynthConfig{
 			Design: noc.NoRD, ForcedOff: true, Rate: rate,
 			Measure: measure, Seed: seed,
-		})
+		}, RunOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -171,21 +173,40 @@ type SuiteResult struct {
 	Results    map[string]map[noc.Design]Result
 }
 
-// RunSuite executes the full PARSEC-like suite across all four designs.
-func RunSuite(scale float64, seed int64, progress func(string)) (*SuiteResult, error) {
+// RunSuite executes the full PARSEC-like suite across all four designs,
+// one pool cell per (benchmark, design). progress, when non-nil, is told
+// each cell as a worker picks it up — one call at a time, so it need not
+// be safe for concurrent use, but from the workers' goroutines and not in
+// index order. A cell that fails at runtime (deadlock, protocol
+// violation) keeps its partial Result with Err set and the rest of the
+// suite runs on; a configuration error or a canceled ctx fails the suite.
+func RunSuite(ctx context.Context, scale float64, seed int64, progress func(string)) (*SuiteResult, error) {
 	sr := &SuiteResult{Benchmarks: Benchmarks(), Results: map[string]map[noc.Design]Result{}}
-	for _, b := range sr.Benchmarks {
-		sr.Results[b] = map[noc.Design]Result{}
-		for _, d := range FullDesigns() {
-			if progress != nil {
-				progress(fmt.Sprintf("%s / %s", b, d))
-			}
-			r, err := RunWorkload(WorkloadConfig{Design: d, Benchmark: b, Scale: scale, Seed: seed})
-			if err != nil {
-				return nil, fmt.Errorf("sim: %s on %v: %w", b, d, err)
-			}
-			sr.Results[b][d] = r
+	designs := FullDesigns()
+	at := func(i int) (string, noc.Design) { return sr.Benchmarks[i/len(designs)], designs[i%len(designs)] }
+	var progressMu sync.Mutex
+	results, errs := runCells(ctx, len(sr.Benchmarks)*len(designs), func(ctx context.Context, i int) (Result, error) {
+		b, d := at(i)
+		if progress != nil {
+			progressMu.Lock()
+			progress(fmt.Sprintf("%s / %s", b, d))
+			progressMu.Unlock()
 		}
+		return RunWorkloadOpts(ctx, WorkloadConfig{Design: d, Benchmark: b, Scale: scale, Seed: seed}, RunOptions{})
+	})
+	for i, r := range results {
+		b, d := at(i)
+		if err := errs[i]; err != nil {
+			err = fmt.Errorf("sim: %s on %v: %w", b, d, err)
+			if !IsRuntimeFailure(err) {
+				return nil, err
+			}
+			r.Design, r.Label, r.Err = d, b, err.Error()
+		}
+		if sr.Results[b] == nil {
+			sr.Results[b] = map[noc.Design]Result{}
+		}
+		sr.Results[b][d] = r
 	}
 	return sr, nil
 }
@@ -324,10 +345,10 @@ func Fig13WakeupLatency(lats []int, rate float64, measure int, seed int64) ([]Fi
 	var out []Fig13Point
 	for _, d := range []noc.Design{noc.ConvPG, noc.ConvPGOpt, noc.NoRD} {
 		for _, wl := range lats {
-			r, err := RunSynthetic(SynthConfig{
+			r, err := RunSyntheticOpts(context.Background(), SynthConfig{
 				Design: d, Rate: rate, WakeupLatency: wl,
 				Measure: measure, Seed: seed,
-			})
+			}, RunOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -348,35 +369,62 @@ type SweepPoint struct {
 	PowerW     float64
 	Throughput float64
 	Saturated  bool // latency beyond the saturation criterion
-	// Err records a failed point (deadlock, protocol violation, panic) in
-	// a resilient parallel sweep; the other fields are zero when set.
+	// Err records a failed point (deadlock, protocol violation, panic);
+	// the other fields are zero when set.
 	Err string
 }
 
 // satLatency is the latency at which a sweep point is labelled saturated.
 const satLatency = 300
 
+// SweepConfig describes a load sweep: every SweepDesigns design at every
+// rate, on one grid, pattern and seed.
+type SweepConfig struct {
+	Width, Height int
+	Pattern       string
+	Rates         []float64
+	Measure       int // measured cycles per point
+	Seed          int64
+}
+
+// Filled returns the config with the defaults every point's SynthConfig
+// would apply resolved — the canonical form the serve layer hashes.
+func (c SweepConfig) Filled() SweepConfig {
+	sc := SynthConfig{Width: c.Width, Height: c.Height, Pattern: c.Pattern, Measure: c.Measure}.Filled()
+	c.Width, c.Height, c.Pattern, c.Measure = sc.Width, sc.Height, sc.Pattern, sc.Measure
+	return c
+}
+
 // LoadSweep measures latency and NoC power across the load range for the
-// sweep designs (Figures 14 and 15).
-func LoadSweep(w, h int, pattern string, rates []float64, measure int, seed int64) ([]SweepPoint, error) {
-	var out []SweepPoint
-	for _, d := range SweepDesigns() {
-		for _, rate := range rates {
-			r, err := RunSynthetic(SynthConfig{
-				Design: d, Width: w, Height: h, Pattern: pattern,
-				Rate: rate, Measure: measure, Seed: seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, SweepPoint{
-				Design:     d,
-				Rate:       rate,
-				AvgLatency: r.AvgPacketLatency,
-				PowerW:     r.AvgPowerW,
-				Throughput: r.Throughput,
-				Saturated:  r.AvgPacketLatency > satLatency,
-			})
+// sweep designs (Figures 14 and 15), one pool cell per (design, rate) in
+// that order. A point that fails at runtime (deadlock, protocol
+// violation, panic) records it in its Err field and the sweep keeps
+// going; a configuration error or a canceled ctx fails the sweep.
+func LoadSweep(ctx context.Context, c SweepConfig) ([]SweepPoint, error) {
+	c = c.Filled()
+	designs := SweepDesigns()
+	at := func(i int) (noc.Design, float64) { return designs[i/len(c.Rates)], c.Rates[i%len(c.Rates)] }
+	results, errs := runCells(ctx, len(designs)*len(c.Rates), func(ctx context.Context, i int) (Result, error) {
+		d, rate := at(i)
+		return RunSyntheticOpts(ctx, SynthConfig{
+			Design: d, Width: c.Width, Height: c.Height, Pattern: c.Pattern,
+			Rate: rate, Measure: c.Measure, Seed: c.Seed,
+		}, RunOptions{})
+	})
+	out := make([]SweepPoint, len(results))
+	for i, r := range results {
+		d, rate := at(i)
+		out[i] = SweepPoint{Design: d, Rate: rate}
+		switch err := errs[i]; {
+		case err == nil:
+			out[i].AvgLatency = r.AvgPacketLatency
+			out[i].PowerW = r.AvgPowerW
+			out[i].Throughput = r.Throughput
+			out[i].Saturated = r.AvgPacketLatency > satLatency
+		case IsRuntimeFailure(err):
+			out[i].Err = err.Error()
+		default:
+			return nil, err
 		}
 	}
 	return out, nil

@@ -35,7 +35,7 @@ func TestWarmupZeroValueVsSentinel(t *testing.T) {
 // TestZeroWarmupRuns: an explicit zero-cycle warmup must actually start
 // measurement at cycle 0 instead of silently running the default warmup.
 func TestZeroWarmupRuns(t *testing.T) {
-	r, err := RunSynthetic(SynthConfig{
+	r, err := runSynthetic(SynthConfig{
 		Design: noc.NoPG, Pattern: "uniform", Rate: 0.05,
 		Warmup: ZeroWarmup, Measure: 2_000, Seed: 1,
 	})
@@ -147,7 +147,7 @@ func TestTracedSyntheticRun(t *testing.T) {
 }
 
 func TestWriteRouterCSV(t *testing.T) {
-	r, err := RunSynthetic(SynthConfig{
+	r, err := runSynthetic(SynthConfig{
 		Design: noc.ConvPG, Pattern: "uniform", Rate: 0.02,
 		Warmup: 500, Measure: 5_000, Seed: 3,
 	})

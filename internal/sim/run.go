@@ -301,106 +301,76 @@ func (c *SynthConfig) buildParams(classes int) (noc.Params, error) {
 	return p, nil
 }
 
-// RunSynthetic executes one synthetic-traffic simulation. With a fault
-// schedule armed (Faults or FaultSchedule), the run drains in-flight
+// RunSyntheticOpts executes one synthetic-traffic simulation. With a
+// fault schedule armed (Faults or FaultSchedule), the run drains in-flight
 // traffic and pending retransmissions after the measurement window so the
-// recovery accounting in Result.Fault is complete; a structured failure
-// (deadlock, partition, protocol violation) is returned as the error AND
-// recorded in Result.Err alongside whatever statistics were gathered, so
-// sweeps can tabulate failed cells instead of dying.
-func RunSynthetic(c SynthConfig) (Result, error) {
-	return RunSyntheticOpts(context.Background(), c, RunOptions{})
-}
-
-// RunSyntheticCtx is RunSynthetic with cooperative cancellation: the
-// context is polled every ~kilocycle and a canceled or deadline-exceeded
-// run stops promptly, returning the partial Result (Err set) alongside an
-// error wrapping the context's.
-func RunSyntheticCtx(ctx context.Context, c SynthConfig) (Result, error) {
-	return RunSyntheticOpts(ctx, c, RunOptions{})
-}
-
-// RunSyntheticOpts is RunSyntheticCtx with progress reporting and tunable
-// poll intervals (see RunOptions).
+// recovery accounting in Result.Fault is complete. A structured failure
+// (deadlock, partition, protocol violation, cancellation — ctx is polled
+// every opt.CheckEvery cycles) is returned as the error AND recorded in
+// Result.Err alongside whatever statistics were gathered, so sweeps can
+// tabulate failed cells instead of dying.
 func RunSyntheticOpts(ctx context.Context, c SynthConfig, opt RunOptions) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	return synthRun(ctx, c, opt, nil)
+}
+
+// tap reads the running session after every every-th measured cycle: how
+// the samplers (PowerTimeSeries, WatchStates) ride an ordinary run.
+type tap struct {
+	every int
+	read  func(*session)
+}
+
+func synthRun(ctx context.Context, c SynthConfig, opt RunOptions, t *tap) (Result, error) {
 	c.fill()
-	params, err := c.buildParams(1)
+	pattern, err := traffic.PatternByName(c.Pattern)
 	if err != nil {
 		return Result{}, err
 	}
-	params.Parallelism = opt.Parallelism
-	net, err := noc.New(params)
+	s, err := open(ctx, c, 1, opt)
 	if err != nil {
 		return Result{}, err
 	}
-	defer net.Close()
-	net.SetTracer(opt.Tracer)
+	defer s.net.Close()
 	sched := c.FaultSchedule
 	if sched == nil && c.Faults != nil {
 		fc := *c.Faults
 		if fc.Horizon == 0 {
 			fc.Horizon = uint64(c.Warmup + c.Measure)
 		}
-		sched, err = fault.Generate(fc, params.NumNodes())
-		if err != nil {
+		if sched, err = fault.Generate(fc, s.net.Topo().N()); err != nil {
 			return Result{}, err
 		}
 	}
 	if sched != nil {
-		if err := net.AttachFaults(sched, c.FaultOptions); err != nil {
+		if err := s.net.AttachFaults(sched, c.FaultOptions); err != nil {
 			return Result{}, err
 		}
 	}
-	pattern, err := traffic.PatternByName(c.Pattern)
-	if err != nil {
-		return Result{}, err
-	}
-	inj := traffic.NewSynthetic(net, pattern, c.Rate, c.Seed)
-	obs := newRunObserver(ctx, opt, net, uint64(c.Warmup+c.Measure))
-	runErr := func() error {
-		for i := 0; i < c.Warmup; i++ {
-			inj.Tick(net.Cycle())
-			if err := net.Step(); err != nil {
-				return err
-			}
-			if err := obs.observe("warmup"); err != nil {
-				return err
+	s.inject = traffic.NewSynthetic(s.net, pattern, c.Rate, c.Seed).Tick
+	s.total = uint64(c.Warmup + c.Measure)
+
+	s.phase("warmup", s.before(uint64(c.Warmup)))
+	s.begin()
+	if t != nil {
+		measured := 0
+		s.after = func() {
+			if measured++; measured%t.every == 0 {
+				t.read(s)
 			}
 		}
-		net.BeginMeasurement()
-		for i := 0; i < c.Measure; i++ {
-			inj.Tick(net.Cycle())
-			if err := net.Step(); err != nil {
-				return err
-			}
-			if err := obs.observe("measure"); err != nil {
-				return err
-			}
-		}
-		if sched != nil {
-			// Let retransmissions and in-flight traffic resolve so every
-			// injected payload is accounted delivered or lost.
-			return net.DrainCtx(ctx, c.DrainCycles, opt.checkEvery())
-		}
-		return nil
-	}()
-	net.FinishMeasurement()
-	obs.finish("measure")
-	model, err := power.New(c.Tech)
-	if err != nil {
-		return Result{}, err
 	}
-	res := collect(net, model)
-	res.Label = fmt.Sprintf("%s@%.3f", c.Pattern, c.Rate)
-	res.Fault = net.FaultReport()
-	if runErr != nil {
-		res.Err = runErr.Error()
-		return res, runErr
+	s.phase("measure", s.before(s.total))
+	s.inject, s.after = nil, nil
+	if sched != nil {
+		// Let retransmissions and in-flight traffic resolve so every
+		// injected payload is accounted delivered or lost.
+		end := s.net.Cycle() + uint64(c.DrainCycles)
+		s.phase("drain", func() bool { return !s.net.Quiescent() && s.net.Cycle() < end })
+		if !s.net.Quiescent() {
+			s.fail(fmt.Errorf("sim: %d packets still in flight after %d drain cycles", s.net.InFlight(), c.DrainCycles))
+		}
 	}
-	return res, nil
+	return s.close(fmt.Sprintf("%s@%.3f", c.Pattern, c.Rate))
 }
 
 // WorkloadConfig configures a full-system PARSEC-like run.
@@ -442,78 +412,80 @@ func (c WorkloadConfig) Filled() WorkloadConfig {
 	return c
 }
 
-// RunWorkload executes one PARSEC-like full-system simulation to
-// completion and returns its Result (including execution time).
-func RunWorkload(c WorkloadConfig) (Result, error) {
-	return RunWorkloadOpts(context.Background(), c, RunOptions{})
-}
-
-// RunWorkloadCtx is RunWorkload with cooperative cancellation (see
-// RunSyntheticCtx).
-func RunWorkloadCtx(ctx context.Context, c WorkloadConfig) (Result, error) {
-	return RunWorkloadOpts(ctx, c, RunOptions{})
-}
-
-// RunWorkloadOpts is RunWorkloadCtx with progress reporting and tunable
-// poll intervals.
+// RunWorkloadOpts executes one PARSEC-like full-system simulation to
+// completion and returns its Result (including execution time). Failures
+// are reported as in RunSyntheticOpts.
 func RunWorkloadOpts(ctx context.Context, c WorkloadConfig, opt RunOptions) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	_, res, err := systemRun(ctx, c, opt, false)
+	return res, err
+}
+
+// RecordWorkloadTrace runs a full-system workload once, measuring from
+// cycle 0 (no warmup), and returns the trace of every packet it injected,
+// for later replay. The trace is nil when the run failed.
+func RecordWorkloadTrace(c WorkloadConfig) (*trace.Trace, Result, error) {
+	c.Warmup = ZeroWarmup
+	return systemRun(context.Background(), c, RunOptions{}, true)
+}
+
+// systemNet is the network every full-system run and trace replay uses:
+// the paper's defaults plus the few knobs those configs expose.
+func systemNet(d noc.Design, wakeupLatency int, noPerfCentric bool, tech power.Tech) SynthConfig {
+	sc := SynthConfig{Design: d, WakeupLatency: wakeupLatency, NoPerfCentric: noPerfCentric, Tech: tech}
+	sc.fill()
+	return sc
+}
+
+func systemRun(ctx context.Context, c WorkloadConfig, opt RunOptions, record bool) (*trace.Trace, Result, error) {
 	c.fill()
 	prof, err := memsys.ProfileByName(c.Benchmark)
 	if err != nil {
-		return Result{}, err
+		return nil, Result{}, err
 	}
-	prof.InstrPerCore = uint64(float64(prof.InstrPerCore) * c.Scale)
-	if prof.InstrPerCore == 0 {
-		prof.InstrPerCore = 1
-	}
-	sc := SynthConfig{
-		Design:        c.Design,
-		WakeupLatency: c.WakeupLatency,
-		NoPerfCentric: c.NoPerfCentric,
-		Tech:          c.Tech,
-	}
-	sc.fill()
-	params, err := sc.buildParams(flit.NumClasses)
+	prof.InstrPerCore = max(1, uint64(float64(prof.InstrPerCore)*c.Scale))
+	s, err := open(ctx, systemNet(c.Design, c.WakeupLatency, c.NoPerfCentric, c.Tech), flit.NumClasses, opt)
 	if err != nil {
-		return Result{}, err
+		return nil, Result{}, err
 	}
-	params.Parallelism = opt.Parallelism
-	net, err := noc.New(params)
+	defer s.net.Close()
+	var rec *trace.Recorder
+	if record {
+		rec = trace.NewRecorder(s.net.Topo().N())
+		s.net.SetInjectHook(rec.Hook)
+	}
+	sys, err := memsys.NewSystem(s.net, prof, c.Seed)
 	if err != nil {
-		return Result{}, err
+		return nil, Result{}, err
 	}
-	defer net.Close()
-	net.SetTracer(opt.Tracer)
-	sys, err := memsys.NewSystem(net, prof, c.Seed)
-	if err != nil {
-		return Result{}, err
+	// exec is the cycle the last core retired its quota, 0 until then.
+	var exec uint64
+	s.step = func() error {
+		err := sys.Step()
+		if err == nil && sys.Done() {
+			exec = s.net.Cycle()
+		}
+		return err
 	}
-	sys.RunWarmup(uint64(c.Warmup))
-	net.BeginMeasurement()
-	obs := newRunObserver(ctx, opt, net, 0)
-	exec, runErr := sys.RunCtx(ctx, c.MaxCycles, uint64(opt.checkEvery()),
-		func(uint64) { obs.maybeEmit("measure") })
-	net.FinishMeasurement()
-	obs.finish("measure")
-	model, err := power.New(c.Tech)
-	if err != nil {
-		return Result{}, err
+	running := func(limit uint64) func() bool {
+		return func() bool { return exec == 0 && s.net.Cycle() < limit }
 	}
-	res := collect(net, model)
-	res.Label = c.Benchmark
+
+	s.phase("warmup", running(uint64(c.Warmup)))
+	s.begin()
+	// A workload that finished inside the warmup still measures one cycle
+	// (the result goldens pin it): the measured window is never empty.
+	exec = 0
+	s.phase("measure", running(c.MaxCycles))
+	if exec == 0 {
+		s.fail(fmt.Errorf("sim: workload %q did not finish within %d cycles", c.Benchmark, c.MaxCycles))
+	}
+	res, err := s.close(c.Benchmark)
 	res.ExecTime = exec
 	res.L1HitRate = sys.L1HitRate()
-	if runErr != nil {
-		if ctx.Err() != nil {
-			runErr = fmt.Errorf("sim: workload %q canceled at cycle %d: %w", c.Benchmark, net.Cycle(), context.Cause(ctx))
-		}
-		res.Err = runErr.Error()
-		return res, runErr
+	if err != nil || !record {
+		return nil, res, err
 	}
-	return res, nil
+	return rec.Trace(), res, nil
 }
 
 // TraceConfig configures a trace-replay run: the recorded injections of
@@ -552,50 +524,17 @@ func (c TraceConfig) Filled() TraceConfig {
 	return c
 }
 
-// RunTrace replays a recorded trace to completion and returns the run's
-// measurements.
-func RunTrace(c TraceConfig) (Result, error) {
-	tr, err := trace.Load(c.Path)
-	if err != nil {
-		return Result{}, err
-	}
-	return ReplayTrace(c, tr)
-}
-
-// RunTraceCtx is RunTrace with cooperative cancellation.
-func RunTraceCtx(ctx context.Context, c TraceConfig) (Result, error) {
-	tr, err := trace.Load(c.Path)
-	if err != nil {
-		return Result{}, err
-	}
-	return ReplayTraceOpts(ctx, c, tr, RunOptions{})
-}
-
-// ReplayTrace is RunTrace with an already-loaded trace.
+// ReplayTrace replays an already-loaded trace to completion.
 func ReplayTrace(c TraceConfig, tr *trace.Trace) (Result, error) {
 	return ReplayTraceOpts(context.Background(), c, tr, RunOptions{})
 }
 
-// ReplayTraceCtx is ReplayTrace with cooperative cancellation.
-func ReplayTraceCtx(ctx context.Context, c TraceConfig, tr *trace.Trace) (Result, error) {
-	return ReplayTraceOpts(ctx, c, tr, RunOptions{})
-}
-
-// ReplayTraceOpts is ReplayTraceCtx with progress reporting and tunable
-// poll intervals. A structured runtime failure (deadlock, protocol
-// violation, replay timeout, cancellation) is recorded in Result.Err
-// alongside whatever statistics were gathered, and returned as the error.
+// ReplayTraceOpts is ReplayTrace with cancellation, progress reporting and
+// tunable poll intervals. Failures (including a replay that outlives
+// MaxCycles) are reported as in RunSyntheticOpts.
 func ReplayTraceOpts(ctx context.Context, c TraceConfig, tr *trace.Trace, opt RunOptions) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	c.fill()
-	sc := SynthConfig{
-		Design:        c.Design,
-		WakeupLatency: c.WakeupLatency,
-		NoPerfCentric: c.NoPerfCentric,
-		Tech:          c.Tech,
-	}
+	sc := systemNet(c.Design, c.WakeupLatency, c.NoPerfCentric, c.Tech)
 	// Mesh dimensions must cover the trace's nodes: assume square.
 	side := 2
 	for side*side < tr.Nodes {
@@ -605,104 +544,23 @@ func ReplayTraceOpts(ctx context.Context, c TraceConfig, tr *trace.Trace, opt Ru
 		return Result{}, fmt.Errorf("sim: trace has %d nodes; only square meshes are supported", tr.Nodes)
 	}
 	sc.Width, sc.Height = side, side
-	sc.fill()
-	params, err := sc.buildParams(flit.NumClasses)
+	s, err := open(ctx, sc, flit.NumClasses, opt)
 	if err != nil {
 		return Result{}, err
 	}
-	params.Parallelism = opt.Parallelism
-	net, err := noc.New(params)
-	if err != nil {
-		return Result{}, err
-	}
-	defer net.Close()
-	net.SetTracer(opt.Tracer)
-	rep := trace.NewReplayer(net, tr)
-	obs := newRunObserver(ctx, opt, net, 0)
-	warm := uint64(c.Warmup)
-	runErr := func() error {
-		for net.Cycle() < warm {
-			rep.Tick(net.Cycle())
-			if err := net.Step(); err != nil {
-				return err
-			}
-			if err := obs.observe("warmup"); err != nil {
-				return err
-			}
-		}
-		net.BeginMeasurement()
-		for (!rep.Done() || net.InFlight() > 0) && net.Cycle() < c.MaxCycles {
-			rep.Tick(net.Cycle())
-			if err := net.Step(); err != nil {
-				return err
-			}
-			if err := obs.observe("measure"); err != nil {
-				return err
-			}
-		}
-		if !rep.Done() {
-			return fmt.Errorf("sim: trace replay did not finish within %d cycles", c.MaxCycles)
-		}
-		return nil
-	}()
-	net.FinishMeasurement()
-	obs.finish("measure")
-	model, err := power.New(c.Tech)
-	if err != nil {
-		return Result{}, err
-	}
-	res := collect(net, model)
-	res.Label = "trace:" + c.Path
-	if runErr != nil {
-		res.Err = runErr.Error()
-		return res, runErr
-	}
-	return res, nil
-}
+	defer s.net.Close()
+	rep := trace.NewReplayer(s.net, tr)
+	s.inject = rep.Tick
 
-// RecordWorkloadTrace runs a full-system workload once and returns the
-// trace of every packet it injected, for later replay.
-func RecordWorkloadTrace(c WorkloadConfig) (*trace.Trace, Result, error) {
-	c.fill()
-	prof, err := memsys.ProfileByName(c.Benchmark)
-	if err != nil {
-		return nil, Result{}, err
+	s.phase("warmup", s.before(uint64(c.Warmup)))
+	s.begin()
+	s.phase("measure", func() bool {
+		return (!rep.Done() || s.net.InFlight() > 0) && s.net.Cycle() < c.MaxCycles
+	})
+	if !rep.Done() {
+		s.fail(fmt.Errorf("sim: trace replay did not finish within %d cycles", c.MaxCycles))
 	}
-	prof.InstrPerCore = uint64(float64(prof.InstrPerCore) * c.Scale)
-	if prof.InstrPerCore == 0 {
-		prof.InstrPerCore = 1
-	}
-	sc := SynthConfig{Design: c.Design, WakeupLatency: c.WakeupLatency, NoPerfCentric: c.NoPerfCentric, Tech: c.Tech}
-	sc.fill()
-	params, err := sc.buildParams(flit.NumClasses)
-	if err != nil {
-		return nil, Result{}, err
-	}
-	net, err := noc.New(params)
-	if err != nil {
-		return nil, Result{}, err
-	}
-	rec := trace.NewRecorder(params.NumNodes())
-	net.SetInjectHook(rec.Hook)
-	sys, err := memsys.NewSystem(net, prof, c.Seed)
-	if err != nil {
-		return nil, Result{}, err
-	}
-	net.BeginMeasurement()
-	exec, err := sys.Run(c.MaxCycles)
-	if err != nil {
-		return nil, Result{}, err
-	}
-	net.FinishMeasurement()
-	model, err := power.New(c.Tech)
-	if err != nil {
-		return nil, Result{}, err
-	}
-	res := collect(net, model)
-	res.Label = c.Benchmark
-	res.ExecTime = exec
-	res.L1HitRate = sys.L1HitRate()
-	return rec.Trace(), res, nil
+	return s.close("trace:" + c.Path)
 }
 
 // collect converts a finished network's statistics into a Result.

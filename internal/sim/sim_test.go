@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -35,7 +36,7 @@ func TestPerfCentricSet4x4(t *testing.T) {
 }
 
 // TestPerfCentricSetSingleFlight: simulations that start together on a
-// grid nobody has planned yet (serve workers, ParallelSuite goroutines,
+// grid nobody has planned yet (serve workers, RunSuite's pool,
 // search children) must share one planner search, not each run their own.
 func TestPerfCentricSetSingleFlight(t *testing.T) {
 	// A grid no other test in this package uses, made cold again for
@@ -85,7 +86,7 @@ func TestPerfCentricSetSingleFlight(t *testing.T) {
 }
 
 func TestRunSyntheticBasics(t *testing.T) {
-	r, err := RunSynthetic(SynthConfig{Design: noc.NoPG, Rate: 0.05, Warmup: 2000, Measure: 8000, Seed: 1})
+	r, err := runSynthetic(SynthConfig{Design: noc.NoPG, Rate: 0.05, Warmup: 2000, Measure: 8000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +108,10 @@ func TestRunSyntheticBasics(t *testing.T) {
 }
 
 func TestRunSyntheticValidation(t *testing.T) {
-	if _, err := RunSynthetic(SynthConfig{Design: noc.NoPG, Pattern: "bogus", Rate: 0.01, Measure: 10}); err == nil {
+	if _, err := runSynthetic(SynthConfig{Design: noc.NoPG, Pattern: "bogus", Rate: 0.01, Measure: 10}); err == nil {
 		t.Error("bad pattern should fail")
 	}
-	if _, err := RunSynthetic(SynthConfig{Design: noc.NoPG, Rate: 0.01, Measure: 10, Tech: power.Tech{NodeNM: 7, Voltage: 1, FreqGHz: 1}}); err == nil {
+	if _, err := runSynthetic(SynthConfig{Design: noc.NoPG, Rate: 0.01, Measure: 10, Tech: power.Tech{NodeNM: 7, Voltage: 1, FreqGHz: 1}}); err == nil {
 		t.Error("bad tech should fail")
 	}
 }
@@ -120,7 +121,7 @@ func TestRunSyntheticValidation(t *testing.T) {
 func TestLatencyOrdering(t *testing.T) {
 	lat := map[noc.Design]float64{}
 	for _, d := range FullDesigns() {
-		r, err := RunSynthetic(SynthConfig{Design: d, Rate: 0.05, Warmup: 4000, Measure: 30_000, Seed: 3})
+		r, err := runSynthetic(SynthConfig{Design: d, Rate: 0.05, Warmup: 4000, Measure: 30_000, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +137,7 @@ func TestLatencyOrdering(t *testing.T) {
 func TestWakeupReduction(t *testing.T) {
 	wk := map[noc.Design]uint64{}
 	for _, d := range []noc.Design{noc.ConvPG, noc.ConvPGOpt, noc.NoRD} {
-		r, err := RunSynthetic(SynthConfig{Design: d, Rate: 0.05, Warmup: 4000, Measure: 30_000, Seed: 3})
+		r, err := runSynthetic(SynthConfig{Design: d, Rate: 0.05, Warmup: 4000, Measure: 30_000, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +152,7 @@ func TestWakeupReduction(t *testing.T) {
 }
 
 func TestRunWorkloadBasics(t *testing.T) {
-	r, err := RunWorkload(WorkloadConfig{Design: noc.NoRD, Benchmark: "swaptions", Scale: 0.03, Seed: 11})
+	r, err := runWorkload(WorkloadConfig{Design: noc.NoRD, Benchmark: "swaptions", Scale: 0.03, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestRunWorkloadBasics(t *testing.T) {
 	if r.L1HitRate <= 0 {
 		t.Error("hit rate missing")
 	}
-	if _, err := RunWorkload(WorkloadConfig{Design: noc.NoRD, Benchmark: "nope"}); err == nil {
+	if _, err := runWorkload(WorkloadConfig{Design: noc.NoRD, Benchmark: "nope"}); err == nil {
 		t.Error("unknown benchmark should fail")
 	}
 }
@@ -271,7 +272,7 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestLoadSweepSmall(t *testing.T) {
-	pts, err := LoadSweep(4, 4, "uniform", []float64{0.05, 0.30}, 12_000, 13)
+	pts, err := LoadSweep(context.Background(), SweepConfig{Rates: []float64{0.05, 0.30}, Measure: 12_000, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}

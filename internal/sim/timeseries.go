@@ -1,13 +1,13 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strconv"
 
 	"nord/internal/noc"
 	"nord/internal/power"
-	"nord/internal/traffic"
 )
 
 // PowerSample is one window of a power time series.
@@ -19,67 +19,35 @@ type PowerSample struct {
 }
 
 // PowerTimeSeries runs a synthetic simulation and samples NoC power,
-// gated-off fraction and delivered throughput every period cycles,
-// exposing the temporal dynamics of power gating (bursts waking routers,
-// quiet stretches powering them down).
-func PowerTimeSeries(c SynthConfig, period int) ([]PowerSample, error) {
-	c.fill()
+// gated-off fraction and delivered throughput every period measured
+// cycles, exposing the temporal dynamics of power gating (bursts waking
+// routers, quiet stretches powering them down). It is RunSyntheticOpts
+// with a reader attached: ctx, opt, the Result and the error mean what
+// they mean there, and a run that fails returns the samples taken so far.
+func PowerTimeSeries(ctx context.Context, c SynthConfig, opt RunOptions, period int) ([]PowerSample, Result, error) {
 	if period < 1 {
-		return nil, fmt.Errorf("sim: sample period must be positive, got %d", period)
+		return nil, Result{}, fmt.Errorf("sim: sample period must be positive, got %d", period)
 	}
-	params, err := c.buildParams(1)
-	if err != nil {
-		return nil, err
-	}
-	net, err := noc.New(params)
-	if err != nil {
-		return nil, err
-	}
-	pattern, err := traffic.PatternByName(c.Pattern)
-	if err != nil {
-		return nil, err
-	}
-	model, err := power.New(c.Tech)
-	if err != nil {
-		return nil, err
-	}
-	inj := traffic.NewSynthetic(net, pattern, c.Rate, c.Seed)
-	for i := 0; i < c.Warmup; i++ {
-		inj.Tick(net.Cycle())
-		net.Tick()
-	}
-	net.BeginMeasurement()
-
-	routers := params.NumNodes()
-	nodes := net.Mesh().N() // terminals: == routers except on cmesh
-	links := net.NumLinks()
-	llf := net.Topo().LinkLengthFactor()
 	var samples []PowerSample
-	prev := net.Collector().PowerCounts(routers, links, net.HasPGController(), net.HasBypass())
-	prevFlits := net.Collector().FlitsDelivered
-	start := net.Cycle()
-	for i := 0; i < c.Measure; i++ {
-		inj.Tick(net.Cycle())
-		net.Tick()
-		if (i+1)%period == 0 {
-			cur := net.Collector().PowerCounts(routers, links, net.HasPGController(), net.HasBypass())
-			cur.LinkLengthFactor = llf
-			delta := diffCounts(cur, prev)
-			e := model.Energy(delta)
-			flits := net.Collector().FlitsDelivered
-			samples = append(samples, PowerSample{
-				CycleStart:  start,
-				PowerW:      model.AvgPowerW(delta, e),
-				OffFraction: offFrac(delta),
-				Throughput:  float64(flits-prevFlits) / float64(period) / float64(nodes),
-			})
-			prev = cur
-			prevFlits = flits
-			start = net.Cycle()
-		}
-	}
-	net.FinishMeasurement()
-	return samples, nil
+	// The collectors count from zero when the measurement begins.
+	var prev power.Counts
+	var prevFlits uint64
+	res, err := synthRun(ctx, c, opt, &tap{every: period, read: func(s *session) {
+		net, model := s.net, s.model
+		col := net.Collector()
+		cur := col.PowerCounts(net.Topo().N(), net.NumLinks(), net.HasPGController(), net.HasBypass())
+		cur.LinkLengthFactor = net.Topo().LinkLengthFactor()
+		delta := diffCounts(cur, prev)
+		samples = append(samples, PowerSample{
+			CycleStart:  net.Cycle() - uint64(period),
+			PowerW:      model.AvgPowerW(delta, model.Energy(delta)),
+			OffFraction: offFrac(delta),
+			// Per terminal: == per router except on cmesh.
+			Throughput: float64(col.FlitsDelivered-prevFlits) / float64(period) / float64(net.Mesh().N()),
+		})
+		prev, prevFlits = cur, col.FlitsDelivered
+	}})
+	return samples, res, err
 }
 
 // diffCounts subtracts two cumulative count snapshots into a window.
@@ -132,38 +100,25 @@ func WritePowerSeriesCSV(w io.Writer, samples []PowerSample) error {
 // power states every period cycles as ASCII frames ('#' on, '.' off,
 // '~' waking; performance-centric routers are uppercase O when on),
 // visualising how traffic wakes regions of the chip and quiet stretches
-// power them down.
-func WatchStates(c SynthConfig, period, frames int, w io.Writer) error {
-	c.fill()
+// power them down. Frames start at cycle 0 — the cold network waking up
+// is part of the picture — so c.Warmup and c.Measure are ignored; ctx,
+// opt, the Result and the error mean what they mean for RunSyntheticOpts.
+func WatchStates(ctx context.Context, c SynthConfig, opt RunOptions, period, frames int, w io.Writer) (Result, error) {
 	if period < 1 || frames < 1 {
-		return fmt.Errorf("sim: watch needs positive period and frame count")
+		return Result{}, fmt.Errorf("sim: watch needs positive period and frame count")
 	}
-	params, err := c.buildParams(1)
-	if err != nil {
-		return err
-	}
-	net, err := noc.New(params)
-	if err != nil {
-		return err
-	}
-	pattern, err := traffic.PatternByName(c.Pattern)
-	if err != nil {
-		return err
-	}
-	inj := traffic.NewSynthetic(net, pattern, c.Rate, c.Seed)
-	perf := map[int]bool{}
-	for _, id := range net.PerfCentricNow() {
-		perf[id] = true
-	}
-	for f := 0; f < frames; f++ {
-		for i := 0; i < period; i++ {
-			inj.Tick(net.Cycle())
-			net.Tick()
+	c.Warmup, c.Measure = ZeroWarmup, period*frames
+	return synthRun(ctx, c, opt, &tap{every: period, read: func(s *session) {
+		net := s.net
+		perf := map[int]bool{}
+		for _, id := range net.PerfCentricNow() {
+			perf[id] = true
 		}
+		p := net.Params()
 		fmt.Fprintf(w, "cycle %d (in flight %d)\n", net.Cycle(), net.InFlight())
-		for y := 0; y < c.Height; y++ {
-			for x := 0; x < c.Width; x++ {
-				id := y*c.Width + x
+		for y := 0; y < p.Height; y++ {
+			for x := 0; x < p.Width; x++ {
+				id := y*p.Width + x
 				glyph := "#"
 				switch net.RouterStateName(id) {
 				case "off":
@@ -180,8 +135,7 @@ func WatchStates(c SynthConfig, period, frames int, w io.Writer) error {
 			fmt.Fprintln(w)
 		}
 		fmt.Fprintln(w)
-	}
-	return nil
+	}})
 }
 
 // ThresholdPoint is one (threshold, rate) measurement of the wakeup
@@ -203,11 +157,11 @@ func ThresholdSensitivity(thresholds []int, rates []float64, measure int, seed i
 	var out []ThresholdPoint
 	for _, th := range thresholds {
 		for _, rate := range rates {
-			r, err := RunSynthetic(SynthConfig{
+			r, err := RunSyntheticOpts(context.Background(), SynthConfig{
 				Design: noc.NoRD, Rate: rate, Measure: measure, Seed: seed,
 				NoPerfCentric: true,
 				ThresholdPerf: th, ThresholdPower: th,
-			})
+			}, RunOptions{})
 			if err != nil {
 				return nil, err
 			}

@@ -15,7 +15,7 @@ func TestSyntheticTopologies(t *testing.T) {
 	for _, topo := range []string{"torus", "cmesh"} {
 		for _, d := range []noc.Design{noc.NoPG, noc.ConvPG, noc.ConvPGOpt, noc.NoRD} {
 			t.Run(fmt.Sprintf("%s/%s", topo, d), func(t *testing.T) {
-				r, err := RunSynthetic(SynthConfig{
+				r, err := runSynthetic(SynthConfig{
 					Design: d, Topology: topo, Width: 4, Height: 4,
 					Rate: 0.05, Warmup: 500, Measure: 3000, Seed: 9,
 				})
@@ -43,7 +43,7 @@ func TestSyntheticTopologies(t *testing.T) {
 	}
 
 	// The unknown-topology path must error loudly, not fall back to mesh.
-	if _, err := RunSynthetic(SynthConfig{Design: noc.NoPG, Topology: "hypercube", Measure: 10}); err == nil {
+	if _, err := runSynthetic(SynthConfig{Design: noc.NoPG, Topology: "hypercube", Measure: 10}); err == nil {
 		t.Error("unknown topology silently accepted")
 	}
 }
@@ -54,13 +54,13 @@ func TestSyntheticTopologies(t *testing.T) {
 // the raw link-count ratio alone.
 func TestTorusLinkEnergyScale(t *testing.T) {
 	base := SynthConfig{Design: noc.NoPG, Width: 4, Height: 4, Rate: 0.05, Warmup: 500, Measure: 2000, Seed: 3}
-	mesh, err := RunSynthetic(base)
+	mesh, err := runSynthetic(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tc := base
 	tc.Topology = "torus"
-	torus, err := RunSynthetic(tc)
+	torus, err := runSynthetic(tc)
 	if err != nil {
 		t.Fatal(err)
 	}

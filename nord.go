@@ -35,10 +35,18 @@
 //		res.AvgPacketLatency, res.Wakeups)
 //
 // Full-system PARSEC-like runs work the same way through RunWorkload, and
-// the Fig* / Suite functions regenerate every figure of the paper.
+// Suite regenerates the data behind Figures 8-12.
+//
+// The functions here are the context-free conveniences: each is one call
+// into internal/sim, which runs every kind of simulation through a single
+// build → warm up → measure → collect harness (cancellable, reporting
+// progress, returning failures as errors) and fans multi-run experiments
+// out over one GOMAXPROCS-wide worker pool.
 package nord
 
 import (
+	"context"
+
 	"nord/internal/noc"
 	"nord/internal/power"
 	"nord/internal/sim"
@@ -79,11 +87,15 @@ type Tech = power.Tech
 
 // RunSynthetic executes one synthetic-traffic simulation and returns its
 // measurements and energy accounting.
-func RunSynthetic(c SynthConfig) (Result, error) { return sim.RunSynthetic(c) }
+func RunSynthetic(c SynthConfig) (Result, error) {
+	return sim.RunSyntheticOpts(context.Background(), c, sim.RunOptions{})
+}
 
 // RunWorkload executes one PARSEC-like full-system simulation to
 // completion, returning measurements including execution time.
-func RunWorkload(c WorkloadConfig) (Result, error) { return sim.RunWorkload(c) }
+func RunWorkload(c WorkloadConfig) (Result, error) {
+	return sim.RunWorkloadOpts(context.Background(), c, sim.RunOptions{})
+}
 
 // Benchmarks lists the ten PARSEC-like workload names.
 func Benchmarks() []string { return sim.Benchmarks() }
@@ -107,15 +119,12 @@ type TradeoffPoint = topology.TradeoffPoint
 
 // Suite runs the full PARSEC-like suite over all four designs at the
 // given instruction-count scale (1.0 = 60k instructions per core) and
-// returns per-figure views (Figures 8-12). progress may be nil.
+// returns per-figure views (Figures 8-12). The (benchmark, design) cells
+// run concurrently, one per CPU core (GOMAXPROCS=1 runs them in order).
+// progress may be nil; it is called once per cell as the cell starts, one
+// call at a time, from whichever goroutine runs the cell.
 func Suite(scale float64, seed int64, progress func(string)) (*SuiteResult, error) {
-	return sim.RunSuite(scale, seed, progress)
-}
-
-// ParallelSuite is Suite with the (benchmark, design) cells executed
-// concurrently across CPU cores.
-func ParallelSuite(scale float64, seed int64, progress func(string)) (*SuiteResult, error) {
-	return sim.ParallelSuite(scale, seed, progress)
+	return sim.RunSuite(context.Background(), scale, seed, progress)
 }
 
 // SuiteResult holds the PARSEC-like suite measurements and derives the
@@ -137,7 +146,13 @@ func RecordWorkloadTrace(c WorkloadConfig) (*Trace, Result, error) {
 }
 
 // RunTrace replays a saved trace file onto the configured design.
-func RunTrace(c TraceConfig) (Result, error) { return sim.RunTrace(c) }
+func RunTrace(c TraceConfig) (Result, error) {
+	t, err := trace.Load(c.Path)
+	if err != nil {
+		return Result{}, err
+	}
+	return sim.ReplayTrace(c, t)
+}
 
 // ReplayTrace replays an in-memory trace onto the configured design.
 func ReplayTrace(c TraceConfig, t *Trace) (Result, error) { return sim.ReplayTrace(c, t) }

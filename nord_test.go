@@ -1,6 +1,7 @@
 package nord_test
 
 import (
+	"path/filepath"
 	"testing"
 
 	"nord"
@@ -55,6 +56,37 @@ func TestPublicAPIWorkload(t *testing.T) {
 	}
 	if res.ExecTime == 0 {
 		t.Error("no execution time measured")
+	}
+}
+
+// TestPublicAPITrace: RunTrace is LoadTrace + ReplayTrace, and a missing
+// file is an error rather than an empty replay.
+func TestPublicAPITrace(t *testing.T) {
+	tr, _, err := nord.RecordWorkloadTrace(nord.WorkloadConfig{
+		Design: nord.NoPG, Benchmark: "swaptions", Scale: 0.01, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "swaptions.trace.gz")
+	if err := tr.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	c := nord.TraceConfig{Design: nord.NoRD, Path: path}
+	fromFile, err := nord.RunTrace(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inMemory, err := nord.ReplayTrace(c, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fromFile.PacketsDelivered == 0 || fromFile.PacketsDelivered != inMemory.PacketsDelivered || fromFile.Cycles != inMemory.Cycles {
+		t.Errorf("replay from file %d packets / %d cycles, in memory %d / %d",
+			fromFile.PacketsDelivered, fromFile.Cycles, inMemory.PacketsDelivered, inMemory.Cycles)
+	}
+	if _, err := nord.RunTrace(nord.TraceConfig{Design: nord.NoRD, Path: "/definitely/missing"}); err == nil {
+		t.Error("missing trace file should fail")
 	}
 }
 
