@@ -1,10 +1,10 @@
 // Command nordbench runs the PARSEC-like suite across the four designs
-// and prints the Figure 8-12 tables, the Figure 3 idle-period analysis
-// with -idle, or the tick-kernel regression benchmark with -kernel.
+// and prints the Figure 8-12 tables, or the Figure 3 idle-period
+// analysis with -idle. (Speed is measured by the ladder under bench/,
+// not here.)
 //
 //	nordbench -scale 0.2          # 20% of the default instruction quota
 //	nordbench -idle               # Section 3.2 idle-period statistics
-//	nordbench -kernel             # write BENCH_kernel.json, fail on alloc regressions
 package main
 
 import (
@@ -20,19 +20,13 @@ import (
 
 func main() {
 	var (
-		scale        = flag.Float64("scale", 0.2, "instruction-count scale (1.0 = 60k instructions/core)")
-		seed         = flag.Int64("seed", 1, "random seed")
-		idle         = flag.Bool("idle", false, "only run the No_PG idle-period analysis (Figure 3 / Section 3.2)")
-		quiet        = flag.Bool("quiet", false, "suppress progress output")
-		csvPath      = flag.String("csv", "", "also write the raw per-cell results to a CSV file")
-		kernel       = flag.Bool("kernel", false, "run the tick-kernel benchmark matrix (8x8 x designs x loads, plus the NoRD parallel-scaling meshes) and write a JSON report")
-		kernelOut    = flag.String("kernel-out", "BENCH_kernel.json", "output path for the -kernel report")
-		kernelCycles = flag.Int("kernel-cycles", 50_000, "measured cycles per -kernel point (scaling meshes run proportionally fewer)")
-		cpus         = flag.Int("cpus", 0, "cap on the -kernel scaling matrix's shard counts (0 = full axis, 1 = serial only, negative = skip the scaling meshes)")
-		baseline     = flag.String("baseline", "", "committed BENCH_kernel.json to compare the -kernel run against")
-		tolerance    = flag.Float64("tolerance", 0.75, "fractional ns/cycle slowdown tolerated against -baseline (0.75 = +75%)")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		scale      = flag.Float64("scale", 0.2, "instruction-count scale (1.0 = 60k instructions/core)")
+		seed       = flag.Int64("seed", 1, "random seed")
+		idle       = flag.Bool("idle", false, "only run the No_PG idle-period analysis (Figure 3 / Section 3.2)")
+		quiet      = flag.Bool("quiet", false, "suppress progress output")
+		csvPath    = flag.String("csv", "", "also write the raw per-cell results to a CSV file")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 
@@ -47,86 +41,6 @@ func main() {
 		stopProfiles()
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-
-	if *kernel {
-		// Load the baseline before the run: -kernel-out may point at the
-		// same file, and CI does exactly that.
-		var base *sim.KernelReport
-		if *baseline != "" {
-			f, err := os.Open(*baseline)
-			if err != nil {
-				fail(err)
-			}
-			base, err = sim.LoadKernelReport(f)
-			f.Close()
-			if err != nil {
-				fail(err)
-			}
-		}
-		progress := func(s string) {
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "kernel bench %s\n", s)
-			}
-		}
-		rep, err := sim.KernelBenchP(*kernelCycles, *seed, *cpus, progress)
-		if err != nil {
-			fail(err)
-		}
-		f, err := os.Create(*kernelOut)
-		if err != nil {
-			fail(err)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Printf("%-14s %8s %8s %4s %14s %14s %12s %8s\n",
-			"design", "rate", "mesh", "P", "ns/cycle", "cycles/sec", "allocs/cyc", "speedup")
-		for _, p := range rep.Points {
-			w := p.Width
-			if w == 0 {
-				w = 8
-			}
-			par := p.Parallelism
-			if par == 0 {
-				par = 1
-			}
-			speedup := "-"
-			if p.SpeedupVsSerial > 0 {
-				speedup = fmt.Sprintf("%.2fx", p.SpeedupVsSerial)
-			}
-			fmt.Printf("%-14s %8.2f %7dx%-4d %2d %12.1f %14.0f %12.4f %8s\n",
-				p.Design, p.Rate, w, w, par, p.NsPerCycle, p.CyclesPerSec, p.AllocsPerCycle, speedup)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *kernelOut)
-		failed := false
-		if bad := rep.Regressions(); len(bad) > 0 {
-			failed = true
-			for _, p := range bad {
-				fmt.Fprintf(os.Stderr, "allocation regression: %s rate %.2f allocates %.4f/cycle (budget %.2f)\n",
-					p.Design, p.Rate, p.AllocsPerCycle, p.Budget)
-			}
-		}
-		if base != nil {
-			bad, notices := rep.CompareBaseline(base, *tolerance)
-			for _, msg := range notices {
-				fmt.Fprintf(os.Stderr, "notice: %s\n", msg)
-			}
-			if len(bad) > 0 {
-				failed = true
-				for _, msg := range bad {
-					fmt.Fprintf(os.Stderr, "baseline regression: %s\n", msg)
-				}
-			}
-		}
-		if failed {
-			stopProfiles()
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *idle {

@@ -69,7 +69,6 @@ func main() {
 		printConfig = flag.Bool("print-config", false, "print the Table 1 default configuration and exit")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		cpus        = flag.Int("cpus", 0, "tick-kernel shard count (0 or 1 = serial; results are bit-identical at any value)")
 	)
 	flag.Parse()
 
@@ -108,9 +107,6 @@ func main() {
 	if *rate < 0 || *rate > 1 {
 		fail(fmt.Errorf("rate %g outside [0, 1] flits/node/cycle", *rate))
 	}
-	if *width < 2 || *height < 2 {
-		fail(fmt.Errorf("mesh must be at least 2x2, got %dx%d", *width, *height))
-	}
 	if *measure <= 0 {
 		fail(fmt.Errorf("measure must be positive, got %d", *measure))
 	}
@@ -120,10 +116,6 @@ func main() {
 		*warmup = sim.ZeroWarmup
 	}
 	var opt sim.RunOptions
-	if *cpus < 0 {
-		fail(fmt.Errorf("cpus must be non-negative, got %d", *cpus))
-	}
-	opt.Parallelism = *cpus
 	if *tracePath != "" {
 		opt.Tracer = obs.New(obs.Config{SampleEvery: *traceSample})
 	}
@@ -141,7 +133,7 @@ func main() {
 	switch {
 	case sampling:
 		// The samplers are synthetic runs with a reader attached: they
-		// honour -cpus and -trace like the plain run, and print their frames
+		// honour -trace like the plain run, and print their frames
 		// or series instead of the report.
 		if *benchmark != "" {
 			fail(fmt.Errorf("-watch and -power-trace sample synthetic traffic; drop -benchmark"))

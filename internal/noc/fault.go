@@ -93,8 +93,7 @@ func (n *Network) AttachFaults(s *fault.Schedule, opts FaultOptions) error {
 	// The fault machinery pokes arbitrary routers (scheduled events,
 	// hard-fail activation, retransmits) outside the event-sparse
 	// activation discipline: faulted runs use the full-scan kernel.
-	n.sparse = false
-	n.setAllActive()
+	n.fullScan()
 	return nil
 }
 

@@ -99,8 +99,8 @@ type Network struct {
 	// accounting (idle/power statistics, the NI quiet-run counter) has
 	// been applied; statEpoch is the cycle the network as a whole has been
 	// accounted through, so activate() can back-fill a dormant stretch in
-	// one step. sparse is false in full-scan mode (Params.FullScanTick or
-	// an armed fault schedule), where every bit stays set and the kernel
+	// one step. sparse is false in full-scan mode (fullScan: an armed
+	// fault schedule, or the golden test's reference run), where every bit stays set and the kernel
 	// degenerates to the original walk-everything loop.
 	nn         int
 	sparse     bool
@@ -150,7 +150,7 @@ func New(p Params) (*Network, error) {
 		n.ring = ring
 	}
 	n.nn = topo.N()
-	n.sparse = !p.FullScanTick
+	n.sparse = true
 	n.activeMask = make([]uint64, (n.nn+63)/64)
 	n.idScratch = make([]int, 0, n.nn)
 	n.lastTicked = make([]uint64, n.nn)
@@ -522,6 +522,15 @@ func (n *Network) setAllActive() {
 	if r := uint(n.nn) & 63; r != 0 {
 		atomic.StoreUint64(&n.activeMask[len(n.activeMask)-1], (uint64(1)<<r)-1)
 	}
+}
+
+// fullScan switches a freshly built network to the walk-everything
+// kernel: every node stays on the worklist for the whole run. The two
+// kernels are behaviour-identical by construction and
+// TestEventSparseMatchesFullScan compares them bit for bit.
+func (n *Network) fullScan() {
+	n.sparse = false
+	n.setAllActive()
 }
 
 // collectActive snapshots the whole active worklist into a reusable

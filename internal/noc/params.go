@@ -166,12 +166,6 @@ type Params struct {
 	// (50k cycles). Fault-injection tests lower it so partitioned runs
 	// fail fast.
 	WatchdogLimit int
-	// FullScanTick is a debug flag that disables the event-sparse kernel:
-	// every node is ticked every cycle, as the original kernel did. The
-	// two kernels are behaviour-identical by construction; the golden
-	// determinism test compares their statistics bit for bit. Attaching a
-	// fault schedule forces full-scan mode regardless of this flag.
-	FullScanTick bool
 	// Parallelism selects the sharded parallel tick kernel: the mesh (and
 	// the NoRD bypass ring) is partitioned into this many contiguous
 	// spatial domains, each ticked by a pinned worker goroutine, with
@@ -207,10 +201,31 @@ func DefaultParams(d Design) Params {
 	}
 }
 
+// MaxGridDim caps each router-grid dimension: a typo'd 10000x10000
+// request would otherwise try to materialise ~10^8 routers before any
+// simulation work reveals the mistake.
+const MaxGridDim = 256
+
+// MaxVCsPerPort is the most VCs (classes x VCs per class) a router port
+// can carry: the per-phase VC occupancy masks hold one bit per VC.
+const MaxVCsPerPort = 64
+
+// MinVCs returns the fewest VCs per class a design can run with on a
+// topology: its escape VCs (the ring dateline pair for NoRD, the torus
+// dateline pair for conventional designs) plus one adaptive VC. Every
+// layer that bounds or repairs a VC count asks here.
+func MinVCs(d Design, kind topology.Kind) int {
+	p := Params{Design: d, Topology: kind}
+	return p.escapeVCs() + 1
+}
+
 // Validate checks parameter consistency.
 func (p *Params) Validate() error {
 	if p.Width < 2 || p.Height < 2 {
 		return fmt.Errorf("noc: router grid must be at least 2x2, got %dx%d", p.Width, p.Height)
+	}
+	if p.Width > MaxGridDim || p.Height > MaxGridDim {
+		return fmt.Errorf("noc: grid %dx%d exceeds the %dx%d limit", p.Width, p.Height, MaxGridDim, MaxGridDim)
 	}
 	if _, err := topology.New(p.Topology, p.Width, p.Height); err != nil {
 		return err
@@ -218,16 +233,12 @@ func (p *Params) Validate() error {
 	if p.Classes < 1 {
 		return fmt.Errorf("noc: need at least one protocol class, got %d", p.Classes)
 	}
-	// Escape VCs (the ring dateline pair for NoRD, the torus dateline
-	// pair for conventional designs) plus at least one adaptive VC.
-	minVCs := p.escapeVCs() + 1
-	if p.VCsPerClass < minVCs {
+	if minVCs := MinVCs(p.Design, p.Topology); p.VCsPerClass < minVCs {
 		return fmt.Errorf("noc: design %v on %v needs at least %d VCs per class, got %d",
 			p.Design, p.Topology, minVCs, p.VCsPerClass)
 	}
-	if p.vcsPerPort() > 64 {
-		// The per-phase VC occupancy masks carry one bit per VC and port.
-		return fmt.Errorf("noc: at most 64 VCs per port supported, got %d", p.vcsPerPort())
+	if p.vcsPerPort() > MaxVCsPerPort {
+		return fmt.Errorf("noc: at most %d VCs per port supported, got %d", MaxVCsPerPort, p.vcsPerPort())
 	}
 	if p.BufferDepth < 1 {
 		return fmt.Errorf("noc: buffer depth must be positive, got %d", p.BufferDepth)

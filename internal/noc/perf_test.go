@@ -66,11 +66,11 @@ func BenchmarkKernel(b *testing.B) {
 }
 
 // BenchmarkKernelParallel is the sharded-kernel scaling matrix: NoRD on
-// 16x16/32x32/64x64 meshes at every shard count the BENCH_kernel.json
-// scaling points use. Loads drop with mesh size to stay below the
-// uniform-random saturation bound (~1/width), matching
-// sim.KernelScalingMeshes; P=1 is the same code path run single-shard —
-// the speedup denominator.
+// 16x16/32x32/64x64 meshes at P in {1,2,4,8} — the points of DESIGN.md
+// §11's table, and the instrument for ROADMAP item 1's outstanding
+// >=4-CPU measurement. Loads drop with mesh size to stay below the
+// uniform-random saturation bound (~1/width); P=1 is the same code path
+// run single-shard — the speedup denominator.
 func BenchmarkKernelParallel(b *testing.B) {
 	for _, m := range []struct {
 		w    int

@@ -13,9 +13,12 @@ import (
 // goldenRun drives one sweep point to completion and returns everything
 // observable about it: the aggregate collector, the per-router reports and
 // the in-flight count.
-func goldenRun(t *testing.T, p Params, rate float64, seed int64, warmup, measure int) (*stats.NoC, []RouterReport, int) {
+func goldenRun(t *testing.T, p Params, fullScan bool, rate float64, seed int64, warmup, measure int) (*stats.NoC, []RouterReport, int) {
 	t.Helper()
 	n := MustNew(p)
+	if fullScan {
+		n.fullScan()
+	}
 	inj := traffic.NewSynthetic(n, traffic.UniformRandom, rate, seed)
 	for c := 0; c < warmup; c++ {
 		inj.Tick(n.Cycle())
@@ -33,7 +36,7 @@ func goldenRun(t *testing.T, p Params, rate float64, seed int64, warmup, measure
 // TestEventSparseMatchesFullScan is the determinism golden test of the
 // event-sparse kernel: for every design, a mid-load sweep point run with
 // the active-worklist kernel must produce statistics bit-identical to the
-// same run with the full-scan kernel (Params.FullScanTick).
+// same run with the full-scan kernel (Network.fullScan).
 func TestEventSparseMatchesFullScan(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -61,13 +64,8 @@ func TestEventSparseMatchesFullScan(t *testing.T) {
 			p.Width, p.Height = 8, 8
 			tc.mutate(&p)
 
-			sparse := p
-			sparse.FullScanTick = false
-			full := p
-			full.FullScanTick = true
-
-			sCol, sPer, sInFlight := goldenRun(t, sparse, tc.rate, 7, 1000, 4000)
-			fCol, fPer, fInFlight := goldenRun(t, full, tc.rate, 7, 1000, 4000)
+			sCol, sPer, sInFlight := goldenRun(t, p, false, tc.rate, 7, 1000, 4000)
+			fCol, fPer, fInFlight := goldenRun(t, p, true, tc.rate, 7, 1000, 4000)
 
 			if sCol.PacketsDelivered == 0 {
 				t.Fatal("sweep point delivered no packets; test is vacuous")

@@ -189,16 +189,16 @@ func (s *Space) validate() error {
 		if w < 2 {
 			return fmt.Errorf("search: grid width %d below the 2x2 minimum", w)
 		}
-		if w > 256 {
-			return fmt.Errorf("search: grid width %d above the 256 limit", w)
+		if w > noc.MaxGridDim {
+			return fmt.Errorf("search: grid width %d above the %d limit", w, noc.MaxGridDim)
 		}
 	}
 	for _, v := range s.VCs {
 		if v < 2 {
 			return fmt.Errorf("search: %d VCs per class below the 2-VC minimum", v)
 		}
-		if v > 64 {
-			return fmt.Errorf("search: %d VCs per class above the 64-VC port limit", v)
+		if v > noc.MaxVCsPerPort {
+			return fmt.Errorf("search: %d VCs per class above the %d-VC port limit", v, noc.MaxVCsPerPort)
 		}
 	}
 	for _, d := range s.BufferDepths {
@@ -334,8 +334,8 @@ type Candidate struct {
 
 // decode maps a genome onto a runnable candidate, repairing genes a
 // design cannot express so aliased genomes collapse onto one cache key:
-// NoRD's VC count is clamped to its 3-VC minimum (and every design's on
-// the torus, whose dateline pair needs 2 escape VCs + 1 adaptive), wake
+// the VC count is raised to noc.MinVCs (3 for NoRD and for every design
+// on the torus; the space's own floor of 2 is the mesh minimum), wake
 // thresholds only exist for NoRD, No_PG never gates so its gate-idle
 // gene is inert, and topology aliases ("concentrated") canonicalize.
 func (sp *Spec) decode(g Genome, measure int) (Candidate, error) {
@@ -356,9 +356,7 @@ func (sp *Spec) decode(g Genome, measure int) (Candidate, error) {
 		BufferDepth: s.BufferDepths[g[axisDepth]],
 		Rate:        s.Rates[g[axisRate]],
 	}
-	if (design == noc.NoRD || kind == topology.KindTorus) && pc.VCs < 3 {
-		pc.VCs = 3
-	}
+	pc.VCs = max(pc.VCs, noc.MinVCs(design, kind))
 	if design != noc.NoPG {
 		pc.GateIdle = s.GateIdle[g[axisGateIdle]]
 	}

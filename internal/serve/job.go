@@ -155,7 +155,7 @@ func (j *Job) FinalError() string {
 // finish records the terminal state and closes every subscriber stream.
 // It reports whether this call performed the transition: a job reaches a
 // terminal state exactly once, and only the transitioning caller may
-// account it (metrics, cache fill).
+// account it (Server.settle, which also fills the cache first).
 func (j *Job) finish(state JobState, result []byte, errMsg string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -128,31 +128,16 @@ func (s *Server) runSearch(j *Job, spec search.Spec) {
 		},
 	}
 	res, err := d.Run(ctx)
-	switch {
-	case err == nil:
-		payload, merr := json.Marshal(res)
-		if merr != nil {
-			if j.finish(JobFailed, nil, merr.Error()) {
-				s.metrics.JobsFailed.Add(1)
-			}
-			return
-		}
-		if j.finish(JobDone, payload, "") {
-			s.metrics.JobsDone.Add(1)
-			s.metrics.SearchFrontSize.Store(uint64(len(res.Front)))
-		}
-	case errors.Is(err, ErrJobDeadline):
-		if j.finish(JobFailed, nil, err.Error()) {
-			s.metrics.JobsFailed.Add(1)
-		}
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		if j.finish(JobCanceled, nil, err.Error()) {
-			s.metrics.JobsCanceled.Add(1)
-		}
-	default:
-		if j.finish(JobFailed, nil, err.Error()) {
-			s.metrics.JobsFailed.Add(1)
-		}
+	var payload []byte
+	if err == nil {
+		payload, err = json.Marshal(res)
+	}
+	if err != nil {
+		s.settle(j, failure(err))
+		return
+	}
+	if s.settle(j, outcome{state: JobDone, payload: payload}) {
+		s.metrics.SearchFrontSize.Store(uint64(len(res.Front)))
 	}
 }
 

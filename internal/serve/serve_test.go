@@ -53,6 +53,18 @@ func postJob(t *testing.T, ts *httptest.Server, body string) (int, submitRespons
 	return resp.StatusCode, sr, resp.Header
 }
 
+// postRaw submits a body and returns the status code and raw response.
+func postRaw(t *testing.T, ts *httptest.Server, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(data)
+}
+
 func getStatus(t *testing.T, ts *httptest.Server, id string) JobStatus {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
@@ -366,6 +378,28 @@ func TestServerValidation(t *testing.T) {
 				t.Fatalf("code=%d, want 400", code)
 			}
 		})
+	}
+
+	// serve has no grid or VC rule of its own: these are
+	// noc.Params.Validate's, reached through sim.SynthConfig.Validate, and
+	// the wording shows it.
+	for _, tc := range []struct{ name, body, want string }{
+		{"nord needs 3 vcs", `{"kind":"synthetic","synthetic":{"design":"nord","vcs":2}}`, "needs at least 3 VCs"},
+		{"vcs above the port limit", `{"kind":"synthetic","synthetic":{"design":"no_pg","vcs":100}}`, "at most 64 VCs per port"},
+		{"1-wide grid", `{"kind":"synthetic","synthetic":{"design":"nord","width":1,"height":4}}`, "at least 2x2"},
+		{"negative sweep grid", `{"kind":"sweep","sweep":{"width":-3,"height":4,"rates":[0.05]}}`, "at least 2x2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, body := postRaw(t, ts, tc.body)
+			if code != http.StatusBadRequest || !strings.Contains(body, tc.want) {
+				t.Fatalf("got %d %s, want 400 containing %q", code, body, tc.want)
+			}
+		})
+	}
+	for _, d := range []string{"no_pg", "conv_pg", "conv_pg_opt", "nord"} {
+		if _, err := (&SyntheticSpec{Design: d, VCs: 3}).resolve(); err != nil {
+			t.Errorf("%s with 3 VCs, the rule's floor: %v", d, err)
+		}
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/nope")

@@ -376,16 +376,70 @@ func (s *Server) dropKey(j *Job) {
 	}
 }
 
+// outcome is how a job ended, in the form settle consumes.
+type outcome struct {
+	state   JobState
+	payload []byte // JobDone: the marshalled result
+	errMsg  string
+	// store asks for the payload to be written to the result cache (done
+	// jobs that are neither traced nor already served from a cache tier).
+	store bool
+	// run carries a done run's headline counters for the per-design
+	// series (nil for sweeps, searches and tier hits).
+	run *runInfo
+	// unstarted marks a job its dispatcher dropped before running it:
+	// Cancel already made it terminal, and the drop is what accounts it.
+	unstarted bool
+}
+
+// failure classifies a run error: the per-job deadline and everything
+// unexpected fail the job, a client cancel (or server shutdown) cancels it.
+func failure(err error) outcome {
+	o := outcome{state: JobFailed, errMsg: err.Error()}
+	if !errors.Is(err, ErrJobDeadline) && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		o.state = JobCanceled
+	}
+	return o
+}
+
+// settle is the one place a job becomes terminal. The order is the
+// contract: the result is in the cache before finish closes Done (a
+// waiter woken by Done, or a client that polled "done", must find it
+// there), and only the call that performed the transition accounts it —
+// a duplicate or late report of an already-terminal job changes nothing.
+// Jobs that did not finish done leave the dedup index so they cannot
+// satisfy future submissions. It reports whether this call won.
+func (s *Server) settle(j *Job, o outcome) bool {
+	if o.store && !j.State().Terminal() {
+		s.cache.Put(j.Key, o.payload)
+	}
+	won := j.finish(o.state, o.payload, o.errMsg)
+	if o.state != JobDone {
+		s.dropKey(j)
+	}
+	if !won && !(o.unstarted && j.State() == JobCanceled) {
+		return false
+	}
+	switch o.state {
+	case JobDone:
+		s.metrics.JobsDone.Add(1)
+		if o.run != nil {
+			s.metrics.AddRun(o.run.design, o.run.wakeups, o.run.detours)
+		}
+	case JobFailed:
+		s.metrics.JobsFailed.Add(1)
+	case JobCanceled:
+		s.metrics.JobsCanceled.Add(1)
+	}
+	return won
+}
+
 // Exec runs one job in-process on the calling goroutine — the local
 // execution path used by the Scheduler's workers and by a fleet
 // coordinator's zero-worker fallback.
 func (s *Server) Exec(j *Job) {
 	if !j.markRunning() {
-		// Canceled while queued.
-		if j.finish(JobCanceled, nil, "canceled while queued") || j.State() == JobCanceled {
-			s.metrics.JobsCanceled.Add(1)
-		}
-		s.dropKey(j)
+		s.DropCanceled(j)
 		return
 	}
 	s.metrics.SimsExecuted.Add(1)
@@ -422,33 +476,11 @@ func (s *Server) Exec(j *Job) {
 		j.publishTrace(traceBuf)
 		j.setTraceTotals(tracer.Total(), tracer.Dropped())
 	}
-	switch {
-	case err == nil:
-		if j.finish(JobDone, payload, "") {
-			if !j.task.traced {
-				s.cache.Put(j.Key, payload)
-			}
-			s.metrics.JobsDone.Add(1)
-			if info != nil {
-				s.metrics.AddRun(info.design, info.wakeups, info.detours)
-			}
-		}
-	case errors.Is(err, ErrJobDeadline):
-		if j.finish(JobFailed, nil, err.Error()) {
-			s.metrics.JobsFailed.Add(1)
-		}
-		s.dropKey(j)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		if j.finish(JobCanceled, nil, err.Error()) {
-			s.metrics.JobsCanceled.Add(1)
-		}
-		s.dropKey(j)
-	default:
-		if j.finish(JobFailed, nil, err.Error()) {
-			s.metrics.JobsFailed.Add(1)
-		}
-		s.dropKey(j)
+	if err != nil {
+		s.settle(j, failure(err))
+		return
 	}
+	s.settle(j, outcome{state: JobDone, payload: payload, store: !j.task.traced, run: info})
 }
 
 // RemoteOutcome is a worker-reported job result crossing the fleet wire.
@@ -469,33 +501,23 @@ type RemoteOutcome struct {
 }
 
 // FinishRemote finalises a job with a worker-produced outcome: terminal
-// state, cache fill and metrics, mirroring the local Exec path. The
-// finish is exactly-once — a duplicate or late report of an
-// already-terminal job accounts nothing.
+// state, cache fill and metrics, through the same settle as the local
+// Exec path. A duplicate or late report of an already-terminal job
+// accounts nothing.
 func (s *Server) FinishRemote(j *Job, out RemoteOutcome) {
 	switch {
 	case out.Canceled:
-		if j.finish(JobCanceled, nil, out.Error) {
-			s.metrics.JobsCanceled.Add(1)
-		}
-		s.dropKey(j)
+		s.settle(j, outcome{state: JobCanceled, errMsg: out.Error})
 	case out.Error != "":
-		if j.finish(JobFailed, nil, out.Error) {
-			s.metrics.JobsFailed.Add(1)
-		}
-		s.dropKey(j)
+		s.settle(j, outcome{state: JobFailed, errMsg: out.Error})
 	default:
-		if j.finish(JobDone, out.Payload, "") {
-			if !j.task.traced && !out.FromCache {
-				s.cache.Put(j.Key, out.Payload)
-			}
-			s.metrics.JobsDone.Add(1)
-			if out.Meta != nil {
-				if d, err := noc.DesignByName(out.Meta.Design); err == nil {
-					s.metrics.AddRun(d, out.Meta.Wakeups, out.Meta.Detours)
-				}
+		o := outcome{state: JobDone, payload: out.Payload, store: !j.task.traced && !out.FromCache}
+		if out.Meta != nil {
+			if d, err := noc.DesignByName(out.Meta.Design); err == nil {
+				o.run = &runInfo{design: d, wakeups: out.Meta.Wakeups, detours: out.Meta.Detours}
 			}
 		}
+		s.settle(j, o)
 	}
 }
 
@@ -516,10 +538,7 @@ func (s *Server) CountExecution() { s.metrics.SimsExecuted.Add(1) }
 // DropCanceled finalises a job the dispatcher discarded before execution
 // (canceled while queued in a fleet).
 func (s *Server) DropCanceled(j *Job) {
-	if j.finish(JobCanceled, nil, "canceled while queued") || j.State() == JobCanceled {
-		s.metrics.JobsCanceled.Add(1)
-	}
-	s.dropKey(j)
+	s.settle(j, outcome{state: JobCanceled, errMsg: "canceled while queued", unstarted: true})
 }
 
 // ErrNoCachedResult reports that a journaled done job's payload is no

@@ -4,12 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 
 	"nord/internal/memsys"
 	"nord/internal/noc"
 	"nord/internal/sim"
-	"nord/internal/topology"
 	"nord/internal/trace"
 	"nord/internal/traffic"
 )
@@ -27,10 +25,7 @@ type JobRequest struct {
 // Warmup is a pointer so an explicit 0 ("no warmup") is distinguishable
 // from the field being omitted (the paper's default); TraceEvents asks
 // the server to record a cycle-level event trace for this job, streamed
-// at GET /v1/jobs/{id}/trace. Parallelism selects the tick kernel's
-// shard count (0 = serial); results are bit-identical across values, so
-// it is an execution hint excluded from the job's cache key — jobs that
-// differ only in parallelism coalesce.
+// at GET /v1/jobs/{id}/trace.
 type SyntheticSpec struct {
 	Design string `json:"design"`
 	Width  int    `json:"width"`
@@ -47,7 +42,6 @@ type SyntheticSpec struct {
 	NoPerfCentric bool    `json:"no_perf_centric"`
 	ForcedOff     bool    `json:"forced_off"`
 	TraceEvents   bool    `json:"trace_events,omitempty"`
-	Parallelism   int     `json:"parallelism,omitempty"`
 	// Microarchitecture and power-gating knobs, exposed for the
 	// design-space search (POST /v1/search); 0 selects the Table 1
 	// defaults (4 VCs, 5-flit buffers, gate after 2 idle cycles, wakeup
@@ -82,26 +76,9 @@ type TraceSpec struct {
 	TraceEvents bool   `json:"trace_events,omitempty"`
 }
 
-// maxGridDim caps router-grid dimensions accepted over the wire: a
-// typo'd 10000x10000 request would otherwise try to materialise ~10^8
-// routers before any simulation work reveals the mistake.
-const maxGridDim = 256
-
 // maxSweepRates caps the rate list of one sweep job; each rate fans out
 // into a full simulation per design.
 const maxSweepRates = 128
-
-// checkGridDims rejects out-of-range router grid dimensions (0 means
-// "use the default" and is allowed).
-func checkGridDims(w, h int) error {
-	if w < 0 || h < 0 {
-		return fmt.Errorf("negative dimension %dx%d", w, h)
-	}
-	if w > maxGridDim || h > maxGridDim {
-		return fmt.Errorf("grid %dx%d exceeds the %dx%d limit", w, h, maxGridDim, maxGridDim)
-	}
-	return nil
-}
 
 // warmupValue maps a spec's optional warmup onto the sim layer's
 // convention: omitted means "use the design default" (encoded as 0),
@@ -251,15 +228,8 @@ func (sp *SyntheticSpec) resolve() (*task, error) {
 	if err != nil {
 		return nil, err
 	}
-	kind, err := topology.KindByName(sp.Topology)
-	if err != nil {
-		return nil, err
-	}
 	if sp.Rate < 0 || sp.Rate > 1 {
 		return nil, fmt.Errorf("rate %g outside [0, 1] flits/node/cycle", sp.Rate)
-	}
-	if err := checkGridDims(sp.Width, sp.Height); err != nil {
-		return nil, err
 	}
 	if sp.Measure < 0 {
 		return nil, fmt.Errorf("negative cycle count")
@@ -273,22 +243,9 @@ func (sp *SyntheticSpec) resolve() (*task, error) {
 			return nil, err
 		}
 	}
-	if sp.Parallelism < 0 {
-		return nil, fmt.Errorf("negative parallelism %d (0 = serial)", sp.Parallelism)
-	}
 	if sp.VCs < 0 || sp.BufferDepth < 0 || sp.GateIdle < 0 ||
 		sp.ThresholdPerf < 0 || sp.ThresholdPower < 0 {
 		return nil, fmt.Errorf("negative microarchitecture knob (vcs, buffer_depth, gate_idle, threshold_perf, threshold_power must be >= 0)")
-	}
-	if minVCs := 2; sp.VCs > 0 {
-		if design == noc.NoRD || kind == topology.KindTorus {
-			// NoRD's ring escape pair and the torus dateline pair both
-			// need 2 escape VCs + 1 adaptive.
-			minVCs = 3
-		}
-		if sp.VCs < minVCs {
-			return nil, fmt.Errorf("design %v on %v needs at least %d VCs per class, got %d", design, kind, minVCs, sp.VCs)
-		}
 	}
 	cfg := sim.SynthConfig{
 		Design:         design,
@@ -309,19 +266,15 @@ func (sp *SyntheticSpec) resolve() (*task, error) {
 		ThresholdPerf:  sp.ThresholdPerf,
 		ThresholdPower: sp.ThresholdPower,
 	}.Filled()
+	// Topology, grid and VC bounds are noc's rules: ask it.
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	key, err := taskKey("synthetic", sp.TraceEvents, cfg)
 	if err != nil {
 		return nil, err
 	}
-	// Clamp (rather than reject) parallelism above the local core count:
-	// the same spec is shipped verbatim to fleet workers with
-	// heterogeneous core counts, and results are bit-identical at any P.
-	parallelism := sp.Parallelism
-	if max := runtime.NumCPU(); parallelism > max {
-		parallelism = max
-	}
 	return &task{kind: "synthetic", key: key, traced: sp.TraceEvents, run: func(ctx context.Context, opt sim.RunOptions) ([]byte, *runInfo, error) {
-		opt.Parallelism = parallelism
 		return encodeResult(sim.RunSyntheticOpts(ctx, cfg, opt))
 	}}, nil
 }
@@ -429,9 +382,6 @@ func (sp *SweepSpec) resolve() (*task, error) {
 	if len(sp.Rates) > maxSweepRates {
 		return nil, fmt.Errorf("sweep has %d rates, limit %d", len(sp.Rates), maxSweepRates)
 	}
-	if err := checkGridDims(sp.Width, sp.Height); err != nil {
-		return nil, err
-	}
 	for _, r := range sp.Rates {
 		if r < 0 || r > 1 {
 			return nil, fmt.Errorf("rate %g outside [0, 1] flits/node/cycle", r)
@@ -442,6 +392,10 @@ func (sp *SweepSpec) resolve() (*task, error) {
 	// two types were split stay valid (TestCacheKeyGolden pins one).
 	cfg := sim.SweepConfig(*sp).Filled()
 	if _, err := traffic.PatternByName(cfg.Pattern); err != nil {
+		return nil, err
+	}
+	// Every point runs on this grid; noc owns its bounds.
+	if err := (sim.SynthConfig{Width: cfg.Width, Height: cfg.Height}).Validate(); err != nil {
 		return nil, err
 	}
 	key, err := CacheKey("sweep", cfg)

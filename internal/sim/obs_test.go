@@ -15,8 +15,10 @@ func TestWarmupZeroValueVsSentinel(t *testing.T) {
 	if got := (SynthConfig{}).Filled().Warmup; got != 10_000 {
 		t.Errorf("synth zero-value Warmup filled to %d, want the 10000 default", got)
 	}
-	if got := (SynthConfig{Warmup: ZeroWarmup}).Filled().Warmup; got != 0 {
-		t.Errorf("synth Warmup: ZeroWarmup filled to %d, want 0", got)
+	// The sentinel survives fill (so Filled is a fixed point and the
+	// explicit-zero job keys apart from the default); the run clamps it.
+	if got := (SynthConfig{Warmup: ZeroWarmup}).Filled().Warmup; got != ZeroWarmup {
+		t.Errorf("synth Warmup: ZeroWarmup filled to %d, want the sentinel kept", got)
 	}
 	if got := (SynthConfig{Warmup: 123}).Filled().Warmup; got != 123 {
 		t.Errorf("synth explicit Warmup filled to %d, want 123", got)
@@ -24,8 +26,8 @@ func TestWarmupZeroValueVsSentinel(t *testing.T) {
 	if got := (WorkloadConfig{}).Filled().Warmup; got != 5_000 {
 		t.Errorf("workload zero-value Warmup filled to %d, want the 5000 default", got)
 	}
-	if got := (WorkloadConfig{Warmup: ZeroWarmup}).Filled().Warmup; got != 0 {
-		t.Errorf("workload Warmup: ZeroWarmup filled to %d, want 0", got)
+	if got := (WorkloadConfig{Warmup: ZeroWarmup}).Filled().Warmup; got != ZeroWarmup {
+		t.Errorf("workload Warmup: ZeroWarmup filled to %d, want the sentinel kept", got)
 	}
 	if got := (TraceConfig{Warmup: ZeroWarmup}).Filled().Warmup; got != 0 {
 		t.Errorf("trace Warmup: ZeroWarmup filled to %d, want 0", got)

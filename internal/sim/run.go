@@ -71,8 +71,13 @@ func (r Result) StaticEnergy() float64 { return r.Energy.RouterStatic }
 // ZeroWarmup is the sentinel for an explicit zero-cycle warmup. The
 // config Warmup fields keep "0 means the paper's default" for backward
 // compatibility (and stable cache keys), so a literal 0 cannot express
-// "no warmup"; pass ZeroWarmup instead and fill() resolves it to 0.
+// "no warmup"; pass ZeroWarmup instead. fill() leaves the sentinel in
+// place — a filled config fills to itself and hashes apart from the
+// default — and warmupCycles clamps it where the count is read.
 const ZeroWarmup = -1
+
+// warmupCycles is a filled config's Warmup as a cycle count.
+func warmupCycles(w int) uint64 { return uint64(max(w, 0)) }
 
 // SynthConfig configures a synthetic-traffic run.
 type SynthConfig struct {
@@ -147,8 +152,6 @@ func (c *SynthConfig) fill() {
 	}
 	if c.Warmup == 0 {
 		c.Warmup = 10_000
-	} else if c.Warmup < 0 {
-		c.Warmup = 0
 	}
 	if c.Measure == 0 {
 		c.Measure = 100_000
@@ -251,8 +254,19 @@ func searchPerfCentric(kind topology.Kind, w, h int) ([]int, error) {
 	return topology.NewPlanner(topo, ring).PerformanceCentric(3 * topo.N() / 8)
 }
 
-// buildParams assembles noc parameters from a synthetic config.
-func (c *SynthConfig) buildParams(classes int) (noc.Params, error) {
+// Validate reports whether noc.New would accept the network c describes
+// (grid and VC bounds, topology, the design's minimum VC count), without
+// running the planner: what a front end checks before queueing a run.
+func (c SynthConfig) Validate() error {
+	c.fill()
+	_, err := c.params(1)
+	return err
+}
+
+// params assembles and validates the noc parameters of a filled config,
+// all but the planner's performance-centric set — so a network noc.New
+// would refuse never costs a cold planner search first.
+func (c *SynthConfig) params(classes int) (noc.Params, error) {
 	p := noc.DefaultParams(c.Design)
 	p.Width, p.Height = c.Width, c.Height
 	p.Classes = classes
@@ -291,14 +305,7 @@ func (c *SynthConfig) buildParams(classes int) (noc.Params, error) {
 		// A shorter pipeline hides fewer wakeup cycles (Section 6.8).
 		p.EarlyWakeupCycles = 1
 	}
-	if c.Design == noc.NoRD && !c.NoPerfCentric && !c.ForcedOff {
-		set, err := PerfCentricSetOn(kind, c.Width, c.Height)
-		if err != nil {
-			return p, err
-		}
-		p.PerfCentric = set
-	}
-	return p, nil
+	return p, p.Validate()
 }
 
 // RunSyntheticOpts executes one synthetic-traffic simulation. With a
@@ -331,11 +338,13 @@ func synthRun(ctx context.Context, c SynthConfig, opt RunOptions, t *tap) (Resul
 		return Result{}, err
 	}
 	defer s.net.Close()
+	warmup := warmupCycles(c.Warmup)
+	s.total = warmup + uint64(c.Measure)
 	sched := c.FaultSchedule
 	if sched == nil && c.Faults != nil {
 		fc := *c.Faults
 		if fc.Horizon == 0 {
-			fc.Horizon = uint64(c.Warmup + c.Measure)
+			fc.Horizon = s.total
 		}
 		if sched, err = fault.Generate(fc, s.net.Topo().N()); err != nil {
 			return Result{}, err
@@ -347,9 +356,8 @@ func synthRun(ctx context.Context, c SynthConfig, opt RunOptions, t *tap) (Resul
 		}
 	}
 	s.inject = traffic.NewSynthetic(s.net, pattern, c.Rate, c.Seed).Tick
-	s.total = uint64(c.Warmup + c.Measure)
 
-	s.phase("warmup", s.before(uint64(c.Warmup)))
+	s.phase("warmup", s.before(warmup))
 	s.begin()
 	if t != nil {
 		measured := 0
@@ -394,8 +402,6 @@ func (c *WorkloadConfig) fill() {
 	}
 	if c.Warmup == 0 {
 		c.Warmup = 5_000
-	} else if c.Warmup < 0 {
-		c.Warmup = 0
 	}
 	if c.MaxCycles == 0 {
 		c.MaxCycles = 200_000_000
@@ -470,7 +476,7 @@ func systemRun(ctx context.Context, c WorkloadConfig, opt RunOptions, record boo
 		return func() bool { return exec == 0 && s.net.Cycle() < limit }
 	}
 
-	s.phase("warmup", running(uint64(c.Warmup)))
+	s.phase("warmup", running(warmupCycles(c.Warmup)))
 	s.begin()
 	// A workload that finished inside the warmup still measures one cycle
 	// (the result goldens pin it): the measured window is never empty.

@@ -94,7 +94,10 @@ func open(ctx context.Context, c SynthConfig, classes int, opt RunOptions) (*ses
 	if err != nil {
 		return nil, err
 	}
-	params, err := c.buildParams(classes)
+	params, err := c.params(classes)
+	if err == nil && c.Design == noc.NoRD && !c.NoPerfCentric && !c.ForcedOff {
+		params.PerfCentric, err = PerfCentricSetOn(params.Topology, c.Width, c.Height)
+	}
 	if err != nil {
 		return nil, err
 	}
