@@ -396,71 +396,106 @@ func (n *Network) Tick() {
 // the network deadlocks or a flow-control invariant breaks; once an error
 // is returned the network is frozen and every later Step returns the same
 // error.
+//
+// A cycle is the script of phases below, in this order. Each parallel
+// section (runPhase) walks a fresh snapshot of its shard's active
+// worklist: a node activated mid-cycle (flit delivery, wakeup assertion,
+// injection) joins the remaining phases of the same cycle — exactly the
+// phases that could observe it in a full scan, since a dormant node's
+// earlier phases are no-ops by construction (empty datapath, empty
+// queues, settled power state). Cross-shard effects are deferred into
+// per-shard buffers and committed at the merge that ends the phase, in
+// the serial kernel's order. BenchmarkStepPhases runs the same script
+// with a clock read between the phases.
 func (n *Network) Step() error {
 	if n.err != nil {
 		return n.err
 	}
 	n.cycle++
+	n.stepFaults()
+	n.stepLinks()
+	n.stepNode()
+	n.stepRouter()
+	n.stepControllers()
+	n.stepCredits()
+	n.stepStats()
+	n.stepEpilogue()
+	return n.err
+}
 
-	// 0. Fault injection: due events, hard-fail activation, retransmits.
-	// Serial: the injector pokes arbitrary routers.
+// stepFaults is phase 0, fault injection: due events, hard-fail
+// activation, retransmits. Serial: the injector pokes arbitrary routers.
+// The shard workers start here too, on the first cycle that can use them.
+func (n *Network) stepFaults() {
 	if n.faults != nil {
 		n.faults.tick(n)
 	}
 	if n.sharded && n.par == nil && n.ejectHandler == nil {
 		n.spawnWorkers()
 	}
-	// Each parallel section walks a fresh snapshot of its shard's active
-	// worklist: a node activated mid-cycle (flit delivery, wakeup
-	// assertion, injection) joins the remaining phases of the same cycle
-	// — exactly the phases that could observe it in a full scan, since a
-	// dormant node's earlier phases are no-ops by construction (empty
-	// datapath, empty queues, settled power state). Cross-shard effects
-	// are deferred into per-shard buffers and committed at the merge
-	// points between sections, in the serial kernel's order.
-	// 1. Link traversal completion: deliver flits whose LT finished.
+}
+
+// stepLinks is phase 1, link traversal completion: deliver flits whose LT
+// finished.
+func (n *Network) stepLinks() {
 	n.runPhase(secLinks)
 	n.mergeLinks()
-	// 2-4. NI wire deliveries, router ST, NI pipelines — fused into one
-	// pass per node. Safe because within these three phases no node reads
-	// state another node writes the same cycle (ST and the NI engines
-	// emit onto links with >= 1 cycle of delay; the one cross-node write
-	// of the serial kernel, the ring-upstream credit restore, is hoisted
-	// to the merge), and none of the three activates new nodes, so the
-	// snapshot is stable.
+}
+
+// stepNode is phases 2-4 — NI wire deliveries, router ST, NI pipelines —
+// fused into one pass per node. Safe because within these three phases no
+// node reads state another node writes the same cycle (ST and the NI
+// engines emit onto links with >= 1 cycle of delay; the one cross-node
+// write of the serial kernel, the ring-upstream credit restore, is
+// hoisted to the merge), and none of the three activates new nodes, so
+// the snapshot is stable.
+func (n *Network) stepNode() {
 	n.runPhase(secNode)
 	n.mergeNode()
-	// 5-7. Router SA, VA, RC (reverse pipeline order so a flit advances
-	// at most one stage per cycle), likewise fused: these stages touch
-	// only their own router's datapath (credit returns are deferred to
-	// phase 9) and the nodes they activate — wakeup targets — are
-	// dormant, with empty pipelines, so deferring their activation to the
-	// merge matches the full scan's no-ops.
+}
+
+// stepRouter is phases 5-7 — router SA, VA, RC (reverse pipeline order so
+// a flit advances at most one stage per cycle) — likewise fused: these
+// stages touch only their own router's datapath (credit returns are
+// deferred to stepCredits) and the nodes they activate — wakeup targets —
+// are dormant, with empty pipelines, so deferring their activation to the
+// merge matches the full scan's no-ops.
+func (n *Network) stepRouter() {
 	n.runPhase(secRouter)
 	n.mergeRouter()
-	// 8. Power-gating controllers. Serial: gate-off and wake transitions
-	// write neighbor pipeline and credit state across shard boundaries,
-	// and the wakeup conditions read neighbor pipelines.
+}
+
+// stepControllers is phase 8, the power-gating controllers, and 8b,
+// dynamic reclassification (Section 4.4 extension). Serial: gate-off and
+// wake transitions write neighbor pipeline and credit state across shard
+// boundaries, and the wakeup conditions read neighbor pipelines.
+func (n *Network) stepControllers() {
 	for _, id := range n.collectActive() {
 		r := n.routers[id]
 		r.saGrantsLastCycle = r.saGrantsThisCycle
 		r.saGrantsThisCycle = 0
 		r.tickController()
 	}
-	// 8b. Dynamic reclassification (Section 4.4 extension).
 	if n.p.Design == NoRD && n.p.DynamicClassify && n.cycle%uint64(n.p.ReclassifyPeriod) == 0 {
 		n.reclassify()
 	}
-	// 9. Credit propagation, in (shard, emission) order. Credit grants
-	// are commutative increments, so the folded order is equivalent to
-	// the serial kernel's chronological order.
+}
+
+// stepCredits is phase 9, credit propagation, in (shard, emission) order.
+// Credit grants are commutative increments, so the folded order is
+// equivalent to the serial kernel's chronological order.
+func (n *Network) stepCredits() {
 	for _, sh := range n.shards {
 		for _, ev := range sh.credits {
 			n.applyCredit(ev)
 		}
 		sh.credits = sh.credits[:0]
 	}
-	// 10-11. Per-node accounting and the deactivation sweep.
+}
+
+// stepStats is phases 10-11: per-node accounting and the deactivation
+// sweep, then the cycle's residency row for the tracer.
+func (n *Network) stepStats() {
 	n.runPhase(secStats)
 	if n.collecting {
 		n.col.Cycles++
@@ -477,8 +512,11 @@ func (n *Network) Step() error {
 			}
 		}
 	}
-	// Epilogue: fold the per-shard per-cycle accumulators, then run the
-	// deadlock watchdog against the folded progress flag.
+}
+
+// stepEpilogue folds the per-shard per-cycle accumulators, then runs the
+// deadlock watchdog against the folded progress flag.
+func (n *Network) stepEpilogue() {
 	progressed := false
 	for _, sh := range n.shards {
 		progressed = progressed || sh.progressed
@@ -511,7 +549,6 @@ func (n *Network) Step() error {
 	if n.sharded && n.cycle&4095 == 0 {
 		flit.Level(n.poolPtrs)
 	}
-	return n.err
 }
 
 // setAllActive marks every node active (full-scan mode, initialisation).

@@ -767,10 +767,3 @@ func (ni *NI) freeLocalVC(class int) (int, bool) {
 	}
 	return 0, false
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -2,10 +2,12 @@ package noc
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
+	"nord/internal/stats"
 	"nord/internal/topology"
 	"nord/internal/traffic"
 )
@@ -100,6 +102,221 @@ func BenchmarkKernelParallel(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// The laps BenchmarkStepPhases times: Network.Step's script, with the
+// router section timed whole on even cycles and as three passes on odd
+// ones.
+const (
+	phFaults = iota
+	phLinks
+	phNode   // NI wire deliveries, router ST, NI pipelines
+	phRouter // SA, VA, RC fused, as Step runs them (even cycles)
+	phSA     // the three as separate passes (odd cycles)
+	phVA
+	phRC
+	phPG // power-gating controllers and reclassification
+	phCredits
+	phStats
+	phEpilogue
+	numStepPhases
+)
+
+var stepPhaseNames = [numStepPhases]string{
+	"faults", "links", "node", "router", "sa", "va", "rc", "pg", "credits", "stats", "epilogue",
+}
+
+// stepPhases is Network.Step for a serial network with the clock read
+// between the phases: ns[ph] grows by the time phase ph took. On odd
+// cycles the router section runs as an SA pass, a VA pass and an RC pass
+// over one worklist snapshot where Step makes one fused pass; the stages
+// touch only their own router and the nodes they wake join the list at
+// the merge either way, so the result is the same
+// (TestStepPhasesMatchStep). Visiting every router three times costs
+// about 5 % of a cycle, which is why the even cycles time the section
+// the way Step runs it: that is the router phase's cost, and the passes
+// give the shares to split it by.
+func stepPhases(n *Network, ns *[numStepPhases]int64, epoch time.Time) error {
+	if n.err != nil {
+		return n.err
+	}
+	last := time.Since(epoch)
+	lap := func(ph int) {
+		now := time.Since(epoch)
+		ns[ph] += int64(now - last)
+		last = now
+	}
+	n.cycle++
+	n.stepFaults()
+	lap(phFaults)
+	n.stepLinks()
+	lap(phLinks)
+	n.stepNode()
+	lap(phNode)
+	if n.cycle&1 == 0 {
+		n.stepRouter()
+		lap(phRouter)
+	} else {
+		ids := n.shardActive(n.shards[0])
+		for _, id := range ids {
+			n.routers[id].tickSA()
+		}
+		lap(phSA)
+		for _, id := range ids {
+			n.routers[id].tickVA()
+		}
+		lap(phVA)
+		for _, id := range ids {
+			n.routers[id].tickRC()
+		}
+		n.mergeRouter()
+		lap(phRC)
+	}
+	n.stepControllers()
+	lap(phPG)
+	n.stepCredits()
+	lap(phCredits)
+	n.stepStats()
+	lap(phStats)
+	n.stepEpilogue()
+	lap(phEpilogue)
+	return n.err
+}
+
+// stepPhaseCells are the ladder's kernel cells the attribution is kept
+// for (bench/kernel.go: 8x8 mesh, uniform random, the planner's set).
+type stepPhaseCell struct {
+	name   string
+	design Design
+	rate   float64
+}
+
+var stepPhaseCells = []stepPhaseCell{
+	{"nord_r02", NoRD, 0.02},
+	{"no_pg_r10", NoPG, 0.10},
+	{"no_pg_r25", NoPG, 0.25},
+}
+
+func (c stepPhaseCell) build() (*Network, *traffic.Synthetic) {
+	p := DefaultParams(c.design)
+	p.Width, p.Height = 8, 8
+	if c.design == NoRD {
+		p.PerfCentric, _ = topology.StandardPlan(p.Topology, p.Width, p.Height)
+	}
+	n := MustNew(p)
+	return n, traffic.NewSynthetic(n, traffic.UniformRandom, c.rate, 1)
+}
+
+// BenchmarkStepPhases splits a simulated cycle by Step phase: per cell it
+// times plain Step (step-ns/cycle), then the same run through stepPhases,
+// and reports one <phase>-ns/cycle each plus their sum, phases-ns/cycle,
+// which should land within a few percent of step-ns/cycle (the clock
+// reads, ≈ 0.3 µs a cycle, are measured and taken off). sa, va and rc are
+// not in the sum: they are router, the fused section's time, in the
+// proportion the three-pass cycles found. It is the attribution a kernel
+// change starts from:
+//
+//	go test ./internal/noc -run '^$' -bench BenchmarkStepPhases -benchtime 20000x
+func BenchmarkStepPhases(b *testing.B) {
+	warm := func(c stepPhaseCell) (*Network, *traffic.Synthetic) {
+		n, inj := c.build()
+		for i := 0; i < 2000; i++ {
+			inj.Tick(n.Cycle())
+			n.Tick()
+		}
+		return n, inj
+	}
+	// clock is what one clock read costs, in ns.
+	const reads = 1 << 16
+	epoch := time.Now()
+	for i := 0; i < reads; i++ {
+		_ = time.Since(epoch)
+	}
+	clock := int64(time.Since(epoch)) / reads
+
+	for _, c := range stepPhaseCells {
+		b.Run(c.name, func(b *testing.B) {
+			n, inj := warm(c)
+			var whole int64
+			for i := 0; i < b.N; i++ {
+				inj.Tick(n.Cycle())
+				start := time.Since(epoch)
+				n.Tick()
+				whole += int64(time.Since(epoch)-start) - clock
+			}
+
+			n, inj = warm(c)
+			var ns [numStepPhases]int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				inj.Tick(n.Cycle())
+				if err := stepPhases(n, &ns, epoch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			// Every lap carries one clock read, taken off here (faults and
+			// epilogue would otherwise read ≈ 35 ns, all of it the clock).
+			// Warm-up is even, so cycles 2, 4, ... are the fused ones.
+			fused, split := b.N/2, b.N-b.N/2
+			perCycle := func(ph, laps int) float64 {
+				return float64(max(ns[ph]-int64(laps)*clock, 0)) / float64(max(laps, 1))
+			}
+			router := perCycle(phRouter, fused)
+			passes := perCycle(phSA, split) + perCycle(phVA, split) + perCycle(phRC, split)
+			report := func(name string, v float64) { b.ReportMetric(v, name+"-ns/cycle") }
+			sum := 0.0
+			for ph, name := range stepPhaseNames {
+				switch ph {
+				case phSA, phVA, phRC:
+					report(name, router*perCycle(ph, split)/passes)
+				case phRouter:
+					report(name, router)
+					sum += router
+				default:
+					report(name, perCycle(ph, b.N))
+					sum += perCycle(ph, b.N)
+				}
+			}
+			report("phases", sum)
+			report("step", float64(whole)/float64(b.N))
+		})
+	}
+}
+
+// TestStepPhasesMatchStep: the script BenchmarkStepPhases times is Step's
+// — a phase added to one and not the other, or a router stage that starts
+// reading a neighbour, shows as diverging statistics.
+func TestStepPhasesMatchStep(t *testing.T) {
+	cells := append(stepPhaseCells[:2:2], stepPhaseCell{"conv_pg_r05", ConvPG, 0.05})
+	for _, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(step func(*Network) error) (*stats.NoC, []RouterReport, int) {
+				n, inj := c.build()
+				for i := 0; i < 4001; i++ {
+					if i == 1000 {
+						n.BeginMeasurement()
+					}
+					inj.Tick(n.Cycle())
+					if err := step(n); err != nil {
+						t.Fatal(err)
+					}
+				}
+				n.FinishMeasurement()
+				return n.Collector(), n.PerRouterReports(), n.InFlight()
+			}
+			var ns [numStepPhases]int64
+			epoch := time.Now()
+			wCol, wPer, wIn := run((*Network).Step)
+			pCol, pPer, pIn := run(func(n *Network) error { return stepPhases(n, &ns, epoch) })
+			if wCol.PacketsDelivered == 0 {
+				t.Fatal("no packets delivered; test is vacuous")
+			}
+			if !reflect.DeepEqual(wCol, pCol) || !reflect.DeepEqual(wPer, pPer) || wIn != pIn {
+				t.Errorf("phased stepping diverges from Step:\nStep:   %+v\nphased: %+v", wCol, pCol)
+			}
+		})
 	}
 }
 

@@ -184,7 +184,8 @@ func (c SynthConfig) Filled() SynthConfig {
 	return c
 }
 
-// perfCache memoises performance-centric router sets per topology+size.
+// perfCache memoises the planner's sets for grids the plan table
+// (topology.StandardPlan) does not hold, per router graph and size.
 var perfCache sync.Map // perfKey -> *perfEntry
 
 type perfKey struct {
@@ -215,8 +216,19 @@ func PerfCentricSet(w, h int) ([]int, error) {
 // set for the paper's 4x4 example, and a greedy 3N/8-router set for
 // larger grids (Section 4.4). The planner evaluates bypass-ring detour
 // cost on the actual topology, so torus wrap links shorten the detours
-// it optimises against. The returned slice is shared: do not modify it.
+// it optimises against.
+//
+// The plan is a design-time artefact: for the square grids up to 16x16 it
+// is a lookup in the committed plan table (topology.StandardPlan); any
+// other grid is planned on first use, once per process. The returned slice is
+// shared: do not modify it.
 func PerfCentricSetOn(kind topology.Kind, w, h int) ([]int, error) {
+	// A concentrated mesh has the mesh's router graph, hence its plan:
+	// one table entry, one memo entry, one search.
+	kind = kind.RouterGraph()
+	if set, ok := topology.StandardPlan(kind, w, h); ok {
+		return set, nil
+	}
 	key := perfKey{kind, w, h}
 	v, ok := perfCache.Load(key)
 	if !ok {
@@ -231,7 +243,8 @@ func PerfCentricSetOn(kind topology.Kind, w, h int) ([]int, error) {
 	if set := e.set.Load(); set != nil {
 		return *set, nil
 	}
-	set, err := searchPerfCentric(kind, w, h)
+	perfSearches.Add(1)
+	set, err := topology.DefaultPlan(kind, w, h)
 	if err != nil {
 		// Failures are not memoised, and leave no entry behind.
 		perfCache.CompareAndDelete(key, v)
@@ -239,19 +252,6 @@ func PerfCentricSetOn(kind topology.Kind, w, h int) ([]int, error) {
 	}
 	e.set.Store(&set)
 	return set, nil
-}
-
-func searchPerfCentric(kind topology.Kind, w, h int) ([]int, error) {
-	perfSearches.Add(1)
-	topo, err := topology.New(kind, w, h)
-	if err != nil {
-		return nil, err
-	}
-	ring, err := topology.NewRing(topo)
-	if err != nil {
-		return nil, err
-	}
-	return topology.NewPlanner(topo, ring).PerformanceCentric(3 * topo.N() / 8)
 }
 
 // Validate reports whether noc.New would accept the network c describes

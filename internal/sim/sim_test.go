@@ -85,6 +85,55 @@ func TestPerfCentricSetSingleFlight(t *testing.T) {
 	}
 }
 
+// TestPlanTableHitRunsNoSearch: a grid in the plan table costs a lookup —
+// no planner search, no memo entry, no allocation — however cold the
+// process; a grid outside it still searches, once, and a concentrated
+// mesh shares the mesh's entry because it has the mesh's router graph.
+func TestPlanTableHitRunsNoSearch(t *testing.T) {
+	perfCache.Clear()
+	before := perfSearches.Load()
+	for _, g := range []struct {
+		kind topology.Kind
+		side int
+	}{{topology.KindMesh, 8}, {topology.KindTorus, 8}, {topology.KindCMesh, 4}, {topology.KindTorus, 15}, {topology.KindMesh, 16}} {
+		var set []int
+		var err error
+		allocs := testing.AllocsPerRun(10, func() { set, err = PerfCentricSetOn(g.kind, g.side, g.side) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 3 * g.side * g.side / 8; len(set) != want {
+			t.Errorf("%v %dx%d: %d routers, want %d", g.kind, g.side, g.side, len(set), want)
+		}
+		if allocs != 0 {
+			t.Errorf("%v %dx%d: a table hit allocates %.0f times", g.kind, g.side, g.side, allocs)
+		}
+	}
+	if n := perfSearches.Load() - before; n != 0 {
+		t.Errorf("%d planner searches ran for grids in the plan table", n)
+	}
+	perfCache.Range(func(k, _ any) bool {
+		t.Errorf("table hit left memo entry %+v", k)
+		return true
+	})
+
+	const w, h = 14, 2
+	mesh, err := PerfCentricSetOn(topology.KindMesh, w, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmesh, err := PerfCentricSetOn(topology.KindCMesh, w, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := perfSearches.Load() - before; n != 1 {
+		t.Errorf("mesh then cmesh %dx%d ran %d planner searches, want 1", w, h, n)
+	}
+	if &mesh[0] != &cmesh[0] {
+		t.Errorf("cmesh %dx%d got %v, not the mesh's shared slice %v", w, h, cmesh, mesh)
+	}
+}
+
 func TestRunSyntheticBasics(t *testing.T) {
 	r, err := runSynthetic(SynthConfig{Design: noc.NoPG, Rate: 0.05, Warmup: 2000, Measure: 8000, Seed: 1})
 	if err != nil {

@@ -33,6 +33,16 @@ func (k Kind) String() string {
 	}
 }
 
+// RouterGraph returns the kind whose router-to-router graph (links,
+// bypass ring, and therefore planner output) k has: a concentrated mesh
+// is a mesh between routers; the others are their own.
+func (k Kind) RouterGraph() Kind {
+	if k == KindCMesh {
+		return KindMesh
+	}
+	return k
+}
+
 // KindByName parses a topology name as used in specs and CLI flags.
 func KindByName(name string) (Kind, error) {
 	switch name {
