@@ -1,6 +1,13 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -184,4 +191,134 @@ func TestCacheKeyKindSeparation(t *testing.T) {
 	if len(k1) != 64 || strings.ToLower(k1) != k1 {
 		t.Fatalf("key %q is not lowercase hex sha-256", k1)
 	}
+}
+
+// oracleCanonicalJSON is the canonical encoder as it was before the
+// compiled plan replaced it in canon.go: a per-call reflection walk that
+// re-sorts every struct's fields and quotes every string through
+// json.Marshal. It lives on here as the differential oracle — the two
+// must agree byte for byte on every value (TestCanonicalMatchesOracle,
+// FuzzCanonicalJSON), which is what keeps every minted cache key valid.
+func oracleCanonicalJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := oracleWriteCanonical(&buf, reflect.ValueOf(v)); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+func oracleWriteCanonical(buf *bytes.Buffer, v reflect.Value) error {
+	if !v.IsValid() {
+		buf.WriteString("null")
+		return nil
+	}
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if v.IsNil() {
+			buf.WriteString("null")
+			return nil
+		}
+		return oracleWriteCanonical(buf, v.Elem())
+	case reflect.Struct:
+		t := v.Type()
+		type field struct {
+			name string
+			val  reflect.Value
+		}
+		fields := make([]field, 0, t.NumField())
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			fields = append(fields, field{f.Name, v.Field(i)})
+		}
+		sort.Slice(fields, func(i, j int) bool { return fields[i].name < fields[j].name })
+		buf.WriteByte('{')
+		for i, f := range fields {
+			if i > 0 {
+				buf.WriteByte(',')
+			}
+			oracleWriteJSONString(buf, f.name)
+			buf.WriteByte(':')
+			if err := oracleWriteCanonical(buf, f.val); err != nil {
+				return err
+			}
+		}
+		buf.WriteByte('}')
+		return nil
+	case reflect.Map:
+		type pair struct {
+			key string
+			val reflect.Value
+		}
+		pairs := make([]pair, 0, v.Len())
+		iter := v.MapRange()
+		for iter.Next() {
+			k := iter.Key()
+			var ks string
+			if k.Kind() == reflect.String {
+				ks = k.String()
+			} else {
+				ks = fmt.Sprint(k.Interface())
+			}
+			pairs = append(pairs, pair{ks, iter.Value()})
+		}
+		sort.Slice(pairs, func(i, j int) bool { return pairs[i].key < pairs[j].key })
+		buf.WriteByte('{')
+		for i, p := range pairs {
+			if i > 0 {
+				buf.WriteByte(',')
+			}
+			oracleWriteJSONString(buf, p.key)
+			buf.WriteByte(':')
+			if err := oracleWriteCanonical(buf, p.val); err != nil {
+				return err
+			}
+		}
+		buf.WriteByte('}')
+		return nil
+	case reflect.Slice, reflect.Array:
+		buf.WriteByte('[')
+		for i := 0; i < v.Len(); i++ {
+			if i > 0 {
+				buf.WriteByte(',')
+			}
+			if err := oracleWriteCanonical(buf, v.Index(i)); err != nil {
+				return err
+			}
+		}
+		buf.WriteByte(']')
+		return nil
+	case reflect.Bool:
+		buf.WriteString(strconv.FormatBool(v.Bool()))
+		return nil
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		buf.WriteString(strconv.FormatInt(v.Int(), 10))
+		return nil
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		buf.WriteString(strconv.FormatUint(v.Uint(), 10))
+		return nil
+	case reflect.Float32, reflect.Float64:
+		f := v.Float()
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("serve: cannot canonicalise non-finite float %v", f)
+		}
+		bits := 64
+		if v.Kind() == reflect.Float32 {
+			bits = 32
+		}
+		buf.WriteString(strconv.FormatFloat(f, 'g', -1, bits))
+		return nil
+	case reflect.String:
+		oracleWriteJSONString(buf, v.String())
+		return nil
+	default:
+		return fmt.Errorf("serve: cannot canonicalise kind %v", v.Kind())
+	}
+}
+
+func oracleWriteJSONString(buf *bytes.Buffer, s string) {
+	b, _ := json.Marshal(s) // marshalling a string cannot fail
+	buf.Write(b)
 }

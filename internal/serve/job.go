@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"sync"
@@ -64,8 +65,16 @@ type Job struct {
 	ephemeral bool
 	waiters   int
 	cacheHit  bool
-	result    []byte
 	errMsg    string
+	// sealed closes the progress history: set when the terminal view is
+	// rendered (seal), an instant before the state turns terminal.
+	sealed bool
+	// view is the GET /v1/jobs/{id} body of the terminal job, rendered
+	// once by seal; result is the payload inside it (a sub-slice: the
+	// view, the result and the cache entry share one backing array).
+	// Both are immutable once set. view stays nil while the job is live.
+	view      []byte
+	result    []byte
 	lastCycle uint64
 	progress  []stats.Progress
 	subs      map[chan stats.Progress]struct{}
@@ -141,7 +150,7 @@ func (j *Job) Traced() bool { return j.task.traced }
 
 // RequestJSON returns the job's original submission body, the unit that
 // ships to a fleet worker for remote execution.
-func (j *Job) RequestJSON() []byte { return j.task.req }
+func (j *Job) RequestJSON() []byte { return j.task.request() }
 
 // FinalError returns the terminal error message — empty while the job is
 // still open and for jobs that finished done. External dispatchers use it
@@ -152,17 +161,58 @@ func (j *Job) FinalError() string {
 	return j.errMsg
 }
 
-// finish records the terminal state and closes every subscriber stream.
-// It reports whether this call performed the transition: a job reaches a
-// terminal state exactly once, and only the transitioning caller may
-// account it (Server.settle, which also fills the cache first).
-func (j *Job) finish(state JobState, result []byte, errMsg string) bool {
+// resultField is what JobStatus's last field adds to the encoding of a
+// status without a result, ahead of the payload.
+const resultField = `,"result":`
+
+// seal renders the body GET /v1/jobs/{id} serves once the job is terminal
+// — byte for byte what json.NewEncoder(w).Encode(j.status(true)) would
+// write for that state — and closes the progress history, so no later
+// snapshot can make the rendering stale. A terminal job never changes, so
+// this happens once per job instead of once per poll. It returns the view
+// and the payload as it appears inside it (a sub-slice; the encoder
+// compacts and HTML-escapes a raw payload, so this, not the caller's
+// copy, is the form clients have always seen). Callers hand both to
+// finish; Server.settle puts the result in the cache in between.
+//
+// A payload the encoder rejects yields a nil view: handleGet then encodes
+// per request as it does for live jobs, with whatever that produces.
+func (j *Job) seal(state JobState, payload []byte, errMsg string) (view, result []byte) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.sealed = true
+	st := j.statusLocked()
+	st.State, st.Error = state, errMsg
+	var head bytes.Buffer
+	_ = json.NewEncoder(&head).Encode(st) // plain data: cannot fail
+	if state != JobDone || len(payload) == 0 {
+		return head.Bytes(), nil
+	}
+	// Result is JobStatus's last field: the full encoding is head with
+	// `,"result":<payload>` spliced in before the closing "}\n".
+	st.Result = payload
+	buf := bytes.NewBuffer(make([]byte, 0, head.Len()+len(resultField)+len(payload)))
+	if err := json.NewEncoder(buf).Encode(st); err != nil {
+		return nil, payload
+	}
+	view = buf.Bytes()
+	lo, hi := head.Len()-2+len(resultField), len(view)-2
+	return view, view[lo:hi:hi]
+}
+
+// finish records the terminal state with the view seal rendered for it,
+// and closes every subscriber stream. It reports whether this call
+// performed the transition: a job reaches a terminal state exactly once,
+// and only the transitioning caller may account it (Server.settle, which
+// also fills the cache first).
+func (j *Job) finish(state JobState, view, result []byte, errMsg string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
 		return false
 	}
 	j.state = state
+	j.view = view
 	j.result = result
 	j.errMsg = errMsg
 	for ch := range j.subs {
@@ -175,6 +225,21 @@ func (j *Job) finish(state JobState, result []byte, errMsg string) bool {
 	j.traceSubs = map[chan []obs.Event]struct{}{}
 	close(j.done)
 	return true
+}
+
+// terminate is seal + finish for the transitions that have no cache
+// write to order in between.
+func (j *Job) terminate(state JobState, payload []byte, errMsg string) bool {
+	view, result := j.seal(state, payload, errMsg)
+	return j.finish(state, view, result, errMsg)
+}
+
+// terminalView returns the rendered GET body of a terminal job, nil for a
+// live one.
+func (j *Job) terminalView() []byte {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.view
 }
 
 // Done returns a channel closed when the job reaches a terminal state.
@@ -209,14 +274,6 @@ func (j *Job) claimShared() {
 	j.ephemeral = false
 }
 
-// completeFromCache marks the job done with a memoized result.
-func (j *Job) completeFromCache(result []byte) {
-	j.mu.Lock()
-	j.cacheHit = true
-	j.mu.Unlock()
-	j.finish(JobDone, result, "")
-}
-
 // Cancel requests cancellation: a queued job transitions to canceled
 // immediately; a running job's context is canceled and the worker
 // finalises it within the sim layer's poll bound.
@@ -225,7 +282,7 @@ func (j *Job) Cancel() {
 	queued := j.state == JobQueued
 	j.mu.Unlock()
 	if queued {
-		j.finish(JobCanceled, nil, "canceled while queued")
+		j.terminate(JobCanceled, nil, "canceled while queued")
 	}
 	j.cancel()
 }
@@ -236,9 +293,15 @@ func (j *Job) Cancel() {
 // simulated cycles advanced since the previous snapshot, the delta the
 // server folds into its cumulative cycle counter; snapshots arriving out
 // of order (a stale worker's heartbeat racing a retry) contribute zero.
+// A snapshot that arrives once the job is sealed (the same stale
+// heartbeat, a late one after cancel) is dropped whole: what a finished
+// job reports must not change between two reads.
 func (j *Job) publish(p stats.Progress) uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.sealed {
+		return 0
+	}
 	var delta uint64
 	if p.Cycle > j.lastCycle {
 		delta = p.Cycle - j.lastCycle
@@ -360,6 +423,15 @@ type JobStatus struct {
 func (j *Job) status(includeResult bool) JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	st := j.statusLocked()
+	if includeResult && j.state == JobDone {
+		st.Result = json.RawMessage(j.result)
+	}
+	return st
+}
+
+// statusLocked is status without the result; j.mu must be held.
+func (j *Job) statusLocked() JobStatus {
 	st := JobStatus{
 		ID:     j.ID,
 		Kind:   j.Kind,
@@ -372,9 +444,6 @@ func (j *Job) status(includeResult bool) JobStatus {
 	if n := len(j.progress); n > 0 {
 		p := j.progress[n-1]
 		st.Progress = &p
-	}
-	if includeResult && j.state == JobDone {
-		st.Result = json.RawMessage(j.result)
 	}
 	return st
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
+	"time"
 
 	"nord/internal/noc"
 )
@@ -54,6 +55,54 @@ type Metrics struct {
 	// Sweeps do not contribute (their cells span designs).
 	SimWakeups [4]atomic.Uint64
 	SimDetours [4]atomic.Uint64
+
+	// Server-side handler time of POST /v1/jobs and GET /v1/jobs/{id} —
+	// what the ladder's op_latency_p50_ms sees from outside, minus the
+	// network and the client.
+	SubmitSeconds Histogram
+	GetSeconds    Histogram
+}
+
+// latencyBounds are the histograms' upper bounds: fixed and log-spaced,
+// 25 µs (a cache hit) to 10 s (a large simulation), 1-2.5-5 per decade.
+var latencyBounds = [...]time.Duration{
+	25 * time.Microsecond, 50 * time.Microsecond, 100 * time.Microsecond,
+	250 * time.Microsecond, 500 * time.Microsecond, time.Millisecond,
+	2500 * time.Microsecond, 5 * time.Millisecond, 10 * time.Millisecond,
+	25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond,
+	250 * time.Millisecond, 500 * time.Millisecond, time.Second,
+	2500 * time.Millisecond, 5 * time.Second, 10 * time.Second,
+}
+
+// Histogram is a latency distribution over latencyBounds: one atomic
+// counter per bucket (the last is +Inf) and the sum, nothing allocated.
+type Histogram struct {
+	buckets [len(latencyBounds) + 1]atomic.Uint64
+	sumNS   atomic.Uint64
+}
+
+// Observe counts one duration.
+func (h *Histogram) Observe(d time.Duration) {
+	i := 0
+	for i < len(latencyBounds) && d > latencyBounds[i] {
+		i++
+	}
+	h.buckets[i].Add(1)
+	h.sumNS.Add(uint64(max(d, 0)))
+}
+
+// writeProm renders the series of one label set, buckets cumulative as
+// the exposition format wants them.
+func (h *Histogram) writeProm(w io.Writer, name, labels string) {
+	var n uint64
+	for i, le := range latencyBounds {
+		n += h.buckets[i].Load()
+		fmt.Fprintf(w, "%s_bucket{%s,le=\"%g\"} %d\n", name, labels, le.Seconds(), n)
+	}
+	n += h.buckets[len(latencyBounds)].Load()
+	fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, n)
+	fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, time.Duration(h.sumNS.Load()).Seconds())
+	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, n)
 }
 
 // AddRun folds one completed run's headline counters into the per-design
@@ -138,6 +187,10 @@ func (m *Metrics) WriteProm(w io.Writer, g Gauges) {
 	for _, d := range metricDesigns {
 		fmt.Fprintf(w, "nord_sim_detours_total{design=%q} %d\n", d.String(), m.SimDetours[d].Load())
 	}
+	fmt.Fprintf(w, "# HELP nord_http_request_duration_seconds Handler time of POST /v1/jobs (submit) and GET /v1/jobs/{id} (get).\n")
+	fmt.Fprintf(w, "# TYPE nord_http_request_duration_seconds histogram\n")
+	m.SubmitSeconds.writeProm(w, "nord_http_request_duration_seconds", `route="submit"`)
+	m.GetSeconds.writeProm(w, "nord_http_request_duration_seconds", `route="get"`)
 	fmt.Fprintf(w, "# HELP nord_queue_depth Jobs waiting in the scheduler queue.\n")
 	fmt.Fprintf(w, "# TYPE nord_queue_depth gauge\n")
 	fmt.Fprintf(w, "nord_queue_depth %d\n", g.QueueDepth)

@@ -40,12 +40,8 @@ func resolveSearch(spec *search.Spec) (search.Spec, *task, error) {
 	if err != nil {
 		return filled, nil, err
 	}
-	req, err := json.Marshal(filled)
-	if err != nil {
-		return filled, nil, err
-	}
 	// task.run stays nil: search jobs never enter a Dispatcher.
-	return filled, &task{kind: "search", key: key, req: req}, nil
+	return filled, &task{kind: "search", key: key, src: filled}, nil
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -184,7 +180,7 @@ func (s *Server) searchEval() search.EvalFunc {
 		case <-ctx.Done():
 			return search.Evaluation{}, context.Cause(ctx)
 		}
-		ev := search.Evaluation{CacheKey: child.Key, Request: t.req, Cached: served}
+		ev := search.Evaluation{CacheKey: child.Key, Request: t.request(), Cached: served}
 		st := child.status(true)
 		switch st.State {
 		case JobDone:

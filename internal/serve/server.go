@@ -217,10 +217,10 @@ func (s *Server) Metrics() *Metrics { return &s.metrics }
 //	GET    /healthz             readiness (503 while draining; "degraded" + notes while limping)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
+	mux.HandleFunc("POST /v1/jobs", timed(&s.metrics.SubmitSeconds, s.handleSubmit))
 	mux.HandleFunc("POST /v1/search", s.handleSearch)
 	mux.HandleFunc("GET /v1/jobs", s.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
+	mux.HandleFunc("GET /v1/jobs/{id}", timed(&s.metrics.GetSeconds, s.handleGet))
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
@@ -229,6 +229,15 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
+}
+
+// timed observes the wrapped handler's run time on h.
+func timed(h *Histogram, next http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		next(w, r)
+		h.Observe(time.Since(start))
+	}
 }
 
 // BeginDrain stops accepting new jobs; /healthz flips to 503 so load
@@ -336,7 +345,7 @@ func (s *Server) submitTask(t *task, ephemeral bool) (j *Job, served bool, err e
 	// Traced jobs always execute: a cached Result has no event stream.
 	if val, ok := s.cache.Get(t.key); ok && !t.traced {
 		j := s.newJobLocked(t)
-		j.completeFromCache(val)
+		s.completeFromCache(j, val)
 		s.metrics.CacheHits.Add(1)
 		s.metrics.JobsSubmitted.Add(1)
 		s.metrics.JobsDone.Add(1)
@@ -376,6 +385,17 @@ func (s *Server) dropKey(j *Job) {
 	}
 }
 
+// completeFromCache finishes a fresh job with a memoized payload, then
+// points the in-memory cache entry at the job's rendering of it: the job
+// outlives the entry, and one shared copy is all either needs.
+func (s *Server) completeFromCache(j *Job, val []byte) {
+	j.mu.Lock()
+	j.cacheHit = true
+	j.mu.Unlock()
+	j.terminate(JobDone, val, "")
+	s.cache.insert(j.Key, j.result)
+}
+
 // outcome is how a job ended, in the form settle consumes.
 type outcome struct {
 	state   JobState
@@ -403,17 +423,23 @@ func failure(err error) outcome {
 }
 
 // settle is the one place a job becomes terminal. The order is the
-// contract: the result is in the cache before finish closes Done (a
-// waiter woken by Done, or a client that polled "done", must find it
-// there), and only the call that performed the transition accounts it —
+// contract: the terminal view is rendered first, so that what goes into
+// the cache is the payload as it sits inside that view (job and cache
+// share one copy); the result is in the cache before finish closes Done
+// (a waiter woken by Done, or a client that polled "done", must find it
+// there); and only the call that performed the transition accounts it —
 // a duplicate or late report of an already-terminal job changes nothing.
 // Jobs that did not finish done leave the dedup index so they cannot
 // satisfy future submissions. It reports whether this call won.
 func (s *Server) settle(j *Job, o outcome) bool {
-	if o.store && !j.State().Terminal() {
-		s.cache.Put(j.Key, o.payload)
+	var view, result []byte
+	if !j.State().Terminal() { // a duplicate or late report renders nothing
+		view, result = j.seal(o.state, o.payload, o.errMsg)
+		if o.store {
+			s.cache.Put(j.Key, result)
+		}
 	}
-	won := j.finish(o.state, o.payload, o.errMsg)
+	won := j.finish(o.state, view, result, o.errMsg)
 	if o.state != JobDone {
 		s.dropKey(j)
 	}
@@ -609,9 +635,9 @@ func (s *Server) RestoreTerminal(id string, reqJSON []byte, state JobState, errM
 	s.bumpSeqLocked(id)
 	s.mu.Unlock()
 	if state == JobDone {
-		j.completeFromCache(payload)
+		s.completeFromCache(j, payload)
 	} else {
-		j.finish(state, nil, errMsg)
+		j.terminate(state, nil, errMsg)
 	}
 	return nil
 }
@@ -650,6 +676,14 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "no such job")
+		return
+	}
+	// A terminal job cannot change: its body was rendered at the
+	// transition, and serving it is one Write of known length.
+	if view := j.terminalView(); view != nil {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(view)))
+		_, _ = w.Write(view)
 		return
 	}
 	writeJSON(w, http.StatusOK, j.status(true))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"nord/internal/memsys"
 	"nord/internal/noc"
@@ -164,8 +165,24 @@ type task struct {
 	kind   string
 	key    string
 	traced bool
-	req    []byte // original JobRequest, re-marshalled: the fleet shipping unit
 	run    func(ctx context.Context, opt sim.RunOptions) ([]byte, *runInfo, error)
+
+	// src is the submission the task was resolved from (a *JobRequest, or
+	// a filled search.Spec); request marshals it on first use.
+	src     any
+	reqOnce sync.Once
+	req     []byte
+}
+
+// request returns the submission re-marshalled: the unit a fleet
+// coordinator ships to workers (which re-resolve it locally) and writes
+// to its journal, and the body a search reports per evaluation. A local
+// server never asks, so a cache hit never pays for it. The marshal cannot
+// fail: src is plain data whose floats the cache key already proved
+// finite.
+func (t *task) request() []byte {
+	t.reqOnce.Do(func() { t.req, _ = json.Marshal(t.src) })
+	return t.req
 }
 
 // taskKey derives the content-address key, isolating traced jobs in their
@@ -184,13 +201,7 @@ func resolveTask(req *JobRequest) (*task, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Keep the original request on the task: a fleet coordinator ships it
-	// verbatim to workers, which re-resolve it locally. (The marshal
-	// cannot fail: JobRequest is plain data that just decoded.)
-	t.req, err = json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
+	t.src = req
 	return t, nil
 }
 
