@@ -43,6 +43,7 @@ func writeTrace(path string, tr *obs.Tracer, endCycle uint64) error {
 }
 
 func main() {
+	def := noc.DefaultParams(noc.NoRD)
 	var (
 		design      = flag.String("design", "nord", "no_pg, conv_pg, conv_pg_opt or nord")
 		pattern     = flag.String("pattern", "uniform", "synthetic pattern: uniform, bitcomp, transpose, tornado")
@@ -50,11 +51,11 @@ func main() {
 		benchmark   = flag.String("benchmark", "", "run a PARSEC-like workload instead of synthetic traffic")
 		scale       = flag.Float64("scale", 1.0, "workload instruction-count scale")
 		topo        = flag.String("topology", "mesh", "interconnect: mesh, torus or cmesh (4 terminals/router)")
-		width       = flag.Int("width", 4, "router-grid width")
-		height      = flag.Int("height", 4, "router-grid height")
+		width       = flag.Int("width", def.Width, "router-grid width")
+		height      = flag.Int("height", def.Height, "router-grid height")
 		warmup      = flag.Int("warmup", 10_000, "warmup cycles")
 		measure     = flag.Int("measure", 100_000, "measured cycles (synthetic)")
-		wakeup      = flag.Int("wakeup", 12, "router wakeup latency in cycles")
+		wakeup      = flag.Int("wakeup", def.WakeupLatency, "router wakeup latency in cycles")
 		seed        = flag.Int64("seed", 1, "random seed")
 		forcedOff   = flag.Bool("forced-off", false, "force every router asleep (Figure 7 mode)")
 		twoStage    = flag.Bool("two-stage", false, "2-stage router pipeline (Section 6.8)")
@@ -85,17 +86,16 @@ func main() {
 	}
 
 	if *printConfig {
-		p := noc.DefaultParams(noc.NoRD)
 		fmt.Println("Table 1 configuration (defaults):")
-		fmt.Printf("  network topology   %dx%d mesh (also 8x8 via -width/-height)\n", p.Width, p.Height)
+		fmt.Printf("  network topology   %dx%d mesh (also 8x8 via -width/-height)\n", def.Width, def.Height)
 		fmt.Printf("  router             4-stage (RC,VA,SA,ST) + LT, 3GHz\n")
-		fmt.Printf("  virtual channels   %d per protocol class\n", p.VCsPerClass)
-		fmt.Printf("  input buffers      %d-flit depth\n", p.BufferDepth)
+		fmt.Printf("  virtual channels   %d per protocol class\n", def.VCsPerClass)
+		fmt.Printf("  input buffers      %d-flit depth\n", def.BufferDepth)
 		fmt.Printf("  link bandwidth     128 bits/cycle (1 flit)\n")
-		fmt.Printf("  wakeup latency     %d cycles (4ns at 3GHz)\n", p.WakeupLatency)
-		fmt.Printf("  early wakeup       %d cycles hidden (Conv_PG_OPT)\n", p.EarlyWakeupCycles)
-		fmt.Printf("  wakeup window      %d cycles, thresholds perf=%d power=%d\n", p.WakeupWindow, p.ThresholdPerf, p.ThresholdPower)
-		fmt.Printf("  misroute cap       %d hops before the escape ring\n", p.MisrouteCap)
+		fmt.Printf("  wakeup latency     %d cycles (4ns at 3GHz)\n", def.WakeupLatency)
+		fmt.Printf("  early wakeup       %d cycles hidden (Conv_PG_OPT)\n", def.EarlyWakeupCycles)
+		fmt.Printf("  wakeup window      %d cycles, thresholds perf=%d power=%d\n", def.WakeupWindow, def.ThresholdPerf, def.ThresholdPower)
+		fmt.Printf("  misroute cap       %d hops before the escape ring\n", def.MisrouteCap)
 		fmt.Printf("  memory (workload)  L1 32KB/2-way 1cy; L2 256KB/16-way banks 6cy; MOESI-style MSI directory; 4 corner memory controllers, 128cy\n")
 		return
 	}

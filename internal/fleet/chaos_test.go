@@ -482,6 +482,66 @@ func TestCacheCorruptionQuarantinedAndRecomputed(t *testing.T) {
 	}
 }
 
+// TestRestartUnderAliasKeyRecomputes boots over the journal and spill
+// directory of a process that keyed alias spellings apart: a done job
+// whose request wrote out a default (wakeup_latency 12) and set a knob
+// No_PG never reads (gate_idle 6) was journaled, and its payload spilled,
+// under a key nobody mints any more. The request now resolves onto the
+// canonical key, nothing is cached there, and the job takes the ordinary
+// lost-payload path — requeue, recompute — to the bytes a run of the
+// canonical spelling produces. The old spill is orphaned: never read, so
+// never wrong.
+func TestRestartUnderAliasKeyRecomputes(t *testing.T) {
+	const (
+		aliasBody = `{"kind":"synthetic","synthetic":{"design":"no_pg","width":4,"height":4,"pattern":"uniform","rate":0.05,"warmup":100,"measure":20000,"seed":61,"wakeup_latency":12,"gate_idle":6}}`
+		canonBody = `{"kind":"synthetic","synthetic":{"design":"no_pg","width":4,"height":4,"pattern":"uniform","rate":0.05,"warmup":100,"measure":20000,"seed":61}}`
+		// What 883452b minted for the two bodies.
+		aliasKey = "3af096c3f88cd57f66fbd1e057b87d6525cb7f26468cd83a8c8ea8b14a057308"
+		canonKey = "514ec758405a56a17f5cd6f29b503e612906b7a1fe85de8178e8f0399e99eb70"
+	)
+	df := &durableFleet{
+		t:          t,
+		opts:       Options{LeaseTTL: 600 * time.Millisecond, JanitorEvery: 20 * time.Millisecond, LocalWorkers: 2, Seed: 17},
+		cacheDir:   t.TempDir(),
+		journalDir: t.TempDir(),
+	}
+	jl, err := OpenJournal(df.journalDir, JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl.Submit("j7", aliasKey, []byte(aliasBody))
+	jl.Terminal("j7", string(serve.JobDone), "")
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	orphan := filepath.Join(df.cacheDir, aliasKey+".json")
+	if err := os.WriteFile(orphan, []byte("whatever the old process spilled"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	df.boot()
+	t.Cleanup(df.shutdown)
+	st := waitJobStateURL(t, df.url, "j7", serve.JobDone, 60*time.Second)
+	if st.Key != canonKey {
+		t.Errorf("restored job keyed %s, want the canonical spelling's %s", st.Key, canonKey)
+	}
+	if !bytes.Equal(st.Result, localPayload(t, canonBody)) {
+		t.Error("recomputed payload differs from a run of the canonical spelling")
+	}
+	if requeued, replayed := df.coord.journalRequeued.Load(), df.coord.journalReplayed.Load(); requeued != 1 || replayed != 0 {
+		t.Errorf("journalRequeued=%d journalReplayed=%d, want 1 and 0 (payload not under the canonical key)", requeued, replayed)
+	}
+	if data, err := os.ReadFile(orphan); err != nil || string(data) != "whatever the old process spilled" {
+		t.Errorf("the orphaned spill was touched: %q, %v", data, err)
+	}
+	// Either spelling now finds the recomputed result.
+	for _, body := range []string{canonBody, aliasBody} {
+		if code, sr := submitJobURL(t, df.url, body); code != http.StatusOK || !sr.Cached || sr.ID != "j7" {
+			t.Errorf("resubmission = %d %+v, want it served by j7", code, sr)
+		}
+	}
+}
+
 // TestCoordinatorRestartStaleLeaseResultAccepted pins epoch continuity: a
 // lease granted by the dead incarnation is reported against the restarted
 // one. The restarted coordinator has never issued that lease — epochs
@@ -618,6 +678,46 @@ func TestFleetRemoteCacheHitZeroSimWork(t *testing.T) {
 	}
 	if v := fleetMetric(t, tf, "nord_cache_remote_hits_total"); v < 1 {
 		t.Errorf("nord_cache_remote_hits_total=%v, want >=1", v)
+	}
+}
+
+// TestFleetCacheTierMissingDigestIsAMiss puts a tier in front of the
+// worker that answers every GET with 200 and a plausible body but no
+// X-Nord-Sum header (a proxy that strips it, a tier that never set it).
+// Nothing vouches for those bytes, so the read is a tier error and a miss:
+// the worker simulates, reports its own payload, and the job is done.
+func TestFleetCacheTierMissingDigestIsAMiss(t *testing.T) {
+	opts := Options{
+		LeaseTTL:     2 * time.Second,
+		PollWait:     100 * time.Millisecond,
+		JanitorEvery: 50 * time.Millisecond,
+		Seed:         16,
+	}
+	tf := newTestFleet(t, opts, serve.Config{})
+	bareTier := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet {
+			io.WriteString(w, `{"Design":3,"Label":"not what you asked for"}`)
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	t.Cleanup(bareTier.Close)
+
+	tw := startWorkerURL(t, tf.ts.URL, "w1", 161, bareTier.URL)
+	waitWorkers(t, tf, 1)
+
+	body := synthJob(91, 60_000)
+	id := mustSubmit(t, tf, body)
+	st := waitJobState(t, tf, id, serve.JobDone, 60*time.Second)
+	if !bytes.Equal(st.Result, localPayload(t, body)) {
+		t.Errorf("the unverified tier body was accepted as the result: %.80s", st.Result)
+	}
+	hits, _, _, _, errs, sims := tw.w.RemoteCacheStats()
+	if hits != 0 || errs != 1 || sims != 1 {
+		t.Errorf("worker stats hits=%d errs=%d sims=%d, want 0 hits, 1 tier error, 1 simulation", hits, errs, sims)
+	}
+	if v := fleetMetric(t, tf, "nord_fleet_cache_tier_errors_total"); v != 1 {
+		t.Errorf("nord_fleet_cache_tier_errors_total=%v, want 1", v)
 	}
 }
 

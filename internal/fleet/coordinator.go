@@ -748,68 +748,32 @@ func (c *Coordinator) WritePromTo(w io.Writer) {
 	queued := len(c.queue)
 	leased := len(c.jobs) - queued
 	c.mu.Unlock()
-	fmt.Fprintf(w, "# HELP nord_fleet_workers_live Registered workers seen within the liveness window.\n")
-	fmt.Fprintf(w, "# TYPE nord_fleet_workers_live gauge\n")
-	fmt.Fprintf(w, "nord_fleet_workers_live %d\n", live)
-	fmt.Fprintf(w, "# HELP nord_fleet_leases_active Jobs currently leased to workers.\n")
-	fmt.Fprintf(w, "# TYPE nord_fleet_leases_active gauge\n")
-	fmt.Fprintf(w, "nord_fleet_leases_active %d\n", leased)
-	fmt.Fprintf(w, "# HELP nord_fleet_queue_depth Jobs waiting for a lease.\n")
-	fmt.Fprintf(w, "# TYPE nord_fleet_queue_depth gauge\n")
-	fmt.Fprintf(w, "nord_fleet_queue_depth %d\n", queued)
-	fmt.Fprintf(w, "# HELP nord_fleet_leases_granted_total Lease grants (execution attempts).\n")
-	fmt.Fprintf(w, "# TYPE nord_fleet_leases_granted_total counter\n")
-	fmt.Fprintf(w, "nord_fleet_leases_granted_total %d\n", c.leasesGranted.Load())
-	fmt.Fprintf(w, "# HELP nord_fleet_lease_expiries_total Leases that expired without a heartbeat.\n")
-	fmt.Fprintf(w, "# TYPE nord_fleet_lease_expiries_total counter\n")
-	fmt.Fprintf(w, "nord_fleet_lease_expiries_total %d\n", c.leaseExpiries.Load())
-	fmt.Fprintf(w, "# HELP nord_fleet_requeues_total Jobs returned to the queue after expiry or give-back.\n")
-	fmt.Fprintf(w, "# TYPE nord_fleet_requeues_total counter\n")
-	fmt.Fprintf(w, "nord_fleet_requeues_total %d\n", c.requeues.Load())
-	fmt.Fprintf(w, "# HELP nord_fleet_stale_results_total Reports discarded for arriving under a superseded lease.\n")
-	fmt.Fprintf(w, "# TYPE nord_fleet_stale_results_total counter\n")
-	fmt.Fprintf(w, "nord_fleet_stale_results_total %d\n", c.staleResults.Load())
-	fmt.Fprintf(w, "# HELP nord_fleet_stale_accepted_total Successful stale reports accepted (deterministic results).\n")
-	fmt.Fprintf(w, "# TYPE nord_fleet_stale_accepted_total counter\n")
-	fmt.Fprintf(w, "nord_fleet_stale_accepted_total %d\n", c.staleAccepted.Load())
-	fmt.Fprintf(w, "# HELP nord_fleet_local_jobs_total Jobs executed on the coordinator's local fallback pool.\n")
-	fmt.Fprintf(w, "# TYPE nord_fleet_local_jobs_total counter\n")
-	fmt.Fprintf(w, "nord_fleet_local_jobs_total %d\n", c.localJobs.Load())
-	fmt.Fprintf(w, "# HELP nord_fleet_retries_exhausted_total Jobs failed after exhausting their lease attempts.\n")
-	fmt.Fprintf(w, "# TYPE nord_fleet_retries_exhausted_total counter\n")
-	fmt.Fprintf(w, "nord_fleet_retries_exhausted_total %d\n", c.retriesExhausted.Load())
-	fmt.Fprintf(w, "# HELP nord_fleet_cache_tier_errors_total Cache tier errors reported by workers on result reports.\n")
-	fmt.Fprintf(w, "# TYPE nord_fleet_cache_tier_errors_total counter\n")
-	fmt.Fprintf(w, "nord_fleet_cache_tier_errors_total %d\n", c.tierErrors.Load())
+	serve.WriteSeries(w, []serve.Series{
+		{Name: "nord_fleet_workers_live", Help: "Registered workers seen within the liveness window.", Type: "gauge", Value: uint64(live)},
+		{Name: "nord_fleet_leases_active", Help: "Jobs currently leased to workers.", Type: "gauge", Value: uint64(leased)},
+		{Name: "nord_fleet_queue_depth", Help: "Jobs waiting for a lease.", Type: "gauge", Value: uint64(queued)},
+		{Name: "nord_fleet_leases_granted_total", Help: "Lease grants (execution attempts).", Type: "counter", Value: c.leasesGranted.Load()},
+		{Name: "nord_fleet_lease_expiries_total", Help: "Leases that expired without a heartbeat.", Type: "counter", Value: c.leaseExpiries.Load()},
+		{Name: "nord_fleet_requeues_total", Help: "Jobs returned to the queue after expiry or give-back.", Type: "counter", Value: c.requeues.Load()},
+		{Name: "nord_fleet_stale_results_total", Help: "Reports discarded for arriving under a superseded lease.", Type: "counter", Value: c.staleResults.Load()},
+		{Name: "nord_fleet_stale_accepted_total", Help: "Successful stale reports accepted (deterministic results).", Type: "counter", Value: c.staleAccepted.Load()},
+		{Name: "nord_fleet_local_jobs_total", Help: "Jobs executed on the coordinator's local fallback pool.", Type: "counter", Value: c.localJobs.Load()},
+		{Name: "nord_fleet_retries_exhausted_total", Help: "Jobs failed after exhausting their lease attempts.", Type: "counter", Value: c.retriesExhausted.Load()},
+		{Name: "nord_fleet_cache_tier_errors_total", Help: "Cache tier errors reported by workers on result reports.", Type: "counter", Value: c.tierErrors.Load()},
+	})
 	if c.journal == nil {
 		return
 	}
 	st := c.journal.stats()
-	fmt.Fprintf(w, "# HELP nord_fleet_journal_appends_total Journal records appended (fsynced) since open.\n")
-	fmt.Fprintf(w, "# TYPE nord_fleet_journal_appends_total counter\n")
-	fmt.Fprintf(w, "nord_fleet_journal_appends_total %d\n", st.appends)
-	fmt.Fprintf(w, "# HELP nord_fleet_journal_append_errors_total Journal append failures (durability lost, jobs still run).\n")
-	fmt.Fprintf(w, "# TYPE nord_fleet_journal_append_errors_total counter\n")
-	fmt.Fprintf(w, "nord_fleet_journal_append_errors_total %d\n", st.appendErrors)
-	fmt.Fprintf(w, "# HELP nord_fleet_journal_snapshots_total Snapshot compactions (log truncations).\n")
-	fmt.Fprintf(w, "# TYPE nord_fleet_journal_snapshots_total counter\n")
-	fmt.Fprintf(w, "nord_fleet_journal_snapshots_total %d\n", st.snapshots)
-	fmt.Fprintf(w, "# HELP nord_fleet_journal_replayed_records_total Log records replayed at the last open.\n")
-	fmt.Fprintf(w, "# TYPE nord_fleet_journal_replayed_records_total counter\n")
-	fmt.Fprintf(w, "nord_fleet_journal_replayed_records_total %d\n", st.replayed)
-	fmt.Fprintf(w, "# HELP nord_fleet_journal_torn_tails_total Torn (partially written) log tails discarded on replay.\n")
-	fmt.Fprintf(w, "# TYPE nord_fleet_journal_torn_tails_total counter\n")
-	fmt.Fprintf(w, "nord_fleet_journal_torn_tails_total %d\n", st.tornTails)
-	fmt.Fprintf(w, "# HELP nord_fleet_journal_dup_terminals_total Duplicate terminal records tolerated on replay (first wins).\n")
-	fmt.Fprintf(w, "# TYPE nord_fleet_journal_dup_terminals_total counter\n")
-	fmt.Fprintf(w, "nord_fleet_journal_dup_terminals_total %d\n", st.dupTerms)
-	fmt.Fprintf(w, "# HELP nord_fleet_journal_replayed_jobs_total Jobs restored already-terminal from the journal at startup.\n")
-	fmt.Fprintf(w, "# TYPE nord_fleet_journal_replayed_jobs_total counter\n")
-	fmt.Fprintf(w, "nord_fleet_journal_replayed_jobs_total %d\n", c.journalReplayed.Load())
-	fmt.Fprintf(w, "# HELP nord_fleet_journal_requeues_on_recovery_total Journaled jobs requeued for re-execution at startup.\n")
-	fmt.Fprintf(w, "# TYPE nord_fleet_journal_requeues_on_recovery_total counter\n")
-	fmt.Fprintf(w, "nord_fleet_journal_requeues_on_recovery_total %d\n", c.journalRequeued.Load())
-	fmt.Fprintf(w, "# HELP nord_fleet_journal_recovery_skipped_total Journaled jobs whose records no longer restore (skipped at startup).\n")
-	fmt.Fprintf(w, "# TYPE nord_fleet_journal_recovery_skipped_total counter\n")
-	fmt.Fprintf(w, "nord_fleet_journal_recovery_skipped_total %d\n", c.journalSkipped.Load())
+	serve.WriteSeries(w, []serve.Series{
+		{Name: "nord_fleet_journal_appends_total", Help: "Journal records appended (fsynced) since open.", Type: "counter", Value: st.appends},
+		{Name: "nord_fleet_journal_append_errors_total", Help: "Journal append failures (durability lost, jobs still run).", Type: "counter", Value: st.appendErrors},
+		{Name: "nord_fleet_journal_snapshots_total", Help: "Snapshot compactions (log truncations).", Type: "counter", Value: st.snapshots},
+		{Name: "nord_fleet_journal_replayed_records_total", Help: "Log records replayed at the last open.", Type: "counter", Value: st.replayed},
+		{Name: "nord_fleet_journal_torn_tails_total", Help: "Torn (partially written) log tails discarded on replay.", Type: "counter", Value: st.tornTails},
+		{Name: "nord_fleet_journal_dup_terminals_total", Help: "Duplicate terminal records tolerated on replay (first wins).", Type: "counter", Value: st.dupTerms},
+		{Name: "nord_fleet_journal_replayed_jobs_total", Help: "Jobs restored already-terminal from the journal at startup.", Type: "counter", Value: c.journalReplayed.Load()},
+		{Name: "nord_fleet_journal_requeues_on_recovery_total", Help: "Journaled jobs requeued for re-execution at startup.", Type: "counter", Value: c.journalRequeued.Load()},
+		{Name: "nord_fleet_journal_recovery_skipped_total", Help: "Journaled jobs whose records no longer restore (skipped at startup).", Type: "counter", Value: c.journalSkipped.Load()},
+	})
 }

@@ -428,9 +428,9 @@ func (w *Worker) execute(ctx context.Context, grant *LeaseGrant) {
 }
 
 // cacheGet probes the shared cache tier for key. The payload's digest
-// (carried in the response header) is validated end to end: a corrupted
-// transfer reads as a miss, never as a result. Tier errors are counted
-// and swallowed — the caller simulates locally.
+// (carried in the response header, which is required) is validated end
+// to end: a corrupted transfer reads as a miss, never as a result. Tier
+// errors are counted and swallowed — the caller simulates locally.
 func (w *Worker) cacheGet(ctx context.Context, key string) (payload []byte, ok bool, errs int) {
 	rctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
@@ -461,12 +461,11 @@ func (w *Worker) cacheGet(ctx context.Context, key string) (payload []byte, ok b
 		w.tierErrors.Add(1)
 		return nil, false, 1
 	}
-	if want := resp.Header.Get(serve.SumHeader); want != "" {
-		sum := sha256.Sum256(body)
-		if hex.EncodeToString(sum[:]) != want {
-			w.tierErrors.Add(1)
-			return nil, false, 1
-		}
+	// A tier (or a proxy in front of it) that drops the digest header has
+	// vouched for nothing: that is a tier error too, never a hit.
+	if sum := sha256.Sum256(body); hex.EncodeToString(sum[:]) != resp.Header.Get(serve.SumHeader) {
+		w.tierErrors.Add(1)
+		return nil, false, 1
 	}
 	w.remoteHits.Add(1)
 	return body, true, 0

@@ -108,10 +108,12 @@ func TestCrowdingBoundariesAreInfinite(t *testing.T) {
 	}
 }
 
-// TestDecodeRepair pins the genome repair rules: NoRD is clamped to its
-// 3-VC minimum, wake thresholds exist only for NoRD, and No_PG carries
-// no gate-idle knob — so aliased genomes decode to the same canonical
-// sim config (one cache key, one evaluation).
+// TestDecodeRepair pins what decode owns — the VC repair up to
+// noc.MinVCs and a PointConfig that shows no inert gene — and that
+// genomes differing only in repaired or inert genes come out as one
+// Candidate.Sim. That last part is sim.SynthConfig.Filled's doing
+// (TestAliasesRunIdentically proves its rules); serve's
+// TestSearchChildSharesDirectKey pins the resulting cache key.
 func TestDecodeRepair(t *testing.T) {
 	sp := testSpec("nsga2")
 	var nord, nopg int
@@ -170,8 +172,8 @@ func TestDecodeRepair(t *testing.T) {
 		t.Fatalf("alias topology not canonicalized: %+v", cc.Config)
 	}
 
-	// No_PG never gates: its gate-idle and wake genes are inert, and the
-	// decoded config canonicalizes them away.
+	// No_PG never gates: its gate-idle and wake genes are inert, the
+	// PointConfig hides them and the filled sim configs are equal.
 	gp := Genome{axisDesign: nopg, axisVCs: 2, axisGateIdle: 0, axisWake: 0}
 	gq := Genome{axisDesign: nopg, axisVCs: 2, axisGateIdle: 2, axisWake: 1}
 	cp, _ := sp.decode(gp, sp.Measure)

@@ -52,10 +52,10 @@ type Space struct {
 	VCs          []int `json:"vcs,omitempty"`
 	BufferDepths []int `json:"buffer_depths,omitempty"`
 	// GateIdle is the consecutive-idle-cycle count before a router gates
-	// off; ignored (and canonicalized away) for No_PG candidates.
+	// off; No_PG never gates, so its candidates do not show one.
 	GateIdle []int `json:"gate_idle,omitempty"`
 	// WakeThresholds are NoRD power-centric wakeup thresholds
-	// (Params.ThresholdPower); canonicalized away for other designs.
+	// (Params.ThresholdPower); other designs' candidates do not show one.
 	WakeThresholds []int     `json:"wake_thresholds,omitempty"`
 	Rates          []float64 `json:"rates,omitempty"`
 }
@@ -312,8 +312,8 @@ func (sp *Spec) Validate() error {
 
 // PointConfig is a candidate's decoded, repaired configuration — the
 // human-readable provenance attached to every front point. Knobs a
-// design does not use are zeroed (and omitted from JSON) so semantically
-// identical candidates render, and cache-key, identically.
+// design does not use are zeroed (and omitted from JSON) so a point does
+// not display a gene that had no say in it.
 type PointConfig struct {
 	Design        string  `json:"design"`
 	Topology      string  `json:"topology"`
@@ -326,18 +326,21 @@ type PointConfig struct {
 }
 
 // Candidate is a decoded genome: the provenance config plus the filled
-// simulation config whose canonical JSON is the candidate's identity.
+// simulation config. Identity is sim's: two candidates are one
+// simulation exactly when their Sim fields are equal.
 type Candidate struct {
 	Config PointConfig
 	Sim    sim.SynthConfig
 }
 
-// decode maps a genome onto a runnable candidate, repairing genes a
-// design cannot express so aliased genomes collapse onto one cache key:
-// the VC count is raised to noc.MinVCs (3 for NoRD and for every design
-// on the torus; the space's own floor of 2 is the mesh minimum), wake
-// thresholds only exist for NoRD, No_PG never gates so its gate-idle
-// gene is inert, and topology aliases ("concentrated") canonicalize.
+// decode maps a genome onto a runnable candidate. The one repair that is
+// the space's own is the VC count, raised to noc.MinVCs (3 for NoRD and
+// for every design on the torus; the space's floor of 2 is the mesh
+// minimum) — a direct submission with too few VCs is refused instead.
+// Which genomes name the same simulation is not decided here:
+// SynthConfig.Filled folds every knob a design does not read, for every
+// caller. The GateIdle and WakeThreshold lines below only keep inert
+// genes out of the displayed PointConfig.
 func (sp *Spec) decode(g Genome, measure int) (Candidate, error) {
 	s := &sp.Space
 	design, err := noc.DesignByName(s.Designs[g[axisDesign]])

@@ -131,80 +131,98 @@ func FuzzCanonicalJSON(f *testing.F) {
 	})
 }
 
-// spelledOut returns the request with every default the wire documents
-// written out: the table a drifted default would have to disagree with.
+// spelledOut returns the request with every default written out, each
+// read from the layer that owns it (noc.DefaultParams for the network,
+// the sim configs' zero-value Filled for run lengths and names) — so a
+// default that moves moves here too, and what the fuzzer checks is that
+// writing it out names the same job.
 func spelledOut(req JobRequest) JobRequest {
 	intp := func(v int) *int { return &v }
+	or := func(field *int, def int) {
+		if *field == 0 {
+			*field = def
+		}
+	}
 	if req.Synthetic != nil {
 		sp := *req.Synthetic
-		if sp.Width == 0 {
-			sp.Width = 4
-		}
-		if sp.Height == 0 {
-			sp.Height = 4
-		}
+		d, _ := noc.DesignByName(sp.Design)
+		p, run := noc.DefaultParams(d), sim.SynthConfig{}.Filled()
+		or(&sp.Width, p.Width)
+		or(&sp.Height, p.Height)
+		or(&sp.Measure, run.Measure)
+		or(&sp.VCs, p.VCsPerClass)
+		or(&sp.BufferDepth, p.BufferDepth)
+		or(&sp.GateIdle, p.GateIdleCycles)
+		or(&sp.WakeupLatency, p.WakeupLatency)
+		or(&sp.ThresholdPerf, p.ThresholdPerf)
+		or(&sp.ThresholdPower, p.ThresholdPower)
 		if sp.Topology == "" {
-			sp.Topology = "mesh"
+			sp.Topology = run.Topology
 		}
 		if sp.Pattern == "" {
-			sp.Pattern = "uniform"
+			sp.Pattern = run.Pattern
 		}
 		if sp.Warmup == nil {
-			sp.Warmup = intp(10_000)
-		}
-		if sp.Measure == 0 {
-			sp.Measure = 100_000
-		}
-		if sp.VCs == 0 {
-			sp.VCs = 4
-		}
-		if sp.BufferDepth == 0 {
-			sp.BufferDepth = 5
-		}
-		if sp.GateIdle == 0 {
-			sp.GateIdle = 2
+			sp.Warmup = intp(run.Warmup)
 		}
 		req.Synthetic = &sp
 	}
 	if req.Workload != nil {
-		sp := *req.Workload
+		sp, run := *req.Workload, sim.WorkloadConfig{}.Filled()
 		if sp.Scale == 0 {
-			sp.Scale = 1
+			sp.Scale = run.Scale
 		}
 		if sp.Warmup == nil {
-			sp.Warmup = intp(5_000)
+			sp.Warmup = intp(run.Warmup)
 		}
 		if sp.MaxCycles == 0 {
-			sp.MaxCycles = 200_000_000
+			sp.MaxCycles = run.MaxCycles
 		}
 		req.Workload = &sp
 	}
 	if req.Trace != nil {
-		sp := *req.Trace
+		sp, run := *req.Trace, sim.TraceConfig{}.Filled()
 		if sp.Warmup == nil {
-			sp.Warmup = intp(0)
+			sp.Warmup = intp(run.Warmup)
 		}
 		if sp.MaxCycles == 0 {
-			sp.MaxCycles = 100_000_000
+			sp.MaxCycles = run.MaxCycles
 		}
 		req.Trace = &sp
 	}
 	if req.Sweep != nil {
-		sp := *req.Sweep
-		if sp.Width == 0 {
-			sp.Width = 4
-		}
-		if sp.Height == 0 {
-			sp.Height = 4
-		}
+		sp, run := *req.Sweep, sim.SweepConfig{}.Filled()
+		or(&sp.Width, run.Width)
+		or(&sp.Height, run.Height)
+		or(&sp.Measure, run.Measure)
 		if sp.Pattern == "" {
-			sp.Pattern = "uniform"
-		}
-		if sp.Measure == 0 {
-			sp.Measure = 100_000
+			sp.Pattern = run.Pattern
 		}
 		req.Sweep = &sp
 	}
+	return req
+}
+
+// inertScrambled returns the request with every knob its design or mode
+// never reads (DESIGN.md §8, "Identity") set to a value derived from v:
+// only a gated design has a controller to tune, only NoRD has thresholds
+// and a planner, and a forced-off NoRD router never wakes to use either.
+func inertScrambled(req JobRequest, v uint8) JobRequest {
+	if req.Synthetic == nil {
+		return req
+	}
+	sp := *req.Synthetic
+	d, _ := noc.DesignByName(sp.Design)
+	if !d.PowerGated() {
+		sp.ForcedOff = v&2 != 0
+	}
+	if !d.PowerGated() || d == noc.NoRD && sp.ForcedOff {
+		sp.GateIdle, sp.WakeupLatency = int(v), int(v)+7
+	}
+	if d != noc.NoRD || sp.ForcedOff {
+		sp.ThresholdPerf, sp.ThresholdPower, sp.NoPerfCentric = int(v)/2, int(v), v&1 != 0
+	}
+	req.Synthetic = &sp
 	return req
 }
 
@@ -259,8 +277,9 @@ func permuteJSON(t *testing.T, data []byte, rot int) []byte {
 }
 
 // FuzzResolveKeyStable: a spec that resolves keeps its key when its JSON
-// members arrive in another order and when its defaults are spelled out —
-// the property the dedup index and the result cache stand on. Seeds:
+// members arrive in another order, when its defaults are spelled out and
+// when the knobs its design never reads hold anything at all — the
+// property the dedup index and the result cache stand on. Seeds:
 // testdata/fuzz/FuzzResolveKeyStable.
 func FuzzResolveKeyStable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, rot uint8) {
@@ -277,9 +296,11 @@ func FuzzResolveKeyStable(f *testing.F) {
 			t.Fatalf("resolving twice: %v, %s vs %s", err, again.key, base.key)
 		}
 		// Through the request's own marshalling (what a fleet worker and a
-		// restarted coordinator re-resolve), members permuted, and with
-		// the defaults written out.
-		for name, r := range map[string]JobRequest{"as submitted": *req, "defaults spelled out": spelledOut(*req)} {
+		// restarted coordinator re-resolve), members permuted, with the
+		// defaults written out, and with the inert knobs scrambled.
+		for name, r := range map[string]JobRequest{
+			"as submitted": *req, "defaults spelled out": spelledOut(*req), "inert knobs scrambled": inertScrambled(*req, rot),
+		} {
 			body, err := json.Marshal(r)
 			if err != nil {
 				t.Fatal(err)

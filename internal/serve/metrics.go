@@ -125,6 +125,22 @@ type Gauges struct {
 	JobsRunning  int
 }
 
+// Series is one unlabelled series of the exposition: a name, its HELP
+// and TYPE lines, and the sample.
+type Series struct {
+	Name, Help, Type string
+	Value            uint64
+}
+
+// WriteSeries renders rows in Prometheus text exposition format, in
+// order. Every unlabelled series of /metrics is one row here; labelled
+// families and histograms keep their own loops.
+func WriteSeries(w io.Writer, rows []Series) {
+	for _, r := range rows {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", r.Name, r.Help, r.Name, r.Type, r.Name, r.Value)
+	}
+}
+
 // WriteProm renders the metrics in Prometheus text exposition format.
 func (m *Metrics) WriteProm(w io.Writer, g Gauges) {
 	fmt.Fprintf(w, "# HELP nord_jobs_total Jobs that reached a terminal state, by state.\n")
@@ -132,51 +148,23 @@ func (m *Metrics) WriteProm(w io.Writer, g Gauges) {
 	fmt.Fprintf(w, "nord_jobs_total{state=\"done\"} %d\n", m.JobsDone.Load())
 	fmt.Fprintf(w, "nord_jobs_total{state=\"failed\"} %d\n", m.JobsFailed.Load())
 	fmt.Fprintf(w, "nord_jobs_total{state=\"canceled\"} %d\n", m.JobsCanceled.Load())
-	fmt.Fprintf(w, "# HELP nord_jobs_submitted_total Accepted job submissions (including cache hits).\n")
-	fmt.Fprintf(w, "# TYPE nord_jobs_submitted_total counter\n")
-	fmt.Fprintf(w, "nord_jobs_submitted_total %d\n", m.JobsSubmitted.Load())
-	fmt.Fprintf(w, "# HELP nord_jobs_rejected_total Submissions rejected with 429 (queue full).\n")
-	fmt.Fprintf(w, "# TYPE nord_jobs_rejected_total counter\n")
-	fmt.Fprintf(w, "nord_jobs_rejected_total %d\n", m.JobsRejected.Load())
-	fmt.Fprintf(w, "# HELP nord_sims_executed_total Simulations actually executed (cache misses that ran).\n")
-	fmt.Fprintf(w, "# TYPE nord_sims_executed_total counter\n")
-	fmt.Fprintf(w, "nord_sims_executed_total %d\n", m.SimsExecuted.Load())
-	fmt.Fprintf(w, "# HELP nord_cache_hits_total Content-addressed cache hits (in-flight coalescing included).\n")
-	fmt.Fprintf(w, "# TYPE nord_cache_hits_total counter\n")
-	fmt.Fprintf(w, "nord_cache_hits_total %d\n", m.CacheHits.Load())
-	fmt.Fprintf(w, "# HELP nord_cache_misses_total Content-addressed cache misses.\n")
-	fmt.Fprintf(w, "# TYPE nord_cache_misses_total counter\n")
-	fmt.Fprintf(w, "nord_cache_misses_total %d\n", m.CacheMisses.Load())
-	fmt.Fprintf(w, "# HELP nord_cache_remote_hits_total Remote cache tier hits served over GET /v1/cache/{key}.\n")
-	fmt.Fprintf(w, "# TYPE nord_cache_remote_hits_total counter\n")
-	fmt.Fprintf(w, "nord_cache_remote_hits_total %d\n", m.CacheRemoteHits.Load())
-	fmt.Fprintf(w, "# HELP nord_cache_remote_misses_total Remote cache tier misses (GET /v1/cache/{key} 404s).\n")
-	fmt.Fprintf(w, "# TYPE nord_cache_remote_misses_total counter\n")
-	fmt.Fprintf(w, "nord_cache_remote_misses_total %d\n", m.CacheRemoteMisses.Load())
-	fmt.Fprintf(w, "# HELP nord_cache_remote_puts_total Payloads written back over PUT /v1/cache/{key}.\n")
-	fmt.Fprintf(w, "# TYPE nord_cache_remote_puts_total counter\n")
-	fmt.Fprintf(w, "nord_cache_remote_puts_total %d\n", m.CacheRemotePuts.Load())
-	fmt.Fprintf(w, "# HELP nord_cache_remote_put_rejected_total Cache tier PUTs rejected for a payload digest mismatch.\n")
-	fmt.Fprintf(w, "# TYPE nord_cache_remote_put_rejected_total counter\n")
-	fmt.Fprintf(w, "nord_cache_remote_put_rejected_total %d\n", m.CacheRemotePutRejected.Load())
-	fmt.Fprintf(w, "# HELP nord_cache_remote_put_retries_total Worker-reported cache tier PUT retries (tier flaky or unreachable).\n")
-	fmt.Fprintf(w, "# TYPE nord_cache_remote_put_retries_total counter\n")
-	fmt.Fprintf(w, "nord_cache_remote_put_retries_total %d\n", m.CacheRemotePutRetries.Load())
-	fmt.Fprintf(w, "# HELP nord_sim_cycles_total Cumulative simulated cycles across all jobs.\n")
-	fmt.Fprintf(w, "# TYPE nord_sim_cycles_total counter\n")
-	fmt.Fprintf(w, "nord_sim_cycles_total %d\n", m.SimCycles.Load())
-	fmt.Fprintf(w, "# HELP nord_search_evaluations_total Candidate evaluations submitted by design-space searches.\n")
-	fmt.Fprintf(w, "# TYPE nord_search_evaluations_total counter\n")
-	fmt.Fprintf(w, "nord_search_evaluations_total %d\n", m.SearchEvaluations.Load())
-	fmt.Fprintf(w, "# HELP nord_search_cache_hits_total Search candidate evaluations served from the content-addressed cache or coalesced onto in-flight jobs.\n")
-	fmt.Fprintf(w, "# TYPE nord_search_cache_hits_total counter\n")
-	fmt.Fprintf(w, "nord_search_cache_hits_total %d\n", m.SearchCacheHits.Load())
-	fmt.Fprintf(w, "# HELP nord_search_generations_total Completed search generations.\n")
-	fmt.Fprintf(w, "# TYPE nord_search_generations_total counter\n")
-	fmt.Fprintf(w, "nord_search_generations_total %d\n", m.SearchGenerations.Load())
-	fmt.Fprintf(w, "# HELP nord_search_front_size Pareto-front size of the most recently completed search.\n")
-	fmt.Fprintf(w, "# TYPE nord_search_front_size gauge\n")
-	fmt.Fprintf(w, "nord_search_front_size %d\n", m.SearchFrontSize.Load())
+	WriteSeries(w, []Series{
+		{"nord_jobs_submitted_total", "Accepted job submissions (including cache hits).", "counter", m.JobsSubmitted.Load()},
+		{"nord_jobs_rejected_total", "Submissions rejected with 429 (queue full).", "counter", m.JobsRejected.Load()},
+		{"nord_sims_executed_total", "Simulations actually executed (cache misses that ran).", "counter", m.SimsExecuted.Load()},
+		{"nord_cache_hits_total", "Content-addressed cache hits (in-flight coalescing included).", "counter", m.CacheHits.Load()},
+		{"nord_cache_misses_total", "Content-addressed cache misses.", "counter", m.CacheMisses.Load()},
+		{"nord_cache_remote_hits_total", "Remote cache tier hits served over GET /v1/cache/{key}.", "counter", m.CacheRemoteHits.Load()},
+		{"nord_cache_remote_misses_total", "Remote cache tier misses (GET /v1/cache/{key} 404s).", "counter", m.CacheRemoteMisses.Load()},
+		{"nord_cache_remote_puts_total", "Payloads written back over PUT /v1/cache/{key}.", "counter", m.CacheRemotePuts.Load()},
+		{"nord_cache_remote_put_rejected_total", "Cache tier PUTs rejected for a payload digest mismatch.", "counter", m.CacheRemotePutRejected.Load()},
+		{"nord_cache_remote_put_retries_total", "Worker-reported cache tier PUT retries (tier flaky or unreachable).", "counter", m.CacheRemotePutRetries.Load()},
+		{"nord_sim_cycles_total", "Cumulative simulated cycles across all jobs.", "counter", m.SimCycles.Load()},
+		{"nord_search_evaluations_total", "Candidate evaluations submitted by design-space searches.", "counter", m.SearchEvaluations.Load()},
+		{"nord_search_cache_hits_total", "Search candidate evaluations served from the content-addressed cache or coalesced onto in-flight jobs.", "counter", m.SearchCacheHits.Load()},
+		{"nord_search_generations_total", "Completed search generations.", "counter", m.SearchGenerations.Load()},
+		{"nord_search_front_size", "Pareto-front size of the most recently completed search.", "gauge", m.SearchFrontSize.Load()},
+	})
 	fmt.Fprintf(w, "# HELP nord_sim_wakeups_total Router wakeups measured by completed runs, by design.\n")
 	fmt.Fprintf(w, "# TYPE nord_sim_wakeups_total counter\n")
 	for _, d := range metricDesigns {
@@ -191,22 +179,12 @@ func (m *Metrics) WriteProm(w io.Writer, g Gauges) {
 	fmt.Fprintf(w, "# TYPE nord_http_request_duration_seconds histogram\n")
 	m.SubmitSeconds.writeProm(w, "nord_http_request_duration_seconds", `route="submit"`)
 	m.GetSeconds.writeProm(w, "nord_http_request_duration_seconds", `route="get"`)
-	fmt.Fprintf(w, "# HELP nord_queue_depth Jobs waiting in the scheduler queue.\n")
-	fmt.Fprintf(w, "# TYPE nord_queue_depth gauge\n")
-	fmt.Fprintf(w, "nord_queue_depth %d\n", g.QueueDepth)
-	fmt.Fprintf(w, "# HELP nord_workers Worker pool size.\n")
-	fmt.Fprintf(w, "# TYPE nord_workers gauge\n")
-	fmt.Fprintf(w, "nord_workers %d\n", g.Workers)
-	fmt.Fprintf(w, "# HELP nord_workers_busy Workers currently executing a job.\n")
-	fmt.Fprintf(w, "# TYPE nord_workers_busy gauge\n")
-	fmt.Fprintf(w, "nord_workers_busy %d\n", g.BusyWorkers)
-	fmt.Fprintf(w, "# HELP nord_cache_entries In-memory cache entries.\n")
-	fmt.Fprintf(w, "# TYPE nord_cache_entries gauge\n")
-	fmt.Fprintf(w, "nord_cache_entries %d\n", g.CacheEntries)
-	fmt.Fprintf(w, "# HELP nord_jobs_queued Jobs in queued state.\n")
-	fmt.Fprintf(w, "# TYPE nord_jobs_queued gauge\n")
-	fmt.Fprintf(w, "nord_jobs_queued %d\n", g.JobsQueued)
-	fmt.Fprintf(w, "# HELP nord_jobs_running Jobs in running state.\n")
-	fmt.Fprintf(w, "# TYPE nord_jobs_running gauge\n")
-	fmt.Fprintf(w, "nord_jobs_running %d\n", g.JobsRunning)
+	WriteSeries(w, []Series{
+		{"nord_queue_depth", "Jobs waiting in the scheduler queue.", "gauge", uint64(g.QueueDepth)},
+		{"nord_workers", "Worker pool size.", "gauge", uint64(g.Workers)},
+		{"nord_workers_busy", "Workers currently executing a job.", "gauge", uint64(g.BusyWorkers)},
+		{"nord_cache_entries", "In-memory cache entries.", "gauge", uint64(g.CacheEntries)},
+		{"nord_jobs_queued", "Jobs in queued state.", "gauge", uint64(g.JobsQueued)},
+		{"nord_jobs_running", "Jobs in running state.", "gauge", uint64(g.JobsRunning)},
+	})
 }

@@ -931,9 +931,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		JobsQueued:   queued,
 		JobsRunning:  running,
 	})
-	fmt.Fprintf(w, "# HELP nord_cache_corrupt_quarantined_total Spill files quarantined (*.corrupt) on digest mismatch.\n")
-	fmt.Fprintf(w, "# TYPE nord_cache_corrupt_quarantined_total counter\n")
-	fmt.Fprintf(w, "nord_cache_corrupt_quarantined_total %d\n", s.cache.CorruptQuarantined())
+	WriteSeries(w, []Series{{"nord_cache_corrupt_quarantined_total", "Spill files quarantined (*.corrupt) on digest mismatch.", "counter", s.cache.CorruptQuarantined()}})
 	if pw, ok := s.disp.(PromWriter); ok {
 		pw.WritePromTo(w)
 	}

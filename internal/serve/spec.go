@@ -45,8 +45,9 @@ type SyntheticSpec struct {
 	TraceEvents   bool    `json:"trace_events,omitempty"`
 	// Microarchitecture and power-gating knobs, exposed for the
 	// design-space search (POST /v1/search); 0 selects the Table 1
-	// defaults (4 VCs, 5-flit buffers, gate after 2 idle cycles, wakeup
-	// thresholds 1/6).
+	// default (noc.DefaultParams). Which spellings name one simulation
+	// — a default written out, a knob the design never reads — is
+	// sim.SynthConfig.Filled's decision alone (DESIGN.md §8, "Identity").
 	VCs            int `json:"vcs,omitempty"`
 	BufferDepth    int `json:"buffer_depth,omitempty"`
 	GateIdle       int `json:"gate_idle,omitempty"`
@@ -294,8 +295,9 @@ func (sp *SyntheticSpec) resolve() (*task, error) {
 // spec — the search layer's bridge from genome-decoded candidates to
 // ordinary job submissions. Re-resolving the returned spec reproduces
 // the same filled config (and therefore the same cache key), because
-// fill() is idempotent and the search decoder only sets fields the wire
-// spec can express.
+// Filled is idempotent and the search decoder only sets fields the wire
+// spec can express: a search child and a direct POST of the same point
+// are one job (TestSearchChildSharesDirectKey).
 func syntheticSpecFor(cfg sim.SynthConfig) *SyntheticSpec {
 	warmup := cfg.Warmup
 	if warmup < 0 {

@@ -145,21 +145,23 @@ type Fig7Point struct {
 // (traffic concentrated on the Bypass Ring) and records latency and the
 // windowed VC-request metric, reproducing the Section 6.1 methodology.
 func Fig7WakeupThreshold(rates []float64, measure int, seed int64) ([]Fig7Point, error) {
-	var out []Fig7Point
-	for _, rate := range rates {
-		r, err := RunSyntheticOpts(context.Background(), SynthConfig{
-			Design: noc.NoRD, ForcedOff: true, Rate: rate,
+	results, errs := runCells(context.Background(), len(rates), func(ctx context.Context, i int) (Result, error) {
+		return RunSyntheticOpts(ctx, SynthConfig{
+			Design: noc.NoRD, ForcedOff: true, Rate: rates[i],
 			Measure: measure, Seed: seed,
 		}, RunOptions{})
-		if err != nil {
-			return nil, err
+	})
+	out := make([]Fig7Point, len(results))
+	for i, r := range results {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		out = append(out, Fig7Point{
-			Rate:        rate,
+		out[i] = Fig7Point{
+			Rate:        rates[i],
 			AvgLatency:  r.AvgPacketLatency,
 			Throughput:  r.Throughput,
 			VCReqWindow: r.VCReqWindow,
-		})
+		}
 	}
 	return out, nil
 }
@@ -342,18 +344,22 @@ type Fig13Point struct {
 // the PARSEC-average load under uniform random traffic. NoRD's curve
 // stays flat; the conventional designs degrade (Figure 13).
 func Fig13WakeupLatency(lats []int, rate float64, measure int, seed int64) ([]Fig13Point, error) {
-	var out []Fig13Point
-	for _, d := range []noc.Design{noc.ConvPG, noc.ConvPGOpt, noc.NoRD} {
-		for _, wl := range lats {
-			r, err := RunSyntheticOpts(context.Background(), SynthConfig{
-				Design: d, Rate: rate, WakeupLatency: wl,
-				Measure: measure, Seed: seed,
-			}, RunOptions{})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, Fig13Point{Design: d, WakeupLatency: wl, AvgLatency: r.AvgPacketLatency})
+	designs := []noc.Design{noc.ConvPG, noc.ConvPGOpt, noc.NoRD}
+	at := func(i int) (noc.Design, int) { return designs[i/len(lats)], lats[i%len(lats)] }
+	results, errs := runCells(context.Background(), len(designs)*len(lats), func(ctx context.Context, i int) (Result, error) {
+		d, wl := at(i)
+		return RunSyntheticOpts(ctx, SynthConfig{
+			Design: d, Rate: rate, WakeupLatency: wl,
+			Measure: measure, Seed: seed,
+		}, RunOptions{})
+	})
+	out := make([]Fig13Point, len(results))
+	for i, r := range results {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
+		d, wl := at(i)
+		out[i] = Fig13Point{Design: d, WakeupLatency: wl, AvgLatency: r.AvgPacketLatency}
 	}
 	return out, nil
 }

@@ -137,15 +137,26 @@ type SynthConfig struct {
 	DrainCycles int
 }
 
+// fill is the one canonicaliser: it answers "which simulation does this
+// spelling name" for every layer above (serve's cache keys, search's
+// candidate identity, the CLIs), so two configs that fill alike run
+// alike and two that fill apart may not. Beyond resolving defaults
+// (noc.DefaultParams owns the Table 1 values) it folds the two kinds of
+// alias: a knob whose zero form means "the default", spelled at that
+// default, goes back to its zero form; and a knob the design or mode
+// never reads goes to the form the default spelling has. Every rule
+// below is proved from runs by TestAliasesRunIdentically.
 func (c *SynthConfig) fill() {
+	d := noc.DefaultParams(c.Design)
 	if c.Width == 0 {
-		c.Width = 4
+		c.Width = d.Width
 	}
 	if c.Height == 0 {
-		c.Height = 4
+		c.Height = d.Height
 	}
-	if c.Topology == "" {
-		c.Topology = "mesh"
+	// "" and the aliases ("concentrated"); params reports an unknown name.
+	if kind, err := topology.KindByName(c.Topology); err == nil {
+		c.Topology = kind.String()
 	}
 	if c.Pattern == "" {
 		c.Pattern = "uniform"
@@ -160,25 +171,47 @@ func (c *SynthConfig) fill() {
 		c.Tech = power.DefaultTech()
 	}
 	if c.VCsPerClass == 0 {
-		c.VCsPerClass = 4
+		c.VCsPerClass = d.VCsPerClass
 	}
 	if c.BufferDepth == 0 {
-		c.BufferDepth = 5
-	}
-	if c.GateIdleCycles == 0 {
-		c.GateIdleCycles = 2
-	}
-	if c.MisrouteCap == 0 {
-		c.MisrouteCap = -1
+		c.BufferDepth = d.BufferDepth
 	}
 	if c.DrainCycles == 0 {
 		c.DrainCycles = 50_000
 	}
+
+	// Who reads what: only gated designs have a PG controller, and a
+	// forced-off NoRD router never wakes (so never gates off again);
+	// only NoRD has the ring, the misroute cap and the two NI wakeup
+	// classes, which matter while routers can wake or are re-ranked.
+	gated, ring := c.Design.PowerGated(), c.Design == noc.NoRD
+	c.ForcedOff = c.ForcedOff && gated
+	wakes := gated && !(ring && c.ForcedOff)
+	classed := ring && (wakes || c.DynamicClassify)
+	if !wakes || c.WakeupLatency == d.WakeupLatency {
+		c.WakeupLatency = 0
+	}
+	if !wakes || c.GateIdleCycles == 0 {
+		c.GateIdleCycles = d.GateIdleCycles
+	}
+	if !classed || c.ThresholdPerf == d.ThresholdPerf {
+		c.ThresholdPerf = 0
+	}
+	if !classed || c.ThresholdPower == d.ThresholdPower {
+		c.ThresholdPower = 0
+	}
+	c.NoPerfCentric = c.NoPerfCentric && ring && !c.ForcedOff
+	if !ring || c.MisrouteCap == 0 || c.MisrouteCap == d.MisrouteCap {
+		c.MisrouteCap = -1
+	}
+	c.AggressiveBypass = c.AggressiveBypass && ring
+	c.DynamicClassify = c.DynamicClassify && ring
 }
 
-// Filled returns the config with every defaulted field resolved — the
-// canonical form the serve layer encodes and hashes for its
-// content-addressed result cache.
+// Filled returns the canonical form of the config (see fill): every
+// default resolved, every alias folded. It is what the serve layer
+// encodes and hashes for its content-addressed result cache, and a
+// fixed point — a filled config fills to itself.
 func (c SynthConfig) Filled() SynthConfig {
 	c.fill()
 	return c
@@ -329,6 +362,12 @@ type tap struct {
 
 func synthRun(ctx context.Context, c SynthConfig, opt RunOptions, t *tap) (Result, error) {
 	c.fill()
+	return runFilled(ctx, c, opt, t)
+}
+
+// runFilled runs c exactly as spelled. It is apart from synthRun so that
+// TestAliasesRunIdentically can run a spelling fill would have folded.
+func runFilled(ctx context.Context, c SynthConfig, opt RunOptions, t *tap) (Result, error) {
 	pattern, err := traffic.PatternByName(c.Pattern)
 	if err != nil {
 		return Result{}, err

@@ -154,24 +154,27 @@ type ThresholdPoint struct {
 // power-centric with the given value) across load rates, quantifying the
 // latency/power trade-off the asymmetric dual-threshold scheme navigates.
 func ThresholdSensitivity(thresholds []int, rates []float64, measure int, seed int64) ([]ThresholdPoint, error) {
-	var out []ThresholdPoint
-	for _, th := range thresholds {
-		for _, rate := range rates {
-			r, err := RunSyntheticOpts(context.Background(), SynthConfig{
-				Design: noc.NoRD, Rate: rate, Measure: measure, Seed: seed,
-				NoPerfCentric: true,
-				ThresholdPerf: th, ThresholdPower: th,
-			}, RunOptions{})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ThresholdPoint{
-				Threshold:  th,
-				Rate:       rate,
-				AvgLatency: r.AvgPacketLatency,
-				Wakeups:    r.Wakeups,
-				PowerW:     r.AvgPowerW,
-			})
+	at := func(i int) (int, float64) { return thresholds[i/len(rates)], rates[i%len(rates)] }
+	results, errs := runCells(context.Background(), len(thresholds)*len(rates), func(ctx context.Context, i int) (Result, error) {
+		th, rate := at(i)
+		return RunSyntheticOpts(ctx, SynthConfig{
+			Design: noc.NoRD, Rate: rate, Measure: measure, Seed: seed,
+			NoPerfCentric: true,
+			ThresholdPerf: th, ThresholdPower: th,
+		}, RunOptions{})
+	})
+	out := make([]ThresholdPoint, len(results))
+	for i, r := range results {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		th, rate := at(i)
+		out[i] = ThresholdPoint{
+			Threshold:  th,
+			Rate:       rate,
+			AvgLatency: r.AvgPacketLatency,
+			Wakeups:    r.Wakeups,
+			PowerW:     r.AvgPowerW,
 		}
 	}
 	return out, nil
