@@ -181,7 +181,7 @@ func BenchmarkFig10EnergyBreakdown(b *testing.B) {
 			}
 		}
 	}
-	for _, d := range sim.FullDesigns() {
+	for _, d := range noc.Designs() {
 		sum := 0.0
 		for _, bench := range sr.Benchmarks {
 			sum += bd[bench][d]
@@ -405,7 +405,7 @@ func BenchmarkAblationDynamicClassify(b *testing.B) {
 // BenchmarkAblationTickCost measures the raw simulation speed of the
 // cycle kernel per design (cost of one network cycle at 5% load).
 func BenchmarkAblationTickCost(b *testing.B) {
-	for _, d := range sim.FullDesigns() {
+	for _, d := range noc.Designs() {
 		d := d
 		b.Run(d.String(), func(b *testing.B) {
 			p := noc.DefaultParams(d)

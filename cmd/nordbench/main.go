@@ -96,7 +96,7 @@ func main() {
 		"benchmark", "design", "rtr.stat", "rtr.dyn", "lnk.stat", "lnk.dyn", "overhead", "total")
 	bd := sr.Fig10Breakdown()
 	for _, b := range sr.Benchmarks {
-		for _, d := range sim.FullDesigns() {
+		for _, d := range noc.Designs() {
 			e := bd[b][d]
 			fmt.Printf("%-14s %-14s %10.3f %10.3f %10.3f %10.3f %10.3f %10.3f\n",
 				b, d, e.RouterStatic, e.RouterDynamic, e.LinkStatic, e.LinkDynamic, e.PGOverhead, e.Total())

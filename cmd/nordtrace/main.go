@@ -54,7 +54,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		designs := sim.FullDesigns()
+		designs := noc.Designs()
 		if *design != "" {
 			d, err := noc.DesignByName(*design)
 			if err != nil {

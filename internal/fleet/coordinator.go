@@ -171,13 +171,18 @@ func (c *Coordinator) recover() {
 	}
 }
 
-// Submit implements serve.Dispatcher. Traced jobs and trace replays
-// (which reference coordinator-local files and event streams that cannot
-// ride the result wire) always execute in-process; everything else joins
+// localOnly reports whether a job cannot ship to a worker: traced jobs and
+// trace replays reference coordinator-local files and event streams that
+// cannot ride the result wire. Such jobs run in-process and are not
+// journaled (see journalSubmit).
+func localOnly(j *serve.Job) bool { return j.Traced() || j.Kind == "trace" }
+
+// Submit implements serve.Dispatcher. Jobs that cannot ship (localOnly)
+// always execute in-process; everything else joins
 // the fleet queue unless no worker is live, in which case it degrades
 // directly to local execution.
 func (c *Coordinator) Submit(j *serve.Job) error {
-	if j.Traced() || j.Kind == "trace" {
+	if localOnly(j) {
 		return c.submitLocal(j)
 	}
 	c.mu.Lock()
@@ -209,7 +214,7 @@ func (c *Coordinator) submitLocal(j *serve.Job) error {
 	if err := c.local.Submit(j); err != nil {
 		// The client sees this rejection (429/503); close out the journal
 		// entry so a restart does not resurrect a job that never ran.
-		if c.journal != nil && !j.Traced() && j.Kind != "trace" {
+		if c.journal != nil && !localOnly(j) {
 			c.journal.Terminal(j.ID, string(serve.JobCanceled), "rejected at submit: "+err.Error())
 		}
 		return err
@@ -223,7 +228,7 @@ func (c *Coordinator) submitLocal(j *serve.Job) error {
 // be reconstructed after the process dies (the deterministic payload
 // could be, but nobody is left listening).
 func (c *Coordinator) journalSubmit(j *serve.Job) {
-	if j.Traced() || j.Kind == "trace" {
+	if localOnly(j) {
 		return
 	}
 	c.journal.Submit(j.ID, j.Key, j.RequestJSON())
@@ -235,7 +240,7 @@ func (c *Coordinator) journalSubmit(j *serve.Job) {
 // won by a different path (a stale success racing a retry), and the
 // journal must record what the client will actually see.
 func (c *Coordinator) journalTerm(j *serve.Job) {
-	if c.journal == nil || j.Traced() || j.Kind == "trace" {
+	if c.journal == nil || localOnly(j) {
 		return
 	}
 	st := j.State()

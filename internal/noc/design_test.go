@@ -1,0 +1,171 @@
+package noc
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/printer"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"nord/internal/topology"
+)
+
+// TestDesignTable: the network New builds agrees with its design's row on
+// every topology, and every spelling a design has ever answered to still
+// names it.
+func TestDesignTable(t *testing.T) {
+	for _, kind := range []topology.Kind{topology.KindMesh, topology.KindTorus, topology.KindCMesh} {
+		for _, d := range Designs() {
+			row := d.row()
+			p := DefaultParams(d)
+			p.Topology = kind
+			n := MustNew(p)
+			if (n.Ring() != nil) != row.blocks.Bypass {
+				t.Errorf("%v on %v: ring %v, row says bypass=%v", d, kind, n.Ring() != nil, row.blocks.Bypass)
+			}
+			if row.blocks.PGSwitch != (row.wake != wakeNever) {
+				t.Errorf("%v: a PG switch and a wake rule come together; row %+v", d, *row)
+			}
+			if n.wake != row.wake || d.Blocks() != row.blocks {
+				t.Errorf("%v on %v: resolved wake %v blocks %+v, row %+v", d, kind, n.wake, d.Blocks(), *row)
+			}
+			// An idle network gates its routers off exactly when the row
+			// carries a PG switch: that is the controller ticking.
+			n.Run(200)
+			off := 0
+			for _, r := range n.routers {
+				if r.state == powerOff {
+					off++
+				}
+			}
+			if want := map[bool]int{true: n.nn}[row.blocks.PGSwitch]; off != want {
+				t.Errorf("%v on %v: %d of %d idle routers gated off, want %d", d, kind, off, n.nn, want)
+			}
+			wantVCs := 2
+			if row.blocks.Bypass || kind == topology.KindTorus {
+				wantVCs = 3
+			}
+			if got := MinVCs(d, kind); got != wantVCs {
+				t.Errorf("MinVCs(%v, %v) = %d, want %d", d, kind, got, wantVCs)
+			}
+		}
+	}
+
+	if len(Designs()) != NumDesigns {
+		t.Fatalf("Designs() has %d entries for %d rows", len(Designs()), NumDesigns)
+	}
+	for _, d := range Designs() {
+		for _, s := range []string{d.String(), strings.ToLower(d.String()), " " + strings.ToUpper(d.String()) + "\t"} {
+			if got, err := DesignByName(s); err != nil || got != d {
+				t.Errorf("DesignByName(%q) = %v, %v; want %v", s, got, err, d)
+			}
+		}
+	}
+	aliases := map[string]Design{
+		"no_pg": NoPG, "nopg": NoPG, "baseline": NoPG,
+		"conv_pg": ConvPG, "conv": ConvPG, "convpg": ConvPG,
+		"conv_pg_opt": ConvPGOpt, "opt": ConvPGOpt, "convpgopt": ConvPGOpt, "OPT": ConvPGOpt,
+		"nord": NoRD,
+	}
+	for s, want := range aliases {
+		if got, err := DesignByName(s); err != nil || got != want {
+			t.Errorf("DesignByName(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	_, err := DesignByName("Wu")
+	if want := `noc: unknown design "Wu" (no_pg, conv_pg, conv_pg_opt, nord)`; err == nil || err.Error() != want {
+		t.Errorf("unknown name: got %v, want %s", err, want)
+	}
+
+	p := DefaultParams(Design(NumDesigns))
+	if err := p.Validate(); err == nil {
+		t.Error("a design outside the table validated")
+	}
+	if b := Design(-1).Blocks(); b != NoPG.Blocks() {
+		t.Errorf("a design outside the table has blocks %+v", b)
+	}
+}
+
+// designUses lists the comparisons against a design constant that
+// TestNoDesignBranchesOutsideTable lets stand outside design.go, as
+// "file: expression". Only data uses belong here — picking the row a
+// figure normalises to, say — never a question about what hardware a
+// design has: that is a column of the table.
+var designUses = map[string]bool{}
+
+// TestNoDesignBranchesOutsideTable keeps the seam closed: no non-test
+// file under internal/ or cmd/ may compare against, or switch on, a
+// design constant — the kernel reads the columns New resolved, everything
+// else reads Design.Blocks().
+func TestNoDesignBranchesOutsideTable(t *testing.T) {
+	isDesign := func(e ast.Expr) bool {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			e = sel.Sel
+		}
+		id, ok := e.(*ast.Ident)
+		return ok && (id.Name == "NoPG" || id.Name == "ConvPG" || id.Name == "ConvPGOpt" || id.Name == "NoRD")
+	}
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	files := 0
+	for _, dir := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, de fs.DirEntry, err error) error {
+			if err != nil || de.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			rel, _ := filepath.Rel(root, path)
+			rel = filepath.ToSlash(rel)
+			if rel == "internal/noc/design.go" {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			files++
+			src := func(n ast.Node) string {
+				return fmt.Sprintf("%s: %s", rel, exprString(fset, n))
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				var site string
+				switch n := n.(type) {
+				case *ast.BinaryExpr:
+					if (n.Op == token.EQL || n.Op == token.NEQ) && (isDesign(n.X) || isDesign(n.Y)) {
+						site = src(n)
+					}
+				case *ast.CaseClause:
+					for _, e := range n.List {
+						if isDesign(e) {
+							site = src(e)
+						}
+					}
+				}
+				if site != "" && !designUses[site] {
+					t.Errorf("%s (line %d) branches on a design constant; read the designs table instead",
+						site, fset.Position(n.Pos()).Line)
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if files < 50 {
+		t.Fatalf("walked only %d files: wrong root?", files)
+	}
+}
+
+// exprString renders a node as source text on one line.
+func exprString(fset *token.FileSet, n ast.Node) string {
+	var b strings.Builder
+	if err := printer.Fprint(&b, fset, n); err != nil {
+		return err.Error()
+	}
+	return strings.Join(strings.Fields(b.String()), " ")
+}

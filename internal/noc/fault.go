@@ -202,7 +202,7 @@ func (r *Router) safeToKill() bool {
 	if r.busy() || r.incomingSoon() {
 		return false
 	}
-	if r.net.p.Design == NoRD {
+	if r.net.ring != nil {
 		ni := r.net.nis[r.id]
 		if ni.injectOut != nil {
 			return false

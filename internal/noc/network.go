@@ -39,7 +39,13 @@ type Network struct {
 	// grid. conc caches topo.Concentration() for the hot paths.
 	term topology.Mesh
 	conc int
-	ring *topology.Ring
+	// The design's row of the designs table, resolved once by New: gated
+	// is the PG switch (routers have a controller), wake how a gated-off
+	// router is asked back on, and ring — non-nil exactly when the design
+	// has the bypass — the ring itself.
+	gated bool
+	wake  wakeRule
+	ring  *topology.Ring
 
 	routers []*Router
 	nis     []*NI
@@ -137,7 +143,9 @@ func New(p Params) (*Network, error) {
 		links: make([][4][]timedFlit, topo.N()),
 		idle:  make([]*stats.IdleTracker, topo.N()),
 	}
-	if p.Design == NoRD {
+	row := p.Design.row()
+	n.gated, n.wake = row.blocks.PGSwitch, row.wake
+	if row.blocks.Bypass {
 		var ring *topology.Ring
 		if p.RingOrder != nil {
 			ring, err = topology.RingFromOrder(topo, p.RingOrder)
@@ -210,7 +218,7 @@ func New(p Params) (*Network, error) {
 		initNI(n.nis[id], id, n)
 		n.idle[id] = stats.NewIdleTracker(n.shardFor(id).col.IdlePeriods)
 	}
-	if p.Design == NoRD && p.ForcedOff {
+	if n.ring != nil && p.ForcedOff {
 		// Routers start gated off: each ring upstream holds the single
 		// bypass-latch credit per VC (Section 4.3).
 		for id := 0; id < n.nn; id++ {
@@ -244,7 +252,7 @@ func (n *Network) Mesh() topology.Mesh { return n.term }
 // Topo returns the router-level topology.
 func (n *Network) Topo() topology.Topology { return n.topo }
 
-// Ring returns the bypass ring (nil for non-NoRD designs).
+// Ring returns the bypass ring (nil for designs without the bypass).
 func (n *Network) Ring() *topology.Ring { return n.ring }
 
 // Cycle returns the current simulation cycle.
@@ -476,7 +484,7 @@ func (n *Network) stepControllers() {
 		r.saGrantsThisCycle = 0
 		r.tickController()
 	}
-	if n.p.Design == NoRD && n.p.DynamicClassify && n.cycle%uint64(n.p.ReclassifyPeriod) == 0 {
+	if n.ring != nil && n.p.DynamicClassify && n.cycle%uint64(n.p.ReclassifyPeriod) == 0 {
 		n.reclassify()
 	}
 }
@@ -676,7 +684,7 @@ func (n *Network) nodeNeedsTick(id int) bool {
 		// Gated designs keep powered-on routers ticking so the controller
 		// can evaluate gate-off; NoPG routers may sleep once the empty-run
 		// counter saturates past the gating horizon (it stops changing).
-		if n.p.Design.PowerGated() || r.emptyRun <= n.p.GateIdleCycles {
+		if n.gated || r.emptyRun <= n.p.GateIdleCycles {
 			return true
 		}
 	}
@@ -696,7 +704,7 @@ func (n *Network) nodeNeedsTick(id int) bool {
 	if ni.queuedTotal > 0 {
 		return true
 	}
-	if n.p.Design == NoRD {
+	if n.ring != nil {
 		if ni.latchCount > 0 || ni.fwdCount > 0 || r.heldVCs > 0 || r.bypassSum > 0 {
 			return true
 		}
@@ -855,7 +863,7 @@ func (n *Network) deliverFlit(from int, dir topology.Dir, f *flit.Flit) {
 	}
 	r := n.routers[to]
 	inPort := dir.Opposite()
-	if n.p.Design == NoRD && inPort == n.ring.InDir(to) {
+	if n.ring != nil && inPort == n.ring.InDir(to) {
 		if !r.on() || r.bypassRemaining[f.VC] > 0 || n.nis[to].latch[f.VC] != nil || n.nis[to].fwdOutVC[f.VC] >= 0 {
 			n.nis[to].deliverBypass(f)
 			return
@@ -1179,13 +1187,6 @@ func (n *Network) PerRouterReports() []RouterReport {
 	}
 	return out
 }
-
-// HasPGController reports whether routers carry the always-on monitoring
-// controller (any gated design).
-func (n *Network) HasPGController() bool { return n.p.Design.PowerGated() }
-
-// HasBypass reports whether the NoRD bypass datapath is present.
-func (n *Network) HasBypass() bool { return n.p.Design == NoRD }
 
 // NumLinks returns the number of unidirectional inter-router channels
 // (torus wrap links included).

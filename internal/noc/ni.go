@@ -244,7 +244,7 @@ func (ni *NI) injectInFlight() bool { return len(ni.toLocal) > 0 }
 // conventional designs any pending injection requires the router
 // (node-router dependence); NoRD never does.
 func (ni *NI) wantsRouterOn() bool {
-	if ni.net.p.Design == NoRD {
+	if ni.net.ring != nil {
 		return false
 	}
 	return ni.queuedPackets() > 0
@@ -427,7 +427,7 @@ func (ni *NI) tick() {
 	r := ni.net.routers[ni.id]
 	requests := uint32(0)
 
-	if ni.net.p.Design == NoRD {
+	if ni.net.ring != nil {
 		requests += ni.tickBypass(r)
 	}
 	requests += ni.tickInjection(r)
@@ -691,7 +691,7 @@ func (ni *NI) tickInjection(r *Router) uint32 {
 			// Conventional designs stall (their WU assertion is handled
 			// by the controller via wantsRouterOn); NoRD's ring path is
 			// handled in tickBypass.
-			if ni.net.p.Design != NoRD {
+			if ni.net.ring == nil {
 				requests++
 			}
 			return requests

@@ -7,70 +7,9 @@ package noc
 
 import (
 	"fmt"
-	"strings"
 
 	"nord/internal/topology"
 )
-
-// Design selects the power-gating scheme (Section 5.1's comparison set).
-type Design int
-
-const (
-	// NoPG is the baseline without power-gating: routers are always on.
-	NoPG Design = iota
-	// ConvPG applies conventional power-gating: a router gates off when
-	// its datapath is empty and wakes when a neighbor's switch-allocation
-	// request or the local NI needs it, exposing the full wakeup latency.
-	ConvPG
-	// ConvPGOpt is ConvPG optimised with early wakeup: the WU signal is
-	// generated as soon as the upstream route is computed, hiding
-	// EarlyWakeupCycles of the wakeup latency and avoiding gate-offs for
-	// idle periods shorter than the early-wakeup horizon.
-	ConvPGOpt
-	// NoRD decouples nodes from routers with the bypass ring: packets are
-	// sent, received and forwarded through the NI bypass of gated-off
-	// routers, and wakeups are driven by the NI VC-request metric.
-	NoRD
-)
-
-// String implements fmt.Stringer.
-func (d Design) String() string {
-	switch d {
-	case NoPG:
-		return "No_PG"
-	case ConvPG:
-		return "Conv_PG"
-	case ConvPGOpt:
-		return "Conv_PG_OPT"
-	case NoRD:
-		return "NoRD"
-	default:
-		return fmt.Sprintf("design(%d)", int(d))
-	}
-}
-
-// PowerGated reports whether the design gates routers at all.
-func (d Design) PowerGated() bool { return d != NoPG }
-
-// Designs returns the paper's full comparison set in presentation order.
-func Designs() []Design { return []Design{NoPG, ConvPG, ConvPGOpt, NoRD} }
-
-// DesignByName parses a design name: the canonical String() forms
-// (case-insensitively) plus the short aliases the CLIs and the serve API
-// accept.
-func DesignByName(s string) (Design, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "no_pg", "nopg", "baseline":
-		return NoPG, nil
-	case "conv_pg", "conv", "convpg":
-		return ConvPG, nil
-	case "conv_pg_opt", "opt", "convpgopt":
-		return ConvPGOpt, nil
-	case "nord":
-		return NoRD, nil
-	}
-	return 0, fmt.Errorf("noc: unknown design %q (no_pg, conv_pg, conv_pg_opt, nord)", s)
-}
 
 // Params configures a network. The zero value is not usable; start from
 // DefaultParams.
@@ -221,6 +160,10 @@ func MinVCs(d Design, kind topology.Kind) int {
 
 // Validate checks parameter consistency.
 func (p *Params) Validate() error {
+	if p.Design < 0 || int(p.Design) >= NumDesigns {
+		return fmt.Errorf("noc: unknown design %v", p.Design)
+	}
+	row := p.Design.row()
 	if p.Width < 2 || p.Height < 2 {
 		return fmt.Errorf("noc: router grid must be at least 2x2, got %dx%d", p.Width, p.Height)
 	}
@@ -243,13 +186,13 @@ func (p *Params) Validate() error {
 	if p.BufferDepth < 1 {
 		return fmt.Errorf("noc: buffer depth must be positive, got %d", p.BufferDepth)
 	}
-	if p.Design.PowerGated() && p.WakeupLatency < 1 {
+	if row.blocks.PGSwitch && p.WakeupLatency < 1 {
 		return fmt.Errorf("noc: wakeup latency must be positive, got %d", p.WakeupLatency)
 	}
 	if p.EarlyWakeupCycles < 0 || p.GateIdleCycles < 0 || p.MisrouteCap < 0 {
 		return fmt.Errorf("noc: negative pipeline parameter")
 	}
-	if p.Design == NoRD {
+	if row.wake == wakeAtNI {
 		if p.WakeupWindow < 1 {
 			return fmt.Errorf("noc: NoRD wakeup window must be positive, got %d", p.WakeupWindow)
 		}
@@ -283,12 +226,12 @@ func (p *Params) Validate() error {
 // vcsPerPort returns the total number of VCs at each router port.
 func (p *Params) vcsPerPort() int { return p.Classes * p.VCsPerClass }
 
-// escapeVCs returns the number of escape VCs per class. NoRD always uses
-// the ring dateline pair; conventional designs need one XY escape VC on a
-// mesh (or cmesh) and a dateline pair on a torus, whose wrap links close
-// rings the single-VC Duato escape cannot break.
+// escapeVCs returns the number of escape VCs per class. A design with the
+// bypass escapes onto the ring's dateline pair; the others need one XY
+// escape VC on a mesh (or cmesh) and a dateline pair on a torus, whose
+// wrap links close rings the single-VC Duato escape cannot break.
 func (p *Params) escapeVCs() int {
-	if p.Design == NoRD || p.Topology == topology.KindTorus {
+	if p.Design.Blocks().Bypass || p.Topology == topology.KindTorus {
 		return 2
 	}
 	return 1

@@ -22,7 +22,7 @@ func (r *Router) tickController() {
 	} else if r.emptyRun <= p.GateIdleCycles {
 		r.emptyRun++
 	}
-	if !p.Design.PowerGated() {
+	if !n.gated {
 		return
 	}
 	switch r.state {
@@ -69,7 +69,7 @@ func (r *Router) wakeRequested() bool {
 	if p.ForcedOff {
 		return false
 	}
-	if p.Design == NoRD {
+	if n.wake == wakeAtNI {
 		// The VC-request metric at the local NI (Section 4.3).
 		return n.nis[r.id].wakeupMetricHigh()
 	}
@@ -109,7 +109,7 @@ func (r *Router) wakeCause() obs.Cause {
 	if r.watchdogWoke {
 		return obs.CauseWatchdog
 	}
-	if r.net.p.Design == NoRD {
+	if r.net.wake == wakeAtNI {
 		return obs.CauseVCThreshold
 	}
 	if r.net.nis[r.id].wantsRouterOn() {
@@ -130,7 +130,7 @@ func (r *Router) canGateOff() bool {
 	}
 	// The bypass datapath must have fully drained (latches, inject
 	// register, withheld credits) before another transition.
-	if p.Design == NoRD {
+	if n.ring != nil {
 		ni := n.nis[r.id]
 		if ni.injectOut != nil || ni.latchCount > 0 || ni.fwdCount > 0 || r.heldVCs > 0 {
 			return false
@@ -151,7 +151,7 @@ func (r *Router) canGateOff() bool {
 	if r.wakeRequested() {
 		return false
 	}
-	if p.Design == ConvPGOpt && r.earlyWakeupIncoming() {
+	if n.wake == wakeAtRC && r.earlyWakeupIncoming() {
 		return false
 	}
 	return true
@@ -189,7 +189,6 @@ func (r *Router) earlyWakeupIncoming() bool {
 // the NI bypass.
 func (r *Router) gateOff() {
 	n := r.net
-	p := &n.p
 	r.state = powerOff
 	if n.collecting {
 		r.statGateOffs++
@@ -206,7 +205,7 @@ func (r *Router) gateOff() {
 		}
 		nbr := n.routers[nb]
 		toMe := d.Opposite() // nb's output port toward us
-		usable := p.Design == NoRD && n.ring.OutDir(nb) == toMe
+		usable := n.ring != nil && n.ring.OutDir(nb) == toMe
 		if usable {
 			// The ring upstream keeps the port but with a single credit
 			// per VC: the one-flit bypass latch (Section 4.3).
@@ -254,7 +253,7 @@ func (r *Router) completeWake() {
 		n.tracer.Emit(n.cycle, int32(r.id), obs.KindWakeDone, obs.CauseNone, n.cycle-r.stateSince)
 	}
 	r.stateSince = n.cycle
-	if p.Design != NoRD {
+	if n.ring == nil {
 		return
 	}
 	ni := n.nis[r.id]

@@ -270,7 +270,7 @@ func initRouter(r *Router, id int, net *Network) {
 	if c := net.conc; c > 1 {
 		r.stLocalX = make([]*flit.Flit, c-1)
 	}
-	if p.Design.PowerGated() && p.ForcedOff {
+	if net.gated && p.ForcedOff {
 		r.state = powerOff
 	}
 }
@@ -667,7 +667,7 @@ func (r *Router) incomingSoon() bool {
 	}
 	// NoRD: the ring predecessor's NI may hold a flit for us in its
 	// re-injection register (bypass stage 3) that is not yet on the link.
-	if r.net.p.Design == NoRD {
+	if r.net.ring != nil {
 		if r.net.nis[r.net.ring.Pred(r.id)].injectOut != nil {
 			return true
 		}

@@ -100,7 +100,7 @@ func (n *Network) route(r *Router, inDir topology.Dir, pkt *flit.Packet, vaFails
 	if pkt.Dst == r.id {
 		return decision{action: actEject}
 	}
-	if n.p.Design == NoRD {
+	if n.ring != nil {
 		return n.routeNoRD(r, inDir, pkt, vaFails)
 	}
 	return n.routeConv(r, pkt, vaFails)
@@ -168,7 +168,7 @@ func (n *Network) routeConv(r *Router, pkt *flit.Packet, vaFails int) decision {
 // generation.
 func (n *Network) wakeDecision(target int) decision {
 	delay := 0
-	if n.p.Design == ConvPG {
+	if n.wake == wakeAtSA {
 		delay = n.p.EarlyWakeupCycles
 	}
 	return decision{action: actWake, wakeTarget: target, wuDelay: delay}

@@ -402,7 +402,7 @@ func (n *Network) mergeRouter() {
 // activates no nodes, so walking the active worklist here in ascending
 // order restores exactly the credits the serial kernel restored.
 func (n *Network) restoreRingCredits() {
-	if n.p.Design != NoRD {
+	if n.ring == nil {
 		return
 	}
 	for _, id := range n.collectActive() {

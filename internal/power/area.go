@@ -13,7 +13,7 @@ type AreaBreakdown struct {
 	Allocators float64
 	Other      float64 // pipeline latches, control, local wiring
 	PGSwitch   float64 // sleep transistors + sleep-signal distribution
-	EarlyWU    float64 // early-wakeup generation/monitoring (Conv_PG_OPT)
+	EarlyWU    float64 // early-wakeup generation/monitoring
 	Bypass     float64 // NoRD bypass datapath in router + NI
 }
 
@@ -26,35 +26,25 @@ func (a AreaBreakdown) Total() float64 {
 // wormhole router (Orion-2.0-like magnitude).
 const refRouterAreaMM2 = 0.38
 
-// Design identifies the four compared designs for area purposes.
-type Design int
-
-const (
-	DesignNoPG Design = iota
-	DesignConvPG
-	DesignConvPGOpt
-	DesignNoRD
-)
-
-// String implements fmt.Stringer.
-func (d Design) String() string {
-	switch d {
-	case DesignNoPG:
-		return "No_PG"
-	case DesignConvPG:
-		return "Conv_PG"
-	case DesignConvPGOpt:
-		return "Conv_PG_OPT"
-	case DesignNoRD:
-		return "NoRD"
-	default:
-		return "unknown"
-	}
+// Blocks is the hardware a power-gating design adds to the baseline
+// router, in the order the paper's designs stack it: the switch, then
+// early wakeup, then the bypass. It is what the area model (RouterArea)
+// and the energy model (Counts.Blocks) price; which design carries which
+// block is noc's design table, not this package's business.
+type Blocks struct {
+	// PGSwitch: sleep transistors plus the always-on controller that
+	// monitors a gated-off router.
+	PGSwitch bool
+	// EarlyWU: early-wakeup generation and monitoring.
+	EarlyWU bool
+	// Bypass: the never-gated NoRD bypass datapath in router and NI.
+	Bypass bool
 }
 
-// RouterArea returns the per-router area for a design at this technology
-// point. Area scales quadratically with feature size relative to 45nm.
-func (m *Model) RouterArea(d Design) AreaBreakdown {
+// RouterArea returns the per-router area of the baseline router plus
+// the given blocks at this technology point. Area scales quadratically
+// with feature size relative to 45nm.
+func (m *Model) RouterArea(b Blocks) AreaBreakdown {
 	scale := float64(m.tech.NodeNM) / 45.0
 	base := refRouterAreaMM2 * scale * scale
 	a := AreaBreakdown{
@@ -63,19 +53,17 @@ func (m *Model) RouterArea(d Design) AreaBreakdown {
 		Allocators: 0.10 * base,
 		Other:      0.20 * base,
 	}
-	switch d {
-	case DesignNoPG:
-	case DesignConvPG:
+	if b.PGSwitch {
 		a.PGSwitch = 0.060 * base
-	case DesignConvPGOpt:
-		a.PGSwitch = 0.060 * base
+	}
+	if b.EarlyWU {
 		a.EarlyWU = 0.006 * base
-	case DesignNoRD:
-		a.PGSwitch = 0.060 * base
-		a.EarlyWU = 0.006 * base
+	}
+	if b.Bypass {
 		// Bypass datapath: NI latch + demultiplexer before the ejection
 		// queue, multiplexer after the injection queue, the two router
-		// datapaths and control; 3.1% of the Conv_PG_OPT router.
+		// datapaths and control; 3.1% of a router with the other two
+		// blocks (Conv_PG_OPT's).
 		a.Bypass = 0.031 * base * (1 + 0.060 + 0.006)
 	}
 	return a
@@ -89,9 +77,9 @@ func (m *Model) RouterArea(d Design) AreaBreakdown {
 // reference size. The power-gating switch is resized proportionally to
 // the gated block it powers, and the early-wakeup and bypass adders keep
 // their fixed proportions. Non-positive arguments select the reference
-// values, so RouterAreaFor(d, 0, 0) == RouterArea(d).
-func (m *Model) RouterAreaFor(d Design, vcsPerPort, bufferDepth int) AreaBreakdown {
-	a := m.RouterArea(d)
+// values, so RouterAreaFor(b, 0, 0) == RouterArea(b).
+func (m *Model) RouterAreaFor(b Blocks, vcsPerPort, bufferDepth int) AreaBreakdown {
+	a := m.RouterArea(b)
 	refGated := a.Buffers + a.Crossbar + a.Allocators + a.Other
 	vcs, depth := 4.0, 5.0
 	if vcsPerPort > 0 {
@@ -105,12 +93,4 @@ func (m *Model) RouterAreaFor(d Design, vcsPerPort, bufferDepth int) AreaBreakdo
 	gated := a.Buffers + a.Crossbar + a.Allocators + a.Other
 	a.PGSwitch *= gated / refGated
 	return a
-}
-
-// AreaOverheadVsConvPGOpt returns NoRD's fractional router area overhead
-// relative to Conv_PG_OPT (the paper reports 3.1%).
-func (m *Model) AreaOverheadVsConvPGOpt() float64 {
-	opt := m.RouterArea(DesignConvPGOpt).Total()
-	nord := m.RouterArea(DesignNoRD).Total()
-	return nord/opt - 1
 }

@@ -37,9 +37,9 @@ type Counts struct {
 	// treated as 1.0, the plain-mesh pitch.
 	LinkLengthFactor float64
 
-	// HasPGController / HasBypass select which always-on adders apply.
-	HasPGController bool
-	HasBypass       bool
+	// Blocks selects which always-on adders apply: the PG switch's
+	// controller leaks while its router is off, the bypass all the time.
+	Blocks Blocks
 }
 
 // linkLength returns the effective link-length scale (zero value = 1.0).
@@ -74,10 +74,10 @@ func (m *Model) Energy(c Counts) Breakdown {
 	// Router static: full static while on (or waking); while gated off
 	// only the non-gated controller (and NoRD's bypass datapath) leak.
 	b.RouterStatic = float64(c.RouterOnCycles) * m.RouterStaticW() * cyc
-	if c.HasPGController {
+	if c.Blocks.PGSwitch {
 		b.RouterStatic += float64(c.RouterOffCycles) * m.ControllerStaticW() * cyc
 	}
-	if c.HasBypass {
+	if c.Blocks.Bypass {
 		// The bypass datapath is never power-gated: it leaks for the
 		// whole interval on every router.
 		b.RouterStatic += float64(c.Cycles) * float64(c.Routers) * m.BypassStaticW() * cyc

@@ -160,13 +160,13 @@ func TestEnergyGatedResiduals(t *testing.T) {
 		t.Errorf("no-controller design leaked %v while off", plain.RouterStatic)
 	}
 	withCtl := base
-	withCtl.HasPGController = true
+	withCtl.Blocks.PGSwitch = true
 	e1 := m.Energy(withCtl)
 	if e1.RouterStatic <= 0 {
 		t.Error("controller residual missing")
 	}
 	withBoth := withCtl
-	withBoth.HasBypass = true
+	withBoth.Blocks.Bypass = true
 	e2 := m.Energy(withBoth)
 	if e2.RouterStatic <= e1.RouterStatic {
 		t.Error("bypass residual missing")
@@ -216,44 +216,87 @@ func TestBypassHopCheaperThanRouterHop(t *testing.T) {
 	}
 }
 
+// ladder is the four block sets the paper's designs stack up, in order.
+var ladder = []Blocks{
+	{},
+	{PGSwitch: true},
+	{PGSwitch: true, EarlyWU: true},
+	{PGSwitch: true, EarlyWU: true, Bypass: true},
+}
+
 func TestAreaOverheadMatchesSection68(t *testing.T) {
 	m := model(t, 45, 1.1)
-	got := m.AreaOverheadVsConvPGOpt()
+	got := m.RouterArea(ladder[3]).Total()/m.RouterArea(ladder[2]).Total() - 1
 	if math.Abs(got-0.031) > 0.003 {
-		t.Errorf("NoRD area overhead = %.4f, want ~0.031", got)
+		t.Errorf("bypass area overhead = %.4f, want ~0.031", got)
 	}
-	// Ordering: NoPG < ConvPG < ConvPGOpt < NoRD.
 	prev := 0.0
-	for _, d := range []Design{DesignNoPG, DesignConvPG, DesignConvPGOpt, DesignNoRD} {
-		a := m.RouterArea(d).Total()
+	for _, b := range ladder {
+		a := m.RouterArea(b).Total()
 		if a <= prev {
-			t.Errorf("area not increasing at %v: %v after %v", d, a, prev)
+			t.Errorf("area not increasing at %+v: %v after %v", b, a, prev)
 		}
 		prev = a
 	}
 }
 
+// TestAreaAndEnergyPinned: the numbers the Design-enum model produced,
+// recorded before the enum was replaced by Blocks (search front digests
+// embed AreaMM2, every Result embeds the energy breakdown). The gated
+// core is the same for every block set; only the three adders differ.
+func TestAreaAndEnergyPinned(t *testing.T) {
+	m := model(t, 45, 1.1)
+	same := func(what string, got, want float64) {
+		t.Helper()
+		if math.Abs(got-want) > 1e-15*math.Abs(want) {
+			t.Errorf("%s = %v, want %v", what, got, want)
+		}
+	}
+	adders := [][3]float64{{0, 0, 0}, {0.0228, 0, 0}, {0.0228, 0.00228, 0}, {0.0228, 0.00228, 0.012557480000000001}}
+	for i, b := range ladder {
+		ref, scaled := m.RouterArea(b), m.RouterAreaFor(b, 6, 3)
+		if got := m.RouterAreaFor(b, 0, 0); got != ref {
+			t.Errorf("%+v: RouterAreaFor(0, 0) = %+v, want the reference %+v", b, got, ref)
+		}
+		same("Buffers", ref.Buffers, 0.15200000000000002)
+		same("Crossbar", ref.Crossbar, 0.11399999999999999)
+		same("Allocators", ref.Allocators, 0.038000000000000006)
+		same("Other", ref.Other, 0.07600000000000001)
+		same("PGSwitch", ref.PGSwitch, adders[i][0])
+		same("EarlyWU", ref.EarlyWU, adders[i][1])
+		same("Bypass", ref.Bypass, adders[i][2])
+		same("scaled Buffers", scaled.Buffers, 0.13680000000000003)
+		same("scaled Allocators", scaled.Allocators, 0.05700000000000001)
+		same("scaled PGSwitch", scaled.PGSwitch, adders[i][0]*1.01)
+		same("scaled EarlyWU", scaled.EarlyWU, adders[i][1])
+		same("scaled Bypass", scaled.Bypass, adders[i][2])
+	}
+
+	c := Counts{Cycles: 1000, Routers: 16, Links: 48, RouterOnCycles: 9000, RouterOffCycles: 7000, Wakeups: 42,
+		BufWrites: 100, BufReads: 90, XbarTraversals: 80, VAArbs: 70, SAArbs: 60, ClockedFlitHops: 50, LinkTraversals: 40,
+		BypassHops: 30, BypassInjections: 20, BypassEjections: 10, LocalFlits: 5, LinkLengthFactor: 2}
+	// Early wakeup has no always-on leakage of its own.
+	static := []float64{1.2133836000000003e-06, 1.2416958840000004e-06, 1.2416958840000004e-06, 1.2848384120000004e-06}
+	for i, b := range ladder {
+		c.Blocks = b
+		e := m.Energy(c)
+		same("RouterStatic", e.RouterStatic, static[i])
+		same("RouterDynamic", e.RouterDynamic, 2.9201081249999998e-08)
+		same("LinkStatic", e.LinkStatic, 1.0785632000000003e-06)
+		same("LinkDynamic", e.LinkDynamic, 6.150833333333333e-09)
+		same("PGOverhead", e.PGOverhead, 5.6624568000000014e-08)
+	}
+}
+
 func TestAreaScalesWithNode(t *testing.T) {
-	a65 := model(t, 65, 1.1).RouterArea(DesignNoPG).Total()
-	a45 := model(t, 45, 1.1).RouterArea(DesignNoPG).Total()
-	a32 := model(t, 32, 1.1).RouterArea(DesignNoPG).Total()
+	a65 := model(t, 65, 1.1).RouterArea(Blocks{}).Total()
+	a45 := model(t, 45, 1.1).RouterArea(Blocks{}).Total()
+	a32 := model(t, 32, 1.1).RouterArea(Blocks{}).Total()
 	if !(a65 > a45 && a45 > a32) {
 		t.Errorf("area should shrink with node: %v, %v, %v", a65, a45, a32)
 	}
 	want := a45 * (65.0 / 45.0) * (65.0 / 45.0)
 	if math.Abs(a65-want)/want > 1e-12 {
 		t.Errorf("quadratic scaling broken: %v vs %v", a65, want)
-	}
-}
-
-func TestDesignString(t *testing.T) {
-	names := map[Design]string{
-		DesignNoPG: "No_PG", DesignConvPG: "Conv_PG",
-		DesignConvPGOpt: "Conv_PG_OPT", DesignNoRD: "NoRD", Design(9): "unknown",
-	}
-	for d, want := range names {
-		if d.String() != want {
-			t.Errorf("Design(%d).String() = %q, want %q", d, d.String(), want)
-		}
 	}
 }

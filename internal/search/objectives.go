@@ -3,7 +3,6 @@ package search
 import (
 	"encoding/json"
 
-	"nord/internal/noc"
 	"nord/internal/power"
 	"nord/internal/sim"
 )
@@ -23,10 +22,6 @@ func (o Objectives) vector() [3]float64 {
 	return [3]float64{o.LatencyCycles, o.EnergyPerFlitPJ, o.AreaMM2}
 }
 
-// powerDesign maps the noc design enum onto the power/area model's; the
-// two packages deliberately share ordinals.
-func powerDesign(d noc.Design) power.Design { return power.Design(int(d)) }
-
 // Extract computes the objective vector from a finished run. ok is false
 // for infeasible candidates — saturated or deadlocked configurations
 // that delivered nothing measurable; they are constraint-dominated by
@@ -43,7 +38,7 @@ func Extract(cfg sim.SynthConfig, res sim.Result) (Objectives, bool) {
 	if err != nil {
 		return Objectives{}, false
 	}
-	routerArea := model.RouterAreaFor(powerDesign(cfg.Design), cfg.VCsPerClass, cfg.BufferDepth).Total()
+	routerArea := model.RouterAreaFor(cfg.Design.Blocks(), cfg.VCsPerClass, cfg.BufferDepth).Total()
 	return Objectives{
 		LatencyCycles:   res.AvgPacketLatency,
 		EnergyPerFlitPJ: res.Energy.Total() / flits * 1e12,

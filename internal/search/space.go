@@ -360,10 +360,11 @@ func (sp *Spec) decode(g Genome, measure int) (Candidate, error) {
 		Rate:        s.Rates[g[axisRate]],
 	}
 	pc.VCs = max(pc.VCs, noc.MinVCs(design, kind))
-	if design != noc.NoPG {
+	blocks := design.Blocks()
+	if blocks.PGSwitch {
 		pc.GateIdle = s.GateIdle[g[axisGateIdle]]
 	}
-	if design == noc.NoRD {
+	if blocks.Bypass {
 		pc.WakeThreshold = s.WakeThresholds[g[axisWake]]
 	}
 	warmup := sp.Warmup

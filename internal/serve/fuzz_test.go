@@ -213,10 +213,10 @@ func inertScrambled(req JobRequest, v uint8) JobRequest {
 	}
 	sp := *req.Synthetic
 	d, _ := noc.DesignByName(sp.Design)
-	if !d.PowerGated() {
+	if d == noc.NoPG {
 		sp.ForcedOff = v&2 != 0
 	}
-	if !d.PowerGated() || d == noc.NoRD && sp.ForcedOff {
+	if d == noc.NoPG || d == noc.NoRD && sp.ForcedOff {
 		sp.GateIdle, sp.WakeupLatency = int(v), int(v)+7
 	}
 	if d != noc.NoRD || sp.ForcedOff {

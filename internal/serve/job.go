@@ -27,14 +27,12 @@ func (s JobState) Terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCanceled
 }
 
-// maxProgressHistory bounds the per-job snapshot history replayed to new
-// /events subscribers; when exceeded, the oldest half is dropped.
-const maxProgressHistory = 4096
-
-// maxTraceHistory bounds the per-job trace-event history replayed to new
-// /trace subscribers; like the progress history, the oldest half is
-// dropped on overflow (the end-of-stream line reports the true totals).
-const maxTraceHistory = 1 << 16
+// maxProgressHistory and maxTraceHistory bound the per-job histories
+// replayed to new /events and /trace subscribers (see feed).
+const (
+	maxProgressHistory = 4096
+	maxTraceHistory    = 1 << 16
+)
 
 // Job is one submitted simulation: its identity (ID for clients, Key for
 // the content-addressed cache), its lifecycle state, the marshalled
@@ -76,32 +74,90 @@ type Job struct {
 	view      []byte
 	result    []byte
 	lastCycle uint64
-	progress  []stats.Progress
-	subs      map[chan stats.Progress]struct{}
-
-	// Cycle-level trace fan-out, populated only for traced jobs
-	// (task.traced): batches of events drained from the run's tracer,
-	// plus the recording totals stamped when the run finishes.
-	traceLog     []obs.Event
-	traceSubs    map[chan []obs.Event]struct{}
+	// progress feeds /events. trace feeds /trace and is populated only for
+	// traced jobs (task.traced): batches of events drained from the run's
+	// tracer, plus the recording totals stamped when the run finishes.
+	progress     feed[stats.Progress]
+	trace        feed[obs.Event]
 	traceTotal   uint64
 	traceDropped uint64
+}
+
+// feed is one of a job's two streams: a bounded history replayed to new
+// subscribers — when a publish would overflow max, the oldest half is
+// dropped — plus a best-effort fan-out of each published batch. The
+// history is authoritative; a subscriber whose channel is full misses the
+// batch. The job's mutex guards it.
+type feed[T any] struct {
+	max  int
+	log  []T
+	subs map[chan []T]struct{}
+}
+
+// publish appends a batch the feed may keep (subscribers share it
+// read-only) and fans it out; j.mu must be held.
+func (f *feed[T]) publish(batch []T) {
+	if len(f.log)+len(batch) > f.max {
+		f.log = append(f.log[:0], f.log[len(f.log)/2:]...)
+	}
+	f.log = append(f.log, batch...)
+	for ch := range f.subs {
+		select {
+		case ch <- batch:
+		default:
+		}
+	}
+}
+
+// close ends every subscriber's stream; j.mu must be held.
+func (f *feed[T]) close() {
+	for ch := range f.subs {
+		close(ch)
+	}
+	f.subs = nil
+}
+
+// subscribe returns f's history so far and a channel of future batches,
+// closed when the job reaches a terminal state (at once if it already
+// has). Call the returned cancel function when done reading.
+func subscribe[T any](j *Job, f *feed[T]) ([]T, chan []T, func()) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	history := append([]T(nil), f.log...)
+	// 64 publishes of slack before a slow reader starts missing batches.
+	ch := make(chan []T, 64)
+	if j.state.Terminal() {
+		close(ch)
+		return history, ch, func() {}
+	}
+	if f.subs == nil {
+		f.subs = map[chan []T]struct{}{}
+	}
+	f.subs[ch] = struct{}{}
+	return history, ch, func() {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		if _, ok := f.subs[ch]; ok {
+			delete(f.subs, ch)
+			close(ch)
+		}
+	}
 }
 
 func newJob(id string, t *task) *Job {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Job{
-		ID:        id,
-		Key:       t.key,
-		Kind:      t.kind,
-		Created:   time.Now(),
-		task:      t,
-		ctx:       ctx,
-		cancel:    cancel,
-		done:      make(chan struct{}),
-		state:     JobQueued,
-		subs:      map[chan stats.Progress]struct{}{},
-		traceSubs: map[chan []obs.Event]struct{}{},
+		ID:       id,
+		Key:      t.key,
+		Kind:     t.kind,
+		Created:  time.Now(),
+		task:     t,
+		ctx:      ctx,
+		cancel:   cancel,
+		done:     make(chan struct{}),
+		state:    JobQueued,
+		progress: feed[stats.Progress]{max: maxProgressHistory},
+		trace:    feed[obs.Event]{max: maxTraceHistory},
 	}
 }
 
@@ -215,14 +271,8 @@ func (j *Job) finish(state JobState, view, result []byte, errMsg string) bool {
 	j.view = view
 	j.result = result
 	j.errMsg = errMsg
-	for ch := range j.subs {
-		close(ch)
-	}
-	j.subs = map[chan stats.Progress]struct{}{}
-	for ch := range j.traceSubs {
-		close(ch)
-	}
-	j.traceSubs = map[chan []obs.Event]struct{}{}
+	j.progress.close()
+	j.trace.close()
 	close(j.done)
 	return true
 }
@@ -287,12 +337,11 @@ func (j *Job) Cancel() {
 	j.cancel()
 }
 
-// publish appends a progress snapshot and fans it out to subscribers
-// (dropping snapshots for subscribers whose buffer is full — streams are
-// best-effort, the history is authoritative). It returns the number of
-// simulated cycles advanced since the previous snapshot, the delta the
-// server folds into its cumulative cycle counter; snapshots arriving out
-// of order (a stale worker's heartbeat racing a retry) contribute zero.
+// publish appends a progress snapshot to the /events feed. It returns the
+// number of simulated cycles advanced since the previous snapshot, the
+// delta the server folds into its cumulative cycle counter; snapshots
+// arriving out of order (a stale worker's heartbeat racing a retry)
+// contribute zero.
 // A snapshot that arrives once the job is sealed (the same stale
 // heartbeat, a late one after cancel) is dropped whole: what a finished
 // job reports must not change between two reads.
@@ -307,24 +356,13 @@ func (j *Job) publish(p stats.Progress) uint64 {
 		delta = p.Cycle - j.lastCycle
 		j.lastCycle = p.Cycle
 	}
-	if len(j.progress) >= maxProgressHistory {
-		j.progress = append(j.progress[:0], j.progress[len(j.progress)/2:]...)
-	}
-	j.progress = append(j.progress, p)
-	for ch := range j.subs {
-		select {
-		case ch <- p:
-		default:
-		}
-	}
+	j.progress.publish([]stats.Progress{p})
 	return delta
 }
 
-// publishTrace appends a drained batch of trace events to the history and
-// fans it out to /trace subscribers. The batch is copied once (the caller
-// reuses its buffer); subscribers receive the shared read-only copy, and
-// a subscriber whose channel is full misses the batch (streams are
-// best-effort, the end line carries the true totals).
+// publishTrace appends a drained batch of trace events to the /trace
+// feed. The batch is copied once (the caller reuses its buffer); the end
+// line carries the true totals whatever a slow subscriber missed.
 func (j *Job) publishTrace(batch []obs.Event) {
 	if len(batch) == 0 {
 		return
@@ -332,16 +370,7 @@ func (j *Job) publishTrace(batch []obs.Event) {
 	cp := append([]obs.Event(nil), batch...)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if len(j.traceLog)+len(cp) > maxTraceHistory {
-		j.traceLog = append(j.traceLog[:0], j.traceLog[len(j.traceLog)/2:]...)
-	}
-	j.traceLog = append(j.traceLog, cp...)
-	for ch := range j.traceSubs {
-		select {
-		case ch <- cp:
-		default:
-		}
-	}
+	j.trace.publish(cp)
 }
 
 // setTraceTotals stamps the tracer's recording totals once the run has
@@ -358,52 +387,6 @@ func (j *Job) traceTotals() (total, dropped uint64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.traceTotal, j.traceDropped
-}
-
-// subscribeTrace mirrors subscribe for the cycle-level event stream:
-// it returns the event history so far and a channel of future batches,
-// closed when the job reaches a terminal state.
-func (j *Job) subscribeTrace() ([]obs.Event, chan []obs.Event, func()) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	history := append([]obs.Event(nil), j.traceLog...)
-	ch := make(chan []obs.Event, 64)
-	if j.state.Terminal() {
-		close(ch)
-		return history, ch, func() {}
-	}
-	j.traceSubs[ch] = struct{}{}
-	return history, ch, func() {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		if _, ok := j.traceSubs[ch]; ok {
-			delete(j.traceSubs, ch)
-			close(ch)
-		}
-	}
-}
-
-// subscribe returns the snapshot history so far and a channel of future
-// snapshots; the channel is closed when the job reaches a terminal state.
-// Call the returned cancel function when done reading.
-func (j *Job) subscribe() ([]stats.Progress, chan stats.Progress, func()) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	history := append([]stats.Progress(nil), j.progress...)
-	ch := make(chan stats.Progress, 64)
-	if j.state.Terminal() {
-		close(ch)
-		return history, ch, func() {}
-	}
-	j.subs[ch] = struct{}{}
-	return history, ch, func() {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		if _, ok := j.subs[ch]; ok {
-			delete(j.subs, ch)
-			close(ch)
-		}
-	}
 }
 
 // JobStatus is the GET /v1/jobs/{id} response body.
@@ -441,8 +424,8 @@ func (j *Job) statusLocked() JobStatus {
 		Traced: j.task.traced,
 		Error:  j.errMsg,
 	}
-	if n := len(j.progress); n > 0 {
-		p := j.progress[n-1]
+	if n := len(j.progress.log); n > 0 {
+		p := j.progress.log[n-1]
 		st.Progress = &p
 	}
 	return st

@@ -9,11 +9,6 @@ import (
 	"nord/internal/noc"
 )
 
-// metricDesigns is the label set for the per-design counters, in the
-// paper's presentation order; every series is emitted (zeros included) so
-// dashboards see a stable set from the first scrape.
-var metricDesigns = []noc.Design{noc.NoPG, noc.ConvPG, noc.ConvPGOpt, noc.NoRD}
-
 // Metrics is the serve layer's counter set, rendered in Prometheus text
 // exposition format at /metrics. Counters are cumulative since process
 // start; gauges are sampled at scrape time by the server.
@@ -53,8 +48,8 @@ type Metrics struct {
 	// Per-design counters, indexed by noc.Design: router wakeups and
 	// misrouted (detoured) hops measured by completed single-run jobs.
 	// Sweeps do not contribute (their cells span designs).
-	SimWakeups [4]atomic.Uint64
-	SimDetours [4]atomic.Uint64
+	SimWakeups [noc.NumDesigns]atomic.Uint64
+	SimDetours [noc.NumDesigns]atomic.Uint64
 
 	// Server-side handler time of POST /v1/jobs and GET /v1/jobs/{id} —
 	// what the ladder's op_latency_p50_ms sees from outside, minus the
@@ -165,14 +160,16 @@ func (m *Metrics) WriteProm(w io.Writer, g Gauges) {
 		{"nord_search_generations_total", "Completed search generations.", "counter", m.SearchGenerations.Load()},
 		{"nord_search_front_size", "Pareto-front size of the most recently completed search.", "gauge", m.SearchFrontSize.Load()},
 	})
+	// Every design's series is emitted, zeros included, so dashboards see
+	// a stable label set from the first scrape.
 	fmt.Fprintf(w, "# HELP nord_sim_wakeups_total Router wakeups measured by completed runs, by design.\n")
 	fmt.Fprintf(w, "# TYPE nord_sim_wakeups_total counter\n")
-	for _, d := range metricDesigns {
+	for _, d := range noc.Designs() {
 		fmt.Fprintf(w, "nord_sim_wakeups_total{design=%q} %d\n", d.String(), m.SimWakeups[d].Load())
 	}
 	fmt.Fprintf(w, "# HELP nord_sim_detours_total Misrouted (detoured) hops measured by completed runs, by design.\n")
 	fmt.Fprintf(w, "# TYPE nord_sim_detours_total counter\n")
-	for _, d := range metricDesigns {
+	for _, d := range noc.Designs() {
 		fmt.Fprintf(w, "nord_sim_detours_total{design=%q} %d\n", d.String(), m.SimDetours[d].Load())
 	}
 	fmt.Fprintf(w, "# HELP nord_http_request_duration_seconds Handler time of POST /v1/jobs (submit) and GET /v1/jobs/{id} (get).\n")

@@ -24,7 +24,7 @@ func goldenMetrics() (*Metrics, Gauges) {
 		c.Store(uint64(101 + i))
 	}
 	m.SimCycles.Store(1<<63 + 7) // past int64: the value column is unsigned
-	for _, d := range metricDesigns {
+	for _, d := range noc.Designs() {
 		m.AddRun(d, uint64(10+d), uint64(20+d))
 	}
 	for _, d := range []time.Duration{-time.Millisecond, 20 * time.Microsecond, 3 * time.Millisecond, 3 * time.Millisecond, time.Minute} {

@@ -144,6 +144,10 @@ type Server struct {
 	jobs  map[string]*Job // by client-facing ID
 	byKey map[string]*Job // live dedup index: queued/running/done jobs per cache key
 	seq   uint64
+	// terminal is the retirement queue: jobs in the order they became
+	// terminal, at most retain of them (see retireLocked).
+	terminal []*Job
+	retain   int
 
 	rngMu sync.Mutex
 	rng   *rand.Rand // Retry-After jitter
@@ -185,11 +189,12 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:   cfg,
-		cache: cache,
-		jobs:  map[string]*Job{},
-		byKey: map[string]*Job{},
-		rng:   rand.New(rand.NewSource(time.Now().UnixNano())),
+		cfg:    cfg,
+		cache:  cache,
+		jobs:   map[string]*Job{},
+		byKey:  map[string]*Job{},
+		retain: retainTerminal,
+		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	if cfg.Dispatcher != nil {
 		s.disp = cfg.Dispatcher(s)
@@ -346,6 +351,7 @@ func (s *Server) submitTask(t *task, ephemeral bool) (j *Job, served bool, err e
 	if val, ok := s.cache.Get(t.key); ok && !t.traced {
 		j := s.newJobLocked(t)
 		s.completeFromCache(j, val)
+		s.retireLocked(j)
 		s.metrics.CacheHits.Add(1)
 		s.metrics.JobsSubmitted.Add(1)
 		s.metrics.JobsDone.Add(1)
@@ -373,6 +379,34 @@ func (s *Server) newJobLocked(t *task) *Job {
 	s.jobs[j.ID] = j
 	s.byKey[j.Key] = j
 	return j
+}
+
+// retainTerminal is how many terminal jobs stay queryable by ID. A job
+// pins its rendered result, and /metrics and GET /v1/jobs walk every job
+// held, so the server forgets the oldest beyond this depth — the one a
+// journaled coordinator restores after a restart
+// (fleet.JournalOptions.RetainTerminal), so a live and a restarted
+// process forget alike. The results themselves stay in the cache.
+const retainTerminal = 4096
+
+// retireLocked queues a job that has just become terminal and forgets the
+// oldest terminal jobs beyond the retention depth: gone from jobs (their
+// IDs answer 404) and from the dedup index, so an identical submission
+// falls through to the result cache, memory then spill. Live jobs are
+// never forgotten. s.mu must be held.
+func (s *Server) retireLocked(j *Job) {
+	s.terminal = append(s.terminal, j)
+	for len(s.terminal) > s.retain {
+		old := s.terminal[0]
+		s.terminal[0] = nil // the backing array must not pin the job
+		s.terminal = s.terminal[1:]
+		if s.jobs[old.ID] == old {
+			delete(s.jobs, old.ID)
+		}
+		if s.byKey[old.Key] == old {
+			delete(s.byKey, old.Key)
+		}
+	}
 }
 
 // dropKey removes the job's dedup-index entry (failed or canceled jobs
@@ -430,7 +464,8 @@ func failure(err error) outcome {
 // there); and only the call that performed the transition accounts it —
 // a duplicate or late report of an already-terminal job changes nothing.
 // Jobs that did not finish done leave the dedup index so they cannot
-// satisfy future submissions. It reports whether this call won.
+// satisfy future submissions; the accounting call also queues the job for
+// retirement (retireLocked). It reports whether this call won.
 func (s *Server) settle(j *Job, o outcome) bool {
 	var view, result []byte
 	if !j.State().Terminal() { // a duplicate or late report renders nothing
@@ -446,6 +481,9 @@ func (s *Server) settle(j *Job, o outcome) bool {
 	if !won && !(o.unstarted && j.State() == JobCanceled) {
 		return false
 	}
+	s.mu.Lock()
+	s.retireLocked(j)
+	s.mu.Unlock()
 	switch o.state {
 	case JobDone:
 		s.metrics.JobsDone.Add(1)
@@ -633,12 +671,13 @@ func (s *Server) RestoreTerminal(id string, reqJSON []byte, state JobState, errM
 		}
 	}
 	s.bumpSeqLocked(id)
-	s.mu.Unlock()
 	if state == JobDone {
 		s.completeFromCache(j, payload)
 	} else {
 		j.terminate(state, nil, errMsg)
 	}
+	s.retireLocked(j)
+	s.mu.Unlock()
 	return nil
 }
 
@@ -728,33 +767,51 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
+	enc := json.NewEncoder(w)
+	write := func(batch []stats.Progress) error {
+		for _, p := range batch {
+			if err := enc.Encode(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	streamFeed(w, r, j, &j.progress, write, func(st JobStatus) any {
+		return eventEnd{Done: true, State: st.State, Error: st.Error}
+	})
+}
+
+// streamFeed serves one of a job's feeds as NDJSON: the history so far,
+// then each batch as it is published, then — once the job is terminal —
+// the line end builds from its final status. It returns early when the
+// client goes away.
+func streamFeed[T any](w http.ResponseWriter, r *http.Request, j *Job, f *feed[T], write func([]T) error, end func(JobStatus) any) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	flusher, canFlush := w.(http.Flusher)
-	history, ch, unsub := j.subscribe()
+	flush := func() {
+		if canFlush {
+			flusher.Flush()
+		}
+	}
+	history, ch, unsub := subscribe(j, f)
 	defer unsub()
-	enc := json.NewEncoder(w)
-	for _, p := range history {
-		_ = enc.Encode(p)
+	if write(history) != nil {
+		return
 	}
-	if canFlush {
-		flusher.Flush()
-	}
+	flush()
 	for {
 		select {
-		case p, open := <-ch:
+		case batch, open := <-ch:
 			if !open {
-				st := j.status(false)
-				_ = enc.Encode(eventEnd{Done: true, State: st.State, Error: st.Error})
-				if canFlush {
-					flusher.Flush()
-				}
+				_ = json.NewEncoder(w).Encode(end(j.status(false)))
+				flush()
 				return
 			}
-			_ = enc.Encode(p)
-			if canFlush {
-				flusher.Flush()
+			if write(batch) != nil {
+				return
 			}
+			flush()
 		case <-r.Context().Done():
 			return
 		}
@@ -796,41 +853,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job was not submitted with trace_events; resubmit the spec with \"trace_events\": true")
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	flusher, canFlush := w.(http.Flusher)
-	history, ch, unsub := j.subscribeTrace()
-	defer unsub()
-	if err := writeTraceEvents(w, history); err != nil {
-		return
-	}
-	if canFlush {
-		flusher.Flush()
-	}
-	enc := json.NewEncoder(w)
-	for {
-		select {
-		case batch, open := <-ch:
-			if !open {
-				st := j.status(false)
-				total, dropped := j.traceTotals()
-				_ = enc.Encode(traceEnd{Type: "end", Done: true, State: st.State,
-					Total: total, Dropped: dropped, Error: st.Error})
-				if canFlush {
-					flusher.Flush()
-				}
-				return
-			}
-			if err := writeTraceEvents(w, batch); err != nil {
-				return
-			}
-			if canFlush {
-				flusher.Flush()
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
+	write := func(batch []obs.Event) error { return writeTraceEvents(w, batch) }
+	streamFeed(w, r, j, &j.trace, write, func(st JobStatus) any {
+		total, dropped := j.traceTotals()
+		return traceEnd{Type: "end", Done: true, State: st.State,
+			Total: total, Dropped: dropped, Error: st.Error}
+	})
 }
 
 // SumHeader carries the hex sha256 of a cache payload on both directions

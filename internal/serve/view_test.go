@@ -258,7 +258,7 @@ func TestPublishAfterTerminal(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	j := doneJob(t, s, ts)
 	_, before := getRaw(t, ts, j.ID)
-	history, _, unsub := j.subscribe()
+	history, _, unsub := subscribe(j, &j.progress)
 	unsub()
 	if len(history) == 0 {
 		t.Fatal("job recorded no progress")
@@ -282,7 +282,7 @@ func TestPublishAfterTerminal(t *testing.T) {
 	if got := encoderBody(t, j); !bytes.Equal(got, before) {
 		t.Errorf("status drifted from the rendered view:\n%s\n%s", got, before)
 	}
-	again, _, unsub := j.subscribe()
+	again, _, unsub := subscribe(j, &j.progress)
 	unsub()
 	if len(again) != len(history) || again[len(again)-1] != last {
 		t.Errorf("/events history grew from %d to %d snapshots", len(history), len(again))

@@ -5,6 +5,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"nord/internal/noc"
 )
 
 // firstLine flattens a (possibly multi-line) error message to its first
@@ -55,7 +57,7 @@ func WriteSuiteCSV(w io.Writer, sr *SuiteResult) error {
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
 	for _, b := range sr.Benchmarks {
-		for _, d := range FullDesigns() {
+		for _, d := range noc.Designs() {
 			r := sr.Results[b][d]
 			rec := []string{
 				b, d.String(), u(r.ExecTime), f(r.AvgPacketLatency),

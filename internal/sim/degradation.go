@@ -62,7 +62,7 @@ func (c *DegradationConfig) fill() {
 		c.MaxFails = 6
 	}
 	if len(c.Designs) == 0 {
-		c.Designs = FullDesigns()
+		c.Designs = noc.Designs()
 	}
 	if c.WatchdogLimit == 0 {
 		c.WatchdogLimit = 5_000

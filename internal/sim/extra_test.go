@@ -124,11 +124,11 @@ func TestParallelSuiteSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(sr.Benchmarks) * len(FullDesigns()); len(started) != want {
+	if want := len(sr.Benchmarks) * len(noc.Designs()); len(started) != want {
 		t.Errorf("progress told of %d cells, want %d", len(started), want)
 	}
 	for _, b := range sr.Benchmarks {
-		for _, d := range FullDesigns() {
+		for _, d := range noc.Designs() {
 			if sr.Results[b][d].ExecTime == 0 {
 				t.Errorf("%s/%v: missing result", b, d)
 			}
@@ -389,12 +389,20 @@ func TestFig3IdlePeriodsSmall(t *testing.T) {
 	if len(rows) != 10 {
 		t.Fatalf("got %d rows", len(rows))
 	}
-	for _, r := range rows {
+	// Pooled rows come back by index and equal the cells run one at a time.
+	for i, r := range rows {
 		if r.IdleFrac <= 0 || r.IdleFrac >= 1 {
 			t.Errorf("%s: idle fraction %f", r.Benchmark, r.IdleFrac)
 		}
 		if r.LEBETFrac <= 0 || r.LEBETFrac > 1 {
 			t.Errorf("%s: <=BET fraction %f", r.Benchmark, r.LEBETFrac)
+		}
+		one, err := runWorkload(WorkloadConfig{Design: noc.NoPG, Benchmark: Benchmarks()[i], Scale: 0.02, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (IdleRow{Benchmark: Benchmarks()[i], IdleFrac: one.IdleFraction, LEBETFrac: one.IdleLEBET}); r != want {
+			t.Errorf("row %d: pooled %+v, run alone %+v", i, r, want)
 		}
 	}
 }

@@ -14,11 +14,6 @@ import (
 	"nord/internal/topology"
 )
 
-// FullDesigns is the paper's comparison set in presentation order.
-func FullDesigns() []noc.Design {
-	return []noc.Design{noc.NoPG, noc.ConvPG, noc.ConvPGOpt, noc.NoRD}
-}
-
 // SweepDesigns is the subset plotted in the load sweeps (Figures 14, 15).
 func SweepDesigns() []noc.Design {
 	return []noc.Design{noc.NoPG, noc.ConvPGOpt, noc.NoRD}
@@ -89,17 +84,20 @@ type IdleRow struct {
 // Fig3IdlePeriods measures idle-period fragmentation across the
 // PARSEC-like suite on the No_PG baseline.
 func Fig3IdlePeriods(scale float64, seed int64) ([]IdleRow, error) {
-	var rows []IdleRow
-	for _, b := range Benchmarks() {
-		r, err := RunWorkloadOpts(context.Background(), WorkloadConfig{Design: noc.NoPG, Benchmark: b, Scale: scale, Seed: seed}, RunOptions{})
-		if err != nil {
-			return nil, err
+	benchmarks := Benchmarks()
+	results, errs := runCells(context.Background(), len(benchmarks), func(ctx context.Context, i int) (Result, error) {
+		return RunWorkloadOpts(ctx, WorkloadConfig{Design: noc.NoPG, Benchmark: benchmarks[i], Scale: scale, Seed: seed}, RunOptions{})
+	})
+	rows := make([]IdleRow, len(results))
+	for i, r := range results {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		rows = append(rows, IdleRow{
-			Benchmark: b,
+		rows[i] = IdleRow{
+			Benchmark: benchmarks[i],
 			IdleFrac:  r.IdleFraction,
 			LEBETFrac: r.IdleLEBET,
-		})
+		}
 	}
 	return rows, nil
 }
@@ -184,7 +182,7 @@ type SuiteResult struct {
 // suite runs on; a configuration error or a canceled ctx fails the suite.
 func RunSuite(ctx context.Context, scale float64, seed int64, progress func(string)) (*SuiteResult, error) {
 	sr := &SuiteResult{Benchmarks: Benchmarks(), Results: map[string]map[noc.Design]Result{}}
-	designs := FullDesigns()
+	designs := noc.Designs()
 	at := func(i int) (string, noc.Design) { return sr.Benchmarks[i/len(designs)], designs[i%len(designs)] }
 	var progressMu sync.Mutex
 	results, errs := runCells(ctx, len(sr.Benchmarks)*len(designs), func(ctx context.Context, i int) (Result, error) {
@@ -453,13 +451,13 @@ func AreaTable() ([]AreaRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := m.RouterArea(power.DesignNoPG).Total()
-	opt := m.RouterArea(power.DesignConvPGOpt).Total()
+	base := m.RouterArea(noc.NoPG.Blocks()).Total()
+	opt := m.RouterArea(noc.ConvPGOpt.Blocks()).Total()
 	var rows []AreaRow
-	for i, d := range []power.Design{power.DesignNoPG, power.DesignConvPG, power.DesignConvPGOpt, power.DesignNoRD} {
-		a := m.RouterArea(d).Total()
+	for _, d := range noc.Designs() {
+		a := m.RouterArea(d.Blocks()).Total()
 		rows = append(rows, AreaRow{
-			Design:  FullDesigns()[i],
+			Design:  d,
 			AreaMM2: a,
 			VsNoPG:  a/base - 1,
 			VsOpt:   a/opt - 1,
@@ -476,7 +474,7 @@ func FormatMatrix(title string, rows map[string]map[noc.Design]float64, order []
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	fmt.Fprintf(&b, "%-14s", "benchmark")
-	for _, d := range FullDesigns() {
+	for _, d := range noc.Designs() {
 		fmt.Fprintf(&b, "%14s", d)
 	}
 	b.WriteString("\n")
@@ -490,14 +488,14 @@ func FormatMatrix(title string, rows map[string]map[noc.Design]float64, order []
 	}
 	for _, name := range names {
 		fmt.Fprintf(&b, "%-14s", name)
-		for _, d := range FullDesigns() {
+		for _, d := range noc.Designs() {
 			fmt.Fprintf(&b, "%14.3f", rows[name][d])
 		}
 		b.WriteString("\n")
 	}
 	if avg != nil {
 		fmt.Fprintf(&b, "%-14s", "AVG")
-		for _, d := range FullDesigns() {
+		for _, d := range noc.Designs() {
 			fmt.Fprintf(&b, "%14.3f", avg[d])
 		}
 		b.WriteString("\n")

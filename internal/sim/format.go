@@ -24,7 +24,7 @@ func FormatResult(r Result) string {
 	fmt.Fprintf(&b, "throughput       %.4f flits/node/cycle\n", r.Throughput)
 	fmt.Fprintf(&b, "router idle      %.1f%% of cycles (%.1f%% of idle periods <= BET)\n",
 		100*r.IdleFraction, 100*r.IdleLEBET)
-	if r.Design.PowerGated() {
+	if r.Design.Blocks().PGSwitch {
 		fmt.Fprintf(&b, "gated off        %.1f%% of router-cycles\n", 100*r.OffFraction)
 		fmt.Fprintf(&b, "wakeups          %d (gate-offs %d)\n", r.Wakeups, r.GateOffs)
 	}

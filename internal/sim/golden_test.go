@@ -99,7 +99,7 @@ func TestResultGoldens(t *testing.T) {
 		got[name] = resultDigest(r)
 	}
 	for _, topo := range []string{"mesh", "torus", "cmesh"} {
-		for _, d := range FullDesigns() {
+		for _, d := range noc.Designs() {
 			r, err := runSynthetic(SynthConfig{
 				Design: d, Topology: topo, Rate: 0.08, Warmup: 500, Measure: 3000, Seed: 7,
 			})

@@ -12,8 +12,10 @@ import (
 )
 
 // runCells runs n independent simulations, cell(ctx, i) for i in [0, n),
-// on a pool of GOMAXPROCS workers — the one fan-out behind the load
-// sweep, the PARSEC suite and the degradation sweep. Each simulation is
+// on a pool of GOMAXPROCS workers — the one fan-out behind every
+// multi-run experiment: Fig3IdlePeriods, Fig7WakeupThreshold, RunSuite,
+// Fig13WakeupLatency, LoadSweep, ThresholdSensitivity and
+// DegradationSweep. Each simulation is
 // single-threaded and shares nothing, so a sweep parallelises
 // embarrassingly; results come back by index whatever order cells finish
 // in, and with GOMAXPROCS=1 the cells simply run in index order. A cell

@@ -184,7 +184,8 @@ func (c *SynthConfig) fill() {
 	// forced-off NoRD router never wakes (so never gates off again);
 	// only NoRD has the ring, the misroute cap and the two NI wakeup
 	// classes, which matter while routers can wake or are re-ranked.
-	gated, ring := c.Design.PowerGated(), c.Design == noc.NoRD
+	blocks := c.Design.Blocks()
+	gated, ring := blocks.PGSwitch, blocks.Bypass
 	c.ForcedOff = c.ForcedOff && gated
 	wakes := gated && !(ring && c.ForcedOff)
 	classed := ring && (wakes || c.DynamicClassify)
@@ -618,7 +619,7 @@ func collect(net *noc.Network, model *power.Model) Result {
 	// rates (throughput) are per terminal; the power model and the NI
 	// wakeup metric stay per router.
 	nodes := net.Mesh().N()
-	counts := col.PowerCounts(routers, net.NumLinks(), net.HasPGController(), net.HasBypass())
+	counts := col.PowerCounts(routers, net.NumLinks(), p.Design.Blocks())
 	counts.LinkLengthFactor = net.Topo().LinkLengthFactor()
 	energy := model.Energy(counts)
 	return Result{

@@ -95,7 +95,7 @@ func open(ctx context.Context, c SynthConfig, classes int, opt RunOptions) (*ses
 		return nil, err
 	}
 	params, err := c.params(classes)
-	if err == nil && c.Design == noc.NoRD && !c.NoPerfCentric && !c.ForcedOff {
+	if err == nil && c.Design.Blocks().Bypass && !c.NoPerfCentric && !c.ForcedOff {
 		params.PerfCentric, err = PerfCentricSetOn(params.Topology, c.Width, c.Height)
 	}
 	if err != nil {

@@ -169,7 +169,7 @@ func TestRunSyntheticValidation(t *testing.T) {
 // Conv_PG (Figure 11's shape).
 func TestLatencyOrdering(t *testing.T) {
 	lat := map[noc.Design]float64{}
-	for _, d := range FullDesigns() {
+	for _, d := range noc.Designs() {
 		r, err := runSynthetic(SynthConfig{Design: d, Rate: 0.05, Warmup: 4000, Measure: 30_000, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
@@ -397,7 +397,7 @@ func TestBenchmarksAndDesigns(t *testing.T) {
 	if len(Benchmarks()) != 10 {
 		t.Error("want 10 benchmarks")
 	}
-	if len(FullDesigns()) != 4 || len(SweepDesigns()) != 3 {
+	if len(noc.Designs()) != 4 || len(SweepDesigns()) != 3 {
 		t.Error("design sets wrong")
 	}
 }

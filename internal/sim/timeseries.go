@@ -35,7 +35,7 @@ func PowerTimeSeries(ctx context.Context, c SynthConfig, opt RunOptions, period 
 	res, err := synthRun(ctx, c, opt, &tap{every: period, read: func(s *session) {
 		net, model := s.net, s.model
 		col := net.Collector()
-		cur := col.PowerCounts(net.Topo().N(), net.NumLinks(), net.HasPGController(), net.HasBypass())
+		cur := col.PowerCounts(net.Topo().N(), net.NumLinks(), net.Params().Design.Blocks())
 		cur.LinkLengthFactor = net.Topo().LinkLengthFactor()
 		delta := diffCounts(cur, prev)
 		samples = append(samples, PowerSample{

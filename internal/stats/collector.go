@@ -154,8 +154,8 @@ func (n *NoC) LatencyPercentile(p float64) uint64 {
 }
 
 // PowerCounts converts the collected event counts into the power model's
-// input, for a NoC with the given population and design properties.
-func (n *NoC) PowerCounts(routers, links int, hasPGController, hasBypass bool) power.Counts {
+// input, for a NoC with the given population and power-gating blocks.
+func (n *NoC) PowerCounts(routers, links int, blocks power.Blocks) power.Counts {
 	return power.Counts{
 		Cycles:           n.Cycles,
 		Routers:          routers,
@@ -174,8 +174,7 @@ func (n *NoC) PowerCounts(routers, links int, hasPGController, hasBypass bool) p
 		BypassInjections: n.BypassInjections,
 		BypassEjections:  n.BypassEjections,
 		LocalFlits:       n.LocalFlits,
-		HasPGController:  hasPGController,
-		HasBypass:        hasBypass,
+		Blocks:           blocks,
 	}
 }
 

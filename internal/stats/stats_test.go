@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"nord/internal/power"
 )
 
 func TestSampleBasics(t *testing.T) {
@@ -282,11 +284,11 @@ func TestNoCCollector(t *testing.T) {
 		t.Errorf("off fraction = %v", n.OffFraction())
 	}
 
-	pc := n.PowerCounts(16, 48, true, true)
+	pc := n.PowerCounts(16, 48, power.Blocks{PGSwitch: true, Bypass: true})
 	if pc.RouterOnCycles != 10000 {
 		t.Errorf("waking cycles should count as on: %d", pc.RouterOnCycles)
 	}
-	if pc.Wakeups != 42 || !pc.HasBypass || !pc.HasPGController {
+	if pc.Wakeups != 42 || !pc.Blocks.Bypass || !pc.Blocks.PGSwitch {
 		t.Error("power counts not propagated")
 	}
 }

@@ -101,7 +101,7 @@ func RunWorkload(c WorkloadConfig) (Result, error) {
 func Benchmarks() []string { return sim.Benchmarks() }
 
 // Designs returns the paper's comparison set in presentation order.
-func Designs() []Design { return sim.FullDesigns() }
+func Designs() []Design { return noc.Designs() }
 
 // PerfCentricSet returns the performance-centric router set the planner
 // picks for a WxH mesh (Section 4.4; {4,5,6,7,...} style IDs).
