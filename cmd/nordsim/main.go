@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"nord/internal/noc"
@@ -41,6 +42,11 @@ func writeTrace(path string, tr *obs.Tracer, endCycle uint64) error {
 	}
 	return err
 }
+
+// syntheticOnly names the flags a -benchmark run does not read: the
+// workload fixes its own 4x4 mesh, traffic and run length.
+var syntheticOnly = []string{"width", "height", "pattern", "rate", "measure",
+	"forced-off", "two-stage", "aggressive-bypass", "dynamic-classify"}
 
 func main() {
 	def := noc.DefaultParams(noc.NoRD)
@@ -147,10 +153,16 @@ func main() {
 			}
 		}
 	case *benchmark != "":
+		// Refuse rather than silently running the workload on a 4x4 mesh
+		// under its own traffic.
 		if *topo != "" && *topo != "mesh" {
-			// Refuse rather than silently running the workload on a mesh.
 			fail(fmt.Errorf("full-system workloads support only the mesh topology, got %q", *topo))
 		}
+		flag.Visit(func(f *flag.Flag) {
+			if slices.Contains(syntheticOnly, f.Name) {
+				fail(fmt.Errorf("full-system workloads support only their own network and traffic, got -%s", f.Name))
+			}
+		})
 		res, err = sim.RunWorkloadOpts(ctx, sim.WorkloadConfig{
 			Design: d, Benchmark: *benchmark, Scale: *scale,
 			Warmup: *warmup, Seed: *seed, WakeupLatency: *wakeup,

@@ -26,7 +26,7 @@ func main() {
 		replay    = flag.String("replay", "", "trace file to replay")
 		design    = flag.String("design", "", "replay on a single design (default: compare all four)")
 		warmup    = flag.Int("warmup", 0, "replay warmup cycles excluded from measurement")
-		seed      = flag.Int64("seed", 1, "random seed")
+		seed      = flag.Int64("seed", 1, "random seed of the -record workload (a replay draws no random number)")
 	)
 	flag.Parse()
 
@@ -68,7 +68,7 @@ func main() {
 		// measured, then exit non-zero so scripts notice the failure.
 		failed := false
 		if len(designs) == 1 {
-			res, err := sim.ReplayTrace(sim.TraceConfig{Design: designs[0], Path: *replay, Warmup: *warmup, Seed: *seed}, tr)
+			res, err := sim.ReplayTrace(sim.TraceConfig{Design: designs[0], Path: *replay, Warmup: *warmup}, tr)
 			if err != nil && res.Err == "" {
 				fail(err)
 			}
@@ -81,7 +81,7 @@ func main() {
 		}
 		fmt.Printf("%-14s %10s %10s %12s %10s %10s\n", "design", "latency", "wakeups", "static(uJ)", "off%", "power(W)")
 		for _, d := range designs {
-			res, err := sim.ReplayTrace(sim.TraceConfig{Design: d, Path: *replay, Warmup: *warmup, Seed: *seed}, tr)
+			res, err := sim.ReplayTrace(sim.TraceConfig{Design: d, Path: *replay, Warmup: *warmup}, tr)
 			if err != nil && res.Err == "" {
 				fail(err)
 			}

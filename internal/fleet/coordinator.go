@@ -117,7 +117,7 @@ func NewCoordinator(srv *serve.Server, opts Options) *Coordinator {
 	// The local fallback pool journals the terminal transitions it drives:
 	// fleet jobs stolen onto it during a zero-worker window must not replay
 	// as open after a crash that already answered them.
-	c.local = serve.NewScheduler(opts.LocalWorkers, opts.LocalQueueDepth, func(j *serve.Job) {
+	c.local = serve.NewScheduler(opts.LocalWorkers, opts.QueueDepth, func(j *serve.Job) {
 		srv.Exec(j)
 		c.journalTerm(j)
 	})

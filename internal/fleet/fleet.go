@@ -65,11 +65,9 @@ type Options struct {
 	QueueDepth int
 	// LocalWorkers sizes the in-process fallback pool used when no
 	// workers are live and for jobs that cannot ship (traced jobs, trace
-	// replays of coordinator-local files). Default 1.
+	// replays of coordinator-local files). Default 1. Its queue is
+	// QueueDepth deep.
 	LocalWorkers int
-	// LocalQueueDepth bounds the fallback pool's queue (default
-	// QueueDepth).
-	LocalQueueDepth int
 	// JobDeadline is the per-execution wall-clock budget handed to
 	// workers in lease grants (0 = unbounded).
 	JobDeadline time.Duration
@@ -119,9 +117,6 @@ func (o *Options) fill() {
 	}
 	if o.LocalWorkers <= 0 {
 		o.LocalWorkers = 1
-	}
-	if o.LocalQueueDepth <= 0 {
-		o.LocalQueueDepth = o.QueueDepth
 	}
 	if o.Seed == 0 {
 		o.Seed = time.Now().UnixNano()

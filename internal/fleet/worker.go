@@ -53,9 +53,6 @@ type WorkerOptions struct {
 	// dependency: any tier error falls back to local computation and a
 	// job is never failed because the cache was unreachable.
 	CacheTier string
-	// CachePutAttempts bounds write-back attempts per result, retried
-	// with capped exponential backoff + jitter (default 4).
-	CachePutAttempts int
 	// ReconnectBase and ReconnectMax shape the jittered backoff used
 	// when the coordinator is unreachable (defaults 200ms and 10s).
 	ReconnectBase time.Duration
@@ -149,9 +146,6 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		opts.CacheTier = ""
 	default:
 		opts.CacheTier = strings.TrimRight(opts.CacheTier, "/")
-	}
-	if opts.CachePutAttempts <= 0 {
-		opts.CachePutAttempts = 4
 	}
 	w := &Worker{o: opts, client: opts.Client, rng: newLockedRand(opts.Seed)}
 	if w.client == nil {
@@ -471,8 +465,11 @@ func (w *Worker) cacheGet(ctx context.Context, key string) (payload []byte, ok b
 	return body, true, 0
 }
 
+// cachePutAttempts bounds write-back attempts per result.
+const cachePutAttempts = 4
+
 // cachePut writes a computed result back to the shared tier with up to
-// CachePutAttempts tries under capped exponential backoff + jitter. It
+// cachePutAttempts tries under capped exponential backoff + jitter. It
 // runs on a detached context (the result exists and should be shared even
 // while the worker shuts down) and never propagates failure: a job is
 // never failed because its cache write-back was. 4xx rejections are not
@@ -495,7 +492,7 @@ func (w *Worker) cachePut(key string, payload []byte) (retries, errs int) {
 		}
 		w.tierErrors.Add(1)
 		errs++
-		if attempt >= w.o.CachePutAttempts {
+		if attempt >= cachePutAttempts {
 			w.logf("worker %s: cache write-back for %s abandoned after %d attempts", w.o.ID, key, attempt)
 			return retries, errs
 		}

@@ -161,6 +161,88 @@ func TestNoDesignBranchesOutsideTable(t *testing.T) {
 	}
 }
 
+// TestOneAllocator keeps the datapath rules single (DESIGN.md §4 "Rules
+// are stated once"): in this package's non-test files an output VC is
+// claimed, and a packet's escape/dateline/misroute state written, only by
+// Router.grant — the VA stage and the three NI paths all call it — and
+// the mid-bypass flit counts are written only by accountBypassFlit.
+func TestOneAllocator(t *testing.T) {
+	// field -> the one function that may write it.
+	writer := map[string]string{
+		"outOwner": "grant", "Escaped": "grant", "EscapeVC": "grant", "Misroutes": "grant",
+		"bypassRemaining": "accountBypassFlit", "bypassSum": "accountBypassFlit",
+	}
+	paths, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	seen := map[string]bool{}
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			// check reports a write to lhs; freeing is true for
+			// "= ownerFree", the one store to outOwner anybody may make.
+			check := func(stmt ast.Stmt, lhs ast.Expr, freeing bool) {
+				depth := 0
+				for ix, ok := lhs.(*ast.IndexExpr); ok; ix, ok = lhs.(*ast.IndexExpr) {
+					lhs, depth = ix.X, depth+1
+				}
+				sel, ok := lhs.(*ast.SelectorExpr)
+				if !ok {
+					return
+				}
+				field := sel.Sel.Name
+				switch {
+				case writer[field] == "":
+					return
+				case field == "outOwner" && (depth != 2 || freeing):
+					return
+				case field == "bypassRemaining" && depth != 1:
+					return // initRouter makes the slice
+				}
+				if fn.Name.Name == writer[field] {
+					seen[field] = true
+					return
+				}
+				t.Errorf("%s:%d: %s writes %s in %s; only %s may",
+					path, fset.Position(stmt.Pos()).Line, exprString(fset, stmt), field, fn.Name.Name, writer[field])
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						free := false
+						if len(n.Rhs) == len(n.Lhs) {
+							id, ok := n.Rhs[i].(*ast.Ident)
+							free = ok && id.Name == "ownerFree"
+						}
+						check(n, lhs, free)
+					}
+				case *ast.IncDecStmt:
+					check(n, n.X, false)
+				}
+				return true
+			})
+		}
+	}
+	for field, fn := range writer {
+		if !seen[field] {
+			t.Errorf("%s is never written in %s: the rule moved, update this test", field, fn)
+		}
+	}
+}
+
 // exprString renders a node as source text on one line.
 func exprString(fset *token.FileSet, n ast.Node) string {
 	var b strings.Builder

@@ -199,37 +199,24 @@ func (fi *faultInjector) activateHardFails(n *Network) {
 // flow-control invariants: empty datapath, nothing incoming, and (NoRD)
 // a drained bypass engine.
 func (r *Router) safeToKill() bool {
-	if r.busy() || r.incomingSoon() {
-		return false
-	}
-	if r.net.ring != nil {
-		ni := r.net.nis[r.id]
-		if ni.injectOut != nil {
-			return false
-		}
-		for v := range ni.latch {
-			if ni.latch[v] != nil || ni.fwdOutVC[v] >= 0 || r.creditsHeld[v] > 0 {
-				return false
-			}
-		}
-	}
-	return true
+	return !r.busy() && !r.incomingSoon() && r.net.nis[r.id].bypassDrained(r)
 }
 
 // faultBlocksWake applies the wake-path faults when a gated-off router's
 // WU level is asserted: a stuck PG controller (StuckOff) or a swallowed
 // handshake (DropWakeup) keeps the router off until the power-gating
 // watchdog times out on the persistent demand and forces the wakeup
-// through. It reports true while the wake must stay suppressed.
-func (r *Router) faultBlocksWake() bool {
+// through. It reports blocked while the wake must stay suppressed, and
+// forced when the wake going ahead is the watchdog's.
+func (r *Router) faultBlocksWake() (blocked, forced bool) {
 	n := r.net
 	fi := n.faults
 	if fi == nil {
-		return false
+		return false, false
 	}
 	if !r.wakeBlocked && !r.wakeSwallowed {
 		if r.dropWakeups == 0 {
-			return false
+			return false, false
 		}
 		r.dropWakeups--
 		r.wakeSwallowed = true
@@ -242,19 +229,18 @@ func (r *Router) faultBlocksWake() bool {
 	}
 	if r.wakeWantSince == 0 {
 		r.wakeWantSince = n.cycle
-		return true
+		return true, false
 	}
 	if n.cycle-r.wakeWantSince < uint64(fi.opts.WatchdogTimeout) {
-		return true
+		return true, false
 	}
 	// Watchdog fired: re-issue the lost wakeup and reset the controller.
 	r.wakeBlocked = false
 	r.wakeSwallowed = false
 	r.wakeWantSince = 0
-	r.watchdogWoke = true
 	fi.report.WatchdogWakeups++
 	n.col.WatchdogWakeups++
-	return false
+	return false, true
 }
 
 // maybeCorrupt fires an armed link fault on a departing flit. It runs

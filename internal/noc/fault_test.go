@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nord/internal/fault"
+	"nord/internal/obs"
 	"nord/internal/traffic"
 )
 
@@ -255,7 +256,8 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 
 // TestWatchdogRecoversDroppedWakeup swallows a wakeup handshake on a
 // gated router with pending traffic and checks the power-gating
-// watchdog eventually force-wakes it.
+// watchdog eventually force-wakes it, and that the tracer attributes
+// exactly those wakeups to the watchdog.
 func TestWatchdogRecoversDroppedWakeup(t *testing.T) {
 	for _, d := range []Design{ConvPG, NoRD} {
 		d := d
@@ -263,6 +265,8 @@ func TestWatchdogRecoversDroppedWakeup(t *testing.T) {
 			p := DefaultParams(d)
 			p.Width, p.Height = 4, 4
 			n := MustNew(p)
+			tr := obs.New(obs.Config{})
+			n.SetTracer(tr)
 			// Drop the next several wakeups on every router so some gated
 			// router with demand is guaranteed to exercise the watchdog.
 			var evs []fault.Event
@@ -287,6 +291,13 @@ func TestWatchdogRecoversDroppedWakeup(t *testing.T) {
 			if d == ConvPG && rep.WatchdogWakeups == 0 {
 				t.Fatalf("%d wakeups dropped but watchdog never fired: %v",
 					rep.Triggered[fault.DropWakeup], rep)
+			}
+			var forced uint64
+			for _, s := range tr.Summaries() {
+				forced += s.WakeWatchdog
+			}
+			if forced != rep.WatchdogWakeups {
+				t.Errorf("tracer attributes %d wakeups to the watchdog, the report counts %d", forced, rep.WatchdogWakeups)
 			}
 			checkFaultAccounting(t, d.String(), rep)
 		})

@@ -1000,7 +1000,7 @@ func (n *Network) notePacketInjected(p *flit.Packet) {
 // noteWakeup and noteGateOff are called only from the serial controller
 // phase and keep writing the master directly.
 
-func (n *Network) noteSAGrant(sh *shard, inPort topology.Dir) {
+func (n *Network) noteSAGrant(sh *shard) {
 	sh.progressed = true
 	if !n.collecting {
 		return
@@ -1009,7 +1009,6 @@ func (n *Network) noteSAGrant(sh *shard, inPort topology.Dir) {
 	sh.col.XbarTraversals++
 	sh.col.SAArbs++
 	sh.col.ClockedFlitHops++
-	_ = inPort
 }
 
 func (n *Network) noteVCRequests(sh *shard, r uint32) {

@@ -250,6 +250,13 @@ func (ni *NI) wantsRouterOn() bool {
 	return ni.queuedPackets() > 0
 }
 
+// bypassDrained reports whether the bypass datapath holds nothing:
+// latches, in-progress forwards, the inject register, and ring credits
+// withheld since the last wakeup. Trivially true without a ring.
+func (ni *NI) bypassDrained(r *Router) bool {
+	return ni.injectOut == nil && ni.latchCount == 0 && ni.fwdCount == 0 && r.heldVCs == 0
+}
+
 // wakeupMetricHigh reports whether the windowed VC-request count has
 // reached this node's threshold (NoRD's wakeup condition).
 func (ni *NI) wakeupMetricHigh() bool {
@@ -276,15 +283,9 @@ func (ni *NI) deliverBypass(f *flit.Flit) {
 		// Sink: the latch is not occupied, so the credit returns at once.
 		ni.net.creditReturn(ni.sh, ni.id, inDir, f.VC)
 		ni.net.noteBypassEject(ni.sh)
-		if r.bypassRemaining[f.VC] > 0 {
-			r.bypassRemaining[f.VC]--
-			r.bypassSum--
-		}
+		r.accountBypassFlit(f)
 		if f.Kind.IsTail() {
 			ni.net.deliverPacket(ni.sh, f.Packet)
-		} else if f.Kind.IsHead() {
-			r.bypassSum += f.Packet.Length - 1 - r.bypassRemaining[f.VC]
-			r.bypassRemaining[f.VC] = f.Packet.Length - 1
 		}
 		ni.sh.pool.PutFlit(f)
 		return
@@ -299,6 +300,14 @@ func (ni *NI) deliverBypass(f *flit.Flit) {
 	}
 	ni.latch[f.VC] = f
 	ni.latchCount++
+	r.accountBypassFlit(f)
+}
+
+// accountBypassFlit accounts a flit entering this router's NI bypass on
+// ring VC f.VC (sunk, latched or forwarded combinationally): a head opens
+// the packet's mid-bypass count, every later flit closes one, so a wakeup
+// mid-packet sees the same state whichever way the flit went.
+func (r *Router) accountBypassFlit(f *flit.Flit) {
 	if f.Kind.IsHead() {
 		r.bypassSum += f.Packet.Length - 1 - r.bypassRemaining[f.VC]
 		r.bypassRemaining[f.VC] = f.Packet.Length - 1
@@ -321,47 +330,15 @@ func (ni *NI) tryAggressiveForward(r *Router, f *flit.Flit) bool {
 	}
 	ringOut := ni.net.ring.OutDir(ni.id)
 	v := f.VC
-	if f.Kind.IsHead() && ni.fwdOutVC[v] < 0 {
-		granted := false
-		for _, c := range ni.net.bypassCands(r, f.Packet, 0) {
-			if r.outOwner[ringOut][c.vc] != ownerFree || r.outCredits[ringOut][c.vc] <= 0 {
-				continue
-			}
-			r.outOwner[ringOut][c.vc] = owner{port: ownerBypassPort, vc: int16(v)}
-			ni.fwdOutVC[v] = c.vc
-			ni.fwdCount++
-			if c.escape && !f.Packet.Escaped {
-				f.Packet.Escaped = true
-				ni.net.noteEscape(ni.sh, ni.id)
-			}
-			if c.escape {
-				f.Packet.EscapeVC = c.escapeVCNext
-			}
-			if c.misroute {
-				f.Packet.Misroutes++
-				ni.net.noteMisroute(ni.sh, ni.id)
-			}
-			granted = true
-			break
-		}
-		if !granted {
-			return false
-		}
+	if f.Kind.IsHead() && ni.fwdOutVC[v] < 0 && !ni.allocForward(r, v, f.Packet, 0) {
+		return false
 	}
 	out := ni.fwdOutVC[v]
 	if out < 0 || r.outCredits[ringOut][out] <= 0 {
 		return false
 	}
 	r.outCredits[ringOut][out]--
-	// Maintain the mid-bypass bookkeeping exactly as the latch path does
-	// so wakeups mid-packet behave identically.
-	if f.Kind.IsHead() {
-		r.bypassSum += f.Packet.Length - 1 - r.bypassRemaining[v]
-		r.bypassRemaining[v] = f.Packet.Length - 1
-	} else if r.bypassRemaining[v] > 0 {
-		r.bypassRemaining[v]--
-		r.bypassSum--
-	}
+	r.accountBypassFlit(f)
 	// The latch was never occupied: the upstream credit returns at once.
 	ni.net.creditReturn(ni.sh, ni.id, ni.net.ring.InDir(ni.id), v)
 	f.VC = out
@@ -536,36 +513,12 @@ func (ni *NI) tickBypass(r *Router) uint32 {
 }
 
 // forwardFromLatch tries to move the latch flit on VC v into the inject
-// register (the VC-check stage (2) of Figure 4c). Heads allocate a
-// downstream VC with the same routing rules the routers use.
+// register (the VC-check stage (2) of Figure 4c).
 func (ni *NI) forwardFromLatch(r *Router, v int) bool {
 	f := ni.latch[v]
 	ringOut := ni.net.ring.OutDir(ni.id)
 	if f.Kind.IsHead() && ni.fwdOutVC[v] < 0 {
-		cands := ni.net.bypassCands(r, f.Packet, ni.fwdFails[v])
-		granted := false
-		for _, c := range cands {
-			if r.outOwner[ringOut][c.vc] != ownerFree || r.outCredits[ringOut][c.vc] <= 0 {
-				continue
-			}
-			r.outOwner[ringOut][c.vc] = owner{port: ownerBypassPort, vc: int16(v)}
-			ni.fwdOutVC[v] = c.vc
-			ni.fwdCount++
-			if c.escape && !f.Packet.Escaped {
-				f.Packet.Escaped = true
-				ni.net.noteEscape(ni.sh, ni.id)
-			}
-			if c.escape {
-				f.Packet.EscapeVC = c.escapeVCNext
-			}
-			if c.misroute {
-				f.Packet.Misroutes++
-				ni.net.noteMisroute(ni.sh, ni.id)
-			}
-			granted = true
-			break
-		}
-		if !granted {
+		if !ni.allocForward(r, v, f.Packet, ni.fwdFails[v]) {
 			ni.fwdFails[v]++
 			return false
 		}
@@ -592,6 +545,19 @@ func (ni *NI) forwardFromLatch(r *Router, v int) bool {
 		ni.fwdOutVC[v] = -1
 		ni.fwdCount--
 	}
+	return true
+}
+
+// allocForward allocates a downstream ring VC for the head arriving on
+// ring VC v — the router's own allocation rule over the candidates a
+// gated-off router leaves — and records it as v's in-progress forward.
+func (ni *NI) allocForward(r *Router, v int, pkt *flit.Packet, fails int) bool {
+	c := r.grant(ni.net.bypassCands(r, pkt, fails), owner{port: ownerBypassPort, vc: int16(v)}, pkt)
+	if c == nil {
+		return false
+	}
+	ni.fwdOutVC[v] = c.vc
+	ni.fwdCount++
 	return true
 }
 
@@ -626,37 +592,19 @@ func (ni *NI) advanceRingInjection(r *Router) bool {
 			return false
 		}
 		pkt := ni.injQ[c].front()
-		cands := ni.net.bypassCands(r, pkt, ni.injFails)
-		for _, cd := range cands {
-			if r.outOwner[ringOut][cd.vc] != ownerFree || r.outCredits[ringOut][cd.vc] <= 0 {
-				continue
-			}
-			r.outOwner[ringOut][cd.vc] = owner{port: ownerBypassPort, vc: -1}
-			ni.injQ[c].popFront()
-			ni.queuedTotal--
-			ni.classRR = c + 1
-			ni.curBuf = ni.sh.pool.AppendFlits(ni.curBuf[:0], pkt)
-			ni.curFlits = ni.curBuf
-			ni.curVC = cd.vc
-			ni.curMode = modeRing
-			pkt.EnqueueTime = ni.net.cycle
-			if cd.escape && !pkt.Escaped {
-				pkt.Escaped = true
-				ni.net.noteEscape(ni.sh, ni.id)
-			}
-			if cd.escape {
-				pkt.EscapeVC = cd.escapeVCNext
-			}
-			if cd.misroute {
-				pkt.Misroutes++
-				ni.net.noteMisroute(ni.sh, ni.id)
-			}
-			break
-		}
-		if ni.curMode != modeRing {
+		cd := r.grant(ni.net.bypassCands(r, pkt, ni.injFails), owner{port: ownerBypassPort, vc: -1}, pkt)
+		if cd == nil {
 			ni.injFails++
 			return false
 		}
+		ni.injQ[c].popFront()
+		ni.queuedTotal--
+		ni.classRR = c + 1
+		ni.curBuf = ni.sh.pool.AppendFlits(ni.curBuf[:0], pkt)
+		ni.curFlits = ni.curBuf
+		ni.curVC = cd.vc
+		ni.curMode = modeRing
+		pkt.EnqueueTime = ni.net.cycle
 		ni.injFails = 0
 		// The head moves into the inject register in this same VC-check
 		// stage (symmetric with forwardFromLatch).

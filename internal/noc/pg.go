@@ -37,18 +37,22 @@ func (r *Router) tickController() {
 			// bypass ring; under conventional designs neighbors stall.
 			return
 		}
-		if !r.wakeRequested() {
+		cause := r.wakeSignal()
+		if cause == obs.CauseNone {
 			r.wakeWantSince = 0
 			r.wakeSwallowed = false
 			return
 		}
-		if r.faultBlocksWake() {
+		blocked, forced := r.faultBlocksWake()
+		if blocked {
 			return
 		}
-		if n.tracer != nil {
-			n.tracer.Emit(n.cycle, int32(r.id), obs.KindWakeStart, r.wakeCause(), n.cycle-r.stateSince)
+		if forced {
+			cause = obs.CauseWatchdog
 		}
-		r.watchdogWoke = false
+		if n.tracer != nil {
+			n.tracer.Emit(n.cycle, int32(r.id), obs.KindWakeStart, cause, n.cycle-r.stateSince)
+		}
 		r.stateSince = n.cycle
 		r.state = powerWaking
 		r.wakeCounter = p.WakeupLatency
@@ -62,21 +66,24 @@ func (r *Router) tickController() {
 	}
 }
 
-// wakeRequested evaluates the WU level for this router.
-func (r *Router) wakeRequested() bool {
+// wakeSignal evaluates the WU level for this router and returns the signal
+// asserting it, obs.CauseNone when WU is clear.
+func (r *Router) wakeSignal() obs.Cause {
 	n := r.net
-	p := &n.p
-	if p.ForcedOff {
-		return false
+	if n.p.ForcedOff {
+		return obs.CauseNone
 	}
 	if n.wake == wakeAtNI {
 		// The VC-request metric at the local NI (Section 4.3).
-		return n.nis[r.id].wakeupMetricHigh()
+		if n.nis[r.id].wakeupMetricHigh() {
+			return obs.CauseVCThreshold
+		}
+		return obs.CauseNone
 	}
 	// Conventional designs: the local node needs the router for any
 	// injection (node-router dependence) ...
 	if n.nis[r.id].wantsRouterOn() {
-		return true
+		return obs.CauseLocalInject
 	}
 	// ... and neighbors stalled in SA assert WU (after the assertion
 	// delay that models SA-time vs RC-time generation).
@@ -92,30 +99,12 @@ func (r *Router) wakeRequested() bool {
 		for _, vc := range nbr.in {
 			for _, st := range vc {
 				if st.phase == vcWaitWake && st.target == r.id && n.cycle >= st.wuFrom {
-					return true
+					return obs.CauseSARequest
 				}
 			}
 		}
 	}
-	return false
-}
-
-// wakeCause attributes a granted wakeup to the signal that asserted WU,
-// mirroring wakeRequested's evaluation order: under NoRD only the
-// VC-request metric wakes a router; conventional designs check the local
-// node's injection need before scanning neighbors stalled in SA. The
-// fault watchdog overrides both (faultBlocksWake fired the wakeup).
-func (r *Router) wakeCause() obs.Cause {
-	if r.watchdogWoke {
-		return obs.CauseWatchdog
-	}
-	if r.net.wake == wakeAtNI {
-		return obs.CauseVCThreshold
-	}
-	if r.net.nis[r.id].wantsRouterOn() {
-		return obs.CauseLocalInject
-	}
-	return obs.CauseSARequest
+	return obs.CauseNone
 }
 
 // canGateOff checks the gate-off conditions: empty datapath for the IC
@@ -132,7 +121,7 @@ func (r *Router) canGateOff() bool {
 	// register, withheld credits) before another transition.
 	if n.ring != nil {
 		ni := n.nis[r.id]
-		if ni.injectOut != nil || ni.latchCount > 0 || ni.fwdCount > 0 || r.heldVCs > 0 {
+		if !ni.bypassDrained(r) {
 			return false
 		}
 		// Hysteresis on the wakeup metric: wake when the windowed demand
@@ -148,7 +137,7 @@ func (r *Router) canGateOff() bool {
 	if r.incomingSoon() {
 		return false
 	}
-	if r.wakeRequested() {
+	if r.wakeSignal() != obs.CauseNone {
 		return false
 	}
 	if n.wake == wakeAtRC && r.earlyWakeupIncoming() {

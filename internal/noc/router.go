@@ -63,8 +63,7 @@ type vcState struct {
 	phase   vcPhase
 	route   topology.Dir
 	outVC   int
-	escape  bool // the allocation uses escape resources
-	target  int  // router being awoken while in vcWaitWake
+	target  int // router being awoken while in vcWaitWake
 	wuFrom  uint64
 	stallAt uint64 // cycle the wait began, for wakeup-stall stats
 	vaFails int    // consecutive failed VA attempts (forces escape/wake)
@@ -181,10 +180,8 @@ type Router struct {
 	statBypassFlits uint64
 
 	// stateSince is the cycle of the last power-FSM transition, giving
-	// the residency argument on trace events; watchdogWoke attributes the
-	// next wakeup to the fault watchdog.
-	stateSince   uint64
-	watchdogWoke bool
+	// the residency argument on trace events.
+	stateSince uint64
 
 	// saGrantsLastCycle feeds the NoRD wakeup window while the router is
 	// on: through-traffic is demand just as NI VC requests are while it
@@ -403,7 +400,7 @@ func (r *Router) tickSA() {
 			if r.net.collecting {
 				r.statSAGrants++
 			}
-			r.net.noteSAGrant(r.sh, d)
+			r.net.noteSAGrant(r.sh)
 			// Return a credit upstream for the freed buffer slot.
 			r.net.creditReturn(r.sh, r.id, d, v)
 			if f.Kind.IsTail() {
@@ -456,7 +453,7 @@ func (r *Router) tickSA() {
 			if r.net.collecting {
 				r.statSAGrants++
 			}
-			r.net.noteSAGrant(r.sh, d)
+			r.net.noteSAGrant(r.sh)
 			r.net.creditReturn(r.sh, r.id, d, v)
 			if f.Kind.IsTail() {
 				r.setPhase(vc, vcIdle)
@@ -550,16 +547,32 @@ func (r *Router) allocate(d topology.Dir, v int, vc *vcState) {
 		return
 	}
 	// Try the ordered candidates (adaptive first, escape fallback).
-	for _, c := range dec.cands {
+	c := r.grant(dec.cands, owner{port: d, vc: int16(v)}, pkt)
+	if c == nil {
+		// Allocation failed; retry (and recompute the route) next cycle.
+		vc.vaFails++
+		return
+	}
+	r.setPhase(vc, vcActive)
+	vc.route = c.dir
+	vc.outVC = c.vc
+	vc.vaFails = 0
+	r.net.noteVAGrant(r.sh)
+}
+
+// grant is the allocation rule of the VA stage and of the NI bypass's
+// VC-check stage (Figure 4c): the first candidate whose output VC is free
+// and has a credit is claimed for holder, and pkt takes on that
+// candidate's bookkeeping — entering the escape network, the dateline VC
+// it holds next, a misrouted hop. It returns the granted candidate, nil
+// when none is available.
+func (r *Router) grant(cands []cand, holder owner, pkt *flit.Packet) *cand {
+	for i := range cands {
+		c := &cands[i]
 		if r.outOwner[c.dir][c.vc] != ownerFree || r.outCredits[c.dir][c.vc] <= 0 {
 			continue
 		}
-		r.outOwner[c.dir][c.vc] = owner{port: d, vc: int16(v)}
-		r.setPhase(vc, vcActive)
-		vc.route = c.dir
-		vc.outVC = c.vc
-		vc.escape = c.escape
-		vc.vaFails = 0
+		r.outOwner[c.dir][c.vc] = holder
 		if c.escape && !pkt.Escaped {
 			pkt.Escaped = true
 			r.net.noteEscape(r.sh, r.id)
@@ -571,11 +584,9 @@ func (r *Router) allocate(d topology.Dir, v int, vc *vcState) {
 			pkt.Misroutes++
 			r.net.noteMisroute(r.sh, r.id)
 		}
-		r.net.noteVAGrant(r.sh)
-		return
+		return c
 	}
-	// Allocation failed; retry (and recompute the route) next cycle.
-	vc.vaFails++
+	return nil
 }
 
 // tickRC runs route computation: input VCs in vcRouting move to vcWaitVA

@@ -177,115 +177,91 @@ func (n *Network) wakeDecision(target int) decision {
 // routeNoRD routes for NoRD (Section 4.2): packets on adaptive VCs use
 // minimal adaptive routing over powered-on routers and the bypass of
 // powered-off ones (reachable only through their Bypass Inport, i.e. via
-// this router's Bypass Outport); when no minimal output is usable they
-// must take the Bypass Outport, misrouted by one hop, until the misroute
-// cap forces them onto the escape ring. Escape packets follow the ring on
-// the dateline VC pair until the destination. No wakeups are ever needed.
+// this router's Bypass Outport); when no minimal output is usable — and
+// always once on the escape ring — only the Bypass Outport is left, which
+// is bypassCands' rule. No wakeups are ever needed.
 func (n *Network) routeNoRD(r *Router, inDir topology.Dir, pkt *flit.Packet, vaFails int) decision {
-	base := n.p.vcBase(int(pkt.Class))
-	adaptiveLo := base + n.p.escapeVCs()
-	adaptiveHi := base + n.p.VCsPerClass
-	ringOut := n.ring.OutDir(r.id)
-
-	escCand := cand{
-		dir:          ringOut,
-		vc:           base + n.ringEscapeVC(r.id, pkt),
-		escape:       true,
-		escapeVCNext: n.ringEscapeVCNext(r.id, pkt),
-	}
-	if pkt.Escaped {
-		cands := append(r.sh.candScratch[:0], escCand)
-		r.sh.candScratch = cands
-		return decision{action: actPort, cands: cands}
-	}
-
-	var dec decision
-	dec.cands = r.sh.candScratch[:0]
-	ds := n.minimalDirSet(r.id, pkt.Dst)
-	dirs := ds.Dirs[:ds.Cnt]
-	n.orderByCredit(r, dirs, adaptiveLo, adaptiveHi)
-	usable := 0
-	for _, d := range dirs {
-		if d == inDir {
-			continue // no U-turns
-		}
-		nb, ok := n.neighbor(r.id, d)
-		if !ok {
-			continue
-		}
-		if !n.routers[nb].on() && d != ringOut {
-			continue // gated-off routers accept flits only on the ring
-		}
-		usable++
-		for v := adaptiveLo; v < adaptiveHi; v++ {
-			dec.cands = append(dec.cands, cand{dir: d, vc: v})
-		}
-	}
-	if usable == 0 {
-		// Forced detour through the Bypass Outport; still on adaptive
-		// resources if below the misroute cap.
-		misroute := true
+	cands := r.sh.candScratch[:0]
+	if !pkt.Escaped {
+		base := n.p.vcBase(int(pkt.Class))
+		adaptiveLo := base + n.p.escapeVCs()
+		adaptiveHi := base + n.p.VCsPerClass
+		ringOut := n.ring.OutDir(r.id)
+		ds := n.minimalDirSet(r.id, pkt.Dst)
+		dirs := ds.Dirs[:ds.Cnt]
+		n.orderByCredit(r, dirs, adaptiveLo, adaptiveHi)
 		for _, d := range dirs {
+			if d == inDir {
+				continue // no U-turns
+			}
+			nb, ok := n.neighbor(r.id, d)
+			if !ok {
+				continue
+			}
+			if !n.routers[nb].on() && d != ringOut {
+				continue // gated-off routers accept flits only on the ring
+			}
+			for v := adaptiveLo; v < adaptiveHi; v++ {
+				cands = append(cands, cand{dir: d, vc: v})
+			}
+		}
+	}
+	if len(cands) == 0 {
+		return decision{cands: n.bypassCands(r, pkt, vaFails)}
+	}
+	// Escape-ring fallback: the ring link is usable whether its downstream
+	// router is on or off, but it is offered only once the packet has
+	// starved on adaptive resources.
+	if vaFails >= escapeAfterNoRD {
+		cands = append(cands, n.ringEscapeCand(r.id, pkt))
+	}
+	r.sh.candScratch = cands
+	return decision{cands: cands}
+}
+
+// bypassCands returns the ordered output-VC candidates when only the
+// Bypass Outport is left: for a packet forwarded (or locally injected)
+// through a gated-off router's NI bypass, and for one a powered-on router
+// must detour because no minimal output is usable. The packet stays on
+// adaptive resources, misrouted by one hop unless the ring hop happens to
+// be minimal, while below the misroute cap; the escape ring is offered
+// once it has starved there or has no other option, and is all an escaped
+// packet gets (Section 4.2: "powered-off routers have no VCs but still
+// have the corresponding adaptive/escape latches").
+func (n *Network) bypassCands(r *Router, pkt *flit.Packet, fails int) []cand {
+	cands := r.sh.candScratch[:0]
+	if !pkt.Escaped {
+		ringOut := n.ring.OutDir(r.id)
+		ds := n.minimalDirSet(r.id, pkt.Dst)
+		misroute := true
+		for _, d := range ds.Dirs[:ds.Cnt] {
 			if d == ringOut {
 				misroute = false // the ring hop happens to be minimal
 			}
 		}
 		if pkt.Misroutes < n.p.MisrouteCap || !misroute {
-			for v := adaptiveLo; v < adaptiveHi; v++ {
-				dec.cands = append(dec.cands, cand{dir: ringOut, vc: v, misroute: misroute})
+			base := n.p.vcBase(int(pkt.Class))
+			for v := base + n.p.escapeVCs(); v < base+n.p.VCsPerClass; v++ {
+				cands = append(cands, cand{dir: ringOut, vc: v, misroute: misroute})
 			}
 		}
 	}
-	// Escape-ring fallback: the ring link is usable whether its
-	// downstream router is on or off, but it is offered only once the
-	// packet has starved on adaptive resources (or has no other option).
-	if len(dec.cands) == 0 || vaFails >= escapeAfterNoRD {
-		dec.cands = append(dec.cands, escCand)
-	}
-	r.sh.candScratch = dec.cands
-	return dec
-}
-
-// bypassCands returns the ordered output-VC candidates for a packet being
-// forwarded (or locally injected) through a gated-off router's NI bypass.
-// The output port is forced to the Bypass Outport; the packet stays on
-// adaptive resources while below the misroute cap and always has the
-// escape-ring fallback (Section 4.2: "powered-off routers have no VCs but
-// still have the corresponding adaptive/escape latches").
-func (n *Network) bypassCands(r *Router, pkt *flit.Packet, fails int) []cand {
-	base := n.p.vcBase(int(pkt.Class))
-	adaptiveLo := base + n.p.escapeVCs()
-	adaptiveHi := base + n.p.VCsPerClass
-	ringOut := n.ring.OutDir(r.id)
-	escCand := cand{
-		dir:          ringOut,
-		vc:           base + n.ringEscapeVC(r.id, pkt),
-		escape:       true,
-		escapeVCNext: n.ringEscapeVCNext(r.id, pkt),
-	}
-	if pkt.Escaped {
-		cands := append(r.sh.candScratch[:0], escCand)
-		r.sh.candScratch = cands
-		return cands
-	}
-	misroute := true
-	ds := n.minimalDirSet(r.id, pkt.Dst)
-	for _, d := range ds.Dirs[:ds.Cnt] {
-		if d == ringOut {
-			misroute = false
-		}
-	}
-	cands := r.sh.candScratch[:0]
-	if pkt.Misroutes < n.p.MisrouteCap || !misroute {
-		for v := adaptiveLo; v < adaptiveHi; v++ {
-			cands = append(cands, cand{dir: ringOut, vc: v, misroute: misroute})
-		}
-	}
 	if len(cands) == 0 || fails >= escapeAfterNoRD {
-		cands = append(cands, escCand)
+		cands = append(cands, n.ringEscapeCand(r.id, pkt))
 	}
 	r.sh.candScratch = cands
 	return cands
+}
+
+// ringEscapeCand is the escape-ring candidate out of router id: the ring
+// link on the packet's dateline VC.
+func (n *Network) ringEscapeCand(id int, pkt *flit.Packet) cand {
+	return cand{
+		dir:          n.ring.OutDir(id),
+		vc:           n.p.vcBase(int(pkt.Class)) + n.ringEscapeVC(id, pkt),
+		escape:       true,
+		escapeVCNext: n.ringEscapeVCNext(id, pkt),
+	}
 }
 
 // convEscapeVC returns the escape VC (within the class's escape set) a

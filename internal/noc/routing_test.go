@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"nord/internal/flit"
@@ -213,6 +215,82 @@ func TestRouteNoRDEscapeLastResort(t *testing.T) {
 	}
 	if !found {
 		t.Error("starved packet must be offered the escape ring")
+	}
+}
+
+// TestRouteNoRDDetourIsBypassCands is the property behind the two tests
+// above, over random router, packet and power states: a powered-on
+// router with no usable minimal output (judged here from the topology and
+// the neighbours' power states, not by the router) offers exactly what
+// the NI bypass of a gated-off router would for the same failure count;
+// with a usable one it offers minimal hops only, plus the escape ring
+// once the packet has starved.
+func TestRouteNoRDDetourIsBypassCands(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for _, kind := range []topology.Kind{topology.KindMesh, topology.KindTorus} {
+		p := DefaultParams(NoRD)
+		p.Topology = kind
+		n := MustNew(p)
+		detours := 0
+		for trial := 0; trial < 4000; trial++ {
+			for _, r := range n.routers {
+				r.state = powerOn
+				if rng.Intn(2) == 0 {
+					r.state = powerOff
+				}
+			}
+			id, dst := rng.Intn(n.nn), rng.Intn(n.nn)
+			if id == dst {
+				continue
+			}
+			pkt := &flit.Packet{Src: rng.Intn(n.nn), Dst: dst, Class: flit.Class(rng.Intn(p.Classes)),
+				Misroutes: rng.Intn(p.MisrouteCap + 2)}
+			if rng.Intn(4) == 0 {
+				pkt.Escaped, pkt.EscapeVC = true, rng.Intn(2)
+			}
+			inDir := topology.Dir(rng.Intn(int(topology.NumDirs)))
+			fails := []int{0, escapeAfterNoRD - 1, escapeAfterNoRD, 3 * escapeAfterNoRD}[rng.Intn(4)]
+			r, ringOut := n.routers[id], n.ring.OutDir(id)
+
+			ds := n.topo.MinimalSet(id, dst)
+			minimal := ds.Dirs[:ds.Cnt]
+			usable := false
+			for _, d := range minimal {
+				nb, ok := n.topo.Neighbor(id, d)
+				if !pkt.Escaped && ok && d != inDir && (n.routers[nb].on() || d == ringOut) {
+					usable = true
+				}
+			}
+			dec := n.route(r, inDir, pkt, fails)
+			got := slices.Clone(dec.cands)
+			if dec.action != actPort || len(got) == 0 {
+				t.Fatalf("%v trial %d: decision %+v, want port candidates", kind, trial, dec)
+			}
+			if !usable {
+				detours++
+				if want := n.bypassCands(r, pkt, fails); !slices.Equal(got, want) {
+					t.Fatalf("%v trial %d: router %d->%d in %v fails %d pkt %+v:\nroute       %+v\nbypassCands %+v",
+						kind, trial, id, dst, inDir, fails, pkt, got, want)
+				}
+				continue
+			}
+			for i, c := range got {
+				switch {
+				case c.escape:
+					if i != len(got)-1 || fails < escapeAfterNoRD {
+						t.Fatalf("%v trial %d: escape offered at %d of %d after %d fails", kind, trial, i, len(got), fails)
+					}
+				case c.misroute || !slices.Contains(minimal, c.dir) || c.dir == inDir:
+					t.Fatalf("%v trial %d: candidate %+v is not a minimal hop (minimal %v, in %v)", kind, trial, c, minimal, inDir)
+				}
+			}
+			if fails >= escapeAfterNoRD && !got[len(got)-1].escape {
+				t.Fatalf("%v trial %d: starved packet not offered the escape ring: %+v", kind, trial, got)
+			}
+		}
+		if detours < 500 {
+			t.Errorf("%v: only %d forced-detour states drawn", kind, detours)
+		}
 	}
 }
 

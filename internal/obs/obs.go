@@ -328,7 +328,3 @@ func (t *Tracer) Residency() []ResidencyRow { return t.res }
 // overwritten); Dropped the number lost to ring wraparound.
 func (t *Tracer) Total() uint64   { return t.total }
 func (t *Tracer) Dropped() uint64 { return t.dropped }
-
-// LastCycle returns the highest cycle any event or residency sample
-// carried — the natural end-of-trace timestamp.
-func (t *Tracer) LastCycle() uint64 { return t.last }

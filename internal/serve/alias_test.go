@@ -11,7 +11,12 @@ import (
 // its cache key.
 func wireKey(t *testing.T, design, members string) (string, error) {
 	t.Helper()
-	body := fmt.Sprintf(`{"kind":"synthetic","synthetic":{"design":%q,"rate":0.05,"measure":2000%s}}`, design, members)
+	return bodyKey(t, fmt.Sprintf(`{"kind":"synthetic","synthetic":{"design":%q,"rate":0.05,"measure":2000%s}}`, design, members))
+}
+
+// bodyKey is wireKey for a whole job body.
+func bodyKey(t *testing.T, body string) (string, error) {
+	t.Helper()
 	req, err := decodeRequest([]byte(body))
 	if err != nil {
 		t.Fatalf("%s: %v", body, err)
@@ -82,6 +87,13 @@ func TestAliasesShareKey(t *testing.T) {
 		if (alias == base) != c.same {
 			t.Errorf("%s {%s} vs {%s}: same key = %t, want %t", c.design, c.base, c.alias, alias == base, c.same)
 		}
+	}
+	// A trace replay draws no random number: its seed names nothing (the
+	// other half is sim's TestTraceRecordReplayRoundTrip).
+	seed1, err1 := bodyKey(t, `{"kind":"trace","trace":{"design":"nord","path":"a.trace","seed":1}}`)
+	seed2, err2 := bodyKey(t, `{"kind":"trace","trace":{"design":"nord","path":"a.trace","seed":2}}`)
+	if err1 != nil || err2 != nil || seed1 != seed2 {
+		t.Errorf("trace replays under seeds 1 and 2 key apart: %s (%v) vs %s (%v)", seed1, err1, seed2, err2)
 	}
 	// Not an alias: only a search repairs a VC count up to noc.MinVCs (its
 	// space semantics); a direct submission below the minimum is refused.

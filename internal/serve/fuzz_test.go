@@ -206,8 +206,14 @@ func spelledOut(req JobRequest) JobRequest {
 // inertScrambled returns the request with every knob its design or mode
 // never reads (DESIGN.md §8, "Identity") set to a value derived from v:
 // only a gated design has a controller to tune, only NoRD has thresholds
-// and a planner, and a forced-off NoRD router never wakes to use either.
+// and a planner, a forced-off NoRD router never wakes to use either, and
+// a trace replay draws no random number.
 func inertScrambled(req JobRequest, v uint8) JobRequest {
+	if req.Trace != nil {
+		sp := *req.Trace
+		sp.Seed = int64(v)
+		req.Trace = &sp
+	}
 	if req.Synthetic == nil {
 		return req
 	}

@@ -50,7 +50,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec search.Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
@@ -108,7 +108,7 @@ func (s *Server) runSearch(j *Job, spec search.Spec) {
 	d := &search.Driver{
 		Spec:        spec,
 		Eval:        s.searchEval(),
-		Concurrency: s.cfg.SearchConcurrency,
+		Concurrency: s.cfg.Workers,
 		Progress: func(u search.Update) {
 			s.metrics.SearchGenerations.Add(1)
 			// Cycle stays 0: the child evaluation jobs already account

@@ -53,6 +53,13 @@ func retryAfterHint(base time.Duration, random float64) time.Duration {
 	return base + time.Duration(random*float64(base)/2)
 }
 
+// Request-size bounds: submissions, and PUT /v1/cache/{key} payloads —
+// marshalled results, which can be much larger than submissions.
+const (
+	maxBodyBytes      = 1 << 20
+	maxCacheBodyBytes = 16 << 20
+)
+
 // Config tunes a Server. The zero value selects sensible defaults.
 type Config struct {
 	// Workers is the worker-pool size (default GOMAXPROCS). Each worker
@@ -74,11 +81,6 @@ type Config struct {
 	// ProgressEvery is the cycles between progress snapshots streamed at
 	// /v1/jobs/{id}/events (default 10000).
 	ProgressEvery int
-	// MaxBodyBytes bounds request bodies (default 1 MiB).
-	MaxBodyBytes int64
-	// MaxCacheBodyBytes bounds PUT /v1/cache/{key} payloads — marshalled
-	// results, which can be much larger than submissions (default 16 MiB).
-	MaxCacheBodyBytes int64
 	// JobDeadline bounds one job's wall-clock execution (0 = unbounded).
 	// A run that exceeds it is failed — not canceled — so a runaway
 	// simulation cannot pin a worker forever.
@@ -87,12 +89,9 @@ type Config struct {
 	// (default 4). Searches run on dedicated goroutines — not in the
 	// worker pool — so their candidate evaluations always have pool
 	// capacity to land on; this cap is the backpressure that replaces the
-	// queue bound for them.
+	// queue bound for them. Each search keeps at most Workers candidate
+	// evaluations in flight: more would only deepen the queue.
 	MaxSearches int
-	// SearchConcurrency bounds in-flight candidate evaluations per search
-	// (default: the worker count). More concurrency than workers only
-	// deepens the queue.
-	SearchConcurrency int
 	// Dispatcher, when non-nil, builds the job dispatcher from the
 	// constructed server (e.g. a fleet coordinator wiring its execution
 	// callbacks); nil selects the in-process Scheduler.
@@ -118,17 +117,8 @@ func (c *Config) fill() {
 	if c.ProgressEvery == 0 {
 		c.ProgressEvery = 10_000
 	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	if c.MaxCacheBodyBytes == 0 {
-		c.MaxCacheBodyBytes = 16 << 20
-	}
 	if c.MaxSearches == 0 {
 		c.MaxSearches = 4
-	}
-	if c.SearchConcurrency == 0 {
-		c.SearchConcurrency = c.Workers
 	}
 }
 
@@ -293,7 +283,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
@@ -917,7 +907,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "malformed cache key")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxCacheBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCacheBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading payload: "+err.Error())
 		return

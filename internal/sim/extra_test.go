@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -221,6 +222,16 @@ func TestTraceRecordReplayRoundTrip(t *testing.T) {
 		}
 		if r.AvgPacketLatency <= 0 {
 			t.Errorf("%v: no latency measured", d)
+		}
+		// The trace half of TestAliasesRunIdentically: a replay draws no
+		// random number, so another seed is the same run — and only then
+		// may fill give both spellings the one canonical form.
+		seeded := TraceConfig{Design: d, Path: path, Seed: 2}
+		if r2, err := ReplayTrace(seeded, loaded); err != nil || !reflect.DeepEqual(r2, r) {
+			t.Errorf("%v: replay under seed 2 differs from seed 0 (err %v); fill must not fold it", d, err)
+		}
+		if seeded.Filled() != (TraceConfig{Design: d, Path: path}).Filled() {
+			t.Errorf("%v: fill keeps the seeds of one replay apart", d)
 		}
 	}
 }

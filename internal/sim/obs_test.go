@@ -83,68 +83,83 @@ func TestCSVPrecisionRoundTrips(t *testing.T) {
 
 // TestTracedSyntheticRun wires a tracer through RunSyntheticOpts and
 // checks the recorded events are consistent with the run's aggregate
-// stats, that both exporters produce valid output, and that the trace is
-// deterministic for a fixed seed.
+// stats, that every wakeup is attributed to a signal its design's wake
+// rule can assert, that both exporters produce valid output, and that the
+// trace is deterministic for a fixed seed.
 func TestTracedSyntheticRun(t *testing.T) {
-	cfg := SynthConfig{
-		Design: noc.NoRD, Pattern: "uniform", Rate: 0.02,
-		Warmup: 1_000, Measure: 10_000, Seed: 7,
-	}
-	runOnce := func() (*obs.Tracer, Result) {
-		tr := obs.New(obs.Config{ResidencyEvery: 512})
-		r, err := RunSyntheticOpts(context.Background(), cfg, RunOptions{Tracer: tr})
-		if err != nil {
-			t.Fatalf("RunSyntheticOpts: %v", err)
-		}
-		return tr, r
-	}
-	tr, res := runOnce()
-	if tr.Total() == 0 {
-		t.Fatalf("tracer recorded no events over a gated run")
-	}
-	var wakeups, gateOffs uint64
-	for _, s := range tr.Summaries() {
-		wakeups += s.Wakeups
-		gateOffs += s.GateOffs
-	}
-	if wakeups == 0 || gateOffs == 0 {
-		t.Fatalf("summaries show %d wakeups / %d gate-offs, want both > 0", wakeups, gateOffs)
-	}
-	// The tracer covers warmup too, so it must see at least the measured
-	// aggregate count.
-	if wakeups < res.Wakeups {
-		t.Errorf("tracer wakeups %d < measured aggregate %d", wakeups, res.Wakeups)
-	}
-	// NoRD wakeups are all VC-threshold (no faults armed).
-	for _, s := range tr.Summaries() {
-		if s.WakeSA != 0 || s.WakeLocal != 0 || s.WakeWatchdog != 0 {
-			t.Errorf("router %d: non-NoRD wake causes on a NoRD run: %+v", s.Router, s)
-		}
-	}
-	if len(tr.Residency()) == 0 {
-		t.Errorf("no residency samples collected")
-	}
+	for _, design := range []noc.Design{noc.NoRD, noc.ConvPG} {
+		t.Run(design.String(), func(t *testing.T) {
+			cfg := SynthConfig{
+				Design: design, Pattern: "uniform", Rate: 0.02,
+				Warmup: 1_000, Measure: 10_000, Seed: 7,
+			}
+			runOnce := func() (*obs.Tracer, Result) {
+				tr := obs.New(obs.Config{ResidencyEvery: 512})
+				r, err := RunSyntheticOpts(context.Background(), cfg, RunOptions{Tracer: tr})
+				if err != nil {
+					t.Fatalf("RunSyntheticOpts: %v", err)
+				}
+				return tr, r
+			}
+			tr, res := runOnce()
+			if tr.Total() == 0 {
+				t.Fatalf("tracer recorded no events over a gated run")
+			}
+			var sum obs.RouterSummary
+			for _, s := range tr.Summaries() {
+				sum.Wakeups += s.Wakeups
+				sum.GateOffs += s.GateOffs
+				sum.WakeSA += s.WakeSA
+				sum.WakeLocal += s.WakeLocal
+				sum.WakeVC += s.WakeVC
+				sum.WakeWatchdog += s.WakeWatchdog
+			}
+			if sum.Wakeups == 0 || sum.GateOffs == 0 {
+				t.Fatalf("summaries show %d wakeups / %d gate-offs, want both > 0", sum.Wakeups, sum.GateOffs)
+			}
+			// The tracer covers warmup too, so it must see at least the
+			// measured aggregate count.
+			if sum.Wakeups < res.Wakeups {
+				t.Errorf("tracer wakeups %d < measured aggregate %d", sum.Wakeups, res.Wakeups)
+			}
+			// No faults armed: NoRD wakes on the VC-request threshold
+			// only; Conv_PG on a stalled neighbour's SA request or the
+			// local node's injection, both of which this load exercises.
+			if sum.WakeWatchdog != 0 || sum.WakeSA+sum.WakeLocal+sum.WakeVC != sum.Wakeups {
+				t.Errorf("wake causes do not add up to the wakeups: %+v", sum)
+			}
+			if design == noc.NoRD && sum.WakeVC != sum.Wakeups {
+				t.Errorf("non-NoRD wake causes on a NoRD run: %+v", sum)
+			}
+			if design == noc.ConvPG && (sum.WakeVC != 0 || sum.WakeSA == 0 || sum.WakeLocal == 0) {
+				t.Errorf("Conv_PG wakes on SA requests and local injection, never the VC threshold: %+v", sum)
+			}
+			if len(tr.Residency()) == 0 {
+				t.Errorf("no residency samples collected")
+			}
 
-	var chrome bytes.Buffer
-	if err := tr.WriteChromeTrace(&chrome, res.Cycles); err != nil {
-		t.Fatalf("WriteChromeTrace: %v", err)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(chrome.Bytes(), &doc); err != nil {
-		t.Fatalf("chrome trace not valid JSON: %v", err)
-	}
-	var nd bytes.Buffer
-	if err := tr.WriteNDJSON(&nd); err != nil {
-		t.Fatalf("WriteNDJSON: %v", err)
-	}
+			var chrome bytes.Buffer
+			if err := tr.WriteChromeTrace(&chrome, res.Cycles); err != nil {
+				t.Fatalf("WriteChromeTrace: %v", err)
+			}
+			var doc map[string]any
+			if err := json.Unmarshal(chrome.Bytes(), &doc); err != nil {
+				t.Fatalf("chrome trace not valid JSON: %v", err)
+			}
+			var nd bytes.Buffer
+			if err := tr.WriteNDJSON(&nd); err != nil {
+				t.Fatalf("WriteNDJSON: %v", err)
+			}
 
-	tr2, _ := runOnce()
-	var chrome2 bytes.Buffer
-	if err := tr2.WriteChromeTrace(&chrome2, res.Cycles); err != nil {
-		t.Fatalf("WriteChromeTrace (2nd run): %v", err)
-	}
-	if !bytes.Equal(chrome.Bytes(), chrome2.Bytes()) {
-		t.Errorf("identical seeded runs produced different chrome traces")
+			tr2, _ := runOnce()
+			var chrome2 bytes.Buffer
+			if err := tr2.WriteChromeTrace(&chrome2, res.Cycles); err != nil {
+				t.Fatalf("WriteChromeTrace (2nd run): %v", err)
+			}
+			if !bytes.Equal(chrome.Bytes(), chrome2.Bytes()) {
+				t.Errorf("identical seeded runs produced different chrome traces")
+			}
+		})
 	}
 }
 

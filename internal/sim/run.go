@@ -539,9 +539,11 @@ func systemRun(ctx context.Context, c WorkloadConfig, opt RunOptions, record boo
 // design — the standard trace-driven methodology for comparing designs
 // on identical traffic.
 type TraceConfig struct {
-	Design        noc.Design
-	Path          string // trace file (.gz supported)
-	Warmup        int    // cycles of the trace treated as warmup
+	Design noc.Design
+	Path   string // trace file (.gz supported)
+	Warmup int    // cycles of the trace treated as warmup
+	// Seed is accepted and ignored: a replay draws no random number, so
+	// fill folds it to 0 and every seed names the one simulation.
 	Seed          int64
 	WakeupLatency int
 	Tech          power.Tech
@@ -550,6 +552,7 @@ type TraceConfig struct {
 }
 
 func (c *TraceConfig) fill() {
+	c.Seed = 0
 	if c.Warmup < 0 {
 		// TraceConfig.Warmup has no implicit default, so the ZeroWarmup
 		// sentinel simply normalises to 0.

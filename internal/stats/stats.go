@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sample accumulates a scalar statistic.
@@ -331,14 +330,3 @@ func (it *IdleTracker) IdleCycles() uint64 { return it.idleTotal }
 
 // BusyCycles returns the number of busy cycles recorded.
 func (it *IdleTracker) BusyCycles() uint64 { return it.busyTotal }
-
-// SortedKeys returns map keys in sorted order, for deterministic report
-// printing.
-func SortedKeys[M ~map[string]V, V any](m M) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -299,11 +299,3 @@ func TestNoCCollectorEmpty(t *testing.T) {
 		t.Error("empty collector should report zeros")
 	}
 }
-
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	keys := SortedKeys(m)
-	if len(keys) != 3 || keys[0] != "a" || keys[1] != "b" || keys[2] != "c" {
-		t.Errorf("keys = %v", keys)
-	}
-}

@@ -414,19 +414,6 @@ func (p *Planner) PerformanceCentric(k int) ([]int, error) {
 	return set, err
 }
 
-// Knee picks the K whose point maximises the distance-reduction per
-// latency-increase trade-off: the largest K such that adding routers past
-// it improves average distance by less than minGain hops. It is a simple
-// automated stand-in for the paper's visual selection of 6 routers.
-func Knee(points []TradeoffPoint, minGain float64) int {
-	for k := 1; k < len(points); k++ {
-		if points[k-1].AvgHops-points[k].AvgHops < minGain {
-			return k - 1
-		}
-	}
-	return len(points) - 1
-}
-
 func maskToSet(mask uint) []int {
 	var out []int
 	for v := 0; mask != 0; v, mask = v+1, mask>>1 {

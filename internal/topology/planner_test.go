@@ -149,22 +149,6 @@ func TestGreedyTradeoffLargeMesh(t *testing.T) {
 	}
 }
 
-func TestKnee(t *testing.T) {
-	pts := []TradeoffPoint{
-		{K: 0, AvgHops: 8},
-		{K: 1, AvgHops: 6},
-		{K: 2, AvgHops: 5},
-		{K: 3, AvgHops: 4.9},
-		{K: 4, AvgHops: 4.85},
-	}
-	if k := Knee(pts, 0.5); k != 2 {
-		t.Errorf("Knee = %d, want 2", k)
-	}
-	if k := Knee(pts, 0.01); k != 4 {
-		t.Errorf("Knee with tiny gain = %d, want 4", k)
-	}
-}
-
 func TestGreedySet(t *testing.T) {
 	p := newPlanner4x4(t)
 	set, err := p.GreedySet(6)

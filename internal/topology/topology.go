@@ -56,9 +56,6 @@ func KindByName(name string) (Kind, error) {
 	return KindMesh, fmt.Errorf("topology: unknown topology %q (mesh, torus, cmesh)", name)
 }
 
-// KindNames returns the accepted canonical topology names.
-func KindNames() []string { return []string{"mesh", "torus", "cmesh"} }
-
 // DirSet is an allocation-free set of minimal-progress directions (0, 1 or
 // 2 entries). The routing hot path keeps per-pair tables of these and falls
 // back to computing them on the fly for very large networks.

@@ -30,10 +30,10 @@ func TestKindByName(t *testing.T) {
 	if _, err := KindByName("hypercube"); err == nil {
 		t.Error("KindByName(hypercube) should fail")
 	}
-	for _, name := range KindNames() {
+	for _, name := range []string{"mesh", "torus", "cmesh"} {
 		k, err := KindByName(name)
 		if err != nil || k.String() != name {
-			t.Errorf("KindNames entry %q does not round-trip (%v, %v)", name, k, err)
+			t.Errorf("canonical name %q does not round-trip (%v, %v)", name, k, err)
 		}
 	}
 }

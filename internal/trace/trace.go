@@ -256,7 +256,7 @@ func (r *Replayer) Done() bool {
 	return r.next >= len(r.events) && len(r.pending) == 0
 }
 
-// Offered implements the traffic.Injector surface loosely (events total).
+// Offered returns the number of events in the trace.
 func (r *Replayer) Offered() uint64 { return uint64(len(r.events)) }
 
 // Pending returns events still awaiting injection.

@@ -1,8 +1,7 @@
 // Package traffic provides the synthetic workloads of the evaluation:
 // uniform random and bit complement (Section 5.2), further classic
-// patterns for testing, a Bernoulli open-loop injector with the paper's
-// bimodal packet lengths (1-flit short / 5-flit long), and a two-state
-// bursty source useful for idle-period studies.
+// patterns for testing, and a Bernoulli open-loop injector with the
+// paper's bimodal packet lengths (1-flit short / 5-flit long).
 package traffic
 
 import (
@@ -75,24 +74,6 @@ func PatternByName(name string) (Pattern, error) {
 	default:
 		return nil, fmt.Errorf("traffic: unknown pattern %q (uniform, bitcomp, transpose, tornado)", name)
 	}
-}
-
-// Injector is the interface traffic sources expose to the simulation
-// harness.
-type Injector interface {
-	// Tick is called once per cycle before the network tick; the source
-	// creates packets and offers them to inject. inject reports false on
-	// backpressure.
-	Tick(cycle uint64)
-	// Offered returns the number of packets generated so far (whether or
-	// not accepted yet).
-	Offered() uint64
-	// Dropped returns packets abandoned because the source queue
-	// overflowed (only meaningful beyond saturation).
-	Dropped() uint64
-	// Pending returns packets generated but not yet accepted by the
-	// network (sitting in per-node source queues).
-	Pending() int
 }
 
 // Network is the slice of the noc API the injectors need; *noc.Network
@@ -183,110 +164,19 @@ func (s *Synthetic) Tick(cycle uint64) {
 	}
 }
 
-// Offered implements Injector.
+// Offered returns the number of packets generated so far (whether or not
+// accepted yet).
 func (s *Synthetic) Offered() uint64 { return s.offered }
 
-// Dropped implements Injector.
+// Dropped returns packets abandoned because the source queue overflowed
+// (only meaningful beyond saturation).
 func (s *Synthetic) Dropped() uint64 { return s.dropped }
 
-// Pending implements Injector.
+// Pending returns packets generated but not yet accepted by the network
+// (sitting in per-node source queues).
 func (s *Synthetic) Pending() int {
 	n := 0
 	for _, q := range s.pending {
-		n += len(q)
-	}
-	return n
-}
-
-// Bursty is a two-state Markov-modulated injector: each node alternates
-// between an "on" state injecting at OnRate and a silent "off" state.
-// Mean burst and gap lengths control how fragmented router idle periods
-// are (the Section 3.2 phenomenon).
-type Bursty struct {
-	Net       Network
-	Pattern   Pattern
-	OnRate    float64 // flits/node/cycle while bursting
-	MeanBurst float64 // mean cycles per on-period
-	MeanGap   float64 // mean cycles per off-period
-	ShortFrac float64
-	Class     flit.Class
-
-	rng     *rand.Rand
-	on      []bool
-	pending [][]*flit.Packet
-	offered uint64
-	dropped uint64
-}
-
-// NewBursty builds a bursty injector. The long-run average load is
-// OnRate * MeanBurst / (MeanBurst + MeanGap).
-func NewBursty(net Network, pattern Pattern, onRate, meanBurst, meanGap float64, seed int64) *Bursty {
-	n := net.Mesh().N()
-	return &Bursty{
-		Net: net, Pattern: pattern,
-		OnRate: onRate, MeanBurst: meanBurst, MeanGap: meanGap,
-		ShortFrac: 0.5,
-		rng:       rand.New(rand.NewSource(seed)),
-		on:        make([]bool, n),
-		pending:   make([][]*flit.Packet, n),
-	}
-}
-
-// AvgRate returns the long-run offered load in flits/node/cycle.
-func (b *Bursty) AvgRate() float64 {
-	return b.OnRate * b.MeanBurst / (b.MeanBurst + b.MeanGap)
-}
-
-// Tick implements Injector.
-func (b *Bursty) Tick(cycle uint64) {
-	m := b.Net.Mesh()
-	for src := 0; src < m.N(); src++ {
-		// Geometric state flips give the configured mean durations.
-		if b.on[src] {
-			if b.rng.Float64() < 1.0/b.MeanBurst {
-				b.on[src] = false
-			}
-		} else if b.rng.Float64() < 1.0/b.MeanGap {
-			b.on[src] = true
-		}
-		if b.on[src] && b.rng.Float64() < b.OnRate/avgFlits {
-			dst := b.Pattern(m, src, b.rng)
-			if dst == src {
-				continue
-			}
-			length := LongFlits
-			if b.rng.Float64() < b.ShortFrac {
-				length = ShortFlits
-			}
-			b.offered++
-			if len(b.pending[src]) < 64 {
-				b.pending[src] = append(b.pending[src], b.Net.NewPacket(src, dst, b.Class, length))
-			} else {
-				b.dropped++
-			}
-		}
-		for len(b.pending[src]) > 0 {
-			if !b.Net.Inject(b.pending[src][0]) {
-				break
-			}
-			q := b.pending[src]
-			copy(q, q[1:])
-			q[len(q)-1] = nil
-			b.pending[src] = q[:len(q)-1]
-		}
-	}
-}
-
-// Offered implements Injector.
-func (b *Bursty) Offered() uint64 { return b.offered }
-
-// Dropped implements Injector.
-func (b *Bursty) Dropped() uint64 { return b.dropped }
-
-// Pending implements Injector.
-func (b *Bursty) Pending() int {
-	n := 0
-	for _, q := range b.pending {
 		n += len(q)
 	}
 	return n

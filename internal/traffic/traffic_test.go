@@ -150,41 +150,6 @@ func TestSyntheticBackpressureDrops(t *testing.T) {
 	}
 }
 
-func TestBurstyAverageRate(t *testing.T) {
-	f := &fakeNet{mesh: topology.MustMesh(4, 4)}
-	b := NewBursty(f, UniformRandom, 0.4, 50, 150, 11)
-	want := b.AvgRate() // 0.4 * 50/200 = 0.1
-	if want != 0.1 {
-		t.Fatalf("AvgRate = %v, want 0.1", want)
-	}
-	cycles := 40000
-	for c := 0; c < cycles; c++ {
-		b.Tick(uint64(c))
-	}
-	var flits uint64
-	for _, p := range f.accepted {
-		flits += uint64(p.Length)
-	}
-	got := float64(flits) / float64(cycles) / 16.0
-	if got < 0.07 || got > 0.13 {
-		t.Errorf("bursty load = %.3f, want ~%.2f", got, want)
-	}
-}
-
-func TestBurstyRejectsCounted(t *testing.T) {
-	f := &fakeNet{mesh: topology.MustMesh(4, 4), reject: true}
-	b := NewBursty(f, UniformRandom, 1.0, 100, 1, 3)
-	for c := 0; c < 5000; c++ {
-		b.Tick(uint64(c))
-	}
-	if b.Dropped() == 0 {
-		t.Error("expected bursty drops under full rejection")
-	}
-	if b.Offered() == 0 {
-		t.Error("no packets offered")
-	}
-}
-
 // Property: all generated packets have valid src/dst and src != dst.
 func TestSyntheticPacketsValid(t *testing.T) {
 	f := func(seed int64, w8, h8 uint8) bool {
