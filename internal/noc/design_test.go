@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -169,15 +170,114 @@ func TestNoDesignBranchesOutsideTable(t *testing.T) {
 func TestOneAllocator(t *testing.T) {
 	// field -> the one function that may write it.
 	writer := map[string]string{
-		"outOwner": "grant", "Escaped": "grant", "EscapeVC": "grant", "Misroutes": "grant",
-		"bypassRemaining": "accountBypassFlit", "bypassSum": "accountBypassFlit",
+		"outOwner": "Router.grant", "Escaped": "Router.grant", "EscapeVC": "Router.grant", "Misroutes": "Router.grant",
+		"bypassRemaining": "Router.accountBypassFlit", "bypassSum": "Router.accountBypassFlit",
 	}
+	seen := map[string]bool{}
+	for _, w := range packageWrites(t) {
+		field, depth := w.field()
+		rhs, _ := w.rhs.(*ast.Ident)
+		switch {
+		case writer[field] == "":
+			continue
+		case field == "outOwner" && (depth != 2 || rhs != nil && rhs.Name == "ownerFree"):
+			continue // freeing is the one store to outOwner anybody may make
+		case field == "bypassRemaining" && depth != 1:
+			continue // initRouter makes the slice
+		}
+		if w.fn == writer[field] {
+			seen[field] = true
+			continue
+		}
+		t.Errorf("%s: %s writes %s in %s; only %s may", w.at, w.stmt, field, w.fn, writer[field])
+	}
+	for field, fn := range writer {
+		if !seen[field] {
+			t.Errorf("%s is never written in %s: the rule moved, update this test", field, fn)
+		}
+	}
+}
+
+// TestCountedOnce keeps each per-router statistic single (DESIGN.md §7
+// "Counted once"): a router event is counted on its Router, by one
+// function, inside the measured window; the collector's per-router totals
+// are sums foldStats derives from those counts; power-state residency is
+// charged only by enter and settle; and NoRD's quiet run is a stamp only
+// NI.tick writes. The allow-list is empty.
+//
+// Before this rule the walk found 14 twin write sites: the collector's
+// SAArbs, Wakeups, GateOffs and BypassHops in noteSAGrant, noteWakeup,
+// noteGateOff and noteBypassHop; RouterOn/Off/WakingCycles both in
+// runSection's stats pass and in flushNode's dormant back-fill (6);
+// statSAGrants twice in tickSA and statBypassFlits in
+// tryAggressiveForward and tickBypass. The quiet run (then a counter) was
+// written in NI.tick twice, flushNode and runSection.
+func TestCountedOnce(t *testing.T) {
+	derived := []string{"Network.foldStats"}
+	writers := map[string][]string{
+		"Wakeups": derived, "GateOffs": derived, "SAArbs": derived, "BypassHops": derived,
+		"RouterOnCycles": derived, "RouterOffCycles": derived, "RouterWakingCycles": derived,
+		"statWakeups":     {"Router.tickController"},
+		"statGateOffs":    {"Router.gateOff"},
+		"statSAGrants":    {"Network.noteSAGrant"},
+		"statBypassFlits": {"Network.noteBypassHop"},
+		"resid":           {"Router.enter", "Router.settle"},
+		"resFrom":         {"Router.enter", "Router.settle"},
+		"quietSince":      {"NI.tick"},
+	}
+	allowed := map[string]bool{} // "Type.func: statement" sites let stand
+	seen := map[string]bool{}
+	for _, w := range packageWrites(t) {
+		field, _ := w.field()
+		fns, counted := writers[field]
+		if !counted || allowed[w.fn+": "+w.stmt] {
+			continue
+		}
+		if slices.Contains(fns, w.fn) {
+			seen[field] = true
+			continue
+		}
+		t.Errorf("%s: %s writes %s in %s; only %s may", w.at, w.stmt, field, w.fn, strings.Join(fns, " or "))
+	}
+	for field, fns := range writers {
+		if !seen[field] {
+			t.Errorf("%s is never written in %s: the rule moved, update this test", field, strings.Join(fns, " or "))
+		}
+	}
+}
+
+// write is one assignment or ++/-- target in this package's non-test
+// code: where it is, the function it is in ("Type.method" or "func"), the
+// statement as source, and the value stored (nil for ++/-- and for a
+// tuple assigned from one call).
+type write struct {
+	at, fn, stmt string
+	lhs, rhs     ast.Expr
+}
+
+// field returns the struct field a write targets ("" when it is not a
+// field) and how many index expressions deep into it.
+func (w write) field() (string, int) {
+	lhs, depth := w.lhs, 0
+	for ix, ok := lhs.(*ast.IndexExpr); ok; ix, ok = lhs.(*ast.IndexExpr) {
+		lhs, depth = ix.X, depth+1
+	}
+	if sel, ok := lhs.(*ast.SelectorExpr); ok {
+		return sel.Sel.Name, depth
+	}
+	return "", depth
+}
+
+// packageWrites parses this package's non-test files and returns every
+// write in them.
+func packageWrites(t *testing.T) []write {
+	t.Helper()
 	paths, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
-	seen := map[string]bool{}
+	var out []write
 	for _, path := range paths {
 		if strings.HasSuffix(path, "_test.go") {
 			continue
@@ -191,56 +291,38 @@ func TestOneAllocator(t *testing.T) {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			// check reports a write to lhs; freeing is true for
-			// "= ownerFree", the one store to outOwner anybody may make.
-			check := func(stmt ast.Stmt, lhs ast.Expr, freeing bool) {
-				depth := 0
-				for ix, ok := lhs.(*ast.IndexExpr); ok; ix, ok = lhs.(*ast.IndexExpr) {
-					lhs, depth = ix.X, depth+1
+			name := fn.Name.Name
+			if fn.Recv != nil {
+				recv := fn.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
 				}
-				sel, ok := lhs.(*ast.SelectorExpr)
-				if !ok {
-					return
-				}
-				field := sel.Sel.Name
-				switch {
-				case writer[field] == "":
-					return
-				case field == "outOwner" && (depth != 2 || freeing):
-					return
-				case field == "bypassRemaining" && depth != 1:
-					return // initRouter makes the slice
-				}
-				if fn.Name.Name == writer[field] {
-					seen[field] = true
-					return
-				}
-				t.Errorf("%s:%d: %s writes %s in %s; only %s may",
-					path, fset.Position(stmt.Pos()).Line, exprString(fset, stmt), field, fn.Name.Name, writer[field])
+				name = exprString(fset, recv) + "." + name
+			}
+			add := func(stmt ast.Stmt, lhs, rhs ast.Expr) {
+				out = append(out, write{
+					at: fmt.Sprintf("%s:%d", path, fset.Position(stmt.Pos()).Line),
+					fn: name, stmt: exprString(fset, stmt), lhs: lhs, rhs: rhs,
+				})
 			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.AssignStmt:
 					for i, lhs := range n.Lhs {
-						free := false
+						var rhs ast.Expr
 						if len(n.Rhs) == len(n.Lhs) {
-							id, ok := n.Rhs[i].(*ast.Ident)
-							free = ok && id.Name == "ownerFree"
+							rhs = n.Rhs[i]
 						}
-						check(n, lhs, free)
+						add(n, lhs, rhs)
 					}
 				case *ast.IncDecStmt:
-					check(n, n.X, false)
+					add(n, n.X, nil)
 				}
 				return true
 			})
 		}
 	}
-	for field, fn := range writer {
-		if !seen[field] {
-			t.Errorf("%s is never written in %s: the rule moved, update this test", field, fn)
-		}
-	}
+	return out
 }
 
 // exprString renders a node as source text on one line.

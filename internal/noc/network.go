@@ -101,13 +101,14 @@ type Network struct {
 	// Event-sparse kernel state. activeMask is a bitset of the nodes that
 	// must be ticked; a node leaves the set when nodeNeedsTick turns false
 	// and rejoins through activate() when an event touches it again.
-	// lastTicked records, per node, the cycle through which its per-cycle
-	// accounting (idle/power statistics, the NI quiet-run counter) has
-	// been applied; statEpoch is the cycle the network as a whole has been
-	// accounted through, so activate() can back-fill a dormant stretch in
-	// one step. sparse is false in full-scan mode (fullScan: an armed
-	// fault schedule, or the golden test's reference run), where every bit stays set and the kernel
-	// degenerates to the original walk-everything loop.
+	// lastTicked records, per node, the cycle through which its idle
+	// tracker has been fed; statEpoch is the cycle the network as a whole
+	// has been accounted through, so activate() can back-fill a dormant
+	// stretch in one step. (Power-state residency and the NI quiet run are
+	// stamped at their transitions instead and need no back-fill.) sparse
+	// is false in full-scan mode (fullScan: an armed fault schedule, or
+	// the golden test's reference run), where every bit stays set and the
+	// kernel degenerates to the original walk-everything loop.
 	nn         int
 	sparse     bool
 	activeMask []uint64
@@ -259,8 +260,9 @@ func (n *Network) Ring() *topology.Ring { return n.ring }
 func (n *Network) Cycle() uint64 { return n.cycle }
 
 // Collector exposes the raw statistics collector, first syncing the
-// lazily accounted per-node counters of dormant nodes (the power time
-// series samples cumulative counters mid-run).
+// lazily accounted per-node counters of dormant nodes and folding in the
+// per-router counts (the power time series samples cumulative counters
+// mid-run).
 func (n *Network) Collector() *stats.NoC {
 	n.syncStats()
 	n.foldStats()
@@ -290,8 +292,9 @@ func (n *Network) SetDeliveryHandler(f func(*flit.Packet, uint64)) { n.ejectHand
 // BeginMeasurement starts statistics collection (call after warmup).
 // Packets injected before this cycle do not contribute latency samples.
 func (n *Network) BeginMeasurement() {
-	// Consume the dormant stretches accumulated during warmup against the
-	// pre-measurement interval, so the measured window starts clean.
+	// Consume the dormant stretches and open power-state stretches
+	// accumulated during warmup against the pre-measurement interval, so
+	// the measured window starts clean.
 	n.syncStats()
 	n.foldStats()
 	n.collecting = true
@@ -597,13 +600,12 @@ func (n *Network) collectActive() []int {
 }
 
 // activate puts node id on the active worklist, first back-filling the
-// per-cycle accounting it skipped while dormant (during which, by the
-// deactivation invariant, its datapath was empty, its power state
-// constant and its demand window zero). Call it before the triggering
-// event mutates any of that state. Inside a parallel section it may only
-// be called for shard-local nodes (cross-shard wakes go through
-// activateFrom); the bit operations are atomic because boundary words of
-// the mask are shared between adjacent shards.
+// idle-tracker cycles it skipped while dormant (during which, by the
+// deactivation invariant, its datapath was empty). Call it before the
+// triggering event mutates any of that state. Inside a parallel section
+// it may only be called for shard-local nodes (cross-shard wakes go
+// through activateFrom); the bit operations are atomic because boundary
+// words of the mask are shared between adjacent shards.
 func (n *Network) activate(id int) {
 	w := uint(id) >> 6
 	bit := uint64(1) << (uint(id) & 63)
@@ -614,46 +616,25 @@ func (n *Network) activate(id int) {
 	n.flushNode(id)
 }
 
-// flushNode applies the per-cycle accounting node id skipped while
-// dormant: NI quiet-run cycles (a dormant node's windowed demand is zero,
-// which never exceeds the gating slack) and, while measuring, the
-// idle-tracker and power-state cycle counters.
+// flushNode feeds node id's idle tracker the cycles it skipped while
+// dormant, measured ones only.
 func (n *Network) flushNode(id int) {
 	last := n.lastTicked[id]
-	gap := n.statEpoch - last
-	if gap == 0 {
+	if last == n.statEpoch {
 		return
 	}
 	n.lastTicked[id] = n.statEpoch
-	n.nis[id].quietRun += int(gap)
-	if !n.collecting {
+	// A stretch straddling BeginMeasurement feeds only its measured part.
+	from := max(last, n.measureFrom)
+	if !n.collecting || n.statEpoch <= from {
 		return
 	}
-	if last < n.measureFrom {
-		// The stretch straddles BeginMeasurement: only the measured part
-		// feeds statistics.
-		if n.statEpoch <= n.measureFrom {
-			return
-		}
-		gap = n.statEpoch - n.measureFrom
-	}
-	r := n.routers[id]
-	n.idle[id].RecordRun(r.busy(), gap)
-	col := n.shardFor(id).col
-	switch r.state {
-	case powerOn:
-		col.RouterOnCycles += gap
-	case powerOff:
-		col.RouterOffCycles += gap
-		r.statOffCycles += gap
-	case powerWaking:
-		col.RouterWakingCycles += gap
-	}
+	n.idle[id].RecordRun(n.routers[id].busy(), n.statEpoch-from)
 }
 
-// syncStats back-fills the lazily accounted statistics of every dormant
-// node up to the current cycle, so cumulative counters read mid-run (the
-// power time series, mid-run collector probes) are exact.
+// syncStats back-fills the idle trackers of every dormant node up to the
+// current cycle, so cumulative counters read mid-run (the power time
+// series, mid-run collector probes) are exact.
 func (n *Network) syncStats() {
 	for id := range n.lastTicked {
 		n.flushNode(id)
@@ -677,16 +658,10 @@ func (n *Network) nodeNeedsTick(id int) bool {
 	if r.saGrantsLastCycle > 0 || r.saGrantsThisCycle > 0 {
 		return true
 	}
-	switch r.state {
-	case powerWaking:
+	// Gated designs keep powered-on routers ticking so the controller can
+	// evaluate gate-off; an idle No_PG router has nothing to tick.
+	if r.state == powerWaking || (r.state == powerOn && n.gated) {
 		return true
-	case powerOn:
-		// Gated designs keep powered-on routers ticking so the controller
-		// can evaluate gate-off; NoPG routers may sleep once the empty-run
-		// counter saturates past the gating horizon (it stops changing).
-		if n.gated || r.emptyRun <= n.p.GateIdleCycles {
-			return true
-		}
 	}
 	if n.linkCount[id] > 0 {
 		return true
@@ -996,19 +971,17 @@ func (n *Network) notePacketInjected(p *flit.Packet) {
 }
 
 // The helpers below run inside parallel sections (or at serial merge
-// points), so they take the executing shard and write its collector;
-// noteWakeup and noteGateOff are called only from the serial controller
-// phase and keep writing the master directly.
+// points), so they write only the executing shard's collector or the
+// router the event happened at; foldStats sums the routers' counts.
 
-func (n *Network) noteSAGrant(sh *shard) {
-	sh.progressed = true
-	if !n.collecting {
-		return
+// noteSAGrant counts a switch grant at r: the NoRD demand window's
+// through-traffic term and, while measuring, r's routed flits.
+func (n *Network) noteSAGrant(r *Router) {
+	r.sh.progressed = true
+	r.saGrantsThisCycle++
+	if n.collecting {
+		r.statSAGrants++
 	}
-	sh.col.BufReads++
-	sh.col.XbarTraversals++
-	sh.col.SAArbs++
-	sh.col.ClockedFlitHops++
 }
 
 func (n *Network) noteVCRequests(sh *shard, r uint32) {
@@ -1026,18 +999,6 @@ func (n *Network) noteVAGrant(sh *shard) {
 func (n *Network) noteBufWrite(sh *shard) {
 	if n.collecting {
 		sh.col.BufWrites++
-	}
-}
-
-func (n *Network) noteWakeup() {
-	if n.collecting {
-		n.col.Wakeups++
-	}
-}
-
-func (n *Network) noteGateOff() {
-	if n.collecting {
-		n.col.GateOffs++
 	}
 }
 
@@ -1065,15 +1026,16 @@ func (n *Network) noteEscape(sh *shard, router int) {
 	}
 }
 
-func (n *Network) noteBypassHop(sh *shard, router int) {
-	sh.progressed = true
+// noteBypassHop counts a flit forwarded through the NI bypass of r.
+func (n *Network) noteBypassHop(r *Router) {
+	r.sh.progressed = true
 	if n.collecting {
-		sh.col.BypassHops++
+		r.statBypassFlits++
 	}
 	if n.tracer != nil {
 		// Every offered hop is deferred (sampled=true) so the tracer's
 		// order-sensitive sampling counter replays the serial subset.
-		n.traceEvent(sh, int32(router), obs.KindBypassHop, obs.CauseNone, 0, true)
+		n.traceEvent(r.sh, int32(r.id), obs.KindBypassHop, obs.CauseNone, 0, true)
 	}
 }
 
@@ -1151,7 +1113,8 @@ type RouterReport struct {
 }
 
 // PerRouterReports returns per-router statistics for spatial analysis
-// (utilisation heat maps, gating behaviour per location).
+// (utilisation heat maps, gating behaviour per location). They count the
+// measured interval only, and sum to the collector's totals.
 func (n *Network) PerRouterReports() []RouterReport {
 	n.syncStats()
 	out := make([]RouterReport, len(n.routers))
@@ -1163,6 +1126,8 @@ func (n *Network) PerRouterReports() []RouterReport {
 		x, y := n.topo.Coord(id)
 		it := n.idle[id]
 		total := it.IdleCycles() + it.BusyCycles()
+		r.settle()
+		off := r.resid[powerOff]
 		rep := RouterReport{
 			ID: id, X: x, Y: y,
 			IdleFraction: it.IdleFraction(),
@@ -1174,13 +1139,13 @@ func (n *Network) PerRouterReports() []RouterReport {
 			HardFailed:   r.hardFailed,
 		}
 		if total > 0 {
-			rep.OffFraction = float64(r.statOffCycles) / float64(total)
+			rep.OffFraction = float64(off) / float64(total)
 		}
 		switch {
 		case r.statWakeups > 0:
-			rep.MeanOffInterval = float64(r.statOffCycles) / float64(r.statWakeups)
+			rep.MeanOffInterval = float64(off) / float64(r.statWakeups)
 		case r.statGateOffs > 0:
-			rep.MeanOffInterval = float64(r.statOffCycles) / float64(r.statGateOffs)
+			rep.MeanOffInterval = float64(off) / float64(r.statGateOffs)
 		}
 		out[id] = rep
 	}

@@ -102,9 +102,6 @@ type NI struct {
 	curMode    injMode
 	allocCycle uint64
 	classRR    int
-	// lastTick is the cycle tick() last ran, letting the end-of-cycle
-	// accounting catch up nodes activated after the NI phase.
-	lastTick uint64
 
 	// localCredits tracks free slots of the router's Local input VCs.
 	localCredits []int
@@ -138,14 +135,16 @@ type NI struct {
 	// metric; threshold is this node's asymmetric wakeup threshold.
 	window    *stats.Window
 	threshold int
-	// quietRun counts consecutive cycles with the demand window at or
-	// below gateSlack; gating requires it to reach quietNeed (longer for
-	// performance-centric routers, which sleep late as well as waking
-	// early). Power-centric routers tolerate a light trickle (the bypass
-	// will carry it), trading a little latency for static energy.
-	quietRun  int
-	quietNeed int
-	gateSlack uint64
+	// quietSince is the last cycle the demand window stood above
+	// gateSlack; gating requires the quiet run since then to reach
+	// quietNeed (longer for performance-centric routers, which sleep late
+	// as well as waking early). Power-centric routers tolerate a light
+	// trickle (the bypass will carry it), trading a little latency for
+	// static energy. A dormant NI's window is zero, so the run goes on
+	// while it sleeps without anything being written.
+	quietSince uint64
+	quietNeed  int
+	gateSlack  uint64
 	// demandAccum integrates the windowed demand signal between
 	// reclassification rounds (DynamicClassify).
 	demandAccum uint64
@@ -343,10 +342,7 @@ func (ni *NI) tryAggressiveForward(r *Router, f *flit.Flit) bool {
 	ni.net.creditReturn(ni.sh, ni.id, ni.net.ring.InDir(ni.id), v)
 	f.VC = out
 	ni.net.sendLinkDelay(ni.id, ringOut, f, 1)
-	if ni.net.collecting {
-		r.statBypassFlits++
-	}
-	ni.net.noteBypassHop(ni.sh, ni.id)
+	ni.net.noteBypassHop(r)
 	if f.Kind.IsTail() {
 		r.outOwner[ringOut][out] = ownerFree
 		ni.fwdOutVC[v] = -1
@@ -398,9 +394,9 @@ func (ni *NI) tickDeliver() {
 
 // tick runs one NI cycle: the bypass stage-3 send, the bypass stage-2
 // VC-check/forward (arbitrated with local injection), local-port
-// injection, and the wakeup-metric window update.
+// injection, and the wakeup-metric window update (NoRD, the only design
+// that reads it).
 func (ni *NI) tick() {
-	ni.lastTick = ni.net.cycle
 	r := ni.net.routers[ni.id]
 	requests := uint32(0)
 
@@ -408,18 +404,19 @@ func (ni *NI) tick() {
 		requests += ni.tickBypass(r)
 	}
 	requests += ni.tickInjection(r)
+	ni.net.noteVCRequests(ni.sh, requests)
+	if ni.net.ring == nil {
+		return
+	}
 
 	// Through-traffic counts as demand while the router is on (the NI's
 	// VC requests stop once the router serves packets normally, but the
 	// node's demand has not dropped).
 	ni.window.Push(requests + r.saGrantsLastCycle)
 	ni.demandAccum += uint64(requests) + uint64(r.saGrantsLastCycle)
-	if ni.window.Sum() <= ni.gateSlack {
-		ni.quietRun++
-	} else {
-		ni.quietRun = 0
+	if ni.window.Sum() > ni.gateSlack {
+		ni.quietSince = ni.net.cycle
 	}
-	ni.net.noteVCRequests(ni.sh, requests)
 }
 
 // tickBypass runs the NoRD bypass pipeline. It returns the number of VC
@@ -432,10 +429,7 @@ func (ni *NI) tickBypass(r *Router) uint32 {
 		ni.injectOut = nil
 		ni.net.sendLink(ni.id, ringOut, f)
 		if ni.injectFwd {
-			if ni.net.collecting {
-				r.statBypassFlits++
-			}
-			ni.net.noteBypassHop(ni.sh, ni.id)
+			ni.net.noteBypassHop(r)
 		} else {
 			ni.net.noteBypassInject(ni.sh)
 		}

@@ -17,13 +17,13 @@ import (
 func (r *Router) tickController() {
 	n := r.net
 	p := &n.p
+	if !n.gated {
+		return
+	}
 	if r.busy() {
 		r.emptyRun = 0
 	} else if r.emptyRun <= p.GateIdleCycles {
 		r.emptyRun++
-	}
-	if !n.gated {
-		return
 	}
 	switch r.state {
 	case powerOn:
@@ -53,17 +53,38 @@ func (r *Router) tickController() {
 		if n.tracer != nil {
 			n.tracer.Emit(n.cycle, int32(r.id), obs.KindWakeStart, cause, n.cycle-r.stateSince)
 		}
-		r.stateSince = n.cycle
-		r.state = powerWaking
+		r.enter(powerWaking)
 		r.wakeCounter = p.WakeupLatency
-		r.statWakeups++
-		n.noteWakeup()
+		if n.collecting {
+			r.statWakeups++
+		}
 	case powerWaking:
 		r.wakeCounter--
 		if r.wakeCounter <= 0 {
 			r.completeWake()
 		}
 	}
+}
+
+// enter is the power-FSM transition: the old state is charged its
+// residency, then s takes over from this cycle on.
+func (r *Router) enter(s powerState) {
+	r.settle()
+	r.state = s
+	r.stateSince = r.net.cycle
+}
+
+// settle charges the current state with the measured cycles since the
+// last charge. It runs at transitions (which happen before the cycle's
+// statistics pass, so the stretch ends at statEpoch, the last cycle
+// accounted) and whenever the collector is read; a stretch outside the
+// measured window is dropped.
+func (r *Router) settle() {
+	n := r.net
+	if n.collecting {
+		r.resid[r.state] += n.statEpoch - r.resFrom
+	}
+	r.resFrom = n.statEpoch
 }
 
 // wakeSignal evaluates the WU level for this router and returns the signal
@@ -130,7 +151,7 @@ func (r *Router) canGateOff() bool {
 		// so marginal demand does not thrash the router through state
 		// transitions. Performance-centric routers sleep late (3x the
 		// window), complementing their early wakeup (Section 4.4).
-		if ni.window.Sum() > ni.gateSlack || ni.quietRun < ni.quietNeed {
+		if ni.window.Sum() > ni.gateSlack || n.cycle-ni.quietSince < uint64(ni.quietNeed) {
 			return false
 		}
 	}
@@ -178,15 +199,13 @@ func (r *Router) earlyWakeupIncoming() bool {
 // the NI bypass.
 func (r *Router) gateOff() {
 	n := r.net
-	r.state = powerOff
-	if n.collecting {
-		r.statGateOffs++
-	}
 	if n.tracer != nil {
 		n.tracer.Emit(n.cycle, int32(r.id), obs.KindGateOff, obs.CauseNone, n.cycle-r.stateSince)
 	}
-	r.stateSince = n.cycle
-	n.noteGateOff()
+	r.enter(powerOff)
+	if n.collecting {
+		r.statGateOffs++
+	}
 	for d := topology.Dir(0); d < topology.Local; d++ {
 		nb, ok := n.neighbor(r.id, d)
 		if !ok {
@@ -236,12 +255,11 @@ const postWakeHold = 10
 func (r *Router) completeWake() {
 	n := r.net
 	p := &n.p
-	r.state = powerOn
-	r.emptyRun = -postWakeHold
 	if n.tracer != nil {
 		n.tracer.Emit(n.cycle, int32(r.id), obs.KindWakeDone, obs.CauseNone, n.cycle-r.stateSince)
 	}
-	r.stateSince = n.cycle
+	r.enter(powerOn)
+	r.emptyRun = -postWakeHold
 	if n.ring == nil {
 		return
 	}

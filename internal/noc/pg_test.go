@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"nord/internal/flit"
@@ -54,6 +56,54 @@ func TestGateOffClampsRingCredits(t *testing.T) {
 		}
 		if c+held != p.BufferDepth {
 			t.Errorf("vc %d: credits %d + held %d != depth %d", v, c, held, p.BufferDepth)
+		}
+	}
+}
+
+// TestRouterCountsSumToTotals: the per-router reports and the collector
+// are one record of each router event, so on every design, topology and
+// warm-up the routers sum to the totals — wakeups, gate-offs, routed and
+// bypassed flits, all inside the measured window — and each router's off
+// fraction is its share of RouterOffCycles, in a window every router
+// spends all of in some power state.
+func TestRouterCountsSumToTotals(t *testing.T) {
+	for _, kind := range []topology.Kind{topology.KindMesh, topology.KindTorus, topology.KindCMesh} {
+		for _, d := range Designs() {
+			for _, warmup := range []int{500, 0} {
+				t.Run(fmt.Sprintf("%v/%v/warmup%d", d, kind, warmup), func(t *testing.T) {
+					p := DefaultParams(d)
+					p.Topology = kind
+					col, reps, _ := goldenRun(t, p, false, 0.08, 11, warmup, 3000)
+					var sum RouterReport
+					var off uint64
+					for _, rr := range reps {
+						sum.Wakeups += rr.Wakeups
+						sum.GateOffs += rr.GateOffs
+						sum.FlitsRouted += rr.FlitsRouted
+						sum.BypassFlits += rr.BypassFlits
+						off += uint64(math.Round(rr.OffFraction * float64(col.Cycles)))
+					}
+					if sum.Wakeups != col.Wakeups || sum.GateOffs != col.GateOffs {
+						t.Errorf("routers sum to %d wakeups, %d gate-offs; totals %d, %d",
+							sum.Wakeups, sum.GateOffs, col.Wakeups, col.GateOffs)
+					}
+					if sum.FlitsRouted != col.SAArbs || sum.BypassFlits != col.BypassHops {
+						t.Errorf("routers sum to %d routed, %d bypassed flits; totals %d SA grants, %d bypass hops",
+							sum.FlitsRouted, sum.BypassFlits, col.SAArbs, col.BypassHops)
+					}
+					if off != col.RouterOffCycles {
+						t.Errorf("off fractions sum to %d cycles, collector has %d", off, col.RouterOffCycles)
+					}
+					if got, want := col.RouterOnCycles+col.RouterOffCycles+col.RouterWakingCycles, col.Cycles*uint64(len(reps)); got != want {
+						t.Errorf("on+off+waking = %d router-cycles, want %d (%d cycles x %d routers)", got, want, col.Cycles, len(reps))
+					}
+					// Not vacuous: traffic moved, gated designs cycled their
+					// routers, and NoRD used the ring.
+					if col.SAArbs == 0 || (d.Blocks().PGSwitch && col.Wakeups == 0) || (d.Blocks().Bypass && col.BypassHops == 0) {
+						t.Errorf("vacuous run: %d SA grants, %d wakeups, %d bypass hops", col.SAArbs, col.Wakeups, col.BypassHops)
+					}
+				})
+			}
 		}
 	}
 }

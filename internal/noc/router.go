@@ -172,12 +172,18 @@ type Router struct {
 	// saScratch is reused each cycle to gather SA candidates.
 	saScratch []saCand
 
-	// Per-router statistics for spatial reports (measured interval only).
-	statOffCycles   uint64
+	// Per-router event counts, measured interval only. They are the one
+	// record of these events: foldStats sums them into the collector.
 	statWakeups     uint64
 	statGateOffs    uint64
 	statSAGrants    uint64
 	statBypassFlits uint64
+
+	// resid[s] is the measured cycles spent in power state s, charged
+	// through cycle resFrom by settle; the open stretch since resFrom
+	// belongs to the current state.
+	resid   [powerWaking + 1]uint64
+	resFrom uint64
 
 	// stateSince is the cycle of the last power-FSM transition, giving
 	// the residency argument on trace events.
@@ -396,11 +402,7 @@ func (r *Router) tickSA() {
 				r.stReg[out] = f
 				r.stFlits++
 			}
-			r.saGrantsThisCycle++
-			if r.net.collecting {
-				r.statSAGrants++
-			}
-			r.net.noteSAGrant(r.sh)
+			r.net.noteSAGrant(r)
 			// Return a credit upstream for the freed buffer slot.
 			r.net.creditReturn(r.sh, r.id, d, v)
 			if f.Kind.IsTail() {
@@ -449,11 +451,7 @@ func (r *Router) tickSA() {
 				r.stLocalX[i] = f
 				r.stFlits++
 			}
-			r.saGrantsThisCycle++
-			if r.net.collecting {
-				r.statSAGrants++
-			}
-			r.net.noteSAGrant(r.sh)
+			r.net.noteSAGrant(r)
 			r.net.creditReturn(r.sh, r.id, d, v)
 			if f.Kind.IsTail() {
 				r.setPhase(vc, vcIdle)

@@ -322,26 +322,9 @@ func (n *Network) runSection(sec int, sh *shard) {
 		}
 	case secStats:
 		for _, id := range n.shardActive(sh) {
-			ni := n.nis[id]
-			if ni.lastTick != n.cycle {
-				// Activated after the NI phase: the NI tick it missed
-				// would have pushed 0 into an all-zero demand window,
-				// which reduces to the quiet-run increment.
-				ni.quietRun++
-			}
 			n.lastTicked[id] = n.cycle
 			if n.collecting {
-				r := n.routers[id]
-				n.idle[id].Record(r.busy())
-				switch r.state {
-				case powerOn:
-					sh.col.RouterOnCycles++
-				case powerOff:
-					sh.col.RouterOffCycles++
-					r.statOffCycles++
-				case powerWaking:
-					sh.col.RouterWakingCycles++
-				}
+				n.idle[id].Record(n.routers[id].busy())
 			}
 			// Deactivation sweep, fused into the stats walk: nodes with
 			// no remaining work leave the worklist; activate() restores
@@ -497,12 +480,27 @@ func (n *Network) traceEvent(sh *shard, router int32, kind obs.Kind, cause obs.C
 	}
 }
 
-// foldStats merges every shard collector into the master. Merging is
-// exact (sums of integers, integer-valued samples), so the fold is
-// bit-identical to serial accumulation regardless of shard count.
+// foldStats merges every shard collector into the master, then derives
+// the per-router quantities from the routers' own counts, settling each
+// router's open power-state stretch first. Merging is exact (sums of
+// integers, integer-valued samples), so the fold is bit-identical to
+// serial accumulation regardless of shard count.
 func (n *Network) foldStats() {
 	for _, sh := range n.shards {
 		n.col.Merge(sh.col)
 		sh.col.Reset()
+	}
+	c := n.col
+	c.Wakeups, c.GateOffs, c.SAArbs, c.BypassHops = 0, 0, 0, 0
+	c.RouterOnCycles, c.RouterOffCycles, c.RouterWakingCycles = 0, 0, 0
+	for _, r := range n.routers {
+		r.settle()
+		c.Wakeups += r.statWakeups
+		c.GateOffs += r.statGateOffs
+		c.SAArbs += r.statSAGrants
+		c.BypassHops += r.statBypassFlits
+		c.RouterOnCycles += r.resid[powerOn]
+		c.RouterOffCycles += r.resid[powerOff]
+		c.RouterWakingCycles += r.resid[powerWaking]
 	}
 }

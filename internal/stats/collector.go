@@ -6,6 +6,9 @@ import (
 
 // NoC aggregates everything a network simulation measures. The noc
 // package increments it; the sim package converts it into reports.
+// Wakeups, GateOffs, the RouterOn/Off/WakingCycles residencies, SAArbs
+// and BypassHops are per-router quantities: noc derives them as sums over
+// its routers' own counters whenever the collector is read.
 type NoC struct {
 	// Cycles measured (after warmup).
 	Cycles uint64
@@ -33,15 +36,15 @@ type NoC struct {
 	RouterOffCycles    uint64
 	RouterWakingCycles uint64
 
-	// Dynamic event counts feeding the power model.
-	BufWrites, BufReads uint64
-	XbarTraversals      uint64
-	VAArbs, SAArbs      uint64
-	ClockedFlitHops     uint64
-	LinkTraversals      uint64
-	BypassHops          uint64
-	BypassInjections    uint64
-	BypassEjections     uint64
+	// Dynamic event counts feeding the power model. A switch grant is one
+	// buffer read, one crossbar traversal and one clocked flit hop, so
+	// SAArbs stands for all four.
+	BufWrites        uint64
+	VAArbs, SAArbs   uint64
+	LinkTraversals   uint64
+	BypassHops       uint64
+	BypassInjections uint64
+	BypassEjections  uint64
 	// LocalFlits counts flits delivered over the NI-local path of a
 	// concentrated router (terminal-to-terminal traffic that never
 	// entered the network); 0 on concentration-1 topologies.
@@ -97,11 +100,8 @@ func (n *NoC) Merge(o *NoC) {
 	n.RouterWakingCycles += o.RouterWakingCycles
 
 	n.BufWrites += o.BufWrites
-	n.BufReads += o.BufReads
-	n.XbarTraversals += o.XbarTraversals
 	n.VAArbs += o.VAArbs
 	n.SAArbs += o.SAArbs
-	n.ClockedFlitHops += o.ClockedFlitHops
 	n.LinkTraversals += o.LinkTraversals
 	n.BypassHops += o.BypassHops
 	n.BypassInjections += o.BypassInjections
@@ -164,11 +164,11 @@ func (n *NoC) PowerCounts(routers, links int, blocks power.Blocks) power.Counts 
 		RouterOffCycles:  n.RouterOffCycles,
 		Wakeups:          n.Wakeups,
 		BufWrites:        n.BufWrites,
-		BufReads:         n.BufReads,
-		XbarTraversals:   n.XbarTraversals,
+		BufReads:         n.SAArbs,
+		XbarTraversals:   n.SAArbs,
 		VAArbs:           n.VAArbs,
 		SAArbs:           n.SAArbs,
-		ClockedFlitHops:  n.ClockedFlitHops,
+		ClockedFlitHops:  n.SAArbs,
 		LinkTraversals:   n.LinkTraversals,
 		BypassHops:       n.BypassHops,
 		BypassInjections: n.BypassInjections,

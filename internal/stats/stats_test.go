@@ -291,6 +291,15 @@ func TestNoCCollector(t *testing.T) {
 	if pc.Wakeups != 42 || !pc.Blocks.Bypass || !pc.Blocks.PGSwitch {
 		t.Error("power counts not propagated")
 	}
+
+	// One switch grant is one buffer read, crossbar traversal and clocked
+	// flit hop: the power model's three per-hop counts read SAArbs.
+	n.SAArbs = 77
+	pc = n.PowerCounts(16, 48, power.Blocks{})
+	if pc.SAArbs != 77 || pc.BufReads != 77 || pc.XbarTraversals != 77 || pc.ClockedFlitHops != 77 {
+		t.Errorf("per-grant counts: SA %d, buffer reads %d, crossbar %d, clocked hops %d; want 77 each",
+			pc.SAArbs, pc.BufReads, pc.XbarTraversals, pc.ClockedFlitHops)
+	}
 }
 
 func TestNoCCollectorEmpty(t *testing.T) {
