@@ -26,16 +26,20 @@ import (
 
 // writeTrace dumps a finished run's tracer: Chrome trace-event JSON
 // (open in ui.perfetto.dev) by default, NDJSON when the path ends in
-// .ndjson.
-func writeTrace(path string, tr *obs.Tracer, endCycle uint64) error {
+// .ndjson, with one summary line per router carrying its RouterReport.
+func writeTrace(path string, tr *obs.Tracer, res sim.Result) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	if strings.HasSuffix(path, ".ndjson") {
-		err = tr.WriteNDJSON(f)
+		sums := make([]any, len(res.Routers))
+		for i, rr := range res.Routers {
+			sums[i] = rr
+		}
+		err = tr.WriteNDJSON(f, sums...)
 	} else {
-		err = tr.WriteChromeTrace(f, endCycle)
+		err = tr.WriteChromeTrace(f, res.Cycles)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -70,7 +74,7 @@ func main() {
 		csvOut      = flag.Bool("csv", false, "emit a CSV record instead of the report")
 		tracePath   = flag.String("trace", "", "write a cycle-level event trace to this file (Chrome trace-event JSON for Perfetto; NDJSON when the path ends in .ndjson)")
 		traceSample = flag.Int("trace-sample", 0, "record every Nth bypass hop in the trace (0 = the default 64)")
-		perRouter   = flag.Bool("per-router", false, "append the per-router spatial statistics table")
+		perRouter   = flag.Bool("per-router", false, "append the per-router spatial statistics table (with -csv: write the per-router CSV instead of the result record)")
 		powerTrace  = flag.Int("power-trace", 0, "emit a power time series sampled every N cycles (CSV) instead of the report")
 		watch       = flag.Int("watch", 0, "render router power-state frames every N cycles instead of the report")
 		printConfig = flag.Bool("print-config", false, "print the Table 1 default configuration and exit")
@@ -174,7 +178,7 @@ func main() {
 		fail(err)
 	}
 	if opt.Tracer != nil {
-		if err := writeTrace(*tracePath, opt.Tracer, res.Cycles); err != nil {
+		if err := writeTrace(*tracePath, opt.Tracer, res); err != nil {
 			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "trace: %d events (%d dropped) -> %s\n",
@@ -183,7 +187,13 @@ func main() {
 	if sampling {
 		return
 	}
-	if *csvOut {
+	switch {
+	case *csvOut && *perRouter:
+		if err := sim.WriteRouterCSV(os.Stdout, res); err != nil {
+			fail(err)
+		}
+		return
+	case *csvOut:
 		w := csv.NewWriter(os.Stdout)
 		if err := w.Write(sim.ResultCSVHeader()); err == nil {
 			_ = w.Write(sim.ResultCSVRecord(res))

@@ -174,7 +174,7 @@ func TestOneAllocator(t *testing.T) {
 		"bypassRemaining": "Router.accountBypassFlit", "bypassSum": "Router.accountBypassFlit",
 	}
 	seen := map[string]bool{}
-	for _, w := range packageWrites(t) {
+	for _, w := range packageWrites(t, ".") {
 		field, depth := w.field()
 		rhs, _ := w.rhs.(*ast.Ident)
 		switch {
@@ -203,7 +203,9 @@ func TestOneAllocator(t *testing.T) {
 // function, inside the measured window; the collector's per-router totals
 // are sums foldStats derives from those counts; power-state residency is
 // charged only by enter and settle; and NoRD's quiet run is a stamp only
-// NI.tick writes. The allow-list is empty.
+// NI.tick writes. The allow-list is empty. The tracer (internal/obs)
+// keeps events, not counts: there the only fields counted up are its own
+// recording totals.
 //
 // Before this rule the walk found 14 twin write sites: the collector's
 // SAArbs, Wakeups, GateOffs and BypassHops in noteSAGrant, noteWakeup,
@@ -211,23 +213,29 @@ func TestOneAllocator(t *testing.T) {
 // runSection's stats pass and in flushNode's dormant back-fill (6);
 // statSAGrants twice in tickSA and statBypassFlits in
 // tryAggressiveForward and tickBypass. The quiet run (then a counter) was
-// written in NI.tick twice, flushNode and runSection.
+// written in NI.tick twice, flushNode and runSection. Wakes by cause,
+// detours and escapes were then counted only by the tracer, in a
+// per-router summary updated on every emit, warm-up included: the obs walk
+// below found 12 write sites over 11 fields there.
 func TestCountedOnce(t *testing.T) {
 	derived := []string{"Network.foldStats"}
 	writers := map[string][]string{
 		"Wakeups": derived, "GateOffs": derived, "SAArbs": derived, "BypassHops": derived,
+		"MisroutedHops": derived, "EscapedPackets": derived,
 		"RouterOnCycles": derived, "RouterOffCycles": derived, "RouterWakingCycles": derived,
-		"statWakeups":     {"Router.tickController"},
+		"statWakes":       {"Router.tickController"},
 		"statGateOffs":    {"Router.gateOff"},
 		"statSAGrants":    {"Network.noteSAGrant"},
 		"statBypassFlits": {"Network.noteBypassHop"},
+		"statMisroutes":   {"Network.noteMisroute"},
+		"statEscapes":     {"Network.noteEscape"},
 		"resid":           {"Router.enter", "Router.settle"},
 		"resFrom":         {"Router.enter", "Router.settle"},
 		"quietSince":      {"NI.tick"},
 	}
 	allowed := map[string]bool{} // "Type.func: statement" sites let stand
 	seen := map[string]bool{}
-	for _, w := range packageWrites(t) {
+	for _, w := range packageWrites(t, ".") {
 		field, _ := w.field()
 		fns, counted := writers[field]
 		if !counted || allowed[w.fn+": "+w.stmt] {
@@ -244,14 +252,31 @@ func TestCountedOnce(t *testing.T) {
 			t.Errorf("%s is never written in %s: the rule moved, update this test", field, strings.Join(fns, " or "))
 		}
 	}
+	// The ring's fill and the recording totals behind Total, Dropped and
+	// the bypass-hop sampling.
+	tracerOwn := map[string]bool{"count": true, "total": true, "dropped": true, "hfSeen": true}
+	obsWrites := packageWrites(t, "../obs")
+	if len(obsWrites) == 0 {
+		t.Fatal("no writes found in ../obs: wrong path?")
+	}
+	for _, w := range obsWrites {
+		field, _ := w.field()
+		inc, isInc := w.node.(*ast.IncDecStmt)
+		asg, isAsg := w.node.(*ast.AssignStmt)
+		counted := isInc && inc.Tok == token.INC || isAsg && asg.Tok == token.ADD_ASSIGN
+		if counted && field != "" && !tracerOwn[field] {
+			t.Errorf("%s: %s counts %s in %s; per-router counts live on the Router", w.at, w.stmt, field, w.fn)
+		}
+	}
 }
 
-// write is one assignment or ++/-- target in this package's non-test
-// code: where it is, the function it is in ("Type.method" or "func"), the
-// statement as source, and the value stored (nil for ++/-- and for a
-// tuple assigned from one call).
+// write is one assignment or ++/-- target in a package's non-test code:
+// where it is, the function it is in ("Type.method" or "func"), the
+// statement as node and as source, and the value stored (nil for ++/--
+// and for a tuple assigned from one call).
 type write struct {
 	at, fn, stmt string
+	node         ast.Stmt
 	lhs, rhs     ast.Expr
 }
 
@@ -268,11 +293,11 @@ func (w write) field() (string, int) {
 	return "", depth
 }
 
-// packageWrites parses this package's non-test files and returns every
-// write in them.
-func packageWrites(t *testing.T) []write {
+// packageWrites parses the non-test files of the package in dir and
+// returns every write in them.
+func packageWrites(t *testing.T, dir string) []write {
 	t.Helper()
-	paths, err := filepath.Glob("*.go")
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +327,7 @@ func packageWrites(t *testing.T) []write {
 			add := func(stmt ast.Stmt, lhs, rhs ast.Expr) {
 				out = append(out, write{
 					at: fmt.Sprintf("%s:%d", path, fset.Position(stmt.Pos()).Line),
-					fn: name, stmt: exprString(fset, stmt), lhs: lhs, rhs: rhs,
+					fn: name, stmt: exprString(fset, stmt), node: stmt, lhs: lhs, rhs: rhs,
 				})
 			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {

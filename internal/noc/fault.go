@@ -221,7 +221,6 @@ func (r *Router) faultBlocksWake() (blocked, forced bool) {
 		r.dropWakeups--
 		r.wakeSwallowed = true
 		fi.report.Triggered[fault.DropWakeup]++
-		n.col.WakeupsDropped++
 	}
 	if r.wakeBlocked && !r.stuckCounted {
 		r.stuckCounted = true
@@ -239,7 +238,6 @@ func (r *Router) faultBlocksWake() (blocked, forced bool) {
 	r.wakeSwallowed = false
 	r.wakeWantSince = 0
 	fi.report.WatchdogWakeups++
-	n.col.WatchdogWakeups++
 	return false, true
 }
 
@@ -255,7 +253,6 @@ func (fi *faultInjector) maybeCorrupt(sh *shard, id int, dir topology.Dir, f *fl
 	fi.armed[k]--
 	f.Corrupt()
 	sh.repCorrupt++
-	sh.col.CorruptFlits++
 }
 
 // verify checks a delivered flit's checksum, poisoning the packet on
@@ -272,7 +269,6 @@ func (fi *faultInjector) verify(n *Network, sh *shard, f *flit.Flit) {
 		return
 	}
 	sh.repPoisoned++
-	sh.col.PoisonedPackets++
 }
 
 // dropPoisoned handles a poisoned packet reaching its destination:
@@ -314,7 +310,6 @@ func (fi *faultInjector) issueRetransmits(n *Network) {
 			continue
 		}
 		fi.report.Retransmits++
-		n.col.Retransmits++
 	}
 	fi.retryQ = keep
 }

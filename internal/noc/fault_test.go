@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"nord/internal/fault"
-	"nord/internal/obs"
 	"nord/internal/traffic"
 )
 
@@ -256,7 +255,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 
 // TestWatchdogRecoversDroppedWakeup swallows a wakeup handshake on a
 // gated router with pending traffic and checks the power-gating
-// watchdog eventually force-wakes it, and that the tracer attributes
+// watchdog eventually force-wakes it, and that the routers attribute
 // exactly those wakeups to the watchdog.
 func TestWatchdogRecoversDroppedWakeup(t *testing.T) {
 	for _, d := range []Design{ConvPG, NoRD} {
@@ -265,8 +264,9 @@ func TestWatchdogRecoversDroppedWakeup(t *testing.T) {
 			p := DefaultParams(d)
 			p.Width, p.Height = 4, 4
 			n := MustNew(p)
-			tr := obs.New(obs.Config{})
-			n.SetTracer(tr)
+			// The fault report covers the whole run, so the routers'
+			// measured window must too.
+			n.BeginMeasurement()
 			// Drop the next several wakeups on every router so some gated
 			// router with demand is guaranteed to exercise the watchdog.
 			var evs []fault.Event
@@ -293,11 +293,11 @@ func TestWatchdogRecoversDroppedWakeup(t *testing.T) {
 					rep.Triggered[fault.DropWakeup], rep)
 			}
 			var forced uint64
-			for _, s := range tr.Summaries() {
-				forced += s.WakeWatchdog
+			for _, rr := range n.PerRouterReports() {
+				forced += rr.WakeWatchdog
 			}
 			if forced != rep.WatchdogWakeups {
-				t.Errorf("tracer attributes %d wakeups to the watchdog, the report counts %d", forced, rep.WatchdogWakeups)
+				t.Errorf("routers attribute %d wakeups to the watchdog, the report counts %d", forced, rep.WatchdogWakeups)
 			}
 			checkFaultAccounting(t, d.String(), rep)
 		})

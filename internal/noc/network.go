@@ -1008,21 +1008,23 @@ func (n *Network) noteWakeStall(sh *shard, cycles uint64) {
 	}
 }
 
-func (n *Network) noteMisroute(sh *shard, router int) {
+// noteMisroute counts a misrouted hop granted at r.
+func (n *Network) noteMisroute(r *Router) {
 	if n.collecting {
-		sh.col.MisroutedHops++
+		r.statMisroutes++
 	}
 	if n.tracer != nil {
-		n.traceEvent(sh, int32(router), obs.KindDetour, obs.CauseNone, 0, false)
+		n.traceEvent(r.sh, int32(r.id), obs.KindDetour, obs.CauseNone, 0, false)
 	}
 }
 
-func (n *Network) noteEscape(sh *shard, router int) {
+// noteEscape counts a packet entering the escape network at r.
+func (n *Network) noteEscape(r *Router) {
 	if n.collecting {
-		sh.col.EscapedPackets++
+		r.statEscapes++
 	}
 	if n.tracer != nil {
-		n.traceEvent(sh, int32(router), obs.KindEscape, obs.CauseNone, 0, false)
+		n.traceEvent(r.sh, int32(r.id), obs.KindEscape, obs.CauseNone, 0, false)
 	}
 }
 
@@ -1110,6 +1112,15 @@ type RouterReport struct {
 	BypassFlits     uint64 // flits forwarded through the NI bypass
 	PerfCentric     bool
 	HardFailed      bool // permanently failed by fault injection
+	// Wakeups by cause (they sum to Wakeups): a stalled neighbour's SA
+	// request, the local node's injection, NoRD's VC-request threshold,
+	// the power-gating watchdog.
+	WakeSA       uint64 `json:",omitempty"`
+	WakeLocal    uint64 `json:",omitempty"`
+	WakeVC       uint64 `json:",omitempty"`
+	WakeWatchdog uint64 `json:",omitempty"`
+	Misroutes    uint64 `json:",omitempty"` // misrouted hops granted here
+	Escapes      uint64 `json:",omitempty"` // packets entering the escape network here
 }
 
 // PerRouterReports returns per-router statistics for spatial analysis
@@ -1131,19 +1142,25 @@ func (n *Network) PerRouterReports() []RouterReport {
 		rep := RouterReport{
 			ID: id, X: x, Y: y,
 			IdleFraction: it.IdleFraction(),
-			Wakeups:      r.statWakeups,
+			Wakeups:      r.wakeups(),
 			GateOffs:     r.statGateOffs,
 			FlitsRouted:  r.statSAGrants,
 			BypassFlits:  r.statBypassFlits,
 			PerfCentric:  perf[id],
 			HardFailed:   r.hardFailed,
+			WakeSA:       r.statWakes[obs.CauseSARequest],
+			WakeLocal:    r.statWakes[obs.CauseLocalInject],
+			WakeVC:       r.statWakes[obs.CauseVCThreshold],
+			WakeWatchdog: r.statWakes[obs.CauseWatchdog],
+			Misroutes:    r.statMisroutes,
+			Escapes:      r.statEscapes,
 		}
 		if total > 0 {
 			rep.OffFraction = float64(off) / float64(total)
 		}
 		switch {
-		case r.statWakeups > 0:
-			rep.MeanOffInterval = float64(off) / float64(r.statWakeups)
+		case rep.Wakeups > 0:
+			rep.MeanOffInterval = float64(off) / float64(rep.Wakeups)
 		case r.statGateOffs > 0:
 			rep.MeanOffInterval = float64(off) / float64(r.statGateOffs)
 		}

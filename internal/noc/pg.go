@@ -56,7 +56,7 @@ func (r *Router) tickController() {
 		r.enter(powerWaking)
 		r.wakeCounter = p.WakeupLatency
 		if n.collecting {
-			r.statWakeups++
+			r.statWakes[cause]++
 		}
 	case powerWaking:
 		r.wakeCounter--
@@ -85,6 +85,14 @@ func (r *Router) settle() {
 		r.resid[r.state] += n.statEpoch - r.resFrom
 	}
 	r.resFrom = n.statEpoch
+}
+
+// wakeups is the router's measured wakeup count, summed over causes.
+func (r *Router) wakeups() (sum uint64) {
+	for _, w := range r.statWakes {
+		sum += w
+	}
+	return sum
 }
 
 // wakeSignal evaluates the WU level for this router and returns the signal

@@ -63,8 +63,9 @@ func TestGateOffClampsRingCredits(t *testing.T) {
 // TestRouterCountsSumToTotals: the per-router reports and the collector
 // are one record of each router event, so on every design, topology and
 // warm-up the routers sum to the totals — wakeups, gate-offs, routed and
-// bypassed flits, all inside the measured window — and each router's off
-// fraction is its share of RouterOffCycles, in a window every router
+// bypassed flits, misrouted hops and escapes, all inside the measured
+// window — each router's wake causes sum to its wakeups, and each router's
+// off fraction is its share of RouterOffCycles, in a window every router
 // spends all of in some power state.
 func TestRouterCountsSumToTotals(t *testing.T) {
 	for _, kind := range []topology.Kind{topology.KindMesh, topology.KindTorus, topology.KindCMesh} {
@@ -81,7 +82,12 @@ func TestRouterCountsSumToTotals(t *testing.T) {
 						sum.GateOffs += rr.GateOffs
 						sum.FlitsRouted += rr.FlitsRouted
 						sum.BypassFlits += rr.BypassFlits
+						sum.Misroutes += rr.Misroutes
+						sum.Escapes += rr.Escapes
 						off += uint64(math.Round(rr.OffFraction * float64(col.Cycles)))
+						if causes := rr.WakeSA + rr.WakeLocal + rr.WakeVC + rr.WakeWatchdog; causes != rr.Wakeups {
+							t.Errorf("router %d: wake causes sum to %d, wakeups %d", rr.ID, causes, rr.Wakeups)
+						}
 					}
 					if sum.Wakeups != col.Wakeups || sum.GateOffs != col.GateOffs {
 						t.Errorf("routers sum to %d wakeups, %d gate-offs; totals %d, %d",
@@ -91,6 +97,10 @@ func TestRouterCountsSumToTotals(t *testing.T) {
 						t.Errorf("routers sum to %d routed, %d bypassed flits; totals %d SA grants, %d bypass hops",
 							sum.FlitsRouted, sum.BypassFlits, col.SAArbs, col.BypassHops)
 					}
+					if sum.Misroutes != col.MisroutedHops || sum.Escapes != col.EscapedPackets {
+						t.Errorf("routers sum to %d misroutes, %d escapes; totals %d, %d",
+							sum.Misroutes, sum.Escapes, col.MisroutedHops, col.EscapedPackets)
+					}
 					if off != col.RouterOffCycles {
 						t.Errorf("off fractions sum to %d cycles, collector has %d", off, col.RouterOffCycles)
 					}
@@ -98,9 +108,11 @@ func TestRouterCountsSumToTotals(t *testing.T) {
 						t.Errorf("on+off+waking = %d router-cycles, want %d (%d cycles x %d routers)", got, want, col.Cycles, len(reps))
 					}
 					// Not vacuous: traffic moved, gated designs cycled their
-					// routers, and NoRD used the ring.
-					if col.SAArbs == 0 || (d.Blocks().PGSwitch && col.Wakeups == 0) || (d.Blocks().Bypass && col.BypassHops == 0) {
-						t.Errorf("vacuous run: %d SA grants, %d wakeups, %d bypass hops", col.SAArbs, col.Wakeups, col.BypassHops)
+					// routers, and NoRD used the ring, detoured and escaped.
+					if col.SAArbs == 0 || (d.Blocks().PGSwitch && col.Wakeups == 0) ||
+						(d.Blocks().Bypass && (col.BypassHops == 0 || col.MisroutedHops == 0 || col.EscapedPackets == 0)) {
+						t.Errorf("vacuous run: %d SA grants, %d wakeups, %d bypass hops, %d misroutes, %d escapes",
+							col.SAArbs, col.Wakeups, col.BypassHops, col.MisroutedHops, col.EscapedPackets)
 					}
 				})
 			}

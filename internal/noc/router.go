@@ -6,6 +6,7 @@ import (
 
 	"nord/internal/fault"
 	"nord/internal/flit"
+	"nord/internal/obs"
 	"nord/internal/topology"
 )
 
@@ -174,10 +175,13 @@ type Router struct {
 
 	// Per-router event counts, measured interval only. They are the one
 	// record of these events: foldStats sums them into the collector.
-	statWakeups     uint64
+	// statWakes is indexed by the wake's cause (CauseNone stays 0).
+	statWakes       [obs.CauseWatchdog + 1]uint64
 	statGateOffs    uint64
 	statSAGrants    uint64
 	statBypassFlits uint64
+	statMisroutes   uint64
+	statEscapes     uint64
 
 	// resid[s] is the measured cycles spent in power state s, charged
 	// through cycle resFrom by settle; the open stretch since resFrom
@@ -573,14 +577,14 @@ func (r *Router) grant(cands []cand, holder owner, pkt *flit.Packet) *cand {
 		r.outOwner[c.dir][c.vc] = holder
 		if c.escape && !pkt.Escaped {
 			pkt.Escaped = true
-			r.net.noteEscape(r.sh, r.id)
+			r.net.noteEscape(r)
 		}
 		if c.escape {
 			pkt.EscapeVC = c.escapeVCNext
 		}
 		if c.misroute {
 			pkt.Misroutes++
-			r.net.noteMisroute(r.sh, r.id)
+			r.net.noteMisroute(r)
 		}
 		return c
 	}

@@ -492,13 +492,16 @@ func (n *Network) foldStats() {
 	}
 	c := n.col
 	c.Wakeups, c.GateOffs, c.SAArbs, c.BypassHops = 0, 0, 0, 0
+	c.MisroutedHops, c.EscapedPackets = 0, 0
 	c.RouterOnCycles, c.RouterOffCycles, c.RouterWakingCycles = 0, 0, 0
 	for _, r := range n.routers {
 		r.settle()
-		c.Wakeups += r.statWakeups
+		c.Wakeups += r.wakeups()
 		c.GateOffs += r.statGateOffs
 		c.SAArbs += r.statSAGrants
 		c.BypassHops += r.statBypassFlits
+		c.MisroutedHops += r.statMisroutes
+		c.EscapedPackets += r.statEscapes
 		c.RouterOnCycles += r.resid[powerOn]
 		c.RouterOffCycles += r.resid[powerOff]
 		c.RouterWakingCycles += r.resid[powerWaking]

@@ -39,7 +39,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer, endCycle uint64) error {
 		fmt.Fprintf(bw, format, args...)
 	}
 	emit(`{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"nord routers"}}`)
-	for id := range t.sums {
+	for id := range t.nodes {
 		emit(`{"ph":"M","pid":1,"tid":%d,"name":"thread_name","args":{"name":"router %d"}}`, id, id)
 	}
 
@@ -81,7 +81,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer, endCycle uint64) error {
 	}
 	// Close intervals still open at the end of the run, in router order
 	// for determinism.
-	for id := range t.sums {
+	for id := range t.nodes {
 		r := int32(id)
 		if at, ok := failedAt[r]; ok {
 			if s, ok := offSince[r]; ok && s < at {

@@ -73,43 +73,41 @@ func (r ResidencyRow) MarshalJSON() ([]byte, error) {
 	}{Cycle: r.Cycle, State: states})
 }
 
-// WriteNDJSON dumps the tracer's contents as newline-delimited JSON:
-// one line per event ("type":"event"), residency sample
-// ("type":"residency") and per-router summary ("type":"summary"),
-// closed by a "type":"end" line with the recording totals.
-func (t *Tracer) WriteNDJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
+// WriteLine writes v, which must encode as a non-empty JSON object, as
+// one NDJSON line with the "type" discriminator spliced ahead of its own
+// fields.
+func WriteLine(w io.Writer, typ string, v any) error {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, "{\"type\":%q,%s\n", typ, b[1:])
+	return err
+}
+
+// WriteNDJSON dumps the tracer's contents as newline-delimited JSON: one
+// line per event ("type":"event") and residency sample
+// ("type":"residency"), then one "type":"summary" line per element of
+// summaries — the caller's per-router records, since the tracer keeps no
+// counts — closed by a "type":"end" line with the recording totals.
+func (t *Tracer) WriteNDJSON(w io.Writer, summaries ...any) error {
 	for _, e := range t.Events() {
-		// Splice the discriminator ahead of the event's own fields.
-		b, err := e.MarshalJSON()
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "{\"type\":\"event\",%s\n", b[1:]); err != nil {
+		if err := WriteLine(w, "event", e); err != nil {
 			return err
 		}
 	}
 	for _, row := range t.res {
-		b, err := row.MarshalJSON()
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "{\"type\":\"residency\",%s\n", b[1:]); err != nil {
+		if err := WriteLine(w, "residency", row); err != nil {
 			return err
 		}
 	}
-	for _, s := range t.sums {
-		if err := enc.Encode(struct {
-			Type string `json:"type"`
-			RouterSummary
-			MeanOffInterval float64 `json:"mean_off_interval"`
-		}{Type: "summary", RouterSummary: s, MeanOffInterval: s.MeanOffInterval()}); err != nil {
+	for _, s := range summaries {
+		if err := WriteLine(w, "summary", s); err != nil {
 			return err
 		}
 	}
-	return enc.Encode(struct {
-		Type    string `json:"type"`
+	return WriteLine(w, "end", struct {
 		Total   uint64 `json:"events_total"`
 		Dropped uint64 `json:"events_dropped"`
-	}{Type: "end", Total: t.total, Dropped: t.dropped})
+	}{t.total, t.dropped})
 }

@@ -104,7 +104,7 @@ type Event struct {
 // Config tunes a Tracer. The zero value selects the defaults.
 type Config struct {
 	// Capacity is the event ring size; once full the oldest events are
-	// overwritten (default 65536). Summaries keep counting regardless.
+	// overwritten (default 65536).
 	Capacity int
 	// SampleEvery records every Nth high-frequency event — bypass hops —
 	// while control events are always recorded (default 64; 1 records
@@ -142,41 +142,13 @@ type ResidencyRow struct {
 	State []uint8 `json:"state"`
 }
 
-// RouterSummary is the per-router running tally, updated on every Emit —
-// including events the ring has since overwritten and sampled-out bypass
-// hops — so it is exact regardless of ring capacity.
-type RouterSummary struct {
-	Router       int    `json:"router"`
-	GateOffs     uint64 `json:"gate_offs"`
-	Wakeups      uint64 `json:"wakeups"`
-	WakeSA       uint64 `json:"wake_sa_request,omitempty"`
-	WakeLocal    uint64 `json:"wake_local_inject,omitempty"`
-	WakeVC       uint64 `json:"wake_vc_threshold,omitempty"`
-	WakeWatchdog uint64 `json:"wake_watchdog,omitempty"`
-	OffCycles    uint64 `json:"off_cycles"`
-	WakingCycles uint64 `json:"waking_cycles"`
-	Detours      uint64 `json:"detours"`
-	Escapes      uint64 `json:"escapes"`
-	BypassHops   uint64 `json:"bypass_hops"`
-	HardFailed   bool   `json:"hard_failed,omitempty"`
-}
-
-// MeanOffInterval returns the mean length of this router's completed
-// gated-off intervals in cycles (0 when it never gated off).
-func (s RouterSummary) MeanOffInterval() float64 {
-	switch {
-	case s.Wakeups > 0:
-		return float64(s.OffCycles) / float64(s.Wakeups)
-	case s.GateOffs > 0:
-		return float64(s.OffCycles) / float64(s.GateOffs)
-	}
-	return 0
-}
-
-// Tracer is the event sink. Not safe for concurrent use: emit from the
-// simulation goroutine only (see the package comment).
+// Tracer is the event sink. It keeps time-stamped events and residency
+// rows, never per-router counts: those are the network's RouterReports.
+// Not safe for concurrent use: emit from the simulation goroutine only
+// (see the package comment).
 type Tracer struct {
-	cfg Config
+	cfg   Config
+	nodes int // routers: the Chrome track list and the residency row width
 
 	buf   []Event
 	start int // index of the oldest event
@@ -186,8 +158,6 @@ type Tracer struct {
 	dropped uint64 // events overwritten by ring wraparound
 	hfSeen  uint64 // high-frequency events offered (sampled and not)
 	last    uint64 // highest cycle seen by any emit or residency sample
-
-	sums []RouterSummary
 
 	res     []ResidencyRow
 	resNext uint64
@@ -199,66 +169,18 @@ func New(cfg Config) *Tracer {
 	return &Tracer{cfg: cfg, buf: make([]Event, cfg.Capacity)}
 }
 
-// SetNodes sizes the per-router summaries (the network calls this when
-// the tracer is attached).
-func (t *Tracer) SetNodes(n int) {
-	if n > len(t.sums) {
-		sums := make([]RouterSummary, n)
-		copy(sums, t.sums)
-		for i := range sums {
-			sums[i].Router = i
-		}
-		t.sums = sums
-	}
-}
+// SetNodes sets the router count (the network calls this when the tracer
+// is attached).
+func (t *Tracer) SetNodes(n int) { t.nodes = n }
 
-func (t *Tracer) sum(router int32) *RouterSummary {
-	if int(router) >= len(t.sums) {
-		t.SetNodes(int(router) + 1)
-	}
-	return &t.sums[router]
-}
-
-// Emit records a control event (always kept, ring-overwriting the oldest
-// when full) and updates the per-router summary.
+// Emit records a control event, always kept: once the ring is full it
+// overwrites the oldest.
 func (t *Tracer) Emit(cycle uint64, router int32, kind Kind, cause Cause, arg uint64) {
-	s := t.sum(router)
-	switch kind {
-	case KindGateOff:
-		s.GateOffs++
-	case KindWakeStart:
-		s.Wakeups++
-		s.OffCycles += arg
-		switch cause {
-		case CauseSARequest:
-			s.WakeSA++
-		case CauseLocalInject:
-			s.WakeLocal++
-		case CauseVCThreshold:
-			s.WakeVC++
-		case CauseWatchdog:
-			s.WakeWatchdog++
-		}
-	case KindWakeDone:
-		s.WakingCycles += arg
-	case KindHardFail:
-		s.HardFailed = true
-	case KindDetour:
-		s.Detours++
-	case KindEscape:
-		s.Escapes++
-	case KindBypassHop:
-		s.BypassHops++
-	}
 	t.push(Event{Cycle: cycle, Arg: arg, Router: router, Kind: kind, Cause: cause})
 }
 
-// EmitSampled records a high-frequency event 1-in-SampleEvery; the
-// summary counts every offered event regardless.
+// EmitSampled records a high-frequency event 1-in-SampleEvery.
 func (t *Tracer) EmitSampled(cycle uint64, router int32, kind Kind, cause Cause, arg uint64) {
-	if kind == KindBypassHop {
-		t.sum(router).BypassHops++
-	}
 	t.hfSeen++
 	if t.hfSeen%uint64(t.cfg.SampleEvery) != 1 && t.cfg.SampleEvery > 1 {
 		return
@@ -285,14 +207,14 @@ func (t *Tracer) push(e Event) {
 // (the caller writes one state code per router), or nil when no sample
 // is due. The row's length is the node count from SetNodes.
 func (t *Tracer) ResidencyRow(cycle uint64) []uint8 {
-	if t.cfg.ResidencyEvery < 0 || cycle < t.resNext || len(t.sums) == 0 {
+	if t.cfg.ResidencyEvery < 0 || cycle < t.resNext || t.nodes == 0 {
 		return nil
 	}
 	t.resNext = cycle + uint64(t.cfg.ResidencyEvery)
 	if cycle > t.last {
 		t.last = cycle
 	}
-	row := ResidencyRow{Cycle: cycle, State: make([]uint8, len(t.sums))}
+	row := ResidencyRow{Cycle: cycle, State: make([]uint8, t.nodes)}
 	t.res = append(t.res, row)
 	return row.State
 }
@@ -314,11 +236,6 @@ func (t *Tracer) DrainEvents(dst []Event) []Event {
 	}
 	t.start, t.count = 0, 0
 	return dst
-}
-
-// Summaries returns a copy of the per-router running tallies.
-func (t *Tracer) Summaries() []RouterSummary {
-	return append([]RouterSummary(nil), t.sums...)
 }
 
 // Residency returns the sampled per-router state time-series.

@@ -27,10 +27,6 @@ func TestRingOverwriteKeepsNewest(t *testing.T) {
 			t.Errorf("events[%d].Cycle = %d, want %d (chronological, newest kept)", i, e.Cycle, want)
 		}
 	}
-	// Summaries survive overwrites.
-	if got := tr.Summaries()[0].GateOffs; got != 10 {
-		t.Errorf("summary gate_offs = %d, want 10", got)
-	}
 }
 
 func TestSamplingRecordsOneInN(t *testing.T) {
@@ -41,10 +37,6 @@ func TestSamplingRecordsOneInN(t *testing.T) {
 	if got := len(tr.Events()); got != 8 {
 		t.Fatalf("recorded %d sampled events, want 8 (1-in-8 of 64)", got)
 	}
-	// The summary counts every offered event.
-	if got := tr.Summaries()[3].BypassHops; got != 64 {
-		t.Errorf("summary bypass_hops = %d, want 64", got)
-	}
 
 	all := New(Config{SampleEvery: 1, ResidencyEvery: -1})
 	for c := uint64(0); c < 10; c++ {
@@ -52,43 +44,6 @@ func TestSamplingRecordsOneInN(t *testing.T) {
 	}
 	if got := len(all.Events()); got != 10 {
 		t.Errorf("SampleEvery=1 recorded %d events, want 10", got)
-	}
-}
-
-func TestSummaryTallies(t *testing.T) {
-	tr := New(Config{ResidencyEvery: -1})
-	tr.SetNodes(4)
-	tr.Emit(100, 2, KindGateOff, CauseNone, 100)
-	tr.Emit(150, 2, KindWakeStart, CauseSARequest, 50)
-	tr.Emit(158, 2, KindWakeDone, CauseNone, 8)
-	tr.Emit(200, 2, KindGateOff, CauseNone, 42)
-	tr.Emit(260, 2, KindWakeStart, CauseVCThreshold, 60)
-	tr.Emit(300, 2, KindDetour, CauseNone, 0)
-	tr.Emit(301, 2, KindEscape, CauseNone, 0)
-	tr.Emit(400, 1, KindHardFail, CauseNone, 0)
-
-	s := tr.Summaries()[2]
-	if s.GateOffs != 2 || s.Wakeups != 2 {
-		t.Fatalf("gate_offs/wakeups = %d/%d, want 2/2", s.GateOffs, s.Wakeups)
-	}
-	if s.OffCycles != 110 {
-		t.Errorf("off_cycles = %d, want 110", s.OffCycles)
-	}
-	if s.WakingCycles != 8 {
-		t.Errorf("waking_cycles = %d, want 8", s.WakingCycles)
-	}
-	if s.WakeSA != 1 || s.WakeVC != 1 || s.WakeLocal != 0 || s.WakeWatchdog != 0 {
-		t.Errorf("cause tallies = sa:%d vc:%d local:%d wd:%d, want 1/1/0/0",
-			s.WakeSA, s.WakeVC, s.WakeLocal, s.WakeWatchdog)
-	}
-	if s.Detours != 1 || s.Escapes != 1 {
-		t.Errorf("detours/escapes = %d/%d, want 1/1", s.Detours, s.Escapes)
-	}
-	if got := s.MeanOffInterval(); got != 55 {
-		t.Errorf("mean off interval = %v, want 55", got)
-	}
-	if !tr.Summaries()[1].HardFailed {
-		t.Errorf("router 1 not marked hard-failed")
 	}
 }
 
@@ -170,8 +125,10 @@ func TestWriteNDJSON(t *testing.T) {
 	}
 	tr.Emit(25, 1, KindWakeStart, CauseSARequest, 20)
 
+	// The summaries are the caller's per-router records.
+	type report struct{ ID, Wakeups int }
 	var buf bytes.Buffer
-	if err := tr.WriteNDJSON(&buf); err != nil {
+	if err := tr.WriteNDJSON(&buf, report{0, 0}, report{1, 1}); err != nil {
 		t.Fatalf("WriteNDJSON: %v", err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -196,8 +153,11 @@ func TestWriteNDJSON(t *testing.T) {
 	if !strings.Contains(lines[2], `"state":[0,1]`) {
 		t.Errorf("residency line %q missing integer state array", lines[2])
 	}
-	if !strings.Contains(lines[5], `"events_total":2`) {
-		t.Errorf("end line %q missing events_total", lines[5])
+	if want := `{"type":"summary","ID":1,"Wakeups":1}`; lines[4] != want {
+		t.Errorf("summary line %q, want %q", lines[4], want)
+	}
+	if want := `{"type":"end","events_total":2,"events_dropped":0}`; lines[5] != want {
+		t.Errorf("end line %q, want %q", lines[5], want)
 	}
 }
 

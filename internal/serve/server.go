@@ -818,15 +818,10 @@ type traceEnd struct {
 	Error   string   `json:"error,omitempty"`
 }
 
-// writeTraceEvents renders a batch as NDJSON lines with the "event"
-// discriminator spliced ahead of each event's own fields.
+// writeTraceEvents renders a batch as "event" NDJSON lines.
 func writeTraceEvents(w io.Writer, batch []obs.Event) error {
 	for _, e := range batch {
-		b, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "{\"type\":\"event\",%s\n", b[1:]); err != nil {
+		if err := obs.WriteLine(w, "event", e); err != nil {
 			return err
 		}
 	}

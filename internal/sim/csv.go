@@ -149,27 +149,32 @@ func ResultCSVRecord(r Result) []string {
 }
 
 // WriteRouterCSV emits a Result's per-router spatial statistics as CSV:
-// one row per mesh position with residency fractions, gating activity and
-// bypass usage, for heat maps and the Fig. 12-14-style per-router
-// timeline analyses.
+// one row per mesh position with residency fractions, gating activity,
+// wakeups by cause, bypass usage, detours and escapes, for heat maps and
+// the Fig. 12-14-style per-router timeline analyses.
 func WriteRouterCSV(w io.Writer, r Result) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{
 		"router", "x", "y", "idle_fraction", "off_fraction",
 		"wakeups", "gate_offs", "mean_off_interval_cycles",
 		"flits_routed", "bypass_flits", "perf_centric", "hard_failed",
+		"wake_sa_request", "wake_local_inject", "wake_vc_threshold", "wake_watchdog",
+		"misroutes", "escapes",
 	}); err != nil {
 		return err
 	}
 	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 5, 64) }
+	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
 	for _, rr := range r.Routers {
 		if err := cw.Write([]string{
 			strconv.Itoa(rr.ID), strconv.Itoa(rr.X), strconv.Itoa(rr.Y),
 			f(rr.IdleFraction), f(rr.OffFraction),
-			strconv.FormatUint(rr.Wakeups, 10), strconv.FormatUint(rr.GateOffs, 10),
+			u(rr.Wakeups), u(rr.GateOffs),
 			strconv.FormatFloat(rr.MeanOffInterval, 'f', 1, 64),
-			strconv.FormatUint(rr.FlitsRouted, 10), strconv.FormatUint(rr.BypassFlits, 10),
+			u(rr.FlitsRouted), u(rr.BypassFlits),
 			strconv.FormatBool(rr.PerfCentric), strconv.FormatBool(rr.HardFailed),
+			u(rr.WakeSA), u(rr.WakeLocal), u(rr.WakeVC), u(rr.WakeWatchdog),
+			u(rr.Misroutes), u(rr.Escapes),
 		}); err != nil {
 			return err
 		}

@@ -54,11 +54,13 @@ func FormatResult(r Result) string {
 }
 
 // FormatPerRouter renders the spatial per-router statistics as a table
-// ordered by mesh position; performance-centric routers are starred.
+// ordered by mesh position; performance-centric routers are starred. The
+// wake:* columns split wakeups by cause.
 func FormatPerRouter(r Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-4s %-5s %8s %8s %8s %8s %9s %10s %10s\n",
-		"id", "(x,y)", "idle%", "off%", "wakeups", "gateoffs", "meanoff", "flits", "bypassed")
+	fmt.Fprintf(&b, "%-4s %-5s %8s %8s %8s %8s %9s %10s %10s %8s %8s %8s %8s %9s %8s\n",
+		"id", "(x,y)", "idle%", "off%", "wakeups", "gateoffs", "meanoff", "flits", "bypassed",
+		"wake:sa", "wake:loc", "wake:vc", "wake:wd", "misroutes", "escapes")
 	for _, rr := range r.Routers {
 		star := " "
 		if rr.PerfCentric {
@@ -68,9 +70,10 @@ func FormatPerRouter(r Result) string {
 		if rr.HardFailed {
 			failed = "  FAILED"
 		}
-		fmt.Fprintf(&b, "%-3d%s (%d,%d) %7.1f%% %7.1f%% %8d %8d %9.1f %10d %10d%s\n",
+		fmt.Fprintf(&b, "%-3d%s (%d,%d) %7.1f%% %7.1f%% %8d %8d %9.1f %10d %10d %8d %8d %8d %8d %9d %8d%s\n",
 			rr.ID, star, rr.X, rr.Y, 100*rr.IdleFraction, 100*rr.OffFraction,
-			rr.Wakeups, rr.GateOffs, rr.MeanOffInterval, rr.FlitsRouted, rr.BypassFlits, failed)
+			rr.Wakeups, rr.GateOffs, rr.MeanOffInterval, rr.FlitsRouted, rr.BypassFlits,
+			rr.WakeSA, rr.WakeLocal, rr.WakeVC, rr.WakeWatchdog, rr.Misroutes, rr.Escapes, failed)
 	}
 	return b.String()
 }

@@ -6,9 +6,11 @@ import (
 
 // NoC aggregates everything a network simulation measures. The noc
 // package increments it; the sim package converts it into reports.
-// Wakeups, GateOffs, the RouterOn/Off/WakingCycles residencies, SAArbs
-// and BypassHops are per-router quantities: noc derives them as sums over
-// its routers' own counters whenever the collector is read.
+// Wakeups, GateOffs, the RouterOn/Off/WakingCycles residencies, SAArbs,
+// BypassHops, MisroutedHops and EscapedPackets are per-router quantities:
+// noc derives them as sums over its routers' own counters whenever the
+// collector is read. Fault-recovery events are counted in fault.Report,
+// not here.
 type NoC struct {
 	// Cycles measured (after warmup).
 	Cycles uint64
@@ -53,15 +55,6 @@ type NoC struct {
 	// NIVCRequests sums the per-cycle VC requests seen at every NI (the
 	// raw signal of NoRD's wakeup metric, used to regenerate Figure 7).
 	NIVCRequests uint64
-
-	// Fault-injection and recovery events (counted whenever a fault
-	// schedule is armed, independent of the measurement window, since
-	// faults land during warmup and drain too).
-	CorruptFlits    uint64 // flits whose checksum a link fault damaged
-	PoisonedPackets uint64 // packets detected corrupt by verification
-	Retransmits     uint64 // end-to-end retransmissions issued
-	WakeupsDropped  uint64 // wakeup handshakes swallowed by faults
-	WatchdogWakeups uint64 // wakeups re-issued by the PG watchdog
 
 	// Idle-period distribution across all routers (datapath emptiness,
 	// independent of whether the design actually gated them off).
@@ -109,12 +102,6 @@ func (n *NoC) Merge(o *NoC) {
 	n.LocalFlits += o.LocalFlits
 
 	n.NIVCRequests += o.NIVCRequests
-
-	n.CorruptFlits += o.CorruptFlits
-	n.PoisonedPackets += o.PoisonedPackets
-	n.Retransmits += o.Retransmits
-	n.WakeupsDropped += o.WakeupsDropped
-	n.WatchdogWakeups += o.WatchdogWakeups
 
 	n.IdlePeriods.Merge(o.IdlePeriods)
 	n.IdleCycles += o.IdleCycles
