@@ -10,7 +10,7 @@ import (
 )
 
 // hitPathJob is the ladder's serving job (bench/inputs.go): the paper's
-// 4x4 mesh at 5 % load, 1000 warm-up + 5000 measured cycles, a ~3.8 KB
+// 4x4 mesh at 5 % load, 1000 warm-up + 5000 measured cycles, a ~1.8 KB
 // result.
 const hitPathJob = `{"kind":"synthetic","synthetic":{"design":"nord","width":4,"height":4,"pattern":"uniform","rate":0.05,"warmup":1000,"measure":5000,"seed":11}}`
 

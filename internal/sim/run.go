@@ -54,8 +54,8 @@ type Result struct {
 	L1HitRate float64
 
 	// Routers holds per-router spatial statistics (utilisation, gating,
-	// bypass usage per mesh position).
-	Routers []noc.RouterReport
+	// bypass usage per mesh position); a column table on the wire.
+	Routers RouterTable
 
 	// Fault is the fault-injection recovery accounting, nil when no
 	// schedule was armed.
