@@ -202,27 +202,35 @@ func TestOneAllocator(t *testing.T) {
 // "Counted once"): a router event is counted on its Router, by one
 // function, inside the measured window; the collector's per-router totals
 // are sums foldStats derives from those counts; power-state residency is
-// charged only by enter and settle; and NoRD's quiet run is a stamp only
-// NI.tick writes. The allow-list is empty. The tracer (internal/obs)
-// keeps events, not counts: there the only fields counted up are its own
-// recording totals.
+// charged only by enter and settle; the idle run is stamped only by the
+// stats pass's sample and closed only by closeIdle; and NoRD's quiet run is
+// a stamp only NI.tick writes. The allow-list is empty. The tracer
+// (internal/obs) keeps events, not counts: there the only fields counted
+// up are its own recording totals.
 //
 // Before this rule the walk found 14 twin write sites: the collector's
 // SAArbs, Wakeups, GateOffs and BypassHops in noteSAGrant, noteWakeup,
 // noteGateOff and noteBypassHop; RouterOn/Off/WakingCycles both in
-// runSection's stats pass and in flushNode's dormant back-fill (6);
+// runSection's stats pass and in the dormant back-fill at activation (6);
 // statSAGrants twice in tickSA and statBypassFlits in
 // tryAggressiveForward and tickBypass. The quiet run (then a counter) was
-// written in NI.tick twice, flushNode and runSection. Wakes by cause,
+// written in NI.tick twice, the back-fill and runSection. Wakes by cause,
 // detours and escapes were then counted only by the tracer, in a
 // per-router summary updated on every emit, warm-up included: the obs walk
-// below found 12 write sites over 11 fields there.
+// below found 12 write sites over 11 fields there. Idle and busy cycles
+// were last: a per-router tracker object fed every cycle and back-filled
+// at activation, whose totals FinishMeasurement added to the collector on
+// every call.
 func TestCountedOnce(t *testing.T) {
 	derived := []string{"Network.foldStats"}
 	writers := map[string][]string{
 		"Wakeups": derived, "GateOffs": derived, "SAArbs": derived, "BypassHops": derived,
 		"MisroutedHops": derived, "EscapedPackets": derived,
 		"RouterOnCycles": derived, "RouterOffCycles": derived, "RouterWakingCycles": derived,
+		"IdleCycles": derived, "BusyCycles": derived,
+		"statIdle":        {"Router.closeIdle"},
+		"idling":          {"Router.sampleIdle", "Network.BeginMeasurement"},
+		"idleFrom":        {"Router.sampleIdle", "Router.closeIdle", "Network.BeginMeasurement"},
 		"statWakes":       {"Router.tickController"},
 		"statGateOffs":    {"Router.gateOff"},
 		"statSAGrants":    {"Network.noteSAGrant"},

@@ -58,7 +58,6 @@ type Network struct {
 	col          *stats.NoC
 	collecting   bool
 	measureFrom  uint64
-	idle         []*stats.IdleTracker
 	ejectHandler func(*flit.Packet, uint64)
 	injectHook   func(*flit.Packet, uint64)
 
@@ -101,19 +100,17 @@ type Network struct {
 	// Event-sparse kernel state. activeMask is a bitset of the nodes that
 	// must be ticked; a node leaves the set when nodeNeedsTick turns false
 	// and rejoins through activate() when an event touches it again.
-	// lastTicked records, per node, the cycle through which its idle
-	// tracker has been fed; statEpoch is the cycle the network as a whole
-	// has been accounted through, so activate() can back-fill a dormant
-	// stretch in one step. (Power-state residency and the NI quiet run are
-	// stamped at their transitions instead and need no back-fill.) sparse
-	// is false in full-scan mode (fullScan: an armed fault schedule, or
-	// the golden test's reference run), where every bit stays set and the
-	// kernel degenerates to the original walk-everything loop.
+	// statEpoch is the cycle the network has been accounted through: a
+	// dormant node needs no accounting, since power-state residency, the
+	// idle run and the NI quiet run are stamped at their transitions and
+	// read up to statEpoch. sparse is false in full-scan mode (fullScan: an
+	// armed fault schedule, or the golden test's reference run), where
+	// every bit stays set and the kernel degenerates to the original
+	// walk-everything loop.
 	nn         int
 	sparse     bool
 	activeMask []uint64
 	idScratch  []int
-	lastTicked []uint64
 	statEpoch  uint64
 	// linkCount[id] counts flits in flight on node id's output links, so
 	// link delivery can skip nodes whose channels are idle.
@@ -142,7 +139,6 @@ func New(p Params) (*Network, error) {
 		conc:  topo.Concentration(),
 		col:   stats.NewNoC(p.MaxIdlePeriod),
 		links: make([][4][]timedFlit, topo.N()),
-		idle:  make([]*stats.IdleTracker, topo.N()),
 	}
 	row := p.Design.row()
 	n.gated, n.wake = row.blocks.PGSwitch, row.wake
@@ -162,7 +158,6 @@ func New(p Params) (*Network, error) {
 	n.sparse = true
 	n.activeMask = make([]uint64, (n.nn+63)/64)
 	n.idScratch = make([]int, 0, n.nn)
-	n.lastTicked = make([]uint64, n.nn)
 	n.linkCount = make([]int, n.nn)
 	n.nbrTab = make([]int32, n.nn*int(topology.NumDirs))
 	for id := 0; id < n.nn; id++ {
@@ -217,7 +212,6 @@ func New(p Params) (*Network, error) {
 		initRouter(n.routers[id], id, n)
 		n.nis[id] = &nbuf[id]
 		initNI(n.nis[id], id, n)
-		n.idle[id] = stats.NewIdleTracker(n.shardFor(id).col.IdlePeriods)
 	}
 	if n.ring != nil && p.ForcedOff {
 		// Routers start gated off: each ring upstream holds the single
@@ -259,12 +253,10 @@ func (n *Network) Ring() *topology.Ring { return n.ring }
 // Cycle returns the current simulation cycle.
 func (n *Network) Cycle() uint64 { return n.cycle }
 
-// Collector exposes the raw statistics collector, first syncing the
-// lazily accounted per-node counters of dormant nodes and folding in the
+// Collector exposes the raw statistics collector, first folding in the
 // per-router counts (the power time series samples cumulative counters
-// mid-run).
+// mid-run). Reading changes nothing: a second read returns the same.
 func (n *Network) Collector() *stats.NoC {
-	n.syncStats()
 	n.foldStats()
 	return n.col
 }
@@ -292,22 +284,23 @@ func (n *Network) SetDeliveryHandler(f func(*flit.Packet, uint64)) { n.ejectHand
 // BeginMeasurement starts statistics collection (call after warmup).
 // Packets injected before this cycle do not contribute latency samples.
 func (n *Network) BeginMeasurement() {
-	// Consume the dormant stretches and open power-state stretches
-	// accumulated during warmup against the pre-measurement interval, so
-	// the measured window starts clean.
-	n.syncStats()
+	// Consume the open power-state stretches accumulated during warmup
+	// against the pre-measurement interval, so the measured window starts
+	// clean; every router's idle state is seeded from its datapath.
 	n.foldStats()
+	for _, r := range n.routers {
+		r.idling, r.idleFrom = !r.busy(), n.cycle+1
+	}
 	n.collecting = true
 	n.measureFrom = n.cycle
 }
 
-// FinishMeasurement flushes per-router trackers into the collector.
+// FinishMeasurement closes every router's open idle run into the
+// idle-period distribution (a trailing run is a period too) and folds the
+// collector. Calling it again changes nothing.
 func (n *Network) FinishMeasurement() {
-	n.syncStats()
-	for _, it := range n.idle {
-		it.Flush() // closes the trailing idle period into the shard collector
-		n.col.IdleCycles += it.IdleCycles()
-		n.col.BusyCycles += it.BusyCycles()
+	for _, r := range n.routers {
+		r.closeIdle()
 	}
 	n.foldStats()
 }
@@ -599,45 +592,15 @@ func (n *Network) collectActive() []int {
 	return ids
 }
 
-// activate puts node id on the active worklist, first back-filling the
-// idle-tracker cycles it skipped while dormant (during which, by the
-// deactivation invariant, its datapath was empty). Call it before the
-// triggering event mutates any of that state. Inside a parallel section
+// activate puts node id on the active worklist. Inside a parallel section
 // it may only be called for shard-local nodes (cross-shard wakes go
 // through activateFrom); the bit operations are atomic because boundary
 // words of the mask are shared between adjacent shards.
 func (n *Network) activate(id int) {
 	w := uint(id) >> 6
 	bit := uint64(1) << (uint(id) & 63)
-	if atomic.LoadUint64(&n.activeMask[w])&bit != 0 {
-		return
-	}
-	atomic.OrUint64(&n.activeMask[w], bit)
-	n.flushNode(id)
-}
-
-// flushNode feeds node id's idle tracker the cycles it skipped while
-// dormant, measured ones only.
-func (n *Network) flushNode(id int) {
-	last := n.lastTicked[id]
-	if last == n.statEpoch {
-		return
-	}
-	n.lastTicked[id] = n.statEpoch
-	// A stretch straddling BeginMeasurement feeds only its measured part.
-	from := max(last, n.measureFrom)
-	if !n.collecting || n.statEpoch <= from {
-		return
-	}
-	n.idle[id].RecordRun(n.routers[id].busy(), n.statEpoch-from)
-}
-
-// syncStats back-fills the idle trackers of every dormant node up to the
-// current cycle, so cumulative counters read mid-run (the power time
-// series, mid-run collector probes) are exact.
-func (n *Network) syncStats() {
-	for id := range n.lastTicked {
-		n.flushNode(id)
+	if atomic.LoadUint64(&n.activeMask[w])&bit == 0 {
+		atomic.OrUint64(&n.activeMask[w], bit)
 	}
 }
 
@@ -1127,21 +1090,18 @@ type RouterReport struct {
 // (utilisation heat maps, gating behaviour per location). They count the
 // measured interval only, and sum to the collector's totals.
 func (n *Network) PerRouterReports() []RouterReport {
-	n.syncStats()
 	out := make([]RouterReport, len(n.routers))
 	perf := map[int]bool{}
 	for _, id := range n.PerfCentricNow() {
 		perf[id] = true
 	}
+	cycles := n.col.Cycles
 	for id, r := range n.routers {
 		x, y := n.topo.Coord(id)
-		it := n.idle[id]
-		total := it.IdleCycles() + it.BusyCycles()
 		r.settle()
 		off := r.resid[powerOff]
 		rep := RouterReport{
 			ID: id, X: x, Y: y,
-			IdleFraction: it.IdleFraction(),
 			Wakeups:      r.wakeups(),
 			GateOffs:     r.statGateOffs,
 			FlitsRouted:  r.statSAGrants,
@@ -1155,8 +1115,9 @@ func (n *Network) PerRouterReports() []RouterReport {
 			Misroutes:    r.statMisroutes,
 			Escapes:      r.statEscapes,
 		}
-		if total > 0 {
-			rep.OffFraction = float64(off) / float64(total)
+		if cycles > 0 {
+			rep.IdleFraction = float64(r.idleCycles()) / float64(cycles)
+			rep.OffFraction = float64(off) / float64(cycles)
 		}
 		switch {
 		case rep.Wakeups > 0:

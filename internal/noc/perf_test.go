@@ -219,12 +219,16 @@ func (c stepPhaseCell) build() (*Network, *traffic.Synthetic) {
 //
 //	go test ./internal/noc -run '^$' -bench BenchmarkStepPhases -benchtime 20000x
 func BenchmarkStepPhases(b *testing.B) {
+	// warm leaves the network measuring, as the ladder's kernel cells run
+	// nearly all their cycles: the stats phase then pays the measured
+	// window's accounting.
 	warm := func(c stepPhaseCell) (*Network, *traffic.Synthetic) {
 		n, inj := c.build()
 		for i := 0; i < 2000; i++ {
 			inj.Tick(n.Cycle())
 			n.Tick()
 		}
+		n.BeginMeasurement()
 		return n, inj
 	}
 	// clock is what one clock read costs, in ns.

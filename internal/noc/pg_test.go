@@ -65,8 +65,9 @@ func TestGateOffClampsRingCredits(t *testing.T) {
 // warm-up the routers sum to the totals — wakeups, gate-offs, routed and
 // bypassed flits, misrouted hops and escapes, all inside the measured
 // window — each router's wake causes sum to its wakeups, and each router's
-// off fraction is its share of RouterOffCycles, in a window every router
-// spends all of in some power state.
+// off and idle fractions are its shares of RouterOffCycles and IdleCycles,
+// in a window every router spends all of in some power state and either
+// idle or busy.
 func TestRouterCountsSumToTotals(t *testing.T) {
 	for _, kind := range []topology.Kind{topology.KindMesh, topology.KindTorus, topology.KindCMesh} {
 		for _, d := range Designs() {
@@ -76,7 +77,7 @@ func TestRouterCountsSumToTotals(t *testing.T) {
 					p.Topology = kind
 					col, reps, _ := goldenRun(t, p, false, 0.08, 11, warmup, 3000)
 					var sum RouterReport
-					var off uint64
+					var off, idle uint64
 					for _, rr := range reps {
 						sum.Wakeups += rr.Wakeups
 						sum.GateOffs += rr.GateOffs
@@ -85,6 +86,7 @@ func TestRouterCountsSumToTotals(t *testing.T) {
 						sum.Misroutes += rr.Misroutes
 						sum.Escapes += rr.Escapes
 						off += uint64(math.Round(rr.OffFraction * float64(col.Cycles)))
+						idle += uint64(math.Round(rr.IdleFraction * float64(col.Cycles)))
 						if causes := rr.WakeSA + rr.WakeLocal + rr.WakeVC + rr.WakeWatchdog; causes != rr.Wakeups {
 							t.Errorf("router %d: wake causes sum to %d, wakeups %d", rr.ID, causes, rr.Wakeups)
 						}
@@ -106,6 +108,12 @@ func TestRouterCountsSumToTotals(t *testing.T) {
 					}
 					if got, want := col.RouterOnCycles+col.RouterOffCycles+col.RouterWakingCycles, col.Cycles*uint64(len(reps)); got != want {
 						t.Errorf("on+off+waking = %d router-cycles, want %d (%d cycles x %d routers)", got, want, col.Cycles, len(reps))
+					}
+					if idle != col.IdleCycles {
+						t.Errorf("idle fractions sum to %d cycles, collector has %d", idle, col.IdleCycles)
+					}
+					if got, want := col.IdleCycles+col.BusyCycles, col.Cycles*uint64(len(reps)); got != want {
+						t.Errorf("idle+busy = %d router-cycles, want %d (%d cycles x %d routers)", got, want, col.Cycles, len(reps))
 					}
 					// Not vacuous: traffic moved, gated designs cycled their
 					// routers, and NoRD used the ring, detoured and escaped.

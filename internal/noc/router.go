@@ -189,6 +189,15 @@ type Router struct {
 	resid   [powerWaking + 1]uint64
 	resFrom uint64
 
+	// The idle run, stamped where it changes like the residency above:
+	// statIdle is the measured cycles of r's closed idle runs and, while
+	// idling, the open run began at cycle idleFrom. Only a ticked router
+	// is sampled; a dormant one is idle by the deactivation invariant, so
+	// its open run simply goes on.
+	idling   bool
+	idleFrom uint64
+	statIdle uint64
+
 	// stateSince is the cycle of the last power-FSM transition, giving
 	// the residency argument on trace events.
 	stateSince uint64
@@ -299,6 +308,41 @@ func (r *Router) datapathEmpty() bool {
 func (r *Router) busy() bool {
 	return !r.datapathEmpty() || r.bypassSum > 0
 }
+
+// sampleIdle is the measured stats pass's look at a ticked router: a busy
+// cycle closes the open idle run, an idle one opens a run at this cycle.
+func (r *Router) sampleIdle() {
+	switch busy := r.busy(); {
+	case busy && r.idling:
+		r.closeIdle()
+		r.idling = false
+	case !busy && !r.idling:
+		r.idling, r.idleFrom = true, r.net.cycle
+	}
+}
+
+// idleRun is the length of the open idle run through statEpoch, the last
+// cycle accounted (0 when r is not idling).
+func (r *Router) idleRun() uint64 {
+	if !r.idling {
+		return 0
+	}
+	return r.net.statEpoch + 1 - r.idleFrom
+}
+
+// closeIdle charges the open idle run to statIdle and, as one period, to
+// the shard's idle-period distribution; an idling router's next run starts
+// after statEpoch.
+func (r *Router) closeIdle() {
+	if run := r.idleRun(); run > 0 {
+		r.statIdle += run
+		r.sh.col.IdlePeriods.Add(run)
+	}
+	r.idleFrom = r.net.statEpoch + 1
+}
+
+// idleCycles is r's measured idle cycles, the open run included.
+func (r *Router) idleCycles() uint64 { return r.statIdle + r.idleRun() }
 
 // tickST moves last cycle's SA winners onto the output links (the ST
 // stage; the following LT cycle is modelled by the link's delivery delay).

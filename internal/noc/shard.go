@@ -322,9 +322,8 @@ func (n *Network) runSection(sec int, sh *shard) {
 		}
 	case secStats:
 		for _, id := range n.shardActive(sh) {
-			n.lastTicked[id] = n.cycle
 			if n.collecting {
-				n.idle[id].Record(n.routers[id].busy())
+				n.routers[id].sampleIdle()
 			}
 			// Deactivation sweep, fused into the stats walk: nodes with
 			// no remaining work leave the worklist; activate() restores
@@ -364,8 +363,8 @@ func (n *Network) mergeNode() {
 }
 
 // mergeRouter applies deferred cross-shard wake activations in shard
-// order (activation is idempotent and its back-fill per-node, so order
-// across distinct nodes is immaterial), then the deferred replays.
+// order (activation is idempotent and only sets a bit, so order across
+// distinct nodes is immaterial), then the deferred replays.
 func (n *Network) mergeRouter() {
 	for _, sh := range n.shards {
 		for _, id := range sh.activates {
@@ -482,9 +481,10 @@ func (n *Network) traceEvent(sh *shard, router int32, kind obs.Kind, cause obs.C
 
 // foldStats merges every shard collector into the master, then derives
 // the per-router quantities from the routers' own counts, settling each
-// router's open power-state stretch first. Merging is exact (sums of
-// integers, integer-valued samples), so the fold is bit-identical to
-// serial accumulation regardless of shard count.
+// router's open power-state stretch first and counting its open idle run
+// without closing it, so a fold changes nothing a later one reads. Merging
+// is exact (sums of integers, integer-valued samples), so the fold is
+// bit-identical to serial accumulation regardless of shard count.
 func (n *Network) foldStats() {
 	for _, sh := range n.shards {
 		n.col.Merge(sh.col)
@@ -494,6 +494,7 @@ func (n *Network) foldStats() {
 	c.Wakeups, c.GateOffs, c.SAArbs, c.BypassHops = 0, 0, 0, 0
 	c.MisroutedHops, c.EscapedPackets = 0, 0
 	c.RouterOnCycles, c.RouterOffCycles, c.RouterWakingCycles = 0, 0, 0
+	c.IdleCycles = 0
 	for _, r := range n.routers {
 		r.settle()
 		c.Wakeups += r.wakeups()
@@ -505,5 +506,8 @@ func (n *Network) foldStats() {
 		c.RouterOnCycles += r.resid[powerOn]
 		c.RouterOffCycles += r.resid[powerOff]
 		c.RouterWakingCycles += r.resid[powerWaking]
+		c.IdleCycles += r.idleCycles()
 	}
+	// Every router spends each measured cycle either idle or busy.
+	c.BusyCycles = c.Cycles*uint64(len(n.routers)) - c.IdleCycles
 }

@@ -33,6 +33,56 @@ func goldenRun(t *testing.T, p Params, fullScan bool, rate float64, seed int64, 
 	return n.Collector(), n.PerRouterReports(), n.InFlight()
 }
 
+// TestCollectorReadsIdempotent: reading the statistics changes none of
+// them. A run whose collector and per-router reports are read mid-window,
+// and which is finished twice, reports exactly what the same run read once
+// at the end reports; and the mid-window read already counts every
+// router-cycle so far as idle or busy.
+func TestCollectorReadsIdempotent(t *testing.T) {
+	for _, d := range Designs() {
+		t.Run(d.String(), func(t *testing.T) {
+			run := func(probe bool) (*stats.NoC, []RouterReport) {
+				n := MustNew(DefaultParams(d))
+				inj := traffic.NewSynthetic(n, traffic.UniformRandom, 0.05, 3)
+				step := func(cycles int) {
+					for c := 0; c < cycles; c++ {
+						inj.Tick(n.Cycle())
+						n.Tick()
+					}
+				}
+				step(500)
+				n.BeginMeasurement()
+				step(1000)
+				if probe {
+					col := n.Collector()
+					if got, want := col.IdleCycles+col.BusyCycles, col.Cycles*uint64(n.nn); col.IdleCycles == 0 || got != want {
+						t.Errorf("mid-window read: %d idle + %d busy router-cycles, want %d in all (%d cycles x %d routers)",
+							col.IdleCycles, col.BusyCycles, want, col.Cycles, n.nn)
+					}
+					n.PerRouterReports()
+				}
+				step(1000)
+				n.FinishMeasurement()
+				if probe {
+					n.FinishMeasurement()
+				}
+				return n.Collector(), n.PerRouterReports()
+			}
+			col, reps := run(false)
+			pCol, pReps := run(true)
+			if col.IdlePeriods.Count() == 0 {
+				t.Fatal("no idle periods measured; test is vacuous")
+			}
+			if !reflect.DeepEqual(col, pCol) {
+				t.Errorf("collector read mid-window and finished twice diverges:\nonce:  %+v\nprobed: %+v", col, pCol)
+			}
+			if !reflect.DeepEqual(reps, pReps) {
+				t.Errorf("per-router reports read mid-window and finished twice diverge:\nonce:  %+v\nprobed: %+v", reps, pReps)
+			}
+		})
+	}
+}
+
 // TestEventSparseMatchesFullScan is the determinism golden test of the
 // event-sparse kernel: for every design, a mid-load sweep point run with
 // the active-worklist kernel must produce statistics bit-identical to the

@@ -7,10 +7,10 @@ import (
 // NoC aggregates everything a network simulation measures. The noc
 // package increments it; the sim package converts it into reports.
 // Wakeups, GateOffs, the RouterOn/Off/WakingCycles residencies, SAArbs,
-// BypassHops, MisroutedHops and EscapedPackets are per-router quantities:
-// noc derives them as sums over its routers' own counters whenever the
-// collector is read. Fault-recovery events are counted in fault.Report,
-// not here.
+// BypassHops, MisroutedHops, EscapedPackets, IdleCycles and BusyCycles
+// are per-router quantities: noc derives them as sums over its routers'
+// own counters whenever the collector is read. Fault-recovery events are
+// counted in fault.Report, not here.
 type NoC struct {
 	// Cycles measured (after warmup).
 	Cycles uint64

@@ -1,8 +1,8 @@
 // Package stats provides the measurement machinery of the simulator:
 // scalar samples, integer histograms (idle-period distributions vs the
 // breakeven time, Section 3.2), sliding windows (the NoRD VC-request
-// wakeup metric, Section 4.3), per-router idle trackers, and the
-// aggregated NoC collector the experiments consume.
+// wakeup metric, Section 4.3), and the aggregated NoC collector the
+// experiments consume.
 package stats
 
 import (
@@ -254,79 +254,3 @@ func (w *Window) Reset() {
 	w.sum = 0
 	w.head = 0
 }
-
-// IdleTracker follows one router's busy/idle state and records each idle
-// period it sees end into a histogram it is given. A period is a maximal
-// run of consecutive idle cycles; the paper's BET analysis (Section 3.2)
-// reports the fraction of periods at or below the breakeven time. Only the
-// network-wide distribution is ever read, so the routers of a network (or
-// of one shard of it) share one histogram instead of owning one each.
-type IdleTracker struct {
-	hist      *Histogram
-	idleRun   uint64
-	idleTotal uint64
-	busyTotal uint64
-}
-
-// NewIdleTracker returns a tracker that records idle periods into periods.
-// Trackers sharing a histogram must be driven from one goroutine at a time.
-func NewIdleTracker(periods *Histogram) *IdleTracker {
-	return &IdleTracker{hist: periods}
-}
-
-// Record notes one cycle's state.
-func (it *IdleTracker) Record(busy bool) {
-	if busy {
-		if it.idleRun > 0 {
-			it.hist.Add(it.idleRun)
-			it.idleRun = 0
-		}
-		it.busyTotal++
-	} else {
-		it.idleRun++
-		it.idleTotal++
-	}
-}
-
-// RecordRun notes n consecutive cycles of the same state in one step,
-// exactly equivalent to n successive Record(busy) calls. The event-sparse
-// kernel uses it to account a whole dormant stretch when a sleeping
-// router is re-activated.
-func (it *IdleTracker) RecordRun(busy bool, n uint64) {
-	if n == 0 {
-		return
-	}
-	if busy {
-		if it.idleRun > 0 {
-			it.hist.Add(it.idleRun)
-			it.idleRun = 0
-		}
-		it.busyTotal += n
-	} else {
-		it.idleRun += n
-		it.idleTotal += n
-	}
-}
-
-// Flush closes a trailing idle period at the end of simulation.
-func (it *IdleTracker) Flush() {
-	if it.idleRun > 0 {
-		it.hist.Add(it.idleRun)
-		it.idleRun = 0
-	}
-}
-
-// IdleFraction returns the fraction of recorded cycles that were idle.
-func (it *IdleTracker) IdleFraction() float64 {
-	total := it.idleTotal + it.busyTotal
-	if total == 0 {
-		return 0
-	}
-	return float64(it.idleTotal) / float64(total)
-}
-
-// IdleCycles and BusyCycles return the raw totals.
-func (it *IdleTracker) IdleCycles() uint64 { return it.idleTotal }
-
-// BusyCycles returns the number of busy cycles recorded.
-func (it *IdleTracker) BusyCycles() uint64 { return it.busyTotal }

@@ -217,44 +217,6 @@ func TestWindowProperty(t *testing.T) {
 	}
 }
 
-func TestIdleTracker(t *testing.T) {
-	h := NewHistogram(100)
-	it := NewIdleTracker(h)
-	// busy, idle x3, busy, idle x2 (trailing)
-	it.Record(true)
-	it.Record(false)
-	it.Record(false)
-	it.Record(false)
-	it.Record(true)
-	it.Record(false)
-	it.Record(false)
-	it.Flush()
-	if h.Count() != 2 {
-		t.Fatalf("periods = %d, want 2", h.Count())
-	}
-	if h.Bucket(3) != 1 || h.Bucket(2) != 1 {
-		t.Error("period lengths wrong")
-	}
-	if it.IdleCycles() != 5 || it.BusyCycles() != 2 {
-		t.Errorf("idle=%d busy=%d", it.IdleCycles(), it.BusyCycles())
-	}
-	if f := it.IdleFraction(); f != 5.0/7.0 {
-		t.Errorf("idle fraction = %v", f)
-	}
-	// Double flush is harmless.
-	it.Flush()
-	if h.Count() != 2 {
-		t.Error("double flush added a period")
-	}
-}
-
-func TestIdleTrackerEmpty(t *testing.T) {
-	it := NewIdleTracker(NewHistogram(10))
-	if it.IdleFraction() != 0 {
-		t.Error("empty tracker idle fraction should be 0")
-	}
-}
-
 func TestNoCCollector(t *testing.T) {
 	n := NewNoC(512)
 	n.Cycles = 1000
