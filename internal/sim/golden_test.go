@@ -84,6 +84,8 @@ var resultGoldens = map[string]string{
 	"synth/torus/Conv_PG_OPT":                   "cyc=3000 pkts=1272 p50/95/99=34/61/71 wake=780 gate=778 mis=0 esc=52 exec=0",
 	"synth/torus/NoRD":                          "cyc=3000 pkts=1272 p50/95/99=24/85/113 wake=93 gate=94 mis=780 esc=119 exec=0",
 	"synth/torus/No_PG":                         "cyc=3000 pkts=1278 p50/95/99=21/29/32 wake=0 gate=0 mis=0 esc=3 exec=0",
+	"workload/canneal/NoRD":                     "cyc=82152 pkts=23881 p50/95/99=24/98/126 wake=3017 gate=3025 mis=13916 esc=4419 exec=87152",
+	"workload/x264/NoRD":                        "cyc=129413 pkts=69486 p50/95/99=23/92/122 wake=3598 gate=3604 mis=25656 esc=7540 exec=134413",
 	"workload/blackscholes/NoRD":                "cyc=9951 pkts=1740 p50/95/99=26/93/116 wake=409 gate=416 mis=1340 esc=431 exec=14951",
 	"workload/swaptions/Conv_PG":                "cyc=5283 pkts=290 p50/95/99=47/98/125 wake=512 gate=520 mis=0 esc=0 exec=10283",
 	"workload/swaptions/Conv_PG/done-in-warmup": "cyc=1 pkts=0 p50/95/99=0/0/0 wake=0 gate=0 mis=0 esc=0 exec=3665",
@@ -118,6 +120,12 @@ func TestResultGoldens(t *testing.T) {
 	note("workload/swaptions/Conv_PG", r, err)
 	r, err = runWorkload(WorkloadConfig{Design: noc.ConvPG, Benchmark: "swaptions", Scale: 0.002, Seed: 2})
 	note("workload/swaptions/Conv_PG/done-in-warmup", r, err)
+	// The two cells above barely evict; these two replace thousands of
+	// L1 and L2 lines, pinning the caches' LRU victim choice.
+	for _, bench := range []string{"canneal", "x264"} {
+		r, err = runWorkload(WorkloadConfig{Design: noc.NoRD, Benchmark: bench, Scale: 0.05, Seed: 1})
+		note("workload/"+bench+"/NoRD", r, err)
+	}
 
 	tr, r, err := RecordWorkloadTrace(WorkloadConfig{Design: noc.NoPG, Benchmark: "dedup", Scale: 0.02, Seed: 7})
 	note("record/dedup/No_PG", r, err)
