@@ -110,8 +110,10 @@ func (c *core) pickBlock() uint64 {
 	return base + uint64(c.rng.Intn(p.PrivateBlocks))
 }
 
-// Address-space layout: shared region at the bottom, per-node private
-// regions spaced far apart.
+// Address-space layout: per-node private regions spaced far apart from
+// 1<<24, and the shared region above them all at 1<<40. Every block
+// number stays below 2^41, which a packed cacheLine relies on: its tag
+// is shifted left two bits.
 const sharedBase = uint64(1) << 40
 
 func privateBase(node int) uint64 {

@@ -236,7 +236,7 @@ func (h *homectrl) l2fill(block uint64, dirty bool) {
 	}
 	if line := h.l2.peek(block); line != nil {
 		if dirty {
-			line.state = stateM
+			line.setState(stateM)
 		}
 		return
 	}

@@ -112,14 +112,14 @@ func (l *l1ctrl) access(block uint64, store bool) accessResult {
 	}
 	line := l.c.lookup(block)
 	if line != nil {
-		if !store || line.state == stateM {
+		if !store || line.state() == stateM {
 			return accDone // read hit, or write hit in M
 		}
-		if line.state == stateE {
+		if line.state() == stateE {
 			// Silent E->M upgrade: the whole point of the Exclusive
 			// state — private read-then-write data costs no coherence
 			// traffic.
-			line.state = stateM
+			line.setState(stateM)
 			return accDone
 		}
 		// Write hit in S: upgrade, non-blocking via the store buffer.
@@ -201,16 +201,16 @@ func (l *l1ctrl) handle(m *Msg) {
 		// silent E->M upgrade may have happened, so E-granted blocks
 		// report their actual state).
 		dirty := true
-		if line := l.c.peek(m.Block); line != nil && line.state >= stateE {
-			dirty = line.state == stateM
-			line.state = stateS
+		if line := l.c.peek(m.Block); line != nil && line.state() >= stateE {
+			dirty = line.state() == stateM
+			line.setState(stateS)
 		} else if !l.wbBuf[m.Block] {
 			panic(fmt.Sprintf("memsys: L1 %d got %s but owns nothing", l.node, m))
 		}
 		l.sys.send(l.node, m.Requester, &Msg{Type: MsgData, Block: m.Block, Requester: m.Requester})
 		l.sys.send(l.node, l.sys.homeOf(m.Block), &Msg{Type: MsgDataWB, Block: m.Block, Requester: m.Requester, Dirty: dirty})
 	case MsgFwdGetM:
-		if line := l.c.peek(m.Block); line != nil && line.state >= stateE {
+		if line := l.c.peek(m.Block); line != nil && line.state() >= stateE {
 			l.c.invalidate(m.Block)
 		} else if !l.wbBuf[m.Block] {
 			panic(fmt.Sprintf("memsys: L1 %d got %s but owns nothing", l.node, m))
@@ -259,7 +259,7 @@ func (l *l1ctrl) maybeComplete(block uint64, e *mshrEntry) {
 	}
 	if line := l.c.peek(block); line != nil {
 		// Upgrade completion: the line is already resident in S.
-		line.state = st
+		line.setState(st)
 	} else {
 		victimBlock, victimState, evicted := l.c.insert(block, st)
 		if evicted && victimState >= stateE {

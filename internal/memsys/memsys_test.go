@@ -13,7 +13,7 @@ func TestCacheBasics(t *testing.T) {
 		t.Error("empty cache hit")
 	}
 	c.insert(0, stateS)
-	if l := c.lookup(0); l == nil || l.state != stateS {
+	if l := c.lookup(0); l == nil || l.state() != stateS {
 		t.Error("lookup after insert failed")
 	}
 	// Fill set 0 beyond capacity: blocks 0, 4, 8 all map to set 0.
@@ -54,6 +54,7 @@ func TestCacheGeometryValidation(t *testing.T) {
 		func() { newCache(3, 2) },
 		func() { newCache(0, 2) },
 		func() { newCache(4, 0) },
+		func() { newCache(4, 17) },
 	} {
 		func() {
 			defer func() {
@@ -63,6 +64,21 @@ func TestCacheGeometryValidation(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+	// Profile.Validate rejects the same geometries, so no profile that
+	// validates reaches those panics.
+	for _, bad := range []func(*Profile){
+		func(p *Profile) { p.L1Sets = 3 },
+		func(p *Profile) { p.L2Sets = 0 },
+		func(p *Profile) { p.L1Ways = 0 },
+		func(p *Profile) { p.L2Ways = 17 },
+		func(p *Profile) { p.L1Ways = 17 },
+	} {
+		p := Profiles()[0]
+		bad(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("profile geometry L1 %dx%d, L2 %dx%d accepted", p.L1Sets, p.L1Ways, p.L2Sets, p.L2Ways)
+		}
 	}
 }
 
@@ -165,7 +181,7 @@ func TestSystemCoherenceInvariant(t *testing.T) {
 		for block, e := range h.dir {
 			owners := 0
 			for _, l1 := range sys.l1s {
-				if line := l1.c.peek(block); line != nil && line.state >= stateE {
+				if line := l1.c.peek(block); line != nil && line.state() >= stateE {
 					owners++
 				}
 			}

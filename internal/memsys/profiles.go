@@ -52,8 +52,11 @@ func baseline(name string) Profile {
 
 // Validate checks profile consistency.
 func (p *Profile) Validate() error {
-	if p.L1Sets == 0 || p.L2Sets == 0 || p.L1Ways < 1 || p.L2Ways < 1 {
-		return fmt.Errorf("memsys: bad cache geometry in profile %q", p.Name)
+	if p.L1Sets == 0 || p.L2Sets == 0 || p.L1Sets&(p.L1Sets-1) != 0 || p.L2Sets&(p.L2Sets-1) != 0 {
+		return fmt.Errorf("memsys: cache sets must be a power of two in profile %q", p.Name)
+	}
+	if p.L1Ways < 1 || p.L2Ways < 1 || p.L1Ways > maxWays || p.L2Ways > maxWays {
+		return fmt.Errorf("memsys: cache ways must be between 1 and %d in profile %q", maxWays, p.Name)
 	}
 	if p.MemOpFrac < 0 || p.MemOpFrac > 1 || p.SharedFrac < 0 || p.SharedFrac > 1 || p.WriteFrac < 0 || p.WriteFrac > 1 {
 		return fmt.Errorf("memsys: fractions out of range in profile %q", p.Name)

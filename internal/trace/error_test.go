@@ -1,11 +1,15 @@
 package trace
 
 import (
+	"bytes"
 	"compress/gzip"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"nord/internal/flit"
 )
 
 // TestReadErrorPaths covers the parser's rejection of malformed input.
@@ -26,6 +30,10 @@ func TestReadErrorPaths(t *testing.T) {
 		{"negative src", "# nord-trace v1 nodes=16\n10 -1 5 0 1\n", "outside 16 nodes"},
 		{"self-addressed", "# nord-trace v1 nodes=16\n10 5 5 0 1\n", "self-addressed"},
 		{"zero flits", "# nord-trace v1 nodes=16\n10 0 5 0 0\n", "has 0 flits"},
+		{"class out of range", "# nord-trace v1 nodes=16\n10 0 5 7 1\n", "line 2: class 7"},
+		{"negative class", "# nord-trace v1 nodes=16\n10 0 5 -1 1\n", "line 2: class -1"},
+		{"class wraps to 0", "# nord-trace v1 nodes=16\n10 0 5 256 1\n", "line 2: class 256"},
+		{"too many flits", "# nord-trace v1 nodes=16\n10 0 5 0 50000000\n", "has 50000000 flits"},
 		{"non-monotonic cycles", "# nord-trace v1 nodes=16\n20 0 5 0 1\n10 1 6 0 1\n", "out of cycle order"},
 	}
 	for _, tc := range cases {
@@ -123,4 +131,45 @@ func TestLoadRoundTrip(t *testing.T) {
 			t.Fatalf("event %d: got %+v want %+v", i, got.Events[i], want.Events[i])
 		}
 	}
+}
+
+// TestValidateBoundsEvents covers the bounds a trace built in memory
+// meets at Validate, where Read's line checks do not run.
+func TestValidateBoundsEvents(t *testing.T) {
+	for _, e := range []Event{
+		{Cycle: 1, Src: 0, Dst: 1, Class: flit.NumClasses, Flits: 1},
+		{Cycle: 1, Src: 0, Dst: 1, Class: 255, Flits: 1},
+		{Cycle: 1, Src: 0, Dst: 1, Flits: MaxFlits + 1},
+	} {
+		tr := &Trace{Nodes: 16, Events: []Event{e}}
+		if err := tr.Validate(); err == nil {
+			t.Errorf("Validate accepted %+v", e)
+		}
+	}
+	ok := &Trace{Nodes: 16, Events: []Event{{Cycle: 1, Src: 0, Dst: 1, Class: flit.NumClasses - 1, Flits: MaxFlits}}}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("Validate rejected the largest class and packet: %v", err)
+	}
+}
+
+// FuzzTraceRead feeds Read arbitrary text: no input may panic, and an
+// accepted trace must come back unchanged through Write and Read.
+func FuzzTraceRead(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		tr, err := Read(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := tr.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("written trace rejected: %v\n%s", err, buf.String())
+		}
+		if !reflect.DeepEqual(got, tr) {
+			t.Fatalf("round trip changed the trace:\n got  %+v\n want %+v", got, tr)
+		}
+	})
 }

@@ -33,6 +33,11 @@ type Event struct {
 	Flits int
 }
 
+// MaxFlits bounds an event's packet length. Every generator in the repo
+// emits 1- or 5-flit packets; the bound keeps a hostile trace from
+// asking the replayer for an unbounded packet.
+const MaxFlits = 64
+
 // header identifies the format.
 const headerPrefix = "# nord-trace v1 nodes="
 
@@ -55,8 +60,11 @@ func (t *Trace) Validate() error {
 		if e.Src == e.Dst {
 			return fmt.Errorf("trace: event %d is self-addressed", i)
 		}
-		if e.Flits < 1 {
-			return fmt.Errorf("trace: event %d has %d flits", i, e.Flits)
+		if e.Class >= flit.NumClasses {
+			return fmt.Errorf("trace: event %d has class %d, want 0 to %d", i, e.Class, flit.NumClasses-1)
+		}
+		if e.Flits < 1 || e.Flits > MaxFlits {
+			return fmt.Errorf("trace: event %d has %d flits, want 1 to %d", i, e.Flits, MaxFlits)
 		}
 		if e.Cycle < last {
 			return fmt.Errorf("trace: event %d out of cycle order", i)
@@ -112,6 +120,11 @@ func Read(r io.Reader) (*Trace, error) {
 		var class int
 		if _, err := fmt.Sscanf(text, "%d %d %d %d %d", &e.Cycle, &e.Src, &e.Dst, &class, &e.Flits); err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", line, err)
+		}
+		if class < 0 || class >= flit.NumClasses {
+			// Checked before the conversion, which would wrap -1 to 255
+			// and 256 to 0.
+			return nil, fmt.Errorf("trace: line %d: class %d, want 0 to %d", line, class, flit.NumClasses-1)
 		}
 		e.Class = flit.Class(class)
 		t.Events = append(t.Events, e)
