@@ -174,7 +174,8 @@ func (jl *Journal) snapPath() string { return filepath.Join(jl.dir, "snapshot") 
 // loadSnapshot restores the materialized state from the snapshot file.
 // A missing, truncated or corrupt snapshot is treated as empty: the
 // snapshot is only ever written atomically, so this is bit rot, not a
-// crash artifact.
+// crash artifact. A body holding a job the journal never writes (null,
+// or with no ID) is corrupt too, checksum or not.
 func (jl *Journal) loadSnapshot() {
 	data, err := os.ReadFile(jl.snapPath())
 	if err != nil {
@@ -192,6 +193,11 @@ func (jl *Journal) loadSnapshot() {
 	var st journalState
 	if err := json.Unmarshal(body, &st); err != nil {
 		return
+	}
+	for _, j := range st.Jobs {
+		if j == nil || j.ID == "" {
+			return
+		}
 	}
 	jl.epoch = st.Epoch
 	jl.seq = st.Seq
@@ -251,8 +257,8 @@ func parseRecord(line []byte) (*journalRecord, bool) {
 func (jl *Journal) foldLocked(rec *journalRecord) {
 	switch rec.T {
 	case recSubmit:
-		if _, ok := jl.jobs[rec.Job]; ok {
-			return // duplicate submission record
+		if _, ok := jl.jobs[rec.Job]; ok || rec.Job == "" {
+			return // duplicate submission record, or one naming no job
 		}
 		jl.seq++
 		jl.jobs[rec.Job] = &RecoveredJob{
@@ -301,13 +307,16 @@ func (jl *Journal) evictTerminalLocked() {
 }
 
 // stateLocked snapshots the materialized state sorted by submission
-// order; jl.mu must be held (or the journal not yet shared).
+// order, ties (which only a hand-made snapshot holds) by ID; jl.mu must
+// be held (or the journal not yet shared).
 func (jl *Journal) stateLocked() []RecoveredJob {
 	out := make([]RecoveredJob, 0, len(jl.jobs))
 	for _, j := range jl.jobs {
 		out = append(out, *j)
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].Seq < out[k].Seq })
+	sort.Slice(out, func(i, k int) bool {
+		return out[i].Seq < out[k].Seq || out[i].Seq == out[k].Seq && out[i].ID < out[k].ID
+	})
 	return out
 }
 

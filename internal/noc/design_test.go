@@ -198,10 +198,13 @@ func TestOneAllocator(t *testing.T) {
 	}
 }
 
-// TestCountedOnce keeps each per-router statistic single (DESIGN.md §7
-// "Counted once"): a router event is counted on its Router, by one
-// function, inside the measured window; the collector's per-router totals
-// are sums foldStats derives from those counts; power-state residency is
+// TestCountedOnce keeps each datapath statistic single (DESIGN.md §7
+// "Counted once"): an event is counted on the Router or NI that saw it,
+// by one function, inside the measured window; the collector's datapath
+// totals are sums foldStats derives from those counts, and a collector is
+// written directly only where it is sampled (a shard's by deliverPacket
+// and closeIdle, the master's Cycles and PacketsInjected by the serial
+// step); power-state residency is
 // charged only by enter and settle; the idle run is stamped only by the
 // stats pass's sample and closed only by closeIdle; and NoRD's quiet run is
 // a stamp only NI.tick writes. The allow-list is empty. The tracer
@@ -220,7 +223,10 @@ func TestOneAllocator(t *testing.T) {
 // below found 12 write sites over 11 fields there. Idle and busy cycles
 // were last: a per-router tracker object fed every cycle and back-filled
 // at activation, whose totals FinishMeasurement added to the collector on
-// every call.
+// every call. The last seven event counts and the wake-stall sample were
+// kept in per-shard collectors and folded by Merge: the collector walk
+// found 8 write sites there, in sendLinkDelay, tickDeliver and six note
+// helpers.
 func TestCountedOnce(t *testing.T) {
 	derived := []string{"Network.foldStats"}
 	writers := map[string][]string{
@@ -228,23 +234,55 @@ func TestCountedOnce(t *testing.T) {
 		"MisroutedHops": derived, "EscapedPackets": derived,
 		"RouterOnCycles": derived, "RouterOffCycles": derived, "RouterWakingCycles": derived,
 		"IdleCycles": derived, "BusyCycles": derived,
-		"statIdle":        {"Router.closeIdle"},
-		"idling":          {"Router.sampleIdle", "Network.BeginMeasurement"},
-		"idleFrom":        {"Router.sampleIdle", "Router.closeIdle", "Network.BeginMeasurement"},
-		"statWakes":       {"Router.tickController"},
-		"statGateOffs":    {"Router.gateOff"},
-		"statSAGrants":    {"Network.noteSAGrant"},
-		"statBypassFlits": {"Network.noteBypassHop"},
-		"statMisroutes":   {"Network.noteMisroute"},
-		"statEscapes":     {"Network.noteEscape"},
-		"resid":           {"Router.enter", "Router.settle"},
-		"resFrom":         {"Router.enter", "Router.settle"},
-		"quietSince":      {"NI.tick"},
+		"VAArbs": derived, "BufWrites": derived, "LinkTraversals": derived, "WakeupStall": derived,
+		"NIVCRequests": derived, "BypassInjections": derived, "BypassEjections": derived, "LocalFlits": derived,
+		"statIdle":          {"Router.closeIdle"},
+		"idling":            {"Router.sampleIdle", "Network.BeginMeasurement"},
+		"idleFrom":          {"Router.sampleIdle", "Router.closeIdle", "Network.BeginMeasurement"},
+		"statWakes":         {"Router.tickController"},
+		"statGateOffs":      {"Router.gateOff"},
+		"statSAGrants":      {"Network.noteSAGrant"},
+		"statBypassFlits":   {"Network.noteBypassHop"},
+		"statMisroutes":     {"Network.noteMisroute"},
+		"statEscapes":       {"Network.noteEscape"},
+		"statVAGrants":      {"Network.noteVAGrant"},
+		"statBufWrites":     {"Network.noteBufWrite"},
+		"statLinkFlits":     {"Network.sendLinkDelay"},
+		"statWakeStall":     {"Network.noteWakeStall"},
+		"statVCRequests":    {"NI.tick"},
+		"statBypassInjects": {"Network.noteBypassInject"},
+		"statBypassEjects":  {"Network.noteBypassEject"},
+		"statLocalFlits":    {"NI.tickDeliver"},
+		"resid":             {"Router.enter", "Router.settle"},
+		"resFrom":           {"Router.enter", "Router.settle"},
+		"quietSince":        {"NI.tick"},
+	}
+	// A collector field is written through a collector (".col.F") only
+	// where it is sampled: a shard's delivered-packet statistics by
+	// deliverPacket, its idle periods by closeIdle, and the master's
+	// Cycles and PacketsInjected by the serial step.
+	delivered := "Network.deliverPacket"
+	colWriters := map[string]string{
+		"PacketsDelivered": delivered, "FlitsDelivered": delivered, "PacketLatency": delivered,
+		"LatencyHist": delivered, "NetworkLatency": delivered, "Hops": delivered,
+		"IdlePeriods": "Router.closeIdle",
+		"Cycles":      "Network.stepStats", "PacketsInjected": "Network.notePacketInjected",
 	}
 	allowed := map[string]bool{} // "Type.func: statement" sites let stand
 	seen := map[string]bool{}
 	for _, w := range packageWrites(t, ".") {
 		field, _ := w.field()
+		if sel, ok := w.lhs.(*ast.SelectorExpr); ok {
+			if col, ok := sel.X.(*ast.SelectorExpr); ok && col.Sel.Name == "col" {
+				if want := colWriters[field]; want != w.fn {
+					if want == "" {
+						want = "Network.foldStats, from the Router and NI records,"
+					}
+					t.Errorf("%s: %s writes collector field %s in %s; only %s may", w.at, w.stmt, field, w.fn, want)
+				}
+				seen["col."+field] = true
+			}
+		}
 		fns, counted := writers[field]
 		if !counted || allowed[w.fn+": "+w.stmt] {
 			continue
@@ -258,6 +296,11 @@ func TestCountedOnce(t *testing.T) {
 	for field, fns := range writers {
 		if !seen[field] {
 			t.Errorf("%s is never written in %s: the rule moved, update this test", field, strings.Join(fns, " or "))
+		}
+	}
+	for field, fn := range colWriters {
+		if !seen["col."+field] {
+			t.Errorf("collector field %s is never written in %s: the rule moved, update this test", field, fn)
 		}
 	}
 	// The ring's fill and the recording totals behind Total, Dropped and
@@ -278,10 +321,12 @@ func TestCountedOnce(t *testing.T) {
 	}
 }
 
-// write is one assignment or ++/-- target in a package's non-test code:
-// where it is, the function it is in ("Type.method" or "func"), the
-// statement as node and as source, and the value stored (nil for ++/--
-// and for a tuple assigned from one call).
+// write is one assignment, ++/-- or Add/Merge target in a package's
+// non-test code: where it is, the function it is in ("Type.method" or
+// "func"), the statement as node and as source, and the value stored (nil
+// for ++/--, for Add/Merge and for a tuple assigned from one call). A
+// field's Add or Merge call (x.f.Add(v)) writes x.f: that is how a
+// stats.Sample or stats.Histogram is filled.
 type write struct {
 	at, fn, stmt string
 	node         ast.Stmt
@@ -350,6 +395,16 @@ func packageWrites(t *testing.T, dir string) []write {
 					}
 				case *ast.IncDecStmt:
 					add(n, n.X, nil)
+				case *ast.ExprStmt:
+					call, _ := n.X.(*ast.CallExpr)
+					if call == nil {
+						break
+					}
+					if m, ok := call.Fun.(*ast.SelectorExpr); ok && (m.Sel.Name == "Add" || m.Sel.Name == "Merge") {
+						if _, field := m.X.(*ast.SelectorExpr); field {
+							add(n, m.X, nil)
+						}
+					}
 				}
 				return true
 			})

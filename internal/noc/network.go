@@ -20,6 +20,10 @@ import (
 // injection active, a partition). Params.WatchdogLimit overrides it.
 const defaultWatchdogLimit = 50_000
 
+// maxIdlePeriod bounds the idle-period histogram in cycles; longer periods
+// land in its overflow bucket, still counted exactly.
+const maxIdlePeriod = 4096
+
 // creditEvt is a pending credit return, applied at the end of the cycle
 // (one-cycle credit propagation).
 type creditEvt struct {
@@ -137,7 +141,7 @@ func New(p Params) (*Network, error) {
 		topo:  topo,
 		term:  topo.Terminals(),
 		conc:  topo.Concentration(),
-		col:   stats.NewNoC(p.MaxIdlePeriod),
+		col:   stats.NewNoC(maxIdlePeriod),
 		links: make([][4][]timedFlit, topo.N()),
 	}
 	row := p.Design.row()
@@ -190,7 +194,7 @@ func New(p Params) (*Network, error) {
 			idx: i,
 			lo:  i * n.nn / P,
 			hi:  (i + 1) * n.nn / P,
-			col: stats.NewNoC(p.MaxIdlePeriod),
+			col: stats.NewNoC(maxIdlePeriod),
 		}
 		sh.ids = make([]int, 0, sh.hi-sh.lo)
 		n.shards[i] = sh
@@ -841,7 +845,7 @@ func (n *Network) sendLinkDelay(id int, dir topology.Dir, f *flit.Flit, delay ui
 	n.linkCount[id]++
 	sh.progressed = true
 	if n.collecting {
-		sh.col.LinkTraversals++
+		n.routers[id].statLinkFlits++
 	}
 }
 
@@ -934,8 +938,8 @@ func (n *Network) notePacketInjected(p *flit.Packet) {
 }
 
 // The helpers below run inside parallel sections (or at serial merge
-// points), so they write only the executing shard's collector or the
-// router the event happened at; foldStats sums the routers' counts.
+// points), so they write only the router or NI the event happened at;
+// foldStats sums their counts.
 
 // noteSAGrant counts a switch grant at r: the NoRD demand window's
 // through-traffic term and, while measuring, r's routed flits.
@@ -947,27 +951,24 @@ func (n *Network) noteSAGrant(r *Router) {
 	}
 }
 
-func (n *Network) noteVCRequests(sh *shard, r uint32) {
+// noteVAGrant counts an output VC (or the Local ejection) granted at r.
+func (n *Network) noteVAGrant(r *Router) {
 	if n.collecting {
-		sh.col.NIVCRequests += uint64(r)
+		r.statVAGrants++
 	}
 }
 
-func (n *Network) noteVAGrant(sh *shard) {
+// noteBufWrite counts a flit written into one of r's input buffers.
+func (n *Network) noteBufWrite(r *Router) {
 	if n.collecting {
-		sh.col.VAArbs++
+		r.statBufWrites++
 	}
 }
 
-func (n *Network) noteBufWrite(sh *shard) {
+// noteWakeStall samples how long a head stalled at r for a wakeup.
+func (n *Network) noteWakeStall(r *Router, cycles uint64) {
 	if n.collecting {
-		sh.col.BufWrites++
-	}
-}
-
-func (n *Network) noteWakeStall(sh *shard, cycles uint64) {
-	if n.collecting {
-		sh.col.WakeupStall.Add(float64(cycles))
+		r.statWakeStall.Add(float64(cycles))
 	}
 }
 
@@ -1004,17 +1005,20 @@ func (n *Network) noteBypassHop(r *Router) {
 	}
 }
 
-func (n *Network) noteBypassInject(sh *shard) {
-	sh.progressed = true
+// noteBypassInject counts a locally injected flit leaving ni over the
+// Bypass Outport.
+func (n *Network) noteBypassInject(ni *NI) {
+	ni.sh.progressed = true
 	if n.collecting {
-		sh.col.BypassInjections++
+		ni.statBypassInjects++
 	}
 }
 
-func (n *Network) noteBypassEject(sh *shard) {
-	sh.progressed = true
+// noteBypassEject counts a flit sunk at ni straight off the Bypass Inport.
+func (n *Network) noteBypassEject(ni *NI) {
+	ni.sh.progressed = true
 	if n.collecting {
-		sh.col.BypassEjections++
+		ni.statBypassEjects++
 	}
 }
 

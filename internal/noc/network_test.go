@@ -43,7 +43,6 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.WakeupWindow = 0 },
 		func(p *Params) { p.ThresholdPerf = 0 },
 		func(p *Params) { p.InjectQueueDepth = 0 },
-		func(p *Params) { p.MaxIdlePeriod = 0 },
 		func(p *Params) { p.MisrouteCap = -1 },
 		func(p *Params) { p.PerfCentric = []int{99} },
 	}

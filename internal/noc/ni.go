@@ -7,6 +7,10 @@ import (
 	"nord/internal/topology"
 )
 
+// starvationLimit grants the local node priority over bypass-forward
+// traffic after this many consecutive blocked cycles (Section 4.2).
+const starvationLimit = 8
+
 // injMode describes how the NI is currently injecting a packet.
 type injMode uint8
 
@@ -148,6 +152,15 @@ type NI struct {
 	// demandAccum integrates the windowed demand signal between
 	// reclassification rounds (DynamicClassify).
 	demandAccum uint64
+
+	// Per-NI event counts, measured interval only; foldStats sums them
+	// into the collector. statVCRequests sums the per-cycle VC requests
+	// (the raw signal of NoRD's wakeup metric), statLocalFlits the flits
+	// delivered over a concentrated router's NI-local path.
+	statVCRequests    uint64
+	statBypassInjects uint64
+	statBypassEjects  uint64
+	statLocalFlits    uint64
 }
 
 // initNI initialises a (zeroed, contiguously allocated) NI in place.
@@ -281,7 +294,7 @@ func (ni *NI) deliverBypass(f *flit.Flit) {
 	if f.Packet.Dst == ni.id {
 		// Sink: the latch is not occupied, so the credit returns at once.
 		ni.net.creditReturn(ni.sh, ni.id, inDir, f.VC)
-		ni.net.noteBypassEject(ni.sh)
+		ni.net.noteBypassEject(ni)
 		r.accountBypassFlit(f)
 		if f.Kind.IsTail() {
 			ni.net.deliverPacket(ni.sh, f.Packet)
@@ -375,7 +388,7 @@ func (ni *NI) tickDeliver() {
 				continue
 			}
 			if ni.net.collecting && tp.p.InjectTime >= ni.net.measureFrom {
-				ni.sh.col.LocalFlits += uint64(tp.p.Length)
+				ni.statLocalFlits += uint64(tp.p.Length)
 			}
 			ni.net.deliverPacket(ni.sh, tp.p)
 		}
@@ -404,7 +417,9 @@ func (ni *NI) tick() {
 		requests += ni.tickBypass(r)
 	}
 	requests += ni.tickInjection(r)
-	ni.net.noteVCRequests(ni.sh, requests)
+	if ni.net.collecting {
+		ni.statVCRequests += uint64(requests)
+	}
 	if ni.net.ring == nil {
 		return
 	}
@@ -431,7 +446,7 @@ func (ni *NI) tickBypass(r *Router) uint32 {
 		if ni.injectFwd {
 			ni.net.noteBypassHop(r)
 		} else {
-			ni.net.noteBypassInject(ni.sh)
+			ni.net.noteBypassInject(ni)
 		}
 		if f.Kind.IsTail() {
 			r.outOwner[ringOut][f.VC] = ownerFree
@@ -443,7 +458,7 @@ func (ni *NI) tickBypass(r *Router) uint32 {
 	}
 
 	// Stage 2: pick the next flit for the inject register, forwarded
-	// traffic first; the local node gets priority after StarvationLimit
+	// traffic first; the local node gets priority after starvationLimit
 	// consecutive blocked cycles (Section 4.2). Every occupied latch VC
 	// is tried in rotating order so one blocked head cannot starve a
 	// movable flit (whose departure may free the very VC the head needs).
@@ -464,7 +479,7 @@ func (ni *NI) tickBypass(r *Router) uint32 {
 		return false
 	}
 	if ni.injectOut == nil {
-		localFirst := localWants && ni.starve >= ni.net.p.StarvationLimit
+		localFirst := localWants && ni.starve >= starvationLimit
 		moved := false
 		if !localFirst && hasFwd {
 			moved = tryForward()

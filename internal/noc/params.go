@@ -69,11 +69,6 @@ type Params struct {
 	// InjectQueueDepth is the per-class NI injection queue capacity in
 	// packets; injection fails (backpressure) when full.
 	InjectQueueDepth int
-	// StarvationLimit grants the local node priority over bypass-forward
-	// traffic after this many consecutive blocked cycles (Section 4.2).
-	StarvationLimit int
-	// MaxIdlePeriod bounds the idle-period histogram in cycles.
-	MaxIdlePeriod int
 	// RingOrder optionally overrides the bypass-ring node sequence
 	// (must be a Hamiltonian cycle); nil selects the comb serpentine.
 	RingOrder []int
@@ -134,8 +129,6 @@ func DefaultParams(d Design) Params {
 		ThresholdPerf:     1,
 		ThresholdPower:    6,
 		InjectQueueDepth:  16,
-		StarvationLimit:   8,
-		MaxIdlePeriod:     4096,
 		ReclassifyPeriod:  2048,
 	}
 }
@@ -202,9 +195,6 @@ func (p *Params) Validate() error {
 	}
 	if p.InjectQueueDepth < 1 {
 		return fmt.Errorf("noc: injection queue depth must be positive, got %d", p.InjectQueueDepth)
-	}
-	if p.MaxIdlePeriod < 1 {
-		return fmt.Errorf("noc: max idle period must be positive, got %d", p.MaxIdlePeriod)
 	}
 	for _, id := range p.PerfCentric {
 		if id < 0 || id >= p.Width*p.Height {

@@ -358,7 +358,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 // TestNewBytesPerNode bounds what building a network allocates. Sweeps,
 // the service and the search build thousands of short-lived networks, so
 // construction cost is garbage-collector load; in particular nothing
-// per-router may own a MaxIdlePeriod-bucket histogram (32 KB each — they
+// per-router may own a maxIdlePeriod-bucket histogram (32 KB each — they
 // once made up two thirds of a 4x4 network).
 func TestNewBytesPerNode(t *testing.T) {
 	const fixed, perNode = 160 << 10, 8 << 10

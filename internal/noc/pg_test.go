@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nord/internal/flit"
+	"nord/internal/stats"
 	"nord/internal/topology"
 	"nord/internal/traffic"
 )
@@ -64,7 +65,10 @@ func TestGateOffClampsRingCredits(t *testing.T) {
 // are one record of each router event, so on every design, topology and
 // warm-up the routers sum to the totals — wakeups, gate-offs, routed and
 // bypassed flits, misrouted hops and escapes, all inside the measured
-// window — each router's wake causes sum to its wakeups, and each router's
+// window — and so do the routers' and NIs' other counts (VA grants,
+// buffer writes, link flits, the wake-stall sample, VC requests, ring
+// injections and ejections, local flits); each router's wake causes sum
+// to its wakeups, and each router's
 // off and idle fractions are its shares of RouterOffCycles and IdleCycles,
 // in a window every router spends all of in some power state and either
 // idle or busy.
@@ -75,7 +79,8 @@ func TestRouterCountsSumToTotals(t *testing.T) {
 				t.Run(fmt.Sprintf("%v/%v/warmup%d", d, kind, warmup), func(t *testing.T) {
 					p := DefaultParams(d)
 					p.Topology = kind
-					col, reps, _ := goldenRun(t, p, false, 0.08, 11, warmup, 3000)
+					n := measuredRun(p, false, 0.08, 11, warmup, 3000)
+					col, reps := n.Collector(), n.PerRouterReports()
 					var sum RouterReport
 					var off, idle uint64
 					for _, rr := range reps {
@@ -115,12 +120,46 @@ func TestRouterCountsSumToTotals(t *testing.T) {
 					if got, want := col.IdleCycles+col.BusyCycles, col.Cycles*uint64(len(reps)); got != want {
 						t.Errorf("idle+busy = %d router-cycles, want %d (%d cycles x %d routers)", got, want, col.Cycles, len(reps))
 					}
+					// The power model's other event counts and the wake-stall
+					// sample have no report column: sum the records in-package.
+					var rec stats.NoC
+					for _, r := range n.routers {
+						rec.VAArbs += r.statVAGrants
+						rec.BufWrites += r.statBufWrites
+						rec.LinkTraversals += r.statLinkFlits
+						rec.WakeupStall.Merge(r.statWakeStall)
+					}
+					for _, ni := range n.nis {
+						rec.NIVCRequests += ni.statVCRequests
+						rec.BypassInjections += ni.statBypassInjects
+						rec.BypassEjections += ni.statBypassEjects
+						rec.LocalFlits += ni.statLocalFlits
+					}
+					tot := stats.NoC{
+						VAArbs: col.VAArbs, BufWrites: col.BufWrites, LinkTraversals: col.LinkTraversals,
+						WakeupStall: col.WakeupStall, NIVCRequests: col.NIVCRequests,
+						BypassInjections: col.BypassInjections, BypassEjections: col.BypassEjections,
+						LocalFlits: col.LocalFlits,
+					}
+					if rec != tot {
+						t.Errorf("routers and NIs sum to %+v; totals %+v", rec, tot)
+					}
 					// Not vacuous: traffic moved, gated designs cycled their
 					// routers, and NoRD used the ring, detoured and escaped.
 					if col.SAArbs == 0 || (d.Blocks().PGSwitch && col.Wakeups == 0) ||
 						(d.Blocks().Bypass && (col.BypassHops == 0 || col.MisroutedHops == 0 || col.EscapedPackets == 0)) {
 						t.Errorf("vacuous run: %d SA grants, %d wakeups, %d bypass hops, %d misroutes, %d escapes",
 							col.SAArbs, col.Wakeups, col.BypassHops, col.MisroutedHops, col.EscapedPackets)
+					}
+					// So did every record summed in-package: heads stalled on
+					// a conventional wake, NoRD injected into and ejected off
+					// the ring, and a concentrated router kept traffic local.
+					b := d.Blocks()
+					if tot.VAArbs == 0 || tot.BufWrites == 0 || tot.LinkTraversals == 0 || tot.NIVCRequests == 0 ||
+						(b.PGSwitch && !b.Bypass && tot.WakeupStall.N == 0) ||
+						(b.Bypass && (tot.BypassInjections == 0 || tot.BypassEjections == 0)) ||
+						(n.conc > 1 && tot.LocalFlits == 0) {
+						t.Errorf("vacuous run: %+v", tot)
 					}
 				})
 			}

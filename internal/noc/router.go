@@ -7,6 +7,7 @@ import (
 	"nord/internal/fault"
 	"nord/internal/flit"
 	"nord/internal/obs"
+	"nord/internal/stats"
 	"nord/internal/topology"
 )
 
@@ -182,6 +183,14 @@ type Router struct {
 	statBypassFlits uint64
 	statMisroutes   uint64
 	statEscapes     uint64
+	statVAGrants    uint64
+	statBufWrites   uint64
+	// statLinkFlits counts flits sent onto the links leaving this node,
+	// the NI's ring sends included.
+	statLinkFlits uint64
+	// statWakeStall samples the cycles a head stalled here waiting for
+	// the router it must enter to wake.
+	statWakeStall stats.Sample
 
 	// resid[s] is the measured cycles spent in power state s, charged
 	// through cycle resFrom by settle; the open stretch since resFrom
@@ -412,63 +421,24 @@ func (r *Router) tickSA() {
 		if r.stReg[out] != nil {
 			continue
 		}
-		granted := false
-		for k := 0; k < len(cands) && !granted; k++ {
+		for k := 0; k < len(cands); k++ {
 			ci := k + rrCand
 			if ci >= len(cands) {
 				ci -= len(cands)
 			}
 			c := cands[ci]
-			d, v, vc := c.d, c.v, c.vc
 			// No emptiness re-check: every cand had a head flit at gather
 			// time, and the only pops in this loop are grants, which mark
 			// portRead[d] and so exclude the candidate from later outputs.
-			if vc.route != out || portRead[d] {
+			if c.vc.route != out || portRead[c.d] {
 				continue
 			}
-			if out != topology.Local && r.outCredits[out][vc.outVC] <= 0 {
+			if out != topology.Local && r.outCredits[out][c.vc.outVC] <= 0 {
 				continue
 			}
-			f := vc.pop()
-			r.bufFlits--
-			f.VC = vc.outVC
-			portRead[d] = true
-			granted = true
-			if out != topology.Local {
-				r.outCredits[out][vc.outVC]--
-			}
-			if r.net.p.TwoStageRouter {
-				// Speculative SA folds switch traversal into this cycle:
-				// the flit leaves immediately (best case; contention has
-				// already cost retries in VA/SA).
-				if out == topology.Local {
-					r.net.nis[r.id].deliverEject(f)
-				} else {
-					r.net.sendLink(r.id, out, f)
-				}
-			} else {
-				r.stReg[out] = f
-				r.stFlits++
-			}
-			r.net.noteSAGrant(r)
-			// Return a credit upstream for the freed buffer slot.
-			r.net.creditReturn(r.sh, r.id, d, v)
-			if f.Kind.IsTail() {
-				if out != topology.Local {
-					r.outOwner[out][vc.outVC] = ownerFree
-				}
-				r.setPhase(vc, vcIdle)
-				// The next packet's head may already be queued behind
-				// the departed tail; it starts route computation now.
-				if h := vc.head(); h != nil {
-					if !h.Kind.IsHead() {
-						r.net.failSh(r.sh, &fault.ProtocolError{Cycle: r.net.cycle, Router: r.id,
-							Msg: "non-head flit follows a tail in a VC buffer"})
-						continue
-					}
-					r.setPhase(vc, r.freshHeadPhase())
-				}
-			}
+			r.switchGrant(c.d, c.v, c.vc, out, &r.stReg[out])
+			portRead[c.d] = true
+			break
 		}
 	}
 	// A concentrated local port ejects up to C flits per cycle: grant the
@@ -485,37 +455,57 @@ func (r *Router) tickSA() {
 				ci -= len(cands)
 			}
 			c := cands[ci]
-			d, v, vc := c.d, c.v, c.vc
-			if vc.route != topology.Local || portRead[d] || vc.phase != vcActive || vc.empty() {
+			if c.vc.route != topology.Local || portRead[c.d] || c.vc.phase != vcActive || c.vc.empty() {
 				continue
 			}
-			f := vc.pop()
-			r.bufFlits--
-			f.VC = vc.outVC
-			portRead[d] = true
-			if r.net.p.TwoStageRouter {
-				r.net.nis[r.id].deliverEject(f)
-			} else {
-				r.stLocalX[i] = f
-				r.stFlits++
-			}
-			r.net.noteSAGrant(r)
-			r.net.creditReturn(r.sh, r.id, d, v)
-			if f.Kind.IsTail() {
-				r.setPhase(vc, vcIdle)
-				if h := vc.head(); h != nil {
-					if !h.Kind.IsHead() {
-						r.net.failSh(r.sh, &fault.ProtocolError{Cycle: r.net.cycle, Router: r.id,
-							Msg: "non-head flit follows a tail in a VC buffer"})
-						break
-					}
-					r.setPhase(vc, r.freshHeadPhase())
-				}
-			}
+			r.switchGrant(c.d, c.v, c.vc, topology.Local, &r.stLocalX[i])
+			portRead[c.d] = true
 			break
 		}
 	}
 	r.rr++
+}
+
+// switchGrant moves the head flit of input VC (d, v) through the switch
+// toward out: into the ST register slot, or, under the 2-stage router's
+// speculative SA (which folds switch traversal into this cycle), straight
+// onto the link or the ejection wire. The freed buffer slot's credit
+// returns upstream. A tail frees the output VC and idles the input VC;
+// the next packet's head may already be queued behind it, and starts
+// route computation now.
+func (r *Router) switchGrant(d topology.Dir, v int, vc *vcState, out topology.Dir, slot **flit.Flit) {
+	f := vc.pop()
+	r.bufFlits--
+	f.VC = vc.outVC
+	if out != topology.Local {
+		r.outCredits[out][vc.outVC]--
+	}
+	switch {
+	case !r.net.p.TwoStageRouter:
+		*slot = f
+		r.stFlits++
+	case out == topology.Local:
+		r.net.nis[r.id].deliverEject(f)
+	default:
+		r.net.sendLink(r.id, out, f)
+	}
+	r.net.noteSAGrant(r)
+	r.net.creditReturn(r.sh, r.id, d, v)
+	if !f.Kind.IsTail() {
+		return
+	}
+	if out != topology.Local {
+		r.outOwner[out][vc.outVC] = ownerFree
+	}
+	r.setPhase(vc, vcIdle)
+	if h := vc.head(); h != nil {
+		if !h.Kind.IsHead() {
+			r.net.failSh(r.sh, &fault.ProtocolError{Cycle: r.net.cycle, Router: r.id,
+				Msg: "non-head flit follows a tail in a VC buffer"})
+			return
+		}
+		r.setPhase(vc, r.freshHeadPhase())
+	}
 }
 
 // tickVA performs VC allocation for input VCs in vcWaitVA. Each cycle the
@@ -589,7 +579,7 @@ func (r *Router) allocate(d topology.Dir, v int, vc *vcState) {
 		vc.route = topology.Local
 		vc.outVC = 0
 		vc.vaFails = 0
-		r.net.noteVAGrant(r.sh)
+		r.net.noteVAGrant(r)
 		return
 	}
 	// Try the ordered candidates (adaptive first, escape fallback).
@@ -603,7 +593,7 @@ func (r *Router) allocate(d topology.Dir, v int, vc *vcState) {
 	vc.route = c.dir
 	vc.outVC = c.vc
 	vc.vaFails = 0
-	r.net.noteVAGrant(r.sh)
+	r.net.noteVAGrant(r)
 }
 
 // grant is the allocation rule of the VA stage and of the NI bypass's
@@ -661,7 +651,7 @@ func (r *Router) tickRC() {
 				// Resume once the target router woke (or an alternative
 				// appeared); the route is recomputed from scratch.
 				if r.net.routers[vc.target].on() || r.net.route(r, d, vc.head().Packet, 0).action != actWake {
-					r.net.noteWakeStall(r.sh, r.net.cycle-vc.stallAt)
+					r.net.noteWakeStall(r, r.net.cycle-vc.stallAt)
 					r.setPhase(vc, r.freshHeadPhase())
 				} else {
 					// Still stalled: keep the target on the worklist so
@@ -685,7 +675,7 @@ func (r *Router) acceptFlit(d topology.Dir, f *flit.Flit) {
 	}
 	vc.push(f)
 	r.bufFlits++
-	r.net.noteBufWrite(r.sh)
+	r.net.noteBufWrite(r)
 	// A head flit starts route computation only once it is at the front
 	// of the buffer (an earlier packet's tail may still be draining; the
 	// upstream freed the output VC at its tail).

@@ -479,12 +479,13 @@ func (n *Network) traceEvent(sh *shard, router int32, kind obs.Kind, cause obs.C
 	}
 }
 
-// foldStats merges every shard collector into the master, then derives
-// the per-router quantities from the routers' own counts, settling each
-// router's open power-state stretch first and counting its open idle run
-// without closing it, so a fold changes nothing a later one reads. Merging
-// is exact (sums of integers, integer-valued samples), so the fold is
-// bit-identical to serial accumulation regardless of shard count.
+// foldStats merges every shard collector's samples into the master, then
+// derives every datapath count from the routers' and NIs' own records,
+// settling each router's open power-state stretch first and counting its
+// open idle run without closing it, so a fold changes nothing a later one
+// reads. Merging is exact (sums of integers, integer-valued samples), so
+// the fold is bit-identical to serial accumulation regardless of shard
+// count.
 func (n *Network) foldStats() {
 	for _, sh := range n.shards {
 		n.col.Merge(sh.col)
@@ -495,6 +496,8 @@ func (n *Network) foldStats() {
 	c.MisroutedHops, c.EscapedPackets = 0, 0
 	c.RouterOnCycles, c.RouterOffCycles, c.RouterWakingCycles = 0, 0, 0
 	c.IdleCycles = 0
+	c.VAArbs, c.BufWrites, c.LinkTraversals, c.WakeupStall = 0, 0, 0, stats.Sample{}
+	c.NIVCRequests, c.BypassInjections, c.BypassEjections, c.LocalFlits = 0, 0, 0, 0
 	for _, r := range n.routers {
 		r.settle()
 		c.Wakeups += r.wakeups()
@@ -507,6 +510,16 @@ func (n *Network) foldStats() {
 		c.RouterOffCycles += r.resid[powerOff]
 		c.RouterWakingCycles += r.resid[powerWaking]
 		c.IdleCycles += r.idleCycles()
+		c.VAArbs += r.statVAGrants
+		c.BufWrites += r.statBufWrites
+		c.LinkTraversals += r.statLinkFlits
+		c.WakeupStall.Merge(r.statWakeStall)
+	}
+	for _, ni := range n.nis {
+		c.NIVCRequests += ni.statVCRequests
+		c.BypassInjections += ni.statBypassInjects
+		c.BypassEjections += ni.statBypassEjects
+		c.LocalFlits += ni.statLocalFlits
 	}
 	// Every router spends each measured cycle either idle or busy.
 	c.BusyCycles = c.Cycles*uint64(len(n.routers)) - c.IdleCycles

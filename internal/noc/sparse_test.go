@@ -15,6 +15,13 @@ import (
 // the in-flight count.
 func goldenRun(t *testing.T, p Params, fullScan bool, rate float64, seed int64, warmup, measure int) (*stats.NoC, []RouterReport, int) {
 	t.Helper()
+	n := measuredRun(p, fullScan, rate, seed, warmup, measure)
+	return n.Collector(), n.PerRouterReports(), n.InFlight()
+}
+
+// measuredRun drives one sweep point through warm-up and a finished
+// measurement window and returns the network.
+func measuredRun(p Params, fullScan bool, rate float64, seed int64, warmup, measure int) *Network {
 	n := MustNew(p)
 	if fullScan {
 		n.fullScan()
@@ -30,7 +37,7 @@ func goldenRun(t *testing.T, p Params, fullScan bool, rate float64, seed int64, 
 		n.Tick()
 	}
 	n.FinishMeasurement()
-	return n.Collector(), n.PerRouterReports(), n.InFlight()
+	return n
 }
 
 // TestCollectorReadsIdempotent: reading the statistics changes none of

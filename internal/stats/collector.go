@@ -5,11 +5,14 @@ import (
 )
 
 // NoC aggregates everything a network simulation measures. The noc
-// package increments it; the sim package converts it into reports.
-// Wakeups, GateOffs, the RouterOn/Off/WakingCycles residencies, SAArbs,
-// BypassHops, MisroutedHops, EscapedPackets, IdleCycles and BusyCycles
-// are per-router quantities: noc derives them as sums over its routers'
-// own counters whenever the collector is read. Fault-recovery events are
+// package fills it; the sim package converts it into reports. Every
+// datapath event count (the power-gating transitions and residencies,
+// the power model's event counts, idle and busy cycles, misroutes,
+// escapes, NI VC requests) and the WakeupStall sample are per-router or
+// per-NI quantities: noc keeps each on the router or NI that saw it and
+// derives the collector's total as a sum whenever the collector is read.
+// Only the delivered-packet statistics and IdlePeriods are sampled into
+// per-shard collectors and folded by Merge. Fault-recovery events are
 // counted in fault.Report, not here.
 type NoC struct {
 	// Cycles measured (after warmup).
@@ -63,49 +66,24 @@ type NoC struct {
 	BusyCycles  uint64
 }
 
-// Merge folds another collector into this one. The sharded parallel
-// kernel gives each spatial domain a private collector for everything
-// incremented inside a parallel phase, and folds them into the master at
-// serial points (measurement boundaries and report reads). Every counter
-// is a sum and every Sample holds integer-valued observations (exactly
-// representable in float64), so merging is exact and order-independent:
-// the folded totals are bit-identical to serial accumulation.
-// TestNoCMergeCoversAllFields keeps this in sync with the struct.
+// Merge folds another collector's sampled fields into this one: the six
+// delivered-packet statistics and the idle-period distribution, the only
+// fields the sharded parallel kernel writes into a shard's private
+// collector. noc derives every other field from its routers and NIs,
+// and Cycles and PacketsInjected live in the master collector only; Merge
+// skips them all. Every counter is a sum and every Sample holds
+// integer-valued observations (exactly representable in float64), so
+// merging is exact and order-independent: the folded totals are
+// bit-identical to serial accumulation. TestNoCMergeCoversAllFields keeps
+// this in sync with the struct.
 func (n *NoC) Merge(o *NoC) {
-	n.Cycles += o.Cycles
-
-	n.PacketsInjected += o.PacketsInjected
 	n.PacketsDelivered += o.PacketsDelivered
 	n.FlitsDelivered += o.FlitsDelivered
 	n.PacketLatency.Merge(o.PacketLatency)
 	n.LatencyHist.Merge(o.LatencyHist)
 	n.NetworkLatency.Merge(o.NetworkLatency)
 	n.Hops.Merge(o.Hops)
-	n.MisroutedHops += o.MisroutedHops
-	n.EscapedPackets += o.EscapedPackets
-
-	n.Wakeups += o.Wakeups
-	n.GateOffs += o.GateOffs
-	n.WakeupStall.Merge(o.WakeupStall)
-
-	n.RouterOnCycles += o.RouterOnCycles
-	n.RouterOffCycles += o.RouterOffCycles
-	n.RouterWakingCycles += o.RouterWakingCycles
-
-	n.BufWrites += o.BufWrites
-	n.VAArbs += o.VAArbs
-	n.SAArbs += o.SAArbs
-	n.LinkTraversals += o.LinkTraversals
-	n.BypassHops += o.BypassHops
-	n.BypassInjections += o.BypassInjections
-	n.BypassEjections += o.BypassEjections
-	n.LocalFlits += o.LocalFlits
-
-	n.NIVCRequests += o.NIVCRequests
-
 	n.IdlePeriods.Merge(o.IdlePeriods)
-	n.IdleCycles += o.IdleCycles
-	n.BusyCycles += o.BusyCycles
 }
 
 // Reset zeroes the collector for reuse, keeping histogram allocations.
