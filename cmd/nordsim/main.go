@@ -103,8 +103,8 @@ func main() {
 		fmt.Printf("  input buffers      %d-flit depth\n", def.BufferDepth)
 		fmt.Printf("  link bandwidth     128 bits/cycle (1 flit)\n")
 		fmt.Printf("  wakeup latency     %d cycles (4ns at 3GHz)\n", def.WakeupLatency)
-		fmt.Printf("  early wakeup       %d cycles hidden (Conv_PG_OPT)\n", def.EarlyWakeupCycles)
-		fmt.Printf("  wakeup window      %d cycles, thresholds perf=%d power=%d\n", def.WakeupWindow, def.ThresholdPerf, def.ThresholdPower)
+		fmt.Printf("  early wakeup       %d cycles hidden (Conv_PG_OPT)\n", noc.EarlyWakeupCycles)
+		fmt.Printf("  wakeup window      %d cycles, thresholds perf=%d power=%d\n", noc.WakeupWindow, def.ThresholdPerf, def.ThresholdPower)
 		fmt.Printf("  misroute cap       %d hops before the escape ring\n", def.MisrouteCap)
 		fmt.Printf("  memory (workload)  L1 32KB/2-way 1cy; L2 256KB/16-way banks 6cy; MOESI-style MSI directory; 4 corner memory controllers, 128cy\n")
 		return

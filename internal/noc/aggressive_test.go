@@ -67,9 +67,6 @@ func TestTwoStageRouterUnderLoad(t *testing.T) {
 	for _, d := range []Design{NoPG, ConvPGOpt, NoRD} {
 		p := DefaultParams(d)
 		p.TwoStageRouter = true
-		if d != NoPG {
-			p.EarlyWakeupCycles = 1
-		}
 		stressOne(t, p, traffic.UniformRandom, 0.10, 6000, 79)
 	}
 }
@@ -81,7 +78,6 @@ func TestSection68Competitiveness(t *testing.T) {
 	run := func(d Design, aggr bool) float64 {
 		p := DefaultParams(d)
 		p.TwoStageRouter = true
-		p.EarlyWakeupCycles = 1
 		p.AggressiveBypass = aggr
 		if d == NoRD {
 			p.PerfCentric = []int{2, 4, 5, 6, 10, 14}

@@ -44,7 +44,7 @@ func (o *FaultOptions) fill(p *Params) {
 		o.RetryBackoffCap = 1024
 	}
 	if o.WatchdogTimeout == 0 {
-		o.WatchdogTimeout = max(8*p.WakeupLatency+4*p.WakeupWindow, 64)
+		o.WatchdogTimeout = max(8*p.WakeupLatency+4*WakeupWindow, 64)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nord/internal/flit"
+	"nord/internal/topology"
 )
 
 // runUntilDelivered ticks the network until count packets are delivered or
@@ -40,7 +41,6 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.VCsPerClass = 2 }, // NoRD needs 3
 		func(p *Params) { p.BufferDepth = 0 },
 		func(p *Params) { p.WakeupLatency = 0 },
-		func(p *Params) { p.WakeupWindow = 0 },
 		func(p *Params) { p.ThresholdPerf = 0 },
 		func(p *Params) { p.InjectQueueDepth = 0 },
 		func(p *Params) { p.MisrouteCap = -1 },
@@ -58,6 +58,27 @@ func TestParamsValidate(t *testing.T) {
 	p.VCsPerClass = 2
 	if err := p.Validate(); err != nil {
 		t.Errorf("ConvPG with 2 VCs should validate: %v", err)
+	}
+}
+
+// TestValidateMatchesNew: every Params Validate accepts is one New
+// builds, and every one it refuses New refuses too — across topologies,
+// designs and small grids, odd x odd NoRD meshes included.
+func TestValidateMatchesNew(t *testing.T) {
+	for _, kind := range []topology.Kind{topology.KindMesh, topology.KindTorus, topology.KindCMesh} {
+		for _, d := range Designs() {
+			for w := 2; w <= 7; w++ {
+				for h := 2; h <= 7; h++ {
+					p := DefaultParams(d)
+					p.Topology, p.Width, p.Height = kind, w, h
+					verr := p.Validate()
+					_, nerr := New(p)
+					if (verr == nil) != (nerr == nil) {
+						t.Errorf("%v %v %dx%d: Validate %v, New %v", d, kind, w, h, verr, nerr)
+					}
+				}
+			}
+		}
 	}
 }
 

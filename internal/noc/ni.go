@@ -175,7 +175,7 @@ func initNI(ni *NI, id int, net *Network) {
 	ni.latch = make([]*flit.Flit, V)
 	ni.fwdOutVC = make([]int, V)
 	ni.fwdFails = make([]int, V)
-	ni.window = stats.NewWindow(max(p.WakeupWindow, 1))
+	ni.window = stats.NewWindow(WakeupWindow)
 	ni.threshold = p.ThresholdPower
 	for c := range ni.injQ {
 		// One extra slot: a drained-router requeue (pushFront) can briefly
@@ -200,11 +200,11 @@ func (ni *NI) setClass(perf bool) {
 	p := &ni.net.p
 	if perf {
 		ni.threshold = p.ThresholdPerf
-		ni.quietNeed = 2 * p.WakeupWindow
+		ni.quietNeed = 2 * WakeupWindow
 		ni.gateSlack = 0
 	} else {
 		ni.threshold = p.ThresholdPower
-		ni.quietNeed = p.WakeupWindow
+		ni.quietNeed = WakeupWindow
 		ni.gateSlack = 1
 	}
 }

@@ -38,9 +38,6 @@ type Params struct {
 	// WakeupLatency is the cycles needed to power a router back on
 	// (Section 5.1: 12 cycles = 4ns at 3GHz).
 	WakeupLatency int
-	// EarlyWakeupCycles is the wakeup latency hidden by early WU
-	// generation in Conv_PG_OPT (Section 5.1: 3).
-	EarlyWakeupCycles int
 	// GateIdleCycles is the consecutive empty cycles a router requires
 	// before gating off, covering flits in the ST and LT stages of
 	// neighbors (the IC signal of Section 4.3: 2 cycles).
@@ -49,9 +46,6 @@ type Params struct {
 	// adaptive resources before being forced onto the escape ring
 	// (Section 4.2's livelock bound).
 	MisrouteCap int
-	// WakeupWindow is the sliding window (cycles) of the NoRD VC-request
-	// wakeup metric (Section 4.3: 10).
-	WakeupWindow int
 	// ThresholdPerf / ThresholdPower are the asymmetric wakeup thresholds
 	// (Section 6.1 picks 1 for performance-centric routers and 3 for
 	// power-centric routers on the paper's metric; this implementation's
@@ -82,9 +76,8 @@ type Params struct {
 	// TwoStageRouter shortens the powered-on pipeline from the canonical
 	// 4 stages to 2 (look-ahead routing folds RC into VA; speculative SA
 	// folds ST into SA), the Section 6.8 baseline variant. Contention
-	// makes speculation fail naturally, adding cycles back. When set,
-	// EarlyWakeupCycles should usually be reduced to 1: a shorter
-	// pipeline hides fewer wakeup cycles.
+	// makes speculation fail naturally, adding cycles back. A shorter
+	// pipeline also hides fewer wakeup cycles (EarlyWakeupCycles).
 	TwoStageRouter bool
 	// DynamicClassify enables the Section 4.4 extension the paper leaves
 	// as future work: instead of a fixed planner-chosen
@@ -112,24 +105,31 @@ type Params struct {
 	Parallelism int
 }
 
+// WakeupWindow is the sliding window (cycles) of the NoRD VC-request
+// wakeup metric (Section 4.3: 10).
+const WakeupWindow = 10
+
+// EarlyWakeupCycles is the wakeup latency hidden by early WU generation
+// in Conv_PG_OPT on the canonical 4-stage router (Section 5.1: 3); a
+// TwoStageRouter hides one (Section 6.8).
+const EarlyWakeupCycles = 3
+
 // DefaultParams returns the paper's Table 1 configuration for a given
 // design on a 4x4 mesh with one protocol class.
 func DefaultParams(d Design) Params {
 	return Params{
 		Width: 4, Height: 4,
-		Classes:           1,
-		VCsPerClass:       4,
-		BufferDepth:       5,
-		Design:            d,
-		WakeupLatency:     12,
-		EarlyWakeupCycles: 3,
-		GateIdleCycles:    2,
-		MisrouteCap:       2,
-		WakeupWindow:      10,
-		ThresholdPerf:     1,
-		ThresholdPower:    6,
-		InjectQueueDepth:  16,
-		ReclassifyPeriod:  2048,
+		Classes:          1,
+		VCsPerClass:      4,
+		BufferDepth:      5,
+		Design:           d,
+		WakeupLatency:    12,
+		GateIdleCycles:   2,
+		MisrouteCap:      2,
+		ThresholdPerf:    1,
+		ThresholdPower:   6,
+		InjectQueueDepth: 16,
+		ReclassifyPeriod: 2048,
 	}
 }
 
@@ -166,6 +166,9 @@ func (p *Params) Validate() error {
 	if _, err := topology.New(p.Topology, p.Width, p.Height); err != nil {
 		return err
 	}
+	if row.blocks.Bypass && p.RingOrder == nil && !topology.HasRing(p.Topology, p.Width, p.Height) {
+		return fmt.Errorf("noc: no Hamiltonian bypass ring exists for odd %dx%d %v", p.Width, p.Height, p.Topology)
+	}
 	if p.Classes < 1 {
 		return fmt.Errorf("noc: need at least one protocol class, got %d", p.Classes)
 	}
@@ -182,16 +185,11 @@ func (p *Params) Validate() error {
 	if row.blocks.PGSwitch && p.WakeupLatency < 1 {
 		return fmt.Errorf("noc: wakeup latency must be positive, got %d", p.WakeupLatency)
 	}
-	if p.EarlyWakeupCycles < 0 || p.GateIdleCycles < 0 || p.MisrouteCap < 0 {
+	if p.GateIdleCycles < 0 || p.MisrouteCap < 0 {
 		return fmt.Errorf("noc: negative pipeline parameter")
 	}
-	if row.wake == wakeAtNI {
-		if p.WakeupWindow < 1 {
-			return fmt.Errorf("noc: NoRD wakeup window must be positive, got %d", p.WakeupWindow)
-		}
-		if p.ThresholdPerf < 1 || p.ThresholdPower < 1 {
-			return fmt.Errorf("noc: NoRD wakeup thresholds must be positive")
-		}
+	if row.wake == wakeAtNI && (p.ThresholdPerf < 1 || p.ThresholdPower < 1) {
+		return fmt.Errorf("noc: NoRD wakeup thresholds must be positive")
 	}
 	if p.InjectQueueDepth < 1 {
 		return fmt.Errorf("noc: injection queue depth must be positive, got %d", p.InjectQueueDepth)

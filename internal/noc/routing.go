@@ -164,12 +164,16 @@ func (n *Network) routeConv(r *Router, pkt *flit.Packet, vaFails int) decision {
 
 // wakeDecision builds the stall-and-wake decision for conventional
 // designs. Conv_PG's WU is generated at SA-request time, modelled as an
-// assertion delay of EarlyWakeupCycles relative to Conv_PG_OPT's RC-time
+// assertion delay of EarlyWakeupCycles (1 on a TwoStageRouter, whose
+// shorter pipeline hides fewer cycles) relative to Conv_PG_OPT's RC-time
 // generation.
 func (n *Network) wakeDecision(target int) decision {
 	delay := 0
 	if n.wake == wakeAtSA {
-		delay = n.p.EarlyWakeupCycles
+		delay = EarlyWakeupCycles
+		if n.p.TwoStageRouter {
+			delay = 1
+		}
 	}
 	return decision{action: actWake, wakeTarget: target, wuDelay: delay}
 }

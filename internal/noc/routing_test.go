@@ -58,8 +58,8 @@ func TestRouteConvWakesWhenBlocked(t *testing.T) {
 	if dec.action != actWake || dec.wakeTarget != 1 {
 		t.Fatalf("decision %+v, want wake router 1", dec)
 	}
-	if dec.wuDelay != n.p.EarlyWakeupCycles {
-		t.Errorf("Conv_PG WU delay %d, want %d (SA-time assertion)", dec.wuDelay, n.p.EarlyWakeupCycles)
+	if dec.wuDelay != EarlyWakeupCycles {
+		t.Errorf("Conv_PG WU delay %d, want %d (SA-time assertion)", dec.wuDelay, EarlyWakeupCycles)
 	}
 	// Conv_PG_OPT asserts at RC time (no delay).
 	n2 := MustNew(DefaultParams(ConvPGOpt))

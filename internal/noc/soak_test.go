@@ -43,9 +43,6 @@ func TestSoakRandomConfigs(t *testing.T) {
 			p.DynamicClassify = rng.Intn(3) == 0
 			p.ForcedOff = rng.Intn(6) == 0
 		}
-		if p.TwoStageRouter {
-			p.EarlyWakeupCycles = 1
-		}
 		rate := 0.01 + rng.Float64()*0.15
 		seed := rng.Int63()
 

@@ -88,8 +88,9 @@ func (m *Model) RouterAreaFor(b Blocks, vcsPerPort, bufferDepth int) AreaBreakdo
 	if bufferDepth > 0 {
 		depth = float64(bufferDepth)
 	}
-	a.Buffers *= vcs * depth / (4 * 5)
-	a.Allocators *= vcs / 4
+	// Rounded before the sum below, so no architecture fuses them into it.
+	a.Buffers = float64(a.Buffers * (vcs * depth / (4 * 5)))
+	a.Allocators = float64(a.Allocators * (vcs / 4))
 	gated := a.Buffers + a.Crossbar + a.Allocators + a.Other
 	a.PGSwitch *= gated / refGated
 	return a

@@ -75,24 +75,27 @@ func (m *Model) Energy(c Counts) Breakdown {
 	// only the non-gated controller (and NoRD's bypass datapath) leak.
 	b.RouterStatic = float64(c.RouterOnCycles) * m.RouterStaticW() * cyc
 	if c.Blocks.PGSwitch {
-		b.RouterStatic += float64(c.RouterOffCycles) * m.ControllerStaticW() * cyc
+		b.RouterStatic += float64(float64(c.RouterOffCycles) * m.ControllerStaticW() * cyc)
 	}
 	if c.Blocks.Bypass {
 		// The bypass datapath is never power-gated: it leaks for the
 		// whole interval on every router.
-		b.RouterStatic += float64(c.Cycles) * float64(c.Routers) * m.BypassStaticW() * cyc
+		b.RouterStatic += float64(float64(c.Cycles) * float64(c.Routers) * m.BypassStaticW() * cyc)
 	}
 
 	// Router dynamic. Local-path flits of a concentrated router are
 	// charged like bypass hops: a latch-to-latch hop that skips the full
 	// buffered pipeline.
-	b.RouterDynamic = float64(c.BufWrites)*m.EBufferWrite() +
-		float64(c.BufReads)*m.EBufferRead() +
-		float64(c.XbarTraversals)*m.EXbar() +
-		float64(c.VAArbs)*m.EVAArb() +
-		float64(c.SAArbs)*m.ESAArb() +
-		float64(c.ClockedFlitHops)*m.EClockDyn() +
-		float64(c.BypassHops+c.BypassInjections+c.BypassEjections+c.LocalFlits)*m.EBypassHop()
+	// float64(…) rounds each product before the sum: without it gc fuses
+	// multiply-adds on arm64 and others, and the last bits would depend
+	// on the host (scripts/fmacheck.sh).
+	b.RouterDynamic = float64(float64(c.BufWrites)*m.EBufferWrite()) +
+		float64(float64(c.BufReads)*m.EBufferRead()) +
+		float64(float64(c.XbarTraversals)*m.EXbar()) +
+		float64(float64(c.VAArbs)*m.EVAArb()) +
+		float64(float64(c.SAArbs)*m.ESAArb()) +
+		float64(float64(c.ClockedFlitHops)*m.EClockDyn()) +
+		float64(float64(c.BypassHops+c.BypassInjections+c.BypassEjections+c.LocalFlits)*m.EBypassHop())
 
 	// Links: wire capacitance and leakage scale with the physical span,
 	// so longer channels (folded torus, concentrated mesh) cost

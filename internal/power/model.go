@@ -248,7 +248,8 @@ func (m *Model) WakeupEnergy() float64 {
 func (m *Model) StaticShareAtReferenceLoad() float64 {
 	static := m.RouterStaticW()
 	flow := refLoadFlitsPerNodeCycle * refAvgHops
-	dynamic := m.ERouterHop() * flow * m.tech.FreqGHz * 1e9
+	// Rounded so the sum below cannot fuse with it (see Energy).
+	dynamic := float64(m.ERouterHop() * flow * m.tech.FreqGHz * 1e9)
 	return static / (static + dynamic)
 }
 
@@ -258,7 +259,7 @@ func (m *Model) StaticShareAtReferenceLoad() float64 {
 func (m *Model) BreakdownAtReferenceLoad() (frac map[string]float64) {
 	s := m.RouterStatic()
 	flow := refLoadFlitsPerNodeCycle * refAvgHops
-	dynamic := m.ERouterHop() * flow * m.tech.FreqGHz * 1e9
+	dynamic := float64(m.ERouterHop() * flow * m.tech.FreqGHz * 1e9)
 	total := s.Total() + dynamic
 	return map[string]float64{
 		"buffer_static": s.Buffer / total,

@@ -388,6 +388,8 @@ func TestServerValidation(t *testing.T) {
 		{"vcs above the port limit", `{"kind":"synthetic","synthetic":{"design":"no_pg","vcs":100}}`, "at most 64 VCs per port"},
 		{"1-wide grid", `{"kind":"synthetic","synthetic":{"design":"nord","width":1,"height":4}}`, "at least 2x2"},
 		{"negative sweep grid", `{"kind":"sweep","sweep":{"width":-3,"height":4,"rates":[0.05]}}`, "at least 2x2"},
+		{"odd nord mesh has no ring", `{"kind":"synthetic","synthetic":{"design":"nord","width":3,"height":3}}`, "no Hamiltonian bypass ring"},
+		{"odd sweep grid has no ring", `{"kind":"sweep","sweep":{"width":5,"height":3,"rates":[0.05]}}`, "no Hamiltonian bypass ring"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, body := postRaw(t, ts, tc.body)

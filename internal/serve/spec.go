@@ -407,9 +407,11 @@ func (sp *SweepSpec) resolve() (*task, error) {
 	if _, err := traffic.PatternByName(cfg.Pattern); err != nil {
 		return nil, err
 	}
-	// Every point runs on this grid; noc owns its bounds.
-	if err := (sim.SynthConfig{Width: cfg.Width, Height: cfg.Height}).Validate(); err != nil {
-		return nil, err
+	// Every design's points run on this grid; noc owns its bounds.
+	for _, d := range sim.SweepDesigns() {
+		if err := (sim.SynthConfig{Design: d, Width: cfg.Width, Height: cfg.Height}).Validate(); err != nil {
+			return nil, err
+		}
 	}
 	key, err := CacheKey("sweep", cfg)
 	if err != nil {

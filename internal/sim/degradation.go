@@ -107,7 +107,7 @@ func DegradationSweep(c DegradationConfig) ([]DegradationPoint, error) {
 	}
 	perDesign := c.MaxFails + 1 // cells 0..MaxFails hard-failed routers
 	at := func(i int) (noc.Design, int) { return c.Designs[i/perDesign], i % perDesign }
-	results, errs := runCells(context.Background(), len(c.Designs)*perDesign, func(ctx context.Context, i int) (Result, error) {
+	results, errs := RunCells(context.Background(), len(c.Designs)*perDesign, func(ctx context.Context, i int) (Result, error) {
 		d, fails := at(i)
 		fc := &fault.Config{Seed: c.Seed, HardFails: fails}
 		if fails > 0 {

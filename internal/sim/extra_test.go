@@ -64,7 +64,7 @@ func TestPoolOrderAndBounds(t *testing.T) {
 		var running, peak atomic.Int32
 		var order []int
 		var mu sync.Mutex
-		res, errs := runCells(context.Background(), 9, func(_ context.Context, i int) (Result, error) {
+		res, errs := RunCells(context.Background(), 9, func(_ context.Context, i int) (Result, error) {
 			n := running.Add(1)
 			defer running.Add(-1)
 			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
@@ -97,7 +97,7 @@ func TestPoolOrderAndBounds(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cause := errors.New("stop")
-	_, errs := runCells(ctx, 6, func(_ context.Context, i int) (Result, error) {
+	_, errs := RunCells(ctx, 6, func(_ context.Context, i int) (Result, error) {
 		cancel(cause)
 		return Result{}, nil
 	})
@@ -112,84 +112,7 @@ func TestParallelLoadSweepError(t *testing.T) {
 	}
 }
 
-func TestParallelSuiteSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("suite run is slow")
-	}
-	// The callback is deliberately not thread-safe: RunSuite calls it one
-	// cell at a time however many workers run (-race checks that).
-	var started []string
-	prev := runtime.GOMAXPROCS(4)
-	sr, err := RunSuite(context.Background(), 0.02, 3, func(cell string) { started = append(started, cell) })
-	runtime.GOMAXPROCS(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(sr.Benchmarks) * len(noc.Designs()); len(started) != want {
-		t.Errorf("progress told of %d cells, want %d", len(started), want)
-	}
-	for _, b := range sr.Benchmarks {
-		for _, d := range noc.Designs() {
-			if sr.Results[b][d].ExecTime == 0 {
-				t.Errorf("%s/%v: missing result", b, d)
-			}
-		}
-	}
-	// Derived views work on the suite's results.
-	_, avg := sr.Fig8StaticEnergy()
-	if avg[noc.NoPG] != 1.0 {
-		t.Errorf("No_PG static should normalise to 1, got %f", avg[noc.NoPG])
-	}
-}
-
 func TestCSVWriters(t *testing.T) {
-	pts := []SweepPoint{{Design: noc.NoRD, Rate: 0.05, AvgLatency: 40.1, PowerW: 10.5, Throughput: 0.05}}
-	var buf bytes.Buffer
-	if err := WriteSweepCSV(&buf, pts); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "design,rate") || !strings.Contains(out, "NoRD,0.05,40.100") {
-		t.Errorf("sweep CSV wrong:\n%s", out)
-	}
-
-	buf.Reset()
-	f7 := []Fig7Point{{Rate: 0.01, AvgLatency: 33.1, Throughput: 0.0099, VCReqWindow: 0.4}}
-	if err := WriteFig7CSV(&buf, f7); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "0.01,33.100") {
-		t.Errorf("fig7 CSV wrong:\n%s", buf.String())
-	}
-
-	buf.Reset()
-	f13 := []Fig13Point{{Design: noc.ConvPG, WakeupLatency: 9, AvgLatency: 42.0}}
-	if err := WriteFig13CSV(&buf, f13); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Conv_PG,9,42.000") {
-		t.Errorf("fig13 CSV wrong:\n%s", buf.String())
-	}
-
-	buf.Reset()
-	sr := &SuiteResult{
-		Benchmarks: []string{"a"},
-		Results: map[string]map[noc.Design]Result{
-			"a": {
-				noc.NoPG:      {Design: noc.NoPG, ExecTime: 100},
-				noc.ConvPG:    {Design: noc.ConvPG, ExecTime: 120},
-				noc.ConvPGOpt: {Design: noc.ConvPGOpt, ExecTime: 115},
-				noc.NoRD:      {Design: noc.NoRD, ExecTime: 105},
-			},
-		},
-	}
-	if err := WriteSuiteCSV(&buf, sr); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "a,NoRD,105") {
-		t.Errorf("suite CSV wrong:\n%s", buf.String())
-	}
-
 	rec := ResultCSVRecord(Result{Design: noc.NoRD, Label: "x", Nodes: 16})
 	if len(rec) != len(ResultCSVHeader()) {
 		t.Error("result CSV record/header mismatch")
@@ -348,26 +271,6 @@ func TestPowerTimeSeries(t *testing.T) {
 	}
 }
 
-func TestThresholdSensitivity(t *testing.T) {
-	pts, err := ThresholdSensitivity([]int{1, 8}, []float64{0.05}, 12_000, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	// A higher threshold wakes less (more bypass detours, fewer wakeups).
-	if pts[1].Wakeups >= pts[0].Wakeups {
-		t.Errorf("threshold 8 wakeups (%d) should be below threshold 1 (%d)",
-			pts[1].Wakeups, pts[0].Wakeups)
-	}
-	// And costs latency (the Section 6.1 trade-off).
-	if pts[1].AvgLatency <= pts[0].AvgLatency {
-		t.Errorf("threshold 8 latency (%.1f) should exceed threshold 1 (%.1f)",
-			pts[1].AvgLatency, pts[0].AvgLatency)
-	}
-}
-
 func TestWatchStates(t *testing.T) {
 	var buf bytes.Buffer
 	r, err := WatchStates(context.Background(), SynthConfig{Design: noc.NoRD, Rate: 0.03, Warmup: 100, Seed: 3}, RunOptions{}, 800, 2, &buf)
@@ -386,35 +289,6 @@ func TestWatchStates(t *testing.T) {
 	}
 	if _, err := WatchStates(context.Background(), SynthConfig{Design: noc.NoRD, Rate: 0.01}, RunOptions{}, 0, 1, &buf); err == nil {
 		t.Error("zero period should fail")
-	}
-}
-
-func TestFig3IdlePeriodsSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("suite-wide run")
-	}
-	rows, err := Fig3IdlePeriods(0.02, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 10 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	// Pooled rows come back by index and equal the cells run one at a time.
-	for i, r := range rows {
-		if r.IdleFrac <= 0 || r.IdleFrac >= 1 {
-			t.Errorf("%s: idle fraction %f", r.Benchmark, r.IdleFrac)
-		}
-		if r.LEBETFrac <= 0 || r.LEBETFrac > 1 {
-			t.Errorf("%s: <=BET fraction %f", r.Benchmark, r.LEBETFrac)
-		}
-		one, err := runWorkload(WorkloadConfig{Design: noc.NoPG, Benchmark: Benchmarks()[i], Scale: 0.02, Seed: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := (IdleRow{Benchmark: Benchmarks()[i], IdleFrac: one.IdleFraction, LEBETFrac: one.IdleLEBET}); r != want {
-			t.Errorf("row %d: pooled %+v, run alone %+v", i, r, want)
-		}
 	}
 }
 

@@ -64,21 +64,6 @@ func TestCSVPrecisionRoundTrips(t *testing.T) {
 		t.Fatalf("avg_latency_cycles round-tripped to %v, want %v", got, big)
 	}
 
-	sr := &SuiteResult{Benchmarks: []string{"b"}, Results: map[string]map[noc.Design]Result{
-		"b": {
-			noc.NoPG:      {AvgPowerW: 3.00000004e8},
-			noc.ConvPG:    {},
-			noc.ConvPGOpt: {},
-			noc.NoRD:      {},
-		},
-	}}
-	var buf bytes.Buffer
-	if err := WriteSuiteCSV(&buf, sr); err != nil {
-		t.Fatalf("WriteSuiteCSV: %v", err)
-	}
-	if !bytes.Contains(buf.Bytes(), []byte("3.00000004e+08")) {
-		t.Fatalf("suite CSV lost precision on 3.00000004e8:\n%s", buf.String())
-	}
 }
 
 // TestTracedSyntheticRun wires a tracer through RunSyntheticOpts and

@@ -11,18 +11,17 @@ import (
 	"nord/internal/fault"
 )
 
-// runCells runs n independent simulations, cell(ctx, i) for i in [0, n),
+// RunCells runs n independent simulations, cell(ctx, i) for i in [0, n),
 // on a pool of GOMAXPROCS workers — the one fan-out behind every
-// multi-run experiment: Fig3IdlePeriods, Fig7WakeupThreshold, RunSuite,
-// Fig13WakeupLatency, LoadSweep, ThresholdSensitivity and
-// DegradationSweep. Each simulation is
+// multi-run experiment: LoadSweep, DegradationSweep and the paper
+// table's rows (internal/paper). Each simulation is
 // single-threaded and shares nothing, so a sweep parallelises
 // embarrassingly; results come back by index whatever order cells finish
 // in, and with GOMAXPROCS=1 the cells simply run in index order. A cell
 // that panics is reported as a *panicFailure instead of taking the pool
 // down; once ctx is canceled, running cells stop within their poll
 // interval and cells not yet started report the context's cause.
-func runCells(ctx context.Context, n int, cell func(ctx context.Context, i int) (Result, error)) ([]Result, []error) {
+func RunCells(ctx context.Context, n int, cell func(ctx context.Context, i int) (Result, error)) ([]Result, []error) {
 	res := make([]Result, n)
 	errs := make([]error, n)
 	var next atomic.Int64

@@ -335,10 +335,6 @@ func (c *SynthConfig) params(classes int) (noc.Params, error) {
 	p.AggressiveBypass = c.AggressiveBypass
 	p.DynamicClassify = c.DynamicClassify
 	p.WatchdogLimit = c.WatchdogLimit
-	if c.TwoStageRouter && p.EarlyWakeupCycles > 1 {
-		// A shorter pipeline hides fewer wakeup cycles (Section 6.8).
-		p.EarlyWakeupCycles = 1
-	}
 	return p, p.Validate()
 }
 
@@ -488,7 +484,7 @@ func systemRun(ctx context.Context, c WorkloadConfig, opt RunOptions, record boo
 	if err != nil {
 		return nil, Result{}, err
 	}
-	prof.InstrPerCore = max(1, uint64(float64(prof.InstrPerCore)*c.Scale))
+	prof.InstrPerCore = max(1, uint64(float64(float64(prof.InstrPerCore)*c.Scale)))
 	s, err := open(ctx, systemNet(c.Design, c.WakeupLatency, c.NoPerfCentric, c.Tech), flit.NumClasses, opt)
 	if err != nil {
 		return nil, Result{}, err
@@ -644,7 +640,7 @@ func collect(net *noc.Network, model *power.Model) Result {
 		GateOffs:          col.GateOffs,
 		Misroutes:         col.MisroutedHops,
 		Escapes:           col.EscapedPackets,
-		VCReqWindow:       col.AvgVCRequestsPerWindow(routers, p.WakeupWindow),
+		VCReqWindow:       col.AvgVCRequestsPerWindow(routers, noc.WakeupWindow),
 		Energy:            energy,
 		AvgPowerW:         model.AvgPowerW(counts, energy),
 		Routers:           net.PerRouterReports(),

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 
@@ -216,110 +215,6 @@ func TestRunWorkloadBasics(t *testing.T) {
 	}
 }
 
-func TestFig1a(t *testing.T) {
-	pts, err := Fig1aStaticShare()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 9 {
-		t.Fatalf("want 9 tech points, got %d", len(pts))
-	}
-	anchor := map[[2]int]float64{
-		{65, 12}: 0.179,
-		{45, 11}: 0.354,
-		{32, 10}: 0.477,
-	}
-	for _, p := range pts {
-		key := [2]int{p.NodeNM, int(p.Voltage*10 + 0.5)}
-		if want, ok := anchor[key]; ok && math.Abs(p.StaticShare-want) > 0.005 {
-			t.Errorf("%dnm/%.1fV share %.3f, want %.3f", p.NodeNM, p.Voltage, p.StaticShare, want)
-		}
-	}
-}
-
-func TestFig1b(t *testing.T) {
-	keys, vals, err := Fig1bBreakdown()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 6 || len(vals) != 6 {
-		t.Fatal("expected 6 components")
-	}
-	sum := 0.0
-	for _, v := range vals {
-		sum += v
-	}
-	if math.Abs(sum-1.0) > 1e-9 {
-		t.Errorf("fractions sum to %f", sum)
-	}
-	if keys[0] != "dynamic" || math.Abs(vals[0]-0.62) > 0.02 {
-		t.Errorf("dynamic fraction %f, want ~0.62", vals[0])
-	}
-}
-
-func TestFig6(t *testing.T) {
-	pts, set, err := Fig6Tradeoff()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 17 || len(set) != 6 {
-		t.Fatalf("got %d points, %d-router set", len(pts), len(set))
-	}
-	if pts[0].AvgHops <= pts[16].AvgHops {
-		t.Error("distance should fall as routers power on")
-	}
-	if pts[0].PerHopCycles >= pts[16].PerHopCycles {
-		t.Error("per-hop latency should rise as routers power on")
-	}
-}
-
-// The pure bypass ring saturates at a small fraction of full-network
-// throughput (Figure 7 reports ~14%).
-func TestFig7RingSaturation(t *testing.T) {
-	pts, err := Fig7WakeupThreshold([]float64{0.01, 0.08}, 20_000, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatal("want 2 points")
-	}
-	if pts[1].AvgLatency < 2*pts[0].AvgLatency {
-		t.Errorf("ring not saturating: %.1f -> %.1f", pts[0].AvgLatency, pts[1].AvgLatency)
-	}
-	if pts[1].VCReqWindow <= pts[0].VCReqWindow {
-		t.Error("VC-request metric should grow with load")
-	}
-	if pts[1].Throughput > 0.07 {
-		t.Errorf("ring throughput %.3f should cap well below offered 0.08", pts[1].Throughput)
-	}
-}
-
-// NoRD's latency is insensitive to the wakeup latency; Conv_PG's grows
-// (Figure 13's shape).
-func TestFig13Shape(t *testing.T) {
-	pts, err := Fig13WakeupLatency([]int{9, 18}, 0.05, 25_000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(d noc.Design, wl int) float64 {
-		for _, p := range pts {
-			if p.Design == d && p.WakeupLatency == wl {
-				return p.AvgLatency
-			}
-		}
-		t.Fatalf("missing point %v/%d", d, wl)
-		return 0
-	}
-	convGrowth := get(noc.ConvPG, 18) - get(noc.ConvPG, 9)
-	nordGrowth := get(noc.NoRD, 18) - get(noc.NoRD, 9)
-	if convGrowth <= 0 {
-		t.Errorf("Conv_PG latency should grow with wakeup latency (delta %.1f)", convGrowth)
-	}
-	if nordGrowth > convGrowth/2 {
-		t.Errorf("NoRD should hide wakeup latency: NoRD delta %.1f vs Conv_PG delta %.1f", nordGrowth, convGrowth)
-	}
-}
-
 func TestLoadSweepSmall(t *testing.T) {
 	pts, err := LoadSweep(context.Background(), SweepConfig{Rates: []float64{0.05, 0.30}, Measure: 12_000, Seed: 13})
 	if err != nil {
@@ -357,39 +252,6 @@ func TestLoadSweepSmall(t *testing.T) {
 	}
 	if nord.PowerW >= noPG.PowerW {
 		t.Errorf("NoRD power %.2f should undercut No_PG %.2f at low load", nord.PowerW, noPG.PowerW)
-	}
-}
-
-func TestAreaTable(t *testing.T) {
-	rows, err := AreaTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("want 4 rows, got %d", len(rows))
-	}
-	last := rows[3]
-	if last.Design != noc.NoRD {
-		t.Fatal("last row should be NoRD")
-	}
-	if math.Abs(last.VsOpt-0.031) > 0.004 {
-		t.Errorf("NoRD area overhead vs Conv_PG_OPT = %.4f, want ~0.031", last.VsOpt)
-	}
-}
-
-func TestFormatMatrix(t *testing.T) {
-	rows := map[string]map[noc.Design]float64{
-		"a": {noc.NoPG: 1, noc.ConvPG: 0.5, noc.ConvPGOpt: 0.6, noc.NoRD: 0.4},
-	}
-	avg := map[noc.Design]float64{noc.NoPG: 1, noc.ConvPG: 0.5, noc.ConvPGOpt: 0.6, noc.NoRD: 0.4}
-	out := FormatMatrix("title", rows, []string{"a"}, avg)
-	if !strings.Contains(out, "title") || !strings.Contains(out, "AVG") || !strings.Contains(out, "0.400") {
-		t.Errorf("format output wrong:\n%s", out)
-	}
-	// Without explicit order or averages.
-	out2 := FormatMatrix("t2", rows, nil, nil)
-	if !strings.Contains(out2, "a") || strings.Contains(out2, "AVG") {
-		t.Errorf("format without avg wrong:\n%s", out2)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"io"
 	"strconv"
 
-	"nord/internal/noc"
 	"nord/internal/power"
 )
 
@@ -136,46 +135,4 @@ func WatchStates(ctx context.Context, c SynthConfig, opt RunOptions, period, fra
 		}
 		fmt.Fprintln(w)
 	}})
-}
-
-// ThresholdPoint is one (threshold, rate) measurement of the wakeup
-// threshold sensitivity study (the companion to Figure 7: the paper notes
-// "a threshold value of 4 VC requests can lead to nearly 60% increase in
-// packet latency", Section 6.1).
-type ThresholdPoint struct {
-	Threshold  int
-	Rate       float64
-	AvgLatency float64
-	Wakeups    uint64
-	PowerW     float64
-}
-
-// ThresholdSensitivity sweeps SYMMETRIC wakeup thresholds (every router
-// power-centric with the given value) across load rates, quantifying the
-// latency/power trade-off the asymmetric dual-threshold scheme navigates.
-func ThresholdSensitivity(thresholds []int, rates []float64, measure int, seed int64) ([]ThresholdPoint, error) {
-	at := func(i int) (int, float64) { return thresholds[i/len(rates)], rates[i%len(rates)] }
-	results, errs := runCells(context.Background(), len(thresholds)*len(rates), func(ctx context.Context, i int) (Result, error) {
-		th, rate := at(i)
-		return RunSyntheticOpts(ctx, SynthConfig{
-			Design: noc.NoRD, Rate: rate, Measure: measure, Seed: seed,
-			NoPerfCentric: true,
-			ThresholdPerf: th, ThresholdPower: th,
-		}, RunOptions{})
-	})
-	out := make([]ThresholdPoint, len(results))
-	for i, r := range results {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		th, rate := at(i)
-		out[i] = ThresholdPoint{
-			Threshold:  th,
-			Rate:       rate,
-			AvgLatency: r.AvgPacketLatency,
-			Wakeups:    r.Wakeups,
-			PowerW:     r.AvgPowerW,
-		}
-	}
-	return out, nil
 }

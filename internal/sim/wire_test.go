@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -48,11 +47,6 @@ func readWire(t testing.TB, path string) []byte {
 // encoding/json writes it. A change to RouterReport or to the codec that
 // moves a byte fails here; one that means to regenerates the files.
 func TestResultWireGolden(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		// The float fields' last bits depend on whether the compiler fuses
-		// multiply-adds, which it does on some other architectures.
-		t.Skip("wire goldens were recorded on amd64")
-	}
 	for name, cfg := range wireCells() {
 		r, err := RunSyntheticOpts(context.Background(), cfg.Filled(), RunOptions{})
 		if err != nil {

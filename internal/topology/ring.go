@@ -39,6 +39,9 @@ type Ring struct {
 // Figure 4(a).
 func NewRing(t Topology) (*Ring, error) {
 	w, h := t.Grid()
+	if !HasRing(t.Kind(), w, h) {
+		return nil, fmt.Errorf("topology: no Hamiltonian bypass ring exists for odd %dx%d %v", w, h, t.Kind())
+	}
 	var order []int
 	switch {
 	case h%2 == 0:
@@ -46,12 +49,17 @@ func NewRing(t Topology) (*Ring, error) {
 	case w%2 == 0:
 		// Transpose: walk the comb over (y, x).
 		order = combOrder(h, w, func(x, y int) int { return t.ID(y, x) })
-	case t.Kind() == KindTorus:
-		order = torusOddOrder(w, h, func(x, y int) int { return t.ID(x, y) })
 	default:
-		return nil, fmt.Errorf("topology: no Hamiltonian bypass ring exists for odd %dx%d %v", w, h, t.Kind())
+		order = torusOddOrder(w, h, func(x, y int) int { return t.ID(x, y) })
 	}
 	return ringFromOrder(t, order)
+}
+
+// HasRing reports whether NewRing builds a ring for a w x h grid of kind
+// k: any grid with an even side, and every torus. It is a predicate, not
+// a build, so parameter validation can ask it on every request.
+func HasRing(k Kind, w, h int) bool {
+	return w%2 == 0 || h%2 == 0 || k == KindTorus
 }
 
 // combOrder emits the comb Hamiltonian cycle over a w x h grid (h even)

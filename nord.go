@@ -48,6 +48,7 @@ import (
 	"context"
 
 	"nord/internal/noc"
+	"nord/internal/paper"
 	"nord/internal/power"
 	"nord/internal/sim"
 	"nord/internal/topology"
@@ -119,17 +120,18 @@ type TradeoffPoint = topology.TradeoffPoint
 
 // Suite runs the full PARSEC-like suite over all four designs at the
 // given instruction-count scale (1.0 = 60k instructions per core) and
-// returns per-figure views (Figures 8-12). The (benchmark, design) cells
+// returns one Result per (benchmark, design), the cells Figures 8-12 are
+// drawn from (cmd/nordpaper renders them). The cells
 // run concurrently, one per CPU core (GOMAXPROCS=1 runs them in order).
 // progress may be nil; it is called once per cell as the cell starts, one
 // call at a time, from whichever goroutine runs the cell.
 func Suite(scale float64, seed int64, progress func(string)) (*SuiteResult, error) {
-	return sim.RunSuite(context.Background(), scale, seed, progress)
+	return paper.RunSuite(context.Background(), scale, seed, progress)
 }
 
-// SuiteResult holds the PARSEC-like suite measurements and derives the
-// Figure 8-12 tables.
-type SuiteResult = sim.SuiteResult
+// SuiteResult holds the PARSEC-like suite measurements: Benchmarks in
+// the paper's order and one Result per (benchmark, design).
+type SuiteResult = paper.SuiteResult
 
 // Trace is a recorded packet-injection trace for trace-driven replays.
 type Trace = trace.Trace

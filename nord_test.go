@@ -24,11 +24,11 @@ func TestDefaultConfigMatchesPaperTable1(t *testing.T) {
 	if p.WakeupLatency != 12 {
 		t.Errorf("wakeup latency %d, want 12 cycles (4ns at 3GHz)", p.WakeupLatency)
 	}
-	if p.EarlyWakeupCycles != 3 {
-		t.Errorf("early wakeup %d, want 3 hidden cycles", p.EarlyWakeupCycles)
+	if noc.EarlyWakeupCycles != 3 {
+		t.Errorf("early wakeup %d, want 3 hidden cycles", noc.EarlyWakeupCycles)
 	}
-	if p.WakeupWindow != 10 {
-		t.Errorf("wakeup window %d, want 10 cycles", p.WakeupWindow)
+	if noc.WakeupWindow != 10 {
+		t.Errorf("wakeup window %d, want 10 cycles", noc.WakeupWindow)
 	}
 	if p.ThresholdPerf != 1 {
 		t.Errorf("performance-centric threshold %d, want 1", p.ThresholdPerf)
