@@ -1,13 +1,16 @@
 package sim
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
 
 	"nord/internal/fault"
 	"nord/internal/noc"
+	"nord/internal/obs"
 )
 
 // TestDeterminism pins the simulator's reproducibility: identical
@@ -64,7 +67,9 @@ func resultDigest(r Result) string {
 // refactor must keep: the injector ticks before the network steps, a
 // workload whose cores all finish inside the warmup still measures one
 // cycle (the done-in-warmup cell), recording runs no warmup, and only faulted
-// synthetic runs drain.
+// synthetic runs drain. The four 8x8 NoRD rows (aggressive bypass with
+// dynamic classification, forced-off, torus with every fault kind, and
+// the tracer's bytes) came later and are held to the same rule.
 var resultGoldens = map[string]string{
 	"loadsweep/4x4":                             "[No_PG 0.05 22.7369421 11.2061327 0.048953125 false \"\"][No_PG 0.2 23.9148593 20.4835053 0.20140625 false \"\"][Conv_PG_OPT 0.05 42.5902579 9.91936582 0.048484375 false \"\"][Conv_PG_OPT 0.2 29.8142228 20.6156328 0.200203125 false \"\"][NoRD 0.05 41.1578947 11.0115596 0.048578125 false \"\"][NoRD 0.2 26.8777111 21.6745056 0.20140625 false \"\"]",
 	"powerseries/NoRD":                          "[1000 10.8546918 0.3908125 0.0516875][2000 13.6813399 0.2119375 0.064875][3000 12.5272618 0.3098125 0.059]",
@@ -78,6 +83,10 @@ var resultGoldens = map[string]string{
 	"synth/faulted":                             "cyc=4086 pkts=1092 p50/95/99=28/122/157 wake=117 gate=120 mis=738 esc=244 exec=0 fault{inj=[8 2 0 1] trig=[7 2 0 1] corrupt=7 poison=7 retx=7 wd=0 lost=1 in/out/lost=1330/1330/0}",
 	"synth/mesh/Conv_PG":                        "cyc=3000 pkts=1269 p50/95/99=38/72/89 wake=696 gate=695 mis=0 esc=10 exec=0",
 	"synth/mesh/Conv_PG_OPT":                    "cyc=3000 pkts=1274 p50/95/99=35/68/78 wake=733 gate=731 mis=0 esc=9 exec=0",
+	"synth/mesh/NoRD/aggressive-dynamic":        "cyc=4000 pkts=8409 p50/95/99=37/71/378 wake=133 gate=134 mis=1100 esc=276 exec=0",
+	"synth/mesh/NoRD/forced-off":                "cyc=4000 pkts=263 p50/95/99=701/2477/3073 wake=0 gate=0 mis=240 esc=327 exec=0",
+	"synth/torus/NoRD/all-faults":               "cyc=3306 pkts=6488 p50/95/99=32/55/359 wake=88 gate=140 mis=1339 esc=170 exec=0 fault{inj=[24 2 1 1] trig=[23 0 1 1] corrupt=23 poison=23 retx=23 wd=0 lost=1 in/out/lost=8600/8600/0}",
+	"trace/NoRD/aggressive":                     "cyc=4000 pkts=8319 p50/95/99=37/75/386 wake=114 gate=116 mis=1219 esc=327 exec=0 chrome=8b647eda6e02a97791967a84ea48d0dc9e29b3712ec2e5a6562e331ff6369f82 ndjson=f606b3c06293eb975fc0d2614d81c212605e5b104f2655a1d820bfb99014dbaa",
 	"synth/mesh/NoRD":                           "cyc=3000 pkts=1271 p50/95/99=26/105/134 wake=86 gate=85 mis=544 esc=142 exec=0",
 	"synth/mesh/No_PG":                          "cyc=3000 pkts=1276 p50/95/99=22/36/41 wake=0 gate=0 mis=0 esc=1 exec=0",
 	"synth/torus/Conv_PG":                       "cyc=3000 pkts=1275 p50/95/99=35/67/80 wake=754 gate=752 mis=0 esc=66 exec=0",
@@ -113,6 +122,42 @@ func TestResultGoldens(t *testing.T) {
 		Faults: &fault.Config{Seed: 5, HardFails: 1, CorruptLinks: 8, DropWakeups: 2},
 	})
 	note("synth/faulted", r, err)
+
+	// NoRD's optional mechanisms and its fault recovery on the torus, on
+	// 8x8 at the sweep points the kernel's determinism checks used.
+	nord8 := func(rate float64, measure int, seed int64) SynthConfig {
+		return SynthConfig{Design: noc.NoRD, Width: 8, Height: 8, Rate: rate, Warmup: 1000, Measure: measure, Seed: seed}
+	}
+	c := nord8(0.10, 4000, 7)
+	c.AggressiveBypass, c.DynamicClassify = true, true
+	r, err = runSynthetic(c)
+	note("synth/mesh/NoRD/aggressive-dynamic", r, err)
+	c = nord8(0.05, 4000, 7)
+	c.ForcedOff = true
+	r, err = runSynthetic(c)
+	note("synth/mesh/NoRD/forced-off", r, err)
+	c = nord8(0.10, 3000, 13)
+	c.Topology = "torus"
+	c.Faults = &fault.Config{Seed: 17, Horizon: 3500, CorruptLinks: 24, DropWakeups: 2, StuckOff: 1, HardFails: 1}
+	r, err = runSynthetic(c)
+	note("synth/torus/NoRD/all-faults", r, err)
+
+	// The tracer's rendered bytes: the Chrome trace and the NDJSON dump,
+	// including the subset the bypass-hop sampling counter picks.
+	sink := obs.New(obs.Config{SampleEvery: 64, ResidencyEvery: 256})
+	r, err = RunSyntheticOpts(context.Background(), SynthConfig{
+		Design: noc.NoRD, Width: 8, Height: 8, AggressiveBypass: true,
+		Rate: 0.10, Warmup: ZeroWarmup, Measure: 4000, Seed: 3,
+	}, RunOptions{Tracer: sink})
+	note("trace/NoRD/aggressive", r, err)
+	var chrome, ndjson bytes.Buffer
+	if err := sink.WriteChromeTrace(&chrome, r.Cycles); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.WriteNDJSON(&ndjson); err != nil {
+		t.Fatal(err)
+	}
+	got["trace/NoRD/aggressive"] += fmt.Sprintf(" chrome=%x ndjson=%x", sha256.Sum256(chrome.Bytes()), sha256.Sum256(ndjson.Bytes()))
 
 	r, err = runWorkload(WorkloadConfig{Design: noc.NoRD, Benchmark: "blackscholes", Scale: 0.05, Seed: 4})
 	note("workload/blackscholes/NoRD", r, err)
