@@ -5,10 +5,7 @@
 // protocol classes used by the coherence substrate (request vs response).
 package flit
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Kind distinguishes the position of a flit inside its packet. Single-flit
 // packets carry a HeadTail flit that is simultaneously head and tail.
@@ -129,14 +126,7 @@ type Packet struct {
 	// verification. A poisoned packet keeps traversing the network so
 	// flow-control state stays consistent, but is dropped at its
 	// destination NI instead of delivered; the source retransmits.
-	// Accessed through Poison/IsPoisoned: under the sharded kernel two
-	// corrupted flits of the same packet can be verified in the same
-	// cycle by different shard workers, so the flag is atomic (every
-	// writer stores the same value, and the delivery-gating read is
-	// never concurrent with a write because the tail flit — the only
-	// flit whose verification a delivery can race with — is verified on
-	// the delivering call chain itself).
-	poisoned uint32
+	poisoned bool
 
 	// pooled marks packets issued by a Pool; only those may be recycled,
 	// so externally constructed packets (tests, retransmit clones) are
@@ -144,15 +134,12 @@ type Packet struct {
 	pooled bool
 }
 
-// Poison marks the packet corrupt, reporting whether this call made the
-// transition. Safe to call from concurrent shard workers verifying
-// different flits of the same packet; exactly one caller observes true,
-// so the poisoning is counted once.
-func (p *Packet) Poison() bool { return atomic.CompareAndSwapUint32(&p.poisoned, 0, 1) }
+// Poison marks the packet corrupt.
+func (p *Packet) Poison() { p.poisoned = true }
 
 // IsPoisoned reports whether any flit of the packet failed checksum
 // verification.
-func (p *Packet) IsPoisoned() bool { return atomic.LoadUint32(&p.poisoned) != 0 }
+func (p *Packet) IsPoisoned() bool { return p.poisoned }
 
 // String implements fmt.Stringer.
 func (p *Packet) String() string {

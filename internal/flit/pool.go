@@ -63,49 +63,6 @@ func (pl *Pool) getFlit() *Flit {
 	return f
 }
 
-// Level evens out the free-lists of a group of pools. The sharded kernel
-// gives each spatial domain its own pool; packets created in one shard
-// can be ejected (and recycled) in another, so without occasional
-// leveling a sink-heavy shard's free-list grows without bound while the
-// source-heavy shard allocates fresh objects every cycle. Called at a
-// serial point (no pool may be in use concurrently); a no-op for fewer
-// than two pools, so the serial kernel's zero-allocation steady state is
-// untouched.
-func Level(pools []*Pool) {
-	if len(pools) < 2 {
-		return
-	}
-	totalP, totalF := 0, 0
-	for _, pl := range pools {
-		totalP += len(pl.packets)
-		totalF += len(pl.flits)
-	}
-	targetP, targetF := totalP/len(pools), totalF/len(pools)
-	dp, df := 0, 0 // donor cursors
-	for _, pl := range pools {
-		for len(pl.packets) < targetP {
-			for len(pools[dp].packets) <= targetP {
-				dp++
-			}
-			don := pools[dp]
-			n := len(don.packets)
-			pl.packets = append(pl.packets, don.packets[n-1])
-			don.packets[n-1] = nil
-			don.packets = don.packets[:n-1]
-		}
-		for len(pl.flits) < targetF {
-			for len(pools[df].flits) <= targetF {
-				df++
-			}
-			don := pools[df]
-			n := len(don.flits)
-			pl.flits = append(pl.flits, don.flits[n-1])
-			don.flits[n-1] = nil
-			don.flits = don.flits[:n-1]
-		}
-	}
-}
-
 // AppendFlits serialises p into dst exactly as Flits does, drawing the
 // flit objects from the pool. dst is typically a persistent per-NI buffer
 // passed as buf[:0].

@@ -49,7 +49,6 @@ func TestTorusDatelineVCSafety(t *testing.T) {
 			p.Width, p.Height = g.w, g.h
 			p.Topology = g.kind
 			n := MustNew(p)
-			defer n.Close()
 
 			succ := make(map[escNode]map[escNode]bool)
 			nn := n.topo.N()

@@ -201,10 +201,10 @@ func TestOneAllocator(t *testing.T) {
 // TestCountedOnce keeps each datapath statistic single (DESIGN.md §7
 // "Counted once"): an event is counted on the Router or NI that saw it,
 // by one function, inside the measured window; the collector's datapath
-// totals are sums foldStats derives from those counts, and a collector is
-// written directly only where it is sampled (a shard's by deliverPacket
-// and closeIdle, the master's Cycles and PacketsInjected by the serial
-// step); power-state residency is
+// totals are sums foldStats derives from those counts, and the collector
+// is written directly only where it is sampled (the delivered-packet
+// statistics by deliverPacket, the idle periods by closeIdle, Cycles and
+// PacketsInjected by the step); power-state residency is
 // charged only by enter and settle; the idle run is stamped only by the
 // stats pass's sample and closed only by closeIdle; and NoRD's quiet run is
 // a stamp only NI.tick writes. The allow-list is empty. The tracer
@@ -258,9 +258,9 @@ func TestCountedOnce(t *testing.T) {
 		"quietSince":        {"NI.tick"},
 	}
 	// A collector field is written through a collector (".col.F") only
-	// where it is sampled: a shard's delivered-packet statistics by
-	// deliverPacket, its idle periods by closeIdle, and the master's
-	// Cycles and PacketsInjected by the serial step.
+	// where it is sampled: the delivered-packet statistics by
+	// deliverPacket, the idle periods by closeIdle, and Cycles and
+	// PacketsInjected by the step.
 	delivered := "Network.deliverPacket"
 	colWriters := map[string]string{
 		"PacketsDelivered": delivered, "FlitsDelivered": delivered, "PacketLatency": delivered,

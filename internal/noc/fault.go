@@ -62,10 +62,7 @@ type faultInjector struct {
 	opts   FaultOptions
 	report fault.Report
 	// armed counts pending link corruptions per unidirectional link,
-	// indexed router*NumDirs+dir. A flat slice (not a map) so shard
-	// workers can decrement their own routers' entries concurrently:
-	// distinct links are distinct elements, and only the owning shard
-	// touches a link's entry inside a parallel phase.
+	// indexed router*NumDirs+dir.
 	armed  []int32
 	retryQ []retryEntry
 	failed []int // activated hard-fail router IDs
@@ -241,34 +238,28 @@ func (r *Router) faultBlocksWake() (blocked, forced bool) {
 	return false, true
 }
 
-// maybeCorrupt fires an armed link fault on a departing flit. It runs
-// inside parallel phases, so it only touches the calling shard's
-// accumulators and this link's own armed counter; the report totals are
-// folded from the shard deltas at the end of the cycle.
-func (fi *faultInjector) maybeCorrupt(sh *shard, id int, dir topology.Dir, f *flit.Flit) {
+// maybeCorrupt fires an armed link fault on a departing flit.
+func (fi *faultInjector) maybeCorrupt(id int, dir topology.Dir, f *flit.Flit) {
 	k := id*int(topology.NumDirs) + int(dir)
 	if fi.armed[k] == 0 {
 		return
 	}
 	fi.armed[k]--
 	f.Corrupt()
-	sh.repCorrupt++
+	fi.report.Triggered[fault.CorruptLink]++
+	fi.report.FlitsCorrupted++
 }
 
 // verify checks a delivered flit's checksum, poisoning the packet on
 // mismatch. The poisoned packet keeps traversing so wormhole and credit
 // state stay consistent; its destination NI drops it and the source
-// retransmits (end-to-end recovery). Poison is a compare-and-swap so
-// that when two corrupted flits of the same packet arrive the same cycle
-// in different shards, exactly one shard counts the poisoning.
-func (fi *faultInjector) verify(n *Network, sh *shard, f *flit.Flit) {
+// retransmits (end-to-end recovery).
+func (fi *faultInjector) verify(f *flit.Flit) {
 	if f.Packet.IsPoisoned() || f.ChecksumOK() {
 		return
 	}
-	if !f.Packet.Poison() {
-		return
-	}
-	sh.repPoisoned++
+	f.Packet.Poison()
+	fi.report.PacketsPoisoned++
 }
 
 // dropPoisoned handles a poisoned packet reaching its destination:

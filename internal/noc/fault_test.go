@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nord/internal/fault"
+	"nord/internal/topology"
 	"nord/internal/traffic"
 )
 
@@ -51,46 +52,58 @@ func checkFaultAccounting(t *testing.T, label string, rep *fault.Report) {
 
 // TestFaultSoakTransients runs seeded transient-fault schedules
 // (corruption, dropped wakeups, stuck-off routers — no hard-fails)
-// against all four designs and checks that every triggered fault is
-// either recovered or reported, with delivery accounting intact.
+// against all four designs on every topology and checks that every
+// triggered fault is either recovered or reported, with delivery
+// accounting intact. The mesh cells are named by design alone.
 func TestFaultSoakTransients(t *testing.T) {
-	for _, d := range []Design{NoPG, ConvPG, ConvPGOpt, NoRD} {
-		d := d
-		t.Run(d.String(), func(t *testing.T) {
-			p := DefaultParams(d)
-			p.Width, p.Height = 4, 4
-			n := MustNew(p)
-			cfg := fault.Config{
-				Seed:         int64(100 + d),
-				Horizon:      4_000,
-				StuckOff:     2,
-				DropWakeups:  3,
-				CorruptLinks: 12,
+	for _, kind := range []topology.Kind{topology.KindMesh, topology.KindTorus, topology.KindCMesh} {
+		for _, d := range []Design{NoPG, ConvPG, ConvPGOpt, NoRD} {
+			name := d.String()
+			if kind != topology.KindMesh {
+				name += "_" + kind.String()
 			}
-			sched, err := fault.Generate(cfg, p.NumNodes())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := n.AttachFaults(sched, FaultOptions{}); err != nil {
-				t.Fatal(err)
-			}
-			if err := runFaulted(n, 0.08, 42, 5_000, 200_000); err != nil {
-				t.Fatalf("transient faults must be survivable on %v, got %v", d, err)
-			}
-			rep := n.FaultReport()
-			if rep.InjectedTotal() != cfg.Total() {
-				t.Fatalf("injected %d != scheduled %d", rep.InjectedTotal(), cfg.Total())
-			}
-			checkFaultAccounting(t, d.String(), rep)
-			if rep.Triggered[fault.CorruptLink] > 0 && rep.Retransmits == 0 {
-				t.Fatalf("%d corruptions triggered but no retransmissions issued",
-					rep.Triggered[fault.CorruptLink])
-			}
-			if !n.Quiescent() {
-				t.Fatal("network not quiescent after drain")
-			}
-		})
+			t.Run(name, func(t *testing.T) { soakTransients(t, d, kind) })
+		}
 	}
+}
+
+func soakTransients(t *testing.T, d Design, kind topology.Kind) {
+	p := DefaultParams(d)
+	p.Width, p.Height = 4, 4
+	p.Topology = kind
+	p.VCsPerClass = max(p.VCsPerClass, MinVCs(d, kind))
+	n := MustNew(p)
+	cfg := fault.Config{
+		Seed:         int64(100 + d),
+		Horizon:      4_000,
+		StuckOff:     2,
+		DropWakeups:  3,
+		CorruptLinks: 12,
+	}
+	sched, err := fault.Generate(cfg, p.NumNodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.AttachFaults(sched, FaultOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := runFaulted(n, 0.08, 42, 5_000, 200_000); err != nil {
+		t.Fatalf("transient faults must be survivable on %v, got %v", d, err)
+	}
+	rep := n.FaultReport()
+	if rep.InjectedTotal() != cfg.Total() {
+		t.Fatalf("injected %d != scheduled %d", rep.InjectedTotal(), cfg.Total())
+	}
+	checkFaultAccounting(t, d.String(), rep)
+	if rep.Triggered[fault.CorruptLink] > 0 && rep.Retransmits == 0 {
+		t.Fatalf("%d corruptions triggered but no retransmissions issued",
+			rep.Triggered[fault.CorruptLink])
+	}
+	if !n.Quiescent() {
+		t.Fatal("network not quiescent after drain")
+	}
+	t.Logf("%d corruptions, %d retransmits, %d watchdog wakes",
+		rep.Triggered[fault.CorruptLink], rep.Retransmits, rep.WatchdogWakeups)
 }
 
 // TestNoRDHardFailGracefulDegradation checks the headline robustness

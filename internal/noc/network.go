@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync/atomic"
 
 	"nord/internal/fault"
 	"nord/internal/flit"
@@ -72,8 +71,15 @@ type Network struct {
 	nbrTab []int32
 
 	inFlight     int
-	lastProgress uint64
+	lastProgress uint64 // the last cycle a flit moved or a packet arrived
 	nextPktID    uint64
+
+	// pool recycles every packet and flit the network creates or ejects;
+	// credits holds the cycle's credit returns until phase 9 applies them;
+	// candScratch is the route computation's reusable candidate list.
+	pool        flit.Pool
+	credits     []creditEvt
+	candScratch []cand
 
 	// faults is the attached fault injector (nil when no schedule is
 	// armed); err latches the first structured error — once set, every
@@ -85,21 +91,6 @@ type Network struct {
 	// when tracing is off: every hook is behind a single nil check, so
 	// the steady-state tick path stays allocation-free.
 	tracer *obs.Tracer
-
-	// Sharded parallel kernel state (shard.go). shards always holds at
-	// least one shard: the serial kernel is the single-shard special
-	// case, running the same sections inline. shardOf maps node id to
-	// owning shard index; sharded is len(shards) > 1; par is the lazily
-	// spawned worker fleet; evScratch/dropScratch are the merge-time
-	// replay buffers; poolPtrs collects the per-shard flit pools for
-	// periodic leveling.
-	shards      []*shard
-	shardOf     []int32
-	sharded     bool
-	par         *parKernel
-	evScratch   []defEvent
-	dropScratch []pendingDrop
-	poolPtrs    []*flit.Pool
 
 	// Event-sparse kernel state. activeMask is a bitset of the nodes that
 	// must be ticked; a node leaves the set when nodeNeedsTick turns false
@@ -175,35 +166,6 @@ func New(p Params) (*Network, error) {
 	}
 	n.setAllActive()
 	n.buildRouteTables()
-	// Spatial domain decomposition: P contiguous shards of node IDs (the
-	// serial kernel is the P=1 case of the same machinery). Shards must
-	// exist before router/NI construction, which binds each node to its
-	// owner.
-	P := p.Parallelism
-	if P < 1 {
-		P = 1
-	}
-	if P > n.nn {
-		P = n.nn
-	}
-	n.shards = make([]*shard, P)
-	n.shardOf = make([]int32, n.nn)
-	n.poolPtrs = make([]*flit.Pool, P)
-	for i := 0; i < P; i++ {
-		sh := &shard{
-			idx: i,
-			lo:  i * n.nn / P,
-			hi:  (i + 1) * n.nn / P,
-			col: stats.NewNoC(maxIdlePeriod),
-		}
-		sh.ids = make([]int, 0, sh.hi-sh.lo)
-		n.shards[i] = sh
-		n.poolPtrs[i] = &sh.pool
-		for id := sh.lo; id < sh.hi; id++ {
-			n.shardOf[id] = int32(i)
-		}
-	}
-	n.sharded = P > 1
 	// Routers and NIs live in two contiguous arrays: the per-cycle loops
 	// walk them in index order, so locality matters more than it would for
 	// individually boxed objects.
@@ -309,15 +271,54 @@ func (n *Network) FinishMeasurement() {
 	n.foldStats()
 }
 
+// foldStats derives every datapath count of the collector from the
+// routers' and NIs' own records, settling each router's open power-state
+// stretch first and counting its open idle run without closing it, so a
+// fold changes nothing a later one reads.
+func (n *Network) foldStats() {
+	c := n.col
+	c.Wakeups, c.GateOffs, c.SAArbs, c.BypassHops = 0, 0, 0, 0
+	c.MisroutedHops, c.EscapedPackets = 0, 0
+	c.RouterOnCycles, c.RouterOffCycles, c.RouterWakingCycles = 0, 0, 0
+	c.IdleCycles = 0
+	c.VAArbs, c.BufWrites, c.LinkTraversals, c.WakeupStall = 0, 0, 0, stats.Sample{}
+	c.NIVCRequests, c.BypassInjections, c.BypassEjections, c.LocalFlits = 0, 0, 0, 0
+	for _, r := range n.routers {
+		r.settle()
+		c.Wakeups += r.wakeups()
+		c.GateOffs += r.statGateOffs
+		c.SAArbs += r.statSAGrants
+		c.BypassHops += r.statBypassFlits
+		c.MisroutedHops += r.statMisroutes
+		c.EscapedPackets += r.statEscapes
+		c.RouterOnCycles += r.resid[powerOn]
+		c.RouterOffCycles += r.resid[powerOff]
+		c.RouterWakingCycles += r.resid[powerWaking]
+		c.IdleCycles += r.idleCycles()
+		c.VAArbs += r.statVAGrants
+		c.BufWrites += r.statBufWrites
+		c.LinkTraversals += r.statLinkFlits
+		c.WakeupStall.Merge(r.statWakeStall)
+	}
+	for _, ni := range n.nis {
+		c.NIVCRequests += ni.statVCRequests
+		c.BypassInjections += ni.statBypassInjects
+		c.BypassEjections += ni.statBypassEjects
+		c.LocalFlits += ni.statLocalFlits
+	}
+	// Every router spends each measured cycle either idle or busy.
+	c.BusyCycles = c.Cycles*uint64(len(n.routers)) - c.IdleCycles
+}
+
+// Close does nothing: the network holds no goroutines or other resources
+// to release. It remains for the benchmark ladder, which still calls it.
+func (n *Network) Close() {}
+
 // NewPacket returns a packet with a unique ID, ready for Inject, drawn
 // from the network's recycling pool.
 func (n *Network) NewPacket(src, dst int, class flit.Class, length int) *flit.Packet {
 	n.nextPktID++
-	pool := &n.shards[0].pool
-	if src >= 0 && src < n.term.N() {
-		pool = &n.shardFor(n.topo.TerminalRouter(src)).pool
-	}
-	p := pool.Packet()
+	p := n.pool.Packet()
 	p.ID = n.nextPktID
 	p.Src = src
 	p.Dst = dst
@@ -405,16 +406,14 @@ func (n *Network) Tick() {
 // is returned the network is frozen and every later Step returns the same
 // error.
 //
-// A cycle is the script of phases below, in this order. Each parallel
-// section (runPhase) walks a fresh snapshot of its shard's active
-// worklist: a node activated mid-cycle (flit delivery, wakeup assertion,
-// injection) joins the remaining phases of the same cycle — exactly the
-// phases that could observe it in a full scan, since a dormant node's
-// earlier phases are no-ops by construction (empty datapath, empty
-// queues, settled power state). Cross-shard effects are deferred into
-// per-shard buffers and committed at the merge that ends the phase, in
-// the serial kernel's order. BenchmarkStepPhases runs the same script
-// with a clock read between the phases.
+// A cycle is one serial script of phases, in the order below. Each phase
+// walks a fresh snapshot of the active worklist in ascending node order:
+// a node activated mid-cycle (flit delivery, wakeup assertion, injection)
+// joins the remaining phases of the same cycle — exactly the phases that
+// could observe it in a full scan, since a dormant node's earlier phases
+// are no-ops by construction (empty datapath, empty queues, settled power
+// state). BenchmarkStepPhases runs the same script with a clock read
+// between the phases.
 func (n *Network) Step() error {
 	if n.err != nil {
 		return n.err
@@ -427,56 +426,88 @@ func (n *Network) Step() error {
 	n.stepControllers()
 	n.stepCredits()
 	n.stepStats()
-	n.stepEpilogue()
+	n.stepWatchdog()
 	return n.err
 }
 
 // stepFaults is phase 0, fault injection: due events, hard-fail
-// activation, retransmits. Serial: the injector pokes arbitrary routers.
-// The shard workers start here too, on the first cycle that can use them.
+// activation, retransmits.
 func (n *Network) stepFaults() {
 	if n.faults != nil {
 		n.faults.tick(n)
-	}
-	if n.sharded && n.par == nil && n.ejectHandler == nil {
-		n.spawnWorkers()
 	}
 }
 
 // stepLinks is phase 1, link traversal completion: deliver flits whose LT
 // finished.
 func (n *Network) stepLinks() {
-	n.runPhase(secLinks)
-	n.mergeLinks()
+	for _, id := range n.collectActive() {
+		if n.linkCount[id] > 0 {
+			n.deliverNodeLinks(id)
+		}
+	}
 }
 
 // stepNode is phases 2-4 — NI wire deliveries, router ST, NI pipelines —
 // fused into one pass per node. Safe because within these three phases no
 // node reads state another node writes the same cycle (ST and the NI
 // engines emit onto links with >= 1 cycle of delay; the one cross-node
-// write of the serial kernel, the ring-upstream credit restore, is
-// hoisted to the merge), and none of the three activates new nodes, so
-// the snapshot is stable.
+// write, the ring-upstream credit restore, runs after the pass), and none
+// of the three activates new nodes, so the snapshot is stable.
 func (n *Network) stepNode() {
-	n.runPhase(secNode)
-	n.mergeNode()
+	for _, id := range n.collectActive() {
+		ni := n.nis[id]
+		ni.tickDeliver()
+		n.routers[id].tickST()
+		ni.tick()
+	}
+	n.restoreRingCredits()
 }
 
 // stepRouter is phases 5-7 — router SA, VA, RC (reverse pipeline order so
 // a flit advances at most one stage per cycle) — likewise fused: these
-// stages touch only their own router's datapath (credit returns are
-// deferred to stepCredits) and the nodes they activate — wakeup targets —
-// are dormant, with empty pipelines, so deferring their activation to the
-// merge matches the full scan's no-ops.
+// stages touch only their own router's datapath (credit returns wait for
+// stepCredits), and the nodes they activate — wakeup targets — are
+// dormant, with empty pipelines, so a target missing from this pass's
+// snapshot matches the full scan's no-ops.
 func (n *Network) stepRouter() {
-	n.runPhase(secRouter)
-	n.mergeRouter()
+	for _, id := range n.collectActive() {
+		r := n.routers[id]
+		r.tickSA()
+		r.tickVA()
+		r.tickRC()
+	}
+}
+
+// restoreRingCredits restores withheld ring credits for VCs whose
+// mid-bypass packet has fully drained after a wakeup (Section 4.3). It
+// runs once every NI has ticked rather than inside each NI's bypass tick,
+// because it writes the ring predecessor's credit state. Every input to
+// the condition is frozen once the owner's NI has ticked, and the NI pass
+// activates no nodes, so walking the active worklist here in ascending
+// order restores the credits in a fixed order.
+func (n *Network) restoreRingCredits() {
+	if n.ring == nil {
+		return
+	}
+	for _, id := range n.collectActive() {
+		r := n.routers[id]
+		if r.heldVCs == 0 || !r.on() {
+			continue
+		}
+		ni := n.nis[id]
+		for v := range r.creditsHeld {
+			if r.creditsHeld[v] > 0 && r.bypassRemaining[v] == 0 && ni.latch[v] == nil {
+				n.addRingUpstreamCredits(id, v, r.creditsHeld[v])
+				r.creditsHeld[v] = 0
+				r.heldVCs--
+			}
+		}
+	}
 }
 
 // stepControllers is phase 8, the power-gating controllers, and 8b,
-// dynamic reclassification (Section 4.4 extension). Serial: gate-off and
-// wake transitions write neighbor pipeline and credit state across shard
-// boundaries, and the wakeup conditions read neighbor pipelines.
+// dynamic reclassification (Section 4.4 extension).
 func (n *Network) stepControllers() {
 	for _, id := range n.collectActive() {
 		r := n.routers[id]
@@ -489,22 +520,28 @@ func (n *Network) stepControllers() {
 	}
 }
 
-// stepCredits is phase 9, credit propagation, in (shard, emission) order.
-// Credit grants are commutative increments, so the folded order is
-// equivalent to the serial kernel's chronological order.
+// stepCredits is phase 9, credit propagation, in emission order.
 func (n *Network) stepCredits() {
-	for _, sh := range n.shards {
-		for _, ev := range sh.credits {
-			n.applyCredit(ev)
-		}
-		sh.credits = sh.credits[:0]
+	for _, ev := range n.credits {
+		n.applyCredit(ev)
 	}
+	n.credits = n.credits[:0]
 }
 
 // stepStats is phases 10-11: per-node accounting and the deactivation
 // sweep, then the cycle's residency row for the tracer.
 func (n *Network) stepStats() {
-	n.runPhase(secStats)
+	for _, id := range n.collectActive() {
+		if n.collecting {
+			n.routers[id].sampleIdle()
+		}
+		// Deactivation sweep, fused into the stats walk: nodes with no
+		// remaining work leave the worklist; activate() restores them when
+		// an event touches them again.
+		if n.sparse && !n.nodeNeedsTick(id) {
+			n.activeMask[id>>6] &^= uint64(1) << (uint(id) & 63)
+		}
+	}
 	if n.collecting {
 		n.col.Cycles++
 	}
@@ -522,26 +559,10 @@ func (n *Network) stepStats() {
 	}
 }
 
-// stepEpilogue folds the per-shard per-cycle accumulators, then runs the
-// deadlock watchdog against the folded progress flag.
-func (n *Network) stepEpilogue() {
-	progressed := false
-	for _, sh := range n.shards {
-		progressed = progressed || sh.progressed
-		sh.progressed = false
-		n.inFlight += sh.inFlightDelta
-		sh.inFlightDelta = 0
-		if n.faults != nil {
-			n.faults.report.Triggered[fault.CorruptLink] += int(sh.repCorrupt)
-			n.faults.report.FlitsCorrupted += sh.repCorrupt
-			n.faults.report.PacketsPoisoned += sh.repPoisoned
-			n.faults.report.PacketsDelivered += sh.repDelivered
-			sh.repCorrupt, sh.repPoisoned, sh.repDelivered = 0, 0, 0
-		}
-	}
-	if progressed {
-		n.lastProgress = n.cycle
-	} else if n.inFlight > 0 && n.cycle-n.lastProgress > n.watchdogLimit() {
+// stepWatchdog is the deadlock watchdog: packets in flight and no flit
+// moved for longer than the limit.
+func (n *Network) stepWatchdog() {
+	if n.inFlight > 0 && n.cycle-n.lastProgress > n.watchdogLimit() {
 		n.fail(&fault.DeadlockError{
 			Design:        n.p.Design.String(),
 			Cycle:         n.cycle,
@@ -551,21 +572,15 @@ func (n *Network) stepEpilogue() {
 			FailedRouters: n.HardFailedRouters(),
 		})
 	}
-	// Packets born in one shard are often recycled in another: level the
-	// per-shard free-lists periodically so a sink-heavy shard's pool does
-	// not grow while a source-heavy one allocates. No-op when serial.
-	if n.sharded && n.cycle&4095 == 0 {
-		flit.Level(n.poolPtrs)
-	}
 }
 
 // setAllActive marks every node active (full-scan mode, initialisation).
 func (n *Network) setAllActive() {
 	for w := range n.activeMask {
-		atomic.StoreUint64(&n.activeMask[w], ^uint64(0))
+		n.activeMask[w] = ^uint64(0)
 	}
 	if r := uint(n.nn) & 63; r != 0 {
-		atomic.StoreUint64(&n.activeMask[len(n.activeMask)-1], (uint64(1)<<r)-1)
+		n.activeMask[len(n.activeMask)-1] = (uint64(1) << r) - 1
 	}
 }
 
@@ -581,11 +596,10 @@ func (n *Network) fullScan() {
 // collectActive snapshots the whole active worklist into a reusable
 // scratch slice, in ascending node order — the same iteration order as
 // the original full scan, so arbitration and statistics stay
-// bit-identical. Serial phases only; sections use shardActive.
+// bit-identical.
 func (n *Network) collectActive() []int {
 	ids := n.idScratch[:0]
-	for w := range n.activeMask {
-		word := atomic.LoadUint64(&n.activeMask[w])
+	for w, word := range n.activeMask {
 		base := w << 6
 		for word != 0 {
 			ids = append(ids, base+bits.TrailingZeros64(word))
@@ -596,16 +610,9 @@ func (n *Network) collectActive() []int {
 	return ids
 }
 
-// activate puts node id on the active worklist. Inside a parallel section
-// it may only be called for shard-local nodes (cross-shard wakes go
-// through activateFrom); the bit operations are atomic because boundary
-// words of the mask are shared between adjacent shards.
+// activate puts node id on the active worklist.
 func (n *Network) activate(id int) {
-	w := uint(id) >> 6
-	bit := uint64(1) << (uint(id) & 63)
-	if atomic.LoadUint64(&n.activeMask[w])&bit == 0 {
-		atomic.OrUint64(&n.activeMask[w], bit)
-	}
+	n.activeMask[id>>6] |= uint64(1) << (uint(id) & 63)
 }
 
 // nodeNeedsTick reports whether node id still has work that requires
@@ -751,18 +758,14 @@ func (n *Network) collectInFlightDump(limit int) []fault.PacketDump {
 	return out
 }
 
-// deliverNodeLinks completes link traversal for node id's due flits,
-// executing on id's owning shard. Deliveries whose target lives in
-// another shard are deferred to the links merge, keyed by (source, port,
-// queue position) so the commit order is the serial kernel's.
-func (n *Network) deliverNodeLinks(sh *shard, id int) {
+// deliverNodeLinks completes link traversal for node id's due flits, in
+// (port, queue position) order.
+func (n *Network) deliverNodeLinks(id int) {
 	for d := 0; d < 4; d++ {
 		q := n.links[id][d]
 		if len(q) == 0 {
 			continue
 		}
-		base := (uint64(id)*4 + uint64(d)) << 32
-		qidx := uint64(0)
 		keep := q[:0]
 		for _, tf := range q {
 			if tf.at > n.cycle {
@@ -770,14 +773,6 @@ func (n *Network) deliverNodeLinks(sh *shard, id int) {
 				continue
 			}
 			n.linkCount[id]--
-			key := base | qidx<<16
-			qidx++
-			to := n.nbrTab[id*int(topology.NumDirs)+d]
-			if to >= 0 && n.shardOf[to] != int32(sh.idx) {
-				sh.xout = append(sh.xout, xDeliver{key: key, from: int32(id), dir: int8(d), f: tf.f})
-				continue
-			}
-			sh.evBase, sh.evSeq = key, 0
 			n.deliverFlit(id, topology.Dir(d), tf.f)
 		}
 		n.links[id][d] = keep
@@ -786,22 +781,18 @@ func (n *Network) deliverNodeLinks(sh *shard, id int) {
 
 // deliverFlit hands a flit that left router `from` on port `dir` to the
 // downstream router or, when that router is gated off (or the flit's
-// packet is mid-bypass), to its NI bypass. It runs either on the
-// target's owning shard (in-shard deliveries) or serially at the links
-// merge (cross-shard), so every write it triggers lands in the target
-// shard's state.
+// packet is mid-bypass), to its NI bypass.
 func (n *Network) deliverFlit(from int, dir topology.Dir, f *flit.Flit) {
 	to, ok := n.neighbor(from, dir)
 	if !ok {
-		n.failSh(n.shardFor(from), &fault.ProtocolError{Cycle: n.cycle, Router: from,
+		n.fail(&fault.ProtocolError{Cycle: n.cycle, Router: from,
 			Msg: fmt.Sprintf("flit sent off the edge of the mesh on dir %v", dir)})
 		return
 	}
-	sh := n.shardFor(to)
 	n.activate(to)
-	sh.progressed = true
+	n.lastProgress = n.cycle
 	if n.faults != nil {
-		n.faults.verify(n, sh, f)
+		n.faults.verify(f)
 	}
 	r := n.routers[to]
 	inPort := dir.Opposite()
@@ -812,7 +803,7 @@ func (n *Network) deliverFlit(from int, dir topology.Dir, f *flit.Flit) {
 		}
 	}
 	if !r.on() {
-		n.failSh(sh, &fault.ProtocolError{Cycle: n.cycle, Router: to,
+		n.fail(&fault.ProtocolError{Cycle: n.cycle, Router: to,
 			Msg: fmt.Sprintf("flit delivered to gated-off router on non-bypass port %v", inPort)})
 		return
 	}
@@ -833,17 +824,16 @@ func (n *Network) sendLink(id int, dir topology.Dir, f *flit.Flit) {
 // aggressive bypass uses delay 1 (no ST stage: the flit goes straight
 // from Bypass Inport to Bypass Outport within the arrival cycle).
 func (n *Network) sendLinkDelay(id int, dir topology.Dir, f *flit.Flit, delay uint64) {
-	sh := n.shardFor(id)
 	if dir >= topology.Local {
-		n.failSh(sh, &fault.ProtocolError{Cycle: n.cycle, Router: id, Msg: "sendLink on local port"})
+		n.fail(&fault.ProtocolError{Cycle: n.cycle, Router: id, Msg: "sendLink on local port"})
 		return
 	}
 	if n.faults != nil {
-		n.faults.maybeCorrupt(sh, id, dir, f)
+		n.faults.maybeCorrupt(id, dir, f)
 	}
 	n.links[id][dir] = append(n.links[id][dir], timedFlit{f: f, at: n.cycle + delay})
 	n.linkCount[id]++
-	sh.progressed = true
+	n.lastProgress = n.cycle
 	if n.collecting {
 		n.routers[id].statLinkFlits++
 	}
@@ -862,9 +852,9 @@ func (n *Network) linkBusy(id int, dir topology.Dir) bool {
 
 // creditReturn schedules a credit for the upstream of router id's input
 // (port, vc): the mesh neighbor for mesh ports, the NI for the Local
-// port. Credits accumulate per shard and apply at phase 9, serially.
-func (n *Network) creditReturn(sh *shard, id int, port topology.Dir, vc int) {
-	sh.credits = append(sh.credits, creditEvt{router: id, port: port, vc: vc})
+// port. Credits accumulate through the cycle and apply at phase 9.
+func (n *Network) creditReturn(id int, port topology.Dir, vc int) {
+	n.credits = append(n.credits, creditEvt{router: id, port: port, vc: vc})
 }
 
 func (n *Network) applyCredit(ev creditEvt) {
@@ -887,32 +877,26 @@ func (n *Network) addRingUpstreamCredits(id, vc, add int) {
 	n.routers[pred].outCredits[n.ring.OutDir(pred)][vc] += add
 }
 
-// deliverPacket finalises a delivered packet (tail ejected), on the
-// destination's owning shard. Poisoned packets are dropped — the
-// destination NI rejects the corrupted payload and the source's
-// retransmit machinery takes over; the drop mutates injector-global
-// state, so a sharded kernel defers it to the next merge.
-func (n *Network) deliverPacket(sh *shard, p *flit.Packet) {
-	sh.inFlightDelta--
-	sh.progressed = true
+// deliverPacket finalises a delivered packet (tail ejected). Poisoned
+// packets are dropped — the destination NI rejects the corrupted payload
+// and the source's retransmit machinery takes over.
+func (n *Network) deliverPacket(p *flit.Packet) {
+	n.inFlight--
+	n.lastProgress = n.cycle
 	if p.IsPoisoned() && n.faults != nil {
-		if n.sharded {
-			sh.drops = append(sh.drops, pendingDrop{key: sh.nextEvKey(), pkt: p})
-		} else {
-			n.faults.dropPoisoned(n, p)
-		}
+		n.faults.dropPoisoned(n, p)
 		return
 	}
 	if n.faults != nil {
-		sh.repDelivered++
+		n.faults.report.PacketsDelivered++
 	}
 	if n.collecting && p.InjectTime >= n.measureFrom {
-		sh.col.PacketsDelivered++
-		sh.col.FlitsDelivered += uint64(p.Length)
-		sh.col.PacketLatency.Add(float64(n.cycle - p.InjectTime))
-		sh.col.LatencyHist.Add(n.cycle - p.InjectTime)
-		sh.col.NetworkLatency.Add(float64(n.cycle - p.EnqueueTime))
-		sh.col.Hops.Add(float64(p.Hops))
+		n.col.PacketsDelivered++
+		n.col.FlitsDelivered += uint64(p.Length)
+		n.col.PacketLatency.Add(float64(n.cycle - p.InjectTime))
+		n.col.LatencyHist.Add(n.cycle - p.InjectTime)
+		n.col.NetworkLatency.Add(float64(n.cycle - p.EnqueueTime))
+		n.col.Hops.Add(float64(p.Hops))
 	}
 	if n.ejectHandler != nil {
 		n.ejectHandler(p, n.cycle)
@@ -920,7 +904,7 @@ func (n *Network) deliverPacket(sh *shard, p *flit.Packet) {
 		// Nothing outside the network can retain the packet (handlers and
 		// hooks may hold delivered packets; the fault machinery's retry
 		// queue does): recycle it.
-		sh.pool.PutPacket(p)
+		n.pool.PutPacket(p)
 	}
 }
 
@@ -937,14 +921,13 @@ func (n *Network) notePacketInjected(p *flit.Packet) {
 	}
 }
 
-// The helpers below run inside parallel sections (or at serial merge
-// points), so they write only the router or NI the event happened at;
+// The helpers below write only the router or NI the event happened at;
 // foldStats sums their counts.
 
 // noteSAGrant counts a switch grant at r: the NoRD demand window's
 // through-traffic term and, while measuring, r's routed flits.
 func (n *Network) noteSAGrant(r *Router) {
-	r.sh.progressed = true
+	n.lastProgress = n.cycle
 	r.saGrantsThisCycle++
 	if n.collecting {
 		r.statSAGrants++
@@ -978,7 +961,7 @@ func (n *Network) noteMisroute(r *Router) {
 		r.statMisroutes++
 	}
 	if n.tracer != nil {
-		n.traceEvent(r.sh, int32(r.id), obs.KindDetour, obs.CauseNone, 0, false)
+		n.tracer.Emit(n.cycle, int32(r.id), obs.KindDetour, obs.CauseNone, 0)
 	}
 }
 
@@ -988,27 +971,25 @@ func (n *Network) noteEscape(r *Router) {
 		r.statEscapes++
 	}
 	if n.tracer != nil {
-		n.traceEvent(r.sh, int32(r.id), obs.KindEscape, obs.CauseNone, 0, false)
+		n.tracer.Emit(n.cycle, int32(r.id), obs.KindEscape, obs.CauseNone, 0)
 	}
 }
 
 // noteBypassHop counts a flit forwarded through the NI bypass of r.
 func (n *Network) noteBypassHop(r *Router) {
-	r.sh.progressed = true
+	n.lastProgress = n.cycle
 	if n.collecting {
 		r.statBypassFlits++
 	}
 	if n.tracer != nil {
-		// Every offered hop is deferred (sampled=true) so the tracer's
-		// order-sensitive sampling counter replays the serial subset.
-		n.traceEvent(r.sh, int32(r.id), obs.KindBypassHop, obs.CauseNone, 0, true)
+		n.tracer.EmitSampled(n.cycle, int32(r.id), obs.KindBypassHop, obs.CauseNone, 0)
 	}
 }
 
 // noteBypassInject counts a locally injected flit leaving ni over the
 // Bypass Outport.
 func (n *Network) noteBypassInject(ni *NI) {
-	ni.sh.progressed = true
+	n.lastProgress = n.cycle
 	if n.collecting {
 		ni.statBypassInjects++
 	}
@@ -1016,7 +997,7 @@ func (n *Network) noteBypassInject(ni *NI) {
 
 // noteBypassEject counts a flit sunk at ni straight off the Bypass Inport.
 func (n *Network) noteBypassEject(ni *NI) {
-	ni.sh.progressed = true
+	n.lastProgress = n.cycle
 	if n.collecting {
 		ni.statBypassEjects++
 	}

@@ -91,9 +91,6 @@ func (q *pktQueue) popFront() *flit.Packet {
 type NI struct {
 	id  int
 	net *Network
-	// sh is the shard owning this node (the single shard of a serial
-	// network); section-phase writes go through it.
-	sh *shard
 
 	// Injection queues, one per protocol class, in packets.
 	injQ []pktQueue
@@ -169,7 +166,6 @@ func initNI(ni *NI, id int, net *Network) {
 	V := p.vcsPerPort()
 	ni.id = id
 	ni.net = net
-	ni.sh = net.shardFor(id)
 	ni.injQ = make([]pktQueue, p.Classes)
 	ni.localCredits = make([]int, V)
 	ni.latch = make([]*flit.Flit, V)
@@ -293,17 +289,17 @@ func (ni *NI) deliverBypass(f *flit.Flit) {
 	}
 	if f.Packet.Dst == ni.id {
 		// Sink: the latch is not occupied, so the credit returns at once.
-		ni.net.creditReturn(ni.sh, ni.id, inDir, f.VC)
+		ni.net.creditReturn(ni.id, inDir, f.VC)
 		ni.net.noteBypassEject(ni)
 		r.accountBypassFlit(f)
 		if f.Kind.IsTail() {
-			ni.net.deliverPacket(ni.sh, f.Packet)
+			ni.net.deliverPacket(f.Packet)
 		}
-		ni.sh.pool.PutFlit(f)
+		ni.net.pool.PutFlit(f)
 		return
 	}
 	if ni.latch[f.VC] != nil {
-		ni.net.failSh(ni.sh, &fault.ProtocolError{Cycle: ni.net.cycle, Router: ni.id,
+		ni.net.fail(&fault.ProtocolError{Cycle: ni.net.cycle, Router: ni.id,
 			Msg: "bypass latch overrun (ring credit protocol violated)"})
 		return
 	}
@@ -352,7 +348,7 @@ func (ni *NI) tryAggressiveForward(r *Router, f *flit.Flit) bool {
 	r.outCredits[ringOut][out]--
 	r.accountBypassFlit(f)
 	// The latch was never occupied: the upstream credit returns at once.
-	ni.net.creditReturn(ni.sh, ni.id, ni.net.ring.InDir(ni.id), v)
+	ni.net.creditReturn(ni.id, ni.net.ring.InDir(ni.id), v)
 	f.VC = out
 	ni.net.sendLinkDelay(ni.id, ringOut, f, 1)
 	ni.net.noteBypassHop(r)
@@ -375,9 +371,9 @@ func (ni *NI) tickDeliver() {
 			continue
 		}
 		if tf.f.Kind.IsTail() {
-			ni.net.deliverPacket(ni.sh, tf.f.Packet)
+			ni.net.deliverPacket(tf.f.Packet)
 		}
-		ni.sh.pool.PutFlit(tf.f)
+		ni.net.pool.PutFlit(tf.f)
 	}
 	ni.ejPend = keepEj
 	if len(ni.localQ) > 0 {
@@ -390,7 +386,7 @@ func (ni *NI) tickDeliver() {
 			if ni.net.collecting && tp.p.InjectTime >= ni.net.measureFrom {
 				ni.statLocalFlits += uint64(tp.p.Length)
 			}
-			ni.net.deliverPacket(ni.sh, tp.p)
+			ni.net.deliverPacket(tp.p)
 		}
 		ni.localQ = keepLoc
 	}
@@ -516,8 +512,8 @@ func (ni *NI) tickBypass(r *Router) uint32 {
 
 	// Withheld ring credits for VCs whose mid-bypass packet has fully
 	// drained after a wakeup (Section 4.3) are restored by
-	// restoreRingCredits at the post-NI merge point: the restore writes the
-	// ring-upstream neighbour, which may live in another shard.
+	// restoreRingCredits once every NI has ticked: the restore writes the
+	// ring-upstream neighbour.
 	return requests
 }
 
@@ -535,7 +531,7 @@ func (ni *NI) forwardFromLatch(r *Router, v int) bool {
 	}
 	out := ni.fwdOutVC[v]
 	if out < 0 {
-		ni.net.failSh(ni.sh, &fault.ProtocolError{Cycle: ni.net.cycle, Router: ni.id,
+		ni.net.fail(&fault.ProtocolError{Cycle: ni.net.cycle, Router: ni.id,
 			Msg: "bypass body flit without an allocated downstream VC"})
 		return false
 	}
@@ -546,7 +542,7 @@ func (ni *NI) forwardFromLatch(r *Router, v int) bool {
 	ni.latch[v] = nil
 	ni.latchCount--
 	// The latch slot frees: return the ring-upstream credit.
-	ni.net.creditReturn(ni.sh, ni.id, ni.net.ring.InDir(ni.id), v)
+	ni.net.creditReturn(ni.id, ni.net.ring.InDir(ni.id), v)
 	f.VC = out
 	ni.injectOut = f
 	ni.injectFwd = true
@@ -609,7 +605,7 @@ func (ni *NI) advanceRingInjection(r *Router) bool {
 		ni.injQ[c].popFront()
 		ni.queuedTotal--
 		ni.classRR = c + 1
-		ni.curBuf = ni.sh.pool.AppendFlits(ni.curBuf[:0], pkt)
+		ni.curBuf = ni.net.pool.AppendFlits(ni.curBuf[:0], pkt)
 		ni.curFlits = ni.curBuf
 		ni.curVC = cd.vc
 		ni.curMode = modeRing
@@ -659,7 +655,7 @@ func (ni *NI) tickInjection(r *Router) uint32 {
 			ni.injQ[c].popFront()
 			ni.queuedTotal--
 			ni.classRR = c + 1
-			ni.curBuf = ni.sh.pool.AppendFlits(ni.curBuf[:0], pkt)
+			ni.curBuf = ni.net.pool.AppendFlits(ni.curBuf[:0], pkt)
 			ni.curFlits = ni.curBuf
 			ni.curVC = v
 			ni.curMode = modeLocal

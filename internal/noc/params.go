@@ -93,16 +93,6 @@ type Params struct {
 	// (50k cycles). Fault-injection tests lower it so partitioned runs
 	// fail fast.
 	WatchdogLimit int
-	// Parallelism selects the sharded parallel tick kernel: the mesh (and
-	// the NoRD bypass ring) is partitioned into this many contiguous
-	// spatial domains, each ticked by a pinned worker goroutine, with
-	// cross-shard link/credit traffic committed at deterministic phase
-	// barriers in fixed (shard, source, port) order. 0 and 1 both select
-	// the serial kernel, which is the single-shard special case of the
-	// same code path; values above the node count are clamped. Results
-	// are bit-identical across all parallelism levels (the golden
-	// TestParallelMatchesSerial equivalence).
-	Parallelism int
 }
 
 // WakeupWindow is the sliding window (cycles) of the NoRD VC-request
@@ -204,9 +194,6 @@ func (p *Params) Validate() error {
 	}
 	if p.WatchdogLimit < 0 {
 		return fmt.Errorf("noc: watchdog limit must be non-negative, got %d", p.WatchdogLimit)
-	}
-	if p.Parallelism < 0 {
-		return fmt.Errorf("noc: parallelism must be non-negative, got %d", p.Parallelism)
 	}
 	return nil
 }

@@ -67,44 +67,6 @@ func BenchmarkKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelParallel is the sharded-kernel scaling matrix: NoRD on
-// 16x16/32x32/64x64 meshes at P in {1,2,4,8} — the points of DESIGN.md
-// §11's table, and the instrument for ROADMAP item 1's outstanding
-// >=4-CPU measurement. Loads drop with mesh size to stay below the
-// uniform-random saturation bound (~1/width); P=1 is the same code path
-// run single-shard — the speedup denominator.
-func BenchmarkKernelParallel(b *testing.B) {
-	for _, m := range []struct {
-		w    int
-		rate float64
-	}{{16, 0.10}, {32, 0.05}, {64, 0.02}} {
-		for _, cpus := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("NoRD/%dx%d/P%d", m.w, m.w, cpus), func(b *testing.B) {
-				p := DefaultParams(NoRD)
-				p.Width, p.Height = m.w, m.w
-				p.Parallelism = cpus
-				n := MustNew(p)
-				defer n.Close()
-				inj := traffic.NewSynthetic(n, traffic.UniformRandom, m.rate, 1)
-				for c := 0; c < 2000; c++ {
-					inj.Tick(n.Cycle())
-					n.Tick()
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				start := time.Now()
-				for i := 0; i < b.N; i++ {
-					inj.Tick(n.Cycle())
-					n.Tick()
-				}
-				if el := time.Since(start).Seconds(); el > 0 {
-					b.ReportMetric(float64(b.N)/el, "cycles/sec")
-				}
-			})
-		}
-	}
-}
-
 // The laps BenchmarkStepPhases times: Network.Step's script, with the
 // router section timed whole on even cycles and as three passes on odd
 // ones.
@@ -119,24 +81,23 @@ const (
 	phPG // power-gating controllers and reclassification
 	phCredits
 	phStats
-	phEpilogue
+	phWatchdog
 	numStepPhases
 )
 
 var stepPhaseNames = [numStepPhases]string{
-	"faults", "links", "node", "router", "sa", "va", "rc", "pg", "credits", "stats", "epilogue",
+	"faults", "links", "node", "router", "sa", "va", "rc", "pg", "credits", "stats", "watchdog",
 }
 
-// stepPhases is Network.Step for a serial network with the clock read
-// between the phases: ns[ph] grows by the time phase ph took. On odd
-// cycles the router section runs as an SA pass, a VA pass and an RC pass
-// over one worklist snapshot where Step makes one fused pass; the stages
-// touch only their own router and the nodes they wake join the list at
-// the merge either way, so the result is the same
-// (TestStepPhasesMatchStep). Visiting every router three times costs
-// about 5 % of a cycle, which is why the even cycles time the section
-// the way Step runs it: that is the router phase's cost, and the passes
-// give the shares to split it by.
+// stepPhases is Network.Step with the clock read between the phases:
+// ns[ph] grows by the time phase ph took. On odd cycles the router phase
+// runs as an SA pass, a VA pass and an RC pass over one worklist snapshot
+// where Step makes one fused pass; the stages touch only their own router
+// and the nodes they wake are dormant either way, so the result is the
+// same (TestStepPhasesMatchStep). Visiting every router three times costs
+// about 5 % of a cycle, which is why the even cycles time the phase the
+// way Step runs it: that is the router phase's cost, and the passes give
+// the shares to split it by.
 func stepPhases(n *Network, ns *[numStepPhases]int64, epoch time.Time) error {
 	if n.err != nil {
 		return n.err
@@ -158,7 +119,7 @@ func stepPhases(n *Network, ns *[numStepPhases]int64, epoch time.Time) error {
 		n.stepRouter()
 		lap(phRouter)
 	} else {
-		ids := n.shardActive(n.shards[0])
+		ids := n.collectActive()
 		for _, id := range ids {
 			n.routers[id].tickSA()
 		}
@@ -170,7 +131,6 @@ func stepPhases(n *Network, ns *[numStepPhases]int64, epoch time.Time) error {
 		for _, id := range ids {
 			n.routers[id].tickRC()
 		}
-		n.mergeRouter()
 		lap(phRC)
 	}
 	n.stepControllers()
@@ -179,8 +139,8 @@ func stepPhases(n *Network, ns *[numStepPhases]int64, epoch time.Time) error {
 	lap(phCredits)
 	n.stepStats()
 	lap(phStats)
-	n.stepEpilogue()
-	lap(phEpilogue)
+	n.stepWatchdog()
+	lap(phWatchdog)
 	return n.err
 }
 
@@ -261,7 +221,7 @@ func BenchmarkStepPhases(b *testing.B) {
 			}
 			b.StopTimer()
 			// Every lap carries one clock read, taken off here (faults and
-			// epilogue would otherwise read ≈ 35 ns, all of it the clock).
+			// watchdog would otherwise read ≈ 35 ns, all of it the clock).
 			// Warm-up is even, so cycles 2, 4, ... are the fused ones.
 			fused, split := b.N/2, b.N-b.N/2
 			perCycle := func(ph, laps int) float64 {

@@ -307,7 +307,7 @@ func (ni *NI) onRouterOff() {
 	// None of the flits were sent (Seq 0 is still at the front): recycle
 	// the serialisation before requeueing the packet at the head.
 	for _, f := range ni.curFlits {
-		ni.sh.pool.PutFlit(f)
+		ni.net.pool.PutFlit(f)
 	}
 	ni.injQ[c].pushFront(pkt)
 	ni.queuedTotal++

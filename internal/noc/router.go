@@ -100,9 +100,6 @@ func (v *vcState) pop() *flit.Flit {
 type Router struct {
 	id  int
 	net *Network
-	// sh is the shard owning this router's node (the single shard of a
-	// serial network); section-phase writes go through it.
-	sh *shard
 
 	// in[dir][vc] are the input units. The Local port receives flits
 	// injected by the NI.
@@ -262,7 +259,6 @@ func initRouter(r *Router, id int, net *Network) {
 	ND := int(topology.NumDirs)
 	r.id = id
 	r.net = net
-	r.sh = net.shardFor(id)
 	r.bypassRemaining = make([]int, V)
 	r.creditsHeld = make([]int, V)
 	states := make([]vcState, ND*V)
@@ -340,12 +336,12 @@ func (r *Router) idleRun() uint64 {
 }
 
 // closeIdle charges the open idle run to statIdle and, as one period, to
-// the shard's idle-period distribution; an idling router's next run starts
-// after statEpoch.
+// the collector's idle-period distribution; an idling router's next run
+// starts after statEpoch.
 func (r *Router) closeIdle() {
 	if run := r.idleRun(); run > 0 {
 		r.statIdle += run
-		r.sh.col.IdlePeriods.Add(run)
+		r.net.col.IdlePeriods.Add(run)
 	}
 	r.idleFrom = r.net.statEpoch + 1
 }
@@ -490,7 +486,7 @@ func (r *Router) switchGrant(d topology.Dir, v int, vc *vcState, out topology.Di
 		r.net.sendLink(r.id, out, f)
 	}
 	r.net.noteSAGrant(r)
-	r.net.creditReturn(r.sh, r.id, d, v)
+	r.net.creditReturn(r.id, d, v)
 	if !f.Kind.IsTail() {
 		return
 	}
@@ -500,7 +496,7 @@ func (r *Router) switchGrant(d topology.Dir, v int, vc *vcState, out topology.Di
 	r.setPhase(vc, vcIdle)
 	if h := vc.head(); h != nil {
 		if !h.Kind.IsHead() {
-			r.net.failSh(r.sh, &fault.ProtocolError{Cycle: r.net.cycle, Router: r.id,
+			r.net.fail(&fault.ProtocolError{Cycle: r.net.cycle, Router: r.id,
 				Msg: "non-head flit follows a tail in a VC buffer"})
 			return
 		}
@@ -567,10 +563,8 @@ func (r *Router) allocate(d topology.Dir, v int, vc *vcState) {
 		vc.wuFrom = r.net.cycle + uint64(dec.wuDelay)
 		vc.vaFails = 0
 		// The wake target may be dormant: put it on the worklist so its
-		// controller observes the asserted WU level this cycle (deferred
-		// to the merge when the target lives in another shard — its
-		// controller phase runs serially after the merge either way).
-		r.net.activateFrom(r.sh, dec.wakeTarget)
+		// controller observes the asserted WU level this cycle.
+		r.net.activate(dec.wakeTarget)
 		return
 	case actEject:
 		// Local ejection needs no VC allocation; the Local "output VC" 0
@@ -657,7 +651,7 @@ func (r *Router) tickRC() {
 					// Still stalled: keep the target on the worklist so
 					// it keeps seeing the WU level (its own queues give
 					// it nothing to stay awake for).
-					r.net.activateFrom(r.sh, vc.target)
+					r.net.activate(vc.target)
 				}
 			}
 		}
@@ -669,7 +663,7 @@ func (r *Router) tickRC() {
 func (r *Router) acceptFlit(d topology.Dir, f *flit.Flit) {
 	vc := r.in[d][f.VC]
 	if len(vc.buf) >= r.net.p.BufferDepth {
-		r.net.failSh(r.sh, &fault.ProtocolError{Cycle: r.net.cycle, Router: r.id,
+		r.net.fail(&fault.ProtocolError{Cycle: r.net.cycle, Router: r.id,
 			Msg: fmt.Sprintf("buffer overflow at port %v vc %d (credit protocol violated)", d, f.VC)})
 		return
 	}
@@ -681,7 +675,7 @@ func (r *Router) acceptFlit(d topology.Dir, f *flit.Flit) {
 	// upstream freed the output VC at its tail).
 	if f.Kind.IsHead() && len(vc.buf) == 1 {
 		if vc.phase != vcIdle {
-			r.net.failSh(r.sh, &fault.ProtocolError{Cycle: r.net.cycle, Router: r.id,
+			r.net.fail(&fault.ProtocolError{Cycle: r.net.cycle, Router: r.id,
 				Msg: fmt.Sprintf("head flit at front of busy VC at port %v vc %d phase %d", d, f.VC, vc.phase)})
 			return
 		}

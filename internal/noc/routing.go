@@ -119,7 +119,7 @@ func (n *Network) routeConv(r *Router, pkt *flit.Packet, vaFails int) decision {
 	xy := n.xyDir(r.id, pkt.Dst)
 	xyNb, _ := n.neighbor(r.id, xy)
 
-	cands := r.sh.candScratch[:0]
+	cands := n.candScratch[:0]
 	if !pkt.Escaped {
 		// Adaptive candidates: minimal directions whose router is on,
 		// best-credit first.
@@ -147,7 +147,7 @@ func (n *Network) routeConv(r *Router, pkt *flit.Packet, vaFails int) decision {
 			escapeVCNext: n.convEscapeVCNext(r.id, xy, pkt),
 		})
 	}
-	r.sh.candScratch = cands
+	n.candScratch = cands
 	if len(cands) == 0 {
 		// No usable output at all: stall and wake the XY-preferred
 		// neighbor (node-router dependence, Section 3).
@@ -185,7 +185,7 @@ func (n *Network) wakeDecision(target int) decision {
 // always once on the escape ring — only the Bypass Outport is left, which
 // is bypassCands' rule. No wakeups are ever needed.
 func (n *Network) routeNoRD(r *Router, inDir topology.Dir, pkt *flit.Packet, vaFails int) decision {
-	cands := r.sh.candScratch[:0]
+	cands := n.candScratch[:0]
 	if !pkt.Escaped {
 		base := n.p.vcBase(int(pkt.Class))
 		adaptiveLo := base + n.p.escapeVCs()
@@ -219,7 +219,7 @@ func (n *Network) routeNoRD(r *Router, inDir topology.Dir, pkt *flit.Packet, vaF
 	if vaFails >= escapeAfterNoRD {
 		cands = append(cands, n.ringEscapeCand(r.id, pkt))
 	}
-	r.sh.candScratch = cands
+	n.candScratch = cands
 	return decision{cands: cands}
 }
 
@@ -233,7 +233,7 @@ func (n *Network) routeNoRD(r *Router, inDir topology.Dir, pkt *flit.Packet, vaF
 // packet gets (Section 4.2: "powered-off routers have no VCs but still
 // have the corresponding adaptive/escape latches").
 func (n *Network) bypassCands(r *Router, pkt *flit.Packet, fails int) []cand {
-	cands := r.sh.candScratch[:0]
+	cands := n.candScratch[:0]
 	if !pkt.Escaped {
 		ringOut := n.ring.OutDir(r.id)
 		ds := n.minimalDirSet(r.id, pkt.Dst)
@@ -253,7 +253,7 @@ func (n *Network) bypassCands(r *Router, pkt *flit.Packet, fails int) []cand {
 	if len(cands) == 0 || fails >= escapeAfterNoRD {
 		cands = append(cands, n.ringEscapeCand(r.id, pkt))
 	}
-	r.sh.candScratch = cands
+	n.candScratch = cands
 	return cands
 }
 

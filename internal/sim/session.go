@@ -30,12 +30,8 @@ type RunOptions struct {
 	// see internal/obs). Like Progress it is driven on the simulation
 	// goroutine: drain it from the Progress callback or after the run.
 	Tracer *obs.Tracer
-	// Parallelism selects the tick kernel's shard count (noc
-	// Params.Parallelism): 0 or 1 runs serial, P > 1 partitions the mesh
-	// into P worker-owned spatial domains. Reports are bit-identical
-	// across values — it is an execution option, not part of the
-	// experiment configuration, and is therefore excluded from the serve
-	// layer's cache keys.
+	// Parallelism is ignored: the tick kernel is serial. It remains only
+	// because the benchmark ladder still sets it.
 	Parallelism int
 }
 
@@ -101,7 +97,6 @@ func open(ctx context.Context, c SynthConfig, classes int, opt RunOptions) (*ses
 	if err != nil {
 		return nil, err
 	}
-	params.Parallelism = opt.Parallelism
 	net, err := noc.New(params)
 	if err != nil {
 		return nil, err

@@ -11,9 +11,9 @@ import (
 // escapes, NI VC requests) and the WakeupStall sample are per-router or
 // per-NI quantities: noc keeps each on the router or NI that saw it and
 // derives the collector's total as a sum whenever the collector is read.
-// Only the delivered-packet statistics and IdlePeriods are sampled into
-// per-shard collectors and folded by Merge. Fault-recovery events are
-// counted in fault.Report, not here.
+// Only Cycles, PacketsInjected, the delivered-packet statistics and
+// IdlePeriods are written into the collector directly. Fault-recovery
+// events are counted in fault.Report, not here.
 type NoC struct {
 	// Cycles measured (after warmup).
 	Cycles uint64
@@ -64,34 +64,6 @@ type NoC struct {
 	IdlePeriods *Histogram
 	IdleCycles  uint64
 	BusyCycles  uint64
-}
-
-// Merge folds another collector's sampled fields into this one: the six
-// delivered-packet statistics and the idle-period distribution, the only
-// fields the sharded parallel kernel writes into a shard's private
-// collector. noc derives every other field from its routers and NIs,
-// and Cycles and PacketsInjected live in the master collector only; Merge
-// skips them all. Every counter is a sum and every Sample holds
-// integer-valued observations (exactly representable in float64), so
-// merging is exact and order-independent: the folded totals are
-// bit-identical to serial accumulation. TestNoCMergeCoversAllFields keeps
-// this in sync with the struct.
-func (n *NoC) Merge(o *NoC) {
-	n.PacketsDelivered += o.PacketsDelivered
-	n.FlitsDelivered += o.FlitsDelivered
-	n.PacketLatency.Merge(o.PacketLatency)
-	n.LatencyHist.Merge(o.LatencyHist)
-	n.NetworkLatency.Merge(o.NetworkLatency)
-	n.Hops.Merge(o.Hops)
-	n.IdlePeriods.Merge(o.IdlePeriods)
-}
-
-// Reset zeroes the collector for reuse, keeping histogram allocations.
-func (n *NoC) Reset() {
-	lat, idle := n.LatencyHist, n.IdlePeriods
-	lat.Reset()
-	idle.Reset()
-	*n = NoC{LatencyHist: lat, IdlePeriods: idle}
 }
 
 // AvgVCRequestsPerWindow returns the mean windowed VC-request count per

@@ -56,9 +56,6 @@ func (s *Sample) Merge(o Sample) {
 	s.Sum += o.Sum
 }
 
-// Reset clears the sample for reuse.
-func (s *Sample) Reset() { *s = Sample{} }
-
 // String implements fmt.Stringer.
 func (s *Sample) String() string {
 	return fmt.Sprintf("n=%d mean=%.2f min=%.0f max=%.0f", s.N, s.Mean(), s.Min, s.Max)
@@ -156,38 +153,6 @@ func (h *Histogram) Bucket(v uint64) uint64 {
 
 // Overflow returns the count of observations beyond the bucket range.
 func (h *Histogram) Overflow() uint64 { return h.overflow }
-
-// Merge folds another histogram into this one. The receiving histogram
-// keeps its bucket count; out-of-range buckets fold into overflow.
-func (h *Histogram) Merge(o *Histogram) {
-	for v, n := range o.buckets {
-		if n == 0 {
-			continue
-		}
-		if v < len(h.buckets) {
-			h.buckets[v] += n
-		} else {
-			h.overflow += n
-		}
-	}
-	h.overflow += o.overflow
-	h.count += o.count
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
-}
-
-// Reset clears the histogram for reuse, keeping its bucket allocation.
-func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i] = 0
-	}
-	h.overflow = 0
-	h.count = 0
-	h.sum = 0
-	h.max = 0
-}
 
 // Percentile returns the smallest value v such that at least p (0..1) of
 // the observations are <= v. Overflow observations report the maximum.

@@ -110,26 +110,6 @@ func TestHistogramPercentile(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(10)
-	b := NewHistogram(20)
-	a.Add(1)
-	a.Add(15) // overflow in a
-	b.Add(15)
-	b.Add(3)
-	a.Merge(b)
-	if a.Count() != 4 || a.Sum() != 34 {
-		t.Errorf("merged count=%d sum=%d", a.Count(), a.Sum())
-	}
-	// b's 15 is out of a's range -> overflow; a already had one overflow.
-	if a.Overflow() != 2 {
-		t.Errorf("overflow = %d, want 2", a.Overflow())
-	}
-	if a.Max() != 15 {
-		t.Errorf("max = %d, want 15", a.Max())
-	}
-}
-
 // Property: histogram count/sum match direct accumulation, and CountLE is
 // monotone in x.
 func TestHistogramProperty(t *testing.T) {
