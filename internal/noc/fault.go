@@ -87,10 +87,6 @@ func (n *Network) AttachFaults(s *fault.Schedule, opts FaultOptions) error {
 		fi.report.Injected[e.Kind]++
 	}
 	n.faults = fi
-	// The fault machinery pokes arbitrary routers (scheduled events,
-	// hard-fail activation, retransmits) outside the event-sparse
-	// activation discipline: faulted runs use the full-scan kernel.
-	n.fullScan()
 	return nil
 }
 

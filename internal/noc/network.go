@@ -98,12 +98,12 @@ type Network struct {
 	// statEpoch is the cycle the network has been accounted through: a
 	// dormant node needs no accounting, since power-state residency, the
 	// idle run and the NI quiet run are stamped at their transitions and
-	// read up to statEpoch. sparse is false in full-scan mode (fullScan: an
-	// armed fault schedule, or the golden test's reference run), where
-	// every bit stays set and the kernel degenerates to the original
-	// walk-everything loop.
+	// read up to statEpoch. Faulted runs use the same worklist: a fault
+	// event arms state that a node reads only once a flit, a wakeup or an
+	// injection has activated it (hard-fail activation walks every
+	// router), and nodeNeedsTick keeps a router listed while its wake
+	// watchdog times a refused wake.
 	nn         int
-	sparse     bool
 	activeMask []uint64
 	idScratch  []int
 	statEpoch  uint64
@@ -150,7 +150,6 @@ func New(p Params) (*Network, error) {
 		n.ring = ring
 	}
 	n.nn = topo.N()
-	n.sparse = true
 	n.activeMask = make([]uint64, (n.nn+63)/64)
 	n.idScratch = make([]int, 0, n.nn)
 	n.linkCount = make([]int, n.nn)
@@ -538,7 +537,7 @@ func (n *Network) stepStats() {
 		// Deactivation sweep, fused into the stats walk: nodes with no
 		// remaining work leave the worklist; activate() restores them when
 		// an event touches them again.
-		if n.sparse && !n.nodeNeedsTick(id) {
+		if !n.nodeNeedsTick(id) {
 			n.activeMask[id>>6] &^= uint64(1) << (uint(id) & 63)
 		}
 	}
@@ -574,7 +573,9 @@ func (n *Network) stepWatchdog() {
 	}
 }
 
-// setAllActive marks every node active (full-scan mode, initialisation).
+// setAllActive marks every node active: a new network starts with every
+// node on the worklist (and the test-only full-scan twin re-marks them
+// before each cycle).
 func (n *Network) setAllActive() {
 	for w := range n.activeMask {
 		n.activeMask[w] = ^uint64(0)
@@ -582,15 +583,6 @@ func (n *Network) setAllActive() {
 	if r := uint(n.nn) & 63; r != 0 {
 		n.activeMask[len(n.activeMask)-1] = (uint64(1) << r) - 1
 	}
-}
-
-// fullScan switches a freshly built network to the walk-everything
-// kernel: every node stays on the worklist for the whole run. The two
-// kernels are behaviour-identical by construction and
-// TestEventSparseMatchesFullScan compares them bit for bit.
-func (n *Network) fullScan() {
-	n.sparse = false
-	n.setAllActive()
 }
 
 // collectActive snapshots the whole active worklist into a reusable
@@ -617,9 +609,10 @@ func (n *Network) activate(id int) {
 
 // nodeNeedsTick reports whether node id still has work that requires
 // ticking: router datapath or pipeline occupancy, an unfinished
-// power-state transition, flits in flight on its output links, or NI-side
-// queues, registers and windowed demand. Every mutation that can turn
-// this true for a dormant node goes through activate().
+// power-state transition, flits in flight on its output links, NI-side
+// queues, registers and windowed demand, or a wake watchdog timing a
+// refused wake. Every mutation that can turn this true for a dormant node
+// goes through activate().
 func (n *Network) nodeNeedsTick(id int) bool {
 	r := n.routers[id]
 	if r.bufFlits > 0 || r.stFlits > 0 {
@@ -657,6 +650,13 @@ func (n *Network) nodeNeedsTick(id int) bool {
 		if ni.latchCount > 0 || ni.fwdCount > 0 || r.heldVCs > 0 || r.bypassSum > 0 {
 			return true
 		}
+	}
+	// A gated-off router whose wake a fault refused (StuckOff, DropWakeup)
+	// stays on the list until its controller clears the watchdog stamp:
+	// once the demand is gone, the next demand must be timed afresh. Last,
+	// so unfaulted runs reach it only on nodes about to leave the list.
+	if r.wakeWantSince != 0 {
+		return true
 	}
 	return false
 }

@@ -1,11 +1,14 @@
 package noc
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"nord/internal/fault"
 	"nord/internal/flit"
+	"nord/internal/topology"
 	"nord/internal/traffic"
 )
 
@@ -96,4 +99,94 @@ func TestSoakRandomConfigs(t *testing.T) {
 			return
 		}
 	}
+}
+
+// FuzzNetwork draws a configuration and a fault schedule and runs it on
+// both kernels: topology, 2-7 routers per side, design, the NoRD options
+// and the two-stage pipeline (flags bits 0-3), VCs above the design's
+// minimum, a rate in per mille and the traffic seed, then the seed and
+// counts of a fault.Config. Its oracles:
+//   - Params.Validate and New agree on whether the configuration exists;
+//   - the full-scan twin matches the event-sparse run on every output,
+//     the run's error included;
+//   - the only error is a DeadlockError, and only after a hard fail on a
+//     design without the bypass ring (its mesh partitions);
+//   - a run without an error drains to quiescence, with empty buffers
+//     and restored credits, delivers each packet once, and accounts every
+//     offered payload as delivered, lost in the fault report, or dropped
+//     at a full source queue.
+//
+// The committed corpus holds the cells that diverged before
+// nodeNeedsTick kept a router with a pending wake-watchdog stamp ticking.
+func FuzzNetwork(f *testing.F) {
+	f.Fuzz(func(t *testing.T, kind, width, height, design, flags, vcs uint8, ratePermille uint16, seed, faultSeed int64, stuck, drop, hard, corrupt uint8) {
+		p := DefaultParams(Design(int(design) % NumDesigns))
+		p.Topology = topology.Kind(kind % 3)
+		p.Width, p.Height = 2+int(width%6), 2+int(height%6)
+		p.VCsPerClass = MinVCs(p.Design, p.Topology) + int(vcs%3)
+		p.TwoStageRouter = flags&8 != 0
+		if p.Design.Blocks().Bypass {
+			p.AggressiveBypass = flags&1 != 0
+			p.DynamicClassify = flags&2 != 0
+			p.ReclassifyPeriod = 512
+			p.ForcedOff = flags&4 != 0
+		}
+		p.WatchdogLimit = 3_000
+		if err := p.Validate(); err != nil {
+			if _, nerr := New(p); nerr == nil {
+				t.Fatalf("Validate rejects %+v (%v) but New builds it", p, err)
+			}
+			return
+		}
+		cfg := fault.Config{
+			Seed:         faultSeed,
+			Horizon:      3_000,
+			StuckOff:     int(stuck % 4),
+			DropWakeups:  int(drop % 4),
+			HardFails:    int(hard % 3),
+			CorruptLinks: int(corrupt % 17),
+		}
+		sched, err := fault.Generate(cfg, p.NumNodes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		delivered := map[uint64]bool{}
+		c := twinCell{
+			p: p, sched: sched, rate: float64(ratePermille%151) / 1000, seed: seed,
+			// Saturated draws (NoRD forced off on a large cmesh) take tens
+			// of thousands of cycles to empty their source queues; a real
+			// stall trips the 3000-cycle watchdog long before this budget.
+			warmup: 600, measure: 3_000, drain: 400_000,
+			onDeliver: func(pk *flit.Packet, _ uint64) {
+				if delivered[pk.ID] {
+					t.Fatalf("packet %d delivered twice", pk.ID)
+				}
+				delivered[pk.ID] = true
+			},
+		}
+		n, inj, runErr := c.run(false)
+		s := outputsOf(n, runErr)
+		c.onDeliver = nil
+		compareTwins(t, s, c.outputs(true))
+		if runErr != nil {
+			var de *fault.DeadlockError
+			if !errors.As(runErr, &de) || cfg.HardFails == 0 || p.Design.Blocks().Bypass {
+				t.Fatalf("%v with %+v: %v", p.Design, cfg, runErr)
+			}
+			return
+		}
+		rep := s.Faults
+		if !n.Quiescent() || inj.Pending() > 0 {
+			t.Fatalf("not drained: %d in flight, %d at the sources", n.InFlight(), inj.Pending())
+		}
+		if uint64(len(delivered)) != rep.PacketsDelivered {
+			t.Fatalf("%d packets reached the delivery handler, the fault report counts %d", len(delivered), rep.PacketsDelivered)
+		}
+		if rep.PacketsDelivered+rep.PacketsLost != rep.PacketsInjected ||
+			rep.PacketsInjected+inj.Dropped() != inj.Offered() {
+			t.Fatalf("conservation broken: %d delivered + %d lost != %d injected, or + %d dropped != %d offered",
+				rep.PacketsDelivered, rep.PacketsLost, rep.PacketsInjected, inj.Dropped(), inj.Offered())
+		}
+		checkQuiescentInvariants(t, n)
+	})
 }

@@ -1,10 +1,13 @@
 package noc
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
+	"nord/internal/fault"
+	"nord/internal/flit"
 	"nord/internal/stats"
 	"nord/internal/topology"
 	"nord/internal/traffic"
@@ -22,22 +25,113 @@ func goldenRun(t *testing.T, p Params, fullScan bool, rate float64, seed int64, 
 // measuredRun drives one sweep point through warm-up and a finished
 // measurement window and returns the network.
 func measuredRun(p Params, fullScan bool, rate float64, seed int64, warmup, measure int) *Network {
-	n := MustNew(p)
+	n, _, err := twinCell{p: p, rate: rate, seed: seed, warmup: warmup, measure: measure}.run(fullScan)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
+// fullScanStep is the reference twin of the event-sparse kernel: it puts
+// every node on the worklist before the cycle, so each phase walks all N
+// nodes, the original walk-everything loop. (The cycle's deactivation
+// sweep clears a node's bit only as the cycle's last walk visits it.)
+func fullScanStep(n *Network) error {
+	n.setAllActive()
+	return n.Step()
+}
+
+// twinCell is one run that the event-sparse kernel and its full-scan twin
+// are compared on. Uniform traffic runs through warm-up and a finished
+// measurement window; then, for up to drain cycles, injection stops while
+// the source queues and the network drain. A non-nil schedule is armed
+// before the first cycle, and onDeliver, when set, sees every delivery.
+type twinCell struct {
+	p                      Params
+	sched                  *fault.Schedule
+	rate                   float64
+	seed                   int64
+	warmup, measure, drain int
+	onDeliver              func(*flit.Packet, uint64)
+}
+
+// run drives the cell on one kernel. It stops at the first structured
+// error and returns it.
+func (c twinCell) run(fullScan bool) (*Network, *traffic.Synthetic, error) {
+	n := MustNew(c.p)
+	if c.onDeliver != nil {
+		n.SetDeliveryHandler(c.onDeliver)
+	}
+	if c.sched != nil {
+		if err := n.AttachFaults(c.sched, FaultOptions{}); err != nil {
+			panic(err)
+		}
+	}
+	step := (*Network).Step
 	if fullScan {
-		n.fullScan()
+		step = fullScanStep
 	}
-	inj := traffic.NewSynthetic(n, traffic.UniformRandom, rate, seed)
-	for c := 0; c < warmup; c++ {
+	inj := traffic.NewSynthetic(n, traffic.UniformRandom, c.rate, c.seed)
+	for i := 0; i < c.warmup+c.measure; i++ {
+		if i == c.warmup {
+			n.BeginMeasurement()
+		}
 		inj.Tick(n.Cycle())
-		n.Tick()
-	}
-	n.BeginMeasurement()
-	for c := 0; c < measure; c++ {
-		inj.Tick(n.Cycle())
-		n.Tick()
+		if err := step(n); err != nil {
+			return n, inj, err
+		}
 	}
 	n.FinishMeasurement()
-	return n
+	inj.Rate = 0
+	for i := 0; i < c.drain && (inj.Pending() > 0 || !n.Quiescent()); i++ {
+		inj.Tick(n.Cycle())
+		if err := step(n); err != nil {
+			return n, inj, err
+		}
+	}
+	return n, inj, nil
+}
+
+// twinOut is everything the two kernels must agree on.
+type twinOut struct {
+	Collector *stats.NoC
+	Routers   []RouterReport
+	Faults    *fault.Report
+	InFlight  int
+	Err       error
+}
+
+func outputsOf(n *Network, err error) twinOut {
+	return twinOut{n.Collector(), n.PerRouterReports(), n.FaultReport(), n.InFlight(), err}
+}
+
+// outputs runs the cell on one kernel and returns what it observed.
+func (c twinCell) outputs(fullScan bool) twinOut {
+	n, _, err := c.run(fullScan)
+	return outputsOf(n, err)
+}
+
+// compareTwins reports every output on which the sparse run s and the
+// full-scan run f differ.
+func compareTwins(t *testing.T, s, f twinOut) {
+	t.Helper()
+	if !reflect.DeepEqual(s.Collector, f.Collector) {
+		t.Errorf("collector statistics diverge:\nsparse: %+v\nfull:   %+v", s.Collector, f.Collector)
+	}
+	for i := range s.Routers {
+		if !reflect.DeepEqual(s.Routers[i], f.Routers[i]) {
+			t.Errorf("router %d report diverges:\nsparse: %+v\nfull:   %+v", i, s.Routers[i], f.Routers[i])
+		}
+	}
+	if !reflect.DeepEqual(s.Faults, f.Faults) {
+		t.Errorf("fault report diverges:\nsparse: %v\nfull:   %v", s.Faults, f.Faults)
+	}
+	if s.InFlight != f.InFlight {
+		t.Errorf("in-flight count diverges: sparse %d, full %d", s.InFlight, f.InFlight)
+	}
+	if !reflect.DeepEqual(s.Err, f.Err) {
+		t.Errorf("run error diverges:\nsparse: %v\nfull:   %v", s.Err, f.Err)
+	}
 }
 
 // TestCollectorReadsIdempotent: reading the statistics changes none of
@@ -91,11 +185,23 @@ func TestCollectorReadsIdempotent(t *testing.T) {
 }
 
 // TestEventSparseMatchesFullScan is the determinism golden test of the
-// event-sparse kernel: for every design, a mid-load sweep point run with
-// the active-worklist kernel must produce statistics bit-identical to the
-// same run with the full-scan kernel (Network.fullScan).
+// event-sparse kernel: every row run on the active-worklist kernel must
+// match the same run on its full-scan twin (fullScanStep) bit for bit, on
+// the collector, the per-router reports, the fault report, the in-flight
+// count and the run's error. The named rows are mid-load 8x8 sweep points,
+// one per design and NoRD option set. The faulted rows arm one schedule
+// per topology x design x fault kind and drain after the window. Without
+// nodeNeedsTick's wake-watchdog condition the cmesh Conv_PG_OPT stuck-off
+// row and the mesh Conv_PG_OPT drop-wakeup row diverge: a router whose
+// wake was refused left the worklist with its watchdog stamp set, and the
+// next demand was timed from that stale stamp.
 func TestEventSparseMatchesFullScan(t *testing.T) {
-	cases := []struct {
+	type row struct {
+		name string
+		cell twinCell
+	}
+	var rows []row
+	for _, tc := range []struct {
 		name   string
 		rate   float64
 		mutate func(*Params)
@@ -114,51 +220,95 @@ func TestEventSparseMatchesFullScan(t *testing.T) {
 			p.Design = NoRD
 			p.ForcedOff = true
 		}},
+	} {
+		p := DefaultParams(NoPG)
+		p.Width, p.Height = 8, 8
+		tc.mutate(&p)
+		rows = append(rows, row{tc.name, twinCell{p: p, rate: tc.rate, seed: 7, warmup: 1000, measure: 4000}})
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			p := DefaultParams(NoPG)
-			p.Width, p.Height = 8, 8
-			tc.mutate(&p)
 
-			sCol, sPer, sInFlight := goldenRun(t, p, false, tc.rate, 7, 1000, 4000)
-			fCol, fPer, fInFlight := goldenRun(t, p, true, tc.rate, 7, 1000, 4000)
-
-			if sCol.PacketsDelivered == 0 {
-				t.Fatal("sweep point delivered no packets; test is vacuous")
-			}
-			if !reflect.DeepEqual(sCol, fCol) {
-				t.Errorf("collector statistics diverge:\nsparse: %+v\nfull:   %+v", sCol, fCol)
-			}
-			if !reflect.DeepEqual(sPer, fPer) {
-				for i := range sPer {
-					if !reflect.DeepEqual(sPer[i], fPer[i]) {
-						t.Errorf("router %d report diverges:\nsparse: %+v\nfull:   %+v", i, sPer[i], fPer[i])
-					}
+	kinds := []struct {
+		name string
+		cfg  fault.Config
+	}{
+		{"stuck-off", fault.Config{StuckOff: 2}},
+		{"drop-wakeup", fault.Config{DropWakeups: 3}},
+		{"hard-fail", fault.Config{HardFails: 2}},
+		{"corrupt-link", fault.Config{CorruptLinks: 16}},
+	}
+	grids := []struct {
+		kind topology.Kind
+		side int
+	}{{topology.KindMesh, 6}, {topology.KindTorus, 6}, {topology.KindCMesh, 4}}
+	for _, g := range grids {
+		for _, d := range Designs() {
+			p := DefaultParams(d)
+			p.Topology = g.kind
+			p.Width, p.Height = g.side, g.side
+			p.VCsPerClass = max(p.VCsPerClass, MinVCs(d, g.kind))
+			// A partition after hard fails surfaces as a DeadlockError,
+			// one of the compared outputs.
+			p.WatchdogLimit = 2_000
+			for _, k := range kinds {
+				cfg := k.cfg
+				cfg.Seed, cfg.Horizon = 21, 3000
+				sched, err := fault.Generate(cfg, p.NumNodes())
+				if err != nil {
+					t.Fatal(err)
 				}
+				rows = append(rows, row{fmt.Sprintf("faulted/%v/%v/%s", g.kind, d, k.name),
+					twinCell{p: p, sched: sched, rate: 0.02, seed: 3, warmup: 600, measure: 3000, drain: 20_000}})
 			}
-			if sInFlight != fInFlight {
-				t.Errorf("in-flight count diverges: sparse %d, full %d", sInFlight, fInFlight)
+		}
+	}
+
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			s, f := r.cell.outputs(false), r.cell.outputs(true)
+			if s.Collector.PacketsDelivered == 0 {
+				t.Fatal("row delivered no packets; test is vacuous")
 			}
+			compareTwins(t, s, f)
 		})
 	}
 }
 
 // TestSparseDormancy sanity-checks that the worklist actually shrinks: an
-// idle gated network must end up with (almost) no active nodes, otherwise
-// the kernel is correct but pointless.
+// idle gated network must end up with no active nodes, otherwise the
+// kernel is correct but pointless. A network with a fault schedule armed
+// runs the same kernel, so once its faulted traffic has drained, it goes
+// dormant too.
 func TestSparseDormancy(t *testing.T) {
-	p := DefaultParams(NoRD)
-	p.Width, p.Height = 8, 8
-	n := MustNew(p)
-	n.Run(2000) // no traffic: everything gates off and goes dormant
-	if got := len(n.collectActive()); got != 0 {
-		t.Errorf("idle NoRD network keeps %d nodes active, want 0", got)
-	}
-	for id := 0; id < p.NumNodes(); id++ {
-		if n.RouterPowerOn(id) {
-			t.Fatalf("router %d still on in an idle gated network", id)
+	t.Run("idle", func(t *testing.T) {
+		p := DefaultParams(NoRD)
+		p.Width, p.Height = 8, 8
+		n := MustNew(p)
+		n.Run(2000) // no traffic: everything gates off and goes dormant
+		if got := len(n.collectActive()); got != 0 {
+			t.Errorf("idle NoRD network keeps %d nodes active, want 0", got)
 		}
+		for id := 0; id < p.NumNodes(); id++ {
+			if n.RouterPowerOn(id) {
+				t.Fatalf("router %d still on in an idle gated network", id)
+			}
+		}
+	})
+	for _, d := range Designs() {
+		t.Run("faulted/"+d.String(), func(t *testing.T) {
+			p := DefaultParams(d)
+			sched, err := fault.Generate(fault.Config{Seed: 5, Horizon: 2000, StuckOff: 2, DropWakeups: 2, CorruptLinks: 8}, p.NumNodes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, _, err := twinCell{p: p, sched: sched, rate: 0.05, seed: 5, measure: 2000, drain: 50_000}.run(false)
+			if err != nil || !n.Quiescent() {
+				t.Fatalf("faulted run did not drain (err %v, %d in flight)", err, n.InFlight())
+			}
+			n.Run(2000)
+			if got := len(n.collectActive()); got != 0 {
+				t.Errorf("drained faulted %v network keeps %d of %d nodes active, want 0", d, got, p.NumNodes())
+			}
+		})
 	}
 }
 
