@@ -69,7 +69,8 @@ func resultDigest(r Result) string {
 // cycle (the done-in-warmup cell), recording runs no warmup, and only faulted
 // synthetic runs drain. The four 8x8 NoRD rows (aggressive bypass with
 // dynamic classification, forced-off, torus with every fault kind, and
-// the tracer's bytes) came later and are held to the same rule.
+// the tracer's bytes) and the No_PG and Conv_PG_OPT workload rows came
+// later and are held to the same rule.
 var resultGoldens = map[string]string{
 	"loadsweep/4x4":                             "[No_PG 0.05 22.7369421 11.2061327 0.048953125 false \"\"][No_PG 0.2 23.9148593 20.4835053 0.20140625 false \"\"][Conv_PG_OPT 0.05 42.5902579 9.91936582 0.048484375 false \"\"][Conv_PG_OPT 0.2 29.8142228 20.6156328 0.200203125 false \"\"][NoRD 0.05 41.1578947 11.0115596 0.048578125 false \"\"][NoRD 0.2 26.8777111 21.6745056 0.20140625 false \"\"]",
 	"powerseries/NoRD":                          "[1000 10.8546918 0.3908125 0.0516875][2000 13.6813399 0.2119375 0.064875][3000 12.5272618 0.3098125 0.059]",
@@ -96,6 +97,8 @@ var resultGoldens = map[string]string{
 	"workload/canneal/NoRD":                     "cyc=82152 pkts=23881 p50/95/99=24/98/126 wake=3017 gate=3025 mis=13916 esc=4419 exec=87152",
 	"workload/x264/NoRD":                        "cyc=129413 pkts=69486 p50/95/99=23/92/122 wake=3598 gate=3604 mis=25656 esc=7540 exec=134413",
 	"workload/blackscholes/NoRD":                "cyc=9951 pkts=1740 p50/95/99=26/93/116 wake=409 gate=416 mis=1340 esc=431 exec=14951",
+	"workload/dedup/No_PG":                      "cyc=24024 pkts=8460 p50/95/99=18/32/38 wake=0 gate=0 mis=0 esc=0 exec=29024",
+	"workload/ferret/Conv_PG_OPT":               "cyc=23372 pkts=5734 p50/95/99=39/75/94 wake=5497 gate=5504 mis=0 esc=15 exec=28372",
 	"workload/swaptions/Conv_PG":                "cyc=5283 pkts=290 p50/95/99=47/98/125 wake=512 gate=520 mis=0 esc=0 exec=10283",
 	"workload/swaptions/Conv_PG/done-in-warmup": "cyc=1 pkts=0 p50/95/99=0/0/0 wake=0 gate=0 mis=0 esc=0 exec=3665",
 }
@@ -171,6 +174,12 @@ func TestResultGoldens(t *testing.T) {
 		r, err = runWorkload(WorkloadConfig{Design: noc.NoRD, Benchmark: bench, Scale: 0.05, Seed: 1})
 		note("workload/"+bench+"/NoRD", r, err)
 	}
+
+	// The two designs no cell above runs under full-system traffic.
+	r, err = runWorkload(WorkloadConfig{Design: noc.NoPG, Benchmark: "dedup", Scale: 0.03, Seed: 3})
+	note("workload/dedup/No_PG", r, err)
+	r, err = runWorkload(WorkloadConfig{Design: noc.ConvPGOpt, Benchmark: "ferret", Scale: 0.03, Seed: 5})
+	note("workload/ferret/Conv_PG_OPT", r, err)
 
 	tr, r, err := RecordWorkloadTrace(WorkloadConfig{Design: noc.NoPG, Benchmark: "dedup", Scale: 0.02, Seed: 7})
 	note("record/dedup/No_PG", r, err)
