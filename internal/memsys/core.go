@@ -49,6 +49,10 @@ func newCore(sys *System, node int, seed int64) *core {
 
 func (c *core) done() bool { return c.phase == phaseDone }
 
+// active reports whether ticking the core does anything: it runs or
+// retries an operation, rather than waiting on a load or being done.
+func (c *core) active() bool { return c.phase == phaseRun || c.phase == phaseRetryOp }
+
 // inMemPhase reports whether this core currently executes the
 // memory-intensive phase: the chip-global phase (multithreaded workloads
 // alternate parallel memory phases and compute/serial phases together,
@@ -132,6 +136,7 @@ func (c *core) tick() {
 		if c.instrDone >= c.quota {
 			c.phase = phaseDone
 			c.finishCycle = c.sys.now()
+			c.sys.coresDone++
 			return
 		}
 		c.instrDone++
@@ -169,13 +174,11 @@ func (c *core) issue(block uint64, store bool) {
 	}
 }
 
-// loadDone unblocks a core stalled on a load.
+// loadDone unblocks a core stalled on a load, putting it back among the
+// cores the System steps.
 func (c *core) loadDone() {
 	if c.phase == phaseWaitLoad {
 		c.phase = phaseRun
+		c.sys.running.add(c.node)
 	}
 }
-
-// storeDone is called when an outstanding store retires; retries are
-// polled, so nothing to do.
-func (c *core) storeDone() {}

@@ -1,9 +1,6 @@
 package memsys
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // dirState is the directory's view of a block.
 type dirState uint8
@@ -19,7 +16,7 @@ const (
 // which affects whether fills come from the bank or from memory.
 type dirEntry struct {
 	state   dirState
-	sharers map[int]bool
+	sharers nodeSet
 	owner   int
 }
 
@@ -60,15 +57,10 @@ func newHome(sys *System, node int) *homectrl {
 func (h *homectrl) entry(block uint64) *dirEntry {
 	e := h.dir[block]
 	if e == nil {
-		e = &dirEntry{state: dirI, sharers: make(map[int]bool)}
+		e = &dirEntry{state: dirI, sharers: newNodeSet(len(h.sys.homes))}
 		h.dir[block] = e
 	}
 	return e
-}
-
-// deliver enqueues a message after the L2 access latency.
-func (h *homectrl) deliver(m *Msg) {
-	h.inQ.push(m, h.sys.now()+uint64(h.sys.prof.L2Latency))
 }
 
 // tick processes one due message per cycle (bank bandwidth).
@@ -131,8 +123,8 @@ func (h *homectrl) serve(m *Msg) {
 			// back here; block until the copy lands.
 			h.busy[m.Block] = &inFlight{kind: MsgGetS, req: m.Requester}
 			h.sys.send(h.node, e.owner, &Msg{Type: MsgFwdGetS, Block: m.Block, Requester: m.Requester})
-			e.sharers[e.owner] = true
-			e.sharers[m.Requester] = true
+			e.sharers.add(e.owner)
+			e.sharers.add(m.Requester)
 			e.owner = -1
 		}
 	case MsgGetM:
@@ -176,7 +168,7 @@ func (h *homectrl) dataToRequester(block uint64, kind MsgType, req int) {
 func (h *homectrl) serveFromL2(block uint64, kind MsgType, req int) {
 	e := h.entry(block)
 	if kind == MsgGetS {
-		if e.state == dirI && len(e.sharers) == 0 {
+		if e.state == dirI && e.sharers.empty() {
 			// MESI: a solo reader receives the block Exclusive and is
 			// tracked as its owner; it may silently upgrade to M.
 			h.sys.send(h.node, req, &Msg{Type: MsgData, Block: block, Requester: req, Exclusive: true})
@@ -187,22 +179,18 @@ func (h *homectrl) serveFromL2(block uint64, kind MsgType, req int) {
 		}
 		h.sys.send(h.node, req, &Msg{Type: MsgData, Block: block, Requester: req})
 		e.state = dirS
-		e.sharers[req] = true
+		e.sharers.add(req)
 		h.unblock(block)
 		return
 	}
 	// GetM: invalidate all other sharers (in node order, for determinism);
 	// their acks go to the requester.
-	sharers := make([]int, 0, len(e.sharers))
-	for s := range e.sharers {
+	acks := 0
+	for s := e.sharers.next(0); s >= 0; s = e.sharers.next(s + 1) {
 		if s != req {
-			sharers = append(sharers, s)
+			h.sys.send(h.node, s, &Msg{Type: MsgInv, Block: block, Requester: req})
+			acks++
 		}
-	}
-	sort.Ints(sharers)
-	acks := len(sharers)
-	for _, s := range sharers {
-		h.sys.send(h.node, s, &Msg{Type: MsgInv, Block: block, Requester: req})
 	}
 	h.sys.send(h.node, req, &Msg{Type: MsgData, Block: block, Requester: req, AckCount: acks})
 	e.state = dirM

@@ -25,8 +25,10 @@ type l1ctrl struct {
 	sys  *System
 	node int
 	c    *cache
-	// mshr maps block -> outstanding transaction.
-	mshr map[uint64]*mshrEntry
+	// mshr maps block -> outstanding transaction; stores counts the
+	// entries that are stores (the store buffer's occupancy).
+	mshr   map[uint64]*mshrEntry
+	stores int
 	// wbBuf holds dirty evicted blocks until the home acks the PutM; a
 	// forward arriving meanwhile is answered from here.
 	wbBuf map[uint64]bool
@@ -69,13 +71,7 @@ func newL1(sys *System, node int) *l1ctrl {
 
 // storeBufFull reports whether another outstanding store fits.
 func (l *l1ctrl) storeBufFull() bool {
-	n := 0
-	for _, e := range l.mshr {
-		if e.isStore {
-			n++
-		}
-	}
-	return n >= l.sys.prof.StoreBufEntries
+	return l.stores >= l.sys.prof.StoreBufEntries
 }
 
 // accessResult tells the core how a memory operation went.
@@ -146,14 +142,9 @@ func (l *l1ctrl) startMiss(block uint64, store bool) {
 	t := MsgGetS
 	if store {
 		t = MsgGetM
+		l.stores++
 	}
 	l.sys.send(l.node, l.sys.homeOf(block), &Msg{Type: t, Block: block, Requester: l.node})
-}
-
-// deliver enqueues a network message for processing after the L1 access
-// latency.
-func (l *l1ctrl) deliver(m *Msg) {
-	l.inQ.push(m, l.sys.now()+uint64(l.sys.prof.L1Latency))
 }
 
 // tick processes due messages (up to two per cycle: one fill, one probe).
@@ -241,6 +232,9 @@ func (l *l1ctrl) maybeComplete(block uint64, e *mshrEntry) {
 		return
 	}
 	delete(l.mshr, block)
+	if e.isStore {
+		l.stores--
+	}
 	l.missLatency.add(float64(l.sys.now() - e.issued))
 	if e.invalidated {
 		// The copy was invalidated in flight: the load consumes the
@@ -279,8 +273,5 @@ func (l *l1ctrl) maybeComplete(block uint64, e *mshrEntry) {
 		// stalled load.
 		l.loadBlock = noBlock
 		l.sys.cores[l.node].loadDone()
-	}
-	if e.isStore {
-		l.sys.cores[l.node].storeDone()
 	}
 }

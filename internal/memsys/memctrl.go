@@ -21,11 +21,6 @@ func newMemCtrl(sys *System, node int) *memctrl {
 	return &memctrl{sys: sys, node: node}
 }
 
-// deliver enqueues an access.
-func (mc *memctrl) deliver(m *Msg) {
-	mc.inQ.push(m, mc.sys.now())
-}
-
 // tick issues at most one access per cycle.
 func (mc *memctrl) tick() {
 	now := mc.sys.now()

@@ -123,7 +123,7 @@ func TestProfilesValid(t *testing.T) {
 }
 
 // newSys builds a memory system over a network of the given design.
-func newSys(t *testing.T, design noc.Design, prof Profile, seed int64) *System {
+func newSys(t testing.TB, design noc.Design, prof Profile, seed int64) *System {
 	t.Helper()
 	p := noc.DefaultParams(design)
 	p.Classes = flit.NumClasses

@@ -39,6 +39,8 @@ const (
 	MsgMemRead  // home -> memctrl (1 flit, class Request)
 	MsgMemWrite // home -> memctrl (data, class Request)
 	MsgMemData  // memctrl -> home (data, class Response)
+
+	numMsgTypes = iota
 )
 
 // String implements fmt.Stringer.

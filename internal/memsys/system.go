@@ -11,6 +11,11 @@ import (
 // msgQueue is a FIFO of messages that become processable at a given cycle.
 type msgQueue struct {
 	items []queuedMsg
+	// next is at most the earliest ready cycle among items (meaningless
+	// when the queue is empty): pop scans only once next has passed, and
+	// a scan that finds nothing due raises next to the earliest ready
+	// cycle.
+	next uint64
 }
 
 type queuedMsg struct {
@@ -19,26 +24,47 @@ type queuedMsg struct {
 }
 
 func (q *msgQueue) push(m *Msg, ready uint64) {
+	if len(q.items) == 0 || ready < q.next {
+		q.next = ready
+	}
 	q.items = append(q.items, queuedMsg{m: m, ready: ready})
 }
 
 // pop returns the oldest message whose ready time has passed, or nil.
 func (q *msgQueue) pop(now uint64) *Msg {
-	for i := range q.items {
-		if q.items[i].ready <= now {
-			m := q.items[i].m
-			q.items = append(q.items[:i], q.items[i+1:]...)
-			return m
-		}
+	if !q.due(now) {
+		return nil
 	}
+	earliest := ^uint64(0)
+	for i, it := range q.items {
+		if it.ready > now {
+			earliest = min(earliest, it.ready)
+			continue
+		}
+		if i == 0 {
+			q.items = q.items[1:]
+		} else {
+			q.items = append(q.items[:i], q.items[i+1:]...)
+		}
+		return it.m
+	}
+	q.next = earliest
 	return nil
 }
 
 func (q *msgQueue) len() int { return len(q.items) }
 
+// due reports whether the queue may hold a message ready at now (next is
+// a lower bound, so pop can still find nothing).
+func (q *msgQueue) due(now uint64) bool { return len(q.items) > 0 && q.next <= now }
+
 // System couples the memory hierarchy to a NoC: cores and L1s at every
 // node, an L2/directory bank at every node (shared S-NUCA), and memory
 // controllers at the four corners (Table 1).
+//
+// Step is event-driven: each kind of component has a set of the nodes
+// where it may have work, and a cycle steps only those (DESIGN.md §7
+// "memsys stepping").
 type System struct {
 	net  *noc.Network
 	prof Profile
@@ -46,9 +72,9 @@ type System struct {
 	cores []*core
 	l1s   []*l1ctrl
 	homes []*homectrl
-	mems  map[int]*memctrl
-	// memList is the controllers in deterministic (node id) order.
-	memList []*memctrl
+	// mems[node] is the memory controller at that node, nil off the
+	// corners.
+	mems []*memctrl
 	// memHome[node] is the corner controller serving that home bank.
 	memHome []int
 
@@ -57,8 +83,17 @@ type System struct {
 	// deadlocks on the network interface).
 	outQ [][]*flit.Packet
 	// delayed holds DRAM responses waiting out the memory latency before
-	// entering the network.
+	// entering the network, in release order: every entry waits the same
+	// MemLatency, so they mature front first.
 	delayed []delayedSend
+
+	// The stepping sets. homeQ, l1Q and memQ hold the nodes whose
+	// component has a non-empty input queue; running holds the cores
+	// that run or retry an operation; outQs holds the nodes with packets
+	// awaiting injection. A component outside its set has nothing to do.
+	homeQ, l1Q, memQ, running, outQs nodeSet
+	// coresDone counts the cores that retired their quota.
+	coresDone int
 
 	// Chip-global workload phase oscillator (see core.inMemPhase).
 	phaseRng  *rand.Rand
@@ -67,7 +102,7 @@ type System struct {
 	prevPhase bool
 	flipAt    uint64
 
-	msgsSent map[MsgType]uint64
+	msgsSent [numMsgTypes]uint64
 }
 
 // memPhaseAt returns the chip-global phase at the given (possibly
@@ -114,10 +149,14 @@ func NewSystem(net *noc.Network, prof Profile, seed int64) (*System, error) {
 		cores:    make([]*core, n),
 		l1s:      make([]*l1ctrl, n),
 		homes:    make([]*homectrl, n),
-		mems:     make(map[int]*memctrl),
+		mems:     make([]*memctrl, n),
 		memHome:  make([]int, n),
 		outQ:     make([][]*flit.Packet, n),
-		msgsSent: make(map[MsgType]uint64),
+		homeQ:    newNodeSet(n),
+		l1Q:      newNodeSet(n),
+		memQ:     newNodeSet(n),
+		running:  newNodeSet(n),
+		outQs:    newNodeSet(n),
 		phaseRng: rand.New(rand.NewSource(seed ^ 0x5eed)),
 		memPhase: true,
 	}
@@ -130,12 +169,11 @@ func NewSystem(net *noc.Network, prof Profile, seed int64) (*System, error) {
 		mesh.ID(mesh.W-1, mesh.H-1),
 	}
 	for _, c := range corners {
-		mc := newMemCtrl(s, c)
-		s.mems[c] = mc
-		s.memList = append(s.memList, mc)
+		s.mems[c] = newMemCtrl(s, c)
 	}
 	for id := 0; id < n; id++ {
 		s.cores[id] = newCore(s, id, seed+int64(id)*7919)
+		s.running.add(id)
 		s.l1s[id] = newL1(s, id)
 		s.homes[id] = newHome(s, id)
 		best, bestD := corners[0], 1<<30
@@ -180,9 +218,7 @@ func (s *System) sendDelayed(src, dst int, m *Msg, delay uint64) {
 		return
 	}
 	if delay == 0 {
-		p := s.net.NewPacket(src, dst, m.Type.Class(), m.Type.Flits())
-		p.Payload = m
-		s.outQ[src] = append(s.outQ[src], p)
+		s.enqueue(src, dst, m)
 		return
 	}
 	// Delayed remote send (memory data): hold locally, then enqueue.
@@ -195,20 +231,31 @@ type delayedSend struct {
 	at       uint64
 }
 
+// enqueue puts a remote message on its source's outbound queue.
+func (s *System) enqueue(src, dst int, m *Msg) {
+	p := s.net.NewPacket(src, dst, m.Type.Class(), m.Type.Flits())
+	p.Payload = m
+	s.outQ[src] = append(s.outQ[src], p)
+	s.outQs.add(src)
+}
+
 // dispatch routes a message to the right component at a node, applying
 // the component's input latency via its own queue.
 func (s *System) dispatch(node int, m *Msg, ready uint64) {
 	switch m.Type {
 	case MsgGetS, MsgGetM, MsgPutM, MsgPutE, MsgDataWB, MsgOwnerAck, MsgMemData:
 		s.homes[node].inQ.push(m, ready)
+		s.homeQ.add(node)
 	case MsgFwdGetS, MsgFwdGetM, MsgInv, MsgData, MsgInvAck, MsgWBAck:
 		s.l1s[node].inQ.push(m, ready)
+		s.l1Q.add(node)
 	case MsgMemRead, MsgMemWrite:
 		mc := s.mems[node]
 		if mc == nil {
 			panic(fmt.Sprintf("memsys: node %d has no memory controller", node))
 		}
 		mc.inQ.push(m, ready)
+		s.memQ.add(node)
 	default:
 		panic(fmt.Sprintf("memsys: cannot dispatch %s", m))
 	}
@@ -242,35 +289,66 @@ func (s *System) Tick() {
 // cores, then injection, then the network. It returns the network's
 // structured failure (*fault.DeadlockError, *fault.ProtocolError) rather
 // than panicking; the system is frozen from then on.
+//
+// Each phase walks its stepping set in ascending node order and steps
+// the members with something due; a member left with nothing queued (a
+// core left waiting or done) leaves the set. Work created within a cycle
+// is never due before the next one, so the walks step every component
+// that stepping all of them would have changed.
 func (s *System) Step() error {
+	s.advance()
+	return s.net.Step()
+}
+
+// advance runs the memory side of one cycle, everything Step does before
+// the network steps.
+func (s *System) advance() {
+	now := s.now()
 	// Release matured DRAM sends.
-	if len(s.delayed) > 0 {
-		keep := s.delayed[:0]
-		for _, d := range s.delayed {
-			if d.at > s.now() {
-				keep = append(keep, d)
-				continue
+	k := 0
+	for k < len(s.delayed) && s.delayed[k].at <= now {
+		d := s.delayed[k]
+		s.enqueue(d.src, d.dst, d.m)
+		k++
+	}
+	if k == len(s.delayed) {
+		s.delayed = s.delayed[:0]
+	} else {
+		s.delayed = s.delayed[k:]
+	}
+	for i := s.homeQ.next(0); i >= 0; i = s.homeQ.next(i + 1) {
+		if h := s.homes[i]; h.inQ.due(now) {
+			h.tick()
+			if h.inQ.len() == 0 {
+				s.homeQ.remove(i)
 			}
-			p := s.net.NewPacket(d.src, d.dst, d.m.Type.Class(), d.m.Type.Flits())
-			p.Payload = d.m
-			s.outQ[d.src] = append(s.outQ[d.src], p)
 		}
-		s.delayed = keep
 	}
-	for _, h := range s.homes {
-		h.tick()
+	for i := s.l1Q.next(0); i >= 0; i = s.l1Q.next(i + 1) {
+		if l := s.l1s[i]; l.inQ.due(now) {
+			l.tick()
+			if l.inQ.len() == 0 {
+				s.l1Q.remove(i)
+			}
+		}
 	}
-	for _, l := range s.l1s {
-		l.tick()
+	for i := s.memQ.next(0); i >= 0; i = s.memQ.next(i + 1) {
+		if mc := s.mems[i]; mc.inQ.due(now) && mc.nextFree <= now {
+			mc.tick()
+			if mc.inQ.len() == 0 {
+				s.memQ.remove(i)
+			}
+		}
 	}
-	for _, mc := range s.memList {
-		mc.tick()
-	}
-	for _, c := range s.cores {
+	for i := s.running.next(0); i >= 0; i = s.running.next(i + 1) {
+		c := s.cores[i]
 		c.tick()
+		if !c.active() {
+			s.running.remove(i)
+		}
 	}
 	// Flush outbound queues into the NIs (per-class backpressure).
-	for node := range s.outQ {
+	for node := s.outQs.next(0); node >= 0; node = s.outQs.next(node + 1) {
 		q := s.outQ[node]
 		for len(q) > 0 {
 			if !s.net.Inject(q[0]) {
@@ -279,19 +357,14 @@ func (s *System) Step() error {
 			q = q[1:]
 		}
 		s.outQ[node] = q
+		if len(q) == 0 {
+			s.outQs.remove(node)
+		}
 	}
-	return s.net.Step()
 }
 
 // Done reports whether every core has retired its instruction quota.
-func (s *System) Done() bool {
-	for _, c := range s.cores {
-		if !c.done() {
-			return false
-		}
-	}
-	return true
-}
+func (s *System) Done() bool { return s.coresDone == len(s.cores) }
 
 // Run executes until completion or maxCycles, returning the execution
 // time in cycles (the cycle the last core finished) and an error on
@@ -341,8 +414,8 @@ func (s *System) quiescent() bool {
 			return false
 		}
 	}
-	for _, mc := range s.memList {
-		if mc.inQ.len() != 0 {
+	for _, mc := range s.mems {
+		if mc != nil && mc.inQ.len() != 0 {
 			return false
 		}
 	}
@@ -371,14 +444,25 @@ func (s *System) L1HitRate() float64 {
 	return float64(hits) / float64(total)
 }
 
-// MsgCounts returns how many messages of each type were sent.
-func (s *System) MsgCounts() map[MsgType]uint64 { return s.msgsSent }
+// MsgCounts returns how many messages of each type were sent; types never
+// sent have no entry.
+func (s *System) MsgCounts() map[MsgType]uint64 {
+	counts := make(map[MsgType]uint64)
+	for t, n := range s.msgsSent {
+		if n != 0 {
+			counts[MsgType(t)] = n
+		}
+	}
+	return counts
+}
 
 // MemAccesses returns total DRAM reads and writes.
 func (s *System) MemAccesses() (reads, writes uint64) {
-	for _, mc := range s.memList {
-		reads += mc.reads
-		writes += mc.writes
+	for _, mc := range s.mems {
+		if mc != nil {
+			reads += mc.reads
+			writes += mc.writes
+		}
 	}
 	return reads, writes
 }
@@ -418,8 +502,8 @@ func (s *System) DebugDump() string {
 			}
 		}
 	}
-	for _, mc := range s.memList {
-		if mc.inQ.len() > 0 {
+	for _, mc := range s.mems {
+		if mc != nil && mc.inQ.len() > 0 {
 			out += fmt.Sprintf("memctrl %d inQ=%d\n", mc.node, mc.inQ.len())
 		}
 	}

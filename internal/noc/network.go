@@ -243,7 +243,9 @@ func (n *Network) SetTracer(t *obs.Tracer) {
 func (n *Network) Tracer() *obs.Tracer { return n.tracer }
 
 // SetDeliveryHandler registers a callback invoked when a packet's tail is
-// ejected at its destination (used by the memory-system substrate).
+// ejected at its destination (used by the memory-system substrate). The
+// handler must not keep the packet: once it returns, the network may
+// recycle the packet for a later NewPacket. It may keep the Payload.
 func (n *Network) SetDeliveryHandler(f func(*flit.Packet, uint64)) { n.ejectHandler = f }
 
 // BeginMeasurement starts statistics collection (call after warmup).
@@ -900,10 +902,11 @@ func (n *Network) deliverPacket(p *flit.Packet) {
 	}
 	if n.ejectHandler != nil {
 		n.ejectHandler(p, n.cycle)
-	} else if n.faults == nil && n.injectHook == nil {
-		// Nothing outside the network can retain the packet (handlers and
-		// hooks may hold delivered packets; the fault machinery's retry
-		// queue does): recycle it.
+	}
+	if n.faults == nil && n.injectHook == nil {
+		// Nothing outside the network retains the packet (a delivery
+		// handler may not; an inject hook may hold it, and the fault
+		// machinery's retry queue does): recycle it.
 		n.pool.PutPacket(p)
 	}
 }

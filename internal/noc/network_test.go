@@ -13,7 +13,9 @@ func runUntilDelivered(t *testing.T, n *Network, count int, budget int) []delive
 	t.Helper()
 	var got []deliveredPkt
 	n.SetDeliveryHandler(func(p *flit.Packet, cyc uint64) {
-		got = append(got, deliveredPkt{p: p, at: cyc})
+		// The network recycles a delivered packet: keep a copy.
+		cp := *p
+		got = append(got, deliveredPkt{p: &cp, at: cyc})
 	})
 	for i := 0; i < budget && len(got) < count; i++ {
 		n.Tick()

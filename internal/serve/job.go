@@ -109,12 +109,12 @@ func (f *feed[T]) publish(batch []T) {
 	}
 }
 
-// close ends every subscriber's stream; j.mu must be held.
+// close ends every subscriber's stream and forgets it; j.mu must be held.
 func (f *feed[T]) close() {
 	for ch := range f.subs {
 		close(ch)
 	}
-	f.subs = nil
+	clear(f.subs)
 }
 
 // subscribe returns f's history so far and a channel of future batches,
