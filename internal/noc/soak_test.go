@@ -105,7 +105,12 @@ func TestSoakRandomConfigs(t *testing.T) {
 // both kernels: topology, 2-7 routers per side, design, the NoRD options
 // and the two-stage pipeline (flags bits 0-3), VCs above the design's
 // minimum, a rate in per mille and the traffic seed, then the seed and
-// counts of a fault.Config. Its oracles:
+// counts of a fault.Config, then the buffer depth, wakeup latency,
+// GateIdleCycles, the NoRD wakeup thresholds, the class count with the
+// class traffic rides on, and the traffic pattern. Each of the last knobs
+// keeps its DefaultParams value (uniform traffic on class 0 of one) when
+// its byte is 0, so an entry that predates them replays unchanged. Its
+// oracles:
 //   - Params.Validate and New agree on whether the configuration exists;
 //   - the full-scan twin matches the event-sparse run on every output,
 //     the run's error included;
@@ -117,14 +122,33 @@ func TestSoakRandomConfigs(t *testing.T) {
 //     at a full source queue.
 //
 // The committed corpus holds the cells that diverged before
-// nodeNeedsTick kept a router with a pending wake-watchdog stamp ticking.
+// nodeNeedsTick kept a router with a pending wake-watchdog stamp ticking,
+// and soak-* cells drawn from TestSoakRandomConfigs' configurations.
 func FuzzNetwork(f *testing.F) {
-	f.Fuzz(func(t *testing.T, kind, width, height, design, flags, vcs uint8, ratePermille uint16, seed, faultSeed int64, stuck, drop, hard, corrupt uint8) {
+	patterns := []traffic.Pattern{traffic.UniformRandom, traffic.BitComplement, traffic.Transpose, traffic.Tornado}
+	f.Fuzz(func(t *testing.T, kind, width, height, design, flags, vcs uint8, ratePermille uint16, seed, faultSeed int64, stuck, drop, hard, corrupt,
+		buf, wake, gate, thrPerf, thrPower, classes, pattern uint8) {
 		p := DefaultParams(Design(int(design) % NumDesigns))
 		p.Topology = topology.Kind(kind % 3)
 		p.Width, p.Height = 2+int(width%6), 2+int(height%6)
 		p.VCsPerClass = MinVCs(p.Design, p.Topology) + int(vcs%3)
 		p.TwoStageRouter = flags&8 != 0
+		if v := int(buf % 8); v != 0 {
+			p.BufferDepth = v
+		}
+		if v := int(wake % 32); v != 0 {
+			p.WakeupLatency = v
+		}
+		if v := int(gate % 8); v != 0 {
+			p.GateIdleCycles = v - 1
+		}
+		if v := int(thrPerf % 10); v != 0 {
+			p.ThresholdPerf = v
+		}
+		if v := int(thrPower % 10); v != 0 {
+			p.ThresholdPower = v
+		}
+		p.Classes = 1 + int(classes%3)
 		if p.Design.Blocks().Bypass {
 			p.AggressiveBypass = flags&1 != 0
 			p.DynamicClassify = flags&2 != 0
@@ -153,6 +177,7 @@ func FuzzNetwork(f *testing.F) {
 		delivered := map[uint64]bool{}
 		c := twinCell{
 			p: p, sched: sched, rate: float64(ratePermille%151) / 1000, seed: seed,
+			pattern: patterns[pattern%4], class: flit.Class(int(classes/3) % p.Classes),
 			// Saturated draws (NoRD forced off on a large cmesh) take tens
 			// of thousands of cycles to empty their source queues; a real
 			// stall trips the 3000-cycle watchdog long before this budget.

@@ -42,13 +42,16 @@ func fullScanStep(n *Network) error {
 }
 
 // twinCell is one run that the event-sparse kernel and its full-scan twin
-// are compared on. Uniform traffic runs through warm-up and a finished
-// measurement window; then, for up to drain cycles, injection stops while
-// the source queues and the network drain. A non-nil schedule is armed
-// before the first cycle, and onDeliver, when set, sees every delivery.
+// are compared on. Traffic of the pattern (uniform when nil) on one class
+// runs through warm-up and a finished measurement window; then, for up to
+// drain cycles, injection stops while the source queues and the network
+// drain. A non-nil schedule is armed before the first cycle, and
+// onDeliver, when set, sees every delivery.
 type twinCell struct {
 	p                      Params
 	sched                  *fault.Schedule
+	pattern                traffic.Pattern
+	class                  flit.Class
 	rate                   float64
 	seed                   int64
 	warmup, measure, drain int
@@ -71,7 +74,12 @@ func (c twinCell) run(fullScan bool) (*Network, *traffic.Synthetic, error) {
 	if fullScan {
 		step = fullScanStep
 	}
-	inj := traffic.NewSynthetic(n, traffic.UniformRandom, c.rate, c.seed)
+	pattern := c.pattern
+	if pattern == nil {
+		pattern = traffic.UniformRandom
+	}
+	inj := traffic.NewSynthetic(n, pattern, c.rate, c.seed)
+	inj.Class = c.class
 	for i := 0; i < c.warmup+c.measure; i++ {
 		if i == c.warmup {
 			n.BeginMeasurement()
