@@ -201,8 +201,8 @@ func TestConvPGCumulativeWakeup(t *testing.T) {
 	if lat <= 22+12 {
 		t.Errorf("Conv_PG latency %d suspiciously low; wakeups not charged?", lat)
 	}
-	if n.Collector().Wakeups < 4 {
-		t.Errorf("expected at least 4 wakeups (src + 3 downstream), got %d", n.Collector().Wakeups)
+	if n.Collector().Wakeups() < 4 {
+		t.Errorf("expected at least 4 wakeups (src + 3 downstream), got %d", n.Collector().Wakeups())
 	}
 }
 
@@ -241,8 +241,8 @@ func TestNoRDNoWakeupForSparseTraffic(t *testing.T) {
 	pkt := n.NewPacket(5, 10, flit.ClassRequest, 1)
 	n.Inject(pkt)
 	runUntilDelivered(t, n, 1, 2000)
-	if n.Collector().Wakeups != 0 {
-		t.Errorf("NoRD woke %d routers for a single sparse packet", n.Collector().Wakeups)
+	if n.Collector().Wakeups() != 0 {
+		t.Errorf("NoRD woke %d routers for a single sparse packet", n.Collector().Wakeups())
 	}
 }
 
@@ -260,7 +260,7 @@ func TestNoRDWakeupMetricFires(t *testing.T) {
 		n.Inject(n.NewPacket(5, 10, flit.ClassRequest, 1))
 	}
 	n.Run(60)
-	if n.Collector().Wakeups == 0 {
+	if n.Collector().Wakeups() == 0 {
 		t.Error("sustained injection did not wake the performance-centric router")
 	}
 }

@@ -150,14 +150,11 @@ type NI struct {
 	// reclassification rounds (DynamicClassify).
 	demandAccum uint64
 
-	// Per-NI event counts, measured interval only; foldStats sums them
-	// into the collector. statVCRequests sums the per-cycle VC requests
-	// (the raw signal of NoRD's wakeup metric), statLocalFlits the flits
-	// delivered over a concentrated router's NI-local path.
-	statVCRequests    uint64
-	statBypassInjects uint64
-	statBypassEjects  uint64
-	statLocalFlits    uint64
+	// statVCRequests sums the per-cycle VC requests (the raw signal of
+	// NoRD's wakeup metric), measured interval only; foldStats sums it
+	// into the collector. The NI's priced events go to its router's
+	// record.
+	statVCRequests uint64
 }
 
 // initNI initialises a (zeroed, contiguously allocated) NI in place.
@@ -384,7 +381,7 @@ func (ni *NI) tickDeliver() {
 				continue
 			}
 			if ni.net.collecting && tp.p.InjectTime >= ni.net.measureFrom {
-				ni.statLocalFlits += uint64(tp.p.Length)
+				ni.net.routers[ni.id].ev.LocalFlits += uint64(tp.p.Length)
 			}
 			ni.net.deliverPacket(tp.p)
 		}

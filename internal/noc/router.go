@@ -6,7 +6,7 @@ import (
 
 	"nord/internal/fault"
 	"nord/internal/flit"
-	"nord/internal/obs"
+	"nord/internal/power"
 	"nord/internal/stats"
 	"nord/internal/topology"
 )
@@ -171,29 +171,20 @@ type Router struct {
 	// saScratch is reused each cycle to gather SA candidates.
 	saScratch []saCand
 
-	// Per-router event counts, measured interval only. They are the one
-	// record of these events: foldStats sums them into the collector.
-	// statWakes is indexed by the wake's cause (CauseNone stays 0).
-	statWakes       [obs.CauseWatchdog + 1]uint64
-	statGateOffs    uint64
-	statSAGrants    uint64
-	statBypassFlits uint64
-	statMisroutes   uint64
-	statEscapes     uint64
-	statVAGrants    uint64
-	statBufWrites   uint64
-	// statLinkFlits counts flits sent onto the links leaving this node,
-	// the NI's ring sends included.
-	statLinkFlits uint64
+	// ev is this node's record of the priced events (its NI's included),
+	// measured interval only: foldStats sums the records into the
+	// collector. Its residency is charged through cycle resFrom by
+	// settle; the open stretch since resFrom belongs to the current state.
+	ev      power.Events
+	resFrom uint64
+
+	// The other per-router event counts, measured interval only.
+	statGateOffs  uint64
+	statMisroutes uint64
+	statEscapes   uint64
 	// statWakeStall samples the cycles a head stalled here waiting for
 	// the router it must enter to wake.
 	statWakeStall stats.Sample
-
-	// resid[s] is the measured cycles spent in power state s, charged
-	// through cycle resFrom by settle; the open stretch since resFrom
-	// belongs to the current state.
-	resid   [powerWaking + 1]uint64
-	resFrom uint64
 
 	// The idle run, stamped where it changes like the residency above:
 	// statIdle is the measured cycles of r's closed idle runs and, while

@@ -383,7 +383,7 @@ func TestActiveSetComposition(t *testing.T) {
 		for _, f := range []*float64{&b.active, &b.routerBusy, &b.niBusy, &b.idleOn, &b.idleWindow} {
 			*f /= cycles
 		}
-		return b, n.Collector().PacketLatency.Mean()
+		return b, n.Collector().AvgPacketLatency()
 	}
 	for _, d := range []Design{NoRD, NoPG} {
 		b, latency := measure(d)

@@ -174,8 +174,8 @@ func TestStressForcedOffHighLoad(t *testing.T) {
 	p := DefaultParams(NoRD)
 	p.ForcedOff = true
 	n := stressOne(t, p, traffic.UniformRandom, 0.10, 4000, 23)
-	if n.Collector().Wakeups != 0 {
-		t.Errorf("forced-off network woke %d routers", n.Collector().Wakeups)
+	if n.Collector().Wakeups() != 0 {
+		t.Errorf("forced-off network woke %d routers", n.Collector().Wakeups())
 	}
 	if !(n.Collector().BypassHops > 0) {
 		t.Error("no bypass traffic recorded")
@@ -188,7 +188,7 @@ func TestStressNoRDPerfCentric(t *testing.T) {
 	n := stressOne(t, p, traffic.UniformRandom, 0.10, 6000, 31)
 	// Under sustained 10% load the network must wake at least the
 	// performance-centric routers at some point.
-	if n.Collector().Wakeups == 0 {
+	if n.Collector().Wakeups() == 0 {
 		t.Error("no wakeups under sustained load with threshold-1 routers")
 	}
 }
@@ -203,8 +203,8 @@ func TestNoRDBeatsConvPGAtLowLoad(t *testing.T) {
 		results[d] = stressOne(t, p, traffic.UniformRandom, 0.05, 8000, 77)
 	}
 	nordCol, convCol := results[NoRD].Collector(), results[ConvPG].Collector()
-	if nordCol.Wakeups >= convCol.Wakeups {
-		t.Errorf("NoRD wakeups (%d) should be far below Conv_PG (%d)", nordCol.Wakeups, convCol.Wakeups)
+	if nordCol.Wakeups() >= convCol.Wakeups() {
+		t.Errorf("NoRD wakeups (%d) should be far below Conv_PG (%d)", nordCol.Wakeups(), convCol.Wakeups())
 	}
 	if nordCol.AvgPacketLatency() >= convCol.AvgPacketLatency() {
 		t.Errorf("NoRD latency (%.1f) should beat Conv_PG (%.1f)",

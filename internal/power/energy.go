@@ -1,35 +1,102 @@
 package power
 
-// Counts aggregates the raw event counts a simulation produces; the model
-// converts them into energy. All counts are totals across the whole NoC
-// over the measured interval.
+import "nord/internal/obs"
+
+// Events is the one record of the datapath events the model prices. Each
+// router counts the events it and its NI see into its own copy, the
+// collector's copy is the sum of those (Add), and a window of a run is the
+// difference of two cumulative copies (Sub).
+type Events struct {
+	// BufWrites counts flits written into an input buffer.
+	BufWrites uint64
+	// SAGrants counts switch grants. Each is one SA arbitration, one
+	// buffer read, one crossbar traversal and one clocked flit hop.
+	SAGrants uint64
+	// VAGrants counts output VCs (or Local ejections) granted.
+	VAGrants uint64
+	// LinkTraversals counts flits sent onto an inter-router link.
+	LinkTraversals uint64
+	// BypassHops counts flits forwarded through a gated-off router's NI
+	// bypass, BypassInjections local flits injected over the bypass
+	// outport and BypassEjections flits sunk at the local node off the
+	// bypass latch.
+	BypassHops, BypassInjections, BypassEjections uint64
+	// LocalFlits counts flits delivered over a concentrated router's
+	// NI-local path (terminal-to-terminal traffic that never enters the
+	// network); 0 on concentration-1 topologies.
+	LocalFlits uint64
+	// Wakes counts off->on transitions by the signal that asserted the
+	// wakeup (indexed by obs.Cause; CauseNone stays 0). Each carries the
+	// sleep-signal distribution + wakeup energy overhead.
+	Wakes [obs.CauseWatchdog + 1]uint64
+	// OnCycles, OffCycles and WakingCycles are the cycles spent powered
+	// on, gated off and waking; a waking router burns full static power.
+	OnCycles, OffCycles, WakingCycles uint64
+}
+
+// Add adds o's counts to e: the sum over routers.
+func (e *Events) Add(o *Events) {
+	e.BufWrites += o.BufWrites
+	e.SAGrants += o.SAGrants
+	e.VAGrants += o.VAGrants
+	e.LinkTraversals += o.LinkTraversals
+	e.BypassHops += o.BypassHops
+	e.BypassInjections += o.BypassInjections
+	e.BypassEjections += o.BypassEjections
+	e.LocalFlits += o.LocalFlits
+	for i, w := range o.Wakes {
+		e.Wakes[i] += w
+	}
+	e.OnCycles += o.OnCycles
+	e.OffCycles += o.OffCycles
+	e.WakingCycles += o.WakingCycles
+}
+
+// Sub returns the events between an earlier cumulative copy o and e.
+func (e Events) Sub(o Events) Events {
+	e.BufWrites -= o.BufWrites
+	e.SAGrants -= o.SAGrants
+	e.VAGrants -= o.VAGrants
+	e.LinkTraversals -= o.LinkTraversals
+	e.BypassHops -= o.BypassHops
+	e.BypassInjections -= o.BypassInjections
+	e.BypassEjections -= o.BypassEjections
+	e.LocalFlits -= o.LocalFlits
+	for i, w := range o.Wakes {
+		e.Wakes[i] -= w
+	}
+	e.OnCycles -= o.OnCycles
+	e.OffCycles -= o.OffCycles
+	e.WakingCycles -= o.WakingCycles
+	return e
+}
+
+// Wakeups returns the off->on transitions, summed over causes.
+func (e Events) Wakeups() (sum uint64) {
+	for _, w := range e.Wakes {
+		sum += w
+	}
+	return sum
+}
+
+// OffFraction returns the fraction of router-cycles spent gated off.
+func (e Events) OffFraction() float64 {
+	total := e.OnCycles + e.OffCycles + e.WakingCycles
+	if total == 0 {
+		return 0
+	}
+	return float64(e.OffCycles) / float64(total)
+}
+
+// Counts is the model's input: the priced events of an interval, summed
+// over the NoC, with the population and hardware they are priced on.
 type Counts struct {
-	// Cycles is the length of the measured interval.
+	Events
+	// Cycles is the length of the interval.
 	Cycles uint64
 	// Routers and Links are the population sizes (links counted as
 	// unidirectional channels).
 	Routers, Links int
-
-	// RouterOnCycles is the sum over routers of cycles spent powered on
-	// (including waking cycles, which still burn full static power).
-	RouterOnCycles uint64
-	// RouterOffCycles is the sum over routers of cycles spent gated off.
-	RouterOffCycles uint64
-
-	// Wakeups is the number of off->on transitions (each carrying the
-	// sleep-signal distribution + wakeup energy overhead).
-	Wakeups uint64
-
-	// Dynamic event counts.
-	BufWrites, BufReads uint64
-	XbarTraversals      uint64
-	VAArbs, SAArbs      uint64
-	ClockedFlitHops     uint64
-	LinkTraversals      uint64
-	BypassHops          uint64 // flits forwarded through a gated-off NI bypass
-	BypassInjections    uint64 // local flits injected via the bypass outport
-	BypassEjections     uint64 // flits sunk at the local node via the bypass latch
-	LocalFlits          uint64 // flits crossing a concentrated router's NI-local path
 
 	// LinkLengthFactor scales link energy (static and dynamic) for
 	// topologies whose channels span more than one mesh tile pitch (2.0
@@ -73,9 +140,9 @@ func (m *Model) Energy(c Counts) Breakdown {
 
 	// Router static: full static while on (or waking); while gated off
 	// only the non-gated controller (and NoRD's bypass datapath) leak.
-	b.RouterStatic = float64(c.RouterOnCycles) * m.RouterStaticW() * cyc
+	b.RouterStatic = float64(c.OnCycles+c.WakingCycles) * m.RouterStaticW() * cyc
 	if c.Blocks.PGSwitch {
-		b.RouterStatic += float64(float64(c.RouterOffCycles) * m.ControllerStaticW() * cyc)
+		b.RouterStatic += float64(float64(c.OffCycles) * m.ControllerStaticW() * cyc)
 	}
 	if c.Blocks.Bypass {
 		// The bypass datapath is never power-gated: it leaks for the
@@ -85,16 +152,17 @@ func (m *Model) Energy(c Counts) Breakdown {
 
 	// Router dynamic. Local-path flits of a concentrated router are
 	// charged like bypass hops: a latch-to-latch hop that skips the full
-	// buffered pipeline.
+	// buffered pipeline. A switch grant is also the buffer read, the
+	// crossbar traversal and the clocked flit hop.
 	// float64(…) rounds each product before the sum: without it gc fuses
 	// multiply-adds on arm64 and others, and the last bits would depend
 	// on the host (scripts/fmacheck.sh).
 	b.RouterDynamic = float64(float64(c.BufWrites)*m.EBufferWrite()) +
-		float64(float64(c.BufReads)*m.EBufferRead()) +
-		float64(float64(c.XbarTraversals)*m.EXbar()) +
-		float64(float64(c.VAArbs)*m.EVAArb()) +
-		float64(float64(c.SAArbs)*m.ESAArb()) +
-		float64(float64(c.ClockedFlitHops)*m.EClockDyn()) +
+		float64(float64(c.SAGrants)*m.EBufferRead()) +
+		float64(float64(c.SAGrants)*m.EXbar()) +
+		float64(float64(c.VAGrants)*m.EVAArb()) +
+		float64(float64(c.SAGrants)*m.ESAArb()) +
+		float64(float64(c.SAGrants)*m.EClockDyn()) +
 		float64(float64(c.BypassHops+c.BypassInjections+c.BypassEjections+c.LocalFlits)*m.EBypassHop())
 
 	// Links: wire capacitance and leakage scale with the physical span,
@@ -105,7 +173,7 @@ func (m *Model) Energy(c Counts) Breakdown {
 	b.LinkDynamic = float64(c.LinkTraversals) * m.ELink() * ll
 
 	// Power-gating overhead.
-	b.PGOverhead = float64(c.Wakeups) * m.WakeupEnergy()
+	b.PGOverhead = float64(c.Wakeups()) * m.WakeupEnergy()
 	return b
 }
 

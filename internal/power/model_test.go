@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -121,18 +122,16 @@ func TestBreakevenTimeSemantics(t *testing.T) {
 func TestEnergyAccounting(t *testing.T) {
 	m := model(t, 45, 1.1)
 	c := Counts{
-		Cycles:          1000,
-		Routers:         16,
-		Links:           48,
-		RouterOnCycles:  16000, // all on the whole time
-		RouterOffCycles: 0,
-		BufWrites:       100,
-		BufReads:        100,
-		XbarTraversals:  100,
-		VAArbs:          20,
-		SAArbs:          100,
-		ClockedFlitHops: 100,
-		LinkTraversals:  100,
+		Cycles:  1000,
+		Routers: 16,
+		Links:   48,
+		Events: Events{
+			OnCycles:       16000, // all on the whole time
+			BufWrites:      100,
+			VAGrants:       20,
+			SAGrants:       100,
+			LinkTraversals: 100,
+		},
 	}
 	b := m.Energy(c)
 	wantStatic := 16000.0 * m.RouterStaticW() * m.CycleSeconds()
@@ -154,7 +153,7 @@ func TestEnergyAccounting(t *testing.T) {
 
 func TestEnergyGatedResiduals(t *testing.T) {
 	m := model(t, 45, 1.1)
-	base := Counts{Cycles: 1000, Routers: 16, Links: 48, RouterOffCycles: 16000}
+	base := Counts{Cycles: 1000, Routers: 16, Links: 48, Events: Events{OffCycles: 16000}}
 	plain := m.Energy(base)
 	if plain.RouterStatic != 0 {
 		t.Errorf("no-controller design leaked %v while off", plain.RouterStatic)
@@ -172,15 +171,68 @@ func TestEnergyGatedResiduals(t *testing.T) {
 		t.Error("bypass residual missing")
 	}
 	// Residuals are small relative to full-on static.
-	fullOn := Counts{Cycles: 1000, Routers: 16, Links: 48, RouterOnCycles: 16000}
+	fullOn := Counts{Cycles: 1000, Routers: 16, Links: 48, Events: Events{OnCycles: 16000}}
 	if e2.RouterStatic > 0.2*m.Energy(fullOn).RouterStatic {
 		t.Errorf("residual static %v too large vs full-on %v", e2.RouterStatic, m.Energy(fullOn).RouterStatic)
 	}
 }
 
+// leaves returns every count of an Events record, the Wakes entries one
+// by one, as settable values.
+func leaves(e *Events) []reflect.Value {
+	var out []reflect.Value
+	v := reflect.ValueOf(e).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Kind() != reflect.Array {
+			out = append(out, f)
+			continue
+		}
+		for j := 0; j < f.Len(); j++ {
+			out = append(out, f.Index(j))
+		}
+	}
+	return out
+}
+
+// TestEventsSumAndWindow checks that Add and Sub cover every count of
+// the record: a count either one skipped would read wrong below.
+func TestEventsSumAndWindow(t *testing.T) {
+	var a, b Events
+	la, lb := leaves(&a), leaves(&b)
+	for i := range la {
+		la[i].SetUint(uint64(i + 1))
+		lb[i].SetUint(uint64(10 * (i + 1)))
+	}
+	sum := a
+	sum.Add(&b)
+	for i, f := range leaves(&sum) {
+		if f.Uint() != uint64(11*(i+1)) {
+			t.Errorf("Add: count %d reads %d, want %d", i, f.Uint(), 11*(i+1))
+		}
+	}
+	if got := sum.Sub(b); got != a {
+		t.Errorf("(a+b)-b = %+v, want %+v", got, a)
+	}
+	if got := sum.Sub(a); got != b {
+		t.Errorf("(a+b)-a = %+v, want %+v", got, b)
+	}
+	var wakes uint64
+	for _, w := range a.Wakes {
+		wakes += w
+	}
+	if a.Wakeups() != wakes || wakes == 0 {
+		t.Errorf("Wakeups = %d, want %d", a.Wakeups(), wakes)
+	}
+	e := Events{OnCycles: 9000, OffCycles: 6000, WakingCycles: 1000}
+	if e.OffFraction() != 6000.0/16000.0 || (Events{}).OffFraction() != 0 {
+		t.Errorf("off fraction = %v", e.OffFraction())
+	}
+}
+
 func TestWakeupOverheadCounted(t *testing.T) {
 	m := model(t, 45, 1.1)
-	c := Counts{Cycles: 100, Routers: 1, Links: 0, Wakeups: 7}
+	c := Counts{Cycles: 100, Routers: 1, Links: 0, Events: Events{Wakes: [5]uint64{0, 3, 0, 4}}}
 	b := m.Energy(c)
 	want := 7 * m.WakeupEnergy()
 	if math.Abs(b.PGOverhead-want)/want > 1e-12 {
@@ -190,7 +242,7 @@ func TestWakeupOverheadCounted(t *testing.T) {
 
 func TestAvgPowerW(t *testing.T) {
 	m := model(t, 45, 1.1)
-	c := Counts{Cycles: 1000, Routers: 16, Links: 48, RouterOnCycles: 16000}
+	c := Counts{Cycles: 1000, Routers: 16, Links: 48, Events: Events{OnCycles: 16000}}
 	b := m.Energy(c)
 	p := m.AvgPowerW(c, b)
 	if p <= 0 {
@@ -272,16 +324,17 @@ func TestAreaAndEnergyPinned(t *testing.T) {
 		same("scaled Bypass", scaled.Bypass, adders[i][2])
 	}
 
-	c := Counts{Cycles: 1000, Routers: 16, Links: 48, RouterOnCycles: 9000, RouterOffCycles: 7000, Wakeups: 42,
-		BufWrites: 100, BufReads: 90, XbarTraversals: 80, VAArbs: 70, SAArbs: 60, ClockedFlitHops: 50, LinkTraversals: 40,
-		BypassHops: 30, BypassInjections: 20, BypassEjections: 10, LocalFlits: 5, LinkLengthFactor: 2}
+	c := Counts{Cycles: 1000, Routers: 16, Links: 48, LinkLengthFactor: 2, Events: Events{
+		OnCycles: 8000, WakingCycles: 1000, OffCycles: 7000, Wakes: [5]uint64{0, 40, 0, 2},
+		BufWrites: 100, VAGrants: 70, SAGrants: 60, LinkTraversals: 40,
+		BypassHops: 30, BypassInjections: 20, BypassEjections: 10, LocalFlits: 5}}
 	// Early wakeup has no always-on leakage of its own.
 	static := []float64{1.2133836000000003e-06, 1.2416958840000004e-06, 1.2416958840000004e-06, 1.2848384120000004e-06}
 	for i, b := range ladder {
 		c.Blocks = b
 		e := m.Energy(c)
 		same("RouterStatic", e.RouterStatic, static[i])
-		same("RouterDynamic", e.RouterDynamic, 2.9201081249999998e-08)
+		same("RouterDynamic", e.RouterDynamic, 2.5941139583333328e-08)
 		same("LinkStatic", e.LinkStatic, 1.0785632000000003e-06)
 		same("LinkDynamic", e.LinkDynamic, 6.150833333333333e-09)
 		same("PGOverhead", e.PGOverhead, 5.6624568000000014e-08)

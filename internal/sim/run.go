@@ -618,8 +618,7 @@ func collect(net *noc.Network, model *power.Model) Result {
 	// rates (throughput) are per terminal; the power model and the NI
 	// wakeup metric stay per router.
 	nodes := net.Mesh().N()
-	counts := col.PowerCounts(routers, net.NumLinks(), p.Design.Blocks())
-	counts.LinkLengthFactor = net.Topo().LinkLengthFactor()
+	counts := net.PowerCounts()
 	energy := model.Energy(counts)
 	return Result{
 		Design:            p.Design,
@@ -636,7 +635,7 @@ func collect(net *noc.Network, model *power.Model) Result {
 		IdleFraction:      col.IdleFraction(),
 		IdleLEBET:         col.IdlePeriods.FracLE(uint64(model.BreakevenCycles)),
 		OffFraction:       col.OffFraction(),
-		Wakeups:           col.Wakeups,
+		Wakeups:           col.Wakeups(),
 		GateOffs:          col.GateOffs,
 		Misroutes:         col.MisroutedHops,
 		Escapes:           col.EscapedPackets,

@@ -33,49 +33,19 @@ func PowerTimeSeries(ctx context.Context, c SynthConfig, opt RunOptions, period 
 	var prevFlits uint64
 	res, err := synthRun(ctx, c, opt, &tap{every: period, read: func(s *session) {
 		net, model := s.net, s.model
-		col := net.Collector()
-		cur := col.PowerCounts(net.Topo().N(), net.NumLinks(), net.Params().Design.Blocks())
-		cur.LinkLengthFactor = net.Topo().LinkLengthFactor()
-		delta := diffCounts(cur, prev)
+		cur, flits := net.PowerCounts(), net.Collector().FlitsDelivered
+		w := cur
+		w.Events, w.Cycles = cur.Sub(prev.Events), cur.Cycles-prev.Cycles
 		samples = append(samples, PowerSample{
 			CycleStart:  net.Cycle() - uint64(period),
-			PowerW:      model.AvgPowerW(delta, model.Energy(delta)),
-			OffFraction: offFrac(delta),
+			PowerW:      model.AvgPowerW(w, model.Energy(w)),
+			OffFraction: w.OffFraction(),
 			// Per terminal: == per router except on cmesh.
-			Throughput: float64(col.FlitsDelivered-prevFlits) / float64(period) / float64(net.Mesh().N()),
+			Throughput: float64(flits-prevFlits) / float64(period) / float64(net.Mesh().N()),
 		})
-		prev, prevFlits = cur, col.FlitsDelivered
+		prev, prevFlits = cur, flits
 	}})
 	return samples, res, err
-}
-
-// diffCounts subtracts two cumulative count snapshots into a window.
-func diffCounts(cur, prev power.Counts) power.Counts {
-	d := cur
-	d.Cycles = cur.Cycles - prev.Cycles
-	d.RouterOnCycles = cur.RouterOnCycles - prev.RouterOnCycles
-	d.RouterOffCycles = cur.RouterOffCycles - prev.RouterOffCycles
-	d.Wakeups = cur.Wakeups - prev.Wakeups
-	d.BufWrites = cur.BufWrites - prev.BufWrites
-	d.BufReads = cur.BufReads - prev.BufReads
-	d.XbarTraversals = cur.XbarTraversals - prev.XbarTraversals
-	d.VAArbs = cur.VAArbs - prev.VAArbs
-	d.SAArbs = cur.SAArbs - prev.SAArbs
-	d.ClockedFlitHops = cur.ClockedFlitHops - prev.ClockedFlitHops
-	d.LinkTraversals = cur.LinkTraversals - prev.LinkTraversals
-	d.BypassHops = cur.BypassHops - prev.BypassHops
-	d.BypassInjections = cur.BypassInjections - prev.BypassInjections
-	d.BypassEjections = cur.BypassEjections - prev.BypassEjections
-	d.LocalFlits = cur.LocalFlits - prev.LocalFlits
-	return d
-}
-
-func offFrac(c power.Counts) float64 {
-	total := c.RouterOnCycles + c.RouterOffCycles
-	if total == 0 {
-		return 0
-	}
-	return float64(c.RouterOffCycles) / float64(total)
 }
 
 // WritePowerSeriesCSV emits a power time series as CSV.

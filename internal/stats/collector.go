@@ -6,14 +6,14 @@ import (
 
 // NoC aggregates everything a network simulation measures. The noc
 // package fills it; the sim package converts it into reports. Every
-// datapath event count (the power-gating transitions and residencies,
-// the power model's event counts, idle and busy cycles, misroutes,
-// escapes, NI VC requests) and the WakeupStall sample are per-router or
-// per-NI quantities: noc keeps each on the router or NI that saw it and
-// derives the collector's total as a sum whenever the collector is read.
-// Only Cycles, PacketsInjected, the delivered-packet statistics and
-// IdlePeriods are written into the collector directly. Fault-recovery
-// events are counted in fault.Report, not here.
+// datapath event count (the power model's priced events, gate-offs, idle
+// and busy cycles, misroutes, escapes, NI VC requests) and the
+// WakeupStall sample are per-router or per-NI quantities: noc keeps each
+// on the router or NI that saw it and derives the collector's total as a
+// sum whenever the collector is read. Only Cycles, PacketsInjected, the
+// delivered-packet statistics and IdlePeriods are written into the
+// collector directly. Fault-recovery events are counted in fault.Report,
+// not here.
 type NoC struct {
 	// Cycles measured (after warmup).
 	Cycles uint64
@@ -24,36 +24,17 @@ type NoC struct {
 	PacketsInjected  uint64
 	PacketsDelivered uint64
 	FlitsDelivered   uint64
-	PacketLatency    Sample
 	LatencyHist      *Histogram // per-packet latency distribution
 	NetworkLatency   Sample     // from head entering the network to tail ejection
 	Hops             Sample
 	MisroutedHops    uint64
 	EscapedPackets   uint64
 
-	// Power-gating behaviour.
-	Wakeups     uint64 // off->on transitions
+	// The priced events, summed over routers: the power model's input.
+	power.Events
+
 	GateOffs    uint64 // on->off transitions
 	WakeupStall Sample // cycles packets spent stalled waiting for wakeups
-
-	// Per-router idle/power state accounting, summed over routers.
-	RouterOnCycles     uint64
-	RouterOffCycles    uint64
-	RouterWakingCycles uint64
-
-	// Dynamic event counts feeding the power model. A switch grant is one
-	// buffer read, one crossbar traversal and one clocked flit hop, so
-	// SAArbs stands for all four.
-	BufWrites        uint64
-	VAArbs, SAArbs   uint64
-	LinkTraversals   uint64
-	BypassHops       uint64
-	BypassInjections uint64
-	BypassEjections  uint64
-	// LocalFlits counts flits delivered over the NI-local path of a
-	// concentrated router (terminal-to-terminal traffic that never
-	// entered the network); 0 on concentration-1 topologies.
-	LocalFlits uint64
 
 	// NIVCRequests sums the per-cycle VC requests seen at every NI (the
 	// raw signal of NoRD's wakeup metric, used to regenerate Figure 7).
@@ -90,33 +71,8 @@ func (n *NoC) LatencyPercentile(p float64) uint64 {
 	return n.LatencyHist.Percentile(p)
 }
 
-// PowerCounts converts the collected event counts into the power model's
-// input, for a NoC with the given population and power-gating blocks.
-func (n *NoC) PowerCounts(routers, links int, blocks power.Blocks) power.Counts {
-	return power.Counts{
-		Cycles:           n.Cycles,
-		Routers:          routers,
-		Links:            links,
-		RouterOnCycles:   n.RouterOnCycles + n.RouterWakingCycles,
-		RouterOffCycles:  n.RouterOffCycles,
-		Wakeups:          n.Wakeups,
-		BufWrites:        n.BufWrites,
-		BufReads:         n.SAArbs,
-		XbarTraversals:   n.SAArbs,
-		VAArbs:           n.VAArbs,
-		SAArbs:           n.SAArbs,
-		ClockedFlitHops:  n.SAArbs,
-		LinkTraversals:   n.LinkTraversals,
-		BypassHops:       n.BypassHops,
-		BypassInjections: n.BypassInjections,
-		BypassEjections:  n.BypassEjections,
-		LocalFlits:       n.LocalFlits,
-		Blocks:           blocks,
-	}
-}
-
 // AvgPacketLatency returns the mean end-to-end packet latency in cycles.
-func (n *NoC) AvgPacketLatency() float64 { return n.PacketLatency.Mean() }
+func (n *NoC) AvgPacketLatency() float64 { return n.LatencyHist.Mean() }
 
 // Throughput returns delivered flits per node per cycle.
 func (n *NoC) Throughput(nodes int) float64 {
@@ -133,13 +89,4 @@ func (n *NoC) IdleFraction() float64 {
 		return 0
 	}
 	return float64(n.IdleCycles) / float64(total)
-}
-
-// OffFraction returns the fraction of router-cycles spent gated off.
-func (n *NoC) OffFraction() float64 {
-	total := n.RouterOnCycles + n.RouterOffCycles + n.RouterWakingCycles
-	if total == 0 {
-		return 0
-	}
-	return float64(n.RouterOffCycles) / float64(total)
 }

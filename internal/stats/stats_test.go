@@ -200,13 +200,9 @@ func TestWindowProperty(t *testing.T) {
 func TestNoCCollector(t *testing.T) {
 	n := NewNoC(512)
 	n.Cycles = 1000
-	n.RouterOnCycles = 9000
-	n.RouterOffCycles = 6000
-	n.RouterWakingCycles = 1000
-	n.Wakeups = 42
 	n.FlitsDelivered = 3200
-	n.PacketLatency.Add(10)
-	n.PacketLatency.Add(20)
+	n.LatencyHist.Add(10)
+	n.LatencyHist.Add(20)
 	n.IdleCycles = 7000
 	n.BusyCycles = 3000
 
@@ -222,25 +218,11 @@ func TestNoCCollector(t *testing.T) {
 	if n.IdleFraction() != 0.7 {
 		t.Errorf("idle fraction = %v", n.IdleFraction())
 	}
+	// The priced events are the power model's record, read through the
+	// collector.
+	n.Events = power.Events{OnCycles: 9000, OffCycles: 6000, WakingCycles: 1000}
 	if n.OffFraction() != 6000.0/16000.0 {
 		t.Errorf("off fraction = %v", n.OffFraction())
-	}
-
-	pc := n.PowerCounts(16, 48, power.Blocks{PGSwitch: true, Bypass: true})
-	if pc.RouterOnCycles != 10000 {
-		t.Errorf("waking cycles should count as on: %d", pc.RouterOnCycles)
-	}
-	if pc.Wakeups != 42 || !pc.Blocks.Bypass || !pc.Blocks.PGSwitch {
-		t.Error("power counts not propagated")
-	}
-
-	// One switch grant is one buffer read, crossbar traversal and clocked
-	// flit hop: the power model's three per-hop counts read SAArbs.
-	n.SAArbs = 77
-	pc = n.PowerCounts(16, 48, power.Blocks{})
-	if pc.SAArbs != 77 || pc.BufReads != 77 || pc.XbarTraversals != 77 || pc.ClockedFlitHops != 77 {
-		t.Errorf("per-grant counts: SA %d, buffer reads %d, crossbar %d, clocked hops %d; want 77 each",
-			pc.SAArbs, pc.BufReads, pc.XbarTraversals, pc.ClockedFlitHops)
 	}
 }
 
