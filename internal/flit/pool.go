@@ -1,15 +1,15 @@
 package flit
 
 // Pool recycles Packet and Flit objects so the simulator's steady state
-// allocates nothing: every ejected packet returns its flits (and, when the
-// caller knows no one retains it, the packet itself) to per-network
-// free-lists that the next injection draws from.
+// allocates nothing: every ejected packet returns its flits, and every
+// delivered packet that is not poisoned returns itself, to per-network
+// free-lists that the next injection draws from. (A poisoned packet waits
+// in the fault-recovery retry queue; its retransmission is a clone.)
 //
-// Objects are reset when handed out, not when returned: tests and traffic
-// generators legitimately read delivered packets (Hops, InjectTime, ...)
-// after ejection, and the fault-recovery retry queue retains packet
-// pointers past delivery. A recycled object's fields therefore stay valid
-// until the pool reissues it.
+// Objects are reset when handed out, not when returned: a delivery
+// handler may read the packet (Hops, InjectTime, ...) until it returns.
+// A recycled object's fields therefore stay valid until the pool
+// reissues it.
 type Pool struct {
 	packets []*Packet
 	flits   []*Flit

@@ -144,25 +144,6 @@ func (m Mesh) HopDist(a, b int) int {
 	return abs(ax-bx) + abs(ay-by)
 }
 
-// MinimalDirs returns the mesh directions that make progress from src
-// toward dst (0, 1 or 2 directions; empty when src == dst).
-func (m Mesh) MinimalDirs(src, dst int) []Dir {
-	var out []Dir
-	sx, sy := m.Coord(src)
-	dx, dy := m.Coord(dst)
-	if dx > sx {
-		out = append(out, East)
-	} else if dx < sx {
-		out = append(out, West)
-	}
-	if dy > sy {
-		out = append(out, South)
-	} else if dy < sy {
-		out = append(out, North)
-	}
-	return out
-}
-
 // XYDir returns the next direction under dimension-order (XY) routing from
 // src to dst, or Local if src == dst. XY routing resolves the X dimension
 // completely before Y and is deadlock-free on a mesh, so conventional
@@ -203,7 +184,8 @@ func (m Mesh) Kind() Kind { return KindMesh }
 // Grid returns the router-grid dimensions.
 func (m Mesh) Grid() (w, h int) { return m.W, m.H }
 
-// MinimalSet is MinimalDirs without the allocation.
+// MinimalSet returns the mesh directions that make progress from src
+// toward dst (0, 1 or 2 directions; empty when src == dst).
 func (m Mesh) MinimalSet(src, dst int) DirSet {
 	var out DirSet
 	sx, sy := m.Coord(src)

@@ -130,22 +130,14 @@ func TestHopDist(t *testing.T) {
 
 func TestMinimalDirs(t *testing.T) {
 	m := MustMesh(4, 4)
-	dirs := m.MinimalDirs(0, 15)
-	if len(dirs) != 2 {
-		t.Fatalf("MinimalDirs(0,15) = %v, want 2 dirs", dirs)
+	if s := m.MinimalSet(0, 15); s.Cnt != 2 || s.Dirs != [2]Dir{East, South} {
+		t.Errorf("MinimalSet(0,15) = %v, want {E,S}", s)
 	}
-	has := map[Dir]bool{}
-	for _, d := range dirs {
-		has[d] = true
+	if s := m.MinimalSet(7, 7); s.Cnt != 0 {
+		t.Errorf("MinimalSet(7,7) = %v, want empty", s)
 	}
-	if !has[East] || !has[South] {
-		t.Errorf("MinimalDirs(0,15) = %v, want {E,S}", dirs)
-	}
-	if len(m.MinimalDirs(7, 7)) != 0 {
-		t.Error("MinimalDirs(7,7) should be empty")
-	}
-	if ds := m.MinimalDirs(15, 0); len(ds) != 2 || !(ds[0] == West || ds[1] == West) {
-		t.Errorf("MinimalDirs(15,0) = %v, want W and N", ds)
+	if s := m.MinimalSet(15, 0); s.Cnt != 2 || s.Dirs != [2]Dir{West, North} {
+		t.Errorf("MinimalSet(15,0) = %v, want {W,N}", s)
 	}
 }
 
@@ -205,7 +197,8 @@ func TestMinimalDirsProperty(t *testing.T) {
 		m := MustMesh(w, h)
 		src := int(s16) % m.N()
 		dst := int(d16) % m.N()
-		for _, d := range m.MinimalDirs(src, dst) {
+		set := m.MinimalSet(src, dst)
+		for _, d := range set.Dirs[:set.Cnt] {
 			nb, ok := m.Neighbor(src, d)
 			if !ok {
 				return false

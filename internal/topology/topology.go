@@ -96,10 +96,8 @@ type Topology interface {
 	DirTo(a, b int) (Dir, error)
 	// HopDist returns the minimal hop count between two routers.
 	HopDist(a, b int) int
-	// MinimalDirs returns the directions that make minimal progress from
-	// src toward dst (allocates; prefer MinimalSet on hot paths).
-	MinimalDirs(src, dst int) []Dir
-	// MinimalSet is MinimalDirs without the allocation.
+	// MinimalSet returns the directions that make minimal progress from
+	// src toward dst.
 	MinimalSet(src, dst int) DirSet
 	// XYDir returns the next hop under deterministic dimension-ordered
 	// routing from src to dst, or Local when src == dst. This is the

@@ -153,17 +153,6 @@ func (t Torus) MinimalSet(src, dst int) DirSet {
 	return out
 }
 
-// MinimalDirs is MinimalSet with an allocated slice, for callers off the
-// hot path.
-func (t Torus) MinimalDirs(src, dst int) []Dir {
-	s := t.MinimalSet(src, dst)
-	out := make([]Dir, 0, s.Cnt)
-	for i := uint8(0); i < s.Cnt; i++ {
-		out = append(out, s.Dirs[i])
-	}
-	return out
-}
-
 // XYDir returns the next hop under dimension-ordered routing: resolve X
 // completely (shortest way around), then Y, or Local at the destination.
 func (t Torus) XYDir(src, dst int) Dir {
