@@ -179,6 +179,6 @@ func (c *core) issue(block uint64, store bool) {
 func (c *core) loadDone() {
 	if c.phase == phaseWaitLoad {
 		c.phase = phaseRun
-		c.sys.running.add(c.node)
+		c.sys.running.Add(c.node)
 	}
 }

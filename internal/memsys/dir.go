@@ -1,6 +1,10 @@
 package memsys
 
-import "fmt"
+import (
+	"fmt"
+
+	"nord/internal/topology"
+)
 
 // dirState is the directory's view of a block.
 type dirState uint8
@@ -16,7 +20,7 @@ const (
 // which affects whether fills come from the bank or from memory.
 type dirEntry struct {
 	state   dirState
-	sharers nodeSet
+	sharers topology.NodeSet
 	owner   int
 }
 
@@ -57,7 +61,7 @@ func newHome(sys *System, node int) *homectrl {
 func (h *homectrl) entry(block uint64) *dirEntry {
 	e := h.dir[block]
 	if e == nil {
-		e = &dirEntry{state: dirI, sharers: newNodeSet(len(h.sys.homes))}
+		e = &dirEntry{state: dirI, sharers: topology.NewNodeSet(len(h.sys.homes))}
 		h.dir[block] = e
 	}
 	return e
@@ -123,8 +127,8 @@ func (h *homectrl) serve(m *Msg) {
 			// back here; block until the copy lands.
 			h.busy[m.Block] = &inFlight{kind: MsgGetS, req: m.Requester}
 			h.sys.send(h.node, e.owner, &Msg{Type: MsgFwdGetS, Block: m.Block, Requester: m.Requester})
-			e.sharers.add(e.owner)
-			e.sharers.add(m.Requester)
+			e.sharers.Add(e.owner)
+			e.sharers.Add(m.Requester)
 			e.owner = -1
 		}
 	case MsgGetM:
@@ -168,7 +172,7 @@ func (h *homectrl) dataToRequester(block uint64, kind MsgType, req int) {
 func (h *homectrl) serveFromL2(block uint64, kind MsgType, req int) {
 	e := h.entry(block)
 	if kind == MsgGetS {
-		if e.state == dirI && e.sharers.empty() {
+		if e.state == dirI && e.sharers.Empty() {
 			// MESI: a solo reader receives the block Exclusive and is
 			// tracked as its owner; it may silently upgrade to M.
 			h.sys.send(h.node, req, &Msg{Type: MsgData, Block: block, Requester: req, Exclusive: true})
@@ -179,14 +183,14 @@ func (h *homectrl) serveFromL2(block uint64, kind MsgType, req int) {
 		}
 		h.sys.send(h.node, req, &Msg{Type: MsgData, Block: block, Requester: req})
 		e.state = dirS
-		e.sharers.add(req)
+		e.sharers.Add(req)
 		h.unblock(block)
 		return
 	}
 	// GetM: invalidate all other sharers (in node order, for determinism);
 	// their acks go to the requester.
 	acks := 0
-	for s := e.sharers.next(0); s >= 0; s = e.sharers.next(s + 1) {
+	for s := e.sharers.Next(0); s >= 0; s = e.sharers.Next(s + 1) {
 		if s != req {
 			h.sys.send(h.node, s, &Msg{Type: MsgInv, Block: block, Requester: req})
 			acks++

@@ -6,6 +6,7 @@ import (
 
 	"nord/internal/flit"
 	"nord/internal/noc"
+	"nord/internal/topology"
 )
 
 // msgQueue is a FIFO of messages that become processable at a given cycle.
@@ -91,7 +92,7 @@ type System struct {
 	// component has a non-empty input queue; running holds the cores
 	// that run or retry an operation; outQs holds the nodes with packets
 	// awaiting injection. A component outside its set has nothing to do.
-	homeQ, l1Q, memQ, running, outQs nodeSet
+	homeQ, l1Q, memQ, running, outQs topology.NodeSet
 	// coresDone counts the cores that retired their quota.
 	coresDone int
 
@@ -152,11 +153,11 @@ func NewSystem(net *noc.Network, prof Profile, seed int64) (*System, error) {
 		mems:     make([]*memctrl, n),
 		memHome:  make([]int, n),
 		outQ:     make([][]*flit.Packet, n),
-		homeQ:    newNodeSet(n),
-		l1Q:      newNodeSet(n),
-		memQ:     newNodeSet(n),
-		running:  newNodeSet(n),
-		outQs:    newNodeSet(n),
+		homeQ:    topology.NewNodeSet(n),
+		l1Q:      topology.NewNodeSet(n),
+		memQ:     topology.NewNodeSet(n),
+		running:  topology.NewNodeSet(n),
+		outQs:    topology.NewNodeSet(n),
 		phaseRng: rand.New(rand.NewSource(seed ^ 0x5eed)),
 		memPhase: true,
 	}
@@ -173,7 +174,7 @@ func NewSystem(net *noc.Network, prof Profile, seed int64) (*System, error) {
 	}
 	for id := 0; id < n; id++ {
 		s.cores[id] = newCore(s, id, seed+int64(id)*7919)
-		s.running.add(id)
+		s.running.Add(id)
 		s.l1s[id] = newL1(s, id)
 		s.homes[id] = newHome(s, id)
 		best, bestD := corners[0], 1<<30
@@ -236,7 +237,7 @@ func (s *System) enqueue(src, dst int, m *Msg) {
 	p := s.net.NewPacket(src, dst, m.Type.Class(), m.Type.Flits())
 	p.Payload = m
 	s.outQ[src] = append(s.outQ[src], p)
-	s.outQs.add(src)
+	s.outQs.Add(src)
 }
 
 // dispatch routes a message to the right component at a node, applying
@@ -245,17 +246,17 @@ func (s *System) dispatch(node int, m *Msg, ready uint64) {
 	switch m.Type {
 	case MsgGetS, MsgGetM, MsgPutM, MsgPutE, MsgDataWB, MsgOwnerAck, MsgMemData:
 		s.homes[node].inQ.push(m, ready)
-		s.homeQ.add(node)
+		s.homeQ.Add(node)
 	case MsgFwdGetS, MsgFwdGetM, MsgInv, MsgData, MsgInvAck, MsgWBAck:
 		s.l1s[node].inQ.push(m, ready)
-		s.l1Q.add(node)
+		s.l1Q.Add(node)
 	case MsgMemRead, MsgMemWrite:
 		mc := s.mems[node]
 		if mc == nil {
 			panic(fmt.Sprintf("memsys: node %d has no memory controller", node))
 		}
 		mc.inQ.push(m, ready)
-		s.memQ.add(node)
+		s.memQ.Add(node)
 	default:
 		panic(fmt.Sprintf("memsys: cannot dispatch %s", m))
 	}
@@ -316,39 +317,39 @@ func (s *System) advance() {
 	} else {
 		s.delayed = s.delayed[k:]
 	}
-	for i := s.homeQ.next(0); i >= 0; i = s.homeQ.next(i + 1) {
+	for i := s.homeQ.Next(0); i >= 0; i = s.homeQ.Next(i + 1) {
 		if h := s.homes[i]; h.inQ.due(now) {
 			h.tick()
 			if h.inQ.len() == 0 {
-				s.homeQ.remove(i)
+				s.homeQ.Remove(i)
 			}
 		}
 	}
-	for i := s.l1Q.next(0); i >= 0; i = s.l1Q.next(i + 1) {
+	for i := s.l1Q.Next(0); i >= 0; i = s.l1Q.Next(i + 1) {
 		if l := s.l1s[i]; l.inQ.due(now) {
 			l.tick()
 			if l.inQ.len() == 0 {
-				s.l1Q.remove(i)
+				s.l1Q.Remove(i)
 			}
 		}
 	}
-	for i := s.memQ.next(0); i >= 0; i = s.memQ.next(i + 1) {
+	for i := s.memQ.Next(0); i >= 0; i = s.memQ.Next(i + 1) {
 		if mc := s.mems[i]; mc.inQ.due(now) && mc.nextFree <= now {
 			mc.tick()
 			if mc.inQ.len() == 0 {
-				s.memQ.remove(i)
+				s.memQ.Remove(i)
 			}
 		}
 	}
-	for i := s.running.next(0); i >= 0; i = s.running.next(i + 1) {
+	for i := s.running.Next(0); i >= 0; i = s.running.Next(i + 1) {
 		c := s.cores[i]
 		c.tick()
 		if !c.active() {
-			s.running.remove(i)
+			s.running.Remove(i)
 		}
 	}
 	// Flush outbound queues into the NIs (per-class backpressure).
-	for node := s.outQs.next(0); node >= 0; node = s.outQs.next(node + 1) {
+	for node := s.outQs.Next(0); node >= 0; node = s.outQs.Next(node + 1) {
 		q := s.outQ[node]
 		for len(q) > 0 {
 			if !s.net.Inject(q[0]) {
@@ -358,7 +359,7 @@ func (s *System) advance() {
 		}
 		s.outQ[node] = q
 		if len(q) == 0 {
-			s.outQs.remove(node)
+			s.outQs.Remove(node)
 		}
 	}
 }

@@ -16,12 +16,12 @@ import (
 // outbound queue, as Step did before it kept the sets.
 func fullScanStep(s *System) error {
 	for node := range s.cores {
-		s.homeQ.add(node)
-		s.l1Q.add(node)
-		s.running.add(node)
-		s.outQs.add(node)
+		s.homeQ.Add(node)
+		s.l1Q.Add(node)
+		s.running.Add(node)
+		s.outQs.Add(node)
 		if s.mems[node] != nil {
-			s.memQ.add(node)
+			s.memQ.Add(node)
 		}
 	}
 	return s.Step()

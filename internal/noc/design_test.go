@@ -207,7 +207,7 @@ func TestOneAllocator(t *testing.T) {
 // directly only where it is sampled (the delivered-packet statistics by
 // deliverPacket, the idle periods by closeIdle, Cycles and
 // PacketsInjected by the step); power-state residency is charged only by
-// settle; the idle run is stamped only by the stats pass's sample and
+// settle; the idle run is stamped only by the idle sample (sampleIdle) and
 // closed only by closeIdle; and NoRD's quiet run is a stamp only NI.tick
 // writes. The allow-list is empty. The tracer (internal/obs) keeps
 // events, not counts: there the only fields counted up are its own

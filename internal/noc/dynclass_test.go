@@ -1,9 +1,9 @@
 package noc
 
 import (
+	"slices"
 	"testing"
 
-	"nord/internal/flit"
 	"nord/internal/traffic"
 )
 
@@ -22,7 +22,7 @@ func TestDynamicClassifyTracksHotspot(t *testing.T) {
 		inj.Tick(n.Cycle())
 		n.Tick()
 	}
-	perf := n.PerfCentricNow()
+	perf := perfCentricIDs(n)
 	if len(perf) != 6 {
 		t.Fatalf("performance-centric class has %d routers, want 3N/8 = 6", len(perf))
 	}
@@ -56,15 +56,24 @@ func TestDynamicClassifyValidation(t *testing.T) {
 	}
 }
 
-// TestPerfCentricNowStatic reports the fixed planner class when dynamic
-// classification is off.
+// TestPerfCentricNowStatic: with dynamic classification off, the routers
+// holding the performance-centric thresholds now are the configured ones.
 func TestPerfCentricNowStatic(t *testing.T) {
 	p := DefaultParams(NoRD)
 	p.PerfCentric = []int{2, 4, 5}
 	n := MustNew(p)
-	got := n.PerfCentricNow()
-	if len(got) != 3 {
-		t.Fatalf("got %v, want the 3 configured routers", got)
+	if got := perfCentricIDs(n); !slices.Equal(got, p.PerfCentric) {
+		t.Fatalf("got %v, want the configured routers %v", got, p.PerfCentric)
 	}
-	_ = flit.ClassRequest
+}
+
+// perfCentricIDs lists the routers n.PerfCentric reports, in id order.
+func perfCentricIDs(n *Network) []int {
+	var ids []int
+	for id := range n.routers {
+		if n.PerfCentric(id) {
+			ids = append(ids, id)
+		}
+	}
+	return ids
 }

@@ -1,9 +1,9 @@
 package noc
 
 import (
+	"cmp"
 	"fmt"
-	"math/bits"
-	"sort"
+	"slices"
 
 	"nord/internal/fault"
 	"nord/internal/flit"
@@ -77,10 +77,12 @@ type Network struct {
 
 	// pool recycles every packet and flit the network creates or ejects;
 	// credits holds the cycle's credit returns until phase 9 applies them;
-	// candScratch is the route computation's reusable candidate list.
+	// candScratch is the route computation's reusable candidate list, and
+	// rankScratch reclassification's ranking.
 	pool        flit.Pool
 	credits     []creditEvt
 	candScratch []cand
+	rankScratch []ranked
 
 	// faults is the attached fault injector (nil when no schedule is
 	// armed); err latches the first structured error — once set, every
@@ -93,9 +95,9 @@ type Network struct {
 	// the steady-state tick path stays allocation-free.
 	tracer *obs.Tracer
 
-	// Event-sparse kernel state. activeMask is a bitset of the nodes that
-	// must be ticked; a node leaves the set when nodeNeedsTick turns false
-	// and rejoins through activate() when an event touches it again.
+	// Event-sparse kernel state. active is the worklist, the nodes that
+	// must be ticked; a node leaves it when nodeNeedsTick turns false and
+	// rejoins (active.Add) when an event touches it again.
 	// statEpoch is the cycle the network has been accounted through: a
 	// dormant node needs no accounting, since power-state residency, the
 	// idle run and the NI quiet run are stamped at their transitions and
@@ -104,10 +106,9 @@ type Network struct {
 	// injection has activated it (hard-fail activation walks every
 	// router), and nodeNeedsTick keeps a router listed while its wake
 	// watchdog times a refused wake.
-	nn         int
-	activeMask []uint64
-	idScratch  []int
-	statEpoch  uint64
+	nn        int
+	active    topology.NodeSet
+	statEpoch uint64
 	// linkCount[id] counts flits in flight on node id's output links, so
 	// link delivery can skip nodes whose channels are idle.
 	linkCount []int
@@ -151,8 +152,7 @@ func New(p Params) (*Network, error) {
 		n.ring = ring
 	}
 	n.nn = topo.N()
-	n.activeMask = make([]uint64, (n.nn+63)/64)
-	n.idScratch = make([]int, 0, n.nn)
+	n.active = topology.NewNodeSet(n.nn)
 	n.linkCount = make([]int, n.nn)
 	n.nbrTab = make([]int32, n.nn*int(topology.NumDirs))
 	for id := 0; id < n.nn; id++ {
@@ -164,7 +164,10 @@ func New(p Params) (*Network, error) {
 			n.nbrTab[id*int(topology.NumDirs)+int(d)] = int32(nb)
 		}
 	}
-	n.setAllActive()
+	// A new network starts with every node on the worklist.
+	for id := 0; id < n.nn; id++ {
+		n.active.Add(id)
+	}
 	n.buildRouteTables()
 	// Routers and NIs live in two contiguous arrays: the per-cycle loops
 	// walk them in index order, so locality matters more than it would for
@@ -350,7 +353,7 @@ func (n *Network) Inject(p *flit.Packet) bool {
 		src = n.topo.TerminalRouter(src)
 		dst = n.topo.TerminalRouter(dst)
 	}
-	n.activate(src)
+	n.active.Add(src)
 	if src == dst {
 		if !n.nis[src].injectLocal(p) {
 			return false
@@ -411,13 +414,18 @@ func (n *Network) Tick() {
 // error.
 //
 // A cycle is one serial script of phases, in the order below. Each phase
-// walks a fresh snapshot of the active worklist in ascending node order:
-// a node activated mid-cycle (flit delivery, wakeup assertion, injection)
-// joins the remaining phases of the same cycle — exactly the phases that
-// could observe it in a full scan, since a dormant node's earlier phases
-// are no-ops by construction (empty datapath, empty queues, settled power
-// state). BenchmarkStepPhases runs the same script with a clock read
-// between the phases.
+// walks the active worklist live, in ascending node order (`for id :=
+// n.active.Next(0); id >= 0; id = n.active.Next(id + 1)`), five walks a
+// cycle. A node activated mid-walk (flit delivery, wakeup assertion,
+// injection) behind the walk's position joins the remaining phases of
+// the cycle; one activated ahead of it is visited by the same walk. A
+// full scan visits every node in every phase, and its visit to a dormant
+// node is a no-op by the dormancy invariant: a node off the worklist has
+// an empty datapath, empty queues, no flits on its links and a settled
+// power state. So skipping a dormant node, or visiting one activated
+// ahead of the walk, steps exactly what the full scan steps.
+// BenchmarkStepPhases runs the same script with a clock read between the
+// phases.
 func (n *Network) Step() error {
 	if n.err != nil {
 		return n.err
@@ -445,7 +453,7 @@ func (n *Network) stepFaults() {
 // stepLinks is phase 1, link traversal completion: deliver flits whose LT
 // finished.
 func (n *Network) stepLinks() {
-	for _, id := range n.collectActive() {
+	for id := n.active.Next(0); id >= 0; id = n.active.Next(id + 1) {
 		if n.linkCount[id] > 0 {
 			n.deliverNodeLinks(id)
 		}
@@ -457,9 +465,9 @@ func (n *Network) stepLinks() {
 // node reads state another node writes the same cycle (ST and the NI
 // engines emit onto links with >= 1 cycle of delay; the one cross-node
 // write, the ring-upstream credit restore, runs after the pass), and none
-// of the three activates new nodes, so the snapshot is stable.
+// of the three activates new nodes.
 func (n *Network) stepNode() {
-	for _, id := range n.collectActive() {
+	for id := n.active.Next(0); id >= 0; id = n.active.Next(id + 1) {
 		ni := n.nis[id]
 		ni.tickDeliver()
 		n.routers[id].tickST()
@@ -472,10 +480,10 @@ func (n *Network) stepNode() {
 // a flit advances at most one stage per cycle) — likewise fused: these
 // stages touch only their own router's datapath (credit returns wait for
 // stepCredits), and the nodes they activate — wakeup targets — are
-// dormant, with empty pipelines, so a target missing from this pass's
-// snapshot matches the full scan's no-ops.
+// dormant, with empty pipelines, so the walk's visit to a target ahead of
+// it is the full scan's no-op.
 func (n *Network) stepRouter() {
-	for _, id := range n.collectActive() {
+	for id := n.active.Next(0); id >= 0; id = n.active.Next(id + 1) {
 		r := n.routers[id]
 		r.tickSA()
 		r.tickVA()
@@ -494,7 +502,7 @@ func (n *Network) restoreRingCredits() {
 	if n.ring == nil {
 		return
 	}
-	for _, id := range n.collectActive() {
+	for id := n.active.Next(0); id >= 0; id = n.active.Next(id + 1) {
 		r := n.routers[id]
 		if r.heldVCs == 0 || !r.on() {
 			continue
@@ -510,14 +518,29 @@ func (n *Network) restoreRingCredits() {
 	}
 }
 
-// stepControllers is phase 8, the power-gating controllers, and 8b,
-// dynamic reclassification (Section 4.4 extension).
+// stepControllers is phase 8, the power-gating controllers, with phase
+// 10's per-node accounting and the deactivation sweep in the same walk,
+// then 8b, dynamic reclassification (Section 4.4 extension). A node's
+// idle sample and its worklist test can run right after its own
+// controller because nothing later in the cycle changes what they read:
+// a later router's gateOff only restarts a neighbour VC that was already
+// busy (vcActive to vcRouting, both occupancy), and reclassification and
+// the phase-9 credit returns write thresholds and credit counts, which
+// neither reads.
 func (n *Network) stepControllers() {
-	for _, id := range n.collectActive() {
+	for id := n.active.Next(0); id >= 0; id = n.active.Next(id + 1) {
 		r := n.routers[id]
 		r.saGrantsLastCycle = r.saGrantsThisCycle
 		r.saGrantsThisCycle = 0
 		r.tickController()
+		if n.collecting {
+			r.sampleIdle()
+		}
+		// Nodes with no remaining work leave the worklist; an event that
+		// touches them again puts them back.
+		if !n.nodeNeedsTick(id) {
+			n.active.Remove(id)
+		}
 	}
 	if n.ring != nil && n.p.DynamicClassify && n.cycle%uint64(n.p.ReclassifyPeriod) == 0 {
 		n.reclassify()
@@ -532,20 +555,9 @@ func (n *Network) stepCredits() {
 	n.credits = n.credits[:0]
 }
 
-// stepStats is phases 10-11: per-node accounting and the deactivation
-// sweep, then the cycle's residency row for the tracer.
+// stepStats is phase 11: the cycle is accounted, and the tracer gets the
+// cycle's residency row.
 func (n *Network) stepStats() {
-	for _, id := range n.collectActive() {
-		if n.collecting {
-			n.routers[id].sampleIdle()
-		}
-		// Deactivation sweep, fused into the stats walk: nodes with no
-		// remaining work leave the worklist; activate() restores them when
-		// an event touches them again.
-		if !n.nodeNeedsTick(id) {
-			n.activeMask[id>>6] &^= uint64(1) << (uint(id) & 63)
-		}
-	}
 	if n.collecting {
 		n.col.Cycles++
 	}
@@ -578,46 +590,12 @@ func (n *Network) stepWatchdog() {
 	}
 }
 
-// setAllActive marks every node active: a new network starts with every
-// node on the worklist (and the test-only full-scan twin re-marks them
-// before each cycle).
-func (n *Network) setAllActive() {
-	for w := range n.activeMask {
-		n.activeMask[w] = ^uint64(0)
-	}
-	if r := uint(n.nn) & 63; r != 0 {
-		n.activeMask[len(n.activeMask)-1] = (uint64(1) << r) - 1
-	}
-}
-
-// collectActive snapshots the whole active worklist into a reusable
-// scratch slice, in ascending node order — the same iteration order as
-// the original full scan, so arbitration and statistics stay
-// bit-identical.
-func (n *Network) collectActive() []int {
-	ids := n.idScratch[:0]
-	for w, word := range n.activeMask {
-		base := w << 6
-		for word != 0 {
-			ids = append(ids, base+bits.TrailingZeros64(word))
-			word &= word - 1
-		}
-	}
-	n.idScratch = ids
-	return ids
-}
-
-// activate puts node id on the active worklist.
-func (n *Network) activate(id int) {
-	n.activeMask[id>>6] |= uint64(1) << (uint(id) & 63)
-}
-
 // nodeNeedsTick reports whether node id still has work that requires
 // ticking: router datapath or pipeline occupancy, an unfinished
 // power-state transition, flits in flight on its output links, NI-side
 // queues, registers and windowed demand, or a wake watchdog timing a
 // refused wake. Every mutation that can turn this true for a dormant node
-// goes through activate().
+// puts the node back on the worklist.
 func (n *Network) nodeNeedsTick(id int) bool {
 	r := n.routers[id]
 	if r.bufFlits > 0 || r.stFlits > 0 {
@@ -794,7 +772,7 @@ func (n *Network) deliverFlit(from int, dir topology.Dir, f *flit.Flit) {
 			Msg: fmt.Sprintf("flit sent off the edge of the mesh on dir %v", dir)})
 		return
 	}
-	n.activate(to)
+	n.active.Add(to)
 	n.lastProgress = n.cycle
 	if n.faults != nil {
 		n.faults.verify(f)
@@ -1016,44 +994,37 @@ func (n *Network) noteBypassEject(ni *NI) {
 	}
 }
 
+// ranked is one router's demand in a reclassification round.
+type ranked struct {
+	id     int
+	demand uint64
+}
+
 // reclassify re-ranks routers by demand integrated since the last round
 // and assigns the busiest 3N/8 the performance-centric thresholds.
 func (n *Network) reclassify() {
-	type ranked struct {
-		id     int
-		demand uint64
-	}
-	rs := make([]ranked, len(n.nis))
+	rs := n.rankScratch[:0]
 	for id, ni := range n.nis {
-		rs[id] = ranked{id: id, demand: ni.demandAccum}
+		rs = append(rs, ranked{id: id, demand: ni.demandAccum})
 		ni.demandAccum = 0
 	}
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].demand != rs[j].demand {
-			return rs[i].demand > rs[j].demand
+	slices.SortFunc(rs, func(a, b ranked) int {
+		if c := cmp.Compare(b.demand, a.demand); c != 0 {
+			return c
 		}
-		return rs[i].id < rs[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 	k := 3 * len(rs) / 8
-	perf := make(map[int]bool, k)
-	for _, r := range rs[:k] {
-		perf[r.id] = true
+	for i, r := range rs {
+		n.nis[r.id].setClass(i < k)
 	}
-	for id, ni := range n.nis {
-		ni.setClass(perf[id])
-	}
+	n.rankScratch = rs
 }
 
-// PerfCentricNow returns the router IDs currently holding the
+// PerfCentric reports whether router id currently holds the
 // performance-centric thresholds (fixed or dynamically assigned).
-func (n *Network) PerfCentricNow() []int {
-	var out []int
-	for id, ni := range n.nis {
-		if ni.threshold == n.p.ThresholdPerf && n.p.ThresholdPerf != n.p.ThresholdPower {
-			out = append(out, id)
-		}
-	}
-	return out
+func (n *Network) PerfCentric(id int) bool {
+	return n.nis[id].threshold == n.p.ThresholdPerf && n.p.ThresholdPerf != n.p.ThresholdPower
 }
 
 // RouterReport is one router's spatial statistics over the measured
@@ -1089,10 +1060,6 @@ type RouterReport struct {
 // measured interval only, and sum to the collector's totals.
 func (n *Network) PerRouterReports() []RouterReport {
 	out := make([]RouterReport, len(n.routers))
-	perf := map[int]bool{}
-	for _, id := range n.PerfCentricNow() {
-		perf[id] = true
-	}
 	cycles := n.col.Cycles
 	for id, r := range n.routers {
 		x, y := n.topo.Coord(id)
@@ -1104,7 +1071,7 @@ func (n *Network) PerRouterReports() []RouterReport {
 			GateOffs:     r.statGateOffs,
 			FlitsRouted:  r.ev.SAGrants,
 			BypassFlits:  r.ev.BypassHops,
-			PerfCentric:  perf[id],
+			PerfCentric:  n.PerfCentric(id),
 			HardFailed:   r.hardFailed,
 			WakeSA:       r.ev.Wakes[obs.CauseSARequest],
 			WakeLocal:    r.ev.Wakes[obs.CauseLocalInject],

@@ -78,9 +78,9 @@ const (
 	phSA     // the three as separate passes (odd cycles)
 	phVA
 	phRC
-	phPG // power-gating controllers and reclassification
+	phPG // power-gating controllers, idle samples, deactivation, reclassification
 	phCredits
-	phStats
+	phStats // cycle count, statistics epoch, residency row
 	phWatchdog
 	numStepPhases
 )
@@ -91,10 +91,10 @@ var stepPhaseNames = [numStepPhases]string{
 
 // stepPhases is Network.Step with the clock read between the phases:
 // ns[ph] grows by the time phase ph took. On odd cycles the router phase
-// runs as an SA pass, a VA pass and an RC pass over one worklist snapshot
-// where Step makes one fused pass; the stages touch only their own router
-// and the nodes they wake are dormant either way, so the result is the
-// same (TestStepPhasesMatchStep). Visiting every router three times costs
+// runs as an SA walk, a VA walk and an RC walk of the worklist where Step
+// makes one fused walk; the stages touch only their own router and the
+// nodes they wake are dormant either way, so the result is the same
+// (TestStepPhasesMatchStep). Visiting every router three times costs
 // about 5 % of a cycle, which is why the even cycles time the phase the
 // way Step runs it: that is the router phase's cost, and the passes give
 // the shares to split it by.
@@ -119,16 +119,15 @@ func stepPhases(n *Network, ns *[numStepPhases]int64, epoch time.Time) error {
 		n.stepRouter()
 		lap(phRouter)
 	} else {
-		ids := n.collectActive()
-		for _, id := range ids {
+		for id := n.active.Next(0); id >= 0; id = n.active.Next(id + 1) {
 			n.routers[id].tickSA()
 		}
 		lap(phSA)
-		for _, id := range ids {
+		for id := n.active.Next(0); id >= 0; id = n.active.Next(id + 1) {
 			n.routers[id].tickVA()
 		}
 		lap(phVA)
-		for _, id := range ids {
+		for id := n.active.Next(0); id >= 0; id = n.active.Next(id + 1) {
 			n.routers[id].tickRC()
 		}
 		lap(phRC)
@@ -289,30 +288,42 @@ func TestStepPhasesMatchStep(t *testing.T) {
 // warmup, whole simulated cycles (traffic generation included) must not
 // allocate. The topology interface calls, the torus dateline escape-VC
 // computation, and the concentrated local-port crossbar slots are all on
-// the hot path and must not escape to the heap.
+// the hot path and must not escape to the heap. The dynamic cell
+// reclassifies every cycle, so a ranking that allocates shows as whole
+// allocs per cycle (AllocsPerRun rounds down, so a longer period would
+// hide it).
 func TestSteadyStateZeroAllocs(t *testing.T) {
+	check := func(t *testing.T, p Params) {
+		p.Width, p.Height = 8, 8
+		n := MustNew(p)
+		inj := traffic.NewSynthetic(n, traffic.UniformRandom, 0.02, 11)
+		for c := 0; c < 5000; c++ {
+			inj.Tick(n.Cycle())
+			n.Tick()
+		}
+		avg := testing.AllocsPerRun(300, func() {
+			inj.Tick(n.Cycle())
+			n.Tick()
+		})
+		if avg != 0 {
+			t.Errorf("steady-state tick allocates %.4f allocs/op, want 0", avg)
+		}
+	}
 	for _, topo := range []topology.Kind{topology.KindMesh, topology.KindTorus, topology.KindCMesh} {
 		for _, d := range []Design{NoPG, ConvPG, ConvPGOpt, NoRD} {
 			t.Run(fmt.Sprintf("%s/%s", d, topo), func(t *testing.T) {
 				p := DefaultParams(d)
-				p.Width, p.Height = 8, 8
 				p.Topology = topo
-				n := MustNew(p)
-				inj := traffic.NewSynthetic(n, traffic.UniformRandom, 0.02, 11)
-				for c := 0; c < 5000; c++ {
-					inj.Tick(n.Cycle())
-					n.Tick()
-				}
-				avg := testing.AllocsPerRun(300, func() {
-					inj.Tick(n.Cycle())
-					n.Tick()
-				})
-				if avg != 0 {
-					t.Errorf("%s/%s: steady-state tick allocates %.4f allocs/op, want 0", d, topo, avg)
-				}
+				check(t, p)
 			})
 		}
 	}
+	t.Run("NoRD/mesh/dynamic", func(t *testing.T) {
+		p := DefaultParams(NoRD)
+		p.DynamicClassify = true
+		p.ReclassifyPeriod = 1
+		check(t, p)
+	})
 }
 
 // TestNewBytesPerNode bounds what building a network allocates. Sweeps,

@@ -305,8 +305,9 @@ func (r *Router) busy() bool {
 	return !r.datapathEmpty() || r.bypassSum > 0
 }
 
-// sampleIdle is the measured stats pass's look at a ticked router: a busy
-// cycle closes the open idle run, an idle one opens a run at this cycle.
+// sampleIdle is the measured cycle's look at a ticked router, taken in
+// the controller walk right after its controller: a busy cycle closes the
+// open idle run, an idle one opens a run at this cycle.
 func (r *Router) sampleIdle() {
 	switch busy := r.busy(); {
 	case busy && r.idling:
@@ -555,7 +556,7 @@ func (r *Router) allocate(d topology.Dir, v int, vc *vcState) {
 		vc.vaFails = 0
 		// The wake target may be dormant: put it on the worklist so its
 		// controller observes the asserted WU level this cycle.
-		r.net.activate(dec.wakeTarget)
+		r.net.active.Add(dec.wakeTarget)
 		return
 	case actEject:
 		// Local ejection needs no VC allocation; the Local "output VC" 0
@@ -642,7 +643,7 @@ func (r *Router) tickRC() {
 					// Still stalled: keep the target on the worklist so
 					// it keeps seeing the WU level (its own queues give
 					// it nothing to stay awake for).
-					r.net.activate(vc.target)
+					r.net.active.Add(vc.target)
 				}
 			}
 		}

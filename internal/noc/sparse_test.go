@@ -35,9 +35,11 @@ func measuredRun(p Params, fullScan bool, rate float64, seed int64, warmup, meas
 // fullScanStep is the reference twin of the event-sparse kernel: it puts
 // every node on the worklist before the cycle, so each phase walks all N
 // nodes, the original walk-everything loop. (The cycle's deactivation
-// sweep clears a node's bit only as the cycle's last walk visits it.)
+// sweep takes a node off only as the cycle's last walk visits it.)
 func fullScanStep(n *Network) error {
-	n.setAllActive()
+	for id := 0; id < n.nn; id++ {
+		n.active.Add(id)
+	}
 	return n.Step()
 }
 
@@ -292,8 +294,8 @@ func TestSparseDormancy(t *testing.T) {
 		p.Width, p.Height = 8, 8
 		n := MustNew(p)
 		n.Run(2000) // no traffic: everything gates off and goes dormant
-		if got := len(n.collectActive()); got != 0 {
-			t.Errorf("idle NoRD network keeps %d nodes active, want 0", got)
+		if !n.active.Empty() {
+			t.Errorf("idle NoRD network keeps node %d active, want none", n.active.Next(0))
 		}
 		for id := 0; id < p.NumNodes(); id++ {
 			if n.RouterPowerOn(id) {
@@ -313,8 +315,8 @@ func TestSparseDormancy(t *testing.T) {
 				t.Fatalf("faulted run did not drain (err %v, %d in flight)", err, n.InFlight())
 			}
 			n.Run(2000)
-			if got := len(n.collectActive()); got != 0 {
-				t.Errorf("drained faulted %v network keeps %d of %d nodes active, want 0", d, got, p.NumNodes())
+			if !n.active.Empty() {
+				t.Errorf("drained faulted %v network keeps node %d of %d active, want none", d, n.active.Next(0), p.NumNodes())
 			}
 		})
 	}
@@ -359,7 +361,7 @@ func TestActiveSetComposition(t *testing.T) {
 			}
 			// The list as the next cycle will find it, classified in
 			// nodeNeedsTick's order of reasons.
-			for _, id := range n.collectActive() {
+			for id := n.active.Next(0); id >= 0; id = n.active.Next(id + 1) {
 				r, ni := n.routers[id], n.nis[id]
 				b.active++
 				switch {

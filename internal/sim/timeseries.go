@@ -79,10 +79,6 @@ func WatchStates(ctx context.Context, c SynthConfig, opt RunOptions, period, fra
 	c.Warmup, c.Measure = ZeroWarmup, period*frames
 	return synthRun(ctx, c, opt, &tap{every: period, read: func(s *session) {
 		net := s.net
-		perf := map[int]bool{}
-		for _, id := range net.PerfCentricNow() {
-			perf[id] = true
-		}
 		p := net.Params()
 		fmt.Fprintf(w, "cycle %d (in flight %d)\n", net.Cycle(), net.InFlight())
 		for y := 0; y < p.Height; y++ {
@@ -95,7 +91,7 @@ func WatchStates(ctx context.Context, c SynthConfig, opt RunOptions, period, fra
 				case "waking":
 					glyph = "~"
 				default:
-					if perf[id] {
+					if net.PerfCentric(id) {
 						glyph = "O"
 					}
 				}
