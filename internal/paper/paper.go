@@ -71,7 +71,7 @@ type Cell struct {
 	// Rates are the offered loads, flits/node/cycle.
 	Rates []float64
 	// Knobs is the row's swept integer axis: wakeup latencies,
-	// thresholds or misroute caps.
+	// thresholds, misroute caps or hard-failed router counts.
 	Knobs []int
 }
 

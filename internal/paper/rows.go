@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 
+	"nord/internal/fault"
 	"nord/internal/noc"
 	"nord/internal/power"
 	"nord/internal/sim"
@@ -157,6 +159,13 @@ func Rows() []Row {
 		}},
 		{"ring", synth(1, 60_000, []float64{0.05}), synth(12, 25_000, []float64{0.05}), ring,
 			[]Check{{"transposed / comb latency", "", 0, 0.95, 1.06}}},
+		{"degradation", synth(1, 30_000, []float64{0.05}, 0, 1, 2, 3, 4, 5, 6), synth(3, 4_000, []float64{0.05}, 0, 1, 2), degradation, []Check{
+			{"NoRD worst delivered fraction", "", 0, 1, 1},
+			{"NoRD cells failed", "", 0, 0, 0},
+			{"fault-free cells failed", "", 0, 0, 0},
+			{"conventional faulty cells reporting a deadlock", "", 0, 1, 1},
+			{"NoRD latency, most / no fails", "", 0, 1.02, 1.21},
+		}},
 	}
 }
 
@@ -534,4 +543,77 @@ func ring(ctx context.Context, _ Env, c Cell) ([]Table, map[string]float64, erro
 	t := Table{fmt.Sprintf("Ablation: bypass-ring placement (4x4, uniform random @ %.2f)", c.Rates[0]), []string{"ring", "latency"},
 		[][]string{{"comb (row serpentine)", ff(lat[0], 1)}, {"transposed (column serpentine)", ff(lat[1], 1)}}}
 	return []Table{t}, map[string]float64{"transposed / comb latency": lat[1] / lat[0]}, nil
+}
+
+// The degradation row's fault load: the deadlock horizon, short because a
+// partition stalls a network completely, and the transient link faults
+// added to every cell with a failed router.
+const (
+	degradationWatchdog = 5_000
+	degradationCorrupt  = 4
+)
+
+// degradation runs every design on the 8x8 mesh with each knob's count of
+// hard-failed routers, under one seeded fault schedule per count. A
+// failed router acts as one gated off for good: NoRD's node stays on the
+// bypass ring, while the conventional designs partition. A cell that
+// fails at runtime keeps its partial result and its error on its line;
+// only a configuration error fails the row.
+func degradation(ctx context.Context, _ Env, c Cell) ([]Table, map[string]float64, error) {
+	var cfgs []sim.SynthConfig
+	for _, d := range noc.Designs() {
+		for _, fails := range c.Knobs {
+			fc := &fault.Config{Seed: c.Seed, HardFails: fails}
+			if fails > 0 {
+				fc.CorruptLinks = degradationCorrupt
+			}
+			cfgs = append(cfgs, sim.SynthConfig{Design: d, Width: 8, Height: 8, Rate: c.Rates[0], Measure: c.Measure, Seed: c.Seed,
+				Faults: fc, WatchdogLimit: degradationWatchdog})
+		}
+	}
+	res, errs := sim.RunCells(ctx, len(cfgs), func(ctx context.Context, i int) (sim.Result, error) {
+		return sim.RunSyntheticOpts(ctx, cfgs[i], sim.RunOptions{})
+	})
+	t := Table{fmt.Sprintf("Graceful degradation: 8x8 mesh, uniform @ %.2f, %d corrupt links per faulty cell", c.Rates[0], degradationCorrupt),
+		[]string{"design", "hard fails", "delivered fraction", "latency", "retransmits", "watchdog wakeups", "packets lost", "error"}, nil}
+	got := map[string]float64{"NoRD worst delivered fraction": 1, "NoRD cells failed": 0, "fault-free cells failed": 0}
+	conv, deadlocked := 0, 0
+	var ringLat []float64 // NoRD's latency at each fail count
+	for i, r := range res {
+		d, fails, err := cfgs[i].Design, cfgs[i].Faults.HardFails, errs[i]
+		if err != nil && !sim.IsRuntimeFailure(err) {
+			return nil, nil, err
+		}
+		fr := r.Fault
+		if fr == nil {
+			fr = &fault.Report{}
+		}
+		msg := ""
+		if err != nil {
+			msg, _, _ = strings.Cut(err.Error(), "\n")
+		}
+		t.Rows = append(t.Rows, []string{d.String(), strconv.Itoa(fails), ff(fr.DeliveredFraction(), 4), ff(r.AvgPacketLatency, 2),
+			u(fr.Retransmits), u(fr.WatchdogWakeups), u(fr.PacketsLost), msg})
+		var de *fault.DeadlockError
+		switch {
+		case d.Blocks().Bypass: // NoRD: the ring keeps every node reachable
+			ringLat = append(ringLat, r.AvgPacketLatency)
+			got["NoRD worst delivered fraction"] = min(got["NoRD worst delivered fraction"], fr.DeliveredFraction())
+			if err != nil {
+				got["NoRD cells failed"]++
+			}
+		case fails == 0:
+			if err != nil {
+				got["fault-free cells failed"]++
+			}
+		default:
+			conv++
+			if errors.As(err, &de) {
+				deadlocked++
+			}
+		}
+	}
+	got["conventional faulty cells reporting a deadlock"] = float64(deadlocked) / float64(conv)
+	got["NoRD latency, most / no fails"] = ringLat[len(ringLat)-1] / ringLat[0]
+	return []Table{t}, got, nil
 }

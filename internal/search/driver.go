@@ -55,13 +55,7 @@ func (d *Driver) Run(ctx context.Context) (*Result, error) {
 	if d.Eval == nil {
 		return nil, fmt.Errorf("search: Driver.Eval is required")
 	}
-	switch d.Spec.Algorithm {
-	case "nsga2":
-		return d.runNSGA2(ctx)
-	case "halving":
-		return d.runHalving(ctx)
-	}
-	return nil, fmt.Errorf("search: unknown algorithm %q", d.Spec.Algorithm)
+	return d.runNSGA2(ctx)
 }
 
 func (d *Driver) concurrency() int {
@@ -74,11 +68,11 @@ func (d *Driver) concurrency() int {
 // evalAll evaluates a population concurrently, collecting results by
 // index. The first evaluation error cancels the rest and fails the
 // search (infeasible candidates are not errors — see Extract).
-func (d *Driver) evalAll(ctx context.Context, gen, measure int, pop []Genome, st *Stats) ([]*record, error) {
+func (d *Driver) evalAll(ctx context.Context, gen int, pop []Genome, st *Stats) ([]*record, error) {
 	recs := make([]*record, len(pop))
 	cands := make([]Candidate, len(pop))
 	for i, g := range pop {
-		c, err := d.Spec.decode(g, measure)
+		c, err := d.Spec.decode(g)
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +187,7 @@ func (d *Driver) runNSGA2(ctx context.Context) (*Result, error) {
 	for i := range pop {
 		pop[i] = sp.randomGenome(rng.Intn)
 	}
-	recs, err := d.evalAll(ctx, 0, sp.Measure, pop, &st)
+	recs, err := d.evalAll(ctx, 0, pop, &st)
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +223,7 @@ func (d *Driver) runNSGA2(ctx context.Context) (*Result, error) {
 			}
 			offspring[i] = child
 		}
-		offRecs, err := d.evalAll(ctx, gen, sp.Measure, offspring, &st)
+		offRecs, err := d.evalAll(ctx, gen, offspring, &st)
 		if err != nil {
 			return nil, err
 		}
@@ -259,57 +253,6 @@ func (d *Driver) runNSGA2(ctx context.Context) (*Result, error) {
 		d.report(gen+1, archive, &st)
 	}
 	return d.finish(archive, &st), nil
-}
-
-// runHalving is the successive-halving fallback: every rung halves the
-// surviving population (by NSGA-II rank/crowding) and doubles the
-// measured cycles, so the full budget is only spent on promising
-// candidates. The front is drawn from the final rung (full-budget
-// evaluations only — mixed budgets are not comparable).
-func (d *Driver) runHalving(ctx context.Context) (*Result, error) {
-	sp := &d.Spec
-	rng := rand.New(rand.NewSource(sp.Seed))
-	var st Stats
-
-	pop := make([]Genome, sp.Population)
-	for i := range pop {
-		pop[i] = sp.randomGenome(rng.Intn)
-	}
-	rungs := sp.Generations
-	var recs []*record
-	for r := 0; r < rungs; r++ {
-		measure := sp.Measure >> (rungs - 1 - r)
-		if measure < 1000 {
-			measure = 1000
-		}
-		var err error
-		recs, err = d.evalAll(ctx, r, measure, pop, &st)
-		if err != nil {
-			return nil, err
-		}
-		recs = dedupRecords(recs)
-		st.Generations = r + 1
-		final := map[string]*record{}
-		mergeArchive(final, recs)
-		d.report(r+1, final, &st)
-		if r == rungs-1 {
-			return d.finish(final, &st), nil
-		}
-		rank, crowd := rankPop(recs)
-		order := make([]int, len(recs))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool {
-			return better(order[a], order[b], rank, crowd, recs)
-		})
-		keep := (len(order) + 1) / 2
-		pop = pop[:0]
-		for i := 0; i < keep; i++ {
-			pop = append(pop, recs[order[i]].genome)
-		}
-	}
-	return d.finish(map[string]*record{}, &st), nil
 }
 
 // mergeArchive folds feasible records into the archive, keeping the

@@ -66,8 +66,7 @@ type Point struct {
 	CacheKey   string          `json:"cache_key"`
 	Request    json.RawMessage `json:"request,omitempty"`
 	Objectives Objectives      `json:"objectives"`
-	// Generation is the generation (or halving rung) the point was first
-	// evaluated in.
+	// Generation is the generation the point was first evaluated in.
 	Generation int `json:"generation"`
 }
 

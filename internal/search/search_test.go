@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -47,9 +46,9 @@ func fakeEval(calls *atomic.Int64) EvalFunc {
 	}
 }
 
-func testSpec(alg string) Spec {
+func testSpec() Spec {
 	sp := Spec{
-		Algorithm:   alg,
+		Algorithm:   "nsga2",
 		Seed:        7,
 		Generations: 4,
 		Population:  12,
@@ -115,7 +114,7 @@ func TestCrowdingBoundariesAreInfinite(t *testing.T) {
 // (TestAliasesRunIdentically proves its rules); serve's
 // TestSearchChildSharesDirectKey pins the resulting cache key.
 func TestDecodeRepair(t *testing.T) {
-	sp := testSpec("nsga2")
+	sp := testSpec()
 	var nord, nopg int
 	for i, d := range sp.Space.Designs {
 		switch d {
@@ -127,7 +126,7 @@ func TestDecodeRepair(t *testing.T) {
 	}
 	// Space.VCs is [2,3,4,6] after fill; index 0 is the 2-VC value.
 	g := Genome{axisDesign: nord, axisVCs: 0, axisGateIdle: 1, axisWake: 2}
-	cand, err := sp.decode(g, sp.Measure)
+	cand, err := sp.decode(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +141,7 @@ func TestDecodeRepair(t *testing.T) {
 	// one canonical config.
 	g2 := g
 	g2[axisVCs] = 1 // the explicit 3-VC value
-	cand2, err := sp.decode(g2, sp.Measure)
+	cand2, err := sp.decode(g2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +152,10 @@ func TestDecodeRepair(t *testing.T) {
 	// A 2-VC conventional design on the torus is repaired to the 3-VC
 	// minimum its dateline escape pair requires, and the alias name
 	// "concentrated" canonicalizes to "cmesh".
-	spTopo := testSpec("nsga2")
+	spTopo := testSpec()
 	spTopo.Space.Topologies = []string{"torus", "concentrated"}
 	gt := Genome{axisDesign: nopg, axisTopology: 0, axisVCs: 0}
-	ct, err := spTopo.decode(gt, spTopo.Measure)
+	ct, err := spTopo.decode(gt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +163,7 @@ func TestDecodeRepair(t *testing.T) {
 		t.Fatalf("torus 2-VC genome not repaired: %+v", ct.Config)
 	}
 	gc := Genome{axisDesign: nopg, axisTopology: 1, axisVCs: 0}
-	cc, err := spTopo.decode(gc, spTopo.Measure)
+	cc, err := spTopo.decode(gc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +175,8 @@ func TestDecodeRepair(t *testing.T) {
 	// PointConfig hides them and the filled sim configs are equal.
 	gp := Genome{axisDesign: nopg, axisVCs: 2, axisGateIdle: 0, axisWake: 0}
 	gq := Genome{axisDesign: nopg, axisVCs: 2, axisGateIdle: 2, axisWake: 1}
-	cp, _ := sp.decode(gp, sp.Measure)
-	cq, _ := sp.decode(gq, sp.Measure)
+	cp, _ := sp.decode(gp)
+	cq, _ := sp.decode(gq)
 	if cp.Config.GateIdle != 0 || cp.Config.WakeThreshold != 0 {
 		t.Fatalf("No_PG carries gating knobs: %+v", cp.Config)
 	}
@@ -190,48 +189,46 @@ func TestDecodeRepair(t *testing.T) {
 // reproduces the Pareto front byte for byte even though evaluations run
 // concurrently and finish in timing-dependent order.
 func TestDriverDeterministic(t *testing.T) {
-	for _, alg := range []string{"nsga2", "halving"} {
-		t.Run(alg, func(t *testing.T) {
-			run := func() []byte {
-				eval := fakeEval(nil)
-				spec := testSpec(alg)
-				// Exercise the topology axis: reruns must reproduce the
-				// front byte for byte across mixed-topology candidates too.
-				spec.Space.Topologies = []string{"mesh", "torus", "cmesh"}
-				d := &Driver{
-					Spec:        spec,
-					Concurrency: 8,
-					Eval: func(ctx context.Context, cand Candidate) (Evaluation, error) {
-						// Jitter completion order to shake out ordering bugs.
-						time.Sleep(time.Duration(len(cand.Config.Design)) * 100 * time.Microsecond)
-						return eval(ctx, cand)
-					},
-				}
-				res, err := d.Run(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(res.Front) == 0 {
-					t.Fatal("empty front")
-				}
-				b, err := json.Marshal(res.Front)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return b
+	t.Run("nsga2", func(t *testing.T) {
+		run := func() []byte {
+			eval := fakeEval(nil)
+			spec := testSpec()
+			// Exercise the topology axis: reruns must reproduce the
+			// front byte for byte across mixed-topology candidates too.
+			spec.Space.Topologies = []string{"mesh", "torus", "cmesh"}
+			d := &Driver{
+				Spec:        spec,
+				Concurrency: 8,
+				Eval: func(ctx context.Context, cand Candidate) (Evaluation, error) {
+					// Jitter completion order to shake out ordering bugs.
+					time.Sleep(time.Duration(len(cand.Config.Design)) * 100 * time.Microsecond)
+					return eval(ctx, cand)
+				},
 			}
-			a, b := run(), run()
-			if !bytes.Equal(a, b) {
-				t.Fatalf("front not reproducible:\n%s\n%s", a, b)
+			res, err := d.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			if len(res.Front) == 0 {
+				t.Fatal("empty front")
+			}
+			b, err := json.Marshal(res.Front)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		a, b := run(), run()
+		if !bytes.Equal(a, b) {
+			t.Fatalf("front not reproducible:\n%s\n%s", a, b)
+		}
+	})
 }
 
 // TestDriverFrontIsNondominated checks the output invariant directly:
 // no front point dominates another, and generations are recorded.
 func TestDriverFrontIsNondominated(t *testing.T) {
-	d := &Driver{Spec: testSpec("nsga2"), Eval: fakeEval(nil)}
+	d := &Driver{Spec: testSpec(), Eval: fakeEval(nil)}
 	res, err := d.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -254,92 +251,13 @@ func TestDriverFrontIsNondominated(t *testing.T) {
 	}
 }
 
-// TestHalvingBudget pins the successive-halving schedule: each rung
-// doubles the measured cycles up to the spec's full budget (floored at
-// 1000), and the surviving population halves.
-func TestHalvingBudget(t *testing.T) {
-	var mu sync.Mutex
-	perRung := map[int]map[int]int{} // measure -> count (by rung via gen)
-	base := fakeEval(nil)
-	d := &Driver{
-		Spec: testSpec("halving"),
-		Eval: func(ctx context.Context, cand Candidate) (Evaluation, error) {
-			ev, err := base(ctx, cand)
-			mu.Lock()
-			m := cand.Sim.Measure
-			if perRung[m] == nil {
-				perRung[m] = map[int]int{}
-			}
-			perRung[m][m]++
-			mu.Unlock()
-			return ev, err
-		},
-	}
-	res, err := d.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Generations=4, Measure=16000: rungs at 2000, 4000, 8000, 16000.
-	for _, want := range []int{2000, 4000, 8000, 16000} {
-		if perRung[want] == nil {
-			t.Fatalf("no evaluations at measure %d; got %v", want, keysOf(perRung))
-		}
-	}
-	if len(perRung) != 4 {
-		t.Fatalf("unexpected rung budgets: %v", keysOf(perRung))
-	}
-	// Every front point comes from the final (full-budget) rung.
-	for _, p := range res.Front {
-		var req struct{}
-		_ = req
-		if p.Generation != d.Spec.Generations-1 {
-			t.Fatalf("front point from rung %d, want final rung %d", p.Generation, d.Spec.Generations-1)
-		}
-	}
-}
-
-func keysOf(m map[int]map[int]int) []int {
-	var ks []int
-	for k := range m {
-		ks = append(ks, k)
-	}
-	return ks
-}
-
-// TestHalvingMeasureFloor: tiny budgets never drop below the simulator's
-// 1000-cycle floor.
-func TestHalvingMeasureFloor(t *testing.T) {
-	var mu sync.Mutex
-	min := 1 << 30
-	base := fakeEval(nil)
-	sp := testSpec("halving")
-	sp.Measure = 1000
-	d := &Driver{
-		Spec: sp,
-		Eval: func(ctx context.Context, cand Candidate) (Evaluation, error) {
-			mu.Lock()
-			if cand.Sim.Measure < min {
-				min = cand.Sim.Measure
-			}
-			mu.Unlock()
-			return base(ctx, cand)
-		},
-	}
-	if _, err := d.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if min < 1000 {
-		t.Fatalf("a rung measured %d cycles, below the 1000 floor", min)
-	}
-}
-
 // TestInfeasibleConstraintDominated: infeasible candidates never reach
 // the front but are counted, and they rank below every feasible point in
 // selection.
 func TestInfeasibleConstraintDominated(t *testing.T) {
 	base := fakeEval(nil)
 	d := &Driver{
-		Spec: testSpec("nsga2"),
+		Spec: testSpec(),
 		Eval: func(ctx context.Context, cand Candidate) (Evaluation, error) {
 			ev, err := base(ctx, cand)
 			if cand.Config.Rate >= 0.30 {
@@ -367,7 +285,7 @@ func TestInfeasibleConstraintDominated(t *testing.T) {
 func TestDriverEvalErrorFailsSearch(t *testing.T) {
 	var n atomic.Int64
 	d := &Driver{
-		Spec: testSpec("nsga2"),
+		Spec: testSpec(),
 		Eval: func(ctx context.Context, cand Candidate) (Evaluation, error) {
 			if n.Add(1) == 5 {
 				return Evaluation{}, fmt.Errorf("backend exploded")
@@ -386,7 +304,7 @@ func TestDriverCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, 1)
 	d := &Driver{
-		Spec:        testSpec("nsga2"),
+		Spec:        testSpec(),
 		Concurrency: 2,
 		Eval: func(ctx context.Context, cand Candidate) (Evaluation, error) {
 			select {
@@ -417,14 +335,14 @@ func TestDriverCancel(t *testing.T) {
 // TestExtract covers objective extraction from a sim result, including
 // the infeasibility edges.
 func TestExtract(t *testing.T) {
-	sp := testSpec("nsga2")
+	sp := testSpec()
 	var nordIdx int
 	for i, d := range sp.Space.Designs {
 		if d == "NoRD" {
 			nordIdx = i
 		}
 	}
-	cand, err := sp.decode(Genome{axisDesign: nordIdx, axisVCs: 2, axisDepth: 1, axisGateIdle: 1, axisWake: 1, axisRate: 1}, sp.Measure)
+	cand, err := sp.decode(Genome{axisDesign: nordIdx, axisVCs: 2, axisDepth: 1, axisGateIdle: 1, axisWake: 1, axisRate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +368,7 @@ func TestExtract(t *testing.T) {
 	}
 
 	// The area objective must feel the VC/depth genes.
-	big, _ := sp.decode(Genome{axisDesign: nordIdx, axisVCs: 3, axisDepth: 2, axisGateIdle: 1, axisWake: 1, axisRate: 1}, sp.Measure)
+	big, _ := sp.decode(Genome{axisDesign: nordIdx, axisVCs: 3, axisDepth: 2, axisGateIdle: 1, axisWake: 1, axisRate: 1})
 	bigObj, _ := Extract(big.Sim, res)
 	if bigObj.AreaMM2 <= obj.AreaMM2 {
 		t.Fatalf("bigger router (VCs %d depth %d) not larger: %v <= %v",
@@ -470,7 +388,7 @@ func TestExtract(t *testing.T) {
 }
 
 func TestSpecValidate(t *testing.T) {
-	good := testSpec("nsga2")
+	good := testSpec()
 	if err := good.Validate(); err != nil {
 		t.Fatalf("filled default spec invalid: %v", err)
 	}
@@ -488,7 +406,7 @@ func TestSpecValidate(t *testing.T) {
 		"vcs":       func(sp *Spec) { sp.Space.VCs = []int{1} },
 		"rate":      func(sp *Spec) { sp.Space.Rates = []float64{0} },
 	} {
-		sp := testSpec("nsga2")
+		sp := testSpec()
 		mut(&sp)
 		if err := sp.Validate(); err == nil {
 			t.Errorf("%s: bad spec accepted", name)

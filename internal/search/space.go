@@ -1,7 +1,7 @@
 // Package search implements automated design-space exploration over the
-// NoRD simulator: NSGA-II-style multi-objective search (with a simpler
-// successive-halving fallback) across the power-gating design knobs,
-// scoring mean packet latency against energy-per-flit and router area.
+// NoRD simulator: NSGA-II-style multi-objective search across the
+// power-gating design knobs, scoring mean packet latency against
+// energy-per-flit and router area.
 //
 // The search loop is deterministic: a seeded RNG drives every stochastic
 // choice, candidate evaluations are pure functions of their configs, and
@@ -227,8 +227,8 @@ func (s *Space) validate() error {
 // Spec is the POST /v1/search body: search hyperparameters plus the
 // space to explore. The zero value of every field selects a default.
 type Spec struct {
-	// Algorithm is "nsga2" (default) or "halving" (successive halving:
-	// each rung keeps the better half and doubles the measured cycles).
+	// Algorithm names the search method; "nsga2", the default, is the
+	// only one.
 	Algorithm string `json:"algorithm,omitempty"`
 	// Seed drives every stochastic choice of the search loop; identical
 	// (seed, spec) pairs reproduce the front byte for byte.
@@ -281,10 +281,8 @@ func (sp Spec) Filled() Spec {
 
 // Validate checks a filled spec; errors are client errors.
 func (sp *Spec) Validate() error {
-	switch sp.Algorithm {
-	case "nsga2", "halving":
-	default:
-		return fmt.Errorf("search: unknown algorithm %q (nsga2, halving)", sp.Algorithm)
+	if sp.Algorithm != "nsga2" {
+		return fmt.Errorf("search: unknown algorithm %q (nsga2)", sp.Algorithm)
 	}
 	if sp.Generations < 1 || sp.Generations > 64 {
 		return fmt.Errorf("search: generations %d outside [1, 64]", sp.Generations)
@@ -341,7 +339,7 @@ type Candidate struct {
 // SynthConfig.Filled folds every knob a design does not read, for every
 // caller. The GateIdle and WakeThreshold lines below only keep inert
 // genes out of the displayed PointConfig.
-func (sp *Spec) decode(g Genome, measure int) (Candidate, error) {
+func (sp *Spec) decode(g Genome) (Candidate, error) {
 	s := &sp.Space
 	design, err := noc.DesignByName(s.Designs[g[axisDesign]])
 	if err != nil {
@@ -379,7 +377,7 @@ func (sp *Spec) decode(g Genome, measure int) (Candidate, error) {
 		Pattern:        sp.Pattern,
 		Rate:           pc.Rate,
 		Warmup:         warmup,
-		Measure:        measure,
+		Measure:        sp.Measure,
 		Seed:           sp.SimSeed,
 		VCsPerClass:    pc.VCs,
 		BufferDepth:    pc.BufferDepth,

@@ -81,30 +81,3 @@ func WriteRouterCSV(w io.Writer, r Result) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// WriteDegradationCSV emits the graceful-degradation sweep as CSV.
-func WriteDegradationCSV(w io.Writer, pts []DegradationPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"design", "hard_fails", "delivered_fraction", "avg_latency_cycles",
-		"retransmits", "watchdog_wakeups", "packets_lost", "error",
-	}); err != nil {
-		return err
-	}
-	for _, p := range pts {
-		if err := cw.Write([]string{
-			p.Design.String(),
-			strconv.Itoa(p.HardFails),
-			strconv.FormatFloat(p.Delivered, 'f', 5, 64),
-			strconv.FormatFloat(p.AvgLatency, 'f', 3, 64),
-			strconv.FormatUint(p.Retransmits, 10),
-			strconv.FormatUint(p.Watchdog, 10),
-			strconv.FormatUint(p.PacketsLost, 10),
-			firstLine(p.Err),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -54,66 +53,6 @@ func TestRunSyntheticHardFailConvReportsDeadlock(t *testing.T) {
 	}
 	if r.Fault == nil || r.Fault.RoutersLost == 0 {
 		t.Fatal("result should still carry the fault report of the partial run")
-	}
-}
-
-func TestDegradationSweepSmall(t *testing.T) {
-	c := DegradationConfig{
-		Width: 4, Height: 4, Measure: 4_000, Seed: 3,
-		MaxFails: 2, CorruptLinks: 4,
-		Designs:       []noc.Design{noc.NoPG, noc.NoRD},
-		WatchdogLimit: 2_000,
-	}
-	pts, err := DegradationSweep(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 6 {
-		t.Fatalf("want 2 designs x 3 fail counts = 6 points, got %d", len(pts))
-	}
-	for _, p := range pts {
-		switch {
-		case p.Design == noc.NoRD:
-			if p.Err != "" {
-				t.Fatalf("NoRD cell (%d fails) failed: %s", p.HardFails, p.Err)
-			}
-			if p.Delivered < 0.99 {
-				t.Fatalf("NoRD delivered %.4f with %d fails, want >= 0.99", p.Delivered, p.HardFails)
-			}
-		case p.HardFails == 0:
-			if p.Err != "" {
-				t.Fatalf("fault-free %v cell failed: %s", p.Design, p.Err)
-			}
-		default:
-			// Conventional designs partition; the cell must record a
-			// structured error rather than abort the sweep.
-			if p.Err == "" {
-				t.Fatalf("%v with %d hard-fails should report a failure", p.Design, p.HardFails)
-			}
-			if !strings.Contains(p.Err, "deadlock") {
-				t.Fatalf("expected a deadlock report, got %q", p.Err)
-			}
-		}
-	}
-	var buf bytes.Buffer
-	if err := WriteDegradationCSV(&buf, pts); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(buf.String(), "\n"); lines != len(pts)+1 {
-		t.Fatalf("CSV has %d lines, want %d", lines, len(pts)+1)
-	}
-	table := FormatDegradation(pts)
-	if !strings.Contains(table, "NoRD") || !strings.Contains(table, "delivered") {
-		t.Fatalf("table missing expected columns:\n%s", table)
-	}
-}
-
-func TestDegradationSweepConfigErrors(t *testing.T) {
-	if _, err := DegradationSweep(DegradationConfig{Pattern: "bogus"}); err == nil {
-		t.Error("bad pattern should abort the sweep")
-	}
-	if _, err := DegradationSweep(DegradationConfig{MaxFails: -1}); err == nil {
-		t.Error("negative MaxFails should abort the sweep")
 	}
 }
 

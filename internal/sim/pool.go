@@ -13,9 +13,9 @@ import (
 
 // RunCells runs n independent simulations, cell(ctx, i) for i in [0, n),
 // on a pool of GOMAXPROCS workers — the one fan-out behind every
-// multi-run experiment: LoadSweep, DegradationSweep and the paper
-// table's rows (internal/paper). Each simulation is
-// single-threaded and shares nothing, so a sweep parallelises
+// multi-run experiment: LoadSweep and the paper table's rows
+// (internal/paper), the degradation row's faulted cells included. Each
+// simulation is single-threaded and shares nothing, so a sweep parallelises
 // embarrassingly; results come back by index whatever order cells finish
 // in, and with GOMAXPROCS=1 the cells simply run in index order. A cell
 // that panics is reported as a *panicFailure instead of taking the pool

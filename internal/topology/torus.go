@@ -14,8 +14,11 @@ import "fmt"
 // they traverse the dateline, which breaks the ring's cyclic channel
 // dependence (EscapeVCs reports 2). Ties at even dimensions (dist W/2)
 // resolve East/South, so minimal routing stays deterministic.
+//
+// The grid, the node numbering and the terminal mapping are the mesh's,
+// so Torus embeds Mesh and overrides only what the wrap links change.
 type Torus struct {
-	W, H int
+	Mesh
 }
 
 // NewTorus returns a torus of the given dimensions (at least 2x2).
@@ -23,7 +26,7 @@ func NewTorus(w, h int) (Torus, error) {
 	if w < 2 || h < 2 {
 		return Torus{}, fmt.Errorf("topology: torus must be at least 2x2, got %dx%d", w, h)
 	}
-	return Torus{W: w, H: h}, nil
+	return Torus{Mesh{W: w, H: h}}, nil
 }
 
 // MustTorus is NewTorus that panics on invalid dimensions.
@@ -39,21 +42,6 @@ var _ Topology = Torus{}
 
 // Kind identifies the topology family.
 func (t Torus) Kind() Kind { return KindTorus }
-
-// Grid returns the router-grid dimensions.
-func (t Torus) Grid() (w, h int) { return t.W, t.H }
-
-// N returns the number of routers.
-func (t Torus) N() int { return t.W * t.H }
-
-// Coord returns the (col, row) coordinate of router id.
-func (t Torus) Coord(id int) (x, y int) { return id % t.W, id / t.W }
-
-// ID returns the router id at (col, row).
-func (t Torus) ID(x, y int) int { return y*t.W + x }
-
-// Valid reports whether id names a router.
-func (t Torus) Valid(id int) bool { return id >= 0 && id < t.N() }
 
 // Neighbor returns the router adjacent to id in direction d. On a torus
 // every grid port is wired, so it only fails for Local. A 2-wide dimension
@@ -193,14 +181,3 @@ func (t Torus) NumLinks() int { return 4 * t.W * t.H }
 // same grid: 2.0 for the standard folded-torus layout, whose links span
 // two tile pitches to avoid the long wrap-around wire.
 func (t Torus) LinkLengthFactor() float64 { return 2.0 }
-
-// Concentration returns the terminals per router: one.
-func (t Torus) Concentration() int { return 1 }
-
-// Terminals returns the terminal grid: the router grid itself. (The
-// returned Mesh is only a coordinate frame for traffic patterns; torus
-// adjacency is not implied.)
-func (t Torus) Terminals() Mesh { return Mesh{W: t.W, H: t.H} }
-
-// TerminalRouter maps a terminal to its router: the identity.
-func (t Torus) TerminalRouter(tm int) int { return tm }
