@@ -67,13 +67,12 @@ func main() {
 		coordinator = flag.String("coordinator", "", "worker: coordinator base URL (http://host:port)")
 		workerID    = flag.String("worker-id", "", "worker: fleet identity (default hostname-pid)")
 		slots       = flag.Int("slots", 1, "worker: jobs executed in parallel")
-		cacheTier   = flag.String("cache-tier", "", "worker: remote cache tier base URL (default the coordinator; \"none\" disables)")
 	)
 	flag.Parse()
 
 	switch *mode {
 	case "worker":
-		os.Exit(runWorker(*coordinator, *workerID, *slots, *cacheTier))
+		os.Exit(runWorker(*coordinator, *workerID, *slots))
 	case "local", "coordinator":
 	default:
 		fmt.Fprintf(os.Stderr, "nordserved: unknown -mode %q (local, coordinator, worker)\n", *mode)
@@ -163,7 +162,7 @@ func main() {
 
 // runWorker runs worker mode until SIGTERM/SIGINT; in-flight jobs are
 // given back to the coordinator on the way out.
-func runWorker(coordinator, id string, slots int, cacheTier string) int {
+func runWorker(coordinator, id string, slots int) int {
 	if coordinator == "" {
 		fmt.Fprintln(os.Stderr, "nordserved: -mode worker needs -coordinator http://host:port")
 		return 2
@@ -179,7 +178,6 @@ func runWorker(coordinator, id string, slots int, cacheTier string) int {
 		Coordinator: coordinator,
 		ID:          id,
 		Slots:       slots,
-		CacheTier:   cacheTier,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

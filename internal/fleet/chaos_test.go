@@ -3,15 +3,12 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -290,25 +287,6 @@ func (df *durableFleet) shutdown() {
 	}
 }
 
-// tierPutURL writes payload into the remote cache tier with its digest.
-func tierPutURL(t *testing.T, url, key string, payload []byte) int {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodPut, url+"/v1/cache/"+key, bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(payload)
-	req.Header.Set(serve.SumHeader, hex.EncodeToString(sum[:]))
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode
-}
-
 // healthzURL fetches /healthz and returns the HTTP code, the status field
 // and the degraded notes.
 func healthzURL(t *testing.T, url string) (int, string, []string) {
@@ -357,8 +335,8 @@ func TestCoordinatorCrashRestartMidJob(t *testing.T) {
 		Seed:         11,
 	}
 	df := startDurableFleet(t, opts, serve.Config{})
-	startWorkerURL(t, df.url, "w1", 111, "")
-	startWorkerURL(t, df.url, "w2", 112, "")
+	startWorkerURL(t, df.url, "w1", 111)
+	startWorkerURL(t, df.url, "w2", 112)
 	waitFor(t, 10*time.Second, "2 live workers", func() bool { return df.coord.Workers() >= 2 })
 
 	// Three short jobs that finish before the crash, two long ones that
@@ -629,142 +607,5 @@ func TestCoordinatorRestartStaleLeaseResultAccepted(t *testing.T) {
 	}
 	if done := df.srv.Metrics().JobsDone.Load(); done != 1 {
 		t.Errorf("JobsDone=%d, want exactly 1", done)
-	}
-}
-
-// TestFleetRemoteCacheHitZeroSimWork seeds the shared tier with a
-// payload, then hands the matching job to a fresh worker: the worker must
-// serve the tier's bytes without running the simulator at all.
-func TestFleetRemoteCacheHitZeroSimWork(t *testing.T) {
-	opts := Options{
-		LeaseTTL: 2 * time.Second,
-		// The placeholder below registers once and never heartbeats; a
-		// generous liveness window keeps the fleet "live" while the (slow
-		// under -race) reference payload is computed and seeded.
-		WorkerTTL:    120 * time.Second,
-		PollWait:     100 * time.Millisecond,
-		JanitorEvery: 50 * time.Millisecond,
-		Seed:         14,
-	}
-	tf := newTestFleet(t, opts, serve.Config{})
-
-	// A register-only placeholder keeps the fleet "live" so the submission
-	// queues for a lease instead of degrading to local execution, but it
-	// never leases — the job waits for the real worker.
-	resp, err := http.Post(tf.ts.URL+"/fleet/v1/register", "application/json",
-		strings.NewReader(`{"worker_id":"placeholder"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-
-	body := synthJob(71, 200_000)
-	id := mustSubmit(t, tf, body)
-	key := getJob(t, tf, id).Key
-	payload := localPayload(t, body)
-	if code := tierPutURL(t, tf.ts.URL, key, payload); code != http.StatusNoContent {
-		t.Fatalf("seeding the tier: HTTP %d", code)
-	}
-
-	tw := startWorker(t, tf, "w1", 141)
-	st := waitJobState(t, tf, id, serve.JobDone, 60*time.Second)
-	if !bytes.Equal(st.Result, payload) {
-		t.Error("tier-served result differs from the seeded payload")
-	}
-	hits, misses, _, _, _, sims := tw.w.RemoteCacheStats()
-	if hits != 1 || sims != 0 {
-		t.Errorf("worker stats hits=%d misses=%d sims=%d, want 1 hit and ZERO simulations", hits, misses, sims)
-	}
-	if v := fleetMetric(t, tf, "nord_cache_remote_hits_total"); v < 1 {
-		t.Errorf("nord_cache_remote_hits_total=%v, want >=1", v)
-	}
-}
-
-// TestFleetCacheTierMissingDigestIsAMiss puts a tier in front of the
-// worker that answers every GET with 200 and a plausible body but no
-// X-Nord-Sum header (a proxy that strips it, a tier that never set it).
-// Nothing vouches for those bytes, so the read is a tier error and a miss:
-// the worker simulates, reports its own payload, and the job is done.
-func TestFleetCacheTierMissingDigestIsAMiss(t *testing.T) {
-	opts := Options{
-		LeaseTTL:     2 * time.Second,
-		PollWait:     100 * time.Millisecond,
-		JanitorEvery: 50 * time.Millisecond,
-		Seed:         16,
-	}
-	tf := newTestFleet(t, opts, serve.Config{})
-	bareTier := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet {
-			io.WriteString(w, `{"Design":3,"Label":"not what you asked for"}`)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	}))
-	t.Cleanup(bareTier.Close)
-
-	tw := startWorkerURL(t, tf.ts.URL, "w1", 161, bareTier.URL)
-	waitWorkers(t, tf, 1)
-
-	body := synthJob(91, 60_000)
-	id := mustSubmit(t, tf, body)
-	st := waitJobState(t, tf, id, serve.JobDone, 60*time.Second)
-	if !bytes.Equal(st.Result, localPayload(t, body)) {
-		t.Errorf("the unverified tier body was accepted as the result: %.80s", st.Result)
-	}
-	hits, _, _, _, errs, sims := tw.w.RemoteCacheStats()
-	if hits != 0 || errs != 1 || sims != 1 {
-		t.Errorf("worker stats hits=%d errs=%d sims=%d, want 0 hits, 1 tier error, 1 simulation", hits, errs, sims)
-	}
-	if v := fleetMetric(t, tf, "nord_fleet_cache_tier_errors_total"); v != 1 {
-		t.Errorf("nord_fleet_cache_tier_errors_total=%v, want 1", v)
-	}
-}
-
-// TestFleetCacheTierOutageDegradesGracefully points a worker's cache tier
-// at a server that fails every request: the job must still complete
-// byte-identically (the tier is an optimisation, never a dependency), the
-// write-back retries must be counted, and /healthz must advertise the
-// degraded tier while staying HTTP 200.
-func TestFleetCacheTierOutageDegradesGracefully(t *testing.T) {
-	opts := Options{
-		LeaseTTL:     2 * time.Second,
-		PollWait:     100 * time.Millisecond,
-		JanitorEvery: 50 * time.Millisecond,
-		Seed:         15,
-	}
-	tf := newTestFleet(t, opts, serve.Config{})
-	downTier := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "tier down", http.StatusServiceUnavailable)
-	}))
-	t.Cleanup(downTier.Close)
-
-	tw := startWorkerURL(t, tf.ts.URL, "w1", 151, downTier.URL)
-	waitWorkers(t, tf, 1)
-
-	body := synthJob(81, 60_000)
-	id := mustSubmit(t, tf, body)
-	st := waitJobState(t, tf, id, serve.JobDone, 60*time.Second)
-	if !bytes.Equal(st.Result, localPayload(t, body)) {
-		t.Error("result computed under tier outage differs from local run")
-	}
-
-	_, _, puts, retries, errs, sims := tw.w.RemoteCacheStats()
-	if puts != 0 || retries == 0 || errs == 0 || sims != 1 {
-		t.Errorf("worker stats puts=%d retries=%d errs=%d sims=%d, want 0 puts, >0 retries/errs, 1 sim",
-			puts, retries, errs, sims)
-	}
-	if v := fleetMetric(t, tf, "nord_cache_remote_put_retries_total"); v < 1 {
-		t.Errorf("nord_cache_remote_put_retries_total=%v, want >=1", v)
-	}
-	if v := fleetMetric(t, tf, "nord_fleet_cache_tier_errors_total"); v < 1 {
-		t.Errorf("nord_fleet_cache_tier_errors_total=%v, want >=1", v)
-	}
-	code, status, notes := healthzURL(t, tf.ts.URL)
-	if code != http.StatusOK || status != "degraded" || !hasNote(notes, "cache_tier_degraded") {
-		t.Errorf("healthz under tier outage = %d %q %v, want 200 degraded + cache_tier_degraded", code, status, notes)
-	}
-	if hasNote(notes, "no_live_workers") {
-		t.Error("healthz claims no_live_workers with a live worker registered")
 	}
 }

@@ -87,12 +87,6 @@ type Coordinator struct {
 	journalReplayed atomic.Uint64
 	journalRequeued atomic.Uint64
 	journalSkipped  atomic.Uint64
-
-	// Cache tier friction reported by workers on result reports: the
-	// cumulative error count and the time of the last one, which drives the
-	// cache_tier_degraded health note while errors are recent.
-	tierErrors    atomic.Uint64
-	lastTierErrNS atomic.Int64
 }
 
 // NewCoordinator builds a coordinator dispatching for srv. When
@@ -347,18 +341,11 @@ func (c *Coordinator) HealthNotes() []string {
 	if live == 0 {
 		notes = append(notes, "no_live_workers: jobs execute on the coordinator's local fallback pool")
 	}
-	if ns := c.lastTierErrNS.Load(); ns > 0 && time.Since(time.Unix(0, ns)) <= tierErrWindow {
-		notes = append(notes, "cache_tier_degraded: workers reported cache tier errors recently (computing locally, results still land)")
-	}
 	if c.journal.Broken() {
 		notes = append(notes, "journal_degraded: a journal write failed; jobs still run but are no longer crash-durable")
 	}
 	return notes
 }
-
-// tierErrWindow is how long after the last worker-reported cache tier
-// error /healthz keeps advertising cache_tier_degraded.
-const tierErrWindow = 60 * time.Second
 
 // ---- worker-facing protocol ----
 
@@ -402,7 +389,6 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	c.touchWorkerLocked(req.WorkerID, time.Now())
 	c.mu.Unlock()
 	writeJSON(w, http.StatusOK, RegisterResponse{
-		LeaseTTLMs:  c.opts.LeaseTTL.Milliseconds(),
 		HeartbeatMs: (c.opts.LeaseTTL / 3).Milliseconds(),
 		PollWaitMs:  c.opts.PollWait.Milliseconds(),
 	})
@@ -537,8 +523,6 @@ func (c *Coordinator) leaseLocked(fj *fleetJob, workerID string, now time.Time) 
 	return &LeaseGrant{
 		JobID:      fj.j.ID,
 		Lease:      fj.lease.id,
-		Key:        fj.j.Key,
-		Attempt:    fj.attempt,
 		DeadlineMs: c.opts.JobDeadline.Milliseconds(),
 		Request:    json.RawMessage(fj.j.RequestJSON()),
 	}
@@ -581,15 +565,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 
 // acceptResult applies one result report to the lease state machine.
 func (c *Coordinator) acceptResult(req *ResultRequest) string {
-	// Fold the worker's cache tier telemetry before any lease arbitration:
-	// even a stale report carries real observations of tier health.
-	if req.CachePutRetries > 0 {
-		c.srv.Metrics().CacheRemotePutRetries.Add(uint64(req.CachePutRetries))
-	}
-	if req.CacheTierErrors > 0 {
-		c.tierErrors.Add(uint64(req.CacheTierErrors))
-		c.lastTierErrNS.Store(time.Now().UnixNano())
-	}
 	now := time.Now()
 	c.mu.Lock()
 	c.touchWorkerLocked(req.WorkerID, now)
@@ -764,7 +739,6 @@ func (c *Coordinator) WritePromTo(w io.Writer) {
 		{Name: "nord_fleet_stale_accepted_total", Help: "Successful stale reports accepted (deterministic results).", Type: "counter", Value: c.staleAccepted.Load()},
 		{Name: "nord_fleet_local_jobs_total", Help: "Jobs executed on the coordinator's local fallback pool.", Type: "counter", Value: c.localJobs.Load()},
 		{Name: "nord_fleet_retries_exhausted_total", Help: "Jobs failed after exhausting their lease attempts.", Type: "counter", Value: c.retriesExhausted.Load()},
-		{Name: "nord_fleet_cache_tier_errors_total", Help: "Cache tier errors reported by workers on result reports.", Type: "counter", Value: c.tierErrors.Load()},
 	})
 	if c.journal == nil {
 		return

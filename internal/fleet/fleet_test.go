@@ -63,16 +63,19 @@ func newTestFleet(t *testing.T, opts Options, cfg serve.Config) *testFleet {
 
 // chaosTransport is an http.RoundTripper with injectable failures: a
 // temporary partition window or a permanent blackhole (killed process).
+// It records the method and path of every request it is handed.
 type chaosTransport struct {
 	base http.RoundTripper
 
 	mu    sync.Mutex
 	until time.Time
 	dead  bool
+	sent  []string // "METHOD /path", in send order
 }
 
 func (ct *chaosTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	ct.mu.Lock()
+	ct.sent = append(ct.sent, r.Method+" "+r.URL.Path)
 	blocked := ct.dead || time.Now().Before(ct.until)
 	ct.mu.Unlock()
 	if blocked {
@@ -88,6 +91,13 @@ func (ct *chaosTransport) blockFor(d time.Duration) {
 		ct.until = u
 	}
 	ct.mu.Unlock()
+}
+
+// requests returns the requests recorded so far.
+func (ct *chaosTransport) requests() []string {
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	return append([]string(nil), ct.sent...)
 }
 
 // kill blackholes the transport permanently.
@@ -108,20 +118,18 @@ type testWorker struct {
 // startWorker runs a fleet worker against tf until stopped (or test end).
 func startWorker(t *testing.T, tf *testFleet, id string, seed int64) *testWorker {
 	t.Helper()
-	return startWorkerURL(t, tf.ts.URL, id, seed, "")
+	return startWorkerURL(t, tf.ts.URL, id, seed)
 }
 
 // startWorkerURL is startWorker against an arbitrary coordinator URL (the
-// restartable crash-recovery harness is not an httptest.Server) with an
-// optional cache tier override ("" = the coordinator, "none" = disabled).
-func startWorkerURL(t *testing.T, url, id string, seed int64, cacheTier string) *testWorker {
+// restartable crash-recovery harness is not an httptest.Server).
+func startWorkerURL(t *testing.T, url, id string, seed int64) *testWorker {
 	t.Helper()
 	chaos := &chaosTransport{base: http.DefaultTransport}
 	w, err := NewWorker(WorkerOptions{
 		Coordinator:   url,
 		ID:            id,
 		Client:        &http.Client{Transport: chaos},
-		CacheTier:     cacheTier,
 		ReconnectBase: 20 * time.Millisecond,
 		ReconnectMax:  250 * time.Millisecond,
 		CheckEvery:    64,
@@ -466,6 +474,57 @@ func TestFleetGracefulGiveBack(t *testing.T) {
 	}
 	if local := tf.coord.localJobs.Load(); local != 0 {
 		t.Errorf("job ran on the local pool (%d) instead of the second worker", local)
+	}
+}
+
+// TestWorkerSpeaksOnlyFleetProtocol records every request a worker sends
+// while it completes one job and gives a second back on a graceful stop:
+// all of them go to /fleet/v1/. A worker's result reaches the
+// coordinator's cache through the result report alone, never through a
+// side channel such as /v1/cache/{key}.
+func TestWorkerSpeaksOnlyFleetProtocol(t *testing.T) {
+	opts := Options{
+		LeaseTTL:     10 * time.Second,
+		PollWait:     100 * time.Millisecond,
+		JanitorEvery: 50 * time.Millisecond,
+		Seed:         8,
+	}
+	tf := newTestFleet(t, opts, serve.Config{})
+	tw := startWorker(t, tf, "w1", 81)
+	waitWorkers(t, tf, 1)
+
+	body := synthJob(13, 5_000)
+	st := waitJobState(t, tf, mustSubmit(t, tf, body), serve.JobDone, 60*time.Second)
+	if !bytes.Equal(st.Result, localPayload(t, body)) {
+		t.Error("fleet result differs from local run")
+	}
+
+	long := mustSubmit(t, tf, synthJob(14, 80_000_000))
+	waitJobState(t, tf, long, serve.JobRunning, 30*time.Second)
+	tw.stop()
+	if tf.coord.requeues.Load() == 0 {
+		t.Error("graceful stop did not give the running job back")
+	}
+	// Nothing is left to run it; cancel so the server drains promptly.
+	req, _ := http.NewRequest(http.MethodDelete, tf.ts.URL+"/v1/jobs/"+long, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	sent := tw.chaos.requests()
+	results := 0
+	for _, r := range sent {
+		if !strings.HasPrefix(r, "POST /fleet/v1/") {
+			t.Errorf("worker sent %q, outside the fleet protocol", r)
+		}
+		if r == "POST /fleet/v1/result" {
+			results++
+		}
+	}
+	if results != 2 {
+		t.Errorf("%d result reports, want 2 (one done, one give-back): %v", results, sent)
 	}
 }
 

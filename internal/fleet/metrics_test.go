@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -22,7 +23,8 @@ func goldenCoordinator() *Coordinator {
 	}
 	for i, ctr := range []interface{ Store(uint64) }{
 		&c.leasesGranted, &c.leaseExpiries, &c.requeues, &c.staleResults, &c.staleAccepted,
-		&c.localJobs, &c.retriesExhausted, &c.tierErrors,
+		&c.localJobs, &c.retriesExhausted,
+		new(atomic.Uint64), // a spare slot, so the values below keep their golden numbers
 		&jl.appends, &jl.appendErrors, &jl.snapshots, &jl.replayedRecords, &jl.tornTails, &jl.dupTerms,
 		&c.journalReplayed, &c.journalRequeued, &c.journalSkipped,
 	} {

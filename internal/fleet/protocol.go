@@ -16,12 +16,10 @@ import (
 // a coordinator restart is the expected recovery path).
 type RegisterRequest struct {
 	WorkerID string `json:"worker_id"`
-	Slots    int    `json:"slots,omitempty"`
 }
 
 // RegisterResponse hands the worker the fleet timings it must honor.
 type RegisterResponse struct {
-	LeaseTTLMs  int64 `json:"lease_ttl_ms"`
 	HeartbeatMs int64 `json:"heartbeat_ms"`
 	PollWaitMs  int64 `json:"poll_wait_ms"`
 }
@@ -35,16 +33,12 @@ type LeaseRequest struct {
 
 // LeaseGrant is a leased job: the original submission body plus the
 // lease identity the worker must present on every heartbeat and on the
-// result report.
+// result report. The attempt count stays with the coordinator (and its
+// journal); the worker needs neither it nor the cache key, because its
+// result reaches the cache only through the report.
 type LeaseGrant struct {
 	JobID string `json:"job_id"`
 	Lease string `json:"lease"`
-	// Key is the job's content-addressed cache key: the worker probes the
-	// shared cache tier (GET /v1/cache/{key}) before simulating and writes
-	// its result back after.
-	Key string `json:"key,omitempty"`
-	// Attempt is 1 for the first execution of this job.
-	Attempt int `json:"attempt"`
 	// DeadlineMs is the per-execution wall-clock budget (0 = unbounded).
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
 	// Request is the job's original POST /v1/jobs body.
@@ -97,13 +91,6 @@ type ResultRequest struct {
 	// mid-run): the coordinator requeues it instead of finalising.
 	Requeue bool                `json:"requeue,omitempty"`
 	Outcome serve.RemoteOutcome `json:"outcome"`
-	// CachePutRetries and CacheTierErrors report this execution's cache
-	// tier friction: write-back attempts that had to be retried, and tier
-	// requests that errored outright. The coordinator folds them into its
-	// metrics and uses recent tier errors to report a degraded /healthz —
-	// a flaky tier never fails a job, but it must not stay invisible.
-	CachePutRetries int `json:"cache_put_retries,omitempty"`
-	CacheTierErrors int `json:"cache_tier_errors,omitempty"`
 }
 
 // ResultResponse acknowledges a result report.

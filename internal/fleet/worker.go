@@ -3,8 +3,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,7 +11,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"nord/internal/serve"
@@ -46,13 +43,6 @@ type WorkerOptions struct {
 	// lease long-polls and result reports carry their own context
 	// deadlines.
 	Client *http.Client
-	// CacheTier is the base URL of the shared result cache
-	// (GET/PUT /v1/cache/{key}). Empty defaults to the Coordinator URL —
-	// the coordinator fronts its own content-addressed cache — and "none"
-	// disables the tier entirely. The tier is an optimisation, never a
-	// dependency: any tier error falls back to local computation and a
-	// job is never failed because the cache was unreachable.
-	CacheTier string
 	// ReconnectBase and ReconnectMax shape the jittered backoff used
 	// when the coordinator is unreachable (defaults 200ms and 10s).
 	ReconnectBase time.Duration
@@ -78,24 +68,6 @@ type Worker struct {
 
 	mu  sync.Mutex
 	reg RegisterResponse // fleet timings from the last successful registration
-
-	// Cache tier telemetry (tests read these; per-execution deltas ride
-	// result reports to the coordinator's metrics).
-	remoteHits    atomic.Uint64
-	remoteMisses  atomic.Uint64
-	remotePuts    atomic.Uint64
-	putRetries    atomic.Uint64
-	tierErrors    atomic.Uint64
-	simsPerformed atomic.Uint64 // executions that actually ran the simulator
-}
-
-// RemoteCacheStats reports the worker's cumulative cache tier telemetry:
-// payloads served without simulating (hits), probes that missed, results
-// written back, write-back retries, tier errors survived, and the number
-// of leased executions that actually ran the simulator.
-func (w *Worker) RemoteCacheStats() (hits, misses, puts, retries, errs, sims uint64) {
-	return w.remoteHits.Load(), w.remoteMisses.Load(), w.remotePuts.Load(),
-		w.putRetries.Load(), w.tierErrors.Load(), w.simsPerformed.Load()
 }
 
 // newFleetTransport builds the worker's default HTTP transport. Unlike a
@@ -138,14 +110,6 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	}
 	if opts.Seed == 0 {
 		opts.Seed = time.Now().UnixNano()
-	}
-	switch opts.CacheTier {
-	case "":
-		opts.CacheTier = opts.Coordinator
-	case "none":
-		opts.CacheTier = ""
-	default:
-		opts.CacheTier = strings.TrimRight(opts.CacheTier, "/")
 	}
 	w := &Worker{o: opts, client: opts.Client, rng: newLockedRand(opts.Seed)}
 	if w.client == nil {
@@ -203,7 +167,7 @@ func (w *Worker) register(ctx context.Context) error {
 	rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
 	var resp RegisterResponse
-	if err := w.post(rctx, "/fleet/v1/register", RegisterRequest{WorkerID: w.o.ID, Slots: w.o.Slots}, &resp); err != nil {
+	if err := w.post(rctx, "/fleet/v1/register", RegisterRequest{WorkerID: w.o.ID}, &resp); err != nil {
 		return err
 	}
 	w.mu.Lock()
@@ -288,28 +252,15 @@ func (w *Worker) lease(ctx context.Context) (*LeaseGrant, bool, error) {
 	}
 }
 
-// execute runs one leased job: a shared-cache probe first (a hit reports
-// the payload with zero sim work), then heartbeats in the background, the
-// sim on this goroutine, a cache write-back, and a result report (or
-// give-back) at the end.
+// execute runs one leased job: heartbeats in the background, the sim on
+// this goroutine, and a result report (or give-back) at the end. The
+// report is the result's only route to the coordinator, whose settle
+// writes it to the cache.
 func (w *Worker) execute(ctx context.Context, grant *LeaseGrant) {
 	var req serve.JobRequest
 	if err := json.Unmarshal(grant.Request, &req); err != nil {
-		w.report(grant, &serve.RemoteOutcome{Error: "worker could not decode job request: " + err.Error()}, false, 0, 0)
+		w.report(grant, &serve.RemoteOutcome{Error: "worker could not decode job request: " + err.Error()}, false)
 		return
-	}
-
-	// Some other process may already have paid for this configuration:
-	// check the shared tier before burning cycles. Any tier failure is a
-	// miss — compute locally, never fail the job over its cache.
-	var tierErrs int
-	if w.o.CacheTier != "" && grant.Key != "" {
-		payload, ok, errs := w.cacheGet(ctx, grant.Key)
-		tierErrs += errs
-		if ok {
-			w.report(grant, &serve.RemoteOutcome{Payload: payload, FromCache: true}, false, 0, tierErrs)
-			return
-		}
 	}
 
 	runCtx, cancelCause := context.WithCancelCause(ctx)
@@ -376,7 +327,6 @@ func (w *Worker) execute(ctx context.Context, grant *LeaseGrant) {
 		}
 	}()
 
-	w.simsPerformed.Add(1)
 	payload, meta, err := serve.ExecuteRequest(runCtx, &req, sim.RunOptions{
 		CheckEvery:    w.o.CheckEvery,
 		ProgressEvery: w.o.ProgressEvery,
@@ -386,147 +336,32 @@ func (w *Worker) execute(ctx context.Context, grant *LeaseGrant) {
 			progMu.Unlock()
 		},
 	})
-	// Write the result back to the shared tier before stopping heartbeats:
-	// the retries' backoff can outlast the lease TTL, and an un-heartbeated
-	// lease would expire mid-write-back.
-	var putRetries int
-	if err == nil && w.o.CacheTier != "" && grant.Key != "" {
-		r, errs := w.cachePut(grant.Key, payload)
-		putRetries = r
-		tierErrs += errs
-	}
 	close(hbDone)
 	<-hbExited
 
 	switch {
 	case err == nil:
-		var m *serve.RunMeta
-		if meta != nil {
-			m = meta
-		}
-		w.report(grant, &serve.RemoteOutcome{Payload: payload, Meta: m}, false, putRetries, tierErrs)
+		w.report(grant, &serve.RemoteOutcome{Payload: payload, Meta: meta}, false)
 	case errors.Is(err, errLeaseLost):
 		// Another attempt owns the job; drop the run silently.
 		w.logf("worker %s: lease %s lost, abandoning %s", w.o.ID, grant.Lease, grant.JobID)
 	case errors.Is(err, errClientCanceled):
-		w.report(grant, &serve.RemoteOutcome{Canceled: true, Error: err.Error()}, false, 0, tierErrs)
+		w.report(grant, &serve.RemoteOutcome{Canceled: true, Error: err.Error()}, false)
 	case errors.Is(err, serve.ErrJobDeadline):
-		w.report(grant, &serve.RemoteOutcome{Error: err.Error()}, false, 0, tierErrs)
+		w.report(grant, &serve.RemoteOutcome{Error: err.Error()}, false)
 	case ctx.Err() != nil:
 		// Worker shutting down mid-run: give the job back so it requeues
 		// without waiting out the lease TTL.
-		w.report(grant, &serve.RemoteOutcome{}, true, 0, tierErrs)
+		w.report(grant, &serve.RemoteOutcome{}, true)
 	default:
-		w.report(grant, &serve.RemoteOutcome{Error: err.Error()}, false, 0, tierErrs)
+		w.report(grant, &serve.RemoteOutcome{Error: err.Error()}, false)
 	}
-}
-
-// cacheGet probes the shared cache tier for key. The payload's digest
-// (carried in the response header, which is required) is validated end
-// to end: a corrupted transfer reads as a miss, never as a result. Tier
-// errors are counted and swallowed — the caller simulates locally.
-func (w *Worker) cacheGet(ctx context.Context, key string) (payload []byte, ok bool, errs int) {
-	rctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, w.o.CacheTier+"/v1/cache/"+key, nil)
-	if err != nil {
-		w.tierErrors.Add(1)
-		return nil, false, 1
-	}
-	resp, err := w.client.Do(req)
-	if err != nil {
-		w.tierErrors.Add(1)
-		return nil, false, 1
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound:
-		io.Copy(io.Discard, resp.Body)
-		w.remoteMisses.Add(1)
-		return nil, false, 0
-	default:
-		io.Copy(io.Discard, resp.Body)
-		w.tierErrors.Add(1)
-		return nil, false, 1
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		w.tierErrors.Add(1)
-		return nil, false, 1
-	}
-	// A tier (or a proxy in front of it) that drops the digest header has
-	// vouched for nothing: that is a tier error too, never a hit.
-	if sum := sha256.Sum256(body); hex.EncodeToString(sum[:]) != resp.Header.Get(serve.SumHeader) {
-		w.tierErrors.Add(1)
-		return nil, false, 1
-	}
-	w.remoteHits.Add(1)
-	return body, true, 0
-}
-
-// cachePutAttempts bounds write-back attempts per result.
-const cachePutAttempts = 4
-
-// cachePut writes a computed result back to the shared tier with up to
-// cachePutAttempts tries under capped exponential backoff + jitter. It
-// runs on a detached context (the result exists and should be shared even
-// while the worker shuts down) and never propagates failure: a job is
-// never failed because its cache write-back was. 4xx rejections are not
-// retried — the tier told us the payload itself is unacceptable, and
-// resending the same bytes cannot change its mind.
-func (w *Worker) cachePut(key string, payload []byte) (retries, errs int) {
-	sum := sha256.Sum256(payload)
-	digest := hex.EncodeToString(sum[:])
-	for attempt := 1; ; attempt++ {
-		rctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		status, err := w.doPut(rctx, key, payload, digest)
-		cancel()
-		switch {
-		case err == nil && status < 300:
-			w.remotePuts.Add(1)
-			return retries, errs
-		case err == nil && status >= 400 && status < 500:
-			w.tierErrors.Add(1)
-			return retries, errs + 1
-		}
-		w.tierErrors.Add(1)
-		errs++
-		if attempt >= cachePutAttempts {
-			w.logf("worker %s: cache write-back for %s abandoned after %d attempts", w.o.ID, key, attempt)
-			return retries, errs
-		}
-		retries++
-		w.putRetries.Add(1)
-		time.Sleep(Backoff(w.o.ReconnectBase, w.o.ReconnectMax, attempt, w.rng.Float64()))
-	}
-}
-
-func (w *Worker) doPut(ctx context.Context, key string, payload []byte, digest string) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, w.o.CacheTier+"/v1/cache/"+key, bytes.NewReader(payload))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set(serve.SumHeader, digest)
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode, nil
 }
 
 // report posts the result with bounded retries; a detached context keeps
 // the give-back path working after the worker's own context is canceled.
-// putRetries and tierErrs carry this execution's cache tier friction for
-// the coordinator's metrics and health reporting.
-func (w *Worker) report(grant *LeaseGrant, out *serve.RemoteOutcome, requeue bool, putRetries, tierErrs int) {
-	req := ResultRequest{
-		WorkerID: w.o.ID, JobID: grant.JobID, Lease: grant.Lease, Requeue: requeue, Outcome: *out,
-		CachePutRetries: putRetries, CacheTierErrors: tierErrs,
-	}
+func (w *Worker) report(grant *LeaseGrant, out *serve.RemoteOutcome, requeue bool) {
+	req := ResultRequest{WorkerID: w.o.ID, JobID: grant.JobID, Lease: grant.Lease, Requeue: requeue, Outcome: *out}
 	for attempt := 1; attempt <= 3; attempt++ {
 		rctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		var resp ResultResponse

@@ -38,7 +38,7 @@ type PromWriter interface {
 
 // HealthNoter is implemented by dispatchers that can report degraded-but-
 // alive conditions (a fleet with zero live workers running on its local
-// fallback, a flaky remote cache tier, a wedged journal). /healthz
+// fallback, a wedged journal). /healthz
 // surfaces the notes with status "degraded" while keeping HTTP 200: the
 // process is serving, just limping — distinct from 503 draining, which
 // tells load balancers to stop routing here.

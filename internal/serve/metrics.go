@@ -34,16 +34,13 @@ type Metrics struct {
 	SearchGenerations atomic.Uint64
 	SearchFrontSize   atomic.Uint64
 
-	// Remote cache tier (GET/PUT /v1/cache/{key}) counters: hits and
-	// misses served to fleet workers, payloads written back by workers,
-	// PUTs rejected for a digest mismatch, and the cumulative PUT retries
-	// workers reported while the tier was flaky (folded in from result
-	// reports by the fleet coordinator).
+	// GET/PUT /v1/cache/{key} counters: hits and misses served to
+	// outside readers, payloads stored for outside writers, and PUTs
+	// rejected for a digest mismatch.
 	CacheRemoteHits        atomic.Uint64
 	CacheRemoteMisses      atomic.Uint64
 	CacheRemotePuts        atomic.Uint64
 	CacheRemotePutRejected atomic.Uint64
-	CacheRemotePutRetries  atomic.Uint64
 
 	// Per-design counters, indexed by noc.Design: router wakeups and
 	// misrouted (detoured) hops measured by completed single-run jobs.
@@ -153,7 +150,6 @@ func (m *Metrics) WriteProm(w io.Writer, g Gauges) {
 		{"nord_cache_remote_misses_total", "Remote cache tier misses (GET /v1/cache/{key} 404s).", "counter", m.CacheRemoteMisses.Load()},
 		{"nord_cache_remote_puts_total", "Payloads written back over PUT /v1/cache/{key}.", "counter", m.CacheRemotePuts.Load()},
 		{"nord_cache_remote_put_rejected_total", "Cache tier PUTs rejected for a payload digest mismatch.", "counter", m.CacheRemotePutRejected.Load()},
-		{"nord_cache_remote_put_retries_total", "Worker-reported cache tier PUT retries (tier flaky or unreachable).", "counter", m.CacheRemotePutRetries.Load()},
 		{"nord_sim_cycles_total", "Cumulative simulated cycles across all jobs.", "counter", m.SimCycles.Load()},
 		{"nord_search_evaluations_total", "Candidate evaluations submitted by design-space searches.", "counter", m.SearchEvaluations.Load()},
 		{"nord_search_cache_hits_total", "Search candidate evaluations served from the content-addressed cache or coalesced onto in-flight jobs.", "counter", m.SearchCacheHits.Load()},

@@ -19,7 +19,7 @@ func goldenMetrics() (*Metrics, Gauges) {
 		&m.SimsExecuted, &m.CacheHits, &m.CacheMisses, &m.SimCycles,
 		&m.SearchEvaluations, &m.SearchCacheHits, &m.SearchGenerations, &m.SearchFrontSize,
 		&m.CacheRemoteHits, &m.CacheRemoteMisses, &m.CacheRemotePuts,
-		&m.CacheRemotePutRejected, &m.CacheRemotePutRetries,
+		&m.CacheRemotePutRejected,
 	} {
 		c.Store(uint64(101 + i))
 	}

@@ -206,8 +206,8 @@ func (s *Server) Metrics() *Metrics { return &s.metrics }
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
 //	GET    /v1/jobs/{id}/events NDJSON progress stream
 //	GET    /v1/jobs/{id}/trace  NDJSON cycle-level event stream (jobs submitted with trace_events)
-//	GET    /v1/cache/{key}      remote cache tier read (sha256-validated payload)
-//	PUT    /v1/cache/{key}      remote cache tier write-back (payload digest enforced)
+//	GET    /v1/cache/{key}      read a cached payload by key (sha256 in X-Nord-Sum)
+//	PUT    /v1/cache/{key}      write a payload into the cache (digest enforced)
 //	GET    /metrics             Prometheus text metrics
 //	GET    /healthz             readiness (503 while draining; "degraded" + notes while limping)
 func (s *Server) Handler() http.Handler {
@@ -426,10 +426,10 @@ type outcome struct {
 	payload []byte // JobDone: the marshalled result
 	errMsg  string
 	// store asks for the payload to be written to the result cache (done
-	// jobs that are neither traced nor already served from a cache tier).
+	// simulation jobs that are not traced).
 	store bool
 	// run carries a done run's headline counters for the per-design
-	// series (nil for sweeps, searches and tier hits).
+	// series (nil for sweeps and searches).
 	run *runInfo
 	// unstarted marks a job its dispatcher dropped before running it:
 	// Cancel already made it terminal, and the drop is what accounts it.
@@ -548,10 +548,6 @@ type RemoteOutcome struct {
 	Canceled bool `json:"canceled,omitempty"`
 	// Meta carries the run's headline counters for the per-design metrics.
 	Meta *RunMeta `json:"meta,omitempty"`
-	// FromCache marks a payload the worker fetched from the remote cache
-	// tier instead of simulating: the coordinator skips the redundant
-	// write-back and no per-design sim counters apply.
-	FromCache bool `json:"from_cache,omitempty"`
 }
 
 // FinishRemote finalises a job with a worker-produced outcome: terminal
@@ -565,7 +561,7 @@ func (s *Server) FinishRemote(j *Job, out RemoteOutcome) {
 	case out.Error != "":
 		s.settle(j, outcome{state: JobFailed, errMsg: out.Error})
 	default:
-		o := outcome{state: JobDone, payload: out.Payload, store: !j.task.traced && !out.FromCache}
+		o := outcome{state: JobDone, payload: out.Payload, store: !j.task.traced}
 		if out.Meta != nil {
 			if d, err := noc.DesignByName(out.Meta.Design); err == nil {
 				o.run = &runInfo{design: d, wakeups: out.Meta.Wakeups, detours: out.Meta.Detours}
@@ -848,7 +844,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // SumHeader carries the hex sha256 of a cache payload on both directions
 // of the /v1/cache wire, so a corrupted transfer (or a buggy writer) is
-// detected at the boundary instead of poisoning the tier.
+// detected at the boundary instead of poisoning the cache.
 const SumHeader = "X-Nord-Sum"
 
 // validCacheKey accepts exactly the keys CacheKey mints: 64 lowercase hex
@@ -867,10 +863,9 @@ func validCacheKey(key string) bool {
 	return true
 }
 
-// handleCacheGet serves the remote cache tier: fleet workers check here
-// before simulating, so a configuration any process ever paid for is
-// never simulated twice fleet-wide. The response carries the payload's
-// sha256 for end-to-end validation.
+// handleCacheGet serves the cache's payload for key to outside readers
+// (tools, benchmarks, another deployment). The response carries the
+// payload's sha256 for end-to-end validation.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !validCacheKey(key) {
@@ -891,11 +886,11 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(val)
 }
 
-// handleCachePut accepts a worker's result write-back. The X-Nord-Sum
-// digest is mandatory and enforced against the body — a mismatch means
-// the payload was damaged in flight (or the writer is wrong) and is
-// rejected rather than cached. PUTs are allowed while draining: a worker
-// finishing its last job during shutdown should still persist the result.
+// handleCachePut stores an outside writer's payload under key. The
+// X-Nord-Sum digest is mandatory and enforced against the body — a
+// mismatch means the payload was damaged in flight (or the writer is
+// wrong) and is rejected rather than cached. PUTs are allowed while
+// draining: a payload that arrives intact is kept.
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !validCacheKey(key) {
@@ -952,7 +947,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleHealthz distinguishes three states: 503 "draining" (stop routing
 // here), 200 "degraded" with the dispatcher's notes (alive but limping —
-// zero live workers, unreachable cache tier, wedged journal), and plain
+// zero live workers, wedged journal), and plain
 // 200 "ok".
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
