@@ -114,9 +114,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if *rate < 0 || *rate > 1 {
-		fail(fmt.Errorf("rate %g outside [0, 1] flits/node/cycle", *rate))
-	}
 	if *measure <= 0 {
 		fail(fmt.Errorf("measure must be positive, got %d", *measure))
 	}

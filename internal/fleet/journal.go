@@ -14,6 +14,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"nord/internal/serve"
 )
 
 // The job journal is the coordinator's write-ahead log: every submission,
@@ -127,8 +129,8 @@ type JournalOptions struct {
 	// compactions (default 256).
 	SnapEvery int
 	// RetainTerminal bounds how many terminal jobs the materialized state
-	// keeps (oldest evicted first; default 4096). Open jobs are never
-	// evicted.
+	// keeps (oldest evicted first; default serve.RetainTerminal, the
+	// live server's depth). Open jobs are never evicted.
 	RetainTerminal int
 }
 
@@ -140,7 +142,7 @@ func OpenJournal(dir string, opts JournalOptions) (*Journal, error) {
 		opts.SnapEvery = 256
 	}
 	if opts.RetainTerminal <= 0 {
-		opts.RetainTerminal = 4096
+		opts.RetainTerminal = serve.RetainTerminal
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fleet: creating journal dir: %w", err)

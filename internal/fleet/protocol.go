@@ -7,10 +7,10 @@ import (
 	"nord/internal/stats"
 )
 
-// The fleet wire protocol: four POST endpoints under /fleet/v1/, JSON
-// bodies both ways. Workers are clients only — the coordinator never
-// dials a worker, so workers behind NAT or ephemeral containers work
-// unchanged.
+// The fleet wire protocol: five POST endpoints under /fleet/v1/
+// (register, unregister, lease, heartbeat, result), JSON bodies both
+// ways. Workers are clients only — the coordinator never dials a worker,
+// so workers behind NAT or ephemeral containers work unchanged.
 
 // RegisterRequest announces a worker (idempotent; re-registration after
 // a coordinator restart is the expected recovery path).

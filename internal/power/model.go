@@ -88,15 +88,24 @@ type Model struct {
 	leak, dyn float64 // resolved node factors
 }
 
+// Validate reports whether New accepts t: a supported node and a positive
+// (not NaN) voltage and frequency.
+func (t Tech) Validate() error {
+	if _, ok := nodeFactors[t.NodeNM]; !ok {
+		return fmt.Errorf("power: unsupported technology node %dnm (supported: 65, 45, 32)", t.NodeNM)
+	}
+	if !(t.Voltage > 0 && t.FreqGHz > 0) {
+		return fmt.Errorf("power: voltage and frequency must be positive, got %gV %gGHz", t.Voltage, t.FreqGHz)
+	}
+	return nil
+}
+
 // New returns a model for the given technology point.
 func New(t Tech) (*Model, error) {
-	f, ok := nodeFactors[t.NodeNM]
-	if !ok {
-		return nil, fmt.Errorf("power: unsupported technology node %dnm (supported: 65, 45, 32)", t.NodeNM)
+	if err := t.Validate(); err != nil {
+		return nil, err
 	}
-	if t.Voltage <= 0 || t.FreqGHz <= 0 {
-		return nil, fmt.Errorf("power: voltage and frequency must be positive, got %gV %gGHz", t.Voltage, t.FreqGHz)
-	}
+	f := nodeFactors[t.NodeNM]
 	return &Model{
 		tech:               t,
 		BreakevenCycles:    10,

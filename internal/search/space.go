@@ -20,7 +20,6 @@ import (
 	"nord/internal/noc"
 	"nord/internal/sim"
 	"nord/internal/topology"
-	"nord/internal/traffic"
 )
 
 // Genome axes, one per explored knob. A genome is a vector of indices
@@ -158,7 +157,13 @@ func (s *Space) axisLen(axis int) int {
 	return 0
 }
 
-// validate checks every axis value; errors are client errors.
+// validate applies the space's own rules to a filled space (fill leaves
+// no axis empty and dedups the numeric ones): known, duplicate-free
+// designs and topologies, and each integer axis positive (0 would be
+// sim's "default", an alias no axis should hold), with VCs at least 2 —
+// decode raises a count to its design's floor, so values below the
+// lowest floor would alias it. Which values may run is sim's to say
+// (Spec.runnable). Errors are client errors.
 func (s *Space) validate() error {
 	if len(s.Designs) == 0 {
 		return fmt.Errorf("search: space has no designs")
@@ -185,40 +190,59 @@ func (s *Space) validate() error {
 		}
 		seenTopo[k] = true
 	}
-	for _, w := range s.Widths {
-		if w < 2 {
-			return fmt.Errorf("search: grid width %d below the 2x2 minimum", w)
-		}
-		if w > noc.MaxGridDim {
-			return fmt.Errorf("search: grid width %d above the %d limit", w, noc.MaxGridDim)
-		}
-	}
-	for _, v := range s.VCs {
-		if v < 2 {
-			return fmt.Errorf("search: %d VCs per class below the 2-VC minimum", v)
-		}
-		if v > noc.MaxVCsPerPort {
-			return fmt.Errorf("search: %d VCs per class above the %d-VC port limit", v, noc.MaxVCsPerPort)
-		}
-	}
-	for _, d := range s.BufferDepths {
-		if d < 1 {
-			return fmt.Errorf("search: buffer depth %d must be positive", d)
-		}
-	}
-	for _, g := range s.GateIdle {
-		if g < 1 {
-			return fmt.Errorf("search: gate_idle %d must be positive", g)
-		}
-	}
-	for _, t := range s.WakeThresholds {
-		if t < 1 {
-			return fmt.Errorf("search: wake threshold %d must be positive", t)
+	for _, axis := range []struct {
+		name   string
+		values []int
+		floor  int
+	}{
+		{"grid width", s.Widths, 1},
+		{"VCs per class", s.VCs, 2},
+		{"buffer depth", s.BufferDepths, 1},
+		{"gate_idle", s.GateIdle, 1},
+		{"wake threshold", s.WakeThresholds, 1},
+	} {
+		for _, v := range axis.values {
+			if v < axis.floor {
+				return fmt.Errorf("search: %s %d below %d", axis.name, v, axis.floor)
+			}
 		}
 	}
 	for _, r := range s.Rates {
-		if r <= 0 || r > 1 {
-			return fmt.Errorf("search: rate %g outside (0, 1] flits/node/cycle", r)
+		if !(r > 0) {
+			return fmt.Errorf("search: rate %g must be positive", r)
+		}
+	}
+	return nil
+}
+
+// runnable asks sim whether the space's candidates may run, without
+// decoding every genome: a candidate's network shape is its (design,
+// topology, width), so each such triple is checked, and every value of
+// the other axes once per design.
+func (sp *Spec) runnable() error {
+	s := &sp.Space
+	var probes []Genome
+	for d := range s.Designs {
+		for t := range s.Topologies {
+			for w := range s.Widths {
+				probes = append(probes, Genome{axisDesign: d, axisTopology: t, axisWidth: w})
+			}
+		}
+		for a := axisVCs; a < numAxes; a++ {
+			for i := range s.axisLen(a) {
+				g := Genome{axisDesign: d}
+				g[a] = i
+				probes = append(probes, g)
+			}
+		}
+	}
+	for _, g := range probes {
+		c, err := sp.decode(g)
+		if err == nil {
+			err = c.Sim.Validate()
+		}
+		if err != nil {
+			return fmt.Errorf("search: %s candidate: %w", s.Designs[g[axisDesign]], err)
 		}
 	}
 	return nil
@@ -279,7 +303,10 @@ func (sp Spec) Filled() Spec {
 	return sp
 }
 
-// Validate checks a filled spec; errors are client errors.
+// Validate checks a filled spec: the search's own rules here and in
+// Space.validate, then sim's on its candidates (runnable), so a spec it
+// accepts has no candidate that fails to start. Errors are client
+// errors.
 func (sp *Spec) Validate() error {
 	if sp.Algorithm != "nsga2" {
 		return fmt.Errorf("search: unknown algorithm %q (nsga2)", sp.Algorithm)
@@ -296,16 +323,18 @@ func (sp *Spec) Validate() error {
 	if sp.MutationRate < 0 || sp.MutationRate > 1 {
 		return fmt.Errorf("search: mutation_rate %g outside [0, 1]", sp.MutationRate)
 	}
+	// The spec's warmup has no sentinel (0 selects 1000 cycles), so
+	// sim's ZeroWarmup is not a search spelling.
 	if sp.Warmup < 0 {
 		return fmt.Errorf("search: negative warmup %d", sp.Warmup)
 	}
 	if sp.Measure < 1000 {
 		return fmt.Errorf("search: measure %d below the 1000-cycle floor", sp.Measure)
 	}
-	if _, err := traffic.PatternByName(sp.Pattern); err != nil {
-		return fmt.Errorf("search: %w", err)
+	if err := sp.Space.validate(); err != nil {
+		return err
 	}
-	return sp.Space.validate()
+	return sp.runnable()
 }
 
 // PointConfig is a candidate's decoded, repaired configuration — the

@@ -57,7 +57,7 @@ func TestCacheKeyGolden(t *testing.T) {
 		t.Fatalf("workload key drifted:\n got %s\nwant %s", k2, goldenWorkloadKey)
 	}
 	// Through the real resolve path, defaults implicit and spelled out.
-	for _, sp := range []SweepSpec{
+	for _, sp := range []sim.SweepConfig{
 		{Rates: []float64{0.05, 0.2}, Seed: 3},
 		{Width: 4, Height: 4, Pattern: "uniform", Measure: 100_000, Rates: []float64{0.05, 0.2}, Seed: 3},
 	} {

@@ -223,6 +223,7 @@ func TestSearchValidation(t *testing.T) {
 		"bad design":    `{"space": {"designs": ["Maglev"]}}`,
 		"bad topology":  `{"space": {"topologies": ["hypercube"]}}`,
 		"tiny measure":  `{"measure": 10}`,
+		"odd NoRD grid": `{"space": {"designs": ["NoRD"], "widths": [3]}}`,
 	} {
 		code, _ := postSearch(t, ts, body)
 		if code != http.StatusBadRequest {

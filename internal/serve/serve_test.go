@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"nord/internal/sim"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -370,6 +372,8 @@ func TestServerValidation(t *testing.T) {
 		{"oversized height", `{"kind":"synthetic","synthetic":{"design":"nord","width":4,"height":100000}}`},
 		{"torus needs 3 vcs", `{"kind":"synthetic","synthetic":{"design":"no_pg","topology":"torus","vcs":2}}`},
 		{"oversized sweep grid", `{"kind":"sweep","sweep":{"width":300,"height":4,"rates":[0.05]}}`},
+		{"negative wakeup", `{"kind":"synthetic","synthetic":{"design":"nord","wakeup_latency":-5}}`},
+		{"negative sweep measure", `{"kind":"sweep","sweep":{"rates":[0.05],"measure":-5}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -428,10 +432,10 @@ func TestServerValidation(t *testing.T) {
 // resource-exhaustion footgun.
 func TestSweepRatesCap(t *testing.T) {
 	over := make([]float64, maxSweepRates+1)
-	if _, err := (&SweepSpec{Rates: over}).resolve(); err == nil {
+	if _, err := resolveSweep(sim.SweepConfig{Rates: over}); err == nil {
 		t.Fatalf("%d rates accepted, cap is %d", len(over), maxSweepRates)
 	}
-	if _, err := (&SweepSpec{Rates: over[:maxSweepRates]}).resolve(); err != nil {
+	if _, err := resolveSweep(sim.SweepConfig{Rates: over[:maxSweepRates]}); err != nil {
 		t.Fatalf("at-cap rate list rejected: %v", err)
 	}
 }

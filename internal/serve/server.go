@@ -183,7 +183,7 @@ func New(cfg Config) (*Server, error) {
 		cache:  cache,
 		jobs:   map[string]*Job{},
 		byKey:  map[string]*Job{},
-		retain: retainTerminal,
+		retain: RetainTerminal,
 		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	if cfg.Dispatcher != nil {
@@ -371,13 +371,13 @@ func (s *Server) newJobLocked(t *task) *Job {
 	return j
 }
 
-// retainTerminal is how many terminal jobs stay queryable by ID. A job
+// RetainTerminal is how many terminal jobs stay queryable by ID. A job
 // pins its rendered result, and /metrics and GET /v1/jobs walk every job
-// held, so the server forgets the oldest beyond this depth — the one a
-// journaled coordinator restores after a restart
+// held, so the server forgets the oldest beyond this depth. It is also
+// the default depth a journaled coordinator restores after a restart
 // (fleet.JournalOptions.RetainTerminal), so a live and a restarted
 // process forget alike. The results themselves stay in the cache.
-const retainTerminal = 4096
+const RetainTerminal = 4096
 
 // retireLocked queues a job that has just become terminal and forgets the
 // oldest terminal jobs beyond the retention depth: gone from jobs (their

@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"sync"
 
-	"nord/internal/memsys"
 	"nord/internal/noc"
 	"nord/internal/sim"
 	"nord/internal/trace"
-	"nord/internal/traffic"
 )
 
 // JobRequest is the POST /v1/jobs body: a kind plus the matching spec.
@@ -19,7 +17,9 @@ type JobRequest struct {
 	Synthetic *SyntheticSpec `json:"synthetic,omitempty"`
 	Workload  *WorkloadSpec  `json:"workload,omitempty"`
 	Trace     *TraceSpec     `json:"trace,omitempty"`
-	Sweep     *SweepSpec     `json:"sweep,omitempty"`
+	// Sweep is sim's own config: a sweep has no wire-only field, so its
+	// body is sim.SweepConfig's JSON form.
+	Sweep *sim.SweepConfig `json:"sweep,omitempty"`
 }
 
 // SyntheticSpec requests one synthetic-traffic run (sim.RunSyntheticOpts).
@@ -82,31 +82,24 @@ type TraceSpec struct {
 // into a full simulation per design.
 const maxSweepRates = 128
 
-// warmupValue maps a spec's optional warmup onto the sim layer's
-// convention: omitted means "use the design default" (encoded as 0),
-// an explicit 0 means "no warmup" (the sim.ZeroWarmup sentinel), and
-// negatives are client errors.
-func warmupValue(w *int) (int, error) {
+// designWarmup parses the two fields every single-run spec carries on
+// the wire: the design name, and the optional warmup mapped onto the sim
+// layer's convention — omitted means "use the design default" (encoded
+// as 0), an explicit 0 means "no warmup" (the sim.ZeroWarmup sentinel),
+// and negatives are client errors.
+func designWarmup(name string, w *int) (noc.Design, int, error) {
+	d, err := noc.DesignByName(name)
 	switch {
+	case err != nil:
+		return d, 0, err
 	case w == nil:
-		return 0, nil
+		return d, 0, nil
 	case *w < 0:
-		return 0, fmt.Errorf("negative warmup %d", *w)
+		return d, 0, fmt.Errorf("negative warmup %d", *w)
 	case *w == 0:
-		return sim.ZeroWarmup, nil
+		return d, sim.ZeroWarmup, nil
 	}
-	return *w, nil
-}
-
-// SweepSpec requests a load sweep over the sweep designs (sim.LoadSweep);
-// its fields mirror sim.SweepConfig.
-type SweepSpec struct {
-	Width   int       `json:"width"`
-	Height  int       `json:"height"`
-	Pattern string    `json:"pattern"`
-	Rates   []float64 `json:"rates"`
-	Measure int       `json:"measure"`
-	Seed    int64     `json:"seed"`
+	return d, *w, nil
 }
 
 // runInfo carries a completed run's headline counters back to the server
@@ -195,6 +188,15 @@ func taskKey(kind string, traced bool, cfg any) (string, error) {
 	return CacheKey(kind, cfg)
 }
 
+// newTask keys a resolved, filled config and pairs it with its runner.
+func newTask(kind string, traced bool, cfg any, run func(context.Context, sim.RunOptions) ([]byte, *runInfo, error)) (*task, error) {
+	key, err := taskKey(kind, traced, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &task{kind: kind, key: key, traced: traced, run: run}, nil
+}
+
 // resolveTask validates a request and resolves it into a task. Errors are
 // client errors (HTTP 400).
 func resolveTask(req *JobRequest) (*task, error) {
@@ -209,55 +211,33 @@ func resolveTask(req *JobRequest) (*task, error) {
 func resolveSpec(req *JobRequest) (*task, error) {
 	switch req.Kind {
 	case "synthetic":
-		if req.Synthetic == nil {
-			return nil, fmt.Errorf("kind %q needs a \"synthetic\" spec", req.Kind)
+		if req.Synthetic != nil {
+			return req.Synthetic.resolve()
 		}
-		return req.Synthetic.resolve()
 	case "workload":
-		if req.Workload == nil {
-			return nil, fmt.Errorf("kind %q needs a \"workload\" spec", req.Kind)
+		if req.Workload != nil {
+			return req.Workload.resolve()
 		}
-		return req.Workload.resolve()
 	case "trace":
-		if req.Trace == nil {
-			return nil, fmt.Errorf("kind %q needs a \"trace\" spec", req.Kind)
+		if req.Trace != nil {
+			return req.Trace.resolve()
 		}
-		return req.Trace.resolve()
 	case "sweep":
-		if req.Sweep == nil {
-			return nil, fmt.Errorf("kind %q needs a \"sweep\" spec", req.Kind)
+		if req.Sweep != nil {
+			return resolveSweep(*req.Sweep)
 		}
-		return req.Sweep.resolve()
 	case "":
 		return nil, fmt.Errorf("missing job kind (synthetic, workload, trace, sweep)")
 	default:
 		return nil, fmt.Errorf("unknown job kind %q (synthetic, workload, trace, sweep)", req.Kind)
 	}
+	return nil, fmt.Errorf("kind %q needs a %q spec", req.Kind, req.Kind)
 }
 
 func (sp *SyntheticSpec) resolve() (*task, error) {
-	design, err := noc.DesignByName(sp.Design)
+	design, warmup, err := designWarmup(sp.Design, sp.Warmup)
 	if err != nil {
 		return nil, err
-	}
-	if sp.Rate < 0 || sp.Rate > 1 {
-		return nil, fmt.Errorf("rate %g outside [0, 1] flits/node/cycle", sp.Rate)
-	}
-	if sp.Measure < 0 {
-		return nil, fmt.Errorf("negative cycle count")
-	}
-	warmup, err := warmupValue(sp.Warmup)
-	if err != nil {
-		return nil, err
-	}
-	if sp.Pattern != "" {
-		if _, err := traffic.PatternByName(sp.Pattern); err != nil {
-			return nil, err
-		}
-	}
-	if sp.VCs < 0 || sp.BufferDepth < 0 || sp.GateIdle < 0 ||
-		sp.ThresholdPerf < 0 || sp.ThresholdPower < 0 {
-		return nil, fmt.Errorf("negative microarchitecture knob (vcs, buffer_depth, gate_idle, threshold_perf, threshold_power must be >= 0)")
 	}
 	cfg := sim.SynthConfig{
 		Design:         design,
@@ -278,17 +258,12 @@ func (sp *SyntheticSpec) resolve() (*task, error) {
 		ThresholdPerf:  sp.ThresholdPerf,
 		ThresholdPower: sp.ThresholdPower,
 	}.Filled()
-	// Topology, grid and VC bounds are noc's rules: ask it.
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	key, err := taskKey("synthetic", sp.TraceEvents, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &task{kind: "synthetic", key: key, traced: sp.TraceEvents, run: func(ctx context.Context, opt sim.RunOptions) ([]byte, *runInfo, error) {
+	return newTask("synthetic", sp.TraceEvents, cfg, func(ctx context.Context, opt sim.RunOptions) ([]byte, *runInfo, error) {
 		return encodeResult(sim.RunSyntheticOpts(ctx, cfg, opt))
-	}}, nil
+	})
 }
 
 // syntheticSpecFor converts a filled SynthConfig back into its wire
@@ -299,10 +274,7 @@ func (sp *SyntheticSpec) resolve() (*task, error) {
 // spec can express: a search child and a direct POST of the same point
 // are one job (TestSearchChildSharesDirectKey).
 func syntheticSpecFor(cfg sim.SynthConfig) *SyntheticSpec {
-	warmup := cfg.Warmup
-	if warmup < 0 {
-		warmup = 0
-	}
+	warmup := max(cfg.Warmup, 0)
 	return &SyntheticSpec{
 		Design:         cfg.Design.String(),
 		Width:          cfg.Width,
@@ -325,17 +297,7 @@ func syntheticSpecFor(cfg sim.SynthConfig) *SyntheticSpec {
 }
 
 func (sp *WorkloadSpec) resolve() (*task, error) {
-	design, err := noc.DesignByName(sp.Design)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := memsys.ProfileByName(sp.Benchmark); err != nil {
-		return nil, err
-	}
-	if sp.Scale < 0 {
-		return nil, fmt.Errorf("negative scale %g", sp.Scale)
-	}
-	warmup, err := warmupValue(sp.Warmup)
+	design, warmup, err := designWarmup(sp.Design, sp.Warmup)
 	if err != nil {
 		return nil, err
 	}
@@ -347,26 +309,21 @@ func (sp *WorkloadSpec) resolve() (*task, error) {
 		Seed:      sp.Seed,
 		MaxCycles: sp.MaxCycles,
 	}.Filled()
-	key, err := taskKey("workload", sp.TraceEvents, cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &task{kind: "workload", key: key, traced: sp.TraceEvents, run: func(ctx context.Context, opt sim.RunOptions) ([]byte, *runInfo, error) {
+	return newTask("workload", sp.TraceEvents, cfg, func(ctx context.Context, opt sim.RunOptions) ([]byte, *runInfo, error) {
 		return encodeResult(sim.RunWorkloadOpts(ctx, cfg, opt))
-	}}, nil
+	})
 }
 
 func (sp *TraceSpec) resolve() (*task, error) {
-	design, err := noc.DesignByName(sp.Design)
+	design, warmup, err := designWarmup(sp.Design, sp.Warmup)
 	if err != nil {
 		return nil, err
 	}
 	if sp.Path == "" {
 		return nil, fmt.Errorf("trace path required")
-	}
-	warmup, err := warmupValue(sp.Warmup)
-	if err != nil {
-		return nil, err
 	}
 	cfg := sim.TraceConfig{
 		Design:    design,
@@ -375,54 +332,31 @@ func (sp *TraceSpec) resolve() (*task, error) {
 		Seed:      sp.Seed,
 		MaxCycles: sp.MaxCycles,
 	}.Filled()
-	key, err := taskKey("trace", sp.TraceEvents, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &task{kind: "trace", key: key, traced: sp.TraceEvents, run: func(ctx context.Context, opt sim.RunOptions) ([]byte, *runInfo, error) {
+	return newTask("trace", sp.TraceEvents, cfg, func(ctx context.Context, opt sim.RunOptions) ([]byte, *runInfo, error) {
 		tr, err := trace.Load(cfg.Path)
 		if err != nil {
 			return nil, nil, err
 		}
 		return encodeResult(sim.ReplayTraceOpts(ctx, cfg, tr, opt))
-	}}, nil
+	})
 }
 
-func (sp *SweepSpec) resolve() (*task, error) {
-	if len(sp.Rates) == 0 {
-		return nil, fmt.Errorf("sweep needs at least one rate")
+func resolveSweep(cfg sim.SweepConfig) (*task, error) {
+	if len(cfg.Rates) > maxSweepRates {
+		return nil, fmt.Errorf("sweep has %d rates, limit %d", len(cfg.Rates), maxSweepRates)
 	}
-	if len(sp.Rates) > maxSweepRates {
-		return nil, fmt.Errorf("sweep has %d rates, limit %d", len(sp.Rates), maxSweepRates)
-	}
-	for _, r := range sp.Rates {
-		if r < 0 || r > 1 {
-			return nil, fmt.Errorf("rate %g outside [0, 1] flits/node/cycle", r)
-		}
-	}
-	// The key hashes the filled sim config: SweepConfig carries exactly
-	// SweepSpec's fields under the same Go names, so keys minted before the
-	// two types were split stay valid (TestCacheKeyGolden pins one).
-	cfg := sim.SweepConfig(*sp).Filled()
-	if _, err := traffic.PatternByName(cfg.Pattern); err != nil {
+	cfg = cfg.Filled()
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Every design's points run on this grid; noc owns its bounds.
-	for _, d := range sim.SweepDesigns() {
-		if err := (sim.SynthConfig{Design: d, Width: cfg.Width, Height: cfg.Height}).Validate(); err != nil {
-			return nil, err
-		}
-	}
-	key, err := CacheKey("sweep", cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &task{kind: "sweep", key: key, run: func(ctx context.Context, opt sim.RunOptions) ([]byte, *runInfo, error) {
+	// The key hashes the filled config's Go field names, not its JSON
+	// tags (TestCacheKeyGolden pins one).
+	return newTask("sweep", false, cfg, func(ctx context.Context, opt sim.RunOptions) ([]byte, *runInfo, error) {
 		pts, err := sim.LoadSweep(ctx, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
 		b, err := json.Marshal(pts)
 		return b, nil, err
-	}}, nil
+	})
 }

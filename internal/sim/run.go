@@ -96,19 +96,19 @@ type SynthConfig struct {
 	WakeupLatency int  // 0 selects the paper's 12 cycles
 	ForcedOff     bool // Figure 7 mode
 	Tech          power.Tech
-	// VCsPerClass / BufferDepth size the router microarchitecture when
-	// positive (Table 1 defaults: 4 VCs per class, 5-flit buffers; NoRD
-	// needs >= 3 VCs for its ring escape pair).
+	// VCsPerClass / BufferDepth size the router microarchitecture; 0
+	// selects Table 1's 4 VCs per class and 5-flit buffers (NoRD needs
+	// >= 3 VCs for its ring escape pair).
 	VCsPerClass int
 	BufferDepth int
-	// GateIdleCycles overrides the consecutive-idle-cycle count a router
-	// requires before gating off when positive (Section 4.3: 2).
+	// GateIdleCycles is the consecutive-idle-cycle count a router
+	// requires before gating off; 0 selects Section 4.3's 2.
 	GateIdleCycles int
 	// NoPerfCentric disables the asymmetric-threshold planner (ablation).
 	NoPerfCentric bool
-	// ThresholdPerf/ThresholdPower override the wakeup thresholds when
-	// positive (ablation; noc.DefaultParams sets 1 and 6 — the paper's
-	// 1 and 3 recalibrated to this simulator's blocked-request metric).
+	// ThresholdPerf/ThresholdPower set the wakeup thresholds (ablation);
+	// 0 selects noc.DefaultParams' 1 and 6 — the paper's 1 and 3
+	// recalibrated to this simulator's blocked-request metric.
 	ThresholdPerf, ThresholdPower int
 	// MisrouteCap overrides the NoRD misroute cap when non-negative.
 	MisrouteCap int
@@ -288,20 +288,43 @@ func PerfCentricSetOn(kind topology.Kind, w, h int) ([]int, error) {
 	return set, nil
 }
 
-// Validate reports whether noc.New would accept the network c describes
-// (grid and VC bounds, topology, the design's minimum VC count), without
-// running the planner: what a front end checks before queueing a run.
+// Validate reports whether c may run. It is the one place that decides
+// it: serve, search and the CLIs ask here instead of restating a rule,
+// and open asks again, so no runner skips it. sim's own rules refuse a
+// rate outside [0, 1] (NaN included), an unknown pattern, a negative
+// Measure or DrainCycles, a Warmup below ZeroWarmup and a Tech power.New
+// refuses. The network's rules are noc.Params.Validate's, reached with
+// every knob as set (zero means the default, a negative is refused
+// there): grid and VC bounds, the topology, the design's minimum VC
+// count, NoRD's bypass ring and the microarchitecture knobs. It does not
+// run the planner.
 func (c SynthConfig) Validate() error {
 	c.fill()
 	_, err := c.params(1)
 	return err
 }
 
-// params assembles and validates the noc parameters of a filled config,
-// all but the planner's performance-centric set — so a network noc.New
-// would refuse never costs a cold planner search first.
+// params judges a filled config (see Validate) and assembles its noc
+// parameters, all but the planner's performance-centric set — so a
+// config Validate refuses never costs a cold planner search first.
 func (c *SynthConfig) params(classes int) (noc.Params, error) {
 	p := noc.DefaultParams(c.Design)
+	switch {
+	case !(c.Rate >= 0 && c.Rate <= 1):
+		return p, fmt.Errorf("sim: rate %g outside [0, 1] flits/node/cycle", c.Rate)
+	case c.Measure < 0:
+		return p, fmt.Errorf("sim: negative measure %d", c.Measure)
+	case c.Warmup < ZeroWarmup:
+		return p, fmt.Errorf("sim: warmup %d below ZeroWarmup (-1, no warmup)", c.Warmup)
+	case c.DrainCycles < 0:
+		return p, fmt.Errorf("sim: negative drain cycles %d", c.DrainCycles)
+	}
+	if _, err := traffic.PatternByName(c.Pattern); err != nil {
+		return p, err
+	}
+	if err := c.Tech.Validate(); err != nil {
+		return p, err
+	}
 	p.Width, p.Height = c.Width, c.Height
 	p.Classes = classes
 	kind, err := topology.KindByName(c.Topology)
@@ -309,25 +332,18 @@ func (c *SynthConfig) params(classes int) (noc.Params, error) {
 		return p, err
 	}
 	p.Topology = kind
-	if c.WakeupLatency > 0 {
-		p.WakeupLatency = c.WakeupLatency
+	set := func(knob *int, v int) {
+		if v != 0 {
+			*knob = v
+		}
 	}
-	if c.VCsPerClass > 0 {
-		p.VCsPerClass = c.VCsPerClass
-	}
-	if c.BufferDepth > 0 {
-		p.BufferDepth = c.BufferDepth
-	}
-	if c.GateIdleCycles > 0 {
-		p.GateIdleCycles = c.GateIdleCycles
-	}
+	set(&p.WakeupLatency, c.WakeupLatency)
+	set(&p.VCsPerClass, c.VCsPerClass)
+	set(&p.BufferDepth, c.BufferDepth)
+	set(&p.GateIdleCycles, c.GateIdleCycles)
+	set(&p.ThresholdPerf, c.ThresholdPerf)
+	set(&p.ThresholdPower, c.ThresholdPower)
 	p.ForcedOff = c.ForcedOff
-	if c.ThresholdPerf > 0 {
-		p.ThresholdPerf = c.ThresholdPerf
-	}
-	if c.ThresholdPower > 0 {
-		p.ThresholdPower = c.ThresholdPower
-	}
 	if c.MisrouteCap >= 0 {
 		p.MisrouteCap = c.MisrouteCap
 	}
@@ -478,13 +494,39 @@ func systemNet(d noc.Design, wakeupLatency int, noPerfCentric bool, tech power.T
 	return sc
 }
 
+// Validate reports whether c may run: a known benchmark, a Scale that is
+// not negative (NaN included), a Warmup no lower than ZeroWarmup, and
+// the network SynthConfig.Validate judges (the design, WakeupLatency,
+// Tech). systemRun asks the same, so no workload runner skips it.
+func (c WorkloadConfig) Validate() error {
+	c.fill()
+	_, err := c.profile()
+	return err
+}
+
+// profile judges a filled config (see Validate) and returns its
+// benchmark's profile at c.Scale.
+func (c *WorkloadConfig) profile() (memsys.Profile, error) {
+	prof, err := memsys.ProfileByName(c.Benchmark)
+	switch {
+	case err != nil:
+	case !(c.Scale >= 0):
+		err = fmt.Errorf("sim: negative scale %g", c.Scale)
+	case c.Warmup < ZeroWarmup:
+		err = fmt.Errorf("sim: warmup %d below ZeroWarmup (-1, no warmup)", c.Warmup)
+	default:
+		err = systemNet(c.Design, c.WakeupLatency, c.NoPerfCentric, c.Tech).Validate()
+	}
+	prof.InstrPerCore = max(1, uint64(float64(float64(prof.InstrPerCore)*c.Scale)))
+	return prof, err
+}
+
 func systemRun(ctx context.Context, c WorkloadConfig, opt RunOptions, record bool) (*trace.Trace, Result, error) {
 	c.fill()
-	prof, err := memsys.ProfileByName(c.Benchmark)
+	prof, err := c.profile()
 	if err != nil {
 		return nil, Result{}, err
 	}
-	prof.InstrPerCore = max(1, uint64(float64(float64(prof.InstrPerCore)*c.Scale)))
 	s, err := open(ctx, systemNet(c.Design, c.WakeupLatency, c.NoPerfCentric, c.Tech), flit.NumClasses, opt)
 	if err != nil {
 		return nil, Result{}, err

@@ -80,15 +80,12 @@ type session struct {
 }
 
 // open builds the network c describes, carrying the given number of
-// message classes. Errors are configuration errors. The caller owns
+// message classes. Errors are configuration errors: params judges c by
+// SynthConfig.Validate's rules, so no runner skips them. The caller owns
 // closing the network: defer s.net.Close() right after a successful open.
 func open(ctx context.Context, c SynthConfig, classes int, opt RunOptions) (*session, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	model, err := power.New(c.Tech)
-	if err != nil {
-		return nil, err
 	}
 	params, err := c.params(classes)
 	if err == nil && c.Design.Blocks().Bypass && !c.NoPerfCentric && !c.ForcedOff {
@@ -102,7 +99,7 @@ func open(ctx context.Context, c SynthConfig, classes int, opt RunOptions) (*ses
 		return nil, err
 	}
 	net.SetTracer(opt.Tracer)
-	return &session{ctx: ctx, opt: opt, net: net, model: model, step: net.Step}, nil
+	return &session{ctx: ctx, opt: opt, net: net, model: power.MustNew(c.Tech), step: net.Step}, nil
 }
 
 // before reports whether the network has yet to reach the given cycle —

@@ -8,6 +8,7 @@ import (
 
 	"nord/internal/noc"
 	"nord/internal/power"
+	"nord/internal/stats"
 	"nord/internal/topology"
 )
 
@@ -155,12 +156,62 @@ func TestRunSyntheticBasics(t *testing.T) {
 	}
 }
 
+// TestRunSyntheticValidation: each rule Validate states refuses its
+// config there and in the runner, before a cycle is stepped.
 func TestRunSyntheticValidation(t *testing.T) {
-	if _, err := runSynthetic(SynthConfig{Design: noc.NoPG, Pattern: "bogus", Rate: 0.01, Measure: 10}); err == nil {
-		t.Error("bad pattern should fail")
+	stepped := 0
+	opt := RunOptions{ProgressEvery: 1, Progress: func(stats.Progress) { stepped++ }}
+	legal := SynthConfig{Design: noc.ConvPG, Rate: 0.01, Measure: 10}
+	if err := legal.Validate(); err != nil {
+		t.Fatalf("control refused: %v", err)
 	}
-	if _, err := runSynthetic(SynthConfig{Design: noc.NoPG, Rate: 0.01, Measure: 10, Tech: power.Tech{NodeNM: 7, Voltage: 1, FreqGHz: 1}}); err == nil {
-		t.Error("bad tech should fail")
+	for name, set := range map[string]func(*SynthConfig){
+		"unknown pattern":         func(c *SynthConfig) { c.Pattern = "bogus" },
+		"bad tech":                func(c *SynthConfig) { c.Tech = power.Tech{NodeNM: 7, Voltage: 1, FreqGHz: 1} },
+		"rate above 1":            func(c *SynthConfig) { c.Rate = 1.5 },
+		"negative rate":           func(c *SynthConfig) { c.Rate = -0.1 },
+		"NaN rate":                func(c *SynthConfig) { c.Rate = math.NaN() },
+		"negative measure":        func(c *SynthConfig) { c.Measure = -5 },
+		"warmup below ZeroWarmup": func(c *SynthConfig) { c.Warmup = -7 },
+		"negative drain":          func(c *SynthConfig) { c.DrainCycles = -1 },
+		"negative vcs":            func(c *SynthConfig) { c.VCsPerClass = -2 },
+		"negative buffer depth":   func(c *SynthConfig) { c.BufferDepth = -1 },
+		"negative gate idle":      func(c *SynthConfig) { c.GateIdleCycles = -3 },
+		"negative wakeup":         func(c *SynthConfig) { c.WakeupLatency = -5 },
+		"negative NoRD threshold": func(c *SynthConfig) { c.Design, c.ThresholdPower = noc.NoRD, -1 },
+	} {
+		c := legal
+		set(&c)
+		stepped = 0
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", name)
+		}
+		res, err := RunSyntheticOpts(context.Background(), c, opt)
+		if err == nil || res.Cycles != 0 || stepped != 0 {
+			t.Errorf("%s: ran %d cycles (%d progress reports), err %v", name, res.Cycles, stepped, err)
+		}
+	}
+
+	work := WorkloadConfig{Design: noc.NoRD, Benchmark: "swaptions", Scale: 0.01}
+	if err := work.Validate(); err != nil {
+		t.Fatalf("workload control refused: %v", err)
+	}
+	for name, set := range map[string]func(*WorkloadConfig){
+		"unknown benchmark":       func(c *WorkloadConfig) { c.Benchmark = "nope" },
+		"negative scale":          func(c *WorkloadConfig) { c.Scale = -1 },
+		"warmup below ZeroWarmup": func(c *WorkloadConfig) { c.Warmup = -7 },
+		"negative wakeup":         func(c *WorkloadConfig) { c.WakeupLatency = -5 },
+	} {
+		c := work
+		set(&c)
+		stepped = 0
+		if err := c.Validate(); err == nil {
+			t.Errorf("workload %s: Validate accepted it", name)
+		}
+		res, err := RunWorkloadOpts(context.Background(), c, opt)
+		if err == nil || res.Cycles != 0 || stepped != 0 {
+			t.Errorf("workload %s: ran %d cycles (%d progress reports), err %v", name, res.Cycles, stepped, err)
+		}
 	}
 }
 

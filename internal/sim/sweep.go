@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 
 	"nord/internal/memsys"
 	"nord/internal/noc"
@@ -38,13 +39,16 @@ type SweepPoint struct {
 const satLatency = 300
 
 // SweepConfig describes a load sweep: every SweepDesigns design at every
-// rate, on one grid, pattern and seed.
+// rate, on one grid, pattern and seed. It is also the body of a sweep job
+// (POST /v1/jobs), hence the JSON tags; cache keys hash the Go field
+// names, so the tags move no key.
 type SweepConfig struct {
-	Width, Height int
-	Pattern       string
-	Rates         []float64
-	Measure       int // measured cycles per point
-	Seed          int64
+	Width   int       `json:"width"`
+	Height  int       `json:"height"`
+	Pattern string    `json:"pattern"`
+	Rates   []float64 `json:"rates"`
+	Measure int       `json:"measure"` // measured cycles per point
+	Seed    int64     `json:"seed"`
 }
 
 // Filled returns the config with the defaults every point's SynthConfig
@@ -55,6 +59,34 @@ func (c SweepConfig) Filled() SweepConfig {
 	return c
 }
 
+// points returns the sweep's cells, one per (design, rate) in that order.
+func (c SweepConfig) points() []SynthConfig {
+	var out []SynthConfig
+	for _, d := range SweepDesigns() {
+		for _, rate := range c.Rates {
+			out = append(out, SynthConfig{
+				Design: d, Width: c.Width, Height: c.Height, Pattern: c.Pattern,
+				Rate: rate, Measure: c.Measure, Seed: c.Seed,
+			})
+		}
+	}
+	return out
+}
+
+// Validate reports whether the sweep may run: at least one rate, and
+// every point's SynthConfig.Validate. LoadSweep asks it.
+func (c SweepConfig) Validate() error {
+	if len(c.Rates) == 0 {
+		return fmt.Errorf("sim: sweep needs at least one rate")
+	}
+	for _, p := range c.points() {
+		if err := p.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // LoadSweep measures latency and NoC power across the load range for the
 // sweep designs (Figures 14 and 15), one pool cell per (design, rate) in
 // that order. A point that fails at runtime (deadlock, protocol
@@ -62,19 +94,16 @@ func (c SweepConfig) Filled() SweepConfig {
 // going; a configuration error or a canceled ctx fails the sweep.
 func LoadSweep(ctx context.Context, c SweepConfig) ([]SweepPoint, error) {
 	c = c.Filled()
-	designs := SweepDesigns()
-	at := func(i int) (noc.Design, float64) { return designs[i/len(c.Rates)], c.Rates[i%len(c.Rates)] }
-	results, errs := RunCells(ctx, len(designs)*len(c.Rates), func(ctx context.Context, i int) (Result, error) {
-		d, rate := at(i)
-		return RunSyntheticOpts(ctx, SynthConfig{
-			Design: d, Width: c.Width, Height: c.Height, Pattern: c.Pattern,
-			Rate: rate, Measure: c.Measure, Seed: c.Seed,
-		}, RunOptions{})
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	points := c.points()
+	results, errs := RunCells(ctx, len(points), func(ctx context.Context, i int) (Result, error) {
+		return RunSyntheticOpts(ctx, points[i], RunOptions{})
 	})
 	out := make([]SweepPoint, len(results))
 	for i, r := range results {
-		d, rate := at(i)
-		out[i] = SweepPoint{Design: d, Rate: rate}
+		out[i] = SweepPoint{Design: points[i].Design, Rate: points[i].Rate}
 		switch err := errs[i]; {
 		case err == nil:
 			out[i].AvgLatency = r.AvgPacketLatency
