@@ -49,12 +49,12 @@ func main() {
 	var (
 		mode         = flag.String("mode", "local", "local | coordinator | worker")
 		addr         = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-		workers      = flag.Int("workers", 0, "worker pool size (default GOMAXPROCS; coordinator mode: local fallback pool size, default 1)")
-		queue        = flag.Int("queue", 64, "queued-job limit before submissions get 429")
+		workers      = flag.Int("workers", 0, "in-process worker pool size (default GOMAXPROCS); a coordinator runs jobs on it while no fleet worker is live")
+		queue        = flag.Int("queue", 64, "queued-job limit before submissions get 429 (a coordinator bounds its unleased jobs by it too)")
 		cacheEntries = flag.Int("cache-entries", 512, "in-memory result cache capacity")
 		cacheDir     = flag.String("cache-dir", "", "directory for on-disk cache spill (empty disables)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
-		jobDeadline  = flag.Duration("job-deadline", 0, "per-job wall-clock execution budget (0 = unbounded)")
+		jobDeadline  = flag.Duration("job-deadline", 0, "per-job wall-clock execution budget, on this process or a fleet worker (0 = unbounded)")
 
 		// Coordinator-mode flags.
 		leaseTTL    = flag.Duration("lease-ttl", 10*time.Second, "coordinator: lease TTL (un-heartbeated leases requeue after this)")
@@ -88,10 +88,6 @@ func main() {
 	}
 	var coord *fleet.Coordinator
 	if *mode == "coordinator" {
-		localWorkers := *workers
-		if localWorkers == 0 {
-			localWorkers = 1
-		}
 		var journal *fleet.Journal
 		if *journalDir != "" {
 			var err error
@@ -103,14 +99,11 @@ func main() {
 		}
 		cfg.Dispatcher = func(s *serve.Server) serve.Dispatcher {
 			coord = fleet.NewCoordinator(s, fleet.Options{
-				LeaseTTL:     *leaseTTL,
-				MaxAttempts:  *maxAttempts,
-				RetryBase:    *retryBase,
-				RetryMax:     *retryMax,
-				QueueDepth:   *queue,
-				LocalWorkers: localWorkers,
-				JobDeadline:  *jobDeadline,
-				Journal:      journal,
+				LeaseTTL:    *leaseTTL,
+				MaxAttempts: *maxAttempts,
+				RetryBase:   *retryBase,
+				RetryMax:    *retryMax,
+				Journal:     journal,
 			})
 			return coord
 		}

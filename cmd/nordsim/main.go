@@ -117,6 +117,16 @@ func main() {
 	if *measure <= 0 {
 		fail(fmt.Errorf("measure must be positive, got %d", *measure))
 	}
+	// These flags default to the Table 1 values, so a 0 is always
+	// explicit, and sim would read it as that default.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"wakeup", *wakeup}, {"width", *width}, {"height", *height}} {
+		if f.v == 0 {
+			fail(fmt.Errorf("-%s 0 cannot run: sim reads a zero as the Table 1 default", f.name))
+		}
+	}
 	// The flag default is the paper's warmup, so a 0 on the command line
 	// is always an explicit request for no warmup.
 	if *warmup == 0 {

@@ -65,6 +65,19 @@ func TestBenchmarkRefusesSyntheticFlags(t *testing.T) {
 	}
 }
 
+// TestZeroTableOneFlagsRefused: -wakeup, -width and -height default to
+// the Table 1 values, so a 0 is an explicit request sim cannot spell (it
+// reads a zero knob as the default). Each is refused by name instead of
+// silently running the default.
+func TestZeroTableOneFlagsRefused(t *testing.T) {
+	for _, name := range []string{"wakeup", "width", "height"} {
+		_, stderr, err := nordsim(t, "-design", "conv_pg", "-rate", "0.05", "-warmup", "100", "-measure", "500", "-"+name, "0")
+		if err == nil || !strings.Contains(stderr, "-"+name+" 0") {
+			t.Errorf("-%s 0: err %v, stderr %q; want a refusal naming the flag", name, err, stderr)
+		}
+	}
+}
+
 // TestPerRouterCSV: -per-router -csv writes the per-router CSV, a header
 // plus one row per router, instead of the one-record result CSV.
 func TestPerRouterCSV(t *testing.T) {

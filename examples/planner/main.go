@@ -20,7 +20,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("performance-centric routers (4x4): %v\n", set)
-	fmt.Println("these wake at threshold 1 (early) and sleep late; the rest at threshold 3")
+	fmt.Println("these wake at threshold 1 (early) and sleep late; the rest at threshold 6")
 
 	run := func(noPerf bool) nord.Result {
 		res, err := nord.RunSynthetic(nord.SynthConfig{

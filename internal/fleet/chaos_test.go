@@ -85,10 +85,9 @@ func TestFleetChaosExactlyOnce(t *testing.T) {
 		MaxAttempts:  12, // generous: chaos must delay jobs, never fail them
 		RetryBase:    20 * time.Millisecond,
 		RetryMax:     200 * time.Millisecond,
-		LocalWorkers: 2,
 		Seed:         seed,
 	}
-	tf := newTestFleet(t, opts, serve.Config{})
+	tf := newTestFleet(t, opts, serve.Config{Workers: 2})
 	workers := make([]*testWorker, nWorkers)
 	for i := range workers {
 		workers[i] = startWorker(t, tf, []string{"w0", "w1", "w2"}[i], int64(70+i))
@@ -331,10 +330,9 @@ func TestCoordinatorCrashRestartMidJob(t *testing.T) {
 		MaxAttempts:  12,
 		RetryBase:    20 * time.Millisecond,
 		RetryMax:     200 * time.Millisecond,
-		LocalWorkers: 2,
 		Seed:         11,
 	}
-	df := startDurableFleet(t, opts, serve.Config{})
+	df := startDurableFleet(t, opts, serve.Config{Workers: 2})
 	startWorkerURL(t, df.url, "w1", 111)
 	startWorkerURL(t, df.url, "w2", 112)
 	waitFor(t, 10*time.Second, "2 live workers", func() bool { return df.coord.Workers() >= 2 })
@@ -400,10 +398,9 @@ func TestCacheCorruptionQuarantinedAndRecomputed(t *testing.T) {
 	opts := Options{
 		LeaseTTL:     600 * time.Millisecond,
 		JanitorEvery: 20 * time.Millisecond,
-		LocalWorkers: 2,
 		Seed:         12,
 	}
-	df := startDurableFleet(t, opts, serve.Config{})
+	df := startDurableFleet(t, opts, serve.Config{Workers: 2})
 
 	// Workerless: /healthz must say alive-but-degraded, not ok.
 	if code, status, notes := healthzURL(t, df.url); code != http.StatusOK || status != "degraded" || !hasNote(notes, "no_live_workers") {
@@ -479,7 +476,8 @@ func TestRestartUnderAliasKeyRecomputes(t *testing.T) {
 	)
 	df := &durableFleet{
 		t:          t,
-		opts:       Options{LeaseTTL: 600 * time.Millisecond, JanitorEvery: 20 * time.Millisecond, LocalWorkers: 2, Seed: 17},
+		opts:       Options{LeaseTTL: 600 * time.Millisecond, JanitorEvery: 20 * time.Millisecond, Seed: 17},
+		cfg:        serve.Config{Workers: 2},
 		cacheDir:   t.TempDir(),
 		journalDir: t.TempDir(),
 	}

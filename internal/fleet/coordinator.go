@@ -55,6 +55,7 @@ type workerState struct {
 type Coordinator struct {
 	opts    Options
 	srv     *serve.Server
+	cfg     serve.Config // srv's filled settings: deadline, queue bound, pool size
 	local   *serve.Scheduler
 	rng     *lockedRand
 	journal *Journal // nil when the coordinator is not crash-durable
@@ -101,6 +102,7 @@ func NewCoordinator(srv *serve.Server, opts Options) *Coordinator {
 	c := &Coordinator{
 		opts:        opts,
 		srv:         srv,
+		cfg:         srv.Config(),
 		rng:         newLockedRand(opts.Seed),
 		journal:     opts.Journal,
 		jobs:        map[string]*fleetJob{},
@@ -111,7 +113,7 @@ func NewCoordinator(srv *serve.Server, opts Options) *Coordinator {
 	// The local fallback pool journals the terminal transitions it drives:
 	// fleet jobs stolen onto it during a zero-worker window must not replay
 	// as open after a crash that already answered them.
-	c.local = serve.NewScheduler(opts.LocalWorkers, opts.QueueDepth, func(j *serve.Job) {
+	c.local = serve.NewScheduler(c.cfg.Workers, c.cfg.QueueDepth, func(j *serve.Job) {
 		srv.Exec(j)
 		c.journalTerm(j)
 	})
@@ -174,7 +176,8 @@ func localOnly(j *serve.Job) bool { return j.Traced() || j.Kind == "trace" }
 // Submit implements serve.Dispatcher. Jobs that cannot ship (localOnly)
 // always execute in-process; everything else joins
 // the fleet queue unless no worker is live, in which case it degrades
-// directly to local execution.
+// directly to local execution. Either queue holds at most the server's
+// QueueDepth jobs not yet running, as the local Scheduler's does.
 func (c *Coordinator) Submit(j *serve.Job) error {
 	if localOnly(j) {
 		return c.submitLocal(j)
@@ -188,7 +191,7 @@ func (c *Coordinator) Submit(j *serve.Job) error {
 		c.mu.Unlock()
 		return c.submitLocal(j)
 	}
-	if len(c.jobs) >= c.opts.QueueDepth {
+	if len(c.queue) >= c.cfg.QueueDepth {
 		c.mu.Unlock()
 		return serve.ErrQueueFull
 	}
@@ -523,7 +526,7 @@ func (c *Coordinator) leaseLocked(fj *fleetJob, workerID string, now time.Time) 
 	return &LeaseGrant{
 		JobID:      fj.j.ID,
 		Lease:      fj.lease.id,
-		DeadlineMs: c.opts.JobDeadline.Milliseconds(),
+		DeadlineMs: c.cfg.JobDeadline.Milliseconds(),
 		Request:    json.RawMessage(fj.j.RequestJSON()),
 	}
 }

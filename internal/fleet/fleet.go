@@ -24,8 +24,9 @@
 //     workers through heartbeat responses and lease grants, riding the
 //     sim layer's context-cancellation polling.
 //   - With zero live workers the coordinator degrades to local
-//     in-process execution, so a fleet of one is exactly the old
-//     single-process service.
+//     in-process execution on a pool of serve.Config.Workers with a
+//     queue of serve.Config.QueueDepth, under serve.Config.JobDeadline,
+//     so a fleet of one is exactly the single-process service.
 package fleet
 
 import (
@@ -35,8 +36,12 @@ import (
 	"time"
 )
 
-// Options tunes a Coordinator. The zero value selects production-shaped
-// defaults; tests shrink the timings.
+// Options tunes a Coordinator's lease machinery. The zero value selects
+// production-shaped defaults; tests shrink the timings. The settings a
+// job runs under — its deadline, the queue bound and the local pool
+// size — are the owning server's serve.Config, read through
+// (*serve.Server).Config, so a job leased to a worker and one run on the
+// fallback pool see the same values.
 type Options struct {
 	// LeaseTTL is how long a granted lease lives without a heartbeat
 	// before the job is presumed abandoned and requeued (default 10s).
@@ -60,17 +65,6 @@ type Options struct {
 	// (defaults 250ms and 5s).
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// QueueDepth bounds fleet-queued plus leased jobs; beyond it Submit
-	// reports backpressure (default 256).
-	QueueDepth int
-	// LocalWorkers sizes the in-process fallback pool used when no
-	// workers are live and for jobs that cannot ship (traced jobs, trace
-	// replays of coordinator-local files). Default 1. Its queue is
-	// QueueDepth deep.
-	LocalWorkers int
-	// JobDeadline is the per-execution wall-clock budget handed to
-	// workers in lease grants (0 = unbounded).
-	JobDeadline time.Duration
 	// Journal, when non-nil, makes the coordinator crash-durable: job
 	// submissions, lease grants, requeues and terminal transitions are
 	// appended to it, and NewCoordinator replays its recovered state —
@@ -111,12 +105,6 @@ func (o *Options) fill() {
 	}
 	if o.RetryMax <= 0 {
 		o.RetryMax = 5 * time.Second
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 256
-	}
-	if o.LocalWorkers <= 0 {
-		o.LocalWorkers = 1
 	}
 	if o.Seed == 0 {
 		o.Seed = time.Now().UnixNano()

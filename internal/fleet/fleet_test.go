@@ -132,8 +132,6 @@ func startWorkerURL(t *testing.T, url, id string, seed int64) *testWorker {
 		Client:        &http.Client{Transport: chaos},
 		ReconnectBase: 20 * time.Millisecond,
 		ReconnectMax:  250 * time.Millisecond,
-		CheckEvery:    64,
-		ProgressEvery: 2000,
 		Seed:          seed,
 		Logf:          t.Logf,
 	})
@@ -534,10 +532,9 @@ func TestFleetLocalFallbackNoWorkers(t *testing.T) {
 	opts := Options{
 		LeaseTTL:     300 * time.Millisecond,
 		JanitorEvery: 20 * time.Millisecond,
-		LocalWorkers: 2,
 		Seed:         4,
 	}
-	tf := newTestFleet(t, opts, serve.Config{})
+	tf := newTestFleet(t, opts, serve.Config{Workers: 2})
 
 	body := synthJob(9, 5_000)
 	id := mustSubmit(t, tf, body)
@@ -554,6 +551,98 @@ func TestFleetLocalFallbackNoWorkers(t *testing.T) {
 	if v := fleetMetric(t, tf, "nord_fleet_local_jobs_total"); v != 1 {
 		t.Errorf("nord_fleet_local_jobs_total=%v, want 1", v)
 	}
+}
+
+// TestFleetRunsUnderServerConfig builds a coordinator from zero Options
+// over a server with a pool of 3, a queue bound and a deadline: every
+// setting a job runs under is the server's. With no live worker, 3 jobs
+// run at once on the fallback pool and QueueDepth more wait there; with a
+// worker registered, the fleet queue holds QueueDepth jobs and a lease
+// grant carries the server's JobDeadline.
+func TestFleetRunsUnderServerConfig(t *testing.T) {
+	const (
+		queue    = 2
+		deadline = 90 * time.Second
+	)
+	tf := newTestFleet(t, Options{}, serve.Config{Workers: 3, QueueDepth: queue, JobDeadline: deadline})
+	endless := func(seed int64) string { return synthJob(seed, 80_000_000) }
+	cancelJob := func(id string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodDelete, tf.ts.URL+"/v1/jobs/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	post := func(path string, body, out any) int {
+		t.Helper()
+		b, _ := json.Marshal(body)
+		resp, err := http.Post(tf.ts.URL+path, "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if out != nil && resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode
+	}
+
+	// Workerless: the fallback pool is serve.Config.Workers wide and its
+	// queue serve.Config.QueueDepth deep.
+	var local []string
+	for seed := int64(1); seed <= 3; seed++ {
+		local = append(local, mustSubmit(t, tf, endless(seed)))
+	}
+	waitFor(t, 20*time.Second, "3 jobs running on the fallback pool", func() bool {
+		return tf.coord.local.Busy() == 3
+	})
+	for seed := int64(4); seed < 4+queue; seed++ {
+		local = append(local, mustSubmit(t, tf, endless(seed)))
+	}
+	if code, _ := submitJob(t, tf, endless(50)); code != http.StatusTooManyRequests {
+		t.Errorf("fallback submit past QueueDepth: HTTP %d, want 429", code)
+	}
+	for _, id := range local {
+		cancelJob(id)
+	}
+
+	// A registered worker: the fleet queue holds QueueDepth jobs, and a
+	// lease grant carries the server's deadline.
+	if code := post("/fleet/v1/register", RegisterRequest{WorkerID: "probe"}, nil); code != http.StatusOK {
+		t.Fatalf("register: HTTP %d", code)
+	}
+	var queued []string
+	for seed := int64(10); seed < 10+queue; seed++ {
+		code, sr := submitJob(t, tf, endless(seed))
+		if code != http.StatusAccepted {
+			t.Fatalf("fleet submit %d: HTTP %d, want 202", len(queued)+1, code)
+		}
+		queued = append(queued, sr.ID)
+	}
+	if code, _ := submitJob(t, tf, endless(60)); code != http.StatusTooManyRequests {
+		t.Errorf("fleet submit past QueueDepth: HTTP %d, want 429", code)
+	}
+	var grant LeaseGrant
+	if code := post("/fleet/v1/lease", LeaseRequest{WorkerID: "probe"}, &grant); code != http.StatusOK {
+		t.Fatalf("lease: HTTP %d", code)
+	}
+	if want := deadline.Milliseconds(); grant.DeadlineMs != want {
+		t.Errorf("lease grant DeadlineMs=%d, want the server's JobDeadline %d", grant.DeadlineMs, want)
+	}
+
+	// Wind down: the leased job reports canceled, as a worker would after
+	// its heartbeat said so; a second lease poll reaps the canceled rest.
+	for _, id := range queued {
+		cancelJob(id)
+	}
+	post("/fleet/v1/result", ResultRequest{WorkerID: "probe", JobID: grant.JobID, Lease: grant.Lease,
+		Outcome: serve.RemoteOutcome{Canceled: true, Error: "canceled"}}, nil)
+	post("/fleet/v1/lease", LeaseRequest{WorkerID: "probe"}, nil)
+	post("/fleet/v1/unregister", RegisterRequest{WorkerID: "probe"}, nil)
 }
 
 // TestFleetCancelPropagates cancels a job leased to a remote worker: the
@@ -597,18 +686,18 @@ func TestFleetCancelPropagates(t *testing.T) {
 	}
 }
 
-// TestFleetDeadlineFailsJob checks the per-job execution deadline rides
-// the lease grant to the worker: a run that blows its wall-clock budget
-// comes back failed (not canceled), with the deadline named.
+// TestFleetDeadlineFailsJob checks the server's per-job execution
+// deadline (serve.Config.JobDeadline) rides the lease grant to the
+// worker: a run that blows its wall-clock budget comes back failed (not
+// canceled), with the deadline named.
 func TestFleetDeadlineFailsJob(t *testing.T) {
 	opts := Options{
 		LeaseTTL:     600 * time.Millisecond,
 		PollWait:     100 * time.Millisecond,
 		JanitorEvery: 20 * time.Millisecond,
-		JobDeadline:  200 * time.Millisecond,
 		Seed:         6,
 	}
-	tf := newTestFleet(t, opts, serve.Config{})
+	tf := newTestFleet(t, opts, serve.Config{JobDeadline: 200 * time.Millisecond})
 	startWorker(t, tf, "w1", 61)
 	waitWorkers(t, tf, 1)
 

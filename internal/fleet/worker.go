@@ -28,7 +28,10 @@ var errLeaseLost = errors.New("fleet: lease lost")
 // reported.
 var errClientCanceled = errors.New("fleet: job canceled by client")
 
-// WorkerOptions configures a fleet worker.
+// WorkerOptions configures a fleet worker. It holds no job settings: a
+// leased job runs at sim.RunOptions' default poll and progress cadence,
+// as a job on the coordinator's own pool does, under the deadline its
+// lease grant carries; cancellation and progress ride the heartbeats.
 type WorkerOptions struct {
 	// Coordinator is the coordinator's base URL (http://host:port).
 	Coordinator string
@@ -47,10 +50,6 @@ type WorkerOptions struct {
 	// when the coordinator is unreachable (defaults 200ms and 10s).
 	ReconnectBase time.Duration
 	ReconnectMax  time.Duration
-	// CheckEvery and ProgressEvery tune the sim layer (defaults as in
-	// serve.Config).
-	CheckEvery    int
-	ProgressEvery int
 	// Seed drives the reconnect jitter; 0 seeds from the clock.
 	Seed int64
 	// Logf, when non-nil, receives worker lifecycle lines.
@@ -328,8 +327,6 @@ func (w *Worker) execute(ctx context.Context, grant *LeaseGrant) {
 	}()
 
 	payload, meta, err := serve.ExecuteRequest(runCtx, &req, sim.RunOptions{
-		CheckEvery:    w.o.CheckEvery,
-		ProgressEvery: w.o.ProgressEvery,
 		Progress: func(p stats.Progress) {
 			progMu.Lock()
 			latest = &p

@@ -201,28 +201,6 @@ func (f *Flit) String() string {
 	return fmt.Sprintf("%s[%d] of %s on vc%d", f.Kind, f.Seq, f.Packet, f.VC)
 }
 
-// Flits serialises a packet into its flit sequence.
-func Flits(p *Packet) []*Flit {
-	if p.Length <= 0 {
-		p.Length = 1
-	}
-	out := make([]*Flit, p.Length)
-	for i := 0; i < p.Length; i++ {
-		k := Body
-		switch {
-		case p.Length == 1:
-			k = HeadTail
-		case i == 0:
-			k = Head
-		case i == p.Length-1:
-			k = Tail
-		}
-		out[i] = &Flit{Packet: p, Kind: k, Seq: i}
-		out[i].Checksum = out[i].ComputeChecksum()
-	}
-	return out
-}
-
 // Retransmit builds the next end-to-end retransmission of a poisoned
 // packet: same endpoints, class and length under a fresh identity (the
 // caller supplies the new unique ID), with the retry count advanced.

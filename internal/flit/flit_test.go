@@ -47,7 +47,7 @@ func TestClassString(t *testing.T) {
 
 func TestFlitsSingle(t *testing.T) {
 	p := &Packet{ID: 1, Src: 0, Dst: 3, Length: 1}
-	fs := Flits(p)
+	fs := new(Pool).AppendFlits(nil, p)
 	if len(fs) != 1 {
 		t.Fatalf("got %d flits, want 1", len(fs))
 	}
@@ -61,7 +61,7 @@ func TestFlitsSingle(t *testing.T) {
 
 func TestFlitsMulti(t *testing.T) {
 	p := &Packet{ID: 2, Length: 5}
-	fs := Flits(p)
+	fs := new(Pool).AppendFlits(nil, p)
 	if len(fs) != 5 {
 		t.Fatalf("got %d flits, want 5", len(fs))
 	}
@@ -85,19 +85,19 @@ func TestFlitsMulti(t *testing.T) {
 
 func TestFlitsZeroLengthNormalised(t *testing.T) {
 	p := &Packet{Length: 0}
-	fs := Flits(p)
+	fs := new(Pool).AppendFlits(nil, p)
 	if len(fs) != 1 || p.Length != 1 {
 		t.Errorf("zero length: got %d flits, packet length %d; want 1 flit, length 1", len(fs), p.Length)
 	}
 }
 
-// Property: for any length, Flits yields exactly one head, one tail, the
+// Property: for any length, AppendFlits yields exactly one head, one tail, the
 // rest body, in order, all referencing the packet.
 func TestFlitsProperty(t *testing.T) {
 	f := func(n uint8) bool {
 		length := int(n%16) + 1
 		p := &Packet{Length: length}
-		fs := Flits(p)
+		fs := new(Pool).AppendFlits(nil, p)
 		if len(fs) != length {
 			return false
 		}

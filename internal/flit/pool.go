@@ -63,9 +63,10 @@ func (pl *Pool) getFlit() *Flit {
 	return f
 }
 
-// AppendFlits serialises p into dst exactly as Flits does, drawing the
-// flit objects from the pool. dst is typically a persistent per-NI buffer
-// passed as buf[:0].
+// AppendFlits serialises p into its flit sequence — a single HeadTail
+// flit, or a Head, Bodies and a Tail, each checksummed — appended to dst,
+// drawing the flit objects from the pool. A length below 1 is normalised
+// to 1. dst is typically a persistent per-NI buffer passed as buf[:0].
 func (pl *Pool) AppendFlits(dst []*Flit, p *Packet) []*Flit {
 	if p.Length <= 0 {
 		p.Length = 1

@@ -394,10 +394,6 @@ func (sp *Spec) decode(g Genome) (Candidate, error) {
 	if blocks.Bypass {
 		pc.WakeThreshold = s.WakeThresholds[g[axisWake]]
 	}
-	warmup := sp.Warmup
-	if warmup == 0 {
-		warmup = sim.ZeroWarmup
-	}
 	cfg := sim.SynthConfig{
 		Design:         design,
 		Width:          pc.Width,
@@ -405,7 +401,7 @@ func (sp *Spec) decode(g Genome) (Candidate, error) {
 		Topology:       pc.Topology,
 		Pattern:        sp.Pattern,
 		Rate:           pc.Rate,
-		Warmup:         warmup,
+		Warmup:         sp.Warmup,
 		Measure:        sp.Measure,
 		Seed:           sp.SimSeed,
 		VCsPerClass:    pc.VCs,

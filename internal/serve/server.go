@@ -63,10 +63,13 @@ const (
 // Config tunes a Server. The zero value selects sensible defaults.
 type Config struct {
 	// Workers is the worker-pool size (default GOMAXPROCS). Each worker
-	// runs one single-threaded simulation at a time.
+	// runs one single-threaded simulation at a time. A fleet coordinator
+	// sizes its local fallback pool by it.
 	Workers int
 	// QueueDepth bounds the number of queued (not yet running) jobs;
-	// submissions beyond it receive 429 + Retry-After (default 64).
+	// submissions beyond it receive 429 + Retry-After (default 64). A
+	// fleet coordinator bounds its unleased jobs and its fallback queue
+	// by it too.
 	QueueDepth int
 	// CacheEntries bounds the in-memory result cache (default 512).
 	CacheEntries int
@@ -76,14 +79,16 @@ type Config struct {
 	// (default 1s, rounded up to whole seconds).
 	RetryAfter time.Duration
 	// CheckEvery is the sim-layer context poll interval in cycles — the
-	// bound on how long a canceled job keeps ticking (default 2048).
+	// bound on how long a canceled job keeps ticking (0 selects
+	// sim.RunOptions' default).
 	CheckEvery int
 	// ProgressEvery is the cycles between progress snapshots streamed at
-	// /v1/jobs/{id}/events (default 10000).
+	// /v1/jobs/{id}/events (0 selects sim.RunOptions' default).
 	ProgressEvery int
 	// JobDeadline bounds one job's wall-clock execution (0 = unbounded).
 	// A run that exceeds it is failed — not canceled — so a runaway
-	// simulation cannot pin a worker forever.
+	// simulation cannot pin a worker forever. A fleet coordinator hands
+	// it to its workers in every lease grant.
 	JobDeadline time.Duration
 	// MaxSearches bounds concurrently running design-space searches
 	// (default 4). Searches run on dedicated goroutines — not in the
@@ -110,12 +115,6 @@ func (c *Config) fill() {
 	}
 	if c.RetryAfter == 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.CheckEvery == 0 {
-		c.CheckEvery = 2048
-	}
-	if c.ProgressEvery == 0 {
-		c.ProgressEvery = 10_000
 	}
 	if c.MaxSearches == 0 {
 		c.MaxSearches = 4
@@ -193,6 +192,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	return s, nil
 }
+
+// Config returns the server's configuration with its defaults filled
+// in. A dispatcher built by Config.Dispatcher reads its deadline, queue
+// bound and pool size here, so every job runs under the same settings
+// wherever it executes.
+func (s *Server) Config() Config { return s.cfg }
 
 // Metrics exposes the counter set (tests and embedders).
 func (s *Server) Metrics() *Metrics { return &s.metrics }

@@ -46,12 +46,14 @@ var (
 		{"gate_idle=6", func(c *SynthConfig) { c.GateIdleCycles = 6 }},
 		{"wakeup_latency=9", func(c *SynthConfig) { c.WakeupLatency = 9 }},
 	}
-	// Zero-kept knobs written at the value their zero form selects.
+	// Zero-kept knobs written at the value their zero form selects, or
+	// at another value that selects it.
 	defaultSpelled = []respell{
 		{"wakeup_latency=12", func(c *SynthConfig) { c.WakeupLatency = 12 }},
 		{"threshold_perf=1", func(c *SynthConfig) { c.ThresholdPerf = 1 }},
 		{"threshold_power=6", func(c *SynthConfig) { c.ThresholdPower = 6 }},
 		{"misroute_cap=2", func(c *SynthConfig) { c.MisrouteCap = 2 }},
+		{"misroute_cap=-5", func(c *SynthConfig) { c.MisrouteCap = -5 }},
 	}
 )
 

@@ -110,7 +110,9 @@ type SynthConfig struct {
 	// 0 selects noc.DefaultParams' 1 and 6 — the paper's 1 and 3
 	// recalibrated to this simulator's blocked-request metric.
 	ThresholdPerf, ThresholdPower int
-	// MisrouteCap overrides the NoRD misroute cap when non-negative.
+	// MisrouteCap overrides the NoRD misroute cap when positive; 0 and
+	// negative values select noc.DefaultParams' cap of 2, so a cap of 0
+	// cannot be asked for.
 	MisrouteCap int
 	// TwoStageRouter shortens the router pipeline to 2 stages
 	// (Section 6.8's look-ahead + speculative-SA baseline).
@@ -202,7 +204,7 @@ func (c *SynthConfig) fill() {
 		c.ThresholdPower = 0
 	}
 	c.NoPerfCentric = c.NoPerfCentric && ring && !c.ForcedOff
-	if !ring || c.MisrouteCap == 0 || c.MisrouteCap == d.MisrouteCap {
+	if !ring || c.MisrouteCap <= 0 || c.MisrouteCap == d.MisrouteCap {
 		c.MisrouteCap = -1
 	}
 	c.AggressiveBypass = c.AggressiveBypass && ring
