@@ -57,10 +57,8 @@ func main() {
 		jobDeadline  = flag.Duration("job-deadline", 0, "per-job wall-clock execution budget, on this process or a fleet worker (0 = unbounded)")
 
 		// Coordinator-mode flags.
-		leaseTTL    = flag.Duration("lease-ttl", 10*time.Second, "coordinator: lease TTL (un-heartbeated leases requeue after this)")
+		leaseTTL    = flag.Duration("lease-ttl", 10*time.Second, "coordinator: lease TTL (un-heartbeated leases requeue after this); heartbeat, lease poll and requeue backoff scale with it")
 		maxAttempts = flag.Int("max-attempts", 4, "coordinator: lease grants per job before it is failed")
-		retryBase   = flag.Duration("retry-base", 250*time.Millisecond, "coordinator: requeue backoff base")
-		retryMax    = flag.Duration("retry-max", 5*time.Second, "coordinator: requeue backoff cap")
 		journalDir  = flag.String("journal-dir", "", "coordinator: job journal directory — makes the coordinator crash-durable (empty disables)")
 
 		// Worker-mode flags.
@@ -101,8 +99,6 @@ func main() {
 			coord = fleet.NewCoordinator(s, fleet.Options{
 				LeaseTTL:    *leaseTTL,
 				MaxAttempts: *maxAttempts,
-				RetryBase:   *retryBase,
-				RetryMax:    *retryMax,
 				Journal:     journal,
 			})
 			return coord

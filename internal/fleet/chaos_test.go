@@ -79,13 +79,9 @@ func TestFleetChaosExactlyOnce(t *testing.T) {
 	// that CPU contention on small CI hosts cannot expire a healthy
 	// worker's lease; only injected faults do.
 	opts := Options{
-		LeaseTTL:     1200 * time.Millisecond,
-		PollWait:     200 * time.Millisecond,
-		JanitorEvery: 50 * time.Millisecond,
-		MaxAttempts:  12, // generous: chaos must delay jobs, never fail them
-		RetryBase:    20 * time.Millisecond,
-		RetryMax:     200 * time.Millisecond,
-		Seed:         seed,
+		LeaseTTL:    1200 * time.Millisecond,
+		MaxAttempts: 12, // generous: chaos must delay jobs, never fail them
+		Seed:        seed,
 	}
 	tf := newTestFleet(t, opts, serve.Config{Workers: 2})
 	workers := make([]*testWorker, nWorkers)
@@ -205,12 +201,6 @@ func (df *durableFleet) boot() {
 		t.Fatal(err)
 	}
 	cfg := df.cfg
-	if cfg.CheckEvery == 0 {
-		cfg.CheckEvery = 64
-	}
-	if cfg.ProgressEvery == 0 {
-		cfg.ProgressEvery = 2000
-	}
 	cfg.CacheDir = df.cacheDir
 	opts := df.opts
 	opts.Journal = jl
@@ -324,18 +314,14 @@ func hasNote(notes []string, token string) bool {
 // learn it happened.
 func TestCoordinatorCrashRestartMidJob(t *testing.T) {
 	opts := Options{
-		LeaseTTL:     1200 * time.Millisecond,
-		PollWait:     200 * time.Millisecond,
-		JanitorEvery: 50 * time.Millisecond,
-		MaxAttempts:  12,
-		RetryBase:    20 * time.Millisecond,
-		RetryMax:     200 * time.Millisecond,
-		Seed:         11,
+		LeaseTTL:    1200 * time.Millisecond,
+		MaxAttempts: 12,
+		Seed:        11,
 	}
 	df := startDurableFleet(t, opts, serve.Config{Workers: 2})
 	startWorkerURL(t, df.url, "w1", 111)
 	startWorkerURL(t, df.url, "w2", 112)
-	waitFor(t, 10*time.Second, "2 live workers", func() bool { return df.coord.Workers() >= 2 })
+	waitFor(t, 10*time.Second, "2 live workers", func() bool { return df.coord.liveWorkers() >= 2 })
 
 	// Three short jobs that finish before the crash, two long ones that
 	// are mid-flight when it hits.
@@ -396,9 +382,8 @@ func TestCoordinatorCrashRestartMidJob(t *testing.T) {
 // degraded note along the way.
 func TestCacheCorruptionQuarantinedAndRecomputed(t *testing.T) {
 	opts := Options{
-		LeaseTTL:     600 * time.Millisecond,
-		JanitorEvery: 20 * time.Millisecond,
-		Seed:         12,
+		LeaseTTL: 600 * time.Millisecond,
+		Seed:     12,
 	}
 	df := startDurableFleet(t, opts, serve.Config{Workers: 2})
 
@@ -476,7 +461,7 @@ func TestRestartUnderAliasKeyRecomputes(t *testing.T) {
 	)
 	df := &durableFleet{
 		t:          t,
-		opts:       Options{LeaseTTL: 600 * time.Millisecond, JanitorEvery: 20 * time.Millisecond, Seed: 17},
+		opts:       Options{LeaseTTL: 600 * time.Millisecond, Seed: 17},
 		cfg:        serve.Config{Workers: 2},
 		cacheDir:   t.TempDir(),
 		journalDir: t.TempDir(),
@@ -526,11 +511,9 @@ func TestRestartUnderAliasKeyRecomputes(t *testing.T) {
 // deterministic payload instead of wasting the completed work.
 func TestCoordinatorRestartStaleLeaseResultAccepted(t *testing.T) {
 	opts := Options{
-		LeaseTTL:     5 * time.Second,
-		PollWait:     100 * time.Millisecond,
-		JanitorEvery: 500 * time.Millisecond, // slow sweeps: the ghost must beat the local steal
-		MaxAttempts:  4,
-		Seed:         13,
+		LeaseTTL:    5 * time.Second, // sweeps every 1.25s: the ghost must beat the local steal
+		MaxAttempts: 4,
+		Seed:        13,
 	}
 	df := startDurableFleet(t, opts, serve.Config{})
 

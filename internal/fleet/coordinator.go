@@ -256,7 +256,7 @@ func (c *Coordinator) wakeLocked() {
 func (c *Coordinator) liveWorkersLocked(now time.Time) int {
 	n := 0
 	for _, w := range c.workers {
-		if now.Sub(w.lastSeen) <= c.opts.WorkerTTL {
+		if now.Sub(w.lastSeen) <= c.opts.workerTTL() {
 			n++
 		}
 	}
@@ -279,8 +279,14 @@ func (c *Coordinator) QueueDepth() int {
 	return n + c.local.QueueDepth()
 }
 
-// Workers implements serve.Dispatcher: live registered workers.
-func (c *Coordinator) Workers() int {
+// Workers implements serve.Dispatcher: the local fallback pool plus the
+// live registered workers. The pool counts even while workers are live:
+// it runs the jobs that cannot ship (localOnly).
+func (c *Coordinator) Workers() int { return c.cfg.Workers + c.liveWorkers() }
+
+// liveWorkers counts the registered workers heard from within the
+// liveness window.
+func (c *Coordinator) liveWorkers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.liveWorkersLocked(time.Now())
@@ -338,10 +344,7 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 // note leads with a stable machine-greppable token.
 func (c *Coordinator) HealthNotes() []string {
 	var notes []string
-	c.mu.Lock()
-	live := c.liveWorkersLocked(time.Now())
-	c.mu.Unlock()
-	if live == 0 {
+	if c.liveWorkers() == 0 {
 		notes = append(notes, "no_live_workers: jobs execute on the coordinator's local fallback pool")
 	}
 	if c.journal.Broken() {
@@ -392,8 +395,8 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	c.touchWorkerLocked(req.WorkerID, time.Now())
 	c.mu.Unlock()
 	writeJSON(w, http.StatusOK, RegisterResponse{
-		HeartbeatMs: (c.opts.LeaseTTL / 3).Milliseconds(),
-		PollWaitMs:  c.opts.PollWait.Milliseconds(),
+		HeartbeatMs: c.opts.heartbeat().Milliseconds(),
+		PollWaitMs:  c.opts.pollWait().Milliseconds(),
 	})
 }
 
@@ -421,8 +424,8 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if wait < 0 {
 		wait = 0
 	}
-	if wait > c.opts.PollWait {
-		wait = c.opts.PollWait
+	if wait > c.opts.pollWait() {
+		wait = c.opts.pollWait()
 	}
 	if grant, ok := c.grantLease(r.Context(), req.WorkerID, wait); ok {
 		writeJSON(w, http.StatusOK, grant)
@@ -636,7 +639,7 @@ func (c *Coordinator) requeueLocked(fj *fleetJob, now time.Time) (exhausted bool
 		return true
 	}
 	fj.j.MarkQueued()
-	fj.readyAt = now.Add(Backoff(c.opts.RetryBase, c.opts.RetryMax, fj.attempt, c.rng.Float64()))
+	fj.readyAt = now.Add(Backoff(c.opts.retryBase(), c.opts.retryMax(), fj.attempt, c.rng.Float64()))
 	c.queue = append(c.queue, fj)
 	c.requeues.Add(1)
 	c.journal.Requeue(fj.j.ID, fj.attempt)
@@ -658,7 +661,7 @@ func (c *Coordinator) failExhausted(fj *fleetJob) {
 // queued jobs, and drains ready work to the local pool when no worker is
 // live — the degraded mode that keeps a workerless coordinator serving.
 func (c *Coordinator) janitor() {
-	tick := time.NewTicker(c.opts.JanitorEvery)
+	tick := time.NewTicker(c.opts.janitorEvery())
 	defer tick.Stop()
 	for {
 		select {
@@ -704,7 +707,7 @@ func (c *Coordinator) sweep(now time.Time) {
 	c.queue = keep
 	// Forget workers long past their liveness window.
 	for id, w := range c.workers {
-		if now.Sub(w.lastSeen) > 10*c.opts.WorkerTTL {
+		if now.Sub(w.lastSeen) > 10*c.opts.workerTTL() {
 			delete(c.workers, id)
 		}
 	}

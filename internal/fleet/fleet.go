@@ -14,7 +14,9 @@
 //
 //   - A lease that is not heartbeated within its TTL expires and the job
 //     is requeued with exponential backoff + jitter; after MaxAttempts
-//     grants the job is failed, never silently lost.
+//     grants the job is failed, never silently lost. The heartbeat, the
+//     lease poll, the expiry sweep and the backoff all scale with the
+//     one lease TTL (see Options).
 //   - A job reaches a terminal state exactly once. Late or duplicate
 //     reports (a stale lease racing a retry) account nothing: results
 //     are deterministic and content-addressed, so a stale *success* is
@@ -37,34 +39,26 @@ import (
 )
 
 // Options tunes a Coordinator's lease machinery. The zero value selects
-// production-shaped defaults; tests shrink the timings. The settings a
-// job runs under — its deadline, the queue bound and the local pool
-// size — are the owning server's serve.Config, read through
-// (*serve.Server).Config, so a job leased to a worker and one run on the
-// fallback pool see the same values.
+// production-shaped defaults. The settings a job runs under — its
+// deadline, the queue bound and the local pool size — are the owning
+// server's serve.Config, read through (*serve.Server).Config, so a job
+// leased to a worker and one run on the fallback pool see the same
+// values. Every other fleet timing is a fixed fraction of LeaseTTL:
+//
+//	heartbeat      TTL/3   (granted at registration)
+//	lease poll     TTL/5   (a lease request parks at most this long; ≤ 30s)
+//	worker TTL     2·TTL   (a worker not heard from this long is not live)
+//	janitor sweep  TTL/4   (floored at 10ms)
+//	requeue delay  TTL/40 · 2^(attempt−1), capped at TTL/2, +≤50% jitter
+//
+// so a test shrinks them all by shrinking LeaseTTL.
 type Options struct {
 	// LeaseTTL is how long a granted lease lives without a heartbeat
 	// before the job is presumed abandoned and requeued (default 10s).
 	LeaseTTL time.Duration
-	// PollWait is how long a worker's lease request parks waiting for
-	// work before returning empty (default 2s, clamped below LeaseTTL).
-	PollWait time.Duration
-	// WorkerTTL is the registration liveness window: a worker not heard
-	// from for this long no longer counts toward fleet capacity
-	// (default 2*LeaseTTL).
-	WorkerTTL time.Duration
-	// JanitorEvery is the lease-expiry sweep interval (default
-	// LeaseTTL/4) — the bound on how long past its TTL a dead worker's
-	// lease can linger.
-	JanitorEvery time.Duration
 	// MaxAttempts bounds lease grants per job before it is failed
 	// (default 4).
 	MaxAttempts int
-	// RetryBase and RetryMax shape the requeue backoff:
-	// RetryBase·2^(attempt-1) capped at RetryMax, plus up to 50% jitter
-	// (defaults 250ms and 5s).
-	RetryBase time.Duration
-	RetryMax  time.Duration
 	// Journal, when non-nil, makes the coordinator crash-durable: job
 	// submissions, lease grants, requeues and terminal transitions are
 	// appended to it, and NewCoordinator replays its recovered state —
@@ -82,33 +76,26 @@ func (o *Options) fill() {
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 10 * time.Second
 	}
-	if o.PollWait <= 0 {
-		o.PollWait = 2 * time.Second
-	}
-	if o.PollWait > o.LeaseTTL {
-		o.PollWait = o.LeaseTTL
-	}
-	if o.WorkerTTL <= 0 {
-		o.WorkerTTL = 2 * o.LeaseTTL
-	}
-	if o.JanitorEvery <= 0 {
-		o.JanitorEvery = o.LeaseTTL / 4
-		if o.JanitorEvery < 10*time.Millisecond {
-			o.JanitorEvery = 10 * time.Millisecond
-		}
-	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 4
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 250 * time.Millisecond
-	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = 5 * time.Second
 	}
 	if o.Seed == 0 {
 		o.Seed = time.Now().UnixNano()
 	}
+}
+
+// maxPollWait caps the lease poll well below the worker transport's
+// 60s response-header timeout, whatever the TTL.
+const maxPollWait = 30 * time.Second
+
+// The timings derived from LeaseTTL (see Options).
+func (o *Options) heartbeat() time.Duration { return o.LeaseTTL / 3 }
+func (o *Options) pollWait() time.Duration  { return min(o.LeaseTTL/5, maxPollWait) }
+func (o *Options) workerTTL() time.Duration { return 2 * o.LeaseTTL }
+func (o *Options) retryBase() time.Duration { return o.LeaseTTL / 40 }
+func (o *Options) retryMax() time.Duration  { return o.LeaseTTL / 2 }
+func (o *Options) janitorEvery() time.Duration {
+	return max(o.LeaseTTL/4, 10*time.Millisecond)
 }
 
 // Backoff returns the attempt-indexed retry delay: base·2^(attempt-1)

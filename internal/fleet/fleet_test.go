@@ -31,12 +31,6 @@ type testFleet struct {
 // /fleet/v1 endpoints on one listener, mirroring cmd/nordserved.
 func newTestFleet(t *testing.T, opts Options, cfg serve.Config) *testFleet {
 	t.Helper()
-	if cfg.CheckEvery == 0 {
-		cfg.CheckEvery = 64 // fast cancellation under test timings
-	}
-	if cfg.ProgressEvery == 0 {
-		cfg.ProgressEvery = 2000
-	}
 	var coord *Coordinator
 	cfg.Dispatcher = func(s *serve.Server) serve.Dispatcher {
 		coord = NewCoordinator(s, opts)
@@ -127,13 +121,11 @@ func startWorkerURL(t *testing.T, url, id string, seed int64) *testWorker {
 	t.Helper()
 	chaos := &chaosTransport{base: http.DefaultTransport}
 	w, err := NewWorker(WorkerOptions{
-		Coordinator:   url,
-		ID:            id,
-		Client:        &http.Client{Transport: chaos},
-		ReconnectBase: 20 * time.Millisecond,
-		ReconnectMax:  250 * time.Millisecond,
-		Seed:          seed,
-		Logf:          t.Logf,
+		Coordinator: url,
+		ID:          id,
+		Client:      &http.Client{Transport: chaos},
+		Seed:        seed,
+		Logf:        t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +161,7 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 func waitWorkers(t *testing.T, tf *testFleet, n int) {
 	t.Helper()
 	waitFor(t, 10*time.Second, fmt.Sprintf("%d live workers", n), func() bool {
-		return tf.coord.Workers() >= n
+		return tf.coord.liveWorkers() >= n
 	})
 }
 
@@ -327,6 +319,99 @@ func TestBackoffBounds(t *testing.T) {
 	}
 }
 
+// TestTimingsFollowLeaseTTL pins the fleet timings derived from
+// LeaseTTL: at the 10s default they are the values the coordinator has
+// always used.
+func TestTimingsFollowLeaseTTL(t *testing.T) {
+	var o Options
+	o.fill()
+	for _, tc := range []struct {
+		name      string
+		got, want time.Duration
+	}{
+		{"heartbeat", o.heartbeat(), 3333333333},
+		{"poll wait", o.pollWait(), 2 * time.Second},
+		{"worker TTL", o.workerTTL(), 20 * time.Second},
+		{"janitor", o.janitorEvery(), 2500 * time.Millisecond},
+		{"retry base", o.retryBase(), 250 * time.Millisecond},
+		{"retry max", o.retryMax(), 5 * time.Second},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("default %s = %s, want %s", tc.name, tc.got, tc.want)
+		}
+	}
+	if got := (&Options{LeaseTTL: 20 * time.Millisecond}).janitorEvery(); got != 10*time.Millisecond {
+		t.Errorf("janitor at a 20ms TTL = %s, want the 10ms floor", got)
+	}
+	if got := (&Options{LeaseTTL: time.Hour}).pollWait(); got != maxPollWait {
+		t.Errorf("poll wait at a 1h TTL = %s, want the %s cap", got, maxPollWait)
+	}
+}
+
+// TestRegistrationGrantsTTLTimings: a coordinator over an 800ms lease TTL
+// grants a registering worker a heartbeat of TTL/3 and a lease poll of
+// TTL/5.
+func TestRegistrationGrantsTTLTimings(t *testing.T) {
+	tf := newTestFleet(t, Options{LeaseTTL: 800 * time.Millisecond}, serve.Config{})
+	b, _ := json.Marshal(RegisterRequest{WorkerID: "probe"})
+	resp, err := http.Post(tf.ts.URL+"/fleet/v1/register", "application/json", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var reg RegisterResponse
+	if err := json.NewDecoder(resp.Body).Decode(&reg); err != nil {
+		t.Fatal(err)
+	}
+	if reg.HeartbeatMs != 266 || reg.PollWaitMs != 160 {
+		t.Errorf("registration granted heartbeat_ms %d and poll_wait_ms %d, want 266 and 160", reg.HeartbeatMs, reg.PollWaitMs)
+	}
+}
+
+// TestWorkersCountsFallbackPool: a coordinator's capacity is its fallback
+// pool plus its live workers, so a workerless one running three jobs on a
+// pool of three reports three workers, three busy, on /metrics and
+// /healthz alike.
+func TestWorkersCountsFallbackPool(t *testing.T) {
+	tf := newTestFleet(t, Options{LeaseTTL: 600 * time.Millisecond}, serve.Config{Workers: 3})
+	var ids []string
+	for seed := int64(1); seed <= 3; seed++ {
+		ids = append(ids, mustSubmit(t, tf, synthJob(seed, 80_000_000)))
+	}
+	waitFor(t, 20*time.Second, "3 jobs running on the fallback pool", func() bool {
+		return tf.coord.Busy() == 3
+	})
+	if got := tf.coord.Workers(); got != 3 {
+		t.Errorf("Workers() = %d, want the fallback pool's 3", got)
+	}
+	if v := fleetMetric(t, tf, "nord_workers"); v != 3 {
+		t.Errorf("nord_workers = %v, want 3", v)
+	}
+	if v := fleetMetric(t, tf, "nord_workers_busy"); v != 3 {
+		t.Errorf("nord_workers_busy = %v, want 3", v)
+	}
+	resp, err := http.Get(tf.ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var health struct {
+		Workers int `json:"workers"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&health)
+	resp.Body.Close()
+	if err != nil || health.Workers != 3 {
+		t.Errorf("/healthz workers = %d (%v), want 3", health.Workers, err)
+	}
+	for _, id := range ids {
+		req, _ := http.NewRequest(http.MethodDelete, tf.ts.URL+"/v1/jobs/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+}
+
 // ---- integration: happy path ----
 
 // TestFleetEndToEndMatchesLocal runs four jobs through a two-worker
@@ -335,12 +420,8 @@ func TestBackoffBounds(t *testing.T) {
 // every job reached a terminal state exactly once.
 func TestFleetEndToEndMatchesLocal(t *testing.T) {
 	opts := Options{
-		LeaseTTL:     600 * time.Millisecond,
-		PollWait:     150 * time.Millisecond,
-		JanitorEvery: 25 * time.Millisecond,
-		RetryBase:    20 * time.Millisecond,
-		RetryMax:     100 * time.Millisecond,
-		Seed:         1,
+		LeaseTTL: 600 * time.Millisecond,
+		Seed:     1,
 	}
 	tf := newTestFleet(t, opts, serve.Config{})
 	startWorker(t, tf, "w1", 11)
@@ -387,13 +468,9 @@ func TestFleetEndToEndMatchesLocal(t *testing.T) {
 // finish it — the ISSUE's headline failover criterion.
 func TestFleetFailoverWithinLeaseTTL(t *testing.T) {
 	opts := Options{
-		LeaseTTL:     400 * time.Millisecond,
-		PollWait:     100 * time.Millisecond,
-		JanitorEvery: 20 * time.Millisecond,
-		MaxAttempts:  6,
-		RetryBase:    10 * time.Millisecond,
-		RetryMax:     50 * time.Millisecond,
-		Seed:         2,
+		LeaseTTL:    400 * time.Millisecond,
+		MaxAttempts: 6,
+		Seed:        2,
 	}
 	tf := newTestFleet(t, opts, serve.Config{})
 	w1 := startWorker(t, tf, "w1", 21)
@@ -438,12 +515,8 @@ func TestFleetFailoverWithinLeaseTTL(t *testing.T) {
 // immediately, without waiting out the lease TTL.
 func TestFleetGracefulGiveBack(t *testing.T) {
 	opts := Options{
-		LeaseTTL:     10 * time.Second, // long: expiry would blow the test timeout
-		PollWait:     100 * time.Millisecond,
-		JanitorEvery: 50 * time.Millisecond,
-		RetryBase:    10 * time.Millisecond,
-		RetryMax:     50 * time.Millisecond,
-		Seed:         3,
+		LeaseTTL: 10 * time.Second, // long: expiry would blow the test timeout
+		Seed:     3,
 	}
 	tf := newTestFleet(t, opts, serve.Config{})
 	w1 := startWorker(t, tf, "w1", 31)
@@ -482,10 +555,8 @@ func TestFleetGracefulGiveBack(t *testing.T) {
 // side channel such as /v1/cache/{key}.
 func TestWorkerSpeaksOnlyFleetProtocol(t *testing.T) {
 	opts := Options{
-		LeaseTTL:     10 * time.Second,
-		PollWait:     100 * time.Millisecond,
-		JanitorEvery: 50 * time.Millisecond,
-		Seed:         8,
+		LeaseTTL: 10 * time.Second,
+		Seed:     8,
 	}
 	tf := newTestFleet(t, opts, serve.Config{})
 	tw := startWorker(t, tf, "w1", 81)
@@ -530,9 +601,8 @@ func TestWorkerSpeaksOnlyFleetProtocol(t *testing.T) {
 // it must degrade to in-process execution instead of queueing forever.
 func TestFleetLocalFallbackNoWorkers(t *testing.T) {
 	opts := Options{
-		LeaseTTL:     300 * time.Millisecond,
-		JanitorEvery: 20 * time.Millisecond,
-		Seed:         4,
+		LeaseTTL: 300 * time.Millisecond,
+		Seed:     4,
 	}
 	tf := newTestFleet(t, opts, serve.Config{Workers: 2})
 
@@ -652,10 +722,8 @@ func TestFleetRunsUnderServerConfig(t *testing.T) {
 // job's status like a local run's would.
 func TestFleetCancelPropagates(t *testing.T) {
 	opts := Options{
-		LeaseTTL:     450 * time.Millisecond,
-		PollWait:     100 * time.Millisecond,
-		JanitorEvery: 20 * time.Millisecond,
-		Seed:         5,
+		LeaseTTL: 450 * time.Millisecond,
+		Seed:     5,
 	}
 	tf := newTestFleet(t, opts, serve.Config{})
 	startWorker(t, tf, "w1", 51)
@@ -692,10 +760,8 @@ func TestFleetCancelPropagates(t *testing.T) {
 // canceled), with the deadline named.
 func TestFleetDeadlineFailsJob(t *testing.T) {
 	opts := Options{
-		LeaseTTL:     600 * time.Millisecond,
-		PollWait:     100 * time.Millisecond,
-		JanitorEvery: 20 * time.Millisecond,
-		Seed:         6,
+		LeaseTTL: 600 * time.Millisecond,
+		Seed:     6,
 	}
 	tf := newTestFleet(t, opts, serve.Config{JobDeadline: 200 * time.Millisecond})
 	startWorker(t, tf, "w1", 61)
@@ -720,13 +786,9 @@ func TestFleetDeadlineFailsJob(t *testing.T) {
 // then fail with a diagnosable error instead of looping forever.
 func TestFleetRetriesExhausted(t *testing.T) {
 	opts := Options{
-		LeaseTTL:     100 * time.Millisecond,
-		PollWait:     50 * time.Millisecond,
-		JanitorEvery: 10 * time.Millisecond,
-		MaxAttempts:  2,
-		RetryBase:    10 * time.Millisecond,
-		RetryMax:     20 * time.Millisecond,
-		Seed:         7,
+		LeaseTTL:    100 * time.Millisecond,
+		MaxAttempts: 2,
+		Seed:        7,
 	}
 	tf := newTestFleet(t, opts, serve.Config{})
 

@@ -15,7 +15,7 @@ func goldenCoordinator() *Coordinator {
 	jl := new(Journal)
 	queued := &fleetJob{}
 	c := &Coordinator{
-		opts:    Options{WorkerTTL: time.Hour},
+		opts:    Options{LeaseTTL: 30 * time.Minute}, // live workers: seen within 2·TTL
 		journal: jl,
 		queue:   []*fleetJob{queued},
 		jobs:    map[string]*fleetJob{"queued": queued, "leased-1": {}, "leased-2": {}, "leased-3": {}},

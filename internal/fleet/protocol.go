@@ -25,7 +25,8 @@ type RegisterResponse struct {
 }
 
 // LeaseRequest asks for one job, parking up to WaitMs when the queue is
-// empty (bounded server-side by Options.PollWait).
+// empty (bounded server-side by the poll wait granted at registration,
+// LeaseTTL/5).
 type LeaseRequest struct {
 	WorkerID string `json:"worker_id"`
 	WaitMs   int64  `json:"wait_ms,omitempty"`

@@ -28,6 +28,14 @@ var errLeaseLost = errors.New("fleet: lease lost")
 // reported.
 var errClientCanceled = errors.New("fleet: job canceled by client")
 
+// reconnectBase and reconnectMax shape the jittered backoff a worker
+// uses while the coordinator is unreachable (and between attempts to
+// post a result): reconnectBase·2^(attempt−1), capped at reconnectMax.
+const (
+	reconnectBase = 200 * time.Millisecond
+	reconnectMax  = 10 * time.Second
+)
+
 // WorkerOptions configures a fleet worker. It holds no job settings: a
 // leased job runs at sim.RunOptions' default poll and progress cadence,
 // as a job on the coordinator's own pool does, under the deadline its
@@ -46,10 +54,6 @@ type WorkerOptions struct {
 	// lease long-polls and result reports carry their own context
 	// deadlines.
 	Client *http.Client
-	// ReconnectBase and ReconnectMax shape the jittered backoff used
-	// when the coordinator is unreachable (defaults 200ms and 10s).
-	ReconnectBase time.Duration
-	ReconnectMax  time.Duration
 	// Seed drives the reconnect jitter; 0 seeds from the clock.
 	Seed int64
 	// Logf, when non-nil, receives worker lifecycle lines.
@@ -73,8 +77,8 @@ type Worker struct {
 // bare &http.Client{} (which shares http.DefaultTransport and hangs
 // forever on a TCP-accepting-but-dead coordinator), every phase of a
 // request is bounded: dialing, the TLS handshake, and the wait for
-// response headers. Lease long-polls park server-side for PollWait, so
-// the response-header timeout stays comfortably above it.
+// response headers. Lease long-polls park server-side for at most
+// maxPollWait, so the response-header timeout stays above it.
 func newFleetTransport() *http.Transport {
 	return &http.Transport{
 		DialContext: (&net.Dialer{
@@ -100,12 +104,6 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	opts.Coordinator = strings.TrimRight(opts.Coordinator, "/")
 	if opts.Slots <= 0 {
 		opts.Slots = 1
-	}
-	if opts.ReconnectBase <= 0 {
-		opts.ReconnectBase = 200 * time.Millisecond
-	}
-	if opts.ReconnectMax <= 0 {
-		opts.ReconnectMax = 10 * time.Second
 	}
 	if opts.Seed == 0 {
 		opts.Seed = time.Now().UnixNano()
@@ -153,7 +151,7 @@ func (w *Worker) registerLoop(ctx context.Context) error {
 		} else if ctx.Err() != nil {
 			return ctx.Err()
 		} else {
-			d := Backoff(w.o.ReconnectBase, w.o.ReconnectMax, attempt, w.rng.Float64())
+			d := Backoff(reconnectBase, reconnectMax, attempt, w.rng.Float64())
 			w.logf("worker %s: register failed (%v), retrying in %s", w.o.ID, err, d)
 			if !sleepCtx(ctx, d) {
 				return ctx.Err()
@@ -201,7 +199,7 @@ func (w *Worker) slotLoop(ctx context.Context, slot int) {
 				return
 			}
 			fails++
-			d := Backoff(w.o.ReconnectBase, w.o.ReconnectMax, fails, w.rng.Float64())
+			d := Backoff(reconnectBase, reconnectMax, fails, w.rng.Float64())
 			w.logf("worker %s[%d]: lease failed (%v), backing off %s", w.o.ID, slot, err, d)
 			if !sleepCtx(ctx, d) {
 				return
@@ -370,7 +368,7 @@ func (w *Worker) report(grant *LeaseGrant, out *serve.RemoteOutcome, requeue boo
 			}
 			return
 		}
-		time.Sleep(Backoff(w.o.ReconnectBase, w.o.ReconnectMax, attempt, w.rng.Float64()))
+		time.Sleep(Backoff(reconnectBase, reconnectMax, attempt, w.rng.Float64()))
 	}
 	w.logf("worker %s: could not report result for %s; lease will expire", w.o.ID, grant.JobID)
 }

@@ -80,27 +80,19 @@ func TestSchedulerDrainUnderLoad(t *testing.T) {
 // hint would march every rejected client back in lockstep.
 func TestRetryAfterHintBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	base := 4 * time.Second
-	seen := map[int]bool{}
+	const base = retryAfterBase
+	seen := map[time.Duration]bool{}
 	for i := 0; i < 500; i++ {
-		d := retryAfterHint(base, rng.Float64())
+		d := retryAfterHint(rng.Float64())
 		if d < base || d >= base+base/2 {
 			t.Fatalf("hint %s outside [%s, %s)", d, base, base+base/2)
 		}
-		secs := retryAfterSeconds(d)
-		if secs < 4 || secs > 6 {
-			t.Fatalf("rounded hint %d outside [4, 6]", secs)
+		if secs := retryAfterSeconds(d); secs < 1 || secs > 2 {
+			t.Fatalf("rounded hint %d outside [1, 2]", secs)
 		}
-		seen[secs] = true
+		seen[d] = true
 	}
 	if len(seen) < 2 {
 		t.Fatalf("jitter produced a single value %v; hints must vary", seen)
-	}
-	// Degenerate bases stay safe: never below 1 second on the wire.
-	if secs := retryAfterSeconds(retryAfterHint(0, 0.99)); secs != 1 {
-		t.Fatalf("zero base rendered %d, want clamp to 1", secs)
-	}
-	if secs := retryAfterSeconds(retryAfterHint(10*time.Millisecond, 0.5)); secs != 1 {
-		t.Fatalf("sub-second base rendered %d, want clamp to 1", secs)
 	}
 }

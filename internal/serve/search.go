@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"nord/internal/search"
@@ -70,14 +69,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, submitResponse{ID: j.ID, Key: j.Key, State: j.State(), Cached: true})
 		return
 	}
-	if !s.searches.tryAcquire(s.cfg.MaxSearches) {
+	if !s.searches.tryAcquire(maxSearches) {
 		s.mu.Unlock()
-		s.metrics.JobsRejected.Add(1)
-		s.rngMu.Lock()
-		hint := retryAfterHint(s.cfg.RetryAfter, s.rng.Float64())
-		s.rngMu.Unlock()
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(hint)))
-		writeError(w, http.StatusTooManyRequests, "search limit reached")
+		s.tooManyRequests(w, "search limit reached")
 		return
 	}
 	j := s.newJobLocked(t)

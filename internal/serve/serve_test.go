@@ -20,12 +20,6 @@ import (
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.CheckEvery == 0 {
-		cfg.CheckEvery = 256
-	}
-	if cfg.ProgressEvery == 0 {
-		cfg.ProgressEvery = 1000
-	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +203,7 @@ func TestServerDedup64(t *testing.T) {
 // TestServerQueueOverflow fills a 1-worker, 1-slot server and checks the
 // backpressure contract: 429 plus a Retry-After hint, counted in metrics.
 func TestServerQueueOverflow(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, RetryAfter: 2 * time.Second})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 
 	// Occupy the worker with a long run.
 	code, first, _ := postJob(t, ts, slowSynthJob(1))
@@ -228,9 +222,9 @@ func TestServerQueueOverflow(t *testing.T) {
 		t.Fatalf("overflow submit: %d, want 429", code)
 	}
 	// The hint is jittered over [base, 1.5*base) and rounded up to whole
-	// seconds: base 2s → 2 or 3.
-	if ra := hdr.Get("Retry-After"); ra != "2" && ra != "3" {
-		t.Fatalf("Retry-After=%q, want \"2\" or \"3\" (jittered 2s base)", ra)
+	// seconds: base 1s → 1 or 2.
+	if ra := hdr.Get("Retry-After"); ra != "1" && ra != "2" {
+		t.Fatalf("Retry-After=%q, want \"1\" or \"2\" (jittered 1s base)", ra)
 	}
 	body := scrape(t, ts)
 	if v := promValue(t, body, "nord_jobs_rejected_total"); v != 1 {
@@ -303,7 +297,7 @@ func TestServerCancelMidRun(t *testing.T) {
 // TestServerEvents streams NDJSON progress and checks snapshots plus the
 // terminal marker arrive.
 func TestServerEvents(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, ProgressEvery: 500})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
 	code, sr, _ := postJob(t, ts, smallSynthJob)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)

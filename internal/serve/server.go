@@ -42,15 +42,35 @@ func retryAfterSeconds(d time.Duration) int {
 	return secs
 }
 
-// retryAfterHint spreads the configured 429 backoff over [base, 1.5*base)
-// using random from [0, 1): a fixed hint herds every rejected client into
-// retrying at the same instant, reproducing the overload that caused the
-// rejection. Jitter decorrelates them.
-func retryAfterHint(base time.Duration, random float64) time.Duration {
-	if base <= 0 {
-		return base
-	}
-	return base + time.Duration(random*float64(base)/2)
+// retryAfterBase is the 429 backoff hint before jitter.
+const retryAfterBase = time.Second
+
+// maxSearches bounds concurrently running design-space searches.
+// Searches run on dedicated goroutines — not in the worker pool — so
+// their candidate evaluations always have pool capacity to land on; this
+// cap is the backpressure that replaces the queue bound for them. Each
+// search keeps at most Config.Workers candidate evaluations in flight:
+// more would only deepen the queue.
+const maxSearches = 4
+
+// retryAfterHint spreads the 429 backoff over [retryAfterBase,
+// 1.5*retryAfterBase) using random from [0, 1): a fixed hint herds every
+// rejected client into retrying at the same instant, reproducing the
+// overload that caused the rejection. Jitter decorrelates them.
+func retryAfterHint(random float64) time.Duration {
+	return retryAfterBase + time.Duration(random*float64(retryAfterBase)/2)
+}
+
+// tooManyRequests answers 429 with a jittered Retry-After hint — the one
+// rejection path for a full queue and for the search cap — and counts
+// the rejection.
+func (s *Server) tooManyRequests(w http.ResponseWriter, msg string) {
+	s.metrics.JobsRejected.Add(1)
+	s.rngMu.Lock()
+	hint := retryAfterHint(s.rng.Float64())
+	s.rngMu.Unlock()
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(hint)))
+	writeError(w, http.StatusTooManyRequests, msg)
 }
 
 // Request-size bounds: submissions, and PUT /v1/cache/{key} payloads —
@@ -60,7 +80,10 @@ const (
 	maxCacheBodyBytes = 16 << 20
 )
 
-// Config tunes a Server. The zero value selects sensible defaults.
+// Config tunes a Server. The zero value selects sensible defaults. A job
+// runs at sim.RunOptions' default poll and progress cadence (a context
+// poll every 1024 cycles, a progress snapshot every 5000), wherever it
+// executes.
 type Config struct {
 	// Workers is the worker-pool size (default GOMAXPROCS). Each worker
 	// runs one single-threaded simulation at a time. A fleet coordinator
@@ -75,28 +98,11 @@ type Config struct {
 	CacheEntries int
 	// CacheDir, when non-empty, enables the on-disk cache spill.
 	CacheDir string
-	// RetryAfter is the backoff hint attached to 429 responses
-	// (default 1s, rounded up to whole seconds).
-	RetryAfter time.Duration
-	// CheckEvery is the sim-layer context poll interval in cycles — the
-	// bound on how long a canceled job keeps ticking (0 selects
-	// sim.RunOptions' default).
-	CheckEvery int
-	// ProgressEvery is the cycles between progress snapshots streamed at
-	// /v1/jobs/{id}/events (0 selects sim.RunOptions' default).
-	ProgressEvery int
 	// JobDeadline bounds one job's wall-clock execution (0 = unbounded).
 	// A run that exceeds it is failed — not canceled — so a runaway
 	// simulation cannot pin a worker forever. A fleet coordinator hands
 	// it to its workers in every lease grant.
 	JobDeadline time.Duration
-	// MaxSearches bounds concurrently running design-space searches
-	// (default 4). Searches run on dedicated goroutines — not in the
-	// worker pool — so their candidate evaluations always have pool
-	// capacity to land on; this cap is the backpressure that replaces the
-	// queue bound for them. Each search keeps at most Workers candidate
-	// evaluations in flight: more would only deepen the queue.
-	MaxSearches int
 	// Dispatcher, when non-nil, builds the job dispatcher from the
 	// constructed server (e.g. a fleet coordinator wiring its execution
 	// callbacks); nil selects the in-process Scheduler.
@@ -112,12 +118,6 @@ func (c *Config) fill() {
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 512
-	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxSearches == 0 {
-		c.MaxSearches = 4
 	}
 }
 
@@ -141,7 +141,7 @@ type Server struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand // Retry-After jitter
 
-	// Running design-space searches: counted against Config.MaxSearches
+	// Running design-space searches: counted against maxSearches
 	// and waited for on shutdown (their goroutines live outside the
 	// dispatcher's pool).
 	searches searchCount
@@ -205,7 +205,7 @@ func (s *Server) Metrics() *Metrics { return &s.metrics }
 // Handler returns the HTTP API:
 //
 //	POST   /v1/jobs             submit a job (202; 200 on cache hit; 429 when full)
-//	POST   /v1/search           submit a design-space search (202; 429 at MaxSearches)
+//	POST   /v1/search           submit a design-space search (202; 429 at maxSearches)
 //	GET    /v1/jobs             list job summaries
 //	GET    /v1/jobs/{id}        job status + result when done
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
@@ -303,12 +303,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j, served, err := s.submitTask(t, false)
 	if err != nil {
 		if errors.Is(err, ErrQueueFull) {
-			s.metrics.JobsRejected.Add(1)
-			s.rngMu.Lock()
-			hint := retryAfterHint(s.cfg.RetryAfter, s.rng.Float64())
-			s.rngMu.Unlock()
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(hint)))
-			writeError(w, http.StatusTooManyRequests, "job queue full")
+			s.tooManyRequests(w, "job queue full")
 			return
 		}
 		writeError(w, http.StatusServiceUnavailable, "server draining")
@@ -507,8 +502,6 @@ func (s *Server) Exec(j *Job) {
 		traceBuf []obs.Event
 	)
 	opt := sim.RunOptions{
-		CheckEvery:    s.cfg.CheckEvery,
-		ProgressEvery: s.cfg.ProgressEvery,
 		Progress: func(p stats.Progress) {
 			// The progress callback runs on the simulation goroutine, so
 			// draining the (single-goroutine) tracer here is race-free.

@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"os"
 	"sync"
 
 	"nord/internal/noc"
@@ -332,13 +336,50 @@ func (sp *TraceSpec) resolve() (*task, error) {
 		Seed:      sp.Seed,
 		MaxCycles: sp.MaxCycles,
 	}.Filled()
-	return newTask("trace", sp.TraceEvents, cfg, func(ctx context.Context, opt sim.RunOptions) ([]byte, *runInfo, error) {
-		tr, err := trace.Load(cfg.Path)
+	// An unreadable file keys as "" and its run reports why.
+	_, sum, _ := readTrace(cfg.Path)
+	return newTask("trace", sp.TraceEvents, traceKey{Config: cfg, SHA256: sum}, func(ctx context.Context, opt sim.RunOptions) ([]byte, *runInfo, error) {
+		b, got, err := readTrace(cfg.Path)
+		if err == nil && got != sum {
+			// Not the bytes the job was keyed by: caching this run under
+			// that key would serve a stale result for the new file.
+			err = fmt.Errorf("trace file %s changed since the job was submitted", cfg.Path)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		tr, err := trace.Decode(cfg.Path, bytes.NewReader(b))
 		if err != nil {
 			return nil, nil, err
 		}
 		return encodeResult(sim.ReplayTraceOpts(ctx, cfg, tr, opt))
 	})
+}
+
+// traceKey is what a trace replay's cache key covers: the filled config
+// and the sha256 of the trace file's bytes, so a file rewritten in place
+// names a new simulation rather than the old file's cached result.
+type traceKey struct {
+	Config sim.TraceConfig
+	SHA256 string
+}
+
+// readTrace reads the trace file at path and its hex sha256. Only a
+// regular file is read: a device such as /dev/zero would never end.
+func readTrace(path string) ([]byte, string, error) {
+	st, err := os.Stat(path)
+	if err == nil && !st.Mode().IsRegular() {
+		err = fmt.Errorf("trace path %s is not a regular file", path)
+	}
+	var b []byte
+	if err == nil {
+		b, err = os.ReadFile(path)
+	}
+	if err != nil {
+		return nil, "", err
+	}
+	sum := sha256.Sum256(b)
+	return b, hex.EncodeToString(sum[:]), nil
 }
 
 func resolveSweep(cfg sim.SweepConfig) (*task, error) {

@@ -5,12 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"nord/internal/noc"
 	"nord/internal/sim"
+	"nord/internal/trace"
 )
 
 // TestExplicitZeroWarmup: `"warmup":0` is a different experiment from an
@@ -101,5 +104,76 @@ func TestParallelismLeftTheWire(t *testing.T) {
 	}
 	if bytes.Contains(j.RequestJSON(), []byte("parallelism")) {
 		t.Errorf("restored job would ship the dead field to workers: %s", j.RequestJSON())
+	}
+}
+
+// saveTrace writes a 4x4 trace of n packets to path; the stride picks
+// destinations, so two calls with different arguments replay differently.
+func saveTrace(t *testing.T, path string, n, stride int) {
+	t.Helper()
+	tr := &trace.Trace{Nodes: 16}
+	for i := 0; i < n; i++ {
+		src := i % 16
+		tr.Events = append(tr.Events, trace.Event{Cycle: uint64(4 * i), Src: src, Dst: (src + stride) % 16, Flits: 5})
+	}
+	if err := tr.Save(path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTraceJobKeyedByFileContent rewrites a replayed trace file in place:
+// the resubmission must run the new file, not serve the old file's
+// cached result under the same path.
+func TestTraceJobKeyedByFileContent(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	path := filepath.Join(t.TempDir(), "replay.trace")
+	body := `{"kind":"trace","trace":{"design":"nord","path":` + strconv.Quote(path) + `}}`
+	fresh := func() []byte {
+		t.Helper()
+		var req JobRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		payload, _, err := ExecuteRequest(context.Background(), &req, sim.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
+	}
+
+	saveTrace(t, path, 200, 5)
+	code, first, _ := postJob(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("first submit: %d", code)
+	}
+	old := waitState(t, ts, first.ID, JobDone, 30*time.Second).Result
+
+	saveTrace(t, path, 600, 3)
+	code, second, _ := postJob(t, ts, body)
+	if code != http.StatusAccepted || second.Cached || second.Key == first.Key {
+		t.Fatalf("resubmit after rewrite: %d cached=%v key %s (first %s), want 202, a miss, a new key", code, second.Cached, second.Key, first.Key)
+	}
+	got := waitState(t, ts, second.ID, JobDone, 30*time.Second).Result
+	if !bytes.Equal(got, fresh()) {
+		t.Error("replay of the rewritten file differs from a fresh run of it")
+	}
+	if bytes.Equal(got, old) {
+		t.Error("the two trace files replayed identically; the test proves nothing")
+	}
+}
+
+// TestTraceRewrittenBeforeRunFails rewrites the file between resolve and
+// run: the run must fail rather than cache the new file's result under
+// the old file's key.
+func TestTraceRewrittenBeforeRunFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "replay.trace")
+	saveTrace(t, path, 50, 5)
+	tk, err := resolveTask(&JobRequest{Kind: "trace", Trace: &TraceSpec{Design: "nord", Path: path}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	saveTrace(t, path, 50, 3)
+	if _, _, err := tk.run(context.Background(), sim.RunOptions{}); err == nil || !strings.Contains(err.Error(), "changed since") {
+		t.Fatalf("run after rewrite: %v, want a changed-file error", err)
 	}
 }

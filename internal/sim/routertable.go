@@ -157,7 +157,7 @@ func allZero(rows reflect.Value, field int) bool {
 }
 
 // UnmarshalJSON reads the column table, or the legacy row array. Bodies
-// reach it from outside the process (a spill file, a cache-tier PUT), so
+// reach it from outside the process (a spill file, a PUT /v1/cache/{key}), so
 // a table without an ID column, or with a column longer or shorter than
 // ID, is an error rather than a short or padded table.
 func (t *RouterTable) UnmarshalJSON(b []byte) error {

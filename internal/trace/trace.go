@@ -169,9 +169,13 @@ func Load(path string) (*Trace, error) {
 		return nil, err
 	}
 	defer f.Close()
-	var r io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(f)
+	return Decode(path, f)
+}
+
+// Decode parses a trace read from r, gunzipping it when name ends in .gz.
+func Decode(name string, r io.Reader) (*Trace, error) {
+	if strings.HasSuffix(name, ".gz") {
+		gz, err := gzip.NewReader(r)
 		if err != nil {
 			return nil, err
 		}

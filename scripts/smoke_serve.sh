@@ -93,7 +93,7 @@ echo "$STATUS" | grep -q '"avg_packet_latency"\|"result"' || fail "done job carr
 # seeds its cache with them and compares the fleet's bytes against them.
 KEY=$(echo "$SUB" | sed -n 's/.*"key":"\([^"]*\)".*/\1/p')
 [ -n "$KEY" ] || fail "no cache key in $SUB"
-curl -fsS "$BASE/v1/cache/$KEY" -o "$WORKDIR/ref.json" || fail "cache tier GET for $KEY failed"
+curl -fsS "$BASE/v1/cache/$KEY" -o "$WORKDIR/ref.json" || fail "GET /v1/cache/$KEY failed"
 
 echo "== resubmitting the identical job (must be a cache hit)"
 RESUB=$(curl -fsS "$BASE/v1/jobs" -d "$JOB")
@@ -233,7 +233,7 @@ ffail() {
 
 echo "== fleet: booting coordinator (1s lease TTL)"
 "$BIN" -mode coordinator -addr 127.0.0.1:0 -lease-ttl 1s \
-    -retry-base 100ms -retry-max 500ms -cache-dir "$WORKDIR/fleet-cache" \
+    -cache-dir "$WORKDIR/fleet-cache" \
     >"$CLOG" 2>&1 &
 COORD_PID=$!
 
@@ -338,7 +338,6 @@ boot_durable() {
         attempt=$((attempt + 1))
         : >"$DLOG"
         "$BIN" -mode coordinator -addr "$want_addr" -lease-ttl 5s \
-            -retry-base 100ms -retry-max 500ms \
             -cache-dir "$DCACHE" -journal-dir "$JDIR" >"$DLOG" 2>&1 &
         COORD_PID=$!
         DADDR=""
