@@ -256,7 +256,7 @@ func localPayload(t *testing.T, body string) []byte {
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
 		t.Fatal(err)
 	}
-	payload, _, err := serve.ExecuteRequest(context.Background(), &req, sim.RunOptions{CheckEvery: 64})
+	payload, _, err := serve.ExecuteRequest(context.Background(), &req, sim.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 func TestDynamicClassifyTracksHotspot(t *testing.T) {
 	p := DefaultParams(NoRD)
 	p.DynamicClassify = true
-	p.ReclassifyPeriod = 512
 	n := MustNew(p)
 	n.BeginMeasurement()
 	// All traffic into node 0 from its row/column neighborhood.
@@ -42,18 +41,7 @@ func TestDynamicClassifyTracksHotspot(t *testing.T) {
 func TestDynamicClassifyCorrectness(t *testing.T) {
 	p := DefaultParams(NoRD)
 	p.DynamicClassify = true
-	p.ReclassifyPeriod = 256
 	stressOne(t, p, traffic.UniformRandom, 0.10, 6000, 81)
-}
-
-// TestDynamicClassifyValidation: a zero period is rejected.
-func TestDynamicClassifyValidation(t *testing.T) {
-	p := DefaultParams(NoRD)
-	p.DynamicClassify = true
-	p.ReclassifyPeriod = 0
-	if err := p.Validate(); err == nil {
-		t.Error("zero reclassify period should fail validation")
-	}
 }
 
 // TestPerfCentricNowStatic: with dynamic classification off, the routers

@@ -542,7 +542,7 @@ func (n *Network) stepControllers() {
 			n.active.Remove(id)
 		}
 	}
-	if n.ring != nil && n.p.DynamicClassify && n.cycle%uint64(n.p.ReclassifyPeriod) == 0 {
+	if n.ring != nil && n.p.DynamicClassify && n.cycle%ReclassifyPeriod == 0 {
 		n.reclassify()
 	}
 }

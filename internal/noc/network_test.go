@@ -44,7 +44,6 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.BufferDepth = 0 },
 		func(p *Params) { p.WakeupLatency = 0 },
 		func(p *Params) { p.ThresholdPerf = 0 },
-		func(p *Params) { p.InjectQueueDepth = 0 },
 		func(p *Params) { p.MisrouteCap = -1 },
 		func(p *Params) { p.PerfCentric = []int{99} },
 	}
@@ -316,16 +315,14 @@ func TestInjectValidation(t *testing.T) {
 }
 
 func TestInjectBackpressure(t *testing.T) {
-	p := DefaultParams(NoPG)
-	p.InjectQueueDepth = 2
-	n := MustNew(p)
+	n := MustNew(DefaultParams(NoPG))
 	ok := 0
-	for i := 0; i < 5; i++ {
+	for i := 0; i < InjectQueueDepth+1; i++ {
 		if n.Inject(n.NewPacket(0, 3, flit.ClassRequest, 1)) {
 			ok++
 		}
 	}
-	if ok != 2 {
-		t.Errorf("accepted %d packets into a depth-2 queue", ok)
+	if ok != InjectQueueDepth {
+		t.Errorf("accepted %d packets into a depth-%d queue", ok, InjectQueueDepth)
 	}
 }

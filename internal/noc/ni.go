@@ -173,7 +173,7 @@ func initNI(ni *NI, id int, net *Network) {
 	for c := range ni.injQ {
 		// One extra slot: a drained-router requeue (pushFront) can briefly
 		// hold depth+1 packets.
-		ni.injQ[c].buf = make([]*flit.Packet, p.InjectQueueDepth+1)
+		ni.injQ[c].buf = make([]*flit.Packet, InjectQueueDepth+1)
 	}
 	for v := range ni.localCredits {
 		ni.localCredits[v] = p.BufferDepth
@@ -206,7 +206,7 @@ func (ni *NI) setClass(perf bool) {
 // when the class queue is full.
 func (ni *NI) inject(p *flit.Packet) bool {
 	c := int(p.Class)
-	if ni.injQ[c].len() >= ni.net.p.InjectQueueDepth {
+	if ni.injQ[c].len() >= InjectQueueDepth {
 		return false
 	}
 	p.InjectTime = ni.net.cycle
@@ -222,7 +222,7 @@ func (ni *NI) inject(p *flit.Packet) bool {
 // waking the router. Reports false (backpressure) when the local queue
 // is full.
 func (ni *NI) injectLocal(p *flit.Packet) bool {
-	if len(ni.localQ) >= ni.net.p.InjectQueueDepth {
+	if len(ni.localQ) >= InjectQueueDepth {
 		return false
 	}
 	p.InjectTime = ni.net.cycle

@@ -12,7 +12,9 @@ import (
 )
 
 // Params configures a network. The zero value is not usable; start from
-// DefaultParams.
+// DefaultParams. The injection queue depth and the dynamic reclassification
+// period are not settable: they are the constants InjectQueueDepth and
+// ReclassifyPeriod.
 type Params struct {
 	// Width, Height give the router-grid dimensions (Table 1: 4x4 and
 	// 8x8). For the concentrated mesh this is the router grid; the
@@ -60,9 +62,6 @@ type Params struct {
 	// ForcedOff keeps every router asleep regardless of load, the
 	// Figure 7 methodology for measuring pure bypass-ring throughput.
 	ForcedOff bool
-	// InjectQueueDepth is the per-class NI injection queue capacity in
-	// packets; injection fails (backpressure) when full.
-	InjectQueueDepth int
 	// RingOrder optionally overrides the bypass-ring node sequence
 	// (must be a Hamiltonian cycle); nil selects the comb serpentine.
 	RingOrder []int
@@ -85,9 +84,6 @@ type Params struct {
 	// ReclassifyPeriod cycles by observed demand, and the busiest 3N/8
 	// get the performance-centric thresholds.
 	DynamicClassify bool
-	// ReclassifyPeriod is the re-ranking interval in cycles for
-	// DynamicClassify (default 2048).
-	ReclassifyPeriod int
 	// WatchdogLimit is the no-progress horizon (cycles) after which the
 	// deadlock watchdog raises a DeadlockError; 0 selects the default
 	// (50k cycles). Fault-injection tests lower it so partitioned runs
@@ -99,6 +95,14 @@ type Params struct {
 // wakeup metric (Section 4.3: 10).
 const WakeupWindow = 10
 
+// InjectQueueDepth is the per-class NI injection queue capacity in
+// packets; injection fails (backpressure) when full.
+const InjectQueueDepth = 16
+
+// ReclassifyPeriod is the re-ranking interval in cycles for
+// DynamicClassify.
+const ReclassifyPeriod = 2048
+
 // EarlyWakeupCycles is the wakeup latency hidden by early WU generation
 // in Conv_PG_OPT on the canonical 4-stage router (Section 5.1: 3); a
 // TwoStageRouter hides one (Section 6.8).
@@ -109,17 +113,15 @@ const EarlyWakeupCycles = 3
 func DefaultParams(d Design) Params {
 	return Params{
 		Width: 4, Height: 4,
-		Classes:          1,
-		VCsPerClass:      4,
-		BufferDepth:      5,
-		Design:           d,
-		WakeupLatency:    12,
-		GateIdleCycles:   2,
-		MisrouteCap:      2,
-		ThresholdPerf:    1,
-		ThresholdPower:   6,
-		InjectQueueDepth: 16,
-		ReclassifyPeriod: 2048,
+		Classes:        1,
+		VCsPerClass:    4,
+		BufferDepth:    5,
+		Design:         d,
+		WakeupLatency:  12,
+		GateIdleCycles: 2,
+		MisrouteCap:    2,
+		ThresholdPerf:  1,
+		ThresholdPower: 6,
 	}
 }
 
@@ -181,16 +183,10 @@ func (p *Params) Validate() error {
 	if row.wake == wakeAtNI && (p.ThresholdPerf < 1 || p.ThresholdPower < 1) {
 		return fmt.Errorf("noc: NoRD wakeup thresholds must be positive")
 	}
-	if p.InjectQueueDepth < 1 {
-		return fmt.Errorf("noc: injection queue depth must be positive, got %d", p.InjectQueueDepth)
-	}
 	for _, id := range p.PerfCentric {
 		if id < 0 || id >= p.Width*p.Height {
 			return fmt.Errorf("noc: performance-centric router %d out of range", id)
 		}
-	}
-	if p.DynamicClassify && p.ReclassifyPeriod < 1 {
-		return fmt.Errorf("noc: dynamic classification needs a positive reclassify period")
 	}
 	if p.WatchdogLimit < 0 {
 		return fmt.Errorf("noc: watchdog limit must be non-negative, got %d", p.WatchdogLimit)

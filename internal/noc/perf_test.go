@@ -288,12 +288,11 @@ func TestStepPhasesMatchStep(t *testing.T) {
 // warmup, whole simulated cycles (traffic generation included) must not
 // allocate. The topology interface calls, the torus dateline escape-VC
 // computation, and the concentrated local-port crossbar slots are all on
-// the hot path and must not escape to the heap. The dynamic cell
-// reclassifies every cycle, so a ranking that allocates shows as whole
-// allocs per cycle (AllocsPerRun rounds down, so a longer period would
-// hide it).
+// the hot path and must not escape to the heap. The dynamic cell also
+// measures the ranking itself: it runs once per ReclassifyPeriod cycles,
+// so its allocations would round away in a per-cycle average.
 func TestSteadyStateZeroAllocs(t *testing.T) {
-	check := func(t *testing.T, p Params) {
+	check := func(t *testing.T, p Params) *Network {
 		p.Width, p.Height = 8, 8
 		n := MustNew(p)
 		inj := traffic.NewSynthetic(n, traffic.UniformRandom, 0.02, 11)
@@ -308,6 +307,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		if avg != 0 {
 			t.Errorf("steady-state tick allocates %.4f allocs/op, want 0", avg)
 		}
+		return n
 	}
 	for _, topo := range []topology.Kind{topology.KindMesh, topology.KindTorus, topology.KindCMesh} {
 		for _, d := range []Design{NoPG, ConvPG, ConvPGOpt, NoRD} {
@@ -321,8 +321,10 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	t.Run("NoRD/mesh/dynamic", func(t *testing.T) {
 		p := DefaultParams(NoRD)
 		p.DynamicClassify = true
-		p.ReclassifyPeriod = 1
-		check(t, p)
+		n := check(t, p)
+		if avg := testing.AllocsPerRun(100, n.reclassify); avg != 0 {
+			t.Errorf("reclassify allocates %.4f allocs/op, want 0", avg)
+		}
 	})
 }
 

@@ -152,7 +152,6 @@ func FuzzNetwork(f *testing.F) {
 		if p.Design.Blocks().Bypass {
 			p.AggressiveBypass = flags&1 != 0
 			p.DynamicClassify = flags&2 != 0
-			p.ReclassifyPeriod = 512
 			p.ForcedOff = flags&4 != 0
 		}
 		p.WatchdogLimit = 3_000

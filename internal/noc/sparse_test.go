@@ -224,7 +224,6 @@ func TestEventSparseMatchesFullScan(t *testing.T) {
 			p.Design = NoRD
 			p.AggressiveBypass = true
 			p.DynamicClassify = true
-			p.ReclassifyPeriod = 512
 		}},
 		{"NoRD_forced_off", 0.05, func(p *Params) {
 			p.Design = NoRD

@@ -101,11 +101,13 @@ type Event struct {
 	Cause  Cause
 }
 
-// Config tunes a Tracer. The zero value selects the defaults.
+// ringCapacity is the event ring size; once full the oldest events are
+// overwritten.
+const ringCapacity = 1 << 16
+
+// Config tunes a Tracer. The zero value selects the defaults. The event
+// ring always holds ringCapacity (65536) events.
 type Config struct {
-	// Capacity is the event ring size; once full the oldest events are
-	// overwritten (default 65536).
-	Capacity int
 	// SampleEvery records every Nth high-frequency event — bypass hops —
 	// while control events are always recorded (default 64; 1 records
 	// everything).
@@ -116,9 +118,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.Capacity <= 0 {
-		c.Capacity = 1 << 16
-	}
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = 64
 	}
@@ -166,7 +165,7 @@ type Tracer struct {
 // New builds a tracer; zero-value cfg fields select the defaults.
 func New(cfg Config) *Tracer {
 	cfg.fill()
-	return &Tracer{cfg: cfg, buf: make([]Event, cfg.Capacity)}
+	return &Tracer{cfg: cfg, buf: make([]Event, ringCapacity)}
 }
 
 // SetNodes sets the router count (the network calls this when the tracer

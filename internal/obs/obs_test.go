@@ -8,19 +8,20 @@ import (
 )
 
 func TestRingOverwriteKeepsNewest(t *testing.T) {
-	tr := New(Config{Capacity: 4, ResidencyEvery: -1})
-	for c := uint64(1); c <= 10; c++ {
+	tr := New(Config{ResidencyEvery: -1})
+	const total = ringCapacity + 6
+	for c := uint64(1); c <= total; c++ {
 		tr.Emit(c, 0, KindGateOff, CauseNone, 0)
 	}
-	if tr.Total() != 10 {
-		t.Fatalf("total = %d, want 10", tr.Total())
+	if tr.Total() != total {
+		t.Fatalf("total = %d, want %d", tr.Total(), total)
 	}
 	if tr.Dropped() != 6 {
 		t.Fatalf("dropped = %d, want 6", tr.Dropped())
 	}
 	ev := tr.Events()
-	if len(ev) != 4 {
-		t.Fatalf("len(events) = %d, want 4", len(ev))
+	if len(ev) != ringCapacity {
+		t.Fatalf("len(events) = %d, want %d", len(ev), ringCapacity)
 	}
 	for i, e := range ev {
 		if want := uint64(7 + i); e.Cycle != want {
@@ -229,10 +230,18 @@ func TestChromeTraceGolden(t *testing.T) {
 // GateOff event, the off-slice is reconstructed from WakeStart's residency
 // argument.
 func TestChromeTraceReconstructsLostGateOff(t *testing.T) {
-	tr := New(Config{Capacity: 2, ResidencyEvery: -1})
+	tr := New(Config{ResidencyEvery: -1})
 	tr.Emit(100, 0, KindGateOff, CauseNone, 100) // will be overwritten
+	// Fill the rest of the ring with events the Chrome writer renders as
+	// nothing: a zero-length WakeDone on another router.
+	for i := 0; i < ringCapacity-1; i++ {
+		tr.Emit(200, 1, KindWakeDone, CauseNone, 0)
+	}
 	tr.Emit(400, 0, KindWakeStart, CauseSARequest, 300)
 	tr.Emit(410, 0, KindWakeDone, CauseNone, 10)
+	if tr.Events()[0].Kind == KindGateOff {
+		t.Fatal("the GateOff is still in the ring; the test is vacuous")
+	}
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf, 1000); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)

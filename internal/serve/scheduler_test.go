@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -73,26 +72,4 @@ func TestSchedulerDrainUnderLoad(t *testing.T) {
 	}
 	// Close is idempotent.
 	s.Close()
-}
-
-// TestRetryAfterHintBounds pins the 429 backoff jitter: hints land in
-// [base, 1.5*base), never below the base, and actually vary — a fixed
-// hint would march every rejected client back in lockstep.
-func TestRetryAfterHintBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	const base = retryAfterBase
-	seen := map[time.Duration]bool{}
-	for i := 0; i < 500; i++ {
-		d := retryAfterHint(rng.Float64())
-		if d < base || d >= base+base/2 {
-			t.Fatalf("hint %s outside [%s, %s)", d, base, base+base/2)
-		}
-		if secs := retryAfterSeconds(d); secs < 1 || secs > 2 {
-			t.Fatalf("rounded hint %d outside [1, 2]", secs)
-		}
-		seen[d] = true
-	}
-	if len(seen) < 2 {
-		t.Fatalf("jitter produced a single value %v; hints must vary", seen)
-	}
 }

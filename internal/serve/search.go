@@ -69,11 +69,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, submitResponse{ID: j.ID, Key: j.Key, State: j.State(), Cached: true})
 		return
 	}
-	if !s.searches.tryAcquire(maxSearches) {
+	if s.searches >= maxSearches {
 		s.mu.Unlock()
 		s.tooManyRequests(w, "search limit reached")
 		return
 	}
+	s.searches++
 	j := s.newJobLocked(t)
 	s.metrics.JobsSubmitted.Add(1)
 	s.searchWG.Add(1)
@@ -85,7 +86,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // runSearch drives one search to completion on its own goroutine.
 func (s *Server) runSearch(j *Job, spec search.Spec) {
 	defer s.searchWG.Done()
-	defer s.searches.release()
+	defer func() {
+		s.mu.Lock()
+		s.searches--
+		s.mu.Unlock()
+	}()
 	// Searches are never memoized (see the package comment above); only
 	// their children are.
 	defer s.dropKey(j)

@@ -186,8 +186,8 @@ func TestSearchLimit(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-limit search got %d, want 429", resp.StatusCode)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
+	if ra := resp.Header.Get("Retry-After"); ra != "2" {
+		t.Fatalf("Retry-After=%q, want \"2\"", ra)
 	}
 	sr := running[0]
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+sr.ID, nil)

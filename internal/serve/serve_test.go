@@ -122,7 +122,8 @@ func scrape(t *testing.T, ts *httptest.Server) string {
 const smallSynthJob = `{"kind":"synthetic","synthetic":{"design":"nord","width":4,"height":4,"pattern":"uniform","rate":0.05,"warmup":100,"measure":2000,"seed":42}}`
 
 // slowSynthJob runs long enough to still be in flight when the test acts
-// on it (tens of millions of cycles), but cancels within CheckEvery.
+// on it (tens of millions of cycles), but cancels within one context poll
+// (1024 cycles).
 func slowSynthJob(seed int) string {
 	return fmt.Sprintf(`{"kind":"synthetic","synthetic":{"design":"no_pg","width":4,"height":4,"pattern":"uniform","rate":0.05,"warmup":100,"measure":80000000,"seed":%d}}`, seed)
 }
@@ -221,10 +222,8 @@ func TestServerQueueOverflow(t *testing.T) {
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("overflow submit: %d, want 429", code)
 	}
-	// The hint is jittered over [base, 1.5*base) and rounded up to whole
-	// seconds: base 1s → 1 or 2.
-	if ra := hdr.Get("Retry-After"); ra != "1" && ra != "2" {
-		t.Fatalf("Retry-After=%q, want \"1\" or \"2\" (jittered 1s base)", ra)
+	if ra := hdr.Get("Retry-After"); ra != "2" {
+		t.Fatalf("Retry-After=%q, want \"2\"", ra)
 	}
 	body := scrape(t, ts)
 	if v := promValue(t, body, "nord_jobs_rejected_total"); v != 1 {

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"runtime"
 	"sort"
@@ -30,20 +29,9 @@ import (
 // layer's polling.
 var ErrJobDeadline = errors.New("serve: job execution deadline exceeded")
 
-// retryAfterSeconds renders a backoff hint as whole seconds for the
-// Retry-After header, clamped to >= 1: a sub-second, zero or negative
-// duration must never emit the meaningless "Retry-After: 0", which many
-// clients treat as "retry immediately" and turn into a tight loop.
-func retryAfterSeconds(d time.Duration) int {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		return 1
-	}
-	return secs
-}
-
-// retryAfterBase is the 429 backoff hint before jitter.
-const retryAfterBase = time.Second
+// retryAfter is the 429 backoff hint, in whole seconds as the
+// Retry-After header carries it.
+const retryAfter = "2"
 
 // maxSearches bounds concurrently running design-space searches.
 // Searches run on dedicated goroutines — not in the worker pool — so
@@ -53,23 +41,12 @@ const retryAfterBase = time.Second
 // more would only deepen the queue.
 const maxSearches = 4
 
-// retryAfterHint spreads the 429 backoff over [retryAfterBase,
-// 1.5*retryAfterBase) using random from [0, 1): a fixed hint herds every
-// rejected client into retrying at the same instant, reproducing the
-// overload that caused the rejection. Jitter decorrelates them.
-func retryAfterHint(random float64) time.Duration {
-	return retryAfterBase + time.Duration(random*float64(retryAfterBase)/2)
-}
-
-// tooManyRequests answers 429 with a jittered Retry-After hint — the one
+// tooManyRequests answers 429 with the Retry-After hint — the one
 // rejection path for a full queue and for the search cap — and counts
 // the rejection.
 func (s *Server) tooManyRequests(w http.ResponseWriter, msg string) {
 	s.metrics.JobsRejected.Add(1)
-	s.rngMu.Lock()
-	hint := retryAfterHint(s.rng.Float64())
-	s.rngMu.Unlock()
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(hint)))
+	w.Header().Set("Retry-After", retryAfter)
 	writeError(w, http.StatusTooManyRequests, msg)
 }
 
@@ -138,37 +115,14 @@ type Server struct {
 	terminal []*Job
 	retain   int
 
-	rngMu sync.Mutex
-	rng   *rand.Rand // Retry-After jitter
-
-	// Running design-space searches: counted against maxSearches
-	// and waited for on shutdown (their goroutines live outside the
-	// dispatcher's pool).
-	searches searchCount
+	// searches counts running design-space searches against maxSearches
+	// (under mu); searchWG waits for them on shutdown (their goroutines
+	// live outside the dispatcher's pool).
+	searches int
 	searchWG sync.WaitGroup
 
 	draining atomic.Bool
 }
-
-// searchCount is an admission-bounded counter for running searches.
-type searchCount struct {
-	n atomic.Int64
-}
-
-// tryAcquire admits one search unless the cap is already reached.
-func (c *searchCount) tryAcquire(max int) bool {
-	for {
-		n := c.n.Load()
-		if n >= int64(max) {
-			return false
-		}
-		if c.n.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
-
-func (c *searchCount) release() { c.n.Add(-1) }
 
 // New builds a Server from cfg.
 func New(cfg Config) (*Server, error) {
@@ -183,7 +137,6 @@ func New(cfg Config) (*Server, error) {
 		jobs:   map[string]*Job{},
 		byKey:  map[string]*Job{},
 		retain: RetainTerminal,
-		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	if cfg.Dispatcher != nil {
 		s.disp = cfg.Dispatcher(s)
@@ -430,7 +383,7 @@ type outcome struct {
 	store bool
 	// run carries a done run's headline counters for the per-design
 	// series (nil for sweeps and searches).
-	run *runInfo
+	run *RunMeta
 	// unstarted marks a job its dispatcher dropped before running it:
 	// Cancel already made it terminal, and the drop is what accounts it.
 	unstarted bool
@@ -478,7 +431,9 @@ func (s *Server) settle(j *Job, o outcome) bool {
 	case JobDone:
 		s.metrics.JobsDone.Add(1)
 		if o.run != nil {
-			s.metrics.AddRun(o.run.design, o.run.wakeups, o.run.detours)
+			if d, err := noc.DesignByName(o.run.Design); err == nil {
+				s.metrics.AddRun(d, o.run.Wakeups, o.run.Detours)
+			}
 		}
 	case JobFailed:
 		s.metrics.JobsFailed.Add(1)
@@ -522,7 +477,7 @@ func (s *Server) Exec(j *Job) {
 		ctx, cancel = context.WithTimeoutCause(ctx, s.cfg.JobDeadline, ErrJobDeadline)
 		defer cancel()
 	}
-	payload, info, err := j.task.run(ctx, opt)
+	payload, meta, err := j.task.run(ctx, opt)
 	if tracer != nil {
 		traceBuf = tracer.DrainEvents(traceBuf[:0])
 		j.publishTrace(traceBuf)
@@ -532,7 +487,7 @@ func (s *Server) Exec(j *Job) {
 		s.settle(j, failure(err))
 		return
 	}
-	s.settle(j, outcome{state: JobDone, payload: payload, store: !j.task.traced, run: info})
+	s.settle(j, outcome{state: JobDone, payload: payload, store: !j.task.traced, run: meta})
 }
 
 // RemoteOutcome is a worker-reported job result crossing the fleet wire.
@@ -559,13 +514,7 @@ func (s *Server) FinishRemote(j *Job, out RemoteOutcome) {
 	case out.Error != "":
 		s.settle(j, outcome{state: JobFailed, errMsg: out.Error})
 	default:
-		o := outcome{state: JobDone, payload: out.Payload, store: !j.task.traced}
-		if out.Meta != nil {
-			if d, err := noc.DesignByName(out.Meta.Design); err == nil {
-				o.run = &runInfo{design: d, wakeups: out.Meta.Wakeups, detours: out.Meta.Detours}
-			}
-		}
-		s.settle(j, o)
+		s.settle(j, outcome{state: JobDone, payload: out.Payload, store: !j.task.traced, run: out.Meta})
 	}
 }
 

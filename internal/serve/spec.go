@@ -106,33 +106,26 @@ func designWarmup(name string, w *int) (noc.Design, int, error) {
 	return d, *w, nil
 }
 
-// runInfo carries a completed run's headline counters back to the server
+// RunMeta carries a completed run's headline counters back to the server
 // for the per-design Prometheus series (nil for sweeps, whose cells span
-// designs).
-type runInfo struct {
-	design  noc.Design
-	wakeups uint64
-	detours uint64
+// designs). A fleet worker reports it alongside its payload, so the
+// coordinator's per-design metrics match what a local run would have
+// recorded.
+type RunMeta struct {
+	Design  string `json:"design,omitempty"`
+	Wakeups uint64 `json:"wakeups,omitempty"`
+	Detours uint64 `json:"detours,omitempty"`
 }
 
 // encodeResult turns a finished single run into its cacheable payload
 // and headline counters. A run that failed produces neither, whatever
 // partial Result came with the error.
-func encodeResult(r sim.Result, err error) ([]byte, *runInfo, error) {
+func encodeResult(r sim.Result, err error) ([]byte, *RunMeta, error) {
 	if err != nil {
 		return nil, nil, err
 	}
 	b, err := json.Marshal(r)
-	return b, &runInfo{design: r.Design, wakeups: r.Wakeups, detours: r.Misroutes}, err
-}
-
-// RunMeta is runInfo in wire form: the headline counters a fleet worker
-// reports alongside its payload so the coordinator's per-design metrics
-// match what a local run would have recorded.
-type RunMeta struct {
-	Design  string `json:"design,omitempty"`
-	Wakeups uint64 `json:"wakeups,omitempty"`
-	Detours uint64 `json:"detours,omitempty"`
+	return b, &RunMeta{Design: r.Design.String(), Wakeups: r.Wakeups, Detours: r.Misroutes}, err
 }
 
 // ExecuteRequest resolves req and runs it on the calling goroutine — the
@@ -145,12 +138,7 @@ func ExecuteRequest(ctx context.Context, req *JobRequest, opt sim.RunOptions) ([
 	if err != nil {
 		return nil, nil, err
 	}
-	payload, info, err := t.run(ctx, opt)
-	var meta *RunMeta
-	if info != nil {
-		meta = &RunMeta{Design: info.design.String(), Wakeups: info.wakeups, Detours: info.detours}
-	}
-	return payload, meta, err
+	return t.run(ctx, opt)
 }
 
 // task is a resolved, runnable job body: the content-address key of the
@@ -163,7 +151,7 @@ type task struct {
 	kind   string
 	key    string
 	traced bool
-	run    func(ctx context.Context, opt sim.RunOptions) ([]byte, *runInfo, error)
+	run    func(ctx context.Context, opt sim.RunOptions) ([]byte, *RunMeta, error)
 
 	// src is the submission the task was resolved from (a *JobRequest, or
 	// a filled search.Spec); request marshals it on first use.
@@ -193,7 +181,7 @@ func taskKey(kind string, traced bool, cfg any) (string, error) {
 }
 
 // newTask keys a resolved, filled config and pairs it with its runner.
-func newTask(kind string, traced bool, cfg any, run func(context.Context, sim.RunOptions) ([]byte, *runInfo, error)) (*task, error) {
+func newTask(kind string, traced bool, cfg any, run func(context.Context, sim.RunOptions) ([]byte, *RunMeta, error)) (*task, error) {
 	key, err := taskKey(kind, traced, cfg)
 	if err != nil {
 		return nil, err
@@ -265,7 +253,7 @@ func (sp *SyntheticSpec) resolve() (*task, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return newTask("synthetic", sp.TraceEvents, cfg, func(ctx context.Context, opt sim.RunOptions) ([]byte, *runInfo, error) {
+	return newTask("synthetic", sp.TraceEvents, cfg, func(ctx context.Context, opt sim.RunOptions) ([]byte, *RunMeta, error) {
 		return encodeResult(sim.RunSyntheticOpts(ctx, cfg, opt))
 	})
 }
@@ -316,7 +304,7 @@ func (sp *WorkloadSpec) resolve() (*task, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return newTask("workload", sp.TraceEvents, cfg, func(ctx context.Context, opt sim.RunOptions) ([]byte, *runInfo, error) {
+	return newTask("workload", sp.TraceEvents, cfg, func(ctx context.Context, opt sim.RunOptions) ([]byte, *RunMeta, error) {
 		return encodeResult(sim.RunWorkloadOpts(ctx, cfg, opt))
 	})
 }
@@ -338,7 +326,7 @@ func (sp *TraceSpec) resolve() (*task, error) {
 	}.Filled()
 	// An unreadable file keys as "" and its run reports why.
 	_, sum, _ := readTrace(cfg.Path)
-	return newTask("trace", sp.TraceEvents, traceKey{Config: cfg, SHA256: sum}, func(ctx context.Context, opt sim.RunOptions) ([]byte, *runInfo, error) {
+	return newTask("trace", sp.TraceEvents, traceKey{Config: cfg, SHA256: sum}, func(ctx context.Context, opt sim.RunOptions) ([]byte, *RunMeta, error) {
 		b, got, err := readTrace(cfg.Path)
 		if err == nil && got != sum {
 			// Not the bytes the job was keyed by: caching this run under
@@ -392,7 +380,7 @@ func resolveSweep(cfg sim.SweepConfig) (*task, error) {
 	}
 	// The key hashes the filled config's Go field names, not its JSON
 	// tags (TestCacheKeyGolden pins one).
-	return newTask("sweep", false, cfg, func(ctx context.Context, opt sim.RunOptions) ([]byte, *runInfo, error) {
+	return newTask("sweep", false, cfg, func(ctx context.Context, opt sim.RunOptions) ([]byte, *RunMeta, error) {
 		pts, err := sim.LoadSweep(ctx, cfg)
 		if err != nil {
 			return nil, nil, err

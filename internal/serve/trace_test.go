@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -174,46 +173,9 @@ func TestServerTraceKeyIsolation(t *testing.T) {
 	}
 }
 
-// TestRetryAfterSeconds pins the clamp: the header must never render as
-// "Retry-After: 0", which clients treat as "retry immediately".
-func TestRetryAfterSeconds(t *testing.T) {
-	cases := []struct {
-		d    time.Duration
-		want int
-	}{
-		{-5 * time.Second, 1},
-		{0, 1},
-		{300 * time.Millisecond, 1},
-		{time.Second, 1},
-		{1500 * time.Millisecond, 2},
-		{2 * time.Second, 2},
-	}
-	for _, tc := range cases {
-		if got := retryAfterSeconds(tc.d); got != tc.want {
-			t.Errorf("retryAfterSeconds(%s)=%d, want %d", tc.d, got, tc.want)
-		}
-	}
-	// The 429 path itself: the status, the jittered 1s hint as "1" or
-	// "2", and the rejection counted.
-	s := &Server{rng: rand.New(rand.NewSource(1))}
-	for i := 0; i < 20; i++ {
-		rec := httptest.NewRecorder()
-		s.tooManyRequests(rec, "job queue full")
-		if rec.Code != http.StatusTooManyRequests {
-			t.Fatalf("status %d, want 429", rec.Code)
-		}
-		if ra := rec.Header().Get("Retry-After"); ra != "1" && ra != "2" {
-			t.Fatalf("Retry-After=%q, want \"1\" or \"2\"", ra)
-		}
-	}
-	if n := s.metrics.JobsRejected.Load(); n != 20 {
-		t.Errorf("JobsRejected=%d, want 20", n)
-	}
-}
-
 // TestServerRetryAfterClamped overflows a server and checks the 429's
-// Retry-After is the clamped, rounded-up whole-second form of the
-// jittered 1s hint: "1" or "2", never "0" or a fraction.
+// Retry-After is the whole-second constant "2": never "0", which many
+// clients read as "retry immediately", and never a fraction.
 func TestServerRetryAfterClamped(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	code, first, _ := postJob(t, ts, slowSynthJob(11))
@@ -229,8 +191,8 @@ func TestServerRetryAfterClamped(t *testing.T) {
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("overflow submit: %d, want 429", code)
 	}
-	if ra := hdr.Get("Retry-After"); ra != "1" && ra != "2" {
-		t.Fatalf("Retry-After=%q, want \"1\" or \"2\" (the hint must round up to whole seconds, never 0)", ra)
+	if ra := hdr.Get("Retry-After"); ra != "2" {
+		t.Fatalf("Retry-After=%q, want \"2\"", ra)
 	}
 	for _, id := range []string{first.ID, second.ID} {
 		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
@@ -265,6 +227,35 @@ func TestServerPerDesignMetrics(t *testing.T) {
 	}
 	if v := promValue(t, body, `nord_sim_wakeups_total{design="No_PG"}`); v != 0 {
 		t.Fatalf(`nord_sim_wakeups_total{design="No_PG"}=%v, want 0`, v)
+	}
+}
+
+// TestRemoteRunPerDesignMetrics: a fleet worker's RunMeta moves the same
+// per-design series a local run does, keyed by the design it names.
+func TestRemoteRunPerDesignMetrics(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	var req JobRequest
+	if err := json.Unmarshal([]byte(smallSynthJob), &req); err != nil {
+		t.Fatal(err)
+	}
+	task, err := resolveSpec(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	j := s.newJobLocked(task)
+	s.mu.Unlock()
+	j.markRunning()
+	s.FinishRemote(j, RemoteOutcome{Payload: json.RawMessage(`{}`), Meta: &RunMeta{Design: "Conv_PG", Wakeups: 7, Detours: 3}})
+	body := scrape(t, ts)
+	if v := promValue(t, body, `nord_sim_wakeups_total{design="Conv_PG"}`); v != 7 {
+		t.Errorf(`nord_sim_wakeups_total{design="Conv_PG"}=%v, want 7`, v)
+	}
+	if v := promValue(t, body, `nord_sim_detours_total{design="Conv_PG"}`); v != 3 {
+		t.Errorf(`nord_sim_detours_total{design="Conv_PG"}=%v, want 3`, v)
+	}
+	if v := promValue(t, body, `nord_sim_wakeups_total{design="NoRD"}`); v != 0 {
+		t.Errorf(`nord_sim_wakeups_total{design="NoRD"}=%v, want 0`, v)
 	}
 }
 

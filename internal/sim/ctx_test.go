@@ -10,15 +10,13 @@ import (
 )
 
 // TestRunSyntheticCancelBounded proves cooperative cancellation is
-// bounded: after ctx is canceled, the tick loop stops within CheckEvery
+// bounded: after ctx is canceled, the tick loop stops within checkEvery
 // cycles (the context poll interval), not at the end of the run.
 func TestRunSyntheticCancelBounded(t *testing.T) {
 	const (
-		warmup     = 500
-		measure    = 2_000_000 // far more than the test should ever simulate
-		checkEvery = 128
-		progEvery  = 512
-		cancelAt   = 2048 // network cycle at which the callback cancels
+		warmup   = 500
+		measure  = 2_000_000 // far more than the test should ever simulate
+		cancelAt = 2048      // network cycle at which the callback cancels
 	)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -28,8 +26,6 @@ func TestRunSyntheticCancelBounded(t *testing.T) {
 		Pattern: "uniform", Rate: 0.05,
 		Warmup: warmup, Measure: measure, Seed: 1,
 	}, RunOptions{
-		CheckEvery:    checkEvery,
-		ProgressEvery: progEvery,
 		Progress: func(p stats.Progress) {
 			if canceledAt == 0 && p.Cycle >= cancelAt {
 				canceledAt = p.Cycle
@@ -83,8 +79,6 @@ func TestRunWorkloadCancel(t *testing.T) {
 	_, err := RunWorkloadOpts(ctx, WorkloadConfig{
 		Design: noc.NoRD, Benchmark: "x264", Scale: 0.5, Seed: 1,
 	}, RunOptions{
-		CheckEvery:    256,
-		ProgressEvery: 1024,
 		Progress: func(p stats.Progress) {
 			if !canceled && p.Cycle >= 4096 {
 				canceled = true
@@ -103,22 +97,20 @@ func TestRunWorkloadCancel(t *testing.T) {
 
 // TestRunWorkloadPreCanceled: the full-system warmup polls the context
 // like every other phase, so a job canceled before it starts stops within
-// CheckEvery cycles instead of burning through the warmup first.
+// checkEvery cycles instead of burning through the warmup first.
 func TestRunWorkloadPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	const checkEvery = 64
 	var last uint64
 	res, err := RunWorkloadOpts(ctx, WorkloadConfig{
 		Design: noc.NoRD, Benchmark: "x264", Scale: 0.5, Seed: 1,
 	}, RunOptions{
-		CheckEvery: checkEvery,
-		Progress:   func(p stats.Progress) { last = p.Cycle },
+		Progress: func(p stats.Progress) { last = p.Cycle },
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if want := "sim: run canceled at cycle 64: context canceled"; err.Error() != want || res.Err != want {
+	if want := "sim: run canceled at cycle 1024: context canceled"; err.Error() != want || res.Err != want {
 		t.Fatalf("cancel message: err %q, Result.Err %q, want %q", err, res.Err, want)
 	}
 	if last > checkEvery {
@@ -130,29 +122,31 @@ func TestRunWorkloadPreCanceled(t *testing.T) {
 }
 
 // TestWarmupProgressPrecedesMeasure: every run kind reports its warmup
-// as a "warmup" phase before the first "measure" snapshot.
+// as a "warmup" phase before the first "measure" snapshot. The warmup
+// outlasts one progress period, so a snapshot falls inside it.
 func TestWarmupProgressPrecedesMeasure(t *testing.T) {
+	const warmup = progressEvery + 1000
 	tr, _, err := RecordWorkloadTrace(WorkloadConfig{Design: noc.NoPG, Benchmark: "swaptions", Scale: 0.02, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	kinds := map[string]func(RunOptions) error{
 		"synthetic": func(o RunOptions) error {
-			_, err := RunSyntheticOpts(context.Background(), SynthConfig{Design: noc.NoRD, Rate: 0.05, Warmup: 1000, Measure: 1000, Seed: 1}, o)
+			_, err := RunSyntheticOpts(context.Background(), SynthConfig{Design: noc.NoRD, Rate: 0.05, Warmup: warmup, Measure: 1000, Seed: 1}, o)
 			return err
 		},
 		"workload": func(o RunOptions) error {
-			_, err := RunWorkloadOpts(context.Background(), WorkloadConfig{Design: noc.NoRD, Benchmark: "swaptions", Scale: 0.02, Warmup: 1000, Seed: 1}, o)
+			_, err := RunWorkloadOpts(context.Background(), WorkloadConfig{Design: noc.NoRD, Benchmark: "swaptions", Scale: 0.02, Warmup: warmup, Seed: 1}, o)
 			return err
 		},
 		"trace": func(o RunOptions) error {
-			_, err := ReplayTraceOpts(context.Background(), TraceConfig{Design: noc.NoRD, Warmup: 1000}, tr, o)
+			_, err := ReplayTraceOpts(context.Background(), TraceConfig{Design: noc.NoRD, Warmup: warmup}, tr, o)
 			return err
 		},
 	}
 	for name, run := range kinds {
 		var phases []string
-		err := run(RunOptions{ProgressEvery: 250, Progress: func(p stats.Progress) {
+		err := run(RunOptions{Progress: func(p stats.Progress) {
 			if len(phases) == 0 || phases[len(phases)-1] != p.Phase {
 				phases = append(phases, p.Phase)
 			}

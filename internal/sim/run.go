@@ -361,7 +361,7 @@ func (c *SynthConfig) params(classes int) (noc.Params, error) {
 // traffic and pending retransmissions after the measurement window so the
 // recovery accounting in Result.Fault is complete. A structured failure
 // (deadlock, partition, protocol violation, cancellation — ctx is polled
-// every opt.CheckEvery cycles) is returned as the error AND recorded in
+// every checkEvery cycles) is returned as the error AND recorded in
 // Result.Err alongside whatever statistics were gathered, so sweeps can
 // tabulate failed cells instead of dying.
 func RunSyntheticOpts(ctx context.Context, c SynthConfig, opt RunOptions) (Result, error) {

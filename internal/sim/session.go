@@ -10,21 +10,21 @@ import (
 	"nord/internal/stats"
 )
 
-// RunOptions tunes the cooperative-cancellation and progress machinery of
-// the *Opts runners. The zero value is ready to use: the context is
-// polled every 1024 cycles and no progress is reported.
+// checkEvery is the number of cycles between context polls: the bound on
+// how many extra cycles a canceled run keeps ticking.
+const checkEvery = 1024
+
+// progressEvery is the number of cycles between progress snapshots.
+const progressEvery = 5000
+
+// RunOptions attaches observers to the *Opts runners. The zero value is
+// ready to use: the context is polled every checkEvery (1024) cycles and
+// no progress is reported.
 type RunOptions struct {
 	// Progress, when non-nil, receives a stats.Progress snapshot every
-	// ProgressEvery cycles and once more when the run finishes. It is
-	// called from the simulation goroutine; keep it fast.
+	// progressEvery (5000) cycles and once more when the run finishes. It
+	// is called from the simulation goroutine; keep it fast.
 	Progress func(stats.Progress)
-	// ProgressEvery is the number of cycles between snapshots
-	// (default 5000).
-	ProgressEvery int
-	// CheckEvery is the number of cycles between context polls
-	// (default 1024) — the bound on how many extra cycles a canceled run
-	// keeps ticking.
-	CheckEvery int
 	// Tracer, when non-nil, is attached to the network as the cycle-level
 	// event sink (power-gating FSM transitions, wakeup causes, detours;
 	// see internal/obs). Like Progress it is driven on the simulation
@@ -33,20 +33,6 @@ type RunOptions struct {
 	// Parallelism is ignored: the tick kernel is serial. It remains only
 	// because the benchmark ladder still sets it.
 	Parallelism int
-}
-
-func (o RunOptions) checkEvery() uint64 {
-	if o.CheckEvery > 0 {
-		return uint64(o.CheckEvery)
-	}
-	return 1024
-}
-
-func (o RunOptions) progressEvery() uint64 {
-	if o.ProgressEvery > 0 {
-		return uint64(o.ProgressEvery)
-	}
-	return 5000
 }
 
 // session is the one way a simulation is driven: open builds the network
@@ -139,19 +125,19 @@ func (s *session) fail(err error) {
 	}
 }
 
-// observe polls the context every CheckEvery cycles and emits a progress
-// snapshot every ProgressEvery cycles. A cancellation wraps the context's
+// observe polls the context every checkEvery cycles and emits a progress
+// snapshot every progressEvery cycles. A cancellation wraps the context's
 // cause (context.Cause falls back to ctx.Err, so errors.Is still sees
 // context.Canceled / DeadlineExceeded; callers that cancel with a cause —
 // e.g. a per-job execution deadline — can distinguish it from a plain
 // client cancel).
 func (s *session) observe(phase string) {
 	cyc := s.net.Cycle()
-	if cyc%s.opt.checkEvery() == 0 && s.ctx.Err() != nil {
+	if cyc%checkEvery == 0 && s.ctx.Err() != nil {
 		s.err = fmt.Errorf("sim: run canceled at cycle %d: %w", cyc, context.Cause(s.ctx))
 		return
 	}
-	if s.opt.Progress != nil && cyc-s.lastEmit >= s.opt.progressEvery() {
+	if s.opt.Progress != nil && cyc-s.lastEmit >= progressEvery {
 		s.emit(phase)
 	}
 }

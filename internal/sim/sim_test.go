@@ -160,7 +160,7 @@ func TestRunSyntheticBasics(t *testing.T) {
 // config there and in the runner, before a cycle is stepped.
 func TestRunSyntheticValidation(t *testing.T) {
 	stepped := 0
-	opt := RunOptions{ProgressEvery: 1, Progress: func(stats.Progress) { stepped++ }}
+	opt := RunOptions{Progress: func(stats.Progress) { stepped++ }}
 	legal := SynthConfig{Design: noc.ConvPG, Rate: 0.01, Measure: 10}
 	if err := legal.Validate(); err != nil {
 		t.Fatalf("control refused: %v", err)

@@ -21,23 +21,27 @@ import (
 //     Bypass Inport and is forwarded through v's NI).
 //
 // Additionally a powered-off u can only emit flits on its Bypass Outport.
-// Traversing a powered-on router costs PipeOnCycles per hop; bypassing a
-// powered-off router costs PipeBypassCycles (2-cycle bypass + 1 LT versus
+// Traversing a powered-on router costs pipeOnCycles per hop; bypassing a
+// powered-off router costs pipeBypassCycles (2-cycle bypass + 1 LT versus
 // the 4-stage pipeline + 1 LT, Section 6.8).
 type Planner struct {
 	Topo Topology
 	Ring *Ring
-	// PipeOnCycles is the per-hop latency through a powered-on router
-	// (default 5: 4 pipeline stages + link traversal).
-	PipeOnCycles int
-	// PipeBypassCycles is the per-hop latency through a gated-off
-	// router's NI bypass (default 3: 2 bypass stages + link traversal).
-	PipeBypassCycles int
 }
 
-// NewPlanner returns a planner with the paper's default per-hop costs.
+// Per-hop latencies the planner charges (Section 6.8).
+const (
+	// pipeOnCycles is the per-hop latency through a powered-on router:
+	// 4 pipeline stages + link traversal.
+	pipeOnCycles = 5
+	// pipeBypassCycles is the per-hop latency through a gated-off
+	// router's NI bypass: 2 bypass stages + link traversal.
+	pipeBypassCycles = 3
+)
+
+// NewPlanner returns a planner over t and its bypass ring r.
 func NewPlanner(t Topology, r *Ring) *Planner {
-	return &Planner{Topo: t, Ring: r, PipeOnCycles: 5, PipeBypassCycles: 3}
+	return &Planner{Topo: t, Ring: r}
 }
 
 // planInf marks an unreachable pair. It is finite, and twice it still fits
@@ -71,11 +75,9 @@ func (t pathTotals) averages(n int) (avgHops, perHopCycles float64) {
 // neighbour table is immutable and shared between the evaluators of one
 // search; everything else is per evaluator, one per worker.
 type evaluator struct {
-	n          int
-	nbr        []int32 // 4 per node in Dir order, -1 where the port is unwired
-	ring       *Ring
-	onCost     int64
-	bypassCost int64
+	n    int
+	nbr  []int32 // 4 per node in Dir order, -1 where the port is unwired
+	ring *Ring
 
 	on    []bool  // the candidate set; callers fill it before run
 	cell  []int64 // n*n packed cells: min cycles u->v, and hops along that path
@@ -87,9 +89,8 @@ func (p *Planner) newEvaluator() (*evaluator, error) {
 	n := p.Topo.N()
 	// The longest shortest path has fewer than n hops and must stay
 	// below planInf.
-	if min(p.PipeOnCycles, p.PipeBypassCycles) < 0 || max(p.PipeOnCycles, p.PipeBypassCycles) >= planInf/n {
-		return nil, fmt.Errorf("topology: per-hop costs %d/%d out of range for %d nodes",
-			p.PipeOnCycles, p.PipeBypassCycles, n)
+	if n >= planInf/pipeOnCycles {
+		return nil, fmt.Errorf("topology: %d nodes are too many for the planner", n)
 	}
 	nbr := make([]int32, 4*n)
 	for u := 0; u < n; u++ {
@@ -102,7 +103,6 @@ func (p *Planner) newEvaluator() (*evaluator, error) {
 	}
 	return &evaluator{
 		n: n, nbr: nbr, ring: p.Ring,
-		onCost: int64(p.PipeOnCycles), bypassCost: int64(p.PipeBypassCycles),
 		on: make([]bool, n), cell: make([]int64, n*n),
 	}, nil
 }
@@ -127,12 +127,12 @@ func (e *evaluator) run() (pathTotals, error) {
 		cell[u*n+u] = 0
 	}
 	edge := func(u, v int) {
-		c := e.onCost
+		c := int64(pipeOnCycles)
 		if !on[v] {
 			if e.ring.pred[v] != u {
 				return // off router accepts flits only on its Bypass Inport
 			}
-			c = e.bypassCost
+			c = pipeBypassCycles
 		}
 		if c < cell[u*n+v]>>32 {
 			cell[u*n+v] = c<<32 | 1

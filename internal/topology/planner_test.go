@@ -282,12 +282,12 @@ func textbookTotals(p *Planner, on []bool) (hops, cycles int64, err error) {
 		}
 	}
 	edge := func(u, v int) {
-		c := int32(p.PipeOnCycles)
+		c := int32(pipeOnCycles)
 		if !on[v] {
 			if p.Ring.Pred(v) != u {
 				return
 			}
-			c = int32(p.PipeBypassCycles)
+			c = pipeBypassCycles
 		}
 		if c < cost[u][v] {
 			cost[u][v], hop[u][v] = c, 1

@@ -178,22 +178,38 @@ func TestRecordReplay(t *testing.T) {
 	}
 }
 
-// TestReplayBackpressure: a tiny injection queue forces retries; nothing
-// is lost.
+// refusalCounter counts the injects its network refused.
+type refusalCounter struct {
+	*noc.Network
+	refused int
+}
+
+func (c *refusalCounter) Inject(p *flit.Packet) bool {
+	ok := c.Network.Inject(p)
+	if !ok {
+		c.refused++
+	}
+	return ok
+}
+
+// TestReplayBackpressure: a burst larger than the injection queue forces
+// retries; nothing is lost.
 func TestReplayBackpressure(t *testing.T) {
-	p := noc.DefaultParams(noc.NoPG)
-	p.InjectQueueDepth = 1
-	n := noc.MustNew(p)
+	n := noc.MustNew(noc.DefaultParams(noc.NoPG))
 	tr := &Trace{Nodes: 16}
 	for i := 0; i < 50; i++ {
 		tr.Events = append(tr.Events, Event{Cycle: 1, Src: 0, Dst: 15, Class: 0, Flits: 5})
 	}
-	rep := NewReplayer(n, tr)
+	net := &refusalCounter{Network: n}
+	rep := NewReplayer(net, tr)
 	delivered := 0
 	n.SetDeliveryHandler(func(pk *flit.Packet, _ uint64) { delivered++ })
 	for c := 0; c < 100_000 && (!rep.Done() || n.InFlight() > 0); c++ {
 		rep.Tick(n.Cycle())
 		n.Tick()
+	}
+	if net.refused == 0 {
+		t.Fatal("the network refused no inject; the test saw no backpressure")
 	}
 	if delivered != 50 {
 		t.Errorf("delivered %d of 50 under backpressure", delivered)

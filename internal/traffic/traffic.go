@@ -92,22 +92,25 @@ const (
 	LongFlits  = 5
 	// avgFlits is the expected packet length with the 50/50 mix.
 	avgFlits = (ShortFlits + LongFlits) / 2.0
+	// shortFrac is the probability a packet is short: the 50/50 mix.
+	shortFrac = 0.5
 )
+
+// maxPending bounds each node's source queue; beyond it packets are
+// dropped (the network is saturated anyway).
+const maxPending = 64
 
 // Synthetic is an open-loop Bernoulli injector: each node independently
 // generates packets so that the offered load equals Rate flits/node/cycle.
+// Half the packets are short (shortFrac), and each node queues at most
+// maxPending packets the network has not yet accepted.
 type Synthetic struct {
 	Net     Network
 	Pattern Pattern
 	// Rate is the offered load in flits per node per cycle.
 	Rate float64
-	// ShortFrac is the probability a packet is short (default 0.5).
-	ShortFrac float64
 	// Class is the protocol class to inject on.
 	Class flit.Class
-	// MaxPending bounds each node's source queue; beyond it packets are
-	// dropped (the network is saturated anyway). Default 64.
-	MaxPending int
 
 	rng     *rand.Rand
 	pending [][]*flit.Packet
@@ -118,13 +121,11 @@ type Synthetic struct {
 // NewSynthetic builds an injector with the paper's defaults.
 func NewSynthetic(net Network, pattern Pattern, rate float64, seed int64) *Synthetic {
 	return &Synthetic{
-		Net:        net,
-		Pattern:    pattern,
-		Rate:       rate,
-		ShortFrac:  0.5,
-		MaxPending: 64,
-		rng:        rand.New(rand.NewSource(seed)),
-		pending:    make([][]*flit.Packet, net.Mesh().N()),
+		Net:     net,
+		Pattern: pattern,
+		Rate:    rate,
+		rng:     rand.New(rand.NewSource(seed)),
+		pending: make([][]*flit.Packet, net.Mesh().N()),
 	}
 }
 
@@ -139,11 +140,11 @@ func (s *Synthetic) Tick(cycle uint64) {
 				continue
 			}
 			length := LongFlits
-			if s.rng.Float64() < s.ShortFrac {
+			if s.rng.Float64() < shortFrac {
 				length = ShortFlits
 			}
 			s.offered++
-			if len(s.pending[src]) < s.MaxPending {
+			if len(s.pending[src]) < maxPending {
 				s.pending[src] = append(s.pending[src], s.Net.NewPacket(src, dst, s.Class, length))
 			} else {
 				s.dropped++
@@ -151,7 +152,7 @@ func (s *Synthetic) Tick(cycle uint64) {
 		}
 		// Drain the source queue into the NI. Dequeue by copying down so
 		// the slice keeps its capacity (reslicing would leak it and force
-		// a reallocation per MaxPending packets).
+		// a reallocation per maxPending packets).
 		for len(s.pending[src]) > 0 {
 			if !s.Net.Inject(s.pending[src][0]) {
 				break
